@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import graphene
-from .errors import InputFormatError, InvariantViolation
-from .hamiltonian import classify
+from .errors import ConstraintError, InputFormatError, InvariantViolation
+from .hamiltonian import classify, derive, even_spectrum
 from .quartic import solve_quartic
 from .serialization import (
     format_float,
@@ -27,6 +27,11 @@ from .serialization import (
 from .solver import solve
 from .thermo import EnsembleBranch, thermal_report
 from .verify import run_suites, report_lines
+
+# Largest accepted --grid and --steps: at about 0.1 ms a k-point and 0.6 ms a
+# temperature row they bound a command at minutes, and fail before any work.
+MAX_GRID = 1001
+MAX_STEPS = 10_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,9 +108,20 @@ def _graphene_params(args) -> graphene.GrapheneParams:
         raise InputFormatError(str(exc)) from exc
 
 
+def _grid_spec(p: graphene.GrapheneParams, args) -> graphene.GridSpec:
+    if args.grid > MAX_GRID:
+        raise InputFormatError(f"--grid {args.grid} exceeds the limit of {MAX_GRID}")
+    try:
+        return graphene.default_grid(p, args.grid, args.mask)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
+
+
 def _temperatures(tmin: float, tmax: float, steps: int) -> np.ndarray:
     if not (0 < tmin <= tmax) or steps < 1:
         raise InputFormatError("need 0 < tmin <= tmax and steps >= 1")
+    if steps > MAX_STEPS:
+        raise InputFormatError(f"--steps {steps} exceeds the limit of {MAX_STEPS}")
     if steps == 1 or tmin == tmax:
         return np.array([tmin])
     # Log spacing: sweeps span decades and both endpoints are sampled exactly.
@@ -156,6 +172,11 @@ def cmd_thermo(args) -> int:
     c = load_coefficient_set(args.input)
     branch = EnsembleBranch.FULL if args.branch == "full" else EnsembleBranch.POSITIVE_ONLY
     temps = _temperatures(args.tmin, args.tmax, args.steps)
+    if branch is EnsembleBranch.POSITIVE_ONLY:
+        try:
+            even_spectrum(derive(c))
+        except ConstraintError as exc:
+            raise InputFormatError(f"--branch positive: {exc}") from exc
     rows = []
     for t in temps:
         rep = thermal_report(c, float(t), branch)
@@ -167,7 +188,7 @@ def cmd_thermo(args) -> int:
 
 def cmd_graphene_bands(args) -> int:
     p = _graphene_params(args)
-    spec = graphene.default_grid(p, args.grid, args.mask)
+    spec = _grid_spec(p, args)
     data = graphene.band_grid(p, spec)
     write_csv(args.output, ["kx", "ky", "E1", "E2"], grid_rows(data, ["kx", "ky", "e1", "e2"]))
     print(
@@ -179,7 +200,7 @@ def cmd_graphene_bands(args) -> int:
 
 def cmd_graphene_concurrence(args) -> int:
     p = _graphene_params(args)
-    spec = graphene.default_grid(p, args.grid, args.mask)
+    spec = _grid_spec(p, args)
     data = graphene.concurrence_grid(p, spec, args.branch_m, args.branch_n)
     write_csv(args.output, ["kx", "ky", "C", "flag"], grid_rows(data, ["kx", "ky", "c", "flag"]))
     flagged = int(np.sum(data["flag"]))
@@ -189,13 +210,15 @@ def cmd_graphene_concurrence(args) -> int:
 
 def cmd_graphene_thermal(args) -> int:
     p = _graphene_params(args)
+    temps = _temperatures(args.tmin, args.tmax, args.steps)
     if (args.kx is None) != (args.ky is None):
         raise InputFormatError("provide both --kx and --ky or neither")
     if args.kx is None:
         kx, ky = graphene.find_dirac_point(p)
+    elif not np.isfinite([args.kx, args.ky]).all():
+        raise InputFormatError("--kx and --ky must be finite")
     else:
         kx, ky = args.kx, args.ky
-    temps = _temperatures(args.tmin, args.tmax, args.steps)
     data = graphene.thermal_concurrence_curve(p, kx, ky, temps)
     write_csv(args.output, ["T", "C", "flag"], grid_rows(data, ["t", "c", "flag"]))
     print(

@@ -13,13 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConcurrenceDomainError,
-    ConstraintError,
-    DegenerateBranchError,
-    DensityMatrixError,
+from .errors import ConcurrenceDomainError, DegenerateBranchError, DensityMatrixError
+from .hamiltonian import (
+    DEFAULT_TOL,
+    DEGENERACY_RTOL,
+    CoefficientSet,
+    DerivedCoefficients,
+    derive,
+    even_spectrum,
+    frame_reduce,
 )
-from .hamiltonian import CoefficientSet, DerivedCoefficients, derive, frame_reduce
 from .pauli import pauli_word
 
 # Radicands above this are round-off and clamp to zero; anything lower is a
@@ -32,8 +35,6 @@ PURITY_TOL = 1e-6
 # Below this relative size a constrained vector is treated as vanishing and
 # the branch formula (which divides by its squared norm) is bypassed.
 VECTOR_FLOOR = 1e-6
-
-_DEGEN_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -74,19 +75,18 @@ def bloch_vectors(rho: np.ndarray) -> BlochPair:
 
 
 def _branch_scales(d: DerivedCoefficients, n: int) -> tuple[float, float]:
-    """(sqrt_theta_phi, E_n) with degeneracy guards."""
-    sq = float(np.sqrt(max(d.theta_phi, 0.0)))
-    if sq <= _DEGEN_RTOL * (1.0 + d.v_quad):
+    """(sqrt_theta_phi, E_n) with degeneracy guards; needs a constrained set."""
+    sq, e1, e2 = even_spectrum(d)
+    if sq <= DEGENERACY_RTOL * (1.0 + d.v_quad):
         raise DegenerateBranchError("theta_phi is numerically degenerate")
-    en_sq = d.v_quad + (-1) ** n * sq
-    root_v = np.sqrt(d.v_quad)
-    if en_sq <= (_DEGEN_RTOL * (1.0 + root_v)) ** 2:
+    # E_n^2 is compared before the square root rounds it.
+    if d.v_quad + (-1) ** n * sq <= (DEGENERACY_RTOL * (1.0 + np.sqrt(d.v_quad))) ** 2:
         raise DegenerateBranchError(f"E_{n} is numerically degenerate")
-    return sq, float(np.sqrt(en_sq))
+    return sq, (e1, e2)[n - 1]
 
 
 def eigenstate_bloch_closed_form(
-    c: CoefficientSet, m: int, n: int, tol: float = 1e-9
+    c: CoefficientSet, m: int, n: int, tol: float = DEFAULT_TOL
 ) -> BlochPair:
     """Bloch vectors of the (m, n) eigenstate from the coefficients alone.
 
@@ -95,8 +95,6 @@ def eigenstate_bloch_closed_form(
     """
     _check_mn(m, n)
     d = derive(c, tol)
-    if not (d.alpha_null or d.beta_null):
-        raise ConstraintError("set does not satisfy either contraction constraint")
     sq, en = _branch_scales(d, n)
     sm, sn = (-1.0) ** m, (-1.0) ** n
     a = sn * d.a_vec / sq + sm * c.alpha / en + sm * sn * (
@@ -115,11 +113,11 @@ def pure_concurrence(rho: np.ndarray) -> float:
     if abs(purity - 1.0) > PURITY_TOL:
         raise DensityMatrixError(f"state purity {purity} is not 1: mixed input")
     pair = bloch_vectors(rho)
-    return _concurrence_from_modulus_sq(pair.a_modulus**2)
+    return _concurrence_from_radicand(1.0 - pair.a_modulus**2)
 
 
-def _concurrence_from_modulus_sq(a_sq: float) -> float:
-    radicand = 1.0 - a_sq
+def _concurrence_from_radicand(radicand: float) -> float:
+    """sqrt of a concurrence radicand, with round-off negatives clamped to zero."""
     if radicand < RADICAND_FLOOR:
         raise ConcurrenceDomainError(
             f"concurrence radicand {radicand:.3e} below round-off floor"
@@ -139,7 +137,7 @@ def block_form_defect(c: CoefficientSet) -> float:
 
 
 def eigenstate_concurrence_closed_form(
-    c: CoefficientSet, m: int, n: int, tol: float = 1e-9
+    c: CoefficientSet, m: int, n: int, tol: float = DEFAULT_TOL
 ) -> float:
     """Concurrence of the (m, n) eigenstate from the coefficients alone.
 
@@ -159,8 +157,6 @@ def eigenstate_concurrence_closed_form(
     if block_form_defect(c) > tol:
         c, _, _ = frame_reduce(c, tol)
     d = derive(c, tol)
-    if not (d.alpha_null or d.beta_null):
-        raise ConstraintError("set does not satisfy either contraction constraint")
     sq, en = _branch_scales(d, n)
     sn = (-1.0) ** n
     scale = c.scale() + np.finfo(float).tiny
@@ -168,21 +164,17 @@ def eigenstate_concurrence_closed_form(
     al_sq = float(c.alpha @ c.alpha)
     be_sq = float(c.beta @ c.beta)
     dot = float(c.alpha @ c.beta)
+    # v is the constrained vector, u the other one.
     if d.alpha_null and al_sq >= (VECTOR_FLOOR * scale) ** 2:
-        inner = be_sq - dot * d.det_omega_b / al_sq
-        radicand = d.phi / d.theta_phi - al_sq / en**2 * (1.0 + 2.0 * sn * inner / sq) ** 2
+        v_sq, u_sq = al_sq, be_sq
     elif d.beta_null and be_sq >= (VECTOR_FLOOR * scale) ** 2:
-        inner = al_sq - dot * d.det_omega_b / be_sq
-        radicand = d.phi / d.theta_phi - be_sq / en**2 * (1.0 + 2.0 * sn * inner / sq) ** 2
+        v_sq, u_sq = be_sq, al_sq
     else:
         pair = eigenstate_bloch_closed_form(c, m, n, tol)
-        radicand = 1.0 - pair.a_modulus**2
-
-    if radicand < RADICAND_FLOOR:
-        raise ConcurrenceDomainError(
-            f"concurrence radicand {radicand:.3e} below round-off floor"
-        )
-    return float(np.sqrt(np.clip(radicand, 0.0, 1.0)))
+        return _concurrence_from_radicand(1.0 - pair.a_modulus**2)
+    inner = u_sq - dot * d.det_omega_b / v_sq
+    radicand = d.phi / d.theta_phi - v_sq / en**2 * (1.0 + 2.0 * sn * inner / sq) ** 2
+    return _concurrence_from_radicand(radicand)
 
 
 def _check_mn(m: int, n: int):

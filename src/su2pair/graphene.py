@@ -16,8 +16,8 @@ import numpy as np
 
 from .entanglement import eigenstate_concurrence_closed_form
 from .errors import ConcurrenceDomainError, DegenerateBranchError
-from .hamiltonian import CoefficientSet, derive
-from .thermo import spin_flip_commutator_norm
+from .hamiltonian import CoefficientSet, derive, even_spectrum
+from .thermo import cosh_pair, sinh_cosh_gap, spin_flip_commutator
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,9 @@ class GrapheneParams:
     lattice: float = 1.0
 
     def __post_init__(self):
+        for name in ("t", "t3", "tperp", "m", "bias", "lattice"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.lattice > 0:
             raise ValueError("lattice constant must be positive")
 
@@ -91,10 +94,7 @@ def build_ab_hamiltonian(p: GrapheneParams, kx: float, ky: float) -> np.ndarray:
 
 def positive_bands(p: GrapheneParams, kx: float, ky: float) -> tuple[float, float]:
     """(E1, E2) with E_n = sqrt(V + (-1)^n sqrt(Tp)); the spectrum is +-E1, +-E2."""
-    d = derive(map_to_su2su2(p, kx, ky))
-    sq = math.sqrt(max(d.theta_phi, 0.0))
-    e1 = math.sqrt(max(d.v_quad - sq, 0.0))
-    e2 = math.sqrt(d.v_quad + sq)
+    _, e1, e2 = even_spectrum(derive(map_to_su2su2(p, kx, ky)))
     return e1, e2
 
 
@@ -231,14 +231,6 @@ def concurrence_grid(
     }
 
 
-def _scaled_sinh_cosh_gap(x: float, y: float, t: float) -> float:
-    """e^{-x/t} [sinh(x/t) - cosh(y/t)] for x > y >= 0; sign-exact, no overflow."""
-    return (
-        -math.expm1(-2.0 * x / t)
-        - math.exp(-(x - y) / t) * (1.0 + math.exp(-2.0 * y / t))
-    ) / 2.0
-
-
 def thermal_concurrence_curve(
     p: GrapheneParams, kx: float, ky: float, temps
 ) -> dict[str, np.ndarray]:
@@ -251,13 +243,10 @@ def thermal_concurrence_curve(
     (the local and interaction parts commute), 1 otherwise.
     """
     coeffs = map_to_su2su2(p, kx, ky)
-    d = derive(coeffs)
+    _, e1, e2 = even_spectrum(derive(coeffs))
     s_arg = p.tperp
     c_arg = abs(p.t3 * structure_factor(p, kx, ky))
-    sq = math.sqrt(max(d.theta_phi, 0.0))
-    e1 = math.sqrt(max(d.v_quad - sq, 0.0))
-    e2 = math.sqrt(d.v_quad + sq)
-    reliable = spin_flip_commutator_norm(coeffs) <= 1e-12 * (1.0 + coeffs.scale() ** 2)
+    _, reliable = spin_flip_commutator(coeffs)
 
     ts, cs = [], []
     for t_raw in temps:
@@ -267,12 +256,8 @@ def thermal_concurrence_curve(
         if s_arg <= c_arg:
             val = 0.0
         else:
-            num = _scaled_sinh_cosh_gap(s_arg, c_arg, t)
-            den = (
-                math.exp((e2 - s_arg) / t) * (1.0 + math.exp(-2.0 * e2 / t))
-                + math.exp((e1 - s_arg) / t) * (1.0 + math.exp(-2.0 * e1 / t))
-            ) / 2.0
-            val = max(num, 0.0) / den
+            y2 = e2 / t
+            val = max(sinh_cosh_gap(s_arg / t, c_arg / t, y2), 0.0) / cosh_pair(e1 / t, y2)
         ts.append(t)
         cs.append(val)
     flags = np.full(len(ts), 0 if reliable else 1, dtype=int)
@@ -295,14 +280,18 @@ def thermal_death_temperature(
     x_minus = abs(p.t3 * structure_factor(p, kx, ky))
     if x_plus <= x_minus:
         return None
+
+    def gap(t):
+        return sinh_cosh_gap(x_plus / t, x_minus / t, x_plus / t)
+
     lo, hi = t_low, t_high
-    if _scaled_sinh_cosh_gap(x_plus, x_minus, lo) <= 0.0:
+    if gap(lo) <= 0.0:
         return None
-    if _scaled_sinh_cosh_gap(x_plus, x_minus, hi) >= 0.0:
+    if gap(hi) >= 0.0:
         return None
     for _ in range(iters):
         mid = math.sqrt(lo * hi)
-        if _scaled_sinh_cosh_gap(x_plus, x_minus, mid) > 0.0:
+        if gap(mid) > 0.0:
             lo = mid
         else:
             hi = mid

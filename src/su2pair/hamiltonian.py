@@ -16,6 +16,7 @@ reduction to the canonical frame.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,18 @@ import numpy as np
 from .errors import ConstraintError, NonHermitianError
 from .pauli import kron, pauli_word, require_hermitian
 
-# Default relative tolerance for constraint residuals and case detection.
+# The package's relative thresholds, one table (README "Tolerances"):
+# DEFAULT_TOL      constraint residuals and case detection (derive gates,
+#                  classify, frame_reduce, factor_dyadic, every `tol` default)
+# DEGENERACY_RTOL  degenerate spectra: sqrt(Tp), E_n or E2 - E1 at most this
+#                  times 1 + V or 1 + sqrt(V) sends the closed-form states to
+#                  the oracle and makes the closed-form concurrence raise;
+#                  oracle eigenvalues within this times 1 + max|e| merge
+# COMMUTATOR_RTOL  the thermal-concurrence closed form is provably exact when
+#                  the spin-flip commutator is at most this times 1 + scale^2
 DEFAULT_TOL = 1e-9
+DEGENERACY_RTOL = 1e-8
+COMMUTATOR_RTOL = 1e-12
 
 _TINY = np.finfo(float).tiny
 
@@ -194,6 +205,23 @@ def derive(c: CoefficientSet, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
         alpha_residual=alpha_residual,
         beta_residual=beta_residual,
     )
+
+
+def even_spectrum(d: DerivedCoefficients) -> tuple[float, float, float]:
+    """(sqrt(Tp), E1, E2) of a constrained set, E_n = sqrt(V + (-1)^n sqrt(Tp)).
+
+    The spectrum is upsilon +- E1, upsilon +- E2.  Raises ConstraintError
+    unless alpha.omega = 0 or omega.beta = 0 holds at the tolerance ``d``
+    was derived with.
+    """
+    if not (d.alpha_null or d.beta_null):
+        raise ConstraintError(
+            "neither alpha.omega = 0 nor omega.beta = 0 holds within tolerance"
+        )
+    sq = math.sqrt(max(d.theta_phi, 0.0))
+    e1 = math.sqrt(max(d.v_quad - sq, 0.0))
+    e2 = math.sqrt(d.v_quad + sq)
+    return sq, e1, e2
 
 
 def case01_theta(c: CoefficientSet) -> float:

@@ -53,10 +53,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     m = np.asarray(m)
     return float(np.max(np.abs(m - m.conj().T)))

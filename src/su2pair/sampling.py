@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonian import CoefficientSet, derive, rotate_set
-from .solver import Su2Factor
+from .hamiltonian import CoefficientSet, derive, even_spectrum, rotate_set
+from .solver import Su2Factor, separable_spectrum
 
 RNG_ALGORITHM = "numpy-PCG64"
 
@@ -53,6 +53,14 @@ def random_coefficient_set(rng: np.random.Generator, scale: float = 1.0) -> Coef
     )
 
 
+def random_diagonal_zero_set(rng: np.random.Generator) -> CoefficientSet:
+    """Generic local vectors with a diagonal omega that has one zero entry."""
+    omega = np.diag(rng.normal(size=3))
+    k = int(rng.integers(3))
+    omega[k, k] = 0.0
+    return CoefficientSet(rng.normal(), rng.normal(size=3), rng.normal(size=3), omega)
+
+
 def random_pure_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
@@ -77,13 +85,7 @@ def random_separable_factors(
     for _ in range(_MAX_DRAWS):
         f1 = Su2Factor(rng.normal(), rng.normal(size=3))
         f2 = Su2Factor(rng.normal(), rng.normal(size=3))
-        values = np.array(
-            [
-                (f1.a0 + sm * f1.norm) * (f2.a0 + sn * f2.norm)
-                for sm in (-1, 1)
-                for sn in (-1, 1)
-            ]
-        )
+        values = separable_spectrum(f1.a0, f1.norm, f2.a0, f2.norm)
         if _spectrum_gap(values) >= min_gap and min(f1.norm, f2.norm) >= min_gap:
             return f1, f2
     raise RuntimeError("failed to draw a non-degenerate separable pair")
@@ -136,13 +138,8 @@ def random_entangled_canonical(
         else:
             raise ValueError(f"unknown branch {branch!r}")
         c = CoefficientSet(ups, alpha, beta, omega)
-        d = derive(c)
-        sq = np.sqrt(max(d.theta_phi, 0.0))
-        e1_sq = d.v_quad - sq
-        if e1_sq < min_gap**2 or sq < min_gap:
-            continue
-        e1, e2 = np.sqrt(e1_sq), np.sqrt(d.v_quad + sq)
-        if e2 - e1 >= min_gap and e1 >= min_gap:
+        sq, e1, e2 = even_spectrum(derive(c))
+        if min(sq, e1, e2 - e1) >= min_gap:
             return c
     raise RuntimeError("failed to draw a non-degenerate entangled set")
 

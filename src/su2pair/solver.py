@@ -2,47 +2,40 @@
 
 Separable product Hamiltonians factor into two single-qubit problems; sets
 satisfying one of the contraction constraints admit an even quartic spectrum
-and a polynomial eigenprojector ansatz; rank-one-reducible sets get their
-eigenvalues from the secular quartic; everything else falls back to the
-numerical oracle.
+and a polynomial eigenprojector ansatz; everything else falls back to the
+numerical oracle.  The secular quartic of rank-one-reducible sets is
+available through :func:`secular_coefficients`.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CaseReductionError, ConstraintError, FactorizationError
 from .hamiltonian import (
+    DEFAULT_TOL,
+    DEGENERACY_RTOL,
     CaseKind,
     CoefficientSet,
     DerivedCoefficients,
     classify,
     derive,
+    even_spectrum,
     fano_compose,
     frame_reduce,
     kron_unitary_from_rotations,
 )
 from .oracle import eig_hermitian
 from .pauli import kron, pauli
-from .quartic import solve_quartic
-
-# Relative threshold below which closed-form denominators are treated as
-# degenerate and the oracle supplies the states instead.
-DEGENERACY_RTOL = 1e-8
-
-# Eigenvalues closer than this (relative) are merged into one eigenspace on
-# the oracle path; each member state is the eigenspace projector divided by
-# the multiplicity.
-CLUSTER_RTOL = 1e-8
 
 
 class SolveMethod(enum.Enum):
     SEPARABLE_CLOSED_FORM = "separable-closed-form"
     ENTANGLED_CLOSED_FORM = "entangled-closed-form"
-    QUARTIC_PLUS_ORACLE_VECTORS = "quartic-plus-oracle-vectors"
     ORACLE_NUMERIC = "oracle-numeric"
 
 
@@ -134,7 +127,7 @@ def _build(values, states, method, degenerate=False) -> Eigensystem:
 
 
 def factor_dyadic(
-    c: CoefficientSet, tol: float = 1e-9
+    c: CoefficientSet, tol: float = DEFAULT_TOL
 ) -> tuple[Su2Factor, Su2Factor]:
     """Factor a product-form set into its single-qubit Hamiltonians.
 
@@ -181,6 +174,11 @@ def factor_dyadic(
     return Su2Factor(a0, root * u), Su2Factor(b0, root * v)
 
 
+def separable_spectrum(a0: float, a: float, b0: float, b: float) -> np.ndarray:
+    """Product spectrum (a0 + (-1)^m a)(b0 + (-1)^n b), indexed [m-1, n-1]."""
+    return np.outer([a0 - a, a0 + a], [b0 - b, b0 + b])
+
+
 def solve_separable(f1: Su2Factor, f2: Su2Factor) -> Eigensystem:
     """Eigensystem of the product Hamiltonian H1 (x) H2.
 
@@ -190,7 +188,7 @@ def solve_separable(f1: Su2Factor, f2: Su2Factor) -> Eigensystem:
     result is flagged.
     """
     degenerate = False
-    locals_ = []
+    norms, projectors = [], []
     for f in (f1, f2):
         a = f.norm
         if a <= 1e-14 * (1.0 + abs(f.a0)):
@@ -200,18 +198,16 @@ def solve_separable(f1: Su2Factor, f2: Su2Factor) -> Eigensystem:
         else:
             axis = f.vec / a
         axis_op = sum(axis[i] * pauli(i + 1) for i in range(3))
-        projectors = {
-            s: 0.5 * (np.eye(2, dtype=complex) + (-1) ** s * axis_op) for s in (1, 2)
-        }
-        values = {s: f.a0 + (-1) ** s * a for s in (1, 2)}
-        locals_.append((values, projectors))
+        norms.append(a)
+        projectors.append(
+            {s: 0.5 * (np.eye(2, dtype=complex) + (-1) ** s * axis_op) for s in (1, 2)}
+        )
 
-    values = np.empty((2, 2))
+    values = separable_spectrum(f1.a0, norms[0], f2.a0, norms[1])
     states = np.empty((2, 2, 4, 4), dtype=complex)
-    (va, pa), (vb, pb) = locals_
+    pa, pb = projectors
     for m in (1, 2):
         for n in (1, 2):
-            values[m - 1, n - 1] = va[m] * vb[n]
             states[m - 1, n - 1] = kron(pa[m], pb[n])
     return _build(values, states, SolveMethod.SEPARABLE_CLOSED_FORM, degenerate)
 
@@ -219,20 +215,7 @@ def solve_separable(f1: Su2Factor, f2: Su2Factor) -> Eigensystem:
 # --- constrained entangled case -----------------------------------------------
 
 
-def _entangled_scales(d: DerivedCoefficients) -> tuple[float, float, float, bool]:
-    """(sqrt_theta_phi, e1, e2, degenerate_flag) for the even-spectrum case."""
-    sq = float(np.sqrt(max(d.theta_phi, 0.0)))
-    e1 = float(np.sqrt(max(d.v_quad - sq, 0.0)))
-    e2 = float(np.sqrt(d.v_quad + sq))
-    degenerate = (
-        sq <= DEGENERACY_RTOL * (1.0 + d.v_quad)
-        or e1 <= DEGENERACY_RTOL * (1.0 + np.sqrt(d.v_quad))
-        or (e2 - e1) <= DEGENERACY_RTOL * (1.0 + np.sqrt(d.v_quad))
-    )
-    return sq, e1, e2, degenerate
-
-
-def solve_entangled(c: CoefficientSet, tol: float = 1e-9) -> Eigensystem:
+def solve_entangled(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
     """Closed-form eigensystem of a constraint-satisfying set.
 
     Eigenvalues are upsilon + (-1)^m E_n with E_n = sqrt(V + (-1)^n sqrt(Tp));
@@ -245,12 +228,9 @@ def solve_entangled(c: CoefficientSet, tol: float = 1e-9) -> Eigensystem:
     closed-form energy pattern, and the result is flagged.
     """
     d = derive(c, tol)
-    if not (d.alpha_null or d.beta_null):
-        raise ConstraintError(
-            "neither alpha.omega = 0 nor omega.beta = 0 holds within tolerance"
-        )
-    sq, e1, e2, degenerate = _entangled_scales(d)
-    if degenerate:
+    sq, e1, e2 = even_spectrum(d)
+    gap_floor = DEGENERACY_RTOL * (1.0 + math.sqrt(d.v_quad))
+    if sq <= DEGENERACY_RTOL * (1.0 + d.v_quad) or e1 <= gap_floor or e2 - e1 <= gap_floor:
         return _oracle_eigensystem(
             fano_compose(c), ascending_labels=((1, 2), (1, 1), (2, 1), (2, 2))
         )
@@ -274,7 +254,7 @@ def solve_entangled(c: CoefficientSet, tol: float = 1e-9) -> Eigensystem:
 
 
 def secular_coefficients(
-    d: DerivedCoefficients, tol: float = 1e-9
+    d: DerivedCoefficients, tol: float = DEFAULT_TOL
 ) -> tuple[float, float, float, float, float]:
     """Coefficients (1, 0, -2V, -8s, V^2 - Theta) of the secular quartic.
 
@@ -294,7 +274,7 @@ def _cluster(values: np.ndarray) -> list[list[int]]:
     scale = 1.0 + float(np.max(np.abs(values)))
     groups: list[list[int]] = [[0]]
     for i in range(1, len(values)):
-        if abs(values[i] - values[groups[-1][-1]]) <= CLUSTER_RTOL * scale:
+        if abs(values[i] - values[groups[-1][-1]]) <= DEGENERACY_RTOL * scale:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -329,48 +309,23 @@ def _oracle_eigensystem(h: np.ndarray, ascending_labels=None) -> Eigensystem:
     return _build(values, states, SolveMethod.ORACLE_NUMERIC, degenerate)
 
 
-def _diagonal_route(c: CoefficientSet, tol: float) -> Eigensystem:
-    coeffs = secular_coefficients(derive(c, tol), tol)
-    roots = solve_quartic(*coeffs)
-    shifted = np.sort(roots.real) + c.upsilon
-
-    # Oracle supplies the projectors; the quartic supplies the values.  Each
-    # label keeps its oracle rank, so ascending roots land on the labels
-    # holding the ascending oracle energies.
-    oracle = _oracle_eigensystem(fano_compose(c))
-    order = np.argsort(oracle.values.ravel())
-    values_flat = np.empty(4)
-    values_flat[order] = shifted
-    return _build(
-        values_flat.reshape(2, 2),
-        oracle.states,
-        SolveMethod.QUARTIC_PLUS_ORACLE_VECTORS,
-        oracle.degenerate,
-    )
-
-
-def solve(c: CoefficientSet, tol: float = 1e-9) -> Eigensystem:
+def solve(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
     """Dispatch a coefficient set to the appropriate eigensystem route.
 
     Product-form sets take the separable closed form; canonical constrained
-    sets the entangled closed form; diagonal-omega sets the secular quartic
-    with oracle eigenvectors; constrained sets in a rotated frame are
+    sets the entangled closed form; constrained sets in a rotated frame are
     reduced to canonical form, solved, and rotated back.  Everything else,
-    and any route whose validity check fails, is solved numerically.
+    diagonal-omega sets included, and any route whose validity check fails,
+    is solved numerically.
     """
     label = classify(c, tol)
     if label.kind is CaseKind.SEPARABLE_DYADIC:
         return solve_separable(*factor_dyadic(c, tol))
     if label.kind is CaseKind.ENTANGLED_CONSTRAINED:
         return solve_entangled(c, tol)
-    if label.kind is CaseKind.DIAGONAL_OMEGA:
-        try:
-            return _diagonal_route(c, tol)
-        except CaseReductionError:
-            return _oracle_eigensystem(fano_compose(c))
 
-    # General label: a constrained set in a non-canonical frame still admits
-    # the closed form after a local-rotation reduction.
+    # Diagonal or general label: a constrained set in a non-canonical frame
+    # still admits the closed form after a local-rotation reduction.
     if min(label.residuals["alpha_constraint"], label.residuals["beta_constraint"]) <= tol:
         try:
             canonical, r1, r2 = frame_reduce(c, tol)

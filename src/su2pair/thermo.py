@@ -15,22 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import block_form_defect
-from .errors import ConstraintError
 from .hamiltonian import (
+    COMMUTATOR_RTOL,
+    DEFAULT_TOL,
     CaseKind,
     CoefficientSet,
     classify,
     derive,
+    even_spectrum,
     fano_compose,
     frame_reduce,
 )
 from .oracle import eig_hermitian, wootters_concurrence
 from .pauli import max_abs
 from .solver import Eigensystem, Su2Factor, factor_dyadic
-
-# Commutator threshold under which the closed-form thermal concurrence is
-# provably exact and asserted against the definition route.
-COMMUTATOR_TOL = 1e-12
 
 
 class EnsembleBranch(enum.Enum):
@@ -86,28 +84,16 @@ def partition_separable(f1: Su2Factor, f2: Su2Factor, t: float) -> float:
 # --- constrained entangled ensemble ---------------------------------------------
 
 
-def _even_spectrum(c: CoefficientSet, tol: float) -> tuple[float, float]:
-    d = derive(c, tol)
-    if not (d.alpha_null or d.beta_null):
-        raise ConstraintError(
-            "partition closed form needs alpha.omega = 0 or omega.beta = 0"
-        )
-    sq = math.sqrt(max(d.theta_phi, 0.0))
-    e1 = math.sqrt(max(d.v_quad - sq, 0.0))
-    e2 = math.sqrt(d.v_quad + sq)
-    return e1, e2
-
-
 def log_partition_entangled(
     c: CoefficientSet,
     t: float,
     branch: EnsembleBranch = EnsembleBranch.FULL,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """log of Z = 2 exp(-u/t) [cosh(E2/t) + cosh(E1/t)], or of the
     positive-energy restriction with cosh(y) replaced by exp(-y)/2."""
     t = _check_temperature(t)
-    e1, e2 = _even_spectrum(c, tol)
+    _, e1, e2 = even_spectrum(derive(c, tol))
     y1, y2 = e1 / t, e2 / t
     if branch is EnsembleBranch.FULL:
         tail = math.log1p(
@@ -121,7 +107,7 @@ def partition_entangled(
     c: CoefficientSet,
     t: float,
     branch: EnsembleBranch = EnsembleBranch.FULL,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     return math.exp(log_partition_entangled(c, t, branch, tol))
 
@@ -133,7 +119,7 @@ def purity(
     system,
     t: float,
     branch: EnsembleBranch = EnsembleBranch.FULL,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """Thermal purity Z(T/2) / Z(T)^2.
 
@@ -215,14 +201,31 @@ def flip_local_signs(c: CoefficientSet) -> CoefficientSet:
     return CoefficientSet(c.upsilon, -c.alpha, -c.beta, c.omega)
 
 
-def spin_flip_commutator_norm(c: CoefficientSet) -> float:
+def spin_flip_commutator(c: CoefficientSet) -> tuple[float, bool]:
+    """Norm of [H(a,b,w), H(-a,-b,w)] and whether it is negligible, which
+    makes the thermal-concurrence closed form provably exact."""
     h = fano_compose(c)
     hf = fano_compose(flip_local_signs(c))
-    return max_abs(h @ hf - hf @ h)
+    norm = max_abs(h @ hf - hf @ h)
+    return norm, norm <= COMMUTATOR_RTOL * (1.0 + c.scale() ** 2)
+
+
+def sinh_cosh_gap(xp: float, xm: float, shift: float) -> float:
+    """e^{-shift} [sinh(xp) - cosh(xm)] for xm and xp in [0, shift]: every
+    exponent is at most zero, so nothing overflows, and the sign is exact."""
+    return (
+        math.exp(xp - shift) * -math.expm1(-2 * xp)
+        - math.exp(xm - shift) * (1.0 + math.exp(-2 * xm))
+    ) / 2.0
+
+
+def cosh_pair(y1: float, y2: float) -> float:
+    """e^{-y2} [cosh(y2) + cosh(y1)] for 0 <= y1 <= y2, without overflow."""
+    return (1.0 + math.exp(-2 * y2) + math.exp(y1 - y2) + math.exp(-y1 - y2)) / 2.0
 
 
 def thermal_concurrence(
-    c: CoefficientSet, t: float, tol: float = 1e-9, compare: bool = True
+    c: CoefficientSet, t: float, tol: float = DEFAULT_TOL, compare: bool = True
 ) -> ThermalConcurrenceResult:
     """Closed-form concurrence of the Gibbs state of a constrained set.
 
@@ -240,27 +243,16 @@ def thermal_concurrence(
         # concurrence is invariant under the reducing local rotations.
         c, _, _ = frame_reduce(c, tol)
     d = derive(c, tol)
-    if not (d.alpha_null or d.beta_null):
-        raise ConstraintError(
-            "thermal concurrence closed form needs a contraction constraint"
-        )
+    _, e1, e2 = even_spectrum(d)
     tr2 = float(np.sum(c.omega**2))
     two_det = 2.0 * abs(d.det_omega_b)
     xp = math.sqrt(tr2 + two_det) / t
     xm = math.sqrt(max(tr2 - two_det, 0.0)) / t
-    e1, e2 = _even_spectrum(c, tol)
     y1, y2 = e1 / t, e2 / t
+    # Both scaled by e^{-y2}; x+ <= y2.
+    value = max(sinh_cosh_gap(xp, xm, y2), 0.0) / cosh_pair(y1, y2)
 
-    # Factor e^{y2}; all remaining exponents are <= 0 since x+ <= y2.
-    num = (
-        math.exp(xp - y2) * -math.expm1(-2 * xp)
-        - math.exp(xm - y2) * (1.0 + math.exp(-2 * xm))
-    ) / 2.0
-    den = (1.0 + math.exp(-2 * y2) + math.exp(y1 - y2) + math.exp(-y1 - y2)) / 2.0
-    value = max(num, 0.0) / den
-
-    comm = spin_flip_commutator_norm(c)
-    reliable = comm <= COMMUTATOR_TOL * (1.0 + c.scale() ** 2)
+    comm, reliable = spin_flip_commutator(c)
     woot = wootters_concurrence(thermal_state(c, t)) if compare else None
     return ThermalConcurrenceResult(
         value=value, commutator_norm=comm, reliable=reliable, wootters=woot
@@ -291,7 +283,7 @@ def thermal_report(
     c: CoefficientSet,
     t: float,
     branch: EnsembleBranch = EnsembleBranch.FULL,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> ThermalReport:
     """Evaluate the sweep row for any coefficient set, closed-form when possible."""
     t = _check_temperature(t)

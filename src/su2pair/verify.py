@@ -26,13 +26,15 @@ from .sampling import (
     make_rng,
     random_coefficient_set,
     random_commuting_thermal_set,
+    random_diagonal_zero_set,
+    random_dyadic_set,
     random_entangled_canonical,
+    random_rotated_constrained,
     random_separable_factors,
 )
-from .solver import solve, solve_entangled, solve_separable
+from .solver import SolveMethod, solve, solve_entangled, solve_separable
 from .thermo import (
     EnsembleBranch,
-    log_partition_numeric,
     partition_entangled,
     partition_separable,
     thermal_concurrence,
@@ -194,20 +196,33 @@ def suite_thermal_concurrence(samples: int, seed: int) -> SuiteResult:
     return SuiteResult("thermal-concurrence", samples, worst, 1e-7, worst <= 1e-7, detail)
 
 
+# Set families, cycled in this order so that the first three samples already
+# reach every route: separable, entangled, oracle.
+_DISPATCH_DRAWS = (
+    random_dyadic_set,
+    lambda rng: random_entangled_canonical(rng, "alpha"),
+    random_coefficient_set,
+    lambda rng: random_entangled_canonical(rng, "beta"),
+    lambda rng: random_entangled_canonical(rng, "both"),
+    lambda rng: random_rotated_constrained(rng)[1],
+    random_diagonal_zero_set,
+)
+
+
 def suite_solver_dispatch(samples: int, seed: int) -> SuiteResult:
-    """solve() matches the oracle spectrum on arbitrary coefficient sets."""
+    """solve() matches the oracle eigenvalues and projectors on every route;
+    the suite fails if any route was never taken."""
     rng = make_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        c = random_coefficient_set(rng)
+    routes = {m.value: 0 for m in SolveMethod}
+    for k in range(samples):
+        c = _DISPATCH_DRAWS[k % len(_DISPATCH_DRAWS)](rng)
         es = solve(c)
-        dec = eig_hermitian(fano_compose(c))
-        scale = 1.0 + float(np.max(np.abs(dec.eigenvalues)))
-        worst = max(
-            worst,
-            float(np.max(np.abs(es.sorted_values() - np.sort(dec.eigenvalues)))) / scale,
-        )
-    return SuiteResult("solver-dispatch", samples, worst, 1e-9, worst <= 1e-9)
+        routes[es.method.value] += 1
+        worst = max(worst, *_match_oracle(es, fano_compose(c)))
+    detail = " ".join(f"{name}={count}" for name, count in routes.items())
+    passed = worst <= 1e-9 and all(routes.values())
+    return SuiteResult("solver-dispatch", samples, worst, 1e-9, passed, detail)
 
 
 SUITES = {

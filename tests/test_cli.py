@@ -251,6 +251,69 @@ class TestGrapheneCommands:
             assert float(row[3]) == e2
 
 
+GENERAL = {
+    "upsilon": 0.3,
+    "alpha": [1, 2, 3],
+    "beta": [3, 1, 2],
+    "omega": [[1, 0.5, 0], [0.2, 2, 0.1], [0, 0.4, 3]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thermo", "--input", "general.json", "--tmin", "0.5", "--tmax", "5",
+         "--branch", "positive"],
+        ["graphene-bands", "--t", "nan", "--grid", "5"],
+        ["graphene-bands", "--grid", "1"],
+    ],
+    ids=["positive-branch-unconstrained", "non-finite-hopping", "grid-too-small"],
+)
+def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "general.json").write_text(json.dumps(GENERAL))
+    assert main([*argv, "--output", "out.csv"]) == 2
+    assert not (tmp_path / "out.csv").exists()
+
+
+class TestSizeLimits:
+    def test_oversized_grid_rejected_before_building(self, tmp_path, monkeypatch):
+        from su2pair import cli, graphene
+
+        def no_grid(*_):
+            raise AssertionError("grid was built")
+
+        monkeypatch.setattr(graphene.GridSpec, "axes", no_grid)
+        for cmd in ("graphene-bands", "graphene-concurrence"):
+            argv = [cmd, "--grid", "100000", "--output", str(tmp_path / "x.csv")]
+            assert main(argv) == 2
+            assert main([cmd, "--grid", str(cli.MAX_GRID + 1), *argv[3:]]) == 2
+
+    def test_oversized_sweep_rejected_before_running(
+        self, entangled_file, tmp_path, monkeypatch
+    ):
+        from su2pair import cli, graphene
+
+        def no_sweep(*_):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(cli, "thermal_report", no_sweep)
+        monkeypatch.setattr(graphene, "thermal_concurrence_curve", no_sweep)
+        steps = ["--steps", str(cli.MAX_STEPS + 1), "--output", str(tmp_path / "x.csv")]
+        thermo = ["thermo", "--input", str(entangled_file), "--tmin", "0.1", "--tmax", "1"]
+        assert main([*thermo, *steps]) == 2
+        assert main(["graphene-thermal", *steps]) == 2
+
+    def test_limits_admit_defaults_and_benchmark_sizes(self):
+        from su2pair import cli
+
+        parser = cli.build_parser()
+        grid = parser.parse_args(["graphene-bands", "--output", "x.csv"]).grid
+        steps = parser.parse_args(["graphene-thermal", "--output", "x.csv"]).steps
+        assert max(grid, 101) <= cli.MAX_GRID
+        assert max(steps, 1000) <= cli.MAX_STEPS
+
+
 def test_usage_error_without_subcommand():
     assert main([]) == 2
 

@@ -269,6 +269,13 @@ class TestThermalCurve:
         for t, val in zip(data["t"], data["c"]):
             assert abs(val - thermal_concurrence(c, t, compare=False).value) <= 1e-12
 
+    def test_no_overflow_far_below_the_band_scale(self):
+        """E2 >> tperp at large bias; exp((E2 - tperp)/T) must not be formed."""
+        p = GrapheneParams(bias=10.0)
+        kx, ky = find_dirac_point(p)
+        data = thermal_concurrence_curve(p, kx, ky, [1e-3, 1e-2, 1.0])
+        assert np.all((data["c"] >= 0.0) & (data["c"] <= 1.0))
+
     def test_rejects_bad_temperature(self):
         with pytest.raises(ValueError):
             thermal_concurrence_curve(DEFAULT, 0.0, 0.0, [1.0, -2.0])
@@ -277,3 +284,10 @@ class TestThermalCurve:
 def test_lattice_validation():
     with pytest.raises(ValueError):
         GrapheneParams(lattice=0.0)
+
+
+@pytest.mark.parametrize("name", ["t", "t3", "tperp", "m", "bias", "lattice"])
+def test_parameters_must_be_finite(name):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GrapheneParams(**{name: bad})

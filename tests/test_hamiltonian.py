@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2pair.errors import ConstraintError, NonHermitianError
@@ -21,6 +21,7 @@ from su2pair.hamiltonian import (
     traceless,
 )
 from su2pair.pauli import kron, pauli
+from su2pair.solver import SolveMethod, solve_entangled
 from su2pair.sampling import (
     random_coefficient_set,
     random_entangled_canonical,
@@ -209,6 +210,50 @@ class TestPaperTypoCrossChecks:
         assert np.max(np.abs(fano_compose(minus) - kron(h1, h2))) > 1.0
 
 
+def _scaled(c: CoefficientSet, lam: float) -> CoefficientSet:
+    return CoefficientSet(lam * c.upsilon, lam * c.alpha, lam * c.beta, lam * c.omega)
+
+
+def _closed_form_declined(c: CoefficientSet) -> bool:
+    """The even-spectrum degeneracy flag: solve_entangled hands over to the oracle."""
+    return solve_entangled(c).method is SolveMethod.ORACLE_NUMERIC
+
+
+@st.composite
+def _shaped_sets(draw, constrained=False):
+    """Small-integer sets in every classify shape, optionally rotated.
+
+    Integer entries keep each residual either at round-off or far above the
+    tolerance, so a label can only change through a scale-dependent bound,
+    not by rounding across the threshold.
+    """
+    ints = st.integers(min_value=-3, max_value=3)
+    vec = lambda: np.array(draw(st.lists(ints, min_size=3, max_size=3)), dtype=float)
+    shapes = ["alpha", "beta", "both"]
+    if not constrained:
+        shapes += ["dyadic", "diagonal", "general"]
+    shape = draw(st.sampled_from(shapes))
+    ups, alpha, beta = float(draw(ints)), vec(), vec()
+    omega = np.array(draw(st.lists(ints, min_size=9, max_size=9)), dtype=float).reshape(3, 3)
+    if shape == "dyadic":
+        a0, b0 = float(draw(ints)), float(draw(ints))
+        ups, omega = a0 * b0, np.outer(alpha, beta)
+        alpha, beta = b0 * alpha, a0 * beta
+    elif shape == "diagonal":
+        omega = np.diag(np.diag(omega))
+    elif shape != "general":
+        omega[2, :] = omega[:, 2] = 0.0
+        if shape in ("alpha", "both"):
+            alpha[:2] = 0.0
+        if shape in ("beta", "both"):
+            beta[:2] = 0.0
+    c = CoefficientSet(ups, alpha, beta, omega)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        c = rotate_set(c, random_rotation(rng), random_rotation(rng))
+    return c
+
+
 class TestClassify:
     def test_dyadic_label(self, rng):
         from su2pair.sampling import random_dyadic_set
@@ -255,6 +300,35 @@ class TestClassify:
                 )
                 label = classify(scaled)
                 assert label.kind is base.kind and label.branch is base.branch
+
+    @settings(max_examples=300, deadline=None)
+    @given(_shaped_sets(), st.sampled_from([1e-6, 1e6]))
+    def test_labels_invariant_under_rescaling(self, c, lam):
+        base, label = classify(c), classify(_scaled(c, lam))
+        assert (label.kind, label.branch) == (base.kind, base.branch)
+
+    # Both scales fail today, for two reasons recorded here until the
+    # DEGENERACY_RTOL bounds are made scale-free:
+    # - at 1e-6 the bounds' absolute floor (their "1 +") marks every
+    #   spectrum degenerate, so the closed form is never used;
+    # - at 1e6 the bound on E1 = sqrt(V - sqrt(Tp)), 1e-8 (1 + sqrt(V)),
+    #   sits at the sqrt(eps) round-off floor of E1, so an exactly
+    #   degenerate E1 (two unit local fields, no coupling, rotated: the
+    #   pinned example) is caught at unit scale only thanks to the "1 +".
+    @pytest.mark.xfail(strict=True, reason="degeneracy bounds are not scale-free")
+    @pytest.mark.parametrize("lam", [1e-6, 1e6])
+    @settings(max_examples=300, deadline=None)
+    @given(c=_shaped_sets(constrained=True))
+    @example(
+        c=CoefficientSet(
+            0.0,
+            (0.9374778783024902, -0.3423226483143298, -0.06285246331310232),
+            (0.678965377775841, -0.14271814924925807, -0.7201649433682371),
+            np.zeros((3, 3)),
+        )
+    )
+    def test_degeneracy_flag_invariant_under_rescaling(self, c, lam):
+        assert _closed_form_declined(_scaled(c, lam)) == _closed_form_declined(c)
 
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
