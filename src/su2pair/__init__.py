@@ -9,6 +9,7 @@ the Bernal-stacked bilayer graphene specialization.
 from .entanglement import (
     BlochPair,
     bloch_vectors,
+    concurrence_closed_form_arrays,
     eigenstate_bloch_closed_form,
     eigenstate_concurrence_closed_form,
     pure_concurrence,
@@ -45,6 +46,7 @@ from .hamiltonian import (
     DerivedCoefficients,
     classify,
     derive,
+    derive_arrays,
     fano_compose,
     fano_decompose,
     frame_reduce,

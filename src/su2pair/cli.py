@@ -19,7 +19,6 @@ from .hamiltonian import classify, derive, even_spectrum
 from .quartic import solve_quartic
 from .serialization import (
     format_float,
-    grid_rows,
     load_coefficient_set,
     write_csv,
     write_eigensystem,
@@ -28,8 +27,10 @@ from .solver import solve
 from .thermo import EnsembleBranch, thermal_report
 from .verify import run_suites, report_lines
 
-# Largest accepted --grid and --steps: at about 0.1 ms a k-point and 0.6 ms a
-# temperature row they bound a command at minutes, and fail before any work.
+# Largest accepted --grid and --steps, refused before any work.  A grid
+# command costs about 4 us a k-point, most of it CSV formatting, and runs in
+# chunks of graphene.CHUNK_POINTS, so --grid 1001 takes seconds in flat
+# memory; --steps 10000 takes about 6 s at 0.6 ms a temperature row.
 MAX_GRID = 1001
 MAX_STEPS = 10_000
 
@@ -177,23 +178,30 @@ def cmd_thermo(args) -> int:
             even_spectrum(derive(c))
         except ConstraintError as exc:
             raise InputFormatError(f"--branch positive: {exc}") from exc
-    rows = []
-    for t in temps:
-        rep = thermal_report(c, float(t), branch)
-        rows.append((rep.temperature, rep.z_value, rep.purity, rep.concurrence, rep.flag))
-    write_csv(args.output, ["T", "Z", "purity", "concurrence", "flag"], rows)
-    print(f"{len(rows)} temperatures written to {args.output}")
+    reports = [thermal_report(c, float(t), branch) for t in temps]
+    columns = [
+        np.array([getattr(rep, name) for rep in reports])
+        for name in ("temperature", "z_value", "purity", "concurrence", "flag")
+    ]
+    rows = write_csv(args.output, ["T", "Z", "purity", "concurrence", "flag"], [columns])
+    print(f"{rows} temperatures written to {args.output}")
     return 0
 
 
 def cmd_graphene_bands(args) -> int:
     p = _graphene_params(args)
     spec = _grid_spec(p, args)
-    data = graphene.band_grid(p, spec)
-    write_csv(args.output, ["kx", "ky", "E1", "E2"], grid_rows(data, ["kx", "ky", "e1", "e2"]))
+    e1_mins = []
+
+    def columns():
+        for ch in graphene.band_chunks(p, spec):
+            e1_mins.append(np.min(ch["e1"]))
+            yield ch["kx"], ch["ky"], ch["e1"], ch["e2"]
+
+    rows = write_csv(args.output, ["kx", "ky", "E1", "E2"], columns())
     print(
-        f"{data['kx'].size} points written to {args.output}; "
-        f"min E1 = {format_float(float(np.min(data['e1'])))}"
+        f"{rows} points written to {args.output}; "
+        f"min E1 = {format_float(float(np.min(e1_mins)))}"
     )
     return 0
 
@@ -201,10 +209,16 @@ def cmd_graphene_bands(args) -> int:
 def cmd_graphene_concurrence(args) -> int:
     p = _graphene_params(args)
     spec = _grid_spec(p, args)
-    data = graphene.concurrence_grid(p, spec, args.branch_m, args.branch_n)
-    write_csv(args.output, ["kx", "ky", "C", "flag"], grid_rows(data, ["kx", "ky", "c", "flag"]))
-    flagged = int(np.sum(data["flag"]))
-    print(f"{data['kx'].size} points written to {args.output}; {flagged} flagged")
+    flagged = 0
+
+    def columns():
+        nonlocal flagged
+        for ch in graphene.concurrence_chunks(p, spec, args.branch_m, args.branch_n):
+            flagged += int(np.sum(ch["flag"]))
+            yield ch["kx"], ch["ky"], ch["c"], ch["flag"]
+
+    rows = write_csv(args.output, ["kx", "ky", "C", "flag"], columns())
+    print(f"{rows} points written to {args.output}; {flagged} flagged")
     return 0
 
 
@@ -220,7 +234,7 @@ def cmd_graphene_thermal(args) -> int:
     else:
         kx, ky = args.kx, args.ky
     data = graphene.thermal_concurrence_curve(p, kx, ky, temps)
-    write_csv(args.output, ["T", "C", "flag"], grid_rows(data, ["t", "c", "flag"]))
+    write_csv(args.output, ["T", "C", "flag"], [(data["t"], data["c"], data["flag"])])
     print(
         f"{data['t'].size} temperatures written to {args.output} "
         f"at k = ({format_float(kx)}, {format_float(ky)})"

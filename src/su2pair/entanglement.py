@@ -15,11 +15,17 @@ import numpy as np
 
 from .errors import ConcurrenceDomainError, DegenerateBranchError, DensityMatrixError
 from .hamiltonian import (
+    _TINY,
     DEFAULT_TOL,
     DEGENERACY_RTOL,
     CoefficientSet,
     DerivedCoefficients,
+    _dot,
+    _matvec,
+    _where,
+    coefficient_scale,
     derive,
+    derive_arrays,
     even_spectrum,
     frame_reduce,
 )
@@ -74,15 +80,59 @@ def bloch_vectors(rho: np.ndarray) -> BlochPair:
     return BlochPair(a, b)
 
 
-def _branch_scales(d: DerivedCoefficients, n: int) -> tuple[float, float]:
-    """(sqrt_theta_phi, E_n) with degeneracy guards; needs a constrained set."""
+# Per-point outcome of the closed-form concurrence: 0 a value, otherwise the
+# cause of its failure.
+CLOSED_FORM = 0
+DEGENERATE_THETA_PHI = 1
+DEGENERATE_E_N = 2
+RADICAND_DOMAIN = 3
+
+
+def _branch_scales(d: DerivedCoefficients, n: int):
+    """(sqrt_theta_phi, E_n, cause) over the batch of ``d``; needs constrained sets.
+
+    ``cause`` is 0, DEGENERATE_THETA_PHI or DEGENERATE_E_N.
+    """
     sq, e1, e2 = even_spectrum(d)
-    if sq <= DEGENERACY_RTOL * (1.0 + d.v_quad):
-        raise DegenerateBranchError("theta_phi is numerically degenerate")
     # E_n^2 is compared before the square root rounds it.
-    if d.v_quad + (-1) ** n * sq <= (DEGENERACY_RTOL * (1.0 + np.sqrt(d.v_quad))) ** 2:
+    bound = DEGENERACY_RTOL * (1.0 + np.sqrt(d.v_quad))
+    cause = _where(
+        sq <= DEGENERACY_RTOL * (1.0 + d.v_quad),
+        DEGENERATE_THETA_PHI,
+        _where(d.v_quad + (-1) ** n * sq <= bound * bound, DEGENERATE_E_N, CLOSED_FORM),
+    )
+    return sq, (e1, e2)[n - 1], cause
+
+
+def _raise_for(cause: int, n: int, radicand: float = 0.0):
+    """Raise the error of one point's failure cause (0: nothing to raise)."""
+    if cause == DEGENERATE_THETA_PHI:
+        raise DegenerateBranchError("theta_phi is numerically degenerate")
+    if cause == DEGENERATE_E_N:
         raise DegenerateBranchError(f"E_{n} is numerically degenerate")
-    return sq, (e1, e2)[n - 1]
+    if cause == RADICAND_DOMAIN:
+        raise ConcurrenceDomainError(
+            f"concurrence radicand {radicand:.3e} below round-off floor"
+        )
+
+
+def bloch_closed_form_arrays(alpha, beta, omega, d: DerivedCoefficients, m: int, n: int):
+    """Bloch vectors (a, b) of the (m, n) eigenstates of a batch, with the cause array.
+
+    ``d`` is :func:`derive_arrays` of the batch; items whose cause is not 0
+    have a degenerate denominator and meaningless vectors.
+    """
+    sq, en, cause = _branch_scales(d, n)
+    sm, sn = (-1.0) ** m, (-1.0) ** n
+    sq, en = np.asarray(sq)[..., None], np.asarray(en)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sn * d.a_vec / sq + sm * alpha / en + sm * sn * (
+            _matvec(d.w_mat, beta) + _matvec(omega, d.b_vec)
+        ) / (sq * en)
+        b = sn * d.b_vec / sq + sm * beta / en + sm * sn * (
+            _matvec(d.w_mat.swapaxes(-1, -2), alpha) + _matvec(omega.swapaxes(-1, -2), d.a_vec)
+        ) / (sq * en)
+    return a, b, cause
 
 
 def eigenstate_bloch_closed_form(
@@ -95,14 +145,8 @@ def eigenstate_bloch_closed_form(
     """
     _check_mn(m, n)
     d = derive(c, tol)
-    sq, en = _branch_scales(d, n)
-    sm, sn = (-1.0) ** m, (-1.0) ** n
-    a = sn * d.a_vec / sq + sm * c.alpha / en + sm * sn * (
-        d.w_mat @ c.beta + c.omega @ d.b_vec
-    ) / (sq * en)
-    b = sn * d.b_vec / sq + sm * c.beta / en + sm * sn * (
-        d.w_mat.T @ c.alpha + c.omega.T @ d.a_vec
-    ) / (sq * en)
+    a, b, cause = bloch_closed_form_arrays(c.alpha, c.beta, c.omega, d, m, n)
+    _raise_for(cause, n)
     return BlochPair(a, b)
 
 
@@ -116,13 +160,18 @@ def pure_concurrence(rho: np.ndarray) -> float:
     return _concurrence_from_radicand(1.0 - pair.a_modulus**2)
 
 
+def _root_of_radicand(radicand):
+    """sqrt of concurrence radicands with round-off negatives clamped to zero,
+    and where each radicand is below the round-off floor."""
+    return np.sqrt(np.minimum(np.maximum(radicand, 0.0), 1.0)), radicand < RADICAND_FLOOR
+
+
 def _concurrence_from_radicand(radicand: float) -> float:
-    """sqrt of a concurrence radicand, with round-off negatives clamped to zero."""
-    if radicand < RADICAND_FLOOR:
-        raise ConcurrenceDomainError(
-            f"concurrence radicand {radicand:.3e} below round-off floor"
-        )
-    return float(np.sqrt(np.clip(radicand, 0.0, 1.0)))
+    """sqrt of one concurrence radicand; raises below the round-off floor."""
+    value, domain_error = _root_of_radicand(radicand)
+    if domain_error:
+        _raise_for(RADICAND_DOMAIN, 0, radicand)
+    return float(value)
 
 
 def block_form_defect(c: CoefficientSet) -> float:
@@ -136,10 +185,9 @@ def block_form_defect(c: CoefficientSet) -> float:
     )
 
 
-def eigenstate_concurrence_closed_form(
-    c: CoefficientSet, m: int, n: int, tol: float = DEFAULT_TOL
-) -> float:
-    """Concurrence of the (m, n) eigenstate from the coefficients alone.
+def concurrence_closed_form_arrays(upsilon, alpha, beta, omega, m: int, n: int,
+                                   tol: float = DEFAULT_TOL):
+    """(concurrence, cause, radicand) of the (m, n) eigenstates of a batch.
 
     Uses the constraint-resolved radical
 
@@ -147,34 +195,58 @@ def eigenstate_concurrence_closed_form(
 
     where v is the constrained vector and, on the alpha branch,
     inner = beta^2 - (alpha.beta) det(omega_B) / alpha^2 (mirrored on the
-    beta branch).  det(omega_B) is a block-frame quantity, so sets whose
-    omega is not in block form are first reduced by local rotations, under
-    which the concurrence is invariant.  When the constrained vector is too
-    small for the branch division the exact Bloch-modulus route is used
-    instead; both agree to round-off wherever both apply.
+    beta branch).  det(omega_B) is a block-frame quantity, so omega must be
+    in block form (third row and column zero).  Where the constrained vector
+    is too small for the branch division the exact Bloch-modulus route is
+    used instead; both agree to round-off wherever both apply.  Items whose
+    ``cause`` is not 0 (a degenerate branch, or a radicand below the
+    round-off floor) read 0.  Raises ConstraintError if any item meets
+    neither constraint.
+    """
+    _check_mn(m, n)
+    alpha, beta, omega = (np.ascontiguousarray(x, dtype=float) for x in (alpha, beta, omega))
+    d = derive_arrays(alpha, beta, omega, tol)
+    sq, en, cause = _branch_scales(d, n)
+    sn = (-1.0) ** n
+    floor = VECTOR_FLOOR * (coefficient_scale(upsilon, alpha, beta, omega) + _TINY)
+    al_sq, be_sq, dot = _dot(alpha, alpha), _dot(beta, beta), _dot(alpha, beta)
+    # v is the constrained vector, u the other one.
+    on_alpha = d.alpha_null & (al_sq >= floor * floor)
+    on_beta = d.beta_null & (be_sq >= floor * floor)
+    v_sq = _where(on_alpha, al_sq, be_sq)
+    u_sq = _where(on_alpha, be_sq, al_sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = u_sq - dot * d.det_omega_b / v_sq
+        lift = 1.0 + 2.0 * sn * inner / sq
+        radicand = d.phi / d.theta_phi - v_sq / (en * en) * (lift * lift)
+    bloch = ~(on_alpha | on_beta)
+    if bloch.any():
+        a, _, _ = bloch_closed_form_arrays(alpha, beta, omega, d, m, n)
+        a_mod = np.sqrt(_dot(a, a))
+        radicand = _where(bloch, 1.0 - a_mod * a_mod, radicand)
+    value, domain_error = _root_of_radicand(radicand)
+    cause = _where((cause == CLOSED_FORM) & domain_error, RADICAND_DOMAIN, cause)
+    return _where(cause == CLOSED_FORM, value, 0.0), cause, radicand
+
+
+def eigenstate_concurrence_closed_form(
+    c: CoefficientSet, m: int, n: int, tol: float = DEFAULT_TOL
+) -> float:
+    """Concurrence of the (m, n) eigenstate from the coefficients alone.
+
+    :func:`concurrence_closed_form_arrays` on one set.  Sets whose omega is
+    not in block form are first reduced by local rotations, under which the
+    concurrence is invariant.  Raises DegenerateBranchError or
+    ConcurrenceDomainError where that function reports a cause.
     """
     _check_mn(m, n)
     if block_form_defect(c) > tol:
         c, _, _ = frame_reduce(c, tol)
-    d = derive(c, tol)
-    sq, en = _branch_scales(d, n)
-    sn = (-1.0) ** n
-    scale = c.scale() + np.finfo(float).tiny
-
-    al_sq = float(c.alpha @ c.alpha)
-    be_sq = float(c.beta @ c.beta)
-    dot = float(c.alpha @ c.beta)
-    # v is the constrained vector, u the other one.
-    if d.alpha_null and al_sq >= (VECTOR_FLOOR * scale) ** 2:
-        v_sq, u_sq = al_sq, be_sq
-    elif d.beta_null and be_sq >= (VECTOR_FLOOR * scale) ** 2:
-        v_sq, u_sq = be_sq, al_sq
-    else:
-        pair = eigenstate_bloch_closed_form(c, m, n, tol)
-        return _concurrence_from_radicand(1.0 - pair.a_modulus**2)
-    inner = u_sq - dot * d.det_omega_b / v_sq
-    radicand = d.phi / d.theta_phi - v_sq / en**2 * (1.0 + 2.0 * sn * inner / sq) ** 2
-    return _concurrence_from_radicand(radicand)
+    value, cause, radicand = concurrence_closed_form_arrays(
+        c.upsilon, c.alpha, c.beta, c.omega, m, n, tol
+    )
+    _raise_for(cause, n, radicand)
+    return float(value)
 
 
 def _check_mn(m: int, n: int):

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import eigenstate_concurrence_closed_form
-from .errors import ConcurrenceDomainError, DegenerateBranchError
-from .hamiltonian import CoefficientSet, derive, even_spectrum
+from .entanglement import CLOSED_FORM, concurrence_closed_form_arrays
+from .hamiltonian import CoefficientSet, derive, derive_arrays, even_spectrum
 from .thermo import cosh_pair, sinh_cosh_gap, spin_flip_commutator
 
 
@@ -54,23 +53,33 @@ def structure_factor(p: GrapheneParams, kx: float, ky: float) -> complex:
     ) + np.exp(-1j * kx * lam)
 
 
-def map_to_su2su2(p: GrapheneParams, kx: float, ky: float) -> CoefficientSet:
-    """The lattice-layer coefficient set at one wave vector.
+def lattice_layer_arrays(p: GrapheneParams, kx, ky):
+    """(alpha, beta, omega) of the lattice-layer sets at wave vectors kx, ky.
 
     alpha = (0, 0, bias/2); beta = (-t Re G, t Im G, m); omega is the
     symmetric 2x2 block built from tperp and t3 G.  The third row of omega
-    vanishes, so alpha . omega = 0 identically.
+    vanishes, so alpha . omega = 0 identically.  The arrays carry the shape
+    of ``kx`` as leading axes; upsilon is 0.
     """
     g = structure_factor(p, kx, ky)
-    re, im = float(g.real), float(g.imag)
-    alpha = (0.0, 0.0, p.bias / 2.0)
-    beta = (-p.t * re, p.t * im, p.m)
-    omega = (
-        ((p.tperp - p.t3 * re) / 2.0, -p.t3 * im / 2.0, 0.0),
-        (-p.t3 * im / 2.0, (p.tperp + p.t3 * re) / 2.0, 0.0),
-        (0.0, 0.0, 0.0),
-    )
-    return CoefficientSet(0.0, alpha, beta, omega)
+    re, im = g.real, g.imag
+    shape = np.shape(re)
+    alpha = np.zeros(shape + (3,))
+    alpha[..., 2] = p.bias / 2.0
+    beta = np.empty(shape + (3,))
+    beta[..., 0] = -p.t * re
+    beta[..., 1] = p.t * im
+    beta[..., 2] = p.m
+    omega = np.zeros(shape + (3, 3))
+    omega[..., 0, 0] = (p.tperp - p.t3 * re) / 2.0
+    omega[..., 0, 1] = omega[..., 1, 0] = -p.t3 * im / 2.0
+    omega[..., 1, 1] = (p.tperp + p.t3 * re) / 2.0
+    return alpha, beta, omega
+
+
+def map_to_su2su2(p: GrapheneParams, kx: float, ky: float) -> CoefficientSet:
+    """The lattice-layer coefficient set at one wave vector."""
+    return CoefficientSet(0.0, *lattice_layer_arrays(p, float(kx), float(ky)))
 
 
 def build_ab_hamiltonian(p: GrapheneParams, kx: float, ky: float) -> np.ndarray:
@@ -92,10 +101,15 @@ def build_ab_hamiltonian(p: GrapheneParams, kx: float, ky: float) -> np.ndarray:
     return h
 
 
+def _band_arrays(p: GrapheneParams, kx, ky):
+    _, e1, e2 = even_spectrum(derive_arrays(*lattice_layer_arrays(p, kx, ky)))
+    return e1, e2
+
+
 def positive_bands(p: GrapheneParams, kx: float, ky: float) -> tuple[float, float]:
     """(E1, E2) with E_n = sqrt(V + (-1)^n sqrt(Tp)); the spectrum is +-E1, +-E2."""
-    _, e1, e2 = even_spectrum(derive(map_to_su2su2(p, kx, ky)))
-    return e1, e2
+    e1, e2 = _band_arrays(p, float(kx), float(ky))
+    return float(e1), float(e2)
 
 
 def find_dirac_point(
@@ -167,68 +181,81 @@ def _reciprocal_shells(lattice: float) -> np.ndarray:
     return np.array([b1, -b1, b2, -b2, b1 - b2, b2 - b1])
 
 
-def in_first_zone(p: GrapheneParams, kx: float, ky: float) -> bool:
+def first_zone_mask(p: GrapheneParams, kx, ky) -> np.ndarray:
     """Wigner-Seitz test: k belongs iff it is no farther from 0 than from any G."""
-    k = np.array([kx, ky])
-    for g in _reciprocal_shells(p.lattice):
-        if 2.0 * float(k @ g) > float(g @ g) * (1.0 + 1e-12):
-            return False
-    return True
+    shells = _reciprocal_shells(p.lattice)
+    k = np.stack([kx, ky], axis=-1)
+    # One 2-term dot per point and shell, as for a single point.
+    kg = (k[..., None, None, :] @ shells[:, :, None])[..., 0, 0]
+    gg = (shells[:, None, :] @ shells[:, :, None])[..., 0, 0]
+    return ~np.any(2.0 * kg > gg * (1.0 + 1e-12), axis=-1)
 
 
-def _iter_grid(p: GrapheneParams, g: GridSpec):
+def in_first_zone(p: GrapheneParams, kx: float, ky: float) -> bool:
+    """first_zone_mask at one wave vector."""
+    return bool(first_zone_mask(p, float(kx), float(ky)))
+
+
+# k-points evaluated at a time: bounds a grid command's memory whatever the
+# grid size, and leaves each chunk large enough to keep numpy's per-call cost
+# small.
+CHUNK_POINTS = 4096
+
+
+def _grid_chunks(p: GrapheneParams, g: GridSpec):
+    """(kx, ky) of the grid in row-major order, in chunks of CHUNK_POINTS
+    points before masking; chunks that the mask empties are skipped."""
     xs, ys = g.axes()
-    use_mask = g.mask == "hex"
-    for kx in xs:
-        for ky in ys:
-            if use_mask and not in_first_zone(p, kx, ky):
-                continue
-            yield float(kx), float(ky)
+    total = g.nx * g.ny
+    for start in range(0, total, CHUNK_POINTS):
+        index = np.arange(start, min(start + CHUNK_POINTS, total))
+        kx, ky = xs[index // g.ny], ys[index % g.ny]
+        if g.mask == "hex":
+            inside = first_zone_mask(p, kx, ky)
+            kx, ky = kx[inside], ky[inside]
+        if kx.size:
+            yield kx, ky
 
 
-def band_grid(p: GrapheneParams, g: GridSpec) -> dict[str, np.ndarray]:
-    """Positive band energies on the grid, row-major in (kx, ky)."""
-    kxs, kys, e1s, e2s = [], [], [], []
-    for kx, ky in _iter_grid(p, g):
-        e1, e2 = positive_bands(p, kx, ky)
-        kxs.append(kx)
-        kys.append(ky)
-        e1s.append(e1)
-        e2s.append(e2)
-    return {
-        "kx": np.array(kxs),
-        "ky": np.array(kys),
-        "e1": np.array(e1s),
-        "e2": np.array(e2s),
-    }
+def band_chunks(p: GrapheneParams, g: GridSpec):
+    """Positive band energies on the grid, row-major in (kx, ky), one dict
+    of ``kx``, ``ky``, ``e1``, ``e2`` arrays per chunk."""
+    for kx, ky in _grid_chunks(p, g):
+        e1, e2 = _band_arrays(p, kx, ky)
+        yield {"kx": kx, "ky": ky, "e1": e1, "e2": e2}
 
 
-def concurrence_grid(
-    p: GrapheneParams, g: GridSpec, m: int = 2, n: int = 1
-) -> dict[str, np.ndarray]:
-    """Eigenstate concurrence of branch (m, n) on the grid.
+def concurrence_chunks(p: GrapheneParams, g: GridSpec, m: int = 2, n: int = 1):
+    """Eigenstate concurrence of branch (m, n) on the grid, one dict of
+    ``kx``, ``ky``, ``c``, ``flag`` arrays per chunk.
 
     Points where the closed form degenerates or leaves its real domain are
     reported as zero with flag = 1, matching the separable-state reading of
     those regions.
     """
-    kxs, kys, cs, flags = [], [], [], []
-    for kx, ky in _iter_grid(p, g):
-        coeffs = map_to_su2su2(p, kx, ky)
-        try:
-            c_val, flag = eigenstate_concurrence_closed_form(coeffs, m, n), 0
-        except (ConcurrenceDomainError, DegenerateBranchError):
-            c_val, flag = 0.0, 1
-        kxs.append(kx)
-        kys.append(ky)
-        cs.append(c_val)
-        flags.append(flag)
+    for kx, ky in _grid_chunks(p, g):
+        c, cause, _ = concurrence_closed_form_arrays(0.0, *lattice_layer_arrays(p, kx, ky), m, n)
+        yield {"kx": kx, "ky": ky, "c": c, "flag": (cause != CLOSED_FORM).astype(int)}
+
+
+def _joined(chunks, columns) -> dict[str, np.ndarray]:
+    chunks = list(chunks)
     return {
-        "kx": np.array(kxs),
-        "ky": np.array(kys),
-        "c": np.array(cs),
-        "flag": np.array(flags, dtype=int),
+        col: np.concatenate([ch[col] for ch in chunks]) if chunks else np.empty(0)
+        for col in columns
     }
+
+
+def band_grid(p: GrapheneParams, g: GridSpec) -> dict[str, np.ndarray]:
+    """Positive band energies on the grid, row-major in (kx, ky)."""
+    return _joined(band_chunks(p, g), ("kx", "ky", "e1", "e2"))
+
+
+def concurrence_grid(
+    p: GrapheneParams, g: GridSpec, m: int = 2, n: int = 1
+) -> dict[str, np.ndarray]:
+    """Eigenstate concurrence of branch (m, n) on the grid; see concurrence_chunks."""
+    return _joined(concurrence_chunks(p, g, m, n), ("kx", "ky", "c", "flag"))
 
 
 def thermal_concurrence_curve(

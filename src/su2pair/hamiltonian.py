@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,14 +71,7 @@ class CoefficientSet:
 
     def scale(self) -> float:
         """Euclidean norm of all coefficients, the natural size of the set."""
-        return float(
-            np.sqrt(
-                self.upsilon**2
-                + self.alpha @ self.alpha
-                + self.beta @ self.beta
-                + np.sum(self.omega**2)
-            )
-        )
+        return float(coefficient_scale(self.upsilon, self.alpha, self.beta, self.omega))
 
 
 def fano_compose(c: CoefficientSet) -> np.ndarray:
@@ -135,6 +128,9 @@ class DerivedCoefficients:
     by the even-spectrum closed forms.  ``det_omega_b`` is the determinant of
     the 2x2 block of omega whenever the third row and column vanish,
     computed frame-independently as (Tr[omega]^2 - Tr[omega^2]) / 2.
+
+    From :func:`derive` the scalar fields are Python floats and bools; from
+    :func:`derive_arrays` every field carries the batch's leading axes.
     """
 
     v_quad: float
@@ -153,41 +149,93 @@ class DerivedCoefficients:
     beta_residual: float
 
 
-def derive(c: CoefficientSet, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
-    """Compute every derived quantity needed by the closed-form machinery.
+# Products over leading batch axes.  Each is one ``@``, so every item makes
+# the BLAS call of the same product on a single set (ddot, gemv, gemm) and a
+# batch reproduces the single-set bits whatever its size.  Unbatched
+# operands take ``@`` directly, which is that same call.
+def _dot(x: np.ndarray, y: np.ndarray):
+    """x . y over the last axis."""
+    if x.ndim == 1:
+        return x @ y
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for stacks of matrices and vectors."""
+    if v.ndim == 1:
+        return m @ v
+    return (m @ v[..., :, None])[..., 0]
+
+
+def _where(cond, x, y):
+    """np.where that keeps a single set's scalars scalar."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def _sum_squares(m: np.ndarray) -> np.ndarray:
+    """Sum of the squared entries of each 3x3 matrix (one 9-term pairwise sum)."""
+    return (m * m).sum(axis=(-2, -1))
+
+
+def coefficient_scale(upsilon, alpha, beta, omega) -> np.ndarray:
+    """Euclidean norm of all coefficients, over leading batch axes."""
+    return np.sqrt(
+        upsilon * upsilon + _dot(alpha, alpha) + _dot(beta, beta) + _sum_squares(omega)
+    )
+
+
+_EYE3 = np.eye(3)
+_SCALAR_FIELDS = tuple(f.name for f in fields(DerivedCoefficients) if f.type != "np.ndarray")
+
+
+def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
+    """Every derived quantity of a batch: alpha (..., 3), beta (..., 3), omega (..., 3, 3).
 
     The constraint gates ``alpha_null`` (alpha . omega = 0) and ``beta_null``
     (omega . beta = 0) are decided from relative residuals at tolerance
     ``tol``; they select which quadratic-form terms enter ``theta_phi``.
+    Each item's fields are bitwise those of :func:`derive` on that set.
     """
-    al, be, om = c.alpha, c.beta, c.omega
-    tau = float(np.trace(om))
+    # C order gives every item the strides of a single set's arrays, and so
+    # the same BLAS kernels.
+    al = np.ascontiguousarray(alpha, dtype=float)
+    be = np.ascontiguousarray(beta, dtype=float)
+    om = np.ascontiguousarray(omega, dtype=float)
+    om_t = om.swapaxes(-1, -2)
+    tau = om.trace(0, -2, -1)
     om2 = om @ om
-    p = tau * tau - float(np.trace(om2))
+    p = tau * tau - om2.trace(0, -2, -1)
 
-    a_vec = 2.0 * om @ be
-    b_vec = 2.0 * om.T @ al
-    w_mat = 2.0 * (np.outer(al, be) - om2.T + tau * om.T) - p * np.eye(3)
+    # The contractions alpha.omega and omega.beta: the constraint residuals,
+    # and half of b_vec and a_vec (scaling by 2 and 4 is exact).
+    res_a, res_b = _matvec(om_t, al), _matvec(om, be)
+    ra, rb = _dot(res_a, res_a), _dot(res_b, res_b)
+    a_vec, b_vec = 2.0 * res_b, 2.0 * res_a
+    aa, bb = 4.0 * rb, 4.0 * ra
+    w_mat = np.ascontiguousarray(
+        2.0 * (al[..., :, None] * be[..., None, :] - om2.swapaxes(-1, -2)
+               + tau[..., None, None] * om_t)
+        - p[..., None, None] * _EYE3
+    )
 
-    v_quad = float(al @ al + be @ be + np.sum(om * om))
-    phi = float(np.sum(w_mat * w_mat))
-    theta = float(a_vec @ a_vec + b_vec @ b_vec) + phi
-    s_cubic = float(al @ om @ be)
+    al_sq, be_sq = _dot(al, al), _dot(be, be)
+    v_quad = al_sq + be_sq + _sum_squares(om)
+    phi = _sum_squares(w_mat)
+    theta = (aa + bb) + phi
+    s_cubic = _dot(res_a, be)
 
-    om_norm = float(np.linalg.norm(om))
-    alpha_residual = float(np.linalg.norm(om.T @ al))
-    beta_residual = float(np.linalg.norm(om @ be))
-    alpha_null = alpha_residual <= tol * (om_norm * np.linalg.norm(al) + _TINY)
-    beta_null = beta_residual <= tol * (om_norm * np.linalg.norm(be) + _TINY)
+    om9 = om.reshape(om.shape[:-2] + (9,))
+    om_norm = np.sqrt(_dot(om9, om9))
+    alpha_residual, beta_residual = np.sqrt(ra), np.sqrt(rb)
+    alpha_null = alpha_residual <= tol * (om_norm * np.sqrt(al_sq) + _TINY)
+    beta_null = beta_residual <= tol * (om_norm * np.sqrt(be_sq) + _TINY)
 
     # |b_vec|^2 = 4 alpha.omega.omega^T.alpha enters when omega.beta = 0,
     # |a_vec|^2 = 4 beta.omega^T.omega.beta when alpha.omega = 0; on the
     # overlap both terms vanish identically.
-    theta_phi = phi
-    if beta_null:
-        theta_phi += float(b_vec @ b_vec)
-    if alpha_null:
-        theta_phi += float(a_vec @ a_vec)
+    theta_phi = phi + _where(beta_null, bb, 0.0) + _where(alpha_null, aa, 0.0)
 
     return DerivedCoefficients(
         v_quad=v_quad,
@@ -199,7 +247,7 @@ def derive(c: CoefficientSet, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
         theta_phi=theta_phi,
         s_cubic=s_cubic,
         det_omega_b=p / 2.0,
-        det_omega=float(np.linalg.det(om)),
+        det_omega=np.linalg.det(om),
         alpha_null=alpha_null,
         beta_null=beta_null,
         alpha_residual=alpha_residual,
@@ -207,20 +255,38 @@ def derive(c: CoefficientSet, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
     )
 
 
-def even_spectrum(d: DerivedCoefficients) -> tuple[float, float, float]:
-    """(sqrt(Tp), E1, E2) of a constrained set, E_n = sqrt(V + (-1)^n sqrt(Tp)).
+def derive(c: CoefficientSet, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
+    """:func:`derive_arrays` on one set, with Python floats and bools as scalars."""
+    d = derive_arrays(c.alpha, c.beta, c.omega, tol)
+    # The instance is new and unshared, so its fields are converted in place.
+    values = vars(d)
+    for name in _SCALAR_FIELDS:
+        values[name] = values[name].item()
+    return d
 
-    The spectrum is upsilon +- E1, upsilon +- E2.  Raises ConstraintError
-    unless alpha.omega = 0 or omega.beta = 0 holds at the tolerance ``d``
-    was derived with.
+
+def even_spectrum(d: DerivedCoefficients):
+    """(sqrt(Tp), E1, E2) of constrained sets, E_n = sqrt(V + (-1)^n sqrt(Tp)).
+
+    The spectrum is upsilon +- E1, upsilon +- E2.  Works on the scalar or the
+    batched fields of ``d`` alike; raises ConstraintError unless every item
+    meets alpha.omega = 0 or omega.beta = 0 at the tolerance ``d`` was
+    derived with.
     """
-    if not (d.alpha_null or d.beta_null):
+    # One set's fields are scalars, for which math's functions cost a tenth
+    # of numpy's ufunc calls; both are correctly rounded, so the bits agree.
+    if isinstance(d.v_quad, float):
+        sqrt, maximum, constrained = math.sqrt, max, d.alpha_null or d.beta_null
+    else:
+        sqrt, maximum = np.sqrt, np.maximum
+        constrained = np.logical_or(d.alpha_null, d.beta_null).all()
+    if not constrained:
         raise ConstraintError(
             "neither alpha.omega = 0 nor omega.beta = 0 holds within tolerance"
         )
-    sq = math.sqrt(max(d.theta_phi, 0.0))
-    e1 = math.sqrt(max(d.v_quad - sq, 0.0))
-    e2 = math.sqrt(d.v_quad + sq)
+    sq = sqrt(maximum(d.theta_phi, 0.0))
+    e1 = sqrt(maximum(d.v_quad - sq, 0.0))
+    e2 = sqrt(d.v_quad + sq)
     return sq, e1, e2
 
 

@@ -84,21 +84,22 @@ def write_eigensystem(path, es: Eigensystem):
     Path(path).write_text(json.dumps(eigensystem_to_dict(es), indent=2) + "\n")
 
 
-def write_csv(path, header: list[str], rows):
-    """Emit rows of floats/ints; floats use 17 significant digits."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(format_float(v))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_csv(path, header: list[str], chunks) -> int:
+    """Stream column chunks to a CSV and return the number of rows written.
 
-
-def grid_rows(data: dict[str, np.ndarray], columns: list[str]):
-    arrays = [data[c] for c in columns]
-    for values in zip(*arrays):
-        yield values
+    Each chunk holds one 1-D array per header column.  Integer and boolean
+    columns print as integers, the rest with 17 significant digits; each
+    row is formatted by one ``%`` template, which gives the bytes of
+    ``format_float`` per cell.
+    """
+    rows = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for columns in chunks:
+            columns = [np.asarray(col) for col in columns]
+            template = ",".join(
+                "%d" if col.dtype.kind in "iub" else "%.17g" for col in columns
+            ) + "\n"
+            fh.write("".join(map(template.__mod__, zip(*(col.tolist() for col in columns)))))
+            rows += len(columns[0])
+    return rows

@@ -43,6 +43,14 @@ def _check_temperature(t: float) -> float:
     return t
 
 
+def partition_from_log(logz: float) -> float:
+    """Z = exp(log Z), or inf where Z exceeds the largest double."""
+    try:
+        return math.exp(logz)
+    except OverflowError:
+        return math.inf
+
+
 def _logsumexp(vals) -> float:
     top = max(vals)
     if not math.isfinite(top):
@@ -78,7 +86,7 @@ def log_partition_separable(f1: Su2Factor, f2: Su2Factor, t: float) -> float:
 
 
 def partition_separable(f1: Su2Factor, f2: Su2Factor, t: float) -> float:
-    return math.exp(log_partition_separable(f1, f2, t))
+    return partition_from_log(log_partition_separable(f1, f2, t))
 
 
 # --- constrained entangled ensemble ---------------------------------------------
@@ -109,7 +117,7 @@ def partition_entangled(
     branch: EnsembleBranch = EnsembleBranch.FULL,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    return math.exp(log_partition_entangled(c, t, branch, tol))
+    return partition_from_log(log_partition_entangled(c, t, branch, tol))
 
 
 # --- purity ---------------------------------------------------------------------
@@ -285,7 +293,11 @@ def thermal_report(
     branch: EnsembleBranch = EnsembleBranch.FULL,
     tol: float = DEFAULT_TOL,
 ) -> ThermalReport:
-    """Evaluate the sweep row for any coefficient set, closed-form when possible."""
+    """Evaluate the sweep row for any coefficient set, closed-form when possible.
+
+    Purity and concurrence come from log Z and stay finite; the Z column
+    reads inf where Z itself exceeds the double range.
+    """
     t = _check_temperature(t)
     label = classify(c, tol)
     if label.kind is CaseKind.SEPARABLE_DYADIC and branch is EnsembleBranch.FULL:
@@ -293,20 +305,18 @@ def thermal_report(
         logz = log_partition_separable(f1, f2, t)
         pur = purity((f1, f2), t, branch, tol)
         # Gibbs states of product Hamiltonians are explicitly separable.
-        return ThermalReport(t, math.exp(logz), pur, 0.0, branch, 0)
-
-    d = derive(c, tol)
-    if d.alpha_null or d.beta_null:
-        logz = log_partition_entangled(c, t, branch, tol)
-        pur = purity(c, t, branch, tol)
-        conc = thermal_concurrence(c, t, tol, compare=False)
-        return ThermalReport(
-            t, math.exp(logz), pur, conc.value, branch, 0 if conc.reliable else 1
-        )
-
-    if branch is not EnsembleBranch.FULL:
-        raise ValueError("the positive-only branch applies to the even constrained spectrum")
-    logz = log_partition_numeric(c, t)
-    pur = math.exp(log_partition_numeric(c, t / 2.0) - 2.0 * logz)
-    conc = wootters_concurrence(thermal_state(c, t))
-    return ThermalReport(t, math.exp(logz), pur, conc, branch, 2)
+        conc, flag = 0.0, 0
+    else:
+        d = derive(c, tol)
+        if d.alpha_null or d.beta_null:
+            logz = log_partition_entangled(c, t, branch, tol)
+            pur = purity(c, t, branch, tol)
+            tc = thermal_concurrence(c, t, tol, compare=False)
+            conc, flag = tc.value, 0 if tc.reliable else 1
+        elif branch is not EnsembleBranch.FULL:
+            raise ValueError("the positive-only branch applies to the even constrained spectrum")
+        else:
+            logz = log_partition_numeric(c, t)
+            pur = math.exp(log_partition_numeric(c, t / 2.0) - 2.0 * logz)
+            conc, flag = wootters_concurrence(thermal_state(c, t)), 2
+    return ThermalReport(t, partition_from_log(logz), pur, conc, branch, flag)

@@ -174,6 +174,29 @@ class TestThermoCommand:
         t = float(rows[0][0])
         assert np.isclose(z, np.exp(-np.sqrt(5) / t) + np.exp(-1 / t))
 
+    def test_overflowing_partition_function_reads_inf(self, tmp_path):
+        """The general set's lowest level is -7.14: Z = e^714 at T = 0.01."""
+        from su2pair.hamiltonian import fano_compose
+        from su2pair.oracle import eig_hermitian
+
+        path = tmp_path / "general.json"
+        path.write_text(json.dumps(GENERAL))
+        out = tmp_path / "sweep.csv"
+        code = main(["thermo", "--input", str(path), "--tmin", "0.01", "--tmax", "100",
+                     "--steps", "40", "--output", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        table = np.array(rows, dtype=float)
+        levels = eig_hermitian(fano_compose(coefficient_set_from_dict(GENERAL))).eigenvalues
+        scaled = -levels[None, :] / table[:, :1]
+        top = scaled.max(axis=1)
+        log_z = top + np.log(np.exp(scaled - top[:, None]).sum(axis=1))
+        overflow = log_z > np.log(np.finfo(float).max)
+        assert 0 < overflow.sum() < len(rows)
+        assert np.all(np.isposinf(table[overflow, 1]))
+        assert np.all(np.isfinite(table[~overflow]))
+        assert np.all(np.isfinite(np.delete(table, 1, axis=1)))
+
     def test_bad_range(self, entangled_file, tmp_path):
         code = main(
             ["thermo", "--input", str(entangled_file), "--tmin", "-1",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2pair.entanglement import (
     bloch_vectors,
@@ -18,6 +20,7 @@ from su2pair.pauli import kron, partial_trace, pauli
 from su2pair.sampling import (
     random_entangled_canonical,
     random_pure_density,
+    random_rotated_constrained,
     random_rotation,
 )
 from su2pair.solver import solve, solve_entangled
@@ -151,6 +154,21 @@ class TestClosedFormConcurrence:
                         - eigenstate_concurrence_closed_form(rot, m, n)
                     )
                     assert dc <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.sampled_from([1, 2]),
+        n=st.sampled_from([1, 2]),
+    )
+    def test_rotated_set_invariant_under_further_rotations(self, seed, m, n):
+        """Both sets leave block form, so both go through the frame reduction."""
+        rng = np.random.default_rng(seed)
+        canonical, rotated = random_rotated_constrained(rng)
+        moved = rotate_set(rotated, random_rotation(rng), random_rotation(rng))
+        base = eigenstate_concurrence_closed_form(canonical, m, n)
+        assert abs(eigenstate_concurrence_closed_form(rotated, m, n) - base) <= 1e-9
+        assert abs(eigenstate_concurrence_closed_form(moved, m, n) - base) <= 1e-9
 
     def test_degenerate_branch_flagged(self):
         c = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 0.0, 0.0]))

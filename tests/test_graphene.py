@@ -1,6 +1,16 @@
+import contextlib
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from su2pair import graphene
+from su2pair.cli import main
+from su2pair.entanglement import eigenstate_concurrence_closed_form
+from su2pair.errors import ConcurrenceDomainError, DegenerateBranchError
 from su2pair.graphene import (
     GrapheneParams,
     GridSpec,
@@ -225,6 +235,127 @@ class TestConcurrenceGrid:
                 continue
             es = solve_entangled(map_to_su2su2(p, kx, ky))
             assert abs(cval - wootters_concurrence(es.state(2, 1))) <= 1e-7
+
+
+def _scalar_concurrence(p, kx, ky, m, n):
+    """The per-point closed form, its raise mapped to flag 1 as the grids do."""
+    try:
+        return eigenstate_concurrence_closed_form(map_to_su2su2(p, kx, ky), m, n), 0
+    except (ConcurrenceDomainError, DegenerateBranchError):
+        return 0.0, 1
+
+
+def _zone_anchors(p):
+    """Named k-points at which a grid can start: a Dirac point of G, the
+    midpoint of a zone edge, a zone corner, and the corner nudged by 1e-12
+    either way (just inside and just outside the mask's slack)."""
+    lam = p.lattice
+    edge = np.pi / lam * np.array([1.0, 1.0 / np.sqrt(3.0)])
+    corner = np.array([4.0 * np.pi / (3.0 * lam), 0.0])
+    return {
+        "dirac": (0.0, 4.0 * np.pi / (3.0 * np.sqrt(3.0) * lam)),
+        "edge": tuple(edge),
+        "corner": tuple(corner),
+        "corner-in": tuple(corner * (1.0 - 1e-12)),
+        "corner-out": tuple(corner * (1.0 + 2e-12)),
+    }
+
+
+@st.composite
+def _grid_cases(draw):
+    p = GrapheneParams(
+        t=draw(st.floats(0.2, 2.0)),
+        t3=draw(st.floats(0.0, 2.0)),
+        tperp=draw(st.floats(0.0, 2.0)),
+        m=draw(st.sampled_from([0.0, 0.3]) | st.floats(-1.0, 1.0)),
+        bias=draw(st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 2.0)),
+        lattice=draw(st.sampled_from([1.0]) | st.floats(0.5, 2.0)),
+    )
+    # The first grid point is exactly the anchor (linspace starts at kx_min).
+    kx0, ky0 = draw(
+        st.sampled_from(sorted(_zone_anchors(p).values()))
+        | st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    )
+    g = GridSpec(
+        kx0, kx0 + draw(st.floats(0.05, 3.0)), ky0, ky0 + draw(st.floats(0.05, 3.0)),
+        draw(st.integers(2, 6)), draw(st.integers(2, 6)), draw(st.sampled_from(["none", "hex"])),
+    )
+    return p, g
+
+
+class TestBatchedGridsMatchScalarFunctions:
+    """band_grid and concurrence_grid evaluate k-points in batches; each point
+    must equal the scalar functions bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=_grid_cases(),
+        m=st.sampled_from([1, 2]),
+        n=st.sampled_from([1, 2]),
+        chunk=st.sampled_from([1, 3, 4096]),
+    )
+    def test_points_equal_scalar_functions(self, case, m, n, chunk):
+        p, g = case
+        xs, ys = g.axes()
+        points = [
+            (float(kx), float(ky)) for kx in xs for ky in ys
+            if g.mask == "none" or in_first_zone(p, kx, ky)
+        ]
+        with mock.patch.object(graphene, "CHUNK_POINTS", chunk):
+            bands = band_grid(p, g)
+            conc = concurrence_grid(p, g, m, n)
+        for data in (bands, conc):
+            assert list(zip(data["kx"].tolist(), data["ky"].tolist())) == points
+        assert list(zip(bands["e1"].tolist(), bands["e2"].tolist())) == [
+            positive_bands(p, kx, ky) for kx, ky in points
+        ]
+        assert list(zip(conc["c"].tolist(), conc["flag"].tolist())) == [
+            _scalar_concurrence(p, kx, ky, m, n) for kx, ky in points
+        ]
+
+    def test_dirac_point_is_flagged_in_both_paths(self):
+        """Unbiased and massless: E1 vanishes at G = 0, so branch n = 1 flags."""
+        p = GrapheneParams()
+        kx, ky = _zone_anchors(p)["dirac"]
+        g = GridSpec(kx, kx + 0.5, ky, ky + 0.5, 3, 3)
+        data = concurrence_grid(p, g, 2, 1)
+        assert (data["kx"][0], data["ky"][0]) == (kx, ky)
+        assert (data["c"][0], data["flag"][0]) == (0.0, 1)
+        assert _scalar_concurrence(p, kx, ky, 2, 1) == (0.0, 1)
+
+    def test_mask_boundary_points_agree(self):
+        p = DEFAULT
+        anchors = _zone_anchors(p)
+        kx = np.array([k[0] for k in anchors.values()])
+        ky = np.array([k[1] for k in anchors.values()])
+        batched = graphene.first_zone_mask(p, kx, ky)
+        assert batched.tolist() == [in_first_zone(p, x, y) for x, y in zip(kx, ky)]
+        assert in_first_zone(p, *anchors["corner-in"])
+        assert not in_first_zone(p, *anchors["corner-out"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graphene-bands", "--bias", "0.1", "--grid", "21"],
+        ["graphene-concurrence", "--bias", "1", "--mask", "hex", "--branch-n", "2",
+         "--grid", "21"],
+        ["graphene-concurrence", "--grid", "21"],
+    ],
+    ids=["bands", "concurrence-hex", "concurrence-bias-0"],
+)
+def test_chunk_size_leaves_output_bytes_unchanged(argv, tmp_path, monkeypatch):
+    """441 points: one chunk of 4096 (the grid is below one chunk), chunks
+    that divide it, and chunks of 8 and 100 that leave a remainder."""
+    outputs = set()
+    for chunk in (4096, 441, 147, 100, 8):
+        monkeypatch.setattr(graphene, "CHUNK_POINTS", chunk)
+        path = tmp_path / f"out{chunk}.csv"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([*argv, "--output", str(path)]) == 0
+        outputs.add((buf.getvalue().replace(path.name, ""), path.read_bytes()))
+    assert len(outputs) == 1
 
 
 class TestThermalCurve:

@@ -11,6 +11,8 @@ from su2pair.hamiltonian import (
     case01_theta,
     classify,
     derive,
+    derive_arrays,
+    even_spectrum,
     fano_compose,
     fano_decompose,
     frame_reduce,
@@ -154,6 +156,38 @@ class TestDerive:
             ht2 = ht @ ht
             lhs = ht2 @ ht2 - 2 * d.v_quad * ht2 + (d.v_quad**2 - d.theta_phi) * np.eye(4)
             assert np.max(np.abs(lhs)) <= 1e-9 * (1 + d.v_quad**2)
+
+    def test_batch_items_equal_single_set_derive_bitwise(self, rng):
+        """derive is the unbatched call of derive_arrays; every item of a
+        batch (mixed shapes of constraint, zeros, scales) carries the same bits."""
+        sets = []
+        for k in range(60):
+            c = (random_entangled_canonical(rng, ("alpha", "beta", "both")[k % 3])
+                 if k % 2 else random_coefficient_set(rng, 10.0 ** rng.uniform(-6, 6)))
+            if k % 5 == 0:
+                c = CoefficientSet(c.upsilon, c.alpha * (rng.random(3) < 0.5), c.beta,
+                                   c.omega * (rng.random((3, 3)) < 0.5))
+            sets.append(c)
+        batch = derive_arrays(
+            np.array([c.alpha for c in sets]).reshape(3, 20, 3),
+            np.array([c.beta for c in sets]).reshape(3, 20, 3),
+            np.array([c.omega for c in sets]).reshape(3, 20, 3, 3),
+        )
+        for i, c in enumerate(sets):
+            one = derive(c)
+            for name, value in vars(one).items():
+                item = np.asarray(getattr(batch, name)).reshape((60,) + np.shape(value))[i]
+                assert item.tobytes() == np.asarray(value, dtype=item.dtype).tobytes(), name
+
+    def test_even_spectrum_rejects_a_batch_with_one_unconstrained_set(self, rng):
+        canonical = [random_entangled_canonical(rng, "alpha") for _ in range(4)]
+        sets = canonical + [random_coefficient_set(rng)]
+        d = derive_arrays(*(np.array([getattr(c, f) for c in sets]) for f in ("alpha", "beta", "omega")))
+        with pytest.raises(ConstraintError):
+            even_spectrum(d)
+        d = derive_arrays(*(np.array([getattr(c, f) for c in canonical]) for f in ("alpha", "beta", "omega")))
+        sq, e1, e2 = even_spectrum(d)
+        assert sq.shape == e1.shape == e2.shape == (4,)
 
     def test_odd_traces_vanish_under_constraint(self, rng):
         for _ in range(50):
