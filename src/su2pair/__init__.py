@@ -83,6 +83,7 @@ from .thermo import (
     thermal_report,
     thermal_state,
     thermal_state_from_eigensystem,
+    thermal_sweep,
 )
 
 __version__ = "0.1.0"

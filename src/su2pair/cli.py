@@ -9,6 +9,7 @@ violation.  Identical options and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -24,13 +25,14 @@ from .serialization import (
     write_eigensystem,
 )
 from .solver import solve
-from .thermo import EnsembleBranch, thermal_report
+from .thermo import EnsembleBranch, thermal_sweep
 from .verify import run_suites, report_lines
 
 # Largest accepted --grid and --steps, refused before any work.  A grid
 # command costs about 4 us a k-point, most of it CSV formatting, and runs in
 # chunks of graphene.CHUNK_POINTS, so --grid 1001 takes seconds in flat
-# memory; --steps 10000 takes about 6 s at 0.6 ms a temperature row.
+# memory; a thermo sweep is evaluated as arrays over T, so --steps 10000
+# takes well under a second, most of it CSV formatting.
 MAX_GRID = 1001
 MAX_STEPS = 10_000
 
@@ -118,6 +120,18 @@ def _grid_spec(p: graphene.GrapheneParams, args) -> graphene.GridSpec:
         raise InputFormatError(str(exc)) from exc
 
 
+def _nonempty(chunks, args):
+    """The grid's chunks, refused as a usage error before any output is
+    written when the mask leaves no k-point; the first chunk is only peeked."""
+    chunks = iter(chunks)
+    first = next(chunks, None)
+    if first is None:
+        raise InputFormatError(
+            f"--mask {args.mask} leaves no k-point on a {args.grid}x{args.grid} grid"
+        )
+    return itertools.chain([first], chunks)
+
+
 def _temperatures(tmin: float, tmax: float, steps: int) -> np.ndarray:
     if not (0 < tmin <= tmax) or steps < 1:
         raise InputFormatError("need 0 < tmin <= tmax and steps >= 1")
@@ -178,11 +192,8 @@ def cmd_thermo(args) -> int:
             even_spectrum(derive(c))
         except ConstraintError as exc:
             raise InputFormatError(f"--branch positive: {exc}") from exc
-    reports = [thermal_report(c, float(t), branch) for t in temps]
-    columns = [
-        np.array([getattr(rep, name) for rep in reports])
-        for name in ("temperature", "z_value", "purity", "concurrence", "flag")
-    ]
+    s = thermal_sweep(c, temps, branch)
+    columns = [s[name] for name in ("t", "z", "purity", "concurrence", "flag")]
     rows = write_csv(args.output, ["T", "Z", "purity", "concurrence", "flag"], [columns])
     print(f"{rows} temperatures written to {args.output}")
     return 0
@@ -191,10 +202,11 @@ def cmd_thermo(args) -> int:
 def cmd_graphene_bands(args) -> int:
     p = _graphene_params(args)
     spec = _grid_spec(p, args)
+    chunks = _nonempty(graphene.band_chunks(p, spec), args)
     e1_mins = []
 
     def columns():
-        for ch in graphene.band_chunks(p, spec):
+        for ch in chunks:
             e1_mins.append(np.min(ch["e1"]))
             yield ch["kx"], ch["ky"], ch["e1"], ch["e2"]
 
@@ -209,11 +221,12 @@ def cmd_graphene_bands(args) -> int:
 def cmd_graphene_concurrence(args) -> int:
     p = _graphene_params(args)
     spec = _grid_spec(p, args)
+    chunks = _nonempty(graphene.concurrence_chunks(p, spec, args.branch_m, args.branch_n), args)
     flagged = 0
 
     def columns():
         nonlocal flagged
-        for ch in graphene.concurrence_chunks(p, spec, args.branch_m, args.branch_n):
+        for ch in chunks:
             flagged += int(np.sum(ch["flag"]))
             yield ch["kx"], ch["ky"], ch["c"], ch["flag"]
 

@@ -275,20 +275,15 @@ def thermal_concurrence_curve(
     c_arg = abs(p.t3 * structure_factor(p, kx, ky))
     _, reliable = spin_flip_commutator(coeffs)
 
-    ts, cs = [], []
-    for t_raw in temps:
-        t = float(t_raw)
-        if t <= 0:
-            raise ValueError("temperatures must be positive")
-        if s_arg <= c_arg:
-            val = 0.0
-        else:
-            y2 = e2 / t
-            val = max(sinh_cosh_gap(s_arg / t, c_arg / t, y2), 0.0) / cosh_pair(e1 / t, y2)
-        ts.append(t)
-        cs.append(val)
-    flags = np.full(len(ts), 0 if reliable else 1, dtype=int)
-    return {"t": np.array(ts), "c": np.array(cs), "flag": flags}
+    t = np.array(temps, dtype=float)
+    if np.any(t <= 0):
+        raise ValueError("temperatures must be positive")
+    if s_arg <= c_arg:
+        c = np.zeros(t.shape)
+    else:
+        y2 = e2 / t
+        c = np.maximum(sinh_cosh_gap(s_arg / t, c_arg / t, y2), 0.0) / cosh_pair(e1 / t, y2)
+    return {"t": t, "c": c, "flag": np.full(t.shape, 0 if reliable else 1)}
 
 
 def thermal_death_temperature(

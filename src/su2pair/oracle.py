@@ -100,7 +100,7 @@ def _require_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarra
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """The transformation (sy (x) sy) rho* (sy (x) sy)."""
+    """The transformation (sy (x) sy) rho* (sy (x) sy) of one state or a stack."""
     yy = pauli_word(2, 2)
     return yy @ np.asarray(rho, dtype=complex).conj() @ yy
 
@@ -119,9 +119,18 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     dec = eig_hermitian(rho)
     root = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
     sq = (dec.eigenvectors * root) @ dec.eigenvectors.conj().T
-    x = sq @ spin_flip(rho) @ sq
-    lam = np.sqrt(np.clip(np.linalg.eigvalsh(x)[::-1], 0.0, None))
-    return float(np.clip(lam[0] - lam[1] - lam[2] - lam[3], 0.0, 1.0))
+    return float(concurrence_from_root(sq, rho))
+
+
+def concurrence_from_root(root: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """max(l1 - l2 - l3 - l4, 0), clipped to [0, 1], of density matrices
+    ``rho`` given their square roots ``root``; both may be stacks (..., 4, 4),
+    evaluated by one stacked eigvalsh.  No validation: see
+    :func:`wootters_concurrence`.
+    """
+    x = root @ spin_flip(rho) @ root
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(x)[..., ::-1], 0.0, None))
+    return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
 
 
 def von_neumann_entropy(rho2: np.ndarray) -> float:

@@ -4,6 +4,11 @@ Boltzmann's constant is 1 throughout; temperatures share the energy unit of
 the Hamiltonian.  Every cosh/sinh/exp combination is evaluated after
 factoring out the dominant exponent, so the purity limits remain computable
 at temperatures many orders of magnitude away from the spectral scale.
+
+The partition functions, the purity and the thermal-concurrence pieces take
+a temperature or an array of temperatures; a scalar temperature gives a
+Python float.  :func:`thermal_sweep` evaluates a whole sweep with the
+temperature-independent work done once.
 """
 
 from __future__ import annotations
@@ -26,9 +31,19 @@ from .hamiltonian import (
     fano_compose,
     frame_reduce,
 )
-from .oracle import eig_hermitian, wootters_concurrence
+from .oracle import (
+    SpectralDecomposition,
+    concurrence_from_root,
+    eig_hermitian,
+    wootters_concurrence,
+)
 from .pauli import max_abs
 from .solver import Eigensystem, Su2Factor, factor_dyadic
+
+# Temperatures per stacked Wootters evaluation on the definition route: bounds
+# the (block, 4, 4) temporaries of a sweep whatever its length, and keeps each
+# block large enough that numpy's per-call cost stays small.
+SWEEP_BLOCK = 128
 
 
 class EnsembleBranch(enum.Enum):
@@ -36,87 +51,128 @@ class EnsembleBranch(enum.Enum):
     POSITIVE_ONLY = "positive-only"
 
 
-def _check_temperature(t: float) -> float:
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"temperature must be positive and finite, got {t}")
+def _check_temperature(t) -> np.ndarray:
+    """``t`` as a float array (0-d for a scalar), every entry positive and finite."""
+    t = np.asarray(t, dtype=float)
+    bad = ~((t > 0.0) & np.isfinite(t))
+    if bad.any():
+        raise ValueError(f"temperature must be positive and finite, got {t[bad].flat[0]}")
     return t
 
 
-def partition_from_log(logz: float) -> float:
+def _scalar_or_array(x):
+    """A 0-d result as a Python float, so scalar temperatures give scalars."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def partition_from_log(logz):
     """Z = exp(log Z), or inf where Z exceeds the largest double."""
-    try:
-        return math.exp(logz)
-    except OverflowError:
-        return math.inf
+    with np.errstate(over="ignore"):
+        return _scalar_or_array(np.exp(logz))
 
 
-def _logsumexp(vals) -> float:
-    top = max(vals)
-    if not math.isfinite(top):
-        return top
-    return top + math.log(sum(math.exp(v - top) for v in vals))
+def _logsumexp(vals):
+    """log sum_k exp(vals[k]) elementwise over equally shaped terms, summed
+    in list order after factoring out the largest term."""
+    top = vals[0]
+    for v in vals[1:]:
+        top = np.maximum(top, v)
+    finite = np.isfinite(top)
+    shift = np.where(finite, top, 0.0)
+    acc = 0.0
+    for v in vals:
+        acc = acc + np.exp(v - shift)
+    return np.where(finite, top + np.log(acc), top)
+
+
+def _log_partition_and_purity(logz, t):
+    """(log Z(T), Z(T/2) / Z(T)^2) from a log-partition function of
+    temperature arrays."""
+    logz_t = logz(t)
+    return logz_t, np.exp(logz(t / 2.0) - 2.0 * logz_t)
 
 
 # --- separable ensemble ---------------------------------------------------------
 
 
-def log_partition_separable(f1: Su2Factor, f2: Su2Factor, t: float) -> float:
+def _log_partition_product(f1: Su2Factor, f2: Su2Factor, t):
+    a0, a = f1.a0, f1.norm
+    b0, b = f2.a0, f2.norm
+    x = [a * b / t, a0 * b / t, a * b0 / t]
+    base = -a0 * b0 / t
+    ax = [np.abs(v) for v in x]
+    l1, l2, l3 = (-2.0 * v for v in ax)
+    sign = np.sign(x[0]) * np.sign(x[1]) * np.sign(x[2])
+    tail = np.where(
+        sign > 0,
+        _logsumexp([l1, l2, l3, l1 + l2 + l3]),
+        np.where(
+            sign < 0,
+            _logsumexp([0.0, l1 + l2, l1 + l3, l2 + l3]),
+            np.log1p(np.exp(l1)) + np.log1p(np.exp(l2)) + np.log1p(np.exp(l3)) - math.log(2.0),
+        ),
+    )
+    return base + (ax[0] + ax[1] + ax[2]) + tail
+
+
+def log_partition_separable(f1: Su2Factor, f2: Su2Factor, t):
     """log Tr[exp(-H1 (x) H2 / t)] from the hyperbolic product form.
 
     Z = 4 exp(-a0 b0 / t) [prod_p cosh(m_p/t) - prod_p sinh(m_p/t)] with
     m_1 = a b, m_2 = a0 b, m_3 = a b0.  The product difference is expanded
     in e^{-2|m_p/t|} so there is no cancellation and no overflow.
     """
-    t = _check_temperature(t)
-    a0, a = f1.a0, f1.norm
-    b0, b = f2.a0, f2.norm
-    x = [a * b / t, a0 * b / t, a * b0 / t]
-    base = -a0 * b0 / t
-    ax = [abs(v) for v in x]
-    l1, l2, l3 = (-2.0 * v for v in ax)
-    sign = math.prod(1 if v > 0 else (-1 if v < 0 else 0) for v in x)
-    if sign > 0:
-        tail = _logsumexp([l1, l2, l3, l1 + l2 + l3])
-    elif sign < 0:
-        tail = _logsumexp([0.0, l1 + l2, l1 + l3, l2 + l3])
-    else:
-        tail = sum(math.log1p(math.exp(v)) for v in (l1, l2, l3)) - math.log(2.0)
-    return base + sum(ax) + tail
+    return _scalar_or_array(_log_partition_product(f1, f2, _check_temperature(t)))
 
 
-def partition_separable(f1: Su2Factor, f2: Su2Factor, t: float) -> float:
+def partition_separable(f1: Su2Factor, f2: Su2Factor, t):
     return partition_from_log(log_partition_separable(f1, f2, t))
 
 
 # --- constrained entangled ensemble ---------------------------------------------
 
 
+def _log_partition_even(upsilon: float, e1: float, e2: float, t, branch: EnsembleBranch):
+    y1, y2 = e1 / t, e2 / t
+    if branch is EnsembleBranch.FULL:
+        tail = np.log1p(np.exp(-2 * y2) + np.exp(y1 - y2) + np.exp(-y1 - y2))
+        return -upsilon / t + y2 + tail
+    return -upsilon / t - y1 + np.log1p(np.exp(-(y2 - y1)))
+
+
+def _log_partition_fn(system, branch: EnsembleBranch, tol: float):
+    """log Z as a function of temperature arrays, the set's own work done once.
+
+    ``system`` is a constraint-satisfying CoefficientSet or a pair of
+    Su2Factor (full branch only).
+    """
+    if isinstance(system, CoefficientSet):
+        _, e1, e2 = even_spectrum(derive(system, tol))
+        return lambda t: _log_partition_even(system.upsilon, e1, e2, t, branch)
+    if branch is not EnsembleBranch.FULL:
+        raise ValueError("the positive-only branch applies to the even constrained spectrum")
+    f1, f2 = system
+    return lambda t: _log_partition_product(f1, f2, t)
+
+
 def log_partition_entangled(
     c: CoefficientSet,
-    t: float,
+    t,
     branch: EnsembleBranch = EnsembleBranch.FULL,
     tol: float = DEFAULT_TOL,
-) -> float:
+):
     """log of Z = 2 exp(-u/t) [cosh(E2/t) + cosh(E1/t)], or of the
     positive-energy restriction with cosh(y) replaced by exp(-y)/2."""
     t = _check_temperature(t)
-    _, e1, e2 = even_spectrum(derive(c, tol))
-    y1, y2 = e1 / t, e2 / t
-    if branch is EnsembleBranch.FULL:
-        tail = math.log1p(
-            math.exp(-2 * y2) + math.exp(y1 - y2) + math.exp(-y1 - y2)
-        )
-        return -c.upsilon / t + y2 + tail
-    return -c.upsilon / t - y1 + math.log1p(math.exp(-(y2 - y1)))
+    return _scalar_or_array(_log_partition_fn(c, branch, tol)(t))
 
 
 def partition_entangled(
     c: CoefficientSet,
-    t: float,
+    t,
     branch: EnsembleBranch = EnsembleBranch.FULL,
     tol: float = DEFAULT_TOL,
-) -> float:
+):
     return partition_from_log(log_partition_entangled(c, t, branch, tol))
 
 
@@ -125,10 +181,10 @@ def partition_entangled(
 
 def purity(
     system,
-    t: float,
+    t,
     branch: EnsembleBranch = EnsembleBranch.FULL,
     tol: float = DEFAULT_TOL,
-) -> float:
+):
     """Thermal purity Z(T/2) / Z(T)^2.
 
     ``system`` is either a CoefficientSet satisfying a contraction constraint
@@ -136,14 +192,8 @@ def purity(
     1/4 as T -> infinity and to 1 as T -> 0 for non-degenerate spectra.
     """
     t = _check_temperature(t)
-    if isinstance(system, CoefficientSet):
-        logz = lambda tt: log_partition_entangled(system, tt, branch, tol)
-    else:
-        f1, f2 = system
-        if branch is not EnsembleBranch.FULL:
-            raise ValueError("the positive-only branch applies to the even constrained spectrum")
-        logz = lambda tt: log_partition_separable(f1, f2, tt)
-    return math.exp(logz(t / 2.0) - 2.0 * logz(t))
+    _, pur = _log_partition_and_purity(_log_partition_fn(system, branch, tol), t)
+    return _scalar_or_array(pur)
 
 
 # --- thermal states --------------------------------------------------------------
@@ -151,7 +201,7 @@ def purity(
 
 def thermal_state(c: CoefficientSet, t: float) -> np.ndarray:
     """The Gibbs state exp(-H/t) / Z for any coefficient set."""
-    t = _check_temperature(t)
+    t = float(_check_temperature(t))
     dec = eig_hermitian(fano_compose(c))
     w = dec.eigenvalues
     boltz = np.exp(-(w - w[-1]) / t)
@@ -161,7 +211,7 @@ def thermal_state(c: CoefficientSet, t: float) -> np.ndarray:
 
 def thermal_state_from_eigensystem(es: Eigensystem, t: float) -> np.ndarray:
     """Gibbs state assembled as sum_mn rho_mn exp(-e_mn/t) / Z."""
-    t = _check_temperature(t)
+    t = float(_check_temperature(t))
     emin = float(np.min(es.values))
     num = np.zeros((4, 4), dtype=complex)
     z = 0.0
@@ -172,11 +222,32 @@ def thermal_state_from_eigensystem(es: Eigensystem, t: float) -> np.ndarray:
     return num / z
 
 
-def log_partition_numeric(c: CoefficientSet, t: float) -> float:
+def _log_partition_levels(w: np.ndarray, t):
+    return _logsumexp([-v / t for v in w])
+
+
+def log_partition_numeric(c: CoefficientSet, t):
     """log Tr[exp(-H/t)] from the numerical spectrum, for any set."""
     t = _check_temperature(t)
     w = eig_hermitian(fano_compose(c)).eigenvalues
-    return _logsumexp([-v / t for v in w])
+    return _scalar_or_array(_log_partition_levels(w, t))
+
+
+def _gibbs_concurrence(dec: SpectralDecomposition, t: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of the Gibbs states at temperatures ``t`` from one
+    eigendecomposition of H: rho = V diag(p) V^dag and sqrt(rho) =
+    V diag(sqrt p) V^dag, SWEEP_BLOCK temperatures per stacked evaluation."""
+    w, v = dec.eigenvalues, dec.eigenvectors
+    vh = v.conj().T
+    out = np.empty(t.shape)
+    for start in range(0, t.size, SWEEP_BLOCK):
+        block = slice(start, start + SWEEP_BLOCK)
+        boltz = np.exp(-(w - w[-1]) / t[block, None])
+        p = boltz / np.sum(boltz, axis=1, keepdims=True)
+        rho = (v * p[:, None, :]) @ vh
+        root = (v * np.sqrt(p)[:, None, :]) @ vh
+        out[block] = concurrence_from_root(root, rho)
+    return out
 
 
 # --- thermal concurrence ----------------------------------------------------------
@@ -218,18 +289,43 @@ def spin_flip_commutator(c: CoefficientSet) -> tuple[float, bool]:
     return norm, norm <= COMMUTATOR_RTOL * (1.0 + c.scale() ** 2)
 
 
-def sinh_cosh_gap(xp: float, xm: float, shift: float) -> float:
+def sinh_cosh_gap(xp, xm, shift):
     """e^{-shift} [sinh(xp) - cosh(xm)] for xm and xp in [0, shift]: every
     exponent is at most zero, so nothing overflows, and the sign is exact."""
-    return (
-        math.exp(xp - shift) * -math.expm1(-2 * xp)
-        - math.exp(xm - shift) * (1.0 + math.exp(-2 * xm))
-    ) / 2.0
+    return _scalar_or_array(
+        (
+            np.exp(xp - shift) * -np.expm1(-2 * xp)
+            - np.exp(xm - shift) * (1.0 + np.exp(-2 * xm))
+        )
+        / 2.0
+    )
 
 
-def cosh_pair(y1: float, y2: float) -> float:
+def cosh_pair(y1, y2):
     """e^{-y2} [cosh(y2) + cosh(y1)] for 0 <= y1 <= y2, without overflow."""
-    return (1.0 + math.exp(-2 * y2) + math.exp(y1 - y2) + math.exp(-y1 - y2)) / 2.0
+    return _scalar_or_array(
+        (1.0 + np.exp(-2 * y2) + np.exp(y1 - y2) + np.exp(-y1 - y2)) / 2.0
+    )
+
+
+def _closed_form_concurrence(c: CoefficientSet, t, tol: float):
+    """(closed-form C at temperatures t, commutator norm, reliable) of a
+    constrained set; see :func:`thermal_concurrence`."""
+    if block_form_defect(c) > tol:
+        # det(omega_B) lives in the block frame; the Gibbs state's
+        # concurrence is invariant under the reducing local rotations.
+        c, _, _ = frame_reduce(c, tol)
+    d = derive(c, tol)
+    _, e1, e2 = even_spectrum(d)
+    tr2 = float(np.sum(c.omega**2))
+    two_det = 2.0 * abs(d.det_omega_b)
+    xp = math.sqrt(tr2 + two_det) / t
+    xm = math.sqrt(max(tr2 - two_det, 0.0)) / t
+    y1, y2 = e1 / t, e2 / t
+    # Both scaled by e^{-y2}; x+ <= y2.
+    value = np.maximum(sinh_cosh_gap(xp, xm, y2), 0.0) / cosh_pair(y1, y2)
+    comm, reliable = spin_flip_commutator(c)
+    return value, comm, reliable
 
 
 def thermal_concurrence(
@@ -245,29 +341,66 @@ def thermal_concurrence(
     norm, and ``wootters`` (computed unless ``compare=False``) lets callers
     quantify the deviation outside the provable regime.
     """
-    t = _check_temperature(t)
-    if block_form_defect(c) > tol:
-        # det(omega_B) lives in the block frame; the Gibbs state's
-        # concurrence is invariant under the reducing local rotations.
-        c, _, _ = frame_reduce(c, tol)
-    d = derive(c, tol)
-    _, e1, e2 = even_spectrum(d)
-    tr2 = float(np.sum(c.omega**2))
-    two_det = 2.0 * abs(d.det_omega_b)
-    xp = math.sqrt(tr2 + two_det) / t
-    xm = math.sqrt(max(tr2 - two_det, 0.0)) / t
-    y1, y2 = e1 / t, e2 / t
-    # Both scaled by e^{-y2}; x+ <= y2.
-    value = max(sinh_cosh_gap(xp, xm, y2), 0.0) / cosh_pair(y1, y2)
-
-    comm, reliable = spin_flip_commutator(c)
+    t = float(_check_temperature(t))
+    value, comm, reliable = _closed_form_concurrence(c, t, tol)
     woot = wootters_concurrence(thermal_state(c, t)) if compare else None
     return ThermalConcurrenceResult(
-        value=value, commutator_norm=comm, reliable=reliable, wootters=woot
+        value=float(value), commutator_norm=comm, reliable=reliable, wootters=woot
     )
 
 
-# --- per-temperature report (CLI sweep) -------------------------------------------
+# --- temperature sweeps (CLI) ------------------------------------------------------
+
+
+def thermal_sweep(
+    c: CoefficientSet,
+    temps,
+    branch: EnsembleBranch = EnsembleBranch.FULL,
+    tol: float = DEFAULT_TOL,
+) -> dict[str, np.ndarray]:
+    """Z, purity and concurrence of any coefficient set over a 1-D array of
+    temperatures, closed-form when possible.
+
+    Returns the columns ``t``, ``z``, ``purity``, ``concurrence`` and
+    ``flag``.  The route is chosen once per set: product sets use the
+    separable closed forms (C = 0), constrained sets the even-spectrum ones
+    and the closed-form concurrence, every other set the dense spectrum of
+    one eigendecomposition of H with the Wootters concurrence of its Gibbs
+    states.  Flags are therefore constant along a sweep; their values are
+    those of :class:`ThermalReport`.  Purity and concurrence come from
+    log Z and stay finite; ``z`` reads inf where Z exceeds the double range.
+
+    Raises ValueError for a temperature that is not positive and finite, and
+    for the positive branch on a set that meets neither constraint.
+    """
+    t = _check_temperature(temps)
+    if t.ndim != 1:
+        raise ValueError("temperatures must form a 1-D array")
+    label = classify(c, tol)
+    if label.kind is CaseKind.SEPARABLE_DYADIC and branch is EnsembleBranch.FULL:
+        logz = _log_partition_fn(factor_dyadic(c, tol), branch, tol)
+        # Gibbs states of product Hamiltonians are explicitly separable.
+        conc, flag = np.zeros(t.shape), 0
+    else:
+        d = derive(c, tol)
+        if d.alpha_null or d.beta_null:
+            logz = _log_partition_fn(c, branch, tol)
+            conc, _, reliable = _closed_form_concurrence(c, t, tol)
+            flag = 0 if reliable else 1
+        elif branch is not EnsembleBranch.FULL:
+            raise ValueError("the positive-only branch applies to the even constrained spectrum")
+        else:
+            dec = eig_hermitian(fano_compose(c))
+            logz = lambda tt: _log_partition_levels(dec.eigenvalues, tt)
+            conc, flag = _gibbs_concurrence(dec, t), 2
+    logz_t, pur = _log_partition_and_purity(logz, t)
+    return {
+        "t": t,
+        "z": partition_from_log(logz_t),
+        "purity": pur,
+        "concurrence": conc,
+        "flag": np.full(t.shape, flag),
+    }
 
 
 @dataclass(frozen=True)
@@ -293,30 +426,16 @@ def thermal_report(
     branch: EnsembleBranch = EnsembleBranch.FULL,
     tol: float = DEFAULT_TOL,
 ) -> ThermalReport:
-    """Evaluate the sweep row for any coefficient set, closed-form when possible.
+    """One sweep row: :func:`thermal_sweep` at the single temperature ``t``.
 
-    Purity and concurrence come from log Z and stay finite; the Z column
-    reads inf where Z itself exceeds the double range.
+    Raises ValueError as thermal_sweep does.
     """
-    t = _check_temperature(t)
-    label = classify(c, tol)
-    if label.kind is CaseKind.SEPARABLE_DYADIC and branch is EnsembleBranch.FULL:
-        f1, f2 = factor_dyadic(c, tol)
-        logz = log_partition_separable(f1, f2, t)
-        pur = purity((f1, f2), t, branch, tol)
-        # Gibbs states of product Hamiltonians are explicitly separable.
-        conc, flag = 0.0, 0
-    else:
-        d = derive(c, tol)
-        if d.alpha_null or d.beta_null:
-            logz = log_partition_entangled(c, t, branch, tol)
-            pur = purity(c, t, branch, tol)
-            tc = thermal_concurrence(c, t, tol, compare=False)
-            conc, flag = tc.value, 0 if tc.reliable else 1
-        elif branch is not EnsembleBranch.FULL:
-            raise ValueError("the positive-only branch applies to the even constrained spectrum")
-        else:
-            logz = log_partition_numeric(c, t)
-            pur = math.exp(log_partition_numeric(c, t / 2.0) - 2.0 * logz)
-            conc, flag = wootters_concurrence(thermal_state(c, t)), 2
-    return ThermalReport(t, partition_from_log(logz), pur, conc, branch, flag)
+    s = thermal_sweep(c, [t], branch, tol)
+    return ThermalReport(
+        float(s["t"][0]),
+        float(s["z"][0]),
+        float(s["purity"][0]),
+        float(s["concurrence"][0]),
+        branch,
+        int(s["flag"][0]),
+    )

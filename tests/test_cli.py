@@ -289,8 +289,12 @@ GENERAL = {
          "--branch", "positive"],
         ["graphene-bands", "--t", "nan", "--grid", "5"],
         ["graphene-bands", "--grid", "1"],
+        # The hex mask removes all four corners of a 2x2 grid.
+        ["graphene-bands", "--grid", "2", "--mask", "hex"],
+        ["graphene-concurrence", "--grid", "2", "--mask", "hex"],
     ],
-    ids=["positive-branch-unconstrained", "non-finite-hopping", "grid-too-small"],
+    ids=["positive-branch-unconstrained", "non-finite-hopping", "grid-too-small",
+         "bands-fully-masked", "concurrence-fully-masked"],
 )
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -320,7 +324,7 @@ class TestSizeLimits:
         def no_sweep(*_):
             raise AssertionError("sweep ran")
 
-        monkeypatch.setattr(cli, "thermal_report", no_sweep)
+        monkeypatch.setattr(cli, "thermal_sweep", no_sweep)
         monkeypatch.setattr(graphene, "thermal_concurrence_curve", no_sweep)
         steps = ["--steps", str(cli.MAX_STEPS + 1), "--output", str(tmp_path / "x.csv")]
         thermo = ["thermo", "--input", str(entangled_file), "--tmin", "0.1", "--tmax", "1"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from su2pair.errors import ConstraintError
 from su2pair.hamiltonian import CoefficientSet, fano_compose, rotate_set
@@ -10,13 +12,17 @@ from su2pair.sampling import (
     dyadic_set_from_factors,
     random_commuting_thermal_set,
     random_coefficient_set,
+    random_dyadic_set,
     random_entangled_canonical,
+    random_rotated_constrained,
     random_rotation,
     random_separable_factors,
 )
 from su2pair.solver import Su2Factor, solve_entangled, solve_separable
 from su2pair.thermo import (
+    SWEEP_BLOCK,
     EnsembleBranch,
+    log_partition_numeric,
     log_partition_separable,
     partition_entangled,
     partition_separable,
@@ -25,6 +31,7 @@ from su2pair.thermo import (
     thermal_report,
     thermal_state,
     thermal_state_from_eigensystem,
+    thermal_sweep,
 )
 
 ENTANGLED_EXAMPLE = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
@@ -278,3 +285,111 @@ class TestThermalReport:
         assert np.isclose(
             rep.concurrence, wootters_concurrence(thermal_state(c, 1.0)), atol=1e-10
         )
+
+    def test_bad_temperature_and_branch_raise(self, rng):
+        with pytest.raises(ValueError):
+            thermal_report(ENTANGLED_EXAMPLE, 0.0)
+        with pytest.raises(ValueError):
+            thermal_sweep(ENTANGLED_EXAMPLE, [1.0, np.inf])
+        with pytest.raises(ValueError):
+            thermal_report(random_coefficient_set(rng), 1.0, EnsembleBranch.POSITIVE_ONLY)
+
+
+# Every thermal_sweep route: product sets (separable closed forms), canonical
+# and rotated constrained sets (even-spectrum closed forms, flag 1), the
+# commuting family (closed forms, flag 0) and general sets (definition route).
+ROUTES = ("dyadic", "alpha", "beta", "both", "rotated", "commuting", "general")
+CONSTRAINED = ("alpha", "beta", "both", "rotated", "commuting")
+
+
+def route_set(route: str, rng) -> CoefficientSet:
+    if route == "dyadic":
+        return random_dyadic_set(rng)
+    if route == "rotated":
+        return random_rotated_constrained(rng)[1]
+    if route == "commuting":
+        return random_commuting_thermal_set(rng)
+    if route == "general":
+        return random_coefficient_set(rng)
+    return random_entangled_canonical(rng, route)
+
+
+def oracle_log_partition(c: CoefficientSet, t, positive: bool):
+    """Dense-spectrum log Z; the positive branch keeps the upper two levels."""
+    if not positive:
+        return log_partition_numeric(c, t)
+    w = eig_hermitian(fano_compose(c)).eigenvalues  # descending
+    return np.logaddexp(-w[0] / t, -w[1] / t)
+
+
+_seed = st.integers(min_value=0, max_value=2**32 - 1)
+_route_and_branch = st.sampled_from(ROUTES).flatmap(
+    lambda r: st.tuples(st.just(r), st.booleans() if r in CONSTRAINED else st.just(False))
+)
+
+
+class TestThermalSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=_seed,
+        route_branch=_route_and_branch,
+        steps=st.integers(2, 2 * SWEEP_BLOCK + 3),
+        single=st.floats(-3.0, 3.0),
+    )
+    def test_sweep_matches_dense_oracle(self, seed, route_branch, steps, single):
+        """log Z and purity against the dense spectrum, the concurrence
+        against Wootters on the Gibbs state wherever the flag claims it, and
+        thermal_report bitwise equal to its row.
+
+        log Z is compared relative to the exponents it sums, max(|log Z|,
+        max|E|/T), and purity through its logarithm L(T/2) - 2 L(T) relative
+        to max(1, max|E|/T): round-off in E/T bounds both sides alike.
+        """
+        route, positive = route_branch
+        c = route_set(route, np.random.default_rng(seed))
+        branch = EnsembleBranch.POSITIVE_ONLY if positive else EnsembleBranch.FULL
+        span = float(np.max(np.abs(eig_hermitian(fano_compose(c)).eigenvalues)))
+        for temps in (np.geomspace(1e-3, 1e3, steps), np.array([10.0**single])):
+            s = thermal_sweep(c, temps, branch)
+            assert np.array_equal(s["t"], temps)
+            assert np.all(s["flag"] == s["flag"][0])
+            scale = np.maximum(1.0, span / temps)
+
+            ref = oracle_log_partition(c, temps, positive)
+            z = s["z"]
+            normal = (z >= np.finfo(float).tiny) & (z < np.inf)
+            logz = np.log(np.where(normal, z, 1.0))
+            assert np.all(np.where(normal, np.abs(logz - ref), 0.0)
+                          <= 1e-12 * np.maximum(np.abs(ref), scale))
+            log_pur = oracle_log_partition(c, temps / 2.0, positive) - 2.0 * ref
+            assert np.all(np.abs(np.log(s["purity"]) - log_pur) <= 1e-12 * scale)
+
+            if s["flag"][0] in (0, 2):
+                woot = [wootters_concurrence(thermal_state(c, t)) for t in temps]
+                assert np.max(np.abs(s["concurrence"] - woot)) <= 1e-7
+
+            for i in sorted({0, min(SWEEP_BLOCK, temps.size - 1), temps.size - 1}):
+                rep = thermal_report(c, temps[i], branch)
+                row = (s["t"][i], s["z"][i], s["purity"][i], s["concurrence"][i], s["flag"][i])
+                assert (rep.temperature, rep.z_value, rep.purity, rep.concurrence,
+                        rep.flag) == row
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=_seed, route_branch=_route_and_branch)
+    def test_purity_limits(self, seed, route_branch):
+        """Purity -> 1 far below the ground gap and -> 1/d (d = 4, or 2 on
+        the positive branch) far above the spectrum, inside [1/d, 1] along
+        the sweep, at unit scale."""
+        route, positive = route_branch
+        c = route_set(route, np.random.default_rng(seed))
+        w = np.sort(eig_hermitian(fano_compose(c)).eigenvalues)
+        levels = w[2:] if positive else w
+        span = float(np.max(np.abs(w)))
+        gap = float(levels[1] - levels[0])
+        assume(gap > 1e-3 * span)
+        floor = 0.5 if positive else 0.25
+        branch = EnsembleBranch.POSITIVE_ONLY if positive else EnsembleBranch.FULL
+        pur = thermal_sweep(c, np.geomspace(gap / 50.0, 1e6 * span, 60), branch)["purity"]
+        assert abs(pur[0] - 1.0) <= 1e-12
+        assert abs(pur[-1] - floor) <= 1e-10
+        assert np.all(pur >= floor * (1.0 - 1e-12)) and np.all(pur <= 1.0 + 1e-12)
