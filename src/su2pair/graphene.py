@@ -16,7 +16,7 @@ import numpy as np
 
 from .entanglement import CLOSED_FORM, concurrence_closed_form_arrays
 from .hamiltonian import CoefficientSet, derive, derive_arrays, even_spectrum
-from .thermo import cosh_pair, sinh_cosh_gap, spin_flip_commutator
+from .thermo import _check_temperature, cosh_pair, sinh_cosh_gap, spin_flip_commutator
 
 
 @dataclass(frozen=True)
@@ -275,9 +275,7 @@ def thermal_concurrence_curve(
     c_arg = abs(p.t3 * structure_factor(p, kx, ky))
     _, reliable = spin_flip_commutator(coeffs)
 
-    t = np.array(temps, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("temperatures must be positive")
+    t = _check_temperature(temps)
     if s_arg <= c_arg:
         c = np.zeros(t.shape)
     else:
@@ -296,8 +294,12 @@ def thermal_death_temperature(
 ) -> float | None:
     """Bisection for the temperature where the curve numerator changes sign.
 
-    Returns None when the concurrence is identically zero (tperp <= t3 |G|).
+    Returns None when the concurrence is identically zero (tperp <= t3 |G|)
+    or keeps one sign over the bracket.  Raises ValueError unless
+    0 < t_low < t_high with both finite.
     """
+    if not (0.0 < t_low < t_high and math.isfinite(t_high)):
+        raise ValueError(f"need 0 < t_low < t_high, both finite; got {t_low}, {t_high}")
     x_plus = p.tperp
     x_minus = abs(p.t3 * structure_factor(p, kx, ky))
     if x_plus <= x_minus:

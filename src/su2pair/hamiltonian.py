@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConstraintError, NonHermitianError
-from .pauli import kron, pauli_word, require_hermitian
+from .pauli import pauli_word, require_hermitian
 
 # The package's relative thresholds, one table (README "Tolerances"):
 # DEFAULT_TOL      constraint residuals and case detection (derive gates,
@@ -195,7 +195,9 @@ def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoeffi
 
     The constraint gates ``alpha_null`` (alpha . omega = 0) and ``beta_null``
     (omega . beta = 0) are decided from relative residuals at tolerance
-    ``tol``; they select which quadratic-form terms enter ``theta_phi``.
+    ``tol``, each together with |det omega| <= tol |omega|^3; they select
+    which quadratic-form terms enter ``theta_phi``.  Residuals and gates are
+    invariant under local rotations, so the gates hold in any frame.
     Each item's fields are bitwise those of :func:`derive` on that set.
     """
     # C order gives every item the strides of a single set's arrays, and so
@@ -228,9 +230,14 @@ def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoeffi
 
     om9 = om.reshape(om.shape[:-2] + (9,))
     om_norm = np.sqrt(_dot(om9, om9))
+    det_omega = np.linalg.det(om)
+    # A vanishing constrained vector leaves the secular quartic's linear
+    # term -8(s - det omega), so omega must be singular as well; for a
+    # non-negligible vector that follows from the contraction itself.
+    singular = np.abs(det_omega) <= tol * om_norm**3
     alpha_residual, beta_residual = np.sqrt(ra), np.sqrt(rb)
-    alpha_null = alpha_residual <= tol * (om_norm * np.sqrt(al_sq) + _TINY)
-    beta_null = beta_residual <= tol * (om_norm * np.sqrt(be_sq) + _TINY)
+    alpha_null = (alpha_residual <= tol * (om_norm * np.sqrt(al_sq) + _TINY)) & singular
+    beta_null = (beta_residual <= tol * (om_norm * np.sqrt(be_sq) + _TINY)) & singular
 
     # |b_vec|^2 = 4 alpha.omega.omega^T.alpha enters when omega.beta = 0,
     # |a_vec|^2 = 4 beta.omega^T.omega.beta when alpha.omega = 0; on the
@@ -247,7 +254,7 @@ def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoeffi
         theta_phi=theta_phi,
         s_cubic=s_cubic,
         det_omega_b=p / 2.0,
-        det_omega=np.linalg.det(om),
+        det_omega=det_omega,
         alpha_null=alpha_null,
         beta_null=beta_null,
         alpha_residual=alpha_residual,
@@ -327,24 +334,28 @@ class Classification:
         return f"{self.kind.value}({self.branch.value})"
 
 
-def _dyadic_residuals(c: CoefficientSet) -> dict[str, float]:
+def _dyadic_residuals(
+    c: CoefficientSet, tol: float
+) -> tuple[dict[str, float], tuple[float, np.ndarray, np.ndarray] | None]:
     """Residuals of the product-form factorization H = H1 (x) H2.
 
     A set factorizes iff omega has rank <= 1 and (with omega = s1 u v^T)
     alpha is parallel to u, beta to v, and upsilon * s1 = (alpha.u)(beta.v).
-    For omega = 0 one factor must be scalar, i.e. alpha = 0 or beta = 0.
+    For omega = 0 (s1 at most ``tol`` times the scale) one factor must be
+    scalar, i.e. alpha = 0 or beta = 0.  Returns the residuals and the
+    leading singular triple (s1, u, v) of omega, None for omega = 0.
     """
     al, be = c.alpha, c.beta
     sc = c.scale() + _TINY
     u_mat, svals, vt = np.linalg.svd(c.omega)
     s1 = float(svals[0])
     out = {"rank1": float(svals[1]) / (s1 + _TINY)}
-    if s1 <= DEFAULT_TOL * sc:
+    if s1 <= tol * sc:
         # omega = 0: consistent iff one local factor is proportional to I.
         out["factor_consistency"] = float(
             min(np.linalg.norm(al), np.linalg.norm(be)) / sc
         )
-        return out
+        return out, None
     u, v = u_mat[:, 0], vt[0]
     al_perp = np.linalg.norm(al - (al @ u) * u)
     be_perp = np.linalg.norm(be - (be @ v) * v)
@@ -352,15 +363,7 @@ def _dyadic_residuals(c: CoefficientSet) -> dict[str, float]:
     out["factor_consistency"] = float(
         max(al_perp / sc, be_perp / sc, ups_resid / (sc * sc))
     )
-    return out
-
-
-def _axis3_defect(v: np.ndarray) -> float:
-    """Relative deviation of a vector from the +/- axis-3 direction (0 for v=0)."""
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        return 0.0
-    return float(np.hypot(v[0], v[1]) / n)
+    return out, (s1, u, v)
 
 
 def _ratio(num: float, den: float) -> float:
@@ -371,11 +374,12 @@ def _ratio(num: float, den: float) -> float:
 def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
     """Assign the coefficient set to one of the solvable cases.
 
-    Precedence: separable-dyadic, then entangled-constrained (canonical
-    frame: constrained vector on axis 3 and the matching row/column of omega
-    zero), then diagonal-omega, then the general catch-all.  The
-    entangled case is tested before the diagonal one because a canonical
-    constrained set with diagonal omega admits the full eigenstate closed
+    Precedence: separable-dyadic, then entangled-constrained, then
+    diagonal-omega, then the general catch-all.  A set is
+    entangled-constrained exactly when a constraint gate of :func:`derive`
+    holds, in whatever local frame it is given; the branch names the gates
+    that hold.  The entangled case is tested before the diagonal one because
+    a constrained set with diagonal omega admits the full eigenstate closed
     form, which the quartic route does not provide.
 
     All residuals are relative, so labels are invariant under a global
@@ -389,21 +393,16 @@ def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
     al_norm = float(np.linalg.norm(al))
     be_norm = float(np.linalg.norm(be))
 
-    residuals = _dyadic_residuals(c)
+    residuals, _ = _dyadic_residuals(c, tol)
     residuals.update(
         {
             "alpha_constraint": _ratio(d.alpha_residual, om_norm * al_norm),
             "beta_constraint": _ratio(d.beta_residual, om_norm * be_norm),
+            "det_omega": _ratio(abs(d.det_omega), om_norm**3),
             "s_cubic": _ratio(abs(d.s_cubic), om_norm * al_norm * be_norm),
             "offdiagonal": _ratio(
                 float(np.max(np.abs(om - np.diag(np.diag(om))))),
                 float(np.max(np.abs(om))),
-            ),
-            "canonical_alpha": max(
-                _axis3_defect(al), _ratio(float(np.linalg.norm(om[2, :])), om_norm)
-            ),
-            "canonical_beta": max(
-                _axis3_defect(be), _ratio(float(np.linalg.norm(om[:, 2])), om_norm)
             ),
         }
     )
@@ -411,12 +410,10 @@ def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
     if residuals["rank1"] <= tol and residuals["factor_consistency"] <= tol:
         return Classification(CaseKind.SEPARABLE_DYADIC, None, residuals)
 
-    alpha_ok = d.alpha_null and residuals["canonical_alpha"] <= tol
-    beta_ok = d.beta_null and residuals["canonical_beta"] <= tol
-    if (alpha_ok or beta_ok) and residuals["s_cubic"] <= tol:
-        if alpha_ok and beta_ok:
+    if d.alpha_null or d.beta_null:
+        if d.alpha_null and d.beta_null:
             branch = Branch.BOTH
-        elif alpha_ok:
+        elif d.alpha_null:
             branch = Branch.ALPHA_NULL
         else:
             branch = Branch.BETA_NULL
@@ -447,57 +444,11 @@ def rotation_to_axis3(v: np.ndarray) -> np.ndarray:
     return np.eye(3) + kx + kx @ kx / (1.0 + cos_t)
 
 
-def su2_from_rotation(r: np.ndarray) -> np.ndarray:
-    """SU(2) element u with u (v.sigma) u^dag = (R v).sigma.
-
-    Quaternion extraction uses the largest-pivot variant, stable for
-    rotations by angles near pi.
-    """
-    r = np.asarray(r, dtype=float)
-    t = np.trace(r)
-    cand = np.array([1.0 + t, 1.0 + 2 * r[0, 0] - t, 1.0 + 2 * r[1, 1] - t, 1.0 + 2 * r[2, 2] - t])
-    i = int(np.argmax(cand))
-    q = np.empty(4)
-    s = np.sqrt(max(cand[i], 0.0)) / 2.0
-    if i == 0:
-        q[0] = s
-        q[1] = (r[2, 1] - r[1, 2]) / (4 * s)
-        q[2] = (r[0, 2] - r[2, 0]) / (4 * s)
-        q[3] = (r[1, 0] - r[0, 1]) / (4 * s)
-    elif i == 1:
-        q[1] = s
-        q[0] = (r[2, 1] - r[1, 2]) / (4 * s)
-        q[2] = (r[0, 1] + r[1, 0]) / (4 * s)
-        q[3] = (r[0, 2] + r[2, 0]) / (4 * s)
-    elif i == 2:
-        q[2] = s
-        q[0] = (r[0, 2] - r[2, 0]) / (4 * s)
-        q[1] = (r[0, 1] + r[1, 0]) / (4 * s)
-        q[3] = (r[1, 2] + r[2, 1]) / (4 * s)
-    else:
-        q[3] = s
-        q[0] = (r[1, 0] - r[0, 1]) / (4 * s)
-        q[1] = (r[0, 2] + r[2, 0]) / (4 * s)
-        q[2] = (r[1, 2] + r[2, 1]) / (4 * s)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    # u = cos(t/2) I - i sin(t/2) n.sigma  ==  w I - i (x sx + y sy + z sz)
-    return np.array([[w - 1j * z, -1j * x - y], [-1j * x + y, w + 1j * z]], dtype=complex)
-
-
 def rotate_set(c: CoefficientSet, r1: np.ndarray, r2: np.ndarray) -> CoefficientSet:
     """Apply local frame rotations: alpha -> R1 a, beta -> R2 b, omega -> R1 w R2^T."""
     return CoefficientSet(
         c.upsilon, r1 @ c.alpha, r2 @ c.beta, r1 @ c.omega @ r2.T
     )
-
-
-def kron_unitary_from_rotations(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """The local unitary u1 (x) u2 realizing a pair of frame rotations.
-
-    Satisfies U fano_compose(c) U^dag = fano_compose(rotate_set(c, r1, r2)).
-    """
-    return kron(su2_from_rotation(r1), su2_from_rotation(r2))
 
 
 def _symmetrize_angle(b: np.ndarray) -> float:

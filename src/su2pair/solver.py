@@ -15,19 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseReductionError, ConstraintError, FactorizationError
+from .errors import CaseReductionError, FactorizationError
 from .hamiltonian import (
     DEFAULT_TOL,
     DEGENERACY_RTOL,
     CaseKind,
     CoefficientSet,
     DerivedCoefficients,
+    _dyadic_residuals,
     classify,
     derive,
     even_spectrum,
     fano_compose,
-    frame_reduce,
-    kron_unitary_from_rotations,
 )
 from .oracle import eig_hermitian
 from .pauli import kron, pauli
@@ -131,46 +130,32 @@ def factor_dyadic(
 ) -> tuple[Su2Factor, Su2Factor]:
     """Factor a product-form set into its single-qubit Hamiltonians.
 
-    Requires omega of rank at most one with alpha, beta and upsilon
-    consistent with H = H1 (x) H2.  The reciprocal-scaling gauge is fixed by
-    |a| = |b| = sqrt(s1) and the sign by making the first non-negligible
-    component of the left factor vector positive.
+    Raises FactorizationError exactly when :func:`su2pair.classify` at the
+    same ``tol`` does not label the set separable-dyadic.  The
+    reciprocal-scaling gauge is fixed by |a| = |b| = sqrt(s1) and the sign
+    by making the largest-magnitude component of the left factor vector
+    positive.
     """
-    sc = c.scale() + 1e-300
-    u_mat, svals, vt = np.linalg.svd(c.omega)
-    s1 = float(svals[0])
-
-    if s1 <= tol * sc:
-        # omega = 0: one factor must be scalar.
-        if np.linalg.norm(c.alpha) <= tol * sc:
+    residuals, leading = _dyadic_residuals(c, tol)
+    if residuals["rank1"] > tol or residuals["factor_consistency"] > tol:
+        raise FactorizationError(
+            "not a product set: rank-one residual "
+            f"{residuals['rank1']:.3e}, factor consistency "
+            f"{residuals['factor_consistency']:.3e}"
+        )
+    if leading is None:
+        # omega = 0: the factor of the shorter local vector is scalar.
+        if np.linalg.norm(c.alpha) <= np.linalg.norm(c.beta):
             return Su2Factor(1.0, np.zeros(3)), Su2Factor(c.upsilon, c.beta)
-        if np.linalg.norm(c.beta) <= tol * sc:
-            return Su2Factor(c.upsilon, c.alpha), Su2Factor(1.0, np.zeros(3))
-        raise FactorizationError(
-            "omega vanishes but both local vectors are nonzero"
-        )
+        return Su2Factor(c.upsilon, c.alpha), Su2Factor(1.0, np.zeros(3))
 
-    if float(svals[1]) > tol * s1:
-        raise FactorizationError(
-            f"omega has rank > 1 (second singular value {svals[1]:.3e})"
-        )
-    u, v = u_mat[:, 0].copy(), vt[0].copy()
+    s1, u, v = leading
     lead = np.argmax(np.abs(u))
     if u[lead] < 0:
         u, v = -u, -v
-
-    al_par = float(c.alpha @ u)
-    be_par = float(c.beta @ v)
-    if float(np.linalg.norm(c.alpha - al_par * u)) > tol * sc:
-        raise FactorizationError("alpha is not aligned with the omega left factor")
-    if float(np.linalg.norm(c.beta - be_par * v)) > tol * sc:
-        raise FactorizationError("beta is not aligned with the omega right factor")
-    if abs(c.upsilon * s1 - al_par * be_par) > tol * sc * sc:
-        raise FactorizationError("upsilon is inconsistent with the factor scalars")
-
     root = np.sqrt(s1)
-    a0 = be_par / root
-    b0 = al_par / root
+    a0 = float(c.beta @ v) / root
+    b0 = float(c.alpha @ u) / root
     return Su2Factor(a0, root * u), Su2Factor(b0, root * v)
 
 
@@ -310,30 +295,16 @@ def _oracle_eigensystem(h: np.ndarray, ascending_labels=None) -> Eigensystem:
 
 
 def solve(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
-    """Dispatch a coefficient set to the appropriate eigensystem route.
+    """Solve a coefficient set along the route its :func:`classify` label names.
 
-    Product-form sets take the separable closed form; canonical constrained
-    sets the entangled closed form; constrained sets in a rotated frame are
-    reduced to canonical form, solved, and rotated back.  Everything else,
-    diagonal-omega sets included, and any route whose validity check fails,
-    is solved numerically.
+    Product-form sets take the separable closed form and constrained sets
+    the entangled closed form, in whatever local frame they are given: the
+    ansatz is covariant under local rotations.  Everything else,
+    diagonal-omega sets included, is solved numerically.
     """
     label = classify(c, tol)
     if label.kind is CaseKind.SEPARABLE_DYADIC:
         return solve_separable(*factor_dyadic(c, tol))
     if label.kind is CaseKind.ENTANGLED_CONSTRAINED:
         return solve_entangled(c, tol)
-
-    # Diagonal or general label: a constrained set in a non-canonical frame
-    # still admits the closed form after a local-rotation reduction.
-    if min(label.residuals["alpha_constraint"], label.residuals["beta_constraint"]) <= tol:
-        try:
-            canonical, r1, r2 = frame_reduce(c, tol)
-        except ConstraintError:
-            return _oracle_eigensystem(fano_compose(c))
-        if classify(canonical, tol).kind is CaseKind.ENTANGLED_CONSTRAINED:
-            es = solve_entangled(canonical, tol)
-            u = kron_unitary_from_rotations(r1, r2)
-            states = np.einsum("ab,mnbc,cd->mnad", u.conj().T, es.states, u)
-            return _build(es.values, states, es.method, es.degenerate)
     return _oracle_eigensystem(fano_compose(c))

@@ -18,6 +18,14 @@ ENTANGLED = {
     "omega": [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
 }
 
+# The XYZ exchange model: no local fields, full-rank diagonal omega.
+XYZ = {
+    "upsilon": 0.0,
+    "alpha": [0, 0, 0],
+    "beta": [0, 0, 0],
+    "omega": [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+}
+
 
 @pytest.fixture
 def entangled_file(tmp_path):
@@ -196,6 +204,29 @@ class TestThermoCommand:
         assert np.all(np.isposinf(table[overflow, 1]))
         assert np.all(np.isfinite(table[~overflow]))
         assert np.all(np.isfinite(np.delete(table, 1, axis=1)))
+
+    def test_xyz_exchange_takes_the_definition_route(self, tmp_path):
+        """alpha = beta = 0 with full-rank omega is unconstrained: flag 2, dense Z."""
+        from su2pair.thermo import log_partition_numeric
+
+        path = tmp_path / "xyz.json"
+        path.write_text(json.dumps(XYZ))
+        out = tmp_path / "sweep.csv"
+        code = main(["thermo", "--input", str(path), "--tmin", "0.1", "--tmax", "10",
+                     "--steps", "9", "--output", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        table = np.array(rows, dtype=float)
+        assert np.all(table[:, 4] == 2)
+        want = np.exp(log_partition_numeric(coefficient_set_from_dict(XYZ), table[:, 0]))
+        assert np.max(np.abs(table[:, 1] / want - 1.0)) <= 1e-12
+
+    def test_xyz_exchange_positive_branch_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "xyz.json"
+        path.write_text(json.dumps(XYZ))
+        code = main(["thermo", "--input", str(path), "--tmin", "0.1", "--tmax", "10",
+                     "--branch", "positive", "--output", str(tmp_path / "x.csv")])
+        assert code == 2
 
     def test_bad_range(self, entangled_file, tmp_path):
         code = main(

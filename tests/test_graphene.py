@@ -411,6 +411,22 @@ class TestThermalCurve:
         with pytest.raises(ValueError):
             thermal_concurrence_curve(DEFAULT, 0.0, 0.0, [1.0, -2.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_temperature(self, bad):
+        kx, ky = find_dirac_point(DEFAULT)
+        with pytest.raises(ValueError):
+            thermal_concurrence_curve(DEFAULT, kx, ky, [1.0, bad])
+
+    @pytest.mark.parametrize(
+        "t_low, t_high",
+        [(-1.0, 1e6), (0.0, 1e6), (2.0, 1.0), (1.0, 1.0), (1e-6, float("inf")),
+         (float("nan"), 1e6), (1e-6, float("nan"))],
+    )
+    def test_death_temperature_rejects_bad_bracket(self, t_low, t_high):
+        kx, ky = find_dirac_point(DEFAULT)
+        with pytest.raises(ValueError):
+            thermal_death_temperature(DEFAULT, kx, ky, t_low, t_high)
+
 
 def test_lattice_validation():
     with pytest.raises(ValueError):

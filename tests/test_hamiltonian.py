@@ -16,10 +16,8 @@ from su2pair.hamiltonian import (
     fano_compose,
     fano_decompose,
     frame_reduce,
-    kron_unitary_from_rotations,
     rotate_set,
     rotation_to_axis3,
-    su2_from_rotation,
     traceless,
 )
 from su2pair.pauli import kron, pauli
@@ -29,9 +27,12 @@ from su2pair.sampling import (
     random_entangled_canonical,
     random_hermitian,
     random_rotation,
+    random_unitary,
 )
 
 ENTANGLED_EXAMPLE = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
+# The XYZ exchange model: both local vectors vanish, omega has full rank.
+XYZ_EXCHANGE = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 2.0, 3.0]))
 
 
 class TestFano:
@@ -200,6 +201,58 @@ class TestDerive:
             assert abs(np.trace(ht3 @ ht @ ht)) <= bound
 
 
+@st.composite
+def _vanishing_vector_sets(draw):
+    """Small-integer sets with alpha = 0, beta = 0 or both, optionally rotated.
+
+    omega is drawn whole (mostly full rank) or with one row or column
+    cleared, so that both sides of the constraint gate are reached; integer
+    entries keep every residual at round-off or far above the tolerance.
+    """
+    ints = st.integers(min_value=-3, max_value=3)
+    vec = lambda: np.array(draw(st.lists(ints, min_size=3, max_size=3)), dtype=float)
+    alpha, beta = vec(), vec()
+    zero = draw(st.sampled_from(["alpha", "beta", "both"]))
+    if zero in ("alpha", "both"):
+        alpha[:] = 0.0
+    if zero in ("beta", "both"):
+        beta[:] = 0.0
+    omega = np.array(draw(st.lists(ints, min_size=9, max_size=9)), dtype=float).reshape(3, 3)
+    cleared = draw(st.sampled_from([None, "row", "column"]))
+    if cleared == "row":
+        omega[draw(st.integers(0, 2)), :] = 0.0
+    elif cleared == "column":
+        omega[:, draw(st.integers(0, 2))] = 0.0
+    c = CoefficientSet(float(draw(ints)), alpha, beta, omega)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        c = rotate_set(c, random_rotation(rng), random_rotation(rng))
+    return c
+
+
+class TestConstraintGate:
+    @settings(max_examples=400, deadline=None)
+    @given(_vanishing_vector_sets())
+    @example(XYZ_EXCHANGE)
+    def test_admitted_sets_have_the_even_spectrum(self, c):
+        """Wherever the gate admits a set, upsilon +- E1, upsilon +- E2 is
+        its spectrum; a vanishing vector alone does not admit full-rank omega."""
+        try:
+            _, e1, e2 = even_spectrum(derive(c))
+        except ConstraintError:
+            return
+        e = np.linalg.eigvalsh(fano_compose(c))
+        even = c.upsilon + np.array([-e2, -e1, e1, e2])
+        assert np.max(np.abs(even - e)) <= 1e-9 * (1 + np.max(np.abs(e)))
+
+    def test_vanishing_vector_with_full_rank_omega_is_not_constrained(self):
+        d = derive(XYZ_EXCHANGE)
+        assert not d.alpha_null and not d.beta_null
+        with pytest.raises(ConstraintError):
+            even_spectrum(d)
+        assert classify(XYZ_EXCHANGE).kind is CaseKind.DIAGONAL_OMEGA
+
+
 class TestPaperTypoCrossChecks:
     """Documented discrepancies guarded against silent 'fixes'."""
 
@@ -306,6 +359,20 @@ class TestClassify:
             assert label.kind is CaseKind.ENTANGLED_CONSTRAINED
             assert label.branch is expected
 
+    def test_rotated_constrained_keeps_its_label(self, rng):
+        """The label is frame-free: local rotations keep kind and branch."""
+        for branch, expected in (
+            ("alpha", Branch.ALPHA_NULL),
+            ("beta", Branch.BETA_NULL),
+            ("both", Branch.BOTH),
+        ):
+            for _ in range(10):
+                c = random_entangled_canonical(rng, branch)
+                label = classify(rotate_set(c, random_rotation(rng), random_rotation(rng)))
+                assert label.kind is CaseKind.ENTANGLED_CONSTRAINED
+                assert label.branch is expected
+                assert label.residuals["det_omega"] <= 1e-12
+
     def test_diagonal_label(self, rng):
         # Full-rank diagonal omega with generic local vectors: no constraint,
         # not factorizable, but diagonal.
@@ -385,21 +452,18 @@ class TestRotations:
         assert np.allclose(r @ np.array([0.0, 0.0, -1.0]), [0, 0, 1])
         assert np.isclose(np.linalg.det(r), 1.0)
 
-    def test_su2_covering(self, rng):
-        for _ in range(50):
-            r = random_rotation(rng)
-            u = su2_from_rotation(r)
-            assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
-            for j in range(3):
-                lhs = u @ pauli(j + 1) @ u.conj().T
-                rhs = sum(r[i, j] * pauli(i + 1) for i in range(3))
-                assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
     def test_rotate_set_matches_conjugation(self, rng):
+        """u (v.sigma) u^dag = (R v).sigma with R_ij = 1/2 Tr[s_i u s_j u^dag],
+        so u1 (x) u2 conjugates H into the rotated set's Hamiltonian."""
         for _ in range(20):
             c = random_coefficient_set(rng)
-            r1, r2 = random_rotation(rng), random_rotation(rng)
-            u = kron_unitary_from_rotations(r1, r2)
+            u1, u2 = random_unitary(rng), random_unitary(rng)
+            r1, r2 = (
+                np.array([[0.5 * np.trace(pauli(i) @ u @ pauli(j) @ u.conj().T).real
+                           for j in (1, 2, 3)] for i in (1, 2, 3)])
+                for u in (u1, u2)
+            )
+            u = kron(u1, u2)
             lhs = u @ fano_compose(c) @ u.conj().T
             rhs = fano_compose(rotate_set(c, r1, r2))
             assert np.max(np.abs(lhs - rhs)) <= 1e-11 * (1 + c.scale())

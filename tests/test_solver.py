@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from su2pair.errors import CaseReductionError, ConstraintError, FactorizationError
-from su2pair.hamiltonian import CoefficientSet, derive, fano_compose, rotate_set
+from su2pair.hamiltonian import CaseKind, CoefficientSet, classify, derive, fano_compose, rotate_set
 from su2pair.oracle import eig_hermitian
 from su2pair.pauli import kron, pauli
 from su2pair.quartic import solve_quartic
@@ -110,6 +110,46 @@ class TestFactorDyadic:
         c = CoefficientSet(0.0, (1, 0, 0), (0, 1, 0), np.zeros((3, 3)))
         with pytest.raises(FactorizationError):
             factor_dyadic(c)
+
+
+def _separable_decision_sets(rng):
+    """Product sets, product sets perturbed across every tolerance, omega = 0
+    sets and generic sets."""
+    sets = [
+        # Exactly separable, but omega sits below 1e-6 of the scale: the
+        # omega = 0 test decides at tol = 1e-6 and rejects both vectors.
+        CoefficientSet(1e4, (1, 0, 0), (1, 0, 0), 1e-4 * np.outer((1, 0, 0), (1, 0, 0))),
+        CoefficientSet(0.5, (0, 0, 0), (1.0, 0.0, 2.0), np.zeros((3, 3))),
+        CoefficientSet(0.0, (1, 0, 0), (0, 1, 0), np.zeros((3, 3))),
+        CoefficientSet(0.0, (1e-11, 0, 0), (0, 1, 0), np.zeros((3, 3))),
+    ]
+    for eps in 10.0 ** np.arange(-15, -3):
+        c = random_dyadic_set(rng)
+        sets += [
+            c,
+            CoefficientSet(c.upsilon, c.alpha, c.beta, c.omega + eps * rng.normal(size=(3, 3))),
+            CoefficientSet(c.upsilon, c.alpha + eps * rng.normal(size=3), c.beta, c.omega),
+            CoefficientSet(c.upsilon + eps, c.alpha, c.beta, c.omega),
+            CoefficientSet(c.upsilon, eps * rng.normal(size=3), c.beta, eps * c.omega),
+            random_coefficient_set(rng),
+        ]
+    return sets
+
+
+class TestSeparableDecision:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+    def test_factor_dyadic_raises_exactly_off_the_separable_label(self, tol, rng):
+        for c in _separable_decision_sets(rng):
+            separable = classify(c, tol).kind is CaseKind.SEPARABLE_DYADIC
+            try:
+                f1, f2 = factor_dyadic(c, tol)
+            except FactorizationError:
+                assert not separable
+            else:
+                assert separable
+                h = fano_compose(c)
+                err = np.max(np.abs(kron(f1.matrix(), f2.matrix()) - h))
+                assert err <= 10 * tol * (1 + np.max(np.abs(h)))
 
 
 class TestSolveSeparable:

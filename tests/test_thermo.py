@@ -122,6 +122,12 @@ class TestPartitionEntangled:
         with pytest.raises(ConstraintError):
             partition_entangled(c, 1.0)
 
+    def test_xyz_exchange_rejected(self):
+        """alpha = beta = 0 meets no constraint once omega has full rank."""
+        c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(ConstraintError):
+            partition_entangled(c, 1.0)
+
 
 class TestPurity:
     def test_zero_hamiltonian_always_quarter(self):
