@@ -128,6 +128,8 @@ class DerivedCoefficients:
     by the even-spectrum closed forms.  ``det_omega_b`` is the determinant of
     the 2x2 block of omega whenever the third row and column vanish,
     computed frame-independently as (Tr[omega]^2 - Tr[omega^2]) / 2.
+    ``singular_residual`` is |det omega| / (|omega| |adj omega|), the one
+    measure of how far omega is from singular; 0 when adj omega vanishes.
 
     From :func:`derive` the scalar fields are Python floats and bools; from
     :func:`derive_arrays` every field carries the batch's leading axes.
@@ -143,6 +145,7 @@ class DerivedCoefficients:
     s_cubic: float
     det_omega_b: float
     det_omega: float
+    singular_residual: float
     alpha_null: bool
     beta_null: bool
     alpha_residual: float
@@ -187,6 +190,10 @@ def coefficient_scale(upsilon, alpha, beta, omega) -> np.ndarray:
 
 
 _EYE3 = np.eye(3)
+# The cofactor of omega_ij is the 2x2 minor on rows and columns i+1, i+2 and
+# j+1, j+2 (mod 3); indexing rows and columns with these makes them slices.
+_WRAP = np.array([0, 1, 2, 0, 1])
+_WRAP_ROWS = _WRAP[:, None]
 _SCALAR_FIELDS = tuple(f.name for f in fields(DerivedCoefficients) if f.type != "np.ndarray")
 
 
@@ -195,7 +202,7 @@ def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoeffi
 
     The constraint gates ``alpha_null`` (alpha . omega = 0) and ``beta_null``
     (omega . beta = 0) are decided from relative residuals at tolerance
-    ``tol``, each together with |det omega| <= tol |omega|^3; they select
+    ``tol``, each together with ``singular_residual`` <= tol; they select
     which quadratic-form terms enter ``theta_phi``.  Residuals and gates are
     invariant under local rotations, so the gates hold in any frame.
     Each item's fields are bitwise those of :func:`derive` on that set.
@@ -205,6 +212,25 @@ def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoeffi
     al = np.ascontiguousarray(alpha, dtype=float)
     be = np.ascontiguousarray(beta, dtype=float)
     om = np.ascontiguousarray(omega, dtype=float)
+
+    om9 = om.reshape(om.shape[:-2] + (9,))
+    om_norm = np.sqrt(_dot(om9, om9))
+    det_omega = np.linalg.det(om)
+    # |det omega| / |adj omega| = (1/s1^2 + 1/s2^2 + 1/s3^2)^(-1/2) over the
+    # singular values, between s3/sqrt(3) and s3, so the residual measures
+    # the smallest singular value against |omega|.  A vanishing adjugate
+    # (rank <= 1) is singular whatever det's round-off.  The cofactors are
+    # products of shifted views of omega wrapped to 5x5, summed in C order
+    # as a single set sums them, and taken first so that their temporaries
+    # do not add to the peak of the later arrays.
+    wrap = om[..., _WRAP_ROWS, _WRAP]
+    cof = wrap[..., 1:4, 1:4] * wrap[..., 2:5, 2:5]
+    cof -= wrap[..., 1:4, 2:5] * wrap[..., 2:5, 1:4]
+    cof9 = np.ascontiguousarray(cof).reshape(om9.shape)
+    den = om_norm * np.sqrt(_dot(cof9, cof9))
+    singular_residual = np.abs(det_omega) / _where(den > 0.0, den, np.inf)
+    del wrap, cof, cof9
+
     om_t = om.swapaxes(-1, -2)
     tau = om.trace(0, -2, -1)
     om2 = om @ om
@@ -228,13 +254,10 @@ def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoeffi
     theta = (aa + bb) + phi
     s_cubic = _dot(res_a, be)
 
-    om9 = om.reshape(om.shape[:-2] + (9,))
-    om_norm = np.sqrt(_dot(om9, om9))
-    det_omega = np.linalg.det(om)
     # A vanishing constrained vector leaves the secular quartic's linear
     # term -8(s - det omega), so omega must be singular as well; for a
     # non-negligible vector that follows from the contraction itself.
-    singular = np.abs(det_omega) <= tol * om_norm**3
+    singular = singular_residual <= tol
     alpha_residual, beta_residual = np.sqrt(ra), np.sqrt(rb)
     alpha_null = (alpha_residual <= tol * (om_norm * np.sqrt(al_sq) + _TINY)) & singular
     beta_null = (beta_residual <= tol * (om_norm * np.sqrt(be_sq) + _TINY)) & singular
@@ -255,6 +278,7 @@ def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoeffi
         s_cubic=s_cubic,
         det_omega_b=p / 2.0,
         det_omega=det_omega,
+        singular_residual=singular_residual,
         alpha_null=alpha_null,
         beta_null=beta_null,
         alpha_residual=alpha_residual,
@@ -398,7 +422,7 @@ def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
         {
             "alpha_constraint": _ratio(d.alpha_residual, om_norm * al_norm),
             "beta_constraint": _ratio(d.beta_residual, om_norm * be_norm),
-            "det_omega": _ratio(abs(d.det_omega), om_norm**3),
+            "det_omega": d.singular_residual,
             "s_cubic": _ratio(abs(d.s_cubic), om_norm * al_norm * be_norm),
             "offdiagonal": _ratio(
                 float(np.max(np.abs(om - np.diag(np.diag(om))))),
@@ -466,7 +490,7 @@ def frame_reduce(
 ) -> tuple[CoefficientSet, np.ndarray, np.ndarray]:
     """Rotate a constrained set into the canonical frame.
 
-    Requires alpha . omega = 0 or omega . beta = 0 within ``tol`` (relative).
+    Requires a constraint gate of :func:`derive` at ``tol`` to hold.
     The returned set has the constrained vector along the +3 axis, the
     matching third row (alpha branch) or column (beta branch) of omega zero
     together with the opposite one, and a symmetric upper-left 2x2 block.
@@ -474,16 +498,18 @@ def frame_reduce(
     :func:`rotate_set`; the spectrum is invariant.
     """
     al, be, om = c.alpha, c.beta, c.omega
+    d = derive(c, tol)
     om_norm = float(np.linalg.norm(om))
-    res_a = _ratio(float(np.linalg.norm(om.T @ al)), om_norm * float(np.linalg.norm(al)))
-    res_b = _ratio(float(np.linalg.norm(om @ be)), om_norm * float(np.linalg.norm(be)))
-    if res_a > tol and res_b > tol:
+    res_a = _ratio(d.alpha_residual, om_norm * float(np.linalg.norm(al)))
+    res_b = _ratio(d.beta_residual, om_norm * float(np.linalg.norm(be)))
+    if not (d.alpha_null or d.beta_null):
         raise ConstraintError(
             f"neither constraint holds: alpha.omega residual {res_a:.3e}, "
-            f"omega.beta residual {res_b:.3e}"
+            f"omega.beta residual {res_b:.3e}, det_omega residual "
+            f"{d.singular_residual:.3e}"
         )
 
-    if res_a <= res_b:
+    if d.alpha_null and (not d.beta_null or res_a <= res_b):
         r1, r2 = _reduce_alpha_side(al, om, om_norm, tol)
     else:
         # Mirror problem: the beta side of omega is the alpha side of omega^T.
@@ -498,19 +524,14 @@ def _reduce_alpha_side(
     if np.linalg.norm(al) > 0.0:
         r1 = rotation_to_axis3(al)
     else:
-        # Degenerate constraint: any left rotation is admissible.  Keep the
-        # identity when the third row already vanishes, otherwise rotate the
-        # left null direction of omega onto axis 3.
+        # Degenerate constraint: the gate has found omega singular, and any
+        # left rotation is admissible.  Keep the identity when the third row
+        # already vanishes, otherwise rotate the left null direction of
+        # omega onto axis 3.
         if np.linalg.norm(om[2, :]) <= tol * om_norm:
             r1 = np.eye(3)
         else:
-            u_mat, svals, _ = np.linalg.svd(om)
-            if svals[2] > tol * (svals[0] + _TINY):
-                raise ConstraintError(
-                    "alpha = 0 with full-rank omega cannot be reduced to the "
-                    "canonical block form"
-                )
-            r1 = rotation_to_axis3(u_mat[:, 2])
+            r1 = rotation_to_axis3(np.linalg.svd(om)[0][:, 2])
     om1 = r1 @ om
     # Right rotation clearing the third column: right singular frame of the
     # 2x3 upper block (its rank is at most 2).

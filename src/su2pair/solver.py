@@ -243,14 +243,15 @@ def secular_coefficients(
 ) -> tuple[float, float, float, float, float]:
     """Coefficients (1, 0, -2V, -8s, V^2 - Theta) of the secular quartic.
 
-    Valid when the rank-one reduction holds, i.e. det(omega) vanishes; the
-    cubic invariant of the shifted spectrum is -8(s - det omega), so a
-    nonzero determinant falsifies the linear coefficient and is an error.
+    Valid when the rank-one reduction holds, i.e. omega is singular; the
+    cubic invariant of the shifted spectrum is -8(s - det omega), so an
+    omega whose ``singular_residual`` exceeds ``tol`` falsifies the linear
+    coefficient and is an error.
     """
-    det_scale = (1.0 + d.v_quad) ** 1.5
-    if abs(d.det_omega) > tol * det_scale:
+    if d.singular_residual > tol:
         raise CaseReductionError(
-            f"det(omega) = {d.det_omega:.3e} invalidates the rank-one reduction"
+            f"det(omega) = {d.det_omega:.3e} (residual {d.singular_residual:.3e}) "
+            "invalidates the rank-one reduction"
         )
     return (1.0, 0.0, -2.0 * d.v_quad, -8.0 * d.s_cubic, d.v_quad**2 - d.theta)
 

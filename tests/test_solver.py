@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from su2pair.errors import CaseReductionError, ConstraintError, FactorizationError
-from su2pair.hamiltonian import CaseKind, CoefficientSet, classify, derive, fano_compose, rotate_set
+from su2pair.hamiltonian import (
+    CaseKind,
+    CoefficientSet,
+    classify,
+    derive,
+    even_spectrum,
+    fano_compose,
+    rotate_set,
+)
 from su2pair.oracle import eig_hermitian
 from su2pair.pauli import kron, pauli
 from su2pair.quartic import solve_quartic
@@ -24,6 +32,7 @@ from su2pair.solver import (
     solve_entangled,
     solve_separable,
 )
+from su2pair.verify import _match_oracle
 
 ENTANGLED_EXAMPLE = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
 
@@ -150,6 +159,45 @@ class TestSeparableDecision:
                 h = fano_compose(c)
                 err = np.max(np.abs(kron(f1.matrix(), f2.matrix()) - h))
                 assert err <= 10 * tol * (1 + np.max(np.abs(h)))
+
+
+def _near_singular_sets():
+    """omega with singular values (1, eps, eps) or (1, 1e-3, eps) and a
+    vanishing alpha, beta or both, in the canonical and a rotated frame."""
+    rng = np.random.default_rng(11)
+    r1, r2 = random_rotation(rng), random_rotation(rng)
+    vec = np.array([0.3, -0.7, 0.5])
+    for eps in (1e-5, 3e-5):
+        for s2 in (eps, 1e-3):
+            for zero in ("alpha", "beta", "both"):
+                al = np.zeros(3) if zero in ("alpha", "both") else vec
+                be = np.zeros(3) if zero in ("beta", "both") else vec
+                c = CoefficientSet(0.2, al, be, np.diag([1.0, s2, eps]))
+                yield c
+                yield rotate_set(c, r1, r2)
+
+
+class TestNearSingularOmega:
+    """The constraint gate measures the smallest singular value of omega
+    against |omega|: a cubic test |det omega| <= tol |omega|^3 admits the
+    (1, eps, eps) sets, whose even spectrum is off by about eps."""
+
+    @pytest.mark.parametrize("c", list(_near_singular_sets()))
+    def test_spectrum_and_solve(self, c):
+        h = fano_compose(c)
+        e = np.linalg.eigvalsh(h)
+        try:
+            _, e1, e2 = even_spectrum(derive(c))
+        except ConstraintError:
+            pass
+        else:
+            even = c.upsilon + np.array([-e2, -e1, e1, e2])
+            assert np.max(np.abs(even - e)) <= 1e-9 * (1 + np.max(np.abs(e)))
+        es = solve(c)
+        val_dev, proj_dev = _match_oracle(es, h)
+        assert val_dev <= 1e-13
+        if not es.degenerate:
+            assert proj_dev <= 1e-13
 
 
 class TestSolveSeparable:
