@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConstraintError, NonHermitianError
-from .pauli import pauli_word, require_hermitian
+from .pauli import _WORDS, pauli_word, require_hermitian
 
 # The package's relative thresholds, one table (README "Tolerances"):
 # DEFAULT_TOL      constraint residuals and case detection (derive gates,
@@ -74,16 +74,42 @@ class CoefficientSet:
         return float(coefficient_scale(self.upsilon, self.alpha, self.beta, self.omega))
 
 
+def _compose_table() -> tuple[np.ndarray, np.ndarray]:
+    """Gather table of :func:`fano_compose`.
+
+    Every entry of a 4x4 Pauli word is 0, +-1 or +-i, and each entry of the
+    4x4 matrix is nonzero in exactly four words.  ``index[k, r, s]`` is the
+    position in (upsilon, alpha, beta, omega row by row) of the k-th of those
+    words and ``phase[k, r, s]`` its entry, k in the order upsilon, then
+    alpha_i, beta_i, omega_i1, omega_i2, omega_i3 for i = 1, 2, 3.
+    """
+    words = [(0, 0)]
+    for i in (1, 2, 3):
+        words += [(i, 0), (0, i), (i, 1), (i, 2), (i, 3)]
+    i, j = np.transpose(words)
+    # position[i, j]: where the coefficient of sigma_i (x) sigma_j sits.
+    position = np.array([[0, 4, 5, 6], [1, 7, 8, 9], [2, 10, 11, 12], [3, 13, 14, 15]])
+    table = _WORDS[i, j]
+    # Nonzero words of each entry, in loop order: C order over (r, s, word).
+    r, s, w = np.nonzero(table.transpose(1, 2, 0))
+    index = position[i, j][w].reshape(4, 4, 4).transpose(2, 0, 1)
+    phase = table[w, r, s].reshape(4, 4, 4).transpose(2, 0, 1)
+    return np.ascontiguousarray(index), np.ascontiguousarray(phase)
+
+
+_COMPOSE_INDEX, _COMPOSE_PHASE = _compose_table()
+
+
 def fano_compose(c: CoefficientSet) -> np.ndarray:
-    """Assemble the 4x4 Hermitian matrix from its Pauli-basis coefficients."""
-    h = c.upsilon * np.eye(4, dtype=complex)
-    for i in range(3):
-        h += c.alpha[i] * pauli_word(i + 1, 0)
-        h += c.beta[i] * pauli_word(0, i + 1)
-        for j in range(3):
-            if c.omega[i, j] != 0.0:
-                h += c.omega[i, j] * pauli_word(i + 1, j + 1)
-    return h
+    """Assemble the 4x4 Hermitian matrix from its Pauli-basis coefficients.
+
+    Each entry sums its four signed coefficients in the order upsilon, then
+    alpha_i, beta_i, omega_i1..omega_i3 per i, the order in which adding the
+    scaled Pauli words one at a time would accumulate them.
+    """
+    src = np.concatenate(([c.upsilon], c.alpha, c.beta, c.omega.ravel()))
+    t = src[_COMPOSE_INDEX] * _COMPOSE_PHASE
+    return t[0] + t[1] + t[2] + t[3]
 
 
 def fano_decompose(h: np.ndarray) -> CoefficientSet:
@@ -348,14 +374,30 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class Classification:
+    """The case of a coefficient set, the residuals that decided it, and the
+    work :func:`classify` did on the way: ``derived`` is :func:`derive` of the
+    set at the same ``tol`` and ``leading`` the leading singular triple
+    (s1, u, v) of omega, None when omega counts as zero.  The solvers take
+    both from here instead of computing them again.
+    """
+
     kind: CaseKind
     branch: Branch | None = None
     residuals: dict[str, float] = field(default_factory=dict)
+    derived: DerivedCoefficients | None = field(default=None, repr=False, compare=False)
+    leading: tuple[float, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __str__(self):
         if self.branch is None:
             return self.kind.value
         return f"{self.kind.value}({self.branch.value})"
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D array, bitwise equal to np.linalg.norm."""
+    return math.sqrt(x @ x)
 
 
 def _dyadic_residuals(
@@ -365,27 +407,29 @@ def _dyadic_residuals(
 
     A set factorizes iff omega has rank <= 1 and (with omega = s1 u v^T)
     alpha is parallel to u, beta to v, and upsilon * s1 = (alpha.u)(beta.v).
-    For omega = 0 (s1 at most ``tol`` times the scale) one factor must be
-    scalar, i.e. alpha = 0 or beta = 0.  Returns the residuals and the
-    leading singular triple (s1, u, v) of omega, None for omega = 0.
+    The factor consistency is the largest defect of the factors built from
+    (s1, u, v) against the scale: the parts of alpha and beta off u and v,
+    and |upsilon - (alpha.u)(beta.v) / s1|.  For omega = 0 (s1 at most
+    ``tol`` times the non-scalar scale sqrt(|alpha|^2 + |beta|^2 + |omega|^2))
+    one factor must be scalar, i.e. alpha = 0 or beta = 0.  Returns the
+    residuals and the leading singular triple (s1, u, v) of omega, None for
+    omega = 0.
     """
     al, be = c.alpha, c.beta
     sc = c.scale() + _TINY
     u_mat, svals, vt = np.linalg.svd(c.omega)
     s1 = float(svals[0])
     out = {"rank1": float(svals[1]) / (s1 + _TINY)}
-    if s1 <= tol * sc:
+    al_sq, be_sq, om9 = al @ al, be @ be, c.omega.ravel()
+    if s1 <= tol * math.sqrt(al_sq + be_sq + om9 @ om9):
         # omega = 0: consistent iff one local factor is proportional to I.
-        out["factor_consistency"] = float(
-            min(np.linalg.norm(al), np.linalg.norm(be)) / sc
-        )
+        out["factor_consistency"] = float(min(math.sqrt(al_sq), math.sqrt(be_sq)) / sc)
         return out, None
     u, v = u_mat[:, 0], vt[0]
-    al_perp = np.linalg.norm(al - (al @ u) * u)
-    be_perp = np.linalg.norm(be - (be @ v) * v)
-    ups_resid = abs(c.upsilon * s1 - (al @ u) * (be @ v))
+    au, bv = al @ u, be @ v
+    upsilon_defect = abs(c.upsilon * s1 - au * bv) / s1
     out["factor_consistency"] = float(
-        max(al_perp / sc, be_perp / sc, ups_resid / (sc * sc))
+        max(_norm(al - au * u), _norm(be - bv * v), upsilon_defect) / sc
     )
     return out, (s1, u, v)
 
@@ -393,6 +437,10 @@ def _dyadic_residuals(
 def _ratio(num: float, den: float) -> float:
     """num/den with the convention 0/0 = 0 (a vanishing scale has no defect)."""
     return float(num / den) if den > 0.0 else 0.0
+
+
+# Flat indices of the off-diagonal entries of a 3x3 matrix.
+_OFFDIAGONAL = np.array([1, 2, 3, 5, 6, 7])
 
 
 def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
@@ -411,13 +459,11 @@ def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    al, be, om = c.alpha, c.beta, c.omega
+    al, be, om9 = c.alpha, c.beta, c.omega.ravel()
     d = derive(c, tol)
-    om_norm = float(np.linalg.norm(om))
-    al_norm = float(np.linalg.norm(al))
-    be_norm = float(np.linalg.norm(be))
+    om_norm, al_norm, be_norm = _norm(om9), _norm(al), _norm(be)
 
-    residuals, _ = _dyadic_residuals(c, tol)
+    residuals, leading = _dyadic_residuals(c, tol)
     residuals.update(
         {
             "alpha_constraint": _ratio(d.alpha_residual, om_norm * al_norm),
@@ -425,14 +471,16 @@ def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
             "det_omega": d.singular_residual,
             "s_cubic": _ratio(abs(d.s_cubic), om_norm * al_norm * be_norm),
             "offdiagonal": _ratio(
-                float(np.max(np.abs(om - np.diag(np.diag(om))))),
-                float(np.max(np.abs(om))),
+                float(np.abs(om9[_OFFDIAGONAL]).max()), float(np.abs(om9).max())
             ),
         }
     )
 
+    def label(kind, branch=None):
+        return Classification(kind, branch, residuals, derived=d, leading=leading)
+
     if residuals["rank1"] <= tol and residuals["factor_consistency"] <= tol:
-        return Classification(CaseKind.SEPARABLE_DYADIC, None, residuals)
+        return label(CaseKind.SEPARABLE_DYADIC)
 
     if d.alpha_null or d.beta_null:
         if d.alpha_null and d.beta_null:
@@ -441,12 +489,12 @@ def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
             branch = Branch.ALPHA_NULL
         else:
             branch = Branch.BETA_NULL
-        return Classification(CaseKind.ENTANGLED_CONSTRAINED, branch, residuals)
+        return label(CaseKind.ENTANGLED_CONSTRAINED, branch)
 
     if residuals["offdiagonal"] <= tol:
-        return Classification(CaseKind.DIAGONAL_OMEGA, None, residuals)
+        return label(CaseKind.DIAGONAL_OMEGA)
 
-    return Classification(CaseKind.GENERAL, None, residuals)
+    return label(CaseKind.GENERAL)
 
 
 # --- local-rotation machinery -------------------------------------------------

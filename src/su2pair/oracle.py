@@ -46,9 +46,8 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     """
     m = require_hermitian(m, "eig_hermitian input")
     w, v = np.linalg.eigh(m)
-    order = np.arange(w.size - 1, -1, -1)
-    w = np.ascontiguousarray(w[order])
-    v = np.ascontiguousarray(v[:, order])
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
     w.setflags(write=False)
     v.setflags(write=False)
     return SpectralDecomposition(w, v)

@@ -55,7 +55,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.abs(m - m.conj().T).max())
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
@@ -66,10 +66,10 @@ def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Validate Hermiticity and return the input as a complex array."""
     m = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.isfinite(m.view(float)).all():
         raise NonHermitianError(f"{what} contains non-finite entries")
     defect = hermiticity_defect(m)
-    bound = HERMITIAN_RTOL * (1.0 + float(np.max(np.abs(m))))
+    bound = HERMITIAN_RTOL * (1.0 + float(np.abs(m).max()))
     if defect > bound:
         raise NonHermitianError(
             f"{what} is not Hermitian: defect {defect:.3e} exceeds {bound:.3e}"

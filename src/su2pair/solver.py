@@ -29,7 +29,7 @@ from .hamiltonian import (
     fano_compose,
 )
 from .oracle import eig_hermitian
-from .pauli import kron, pauli
+from .pauli import _SIGMA, pauli
 
 
 class SolveMethod(enum.Enum):
@@ -63,6 +63,8 @@ class Su2Factor:
 
 
 _MN = ((1, 1), (1, 2), (2, 1), (2, 2))
+# (-1)^m for m = 1, 2.
+_SIGNS = np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,12 @@ def factor_dyadic(
             f"{residuals['rank1']:.3e}, factor consistency "
             f"{residuals['factor_consistency']:.3e}"
         )
+    return _factors(c, leading)
+
+
+def _factors(c: CoefficientSet, leading) -> tuple[Su2Factor, Su2Factor]:
+    """The factors of a product set from the leading singular triple of omega
+    (None for omega = 0), in the gauge of :func:`factor_dyadic`."""
     if leading is None:
         # omega = 0: the factor of the shorter local vector is scalar.
         if np.linalg.norm(c.alpha) <= np.linalg.norm(c.beta):
@@ -173,27 +181,25 @@ def solve_separable(f1: Su2Factor, f2: Su2Factor) -> Eigensystem:
     result is flagged.
     """
     degenerate = False
-    norms, projectors = [], []
+    norms, axes = [], []
     for f in (f1, f2):
         a = f.norm
         if a <= 1e-14 * (1.0 + abs(f.a0)):
             degenerate = True
-            axis = np.array([0.0, 0.0, 1.0])
+            axes.append(np.array([0.0, 0.0, 1.0]))
             a = 0.0
         else:
-            axis = f.vec / a
-        axis_op = sum(axis[i] * pauli(i + 1) for i in range(3))
+            axes.append(f.vec / a)
         norms.append(a)
-        projectors.append(
-            {s: 0.5 * (np.eye(2, dtype=complex) + (-1) ** s * axis_op) for s in (1, 2)}
-        )
 
     values = separable_spectrum(f1.a0, norms[0], f2.a0, norms[1])
-    states = np.empty((2, 2, 4, 4), dtype=complex)
-    pa, pb = projectors
-    for m in (1, 2):
-        for n in (1, 2):
-            states[m - 1, n - 1] = kron(pa[m], pb[n])
+    # Bloch projectors (I + (-1)^s axis.sigma) / 2 of both factors, indexed
+    # [factor, s - 1], and their Kronecker products [m - 1, n - 1].
+    axes = np.array(axes)
+    axis_ops = sum(axes[:, i, None, None] * _SIGMA[i + 1] for i in range(3))
+    proj = 0.5 * (_SIGMA[0] + _SIGNS[:, None, None] * axis_ops[:, None])
+    pa, pb = proj[0], proj[1]
+    states = pa[:, None, :, None, :, None] * pb[None, :, None, :, None, :]
     return _build(values, states, SolveMethod.SEPARABLE_CLOSED_FORM, degenerate)
 
 
@@ -212,27 +218,27 @@ def solve_entangled(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
     the states (and values) come from the oracle instead, labelled by the
     closed-form energy pattern, and the result is flagged.
     """
-    d = derive(c, tol)
+    return _solve_entangled(c, derive(c, tol))
+
+
+def _solve_entangled(c: CoefficientSet, d: DerivedCoefficients) -> Eigensystem:
+    """:func:`solve_entangled` with ``d`` = :func:`derive` of ``c``."""
     sq, e1, e2 = even_spectrum(d)
+    h = fano_compose(c)
     gap_floor = DEGENERACY_RTOL * (1.0 + math.sqrt(d.v_quad))
     if sq <= DEGENERACY_RTOL * (1.0 + d.v_quad) or e1 <= gap_floor or e2 - e1 <= gap_floor:
-        return _oracle_eigensystem(
-            fano_compose(c), ascending_labels=((1, 2), (1, 1), (2, 1), (2, 2))
-        )
+        return _oracle_eigensystem(h, ascending_labels=((1, 2), (1, 1), (2, 1), (2, 2)))
 
-    h = fano_compose(c)
-    ht = h - c.upsilon * np.eye(4)
-    o_op = ht @ ht - d.v_quad * np.eye(4)
     eye = np.eye(4)
-
-    values = np.empty((2, 2))
-    states = np.empty((2, 2, 4, 4), dtype=complex)
-    for n, en in ((1, e1), (2, e2)):
-        right = eye + (-1) ** n * o_op / sq
-        for m in (1, 2):
-            values[m - 1, n - 1] = c.upsilon + (-1) ** m * en
-            states[m - 1, n - 1] = 0.25 * (eye + (-1) ** m * ht / en) @ right
-    return _build(values, states, SolveMethod.ENTANGLED_CLOSED_FORM)
+    ht = h - c.upsilon * eye
+    o_op = ht @ ht - d.v_quad * eye
+    en = np.array([e1, e2])
+    values = c.upsilon + _SIGNS[:, None] * en
+    # [m - 1, n - 1] stacks of (I + (-1)^m Ht / E_n) / 4 and, over n,
+    # I + (-1)^n O / sqrt(Tp).
+    left = 0.25 * (eye + _SIGNS[:, None, None, None] * ht / en[:, None, None])
+    right = eye + _SIGNS[:, None, None] * o_op / sq
+    return _build(values, left @ right, SolveMethod.ENTANGLED_CLOSED_FORM)
 
 
 # --- quartic / oracle routes ----------------------------------------------------
@@ -256,8 +262,8 @@ def secular_coefficients(
     return (1.0, 0.0, -2.0 * d.v_quad, -8.0 * d.s_cubic, d.v_quad**2 - d.theta)
 
 
-def _cluster(values: np.ndarray) -> list[list[int]]:
-    scale = 1.0 + float(np.max(np.abs(values)))
+def _cluster(values: list[float]) -> list[list[int]]:
+    scale = 1.0 + max(abs(v) for v in values)
     groups: list[list[int]] = [[0]]
     for i in range(1, len(values)):
         if abs(values[i] - values[groups[-1][-1]]) <= DEGENERACY_RTOL * scale:
@@ -274,25 +280,27 @@ def _oracle_eigensystem(h: np.ndarray, ascending_labels=None) -> Eigensystem:
     default is descending energy with m as the slower index.
     """
     dec = eig_hermitian(h)
-    desc = dec.eigenvalues
+    desc = dec.eigenvalues.tolist()
     if ascending_labels is None:
         labels_desc = list(_MN)
     else:
         labels_desc = list(reversed(ascending_labels))
 
-    values = np.empty((2, 2))
-    states = np.empty((2, 2, 4, 4), dtype=complex)
+    # Every v_k v_k^dag at once, k descending; a cluster of levels shares
+    # its eigenspace projector split evenly.
+    vt = dec.eigenvectors.T
+    states = vt[:, :, None] * vt.conj()[:, None, :]
     degenerate = False
     for group in _cluster(desc):
         if len(group) > 1:
             degenerate = True
-        proj = sum(dec.projector(k) for k in group) / len(group)
-        val = float(np.mean(desc[list(group)]))
-        for k in group:
-            m, n = labels_desc[k]
-            values[m - 1, n - 1] = val
-            states[m - 1, n - 1] = proj
-    return _build(values, states, SolveMethod.ORACLE_NUMERIC, degenerate)
+            proj = sum(states[k] for k in group) / len(group)
+            val = float(np.mean(dec.eigenvalues[group]))
+            for k in group:
+                states[k] = proj
+                desc[k] = val
+    order = [labels_desc.index(mn) for mn in _MN]
+    return _build(np.array(desc)[order], states[order], SolveMethod.ORACLE_NUMERIC, degenerate)
 
 
 def solve(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
@@ -301,11 +309,13 @@ def solve(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
     Product-form sets take the separable closed form and constrained sets
     the entangled closed form, in whatever local frame they are given: the
     ansatz is covariant under local rotations.  Everything else,
-    diagonal-omega sets included, is solved numerically.
+    diagonal-omega sets included, is solved numerically.  The routes take
+    omega's singular triple and the derived coefficients from the label, so
+    a set is derived and decomposed once.
     """
     label = classify(c, tol)
     if label.kind is CaseKind.SEPARABLE_DYADIC:
-        return solve_separable(*factor_dyadic(c, tol))
+        return solve_separable(*_factors(c, label.leading))
     if label.kind is CaseKind.ENTANGLED_CONSTRAINED:
-        return solve_entangled(c, tol)
+        return _solve_entangled(c, label.derived)
     return _oracle_eigensystem(fano_compose(c))

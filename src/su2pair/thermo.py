@@ -25,6 +25,7 @@ from .hamiltonian import (
     DEFAULT_TOL,
     CaseKind,
     CoefficientSet,
+    DerivedCoefficients,
     classify,
     derive,
     even_spectrum,
@@ -38,7 +39,7 @@ from .oracle import (
     wootters_concurrence,
 )
 from .pauli import max_abs
-from .solver import Eigensystem, Su2Factor, factor_dyadic
+from .solver import Eigensystem, Su2Factor, _factors
 
 # Temperatures per stacked Wootters evaluation on the definition route: bounds
 # the (block, 4, 4) temporaries of a sweep whatever its length, and keeps each
@@ -140,6 +141,13 @@ def _log_partition_even(upsilon: float, e1: float, e2: float, t, branch: Ensembl
     return -upsilon / t - y1 + np.log1p(np.exp(-(y2 - y1)))
 
 
+def _log_partition_even_fn(upsilon: float, d: DerivedCoefficients, branch: EnsembleBranch):
+    """log Z over temperature arrays of a constrained set with derived
+    coefficients ``d``."""
+    _, e1, e2 = even_spectrum(d)
+    return lambda t: _log_partition_even(upsilon, e1, e2, t, branch)
+
+
 def _log_partition_fn(system, branch: EnsembleBranch, tol: float):
     """log Z as a function of temperature arrays, the set's own work done once.
 
@@ -147,8 +155,7 @@ def _log_partition_fn(system, branch: EnsembleBranch, tol: float):
     Su2Factor (full branch only).
     """
     if isinstance(system, CoefficientSet):
-        _, e1, e2 = even_spectrum(derive(system, tol))
-        return lambda t: _log_partition_even(system.upsilon, e1, e2, t, branch)
+        return _log_partition_even_fn(system.upsilon, derive(system, tol), branch)
     if branch is not EnsembleBranch.FULL:
         raise ValueError("the positive-only branch applies to the even constrained spectrum")
     f1, f2 = system
@@ -308,14 +315,15 @@ def cosh_pair(y1, y2):
     )
 
 
-def _closed_form_concurrence(c: CoefficientSet, t, tol: float):
+def _closed_form_concurrence(c: CoefficientSet, d: DerivedCoefficients, t, tol: float):
     """(closed-form C at temperatures t, commutator norm, reliable) of a
-    constrained set; see :func:`thermal_concurrence`."""
+    constrained set with derived coefficients ``d``; see
+    :func:`thermal_concurrence`."""
     if block_form_defect(c) > tol:
         # det(omega_B) lives in the block frame; the Gibbs state's
         # concurrence is invariant under the reducing local rotations.
         c, _, _ = frame_reduce(c, tol)
-    d = derive(c, tol)
+        d = derive(c, tol)
     _, e1, e2 = even_spectrum(d)
     tr2 = float(np.sum(c.omega**2))
     two_det = 2.0 * abs(d.det_omega_b)
@@ -342,7 +350,7 @@ def thermal_concurrence(
     quantify the deviation outside the provable regime.
     """
     t = float(_check_temperature(t))
-    value, comm, reliable = _closed_form_concurrence(c, t, tol)
+    value, comm, reliable = _closed_form_concurrence(c, derive(c, tol), t, tol)
     woot = wootters_concurrence(thermal_state(c, t)) if compare else None
     return ThermalConcurrenceResult(
         value=float(value), commutator_norm=comm, reliable=reliable, wootters=woot
@@ -378,14 +386,14 @@ def thermal_sweep(
         raise ValueError("temperatures must form a 1-D array")
     label = classify(c, tol)
     if label.kind is CaseKind.SEPARABLE_DYADIC and branch is EnsembleBranch.FULL:
-        logz = _log_partition_fn(factor_dyadic(c, tol), branch, tol)
+        logz = _log_partition_fn(_factors(c, label.leading), branch, tol)
         # Gibbs states of product Hamiltonians are explicitly separable.
         conc, flag = np.zeros(t.shape), 0
     else:
-        d = derive(c, tol)
+        d = label.derived
         if d.alpha_null or d.beta_null:
-            logz = _log_partition_fn(c, branch, tol)
-            conc, _, reliable = _closed_form_concurrence(c, t, tol)
+            logz = _log_partition_even_fn(c.upsilon, d, branch)
+            conc, _, reliable = _closed_form_concurrence(c, d, t, tol)
             flag = 0 if reliable else 1
         elif branch is not EnsembleBranch.FULL:
             raise ValueError("the positive-only branch applies to the even constrained spectrum")

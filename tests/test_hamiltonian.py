@@ -20,7 +20,7 @@ from su2pair.hamiltonian import (
     rotation_to_axis3,
     traceless,
 )
-from su2pair.pauli import kron, pauli
+from su2pair.pauli import _WORDS, kron, pauli
 from su2pair.solver import SolveMethod, solve_entangled
 from su2pair.sampling import (
     random_coefficient_set,
@@ -52,6 +52,27 @@ class TestFano:
         assert np.allclose(fano_compose(c), np.eye(4))
         c2 = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([0.0, 0.0, 1.0]))
         assert np.allclose(fano_compose(c2), kron(pauli(3), pauli(3)))
+
+    def test_compose_equals_the_word_sum(self):
+        """fano_compose against the sum of scaled Pauli words, added one at a
+        time in the order upsilon, then alpha_i, beta_i, omega_i1..omega_i3
+        per i, over 20000 sets with zero entries and scales 1e-5..1e5."""
+        rng = np.random.default_rng(2024)
+        coef = rng.normal(size=(20000, 16)) * 10.0 ** rng.uniform(-5, 5, size=(20000, 16))
+        coef[rng.random(coef.shape) < 0.3] = 0.0
+        # words[k] carries coefficient k of (upsilon, alpha, beta, omega row
+        # by row); order lists k in the order the words are added.
+        words = [(0, 0)] + [(i, 0) for i in (1, 2, 3)] + [(0, j) for j in (1, 2, 3)]
+        words += [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+        order = [0]
+        for i in (1, 2, 3):
+            order += [i, 3 + i] + [3 + 3 * i + j for j in (1, 2, 3)]
+        want = np.zeros((len(coef), 4, 4), dtype=complex)
+        for k in order:
+            want += coef[:, k, None, None] * _WORDS[words[k]]
+        for v, h in zip(coef, want):
+            c = CoefficientSet(v[0], v[1:4], v[4:7], v[7:].reshape(3, 3))
+            assert np.array_equal(fano_compose(c), h)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from su2pair import hamiltonian
 from su2pair.errors import CaseReductionError, ConstraintError, FactorizationError
 from su2pair.hamiltonian import (
     CaseKind,
@@ -26,6 +27,7 @@ from su2pair.solver import (
     Eigensystem,
     SolveMethod,
     Su2Factor,
+    _oracle_eigensystem,
     factor_dyadic,
     secular_coefficients,
     solve,
@@ -120,14 +122,38 @@ class TestFactorDyadic:
         with pytest.raises(FactorizationError):
             factor_dyadic(c)
 
+    def test_small_omega_beside_a_large_upsilon(self):
+        """(100 + 0.01 s1) (x) (100 + 0.01 s1): omega is 1e-8 of the scale but
+        all of the non-scalar part, so the set is a product at tol = 1e-6."""
+        c = CoefficientSet(1e4, (1, 0, 0), (1, 0, 0), 1e-4 * np.outer((1, 0, 0), (1, 0, 0)))
+        assert classify(c, tol=1e-6).kind is CaseKind.SEPARABLE_DYADIC
+        f1, f2 = factor_dyadic(c, tol=1e-6)
+        h = fano_compose(c)
+        assert np.max(np.abs(kron(f1.matrix(), f2.matrix()) - h)) <= 1e-12 * np.max(np.abs(h))
+
+    def test_upsilon_defect_is_measured_against_s1(self):
+        """omega = 1e-12 e1 e1^T beside alpha = beta = 1e-5 e1 would need
+        upsilon = (alpha.u)(beta.v) / s1 = 100, not 1: not a product."""
+        c = CoefficientSet(1.0, (1e-5, 0, 0), (1e-5, 0, 0), 1e-12 * np.outer((1, 0, 0), (1, 0, 0)))
+        assert classify(c).kind is not CaseKind.SEPARABLE_DYADIC
+        with pytest.raises(FactorizationError):
+            factor_dyadic(c)
+        got = np.sort(solve(c).values.ravel())
+        assert np.max(np.abs(got - oracle_sorted(fano_compose(c)))) <= 1e-14
+
 
 def _separable_decision_sets(rng):
     """Product sets, product sets perturbed across every tolerance, omega = 0
     sets and generic sets."""
     sets = [
-        # Exactly separable, but omega sits below 1e-6 of the scale: the
-        # omega = 0 test decides at tol = 1e-6 and rejects both vectors.
+        # Exactly separable, with omega below 1e-6 of the scale but not of
+        # the non-scalar part: a product at every tol.
         CoefficientSet(1e4, (1, 0, 0), (1, 0, 0), 1e-4 * np.outer((1, 0, 0), (1, 0, 0))),
+        # Rank one and aligned, but the factors would need upsilon = 100.
+        CoefficientSet(1.0, (1e-5, 0, 0), (1e-5, 0, 0), 1e-12 * np.outer((1, 0, 0), (1, 0, 0))),
+        # The first set with upsilon raised by 1e-2 of the scale: not a
+        # product, though |upsilon s1 - (alpha.u)(beta.v)| is 1e-10 scale^2.
+        CoefficientSet(1e4 + 100, (1, 0, 0), (1, 0, 0), 1e-4 * np.outer((1, 0, 0), (1, 0, 0))),
         CoefficientSet(0.5, (0, 0, 0), (1.0, 0.0, 2.0), np.zeros((3, 3))),
         CoefficientSet(0.0, (1, 0, 0), (0, 1, 0), np.zeros((3, 3))),
         CoefficientSet(0.0, (1e-11, 0, 0), (0, 1, 0), np.zeros((3, 3))),
@@ -376,3 +402,77 @@ class TestSolveDispatch:
         states = [s for _, _, s in es.items()]
         assert all(abs(np.trace(s).real - 1.0) <= 1e-10 for s in states)
         assert np.allclose(sum(states), np.eye(4), atol=1e-10)
+
+
+def _route_sets():
+    """Sets for every route of solve: product sets (omega = 0 among them),
+    constrained sets on each branch, canonical and rotated, a constrained
+    set whose closed form declines to the oracle, diagonal-omega and
+    general sets."""
+    rng = np.random.default_rng(29)
+    sets = [
+        CoefficientSet(0.5, (0, 0, 0), (1.0, 0.0, 2.0), np.zeros((3, 3))),
+        CoefficientSet(1e4, (1, 0, 0), (1, 0, 0), 1e-4 * np.outer((1, 0, 0), (1, 0, 0))),
+        ENTANGLED_EXAMPLE,
+        CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 0.0, 0.0])),
+        CoefficientSet(0.3, (1, 2, 3), (3, 1, 2), np.diag([1.0, 2.0, 3.0])),
+        CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.eye(3)),
+    ]
+    for _ in range(10):
+        sets.append(random_dyadic_set(rng))
+        for branch in ("alpha", "beta", "both"):
+            c = random_entangled_canonical(rng, branch)
+            sets += [c, rotate_set(c, random_rotation(rng), random_rotation(rng))]
+        sets.append(random_coefficient_set(rng))
+    return sets
+
+
+def _assert_same_eigensystem(got: Eigensystem, want: Eigensystem):
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.states, want.states)
+    assert (got.method, got.degenerate) == (want.method, want.degenerate)
+
+
+class TestSolveOnePass:
+    def test_route_sets_reach_every_route(self):
+        sets = _route_sets()
+        labels = {classify(c).kind for c in sets}
+        methods = {(es.method, es.degenerate) for es in map(solve, sets)}
+        assert labels == set(CaseKind)
+        assert methods >= {
+            (SolveMethod.SEPARABLE_CLOSED_FORM, False),
+            (SolveMethod.ENTANGLED_CLOSED_FORM, False),
+            (SolveMethod.ORACLE_NUMERIC, True),
+            (SolveMethod.ORACLE_NUMERIC, False),
+        }
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_solve_equals_the_public_routes_bitwise(self, tol):
+        for c in _route_sets():
+            kind = classify(c, tol).kind
+            if kind is CaseKind.SEPARABLE_DYADIC:
+                want = solve_separable(*factor_dyadic(c, tol))
+            elif kind is CaseKind.ENTANGLED_CONSTRAINED:
+                want = solve_entangled(c, tol)
+            else:
+                want = _oracle_eigensystem(fano_compose(c))
+            _assert_same_eigensystem(solve(c, tol), want)
+
+    def test_one_derive_and_one_svd_per_solve(self, monkeypatch):
+        calls = {"derive_arrays": 0, "svd": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            hamiltonian, "derive_arrays", counted("derive_arrays", hamiltonian.derive_arrays)
+        )
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        for c in _route_sets():
+            calls.update(derive_arrays=0, svd=0)
+            solve(c)
+            assert calls == {"derive_arrays": 1, "svd": 1}, classify(c)
