@@ -1,0 +1,209 @@
+"""The derived invariants of coefficient sets, as one straight-line kernel.
+
+:class:`DerivedCoefficients` holds the quadratic and quartic invariants of
+a coefficient set.  :func:`_derive_kernel` computes every field from the
+components of alpha, beta and omega with IEEE + - * / sqrt alone, for one
+set on Python floats or for a batch on arrays;
+:func:`su2pair.hamiltonian.derive` and
+:func:`su2pair.hamiltonian.derive_arrays` are its two callers.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+_TINY = float(np.finfo(float).tiny)
+
+
+@dataclass(frozen=True)
+class DerivedCoefficients:
+    """Quadratic and quartic invariants of a coefficient set.
+
+    ``v_quad`` is 1/4 Tr[Ht^2] for the traceless part Ht, the sum of the
+    squared norms ``alpha_sq`` = |alpha|^2, ``beta_sq`` = |beta|^2 and
+    ``omega_sq`` = |omega|_F^2; ``a_vec``/``b_vec`` are the single-qubit
+    Pauli components of Ht^2 and ``w_mat`` its two-qubit component.
+    ``theta`` is 1/4 Tr[(Ht^2 - v_quad I)^2], evaluated exactly through the
+    Pauli components as |a_vec|^2 + |b_vec|^2 + phi, and ``phi`` is
+    Tr[w_mat w_mat^T].  ``theta_phi`` is the constraint-gated variant used
+    by the even-spectrum closed forms.  ``det_omega_b`` is the determinant of
+    the 2x2 block of omega whenever the third row and column vanish,
+    computed frame-independently as (Tr[omega]^2 - Tr[omega^2]) / 2.
+    ``det_omega`` comes from one Householder reflection of omega, and
+    ``singular_residual`` is |det omega| / (|omega| |adj omega|), the one
+    measure of how far omega is from singular; 0 when adj omega vanishes.
+
+    From :func:`~su2pair.hamiltonian.derive` the scalar fields are Python
+    floats and bools; from :func:`~su2pair.hamiltonian.derive_arrays` every
+    field carries the batch's leading axes, and on a single set its scalars
+    are numpy scalars.  Both run the same straight-line kernel, so their bits
+    agree.
+    """
+
+    v_quad: float
+    a_vec: np.ndarray
+    b_vec: np.ndarray
+    w_mat: np.ndarray
+    theta: float
+    phi: float
+    theta_phi: float
+    s_cubic: float
+    det_omega_b: float
+    det_omega: float
+    singular_residual: float
+    alpha_null: bool
+    beta_null: bool
+    alpha_residual: float
+    beta_residual: float
+    alpha_sq: float
+    beta_sq: float
+    omega_sq: float
+
+
+def _where(cond, x, y):
+    """np.where that keeps a single set's scalars scalar."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
+    """Every field of :class:`DerivedCoefficients` as straight-line arithmetic.
+
+    ``a`` and ``b`` hold the three components of alpha and beta, ``w`` the
+    three rows of omega.  The components are Python floats for one set
+    (``sqrt`` = math.sqrt, ``pack`` = np.array) or arrays over the batch axes
+    (np.sqrt and :func:`_stack_last`).  Each field is the same sequence of
+    IEEE + - * / sqrt and exact selections in both cases, so batch items and
+    single sets carry the same bits whatever the memory layout or the BLAS
+    build.
+    """
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    (w11, w12, w13), (w21, w22, w23), (w31, w32, w33) = w
+
+    al_sq = a1 * a1 + a2 * a2 + a3 * a3
+    be_sq = b1 * b1 + b2 * b2 + b3 * b3
+    om_sq = (w11 * w11 + w12 * w12 + w13 * w13 + w21 * w21 + w22 * w22
+             + w23 * w23 + w31 * w31 + w32 * w32 + w33 * w33)
+    om_norm = sqrt(om_sq)
+
+    # |det omega| / |adj omega| = (1/s1^2 + 1/s2^2 + 1/s3^2)^(-1/2) over the
+    # singular values, between s3/sqrt(3) and s3, so the residual measures
+    # the smallest singular value against |omega|.  A vanishing adjugate
+    # (rank <= 1) is singular whatever det's round-off.  det omega is taken
+    # after the Householder reflection that maps the first column x onto
+    # -sign(x_1) |x| e_1, as sign(x_1) |x| det B of the 2x2 block B left
+    # below it.  That is backward stable, so the residual's error is a few
+    # eps; a cofactor expansion errs by eps |omega|^3, as much as det itself
+    # on a rounded rank-one omega.  The cofactors give |adj omega|.
+    nx = sqrt(w11 * w11 + w21 * w21 + w31 * w31)
+    sx = _where(w11 < 0.0, -1.0, 1.0)
+    v1 = w11 + sx * nx
+    vv = v1 * v1 + w21 * w21 + w31 * w31
+    vv = _where(vv > 0.0, vv, math.inf)
+    f2 = 2.0 * (v1 * w12 + w21 * w22 + w31 * w32) / vv
+    f3 = 2.0 * (v1 * w13 + w21 * w23 + w31 * w33) / vv
+    det_omega = sx * nx * (
+        (w22 - f2 * w21) * (w33 - f3 * w31) - (w23 - f3 * w21) * (w32 - f2 * w31)
+    )
+    del nx, sx, v1, vv, f2, f3
+    c11 = w22 * w33 - w23 * w32
+    c12 = w23 * w31 - w21 * w33
+    c13 = w21 * w32 - w22 * w31
+    c21 = w32 * w13 - w33 * w12
+    c22 = w33 * w11 - w31 * w13
+    c23 = w31 * w12 - w32 * w11
+    c31 = w12 * w23 - w13 * w22
+    c32 = w13 * w21 - w11 * w23
+    c33 = w11 * w22 - w12 * w21
+    adj_sq = (c11 * c11 + c12 * c12 + c13 * c13 + c21 * c21 + c22 * c22
+              + c23 * c23 + c31 * c31 + c32 * c32 + c33 * c33)
+    del c11, c12, c13, c21, c22, c23, c31, c32, c33
+    den = om_norm * sqrt(adj_sq)
+    singular_residual = abs(det_omega) / _where(den > 0.0, den, math.inf)
+    del adj_sq, den
+
+    # p = Tr[omega]^2 - Tr[omega^2] from the diagonal of omega^2, and
+    # w_mat = 2 (alpha beta^T - (omega^2)^T + tau omega^T) - p I entry by
+    # entry, with (omega^2)_ji = sum_k omega_jk omega_ki.
+    tau = w11 + w22 + w33
+    o11 = w11 * w11 + w12 * w21 + w13 * w31
+    o22 = w21 * w12 + w22 * w22 + w23 * w32
+    o33 = w31 * w13 + w32 * w23 + w33 * w33
+    p = tau * tau - (o11 + o22 + o33)
+    m11 = 2.0 * ((a1 * b1 - o11) + tau * w11) - p
+    m12 = 2.0 * ((a1 * b2 - (w21 * w11 + w22 * w21 + w23 * w31)) + tau * w21)
+    m13 = 2.0 * ((a1 * b3 - (w31 * w11 + w32 * w21 + w33 * w31)) + tau * w31)
+    m21 = 2.0 * ((a2 * b1 - (w11 * w12 + w12 * w22 + w13 * w32)) + tau * w12)
+    m22 = 2.0 * ((a2 * b2 - o22) + tau * w22) - p
+    m23 = 2.0 * ((a2 * b3 - (w31 * w12 + w32 * w22 + w33 * w32)) + tau * w32)
+    m31 = 2.0 * ((a3 * b1 - (w11 * w13 + w12 * w23 + w13 * w33)) + tau * w13)
+    m32 = 2.0 * ((a3 * b2 - (w21 * w13 + w22 * w23 + w23 * w33)) + tau * w23)
+    m33 = 2.0 * ((a3 * b3 - o33) + tau * w33) - p
+    del tau, o11, o22, o33
+    phi = (m11 * m11 + m12 * m12 + m13 * m13 + m21 * m21 + m22 * m22
+           + m23 * m23 + m31 * m31 + m32 * m32 + m33 * m33)
+    w_mat = pack([[m11, m12, m13], [m21, m22, m23], [m31, m32, m33]])
+    del m11, m12, m13, m21, m22, m23, m31, m32, m33
+
+    # The contractions alpha.omega and omega.beta: the constraint residuals,
+    # and half of b_vec and a_vec (scaling by 2 and 4 is exact).
+    ra1 = a1 * w11 + a2 * w21 + a3 * w31
+    ra2 = a1 * w12 + a2 * w22 + a3 * w32
+    ra3 = a1 * w13 + a2 * w23 + a3 * w33
+    rb1 = w11 * b1 + w12 * b2 + w13 * b3
+    rb2 = w21 * b1 + w22 * b2 + w23 * b3
+    rb3 = w31 * b1 + w32 * b2 + w33 * b3
+    ra = ra1 * ra1 + ra2 * ra2 + ra3 * ra3
+    rb = rb1 * rb1 + rb2 * rb2 + rb3 * rb3
+    s_cubic = ra1 * b1 + ra2 * b2 + ra3 * b3
+    a_vec = pack([2.0 * rb1, 2.0 * rb2, 2.0 * rb3])
+    b_vec = pack([2.0 * ra1, 2.0 * ra2, 2.0 * ra3])
+    del ra1, ra2, ra3, rb1, rb2, rb3
+    aa, bb = 4.0 * rb, 4.0 * ra
+    theta = (aa + bb) + phi
+
+    # A vanishing constrained vector leaves the secular quartic's linear
+    # term -8(s - det omega), so omega must be singular as well; for a
+    # non-negligible vector that follows from the contraction itself.
+    singular = singular_residual <= tol
+    alpha_residual, beta_residual = sqrt(ra), sqrt(rb)
+    alpha_null = (alpha_residual <= tol * (om_norm * sqrt(al_sq) + _TINY)) & singular
+    beta_null = (beta_residual <= tol * (om_norm * sqrt(be_sq) + _TINY)) & singular
+
+    # |b_vec|^2 = 4 alpha.omega.omega^T.alpha enters when omega.beta = 0,
+    # |a_vec|^2 = 4 beta.omega^T.omega.beta when alpha.omega = 0; on the
+    # overlap both terms vanish identically.
+    theta_phi = phi + _where(beta_null, bb, 0.0) + _where(alpha_null, aa, 0.0)
+
+    return DerivedCoefficients(
+        v_quad=al_sq + be_sq + om_sq,
+        a_vec=a_vec,
+        b_vec=b_vec,
+        w_mat=w_mat,
+        theta=theta,
+        phi=phi,
+        theta_phi=theta_phi,
+        s_cubic=s_cubic,
+        det_omega_b=p / 2.0,
+        det_omega=det_omega,
+        singular_residual=singular_residual,
+        alpha_null=alpha_null,
+        beta_null=beta_null,
+        alpha_residual=alpha_residual,
+        beta_residual=beta_residual,
+        alpha_sq=al_sq,
+        beta_sq=be_sq,
+        omega_sq=om_sq,
+    )
+
+
+def _stack_last(items) -> np.ndarray:
+    """Nested lists of batch arrays as one array, the nesting as trailing axes."""
+    if isinstance(items[0], list):
+        return np.stack([_stack_last(row) for row in items], axis=-2)
+    return np.stack(items, axis=-1)

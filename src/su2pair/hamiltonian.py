@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._invariants import _TINY, DerivedCoefficients, _derive_kernel, _stack_last, _where
 from .errors import ConstraintError, NonHermitianError
 from .pauli import _WORDS, pauli_word, require_hermitian
 
@@ -36,9 +37,6 @@ from .pauli import _WORDS, pauli_word, require_hermitian
 DEFAULT_TOL = 1e-9
 DEGENERACY_RTOL = 1e-8
 COMMUTATOR_RTOL = 1e-12
-
-_TINY = np.finfo(float).tiny
-
 
 def _as_readonly(a, shape) -> np.ndarray:
     out = np.array(a, dtype=float).reshape(shape)
@@ -142,46 +140,7 @@ def traceless(c: CoefficientSet) -> np.ndarray:
     return fano_compose(c) - c.upsilon * np.eye(4, dtype=complex)
 
 
-@dataclass(frozen=True)
-class DerivedCoefficients:
-    """Quadratic and quartic invariants of a coefficient set.
-
-    ``v_quad`` is 1/4 Tr[Ht^2] for the traceless part Ht; ``a_vec``/``b_vec``
-    are the single-qubit Pauli components of Ht^2 and ``w_mat`` its two-qubit
-    component.  ``theta`` is 1/4 Tr[(Ht^2 - v_quad I)^2], evaluated exactly
-    through the Pauli components as |a_vec|^2 + |b_vec|^2 + phi, and ``phi``
-    is Tr[w_mat w_mat^T].  ``theta_phi`` is the constraint-gated variant used
-    by the even-spectrum closed forms.  ``det_omega_b`` is the determinant of
-    the 2x2 block of omega whenever the third row and column vanish,
-    computed frame-independently as (Tr[omega]^2 - Tr[omega^2]) / 2.
-    ``singular_residual`` is |det omega| / (|omega| |adj omega|), the one
-    measure of how far omega is from singular; 0 when adj omega vanishes.
-
-    From :func:`derive` the scalar fields are Python floats and bools; from
-    :func:`derive_arrays` every field carries the batch's leading axes.
-    """
-
-    v_quad: float
-    a_vec: np.ndarray
-    b_vec: np.ndarray
-    w_mat: np.ndarray
-    theta: float
-    phi: float
-    theta_phi: float
-    s_cubic: float
-    det_omega_b: float
-    det_omega: float
-    singular_residual: float
-    alpha_null: bool
-    beta_null: bool
-    alpha_residual: float
-    beta_residual: float
-
-
-# Products over leading batch axes.  Each is one ``@``, so every item makes
-# the BLAS call of the same product on a single set (ddot, gemv, gemm) and a
-# batch reproduces the single-set bits whatever its size.  Unbatched
-# operands take ``@`` directly, which is that same call.
+# Products over leading batch axes, for the array forms of other modules.
 def _dot(x: np.ndarray, y: np.ndarray):
     """x . y over the last axis."""
     if x.ndim == 1:
@@ -196,13 +155,6 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v[..., :, None])[..., 0]
 
 
-def _where(cond, x, y):
-    """np.where that keeps a single set's scalars scalar."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, x, y)
-    return x if cond else y
-
-
 def _sum_squares(m: np.ndarray) -> np.ndarray:
     """Sum of the squared entries of each 3x3 matrix (one 9-term pairwise sum)."""
     return (m * m).sum(axis=(-2, -1))
@@ -215,14 +167,6 @@ def coefficient_scale(upsilon, alpha, beta, omega) -> np.ndarray:
     )
 
 
-_EYE3 = np.eye(3)
-# The cofactor of omega_ij is the 2x2 minor on rows and columns i+1, i+2 and
-# j+1, j+2 (mod 3); indexing rows and columns with these makes them slices.
-_WRAP = np.array([0, 1, 2, 0, 1])
-_WRAP_ROWS = _WRAP[:, None]
-_SCALAR_FIELDS = tuple(f.name for f in fields(DerivedCoefficients) if f.type != "np.ndarray")
-
-
 def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
     """Every derived quantity of a batch: alpha (..., 3), beta (..., 3), omega (..., 3, 3).
 
@@ -231,95 +175,29 @@ def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoeffi
     ``tol``, each together with ``singular_residual`` <= tol; they select
     which quadratic-form terms enter ``theta_phi``.  Residuals and gates are
     invariant under local rotations, so the gates hold in any frame.
-    Each item's fields are bitwise those of :func:`derive` on that set.
+    det omega comes from one Householder reflection, not an LU
+    factorization.  Each item's fields are bitwise those of :func:`derive` on that set, in any
+    memory order: the kernel works elementwise on component views.
     """
-    # C order gives every item the strides of a single set's arrays, and so
-    # the same BLAS kernels.
-    al = np.ascontiguousarray(alpha, dtype=float)
-    be = np.ascontiguousarray(beta, dtype=float)
-    om = np.ascontiguousarray(omega, dtype=float)
-
-    om9 = om.reshape(om.shape[:-2] + (9,))
-    om_norm = np.sqrt(_dot(om9, om9))
-    det_omega = np.linalg.det(om)
-    # |det omega| / |adj omega| = (1/s1^2 + 1/s2^2 + 1/s3^2)^(-1/2) over the
-    # singular values, between s3/sqrt(3) and s3, so the residual measures
-    # the smallest singular value against |omega|.  A vanishing adjugate
-    # (rank <= 1) is singular whatever det's round-off.  The cofactors are
-    # products of shifted views of omega wrapped to 5x5, summed in C order
-    # as a single set sums them, and taken first so that their temporaries
-    # do not add to the peak of the later arrays.
-    wrap = om[..., _WRAP_ROWS, _WRAP]
-    cof = wrap[..., 1:4, 1:4] * wrap[..., 2:5, 2:5]
-    cof -= wrap[..., 1:4, 2:5] * wrap[..., 2:5, 1:4]
-    cof9 = np.ascontiguousarray(cof).reshape(om9.shape)
-    den = om_norm * np.sqrt(_dot(cof9, cof9))
-    singular_residual = np.abs(det_omega) / _where(den > 0.0, den, np.inf)
-    del wrap, cof, cof9
-
-    om_t = om.swapaxes(-1, -2)
-    tau = om.trace(0, -2, -1)
-    om2 = om @ om
-    p = tau * tau - om2.trace(0, -2, -1)
-
-    # The contractions alpha.omega and omega.beta: the constraint residuals,
-    # and half of b_vec and a_vec (scaling by 2 and 4 is exact).
-    res_a, res_b = _matvec(om_t, al), _matvec(om, be)
-    ra, rb = _dot(res_a, res_a), _dot(res_b, res_b)
-    a_vec, b_vec = 2.0 * res_b, 2.0 * res_a
-    aa, bb = 4.0 * rb, 4.0 * ra
-    w_mat = np.ascontiguousarray(
-        2.0 * (al[..., :, None] * be[..., None, :] - om2.swapaxes(-1, -2)
-               + tau[..., None, None] * om_t)
-        - p[..., None, None] * _EYE3
-    )
-
-    al_sq, be_sq = _dot(al, al), _dot(be, be)
-    v_quad = al_sq + be_sq + _sum_squares(om)
-    phi = _sum_squares(w_mat)
-    theta = (aa + bb) + phi
-    s_cubic = _dot(res_a, be)
-
-    # A vanishing constrained vector leaves the secular quartic's linear
-    # term -8(s - det omega), so omega must be singular as well; for a
-    # non-negligible vector that follows from the contraction itself.
-    singular = singular_residual <= tol
-    alpha_residual, beta_residual = np.sqrt(ra), np.sqrt(rb)
-    alpha_null = (alpha_residual <= tol * (om_norm * np.sqrt(al_sq) + _TINY)) & singular
-    beta_null = (beta_residual <= tol * (om_norm * np.sqrt(be_sq) + _TINY)) & singular
-
-    # |b_vec|^2 = 4 alpha.omega.omega^T.alpha enters when omega.beta = 0,
-    # |a_vec|^2 = 4 beta.omega^T.omega.beta when alpha.omega = 0; on the
-    # overlap both terms vanish identically.
-    theta_phi = phi + _where(beta_null, bb, 0.0) + _where(alpha_null, aa, 0.0)
-
-    return DerivedCoefficients(
-        v_quad=v_quad,
-        a_vec=a_vec,
-        b_vec=b_vec,
-        w_mat=w_mat,
-        theta=theta,
-        phi=phi,
-        theta_phi=theta_phi,
-        s_cubic=s_cubic,
-        det_omega_b=p / 2.0,
-        det_omega=det_omega,
-        singular_residual=singular_residual,
-        alpha_null=alpha_null,
-        beta_null=beta_null,
-        alpha_residual=alpha_residual,
-        beta_residual=beta_residual,
+    al, be, om = (np.asarray(x, dtype=float) for x in (alpha, beta, omega))
+    return _derive_kernel(
+        np.moveaxis(al, -1, 0),
+        np.moveaxis(be, -1, 0),
+        np.moveaxis(om, (-2, -1), (0, 1)),
+        tol,
+        np.sqrt,
+        _stack_last,
     )
 
 
 def derive(c: CoefficientSet, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
-    """:func:`derive_arrays` on one set, with Python floats and bools as scalars."""
-    d = derive_arrays(c.alpha, c.beta, c.omega, tol)
-    # The instance is new and unshared, so its fields are converted in place.
-    values = vars(d)
-    for name in _SCALAR_FIELDS:
-        values[name] = values[name].item()
-    return d
+    """:func:`derive_arrays` on one set, with Python floats and bools as scalars.
+
+    The same kernel runs on the set's components as Python floats.
+    """
+    return _derive_kernel(
+        c.alpha.tolist(), c.beta.tolist(), c.omega.tolist(), tol, math.sqrt, np.array
+    )
 
 
 def even_spectrum(d: DerivedCoefficients):
@@ -395,13 +273,17 @@ class Classification:
         return f"{self.kind.value}({self.branch.value})"
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a real 1-D array, bitwise equal to np.linalg.norm."""
-    return math.sqrt(x @ x)
+def _off_axis(x: list[float], u: list[float]) -> tuple[float, float]:
+    """(x.u, |x - (x.u) u|) of two 3-vectors given as floats."""
+    x1, x2, x3 = x
+    u1, u2, u3 = u
+    xu = x1 * u1 + x2 * u2 + x3 * u3
+    r1, r2, r3 = x1 - xu * u1, x2 - xu * u2, x3 - xu * u3
+    return xu, math.sqrt(r1 * r1 + r2 * r2 + r3 * r3)
 
 
 def _dyadic_residuals(
-    c: CoefficientSet, tol: float
+    c: CoefficientSet, d: DerivedCoefficients, tol: float
 ) -> tuple[dict[str, float], tuple[float, np.ndarray, np.ndarray] | None]:
     """Residuals of the product-form factorization H = H1 (x) H2.
 
@@ -411,26 +293,23 @@ def _dyadic_residuals(
     (s1, u, v) against the scale: the parts of alpha and beta off u and v,
     and |upsilon - (alpha.u)(beta.v) / s1|.  For omega = 0 (s1 at most
     ``tol`` times the non-scalar scale sqrt(|alpha|^2 + |beta|^2 + |omega|^2))
-    one factor must be scalar, i.e. alpha = 0 or beta = 0.  Returns the
-    residuals and the leading singular triple (s1, u, v) of omega, None for
-    omega = 0.
+    one factor must be scalar, i.e. alpha = 0 or beta = 0.  The norms come
+    from ``d`` = :func:`derive` of ``c``.  Returns the residuals and the
+    leading singular triple (s1, u, v) of omega, None for omega = 0.
     """
-    al, be = c.alpha, c.beta
-    sc = c.scale() + _TINY
+    sc = math.sqrt(c.upsilon * c.upsilon + d.v_quad) + _TINY
     u_mat, svals, vt = np.linalg.svd(c.omega)
-    s1 = float(svals[0])
-    out = {"rank1": float(svals[1]) / (s1 + _TINY)}
-    al_sq, be_sq, om9 = al @ al, be @ be, c.omega.ravel()
-    if s1 <= tol * math.sqrt(al_sq + be_sq + om9 @ om9):
+    s1, s2, _ = svals.tolist()
+    out = {"rank1": s2 / (s1 + _TINY)}
+    if s1 <= tol * math.sqrt(d.v_quad):
         # omega = 0: consistent iff one local factor is proportional to I.
-        out["factor_consistency"] = float(min(math.sqrt(al_sq), math.sqrt(be_sq)) / sc)
+        out["factor_consistency"] = math.sqrt(min(d.alpha_sq, d.beta_sq)) / sc
         return out, None
     u, v = u_mat[:, 0], vt[0]
-    au, bv = al @ u, be @ v
+    au, alpha_off = _off_axis(c.alpha.tolist(), u.tolist())
+    bv, beta_off = _off_axis(c.beta.tolist(), v.tolist())
     upsilon_defect = abs(c.upsilon * s1 - au * bv) / s1
-    out["factor_consistency"] = float(
-        max(_norm(al - au * u), _norm(be - bv * v), upsilon_defect) / sc
-    )
+    out["factor_consistency"] = max(alpha_off, beta_off, upsilon_defect) / sc
     return out, (s1, u, v)
 
 
@@ -440,7 +319,7 @@ def _ratio(num: float, den: float) -> float:
 
 
 # Flat indices of the off-diagonal entries of a 3x3 matrix.
-_OFFDIAGONAL = np.array([1, 2, 3, 5, 6, 7])
+_OFFDIAGONAL = (1, 2, 3, 5, 6, 7)
 
 
 def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
@@ -459,20 +338,19 @@ def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    al, be, om9 = c.alpha, c.beta, c.omega.ravel()
     d = derive(c, tol)
-    om_norm, al_norm, be_norm = _norm(om9), _norm(al), _norm(be)
+    om_norm = math.sqrt(d.omega_sq)
+    al_norm, be_norm = math.sqrt(d.alpha_sq), math.sqrt(d.beta_sq)
+    om_abs = [abs(x) for x in c.omega.ravel().tolist()]
 
-    residuals, leading = _dyadic_residuals(c, tol)
+    residuals, leading = _dyadic_residuals(c, d, tol)
     residuals.update(
         {
             "alpha_constraint": _ratio(d.alpha_residual, om_norm * al_norm),
             "beta_constraint": _ratio(d.beta_residual, om_norm * be_norm),
             "det_omega": d.singular_residual,
             "s_cubic": _ratio(abs(d.s_cubic), om_norm * al_norm * be_norm),
-            "offdiagonal": _ratio(
-                float(np.abs(om9[_OFFDIAGONAL]).max()), float(np.abs(om9).max())
-            ),
+            "offdiagonal": _ratio(max(om_abs[k] for k in _OFFDIAGONAL), max(om_abs)),
         }
     )
 

@@ -7,6 +7,8 @@ machinery here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NonHermitianError
@@ -66,10 +68,12 @@ def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Validate Hermiticity and return the input as a complex array."""
     m = np.asarray(m, dtype=complex)
-    if not np.isfinite(m.view(float)).all():
+    # max|M| is inf or nan exactly when some entry is not finite.
+    size = float(np.abs(m).max())
+    if not math.isfinite(size):
         raise NonHermitianError(f"{what} contains non-finite entries")
     defect = hermiticity_defect(m)
-    bound = HERMITIAN_RTOL * (1.0 + float(np.abs(m).max()))
+    bound = HERMITIAN_RTOL * (1.0 + size)
     if defect > bound:
         raise NonHermitianError(
             f"{what} is not Hermitian: defect {defect:.3e} exceeds {bound:.3e}"

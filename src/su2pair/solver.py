@@ -29,7 +29,7 @@ from .hamiltonian import (
     fano_compose,
 )
 from .oracle import eig_hermitian
-from .pauli import _SIGMA, pauli
+from .pauli import pauli
 
 
 class SolveMethod(enum.Enum):
@@ -53,7 +53,7 @@ class Su2Factor:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
+        return math.sqrt(self.vec @ self.vec)
 
     def matrix(self) -> np.ndarray:
         m = self.a0 * np.eye(2, dtype=complex)
@@ -63,8 +63,7 @@ class Su2Factor:
 
 
 _MN = ((1, 1), (1, 2), (2, 1), (2, 2))
-# (-1)^m for m = 1, 2.
-_SIGNS = np.array([-1.0, 1.0])
+_I4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -117,11 +116,10 @@ class Eigensystem:
 
 
 def _build(values, states, method, degenerate=False) -> Eigensystem:
-    v = np.asarray(values, dtype=float).reshape(2, 2)
-    s = np.asarray(states, dtype=complex).reshape(2, 2, 4, 4)
-    v.setflags(write=False)
-    s.setflags(write=False)
-    return Eigensystem(v, s, method, degenerate)
+    """The read-only Eigensystem of fresh (2, 2) values and (2, 2, 4, 4) states."""
+    values.setflags(write=False)
+    states.setflags(write=False)
+    return Eigensystem(values, states, method, degenerate)
 
 
 # --- separable case -----------------------------------------------------------
@@ -138,7 +136,7 @@ def factor_dyadic(
     by making the largest-magnitude component of the left factor vector
     positive.
     """
-    residuals, leading = _dyadic_residuals(c, tol)
+    residuals, leading = _dyadic_residuals(c, derive(c, tol), tol)
     if residuals["rank1"] > tol or residuals["factor_consistency"] > tol:
         raise FactorizationError(
             "not a product set: rank-one residual "
@@ -158,10 +156,10 @@ def _factors(c: CoefficientSet, leading) -> tuple[Su2Factor, Su2Factor]:
         return Su2Factor(c.upsilon, c.alpha), Su2Factor(1.0, np.zeros(3))
 
     s1, u, v = leading
-    lead = np.argmax(np.abs(u))
-    if u[lead] < 0:
+    u_abs = np.abs(u).tolist()
+    if u[u_abs.index(max(u_abs))] < 0:
         u, v = -u, -v
-    root = np.sqrt(s1)
+    root = math.sqrt(s1)
     a0 = float(c.beta @ v) / root
     b0 = float(c.alpha @ u) / root
     return Su2Factor(a0, root * u), Su2Factor(b0, root * v)
@@ -169,7 +167,16 @@ def _factors(c: CoefficientSet, leading) -> tuple[Su2Factor, Su2Factor]:
 
 def separable_spectrum(a0: float, a: float, b0: float, b: float) -> np.ndarray:
     """Product spectrum (a0 + (-1)^m a)(b0 + (-1)^n b), indexed [m-1, n-1]."""
-    return np.outer([a0 - a, a0 + a], [b0 - b, b0 + b])
+    a_lo, a_hi, b_lo, b_hi = a0 - a, a0 + a, b0 - b, b0 + b
+    return np.array([[a_lo * b_lo, a_lo * b_hi], [a_hi * b_lo, a_hi * b_hi]])
+
+
+def _bloch_projectors(n: list[float]) -> list:
+    """(I + (-1)^s n.sigma) / 2 for s = 1, 2 of a unit 3-vector n, as nested lists."""
+    n1, n2, n3 = n
+    lo, hi = complex(n1, -n2) / 2.0, complex(n1, n2) / 2.0
+    up, down = (1.0 + n3) / 2.0, (1.0 - n3) / 2.0
+    return [[[down, -lo], [-hi, up]], [[up, lo], [hi, down]]]
 
 
 def solve_separable(f1: Su2Factor, f2: Su2Factor) -> Eigensystem:
@@ -181,25 +188,22 @@ def solve_separable(f1: Su2Factor, f2: Su2Factor) -> Eigensystem:
     result is flagged.
     """
     degenerate = False
-    norms, axes = [], []
+    norms, proj = [], []
     for f in (f1, f2):
         a = f.norm
         if a <= 1e-14 * (1.0 + abs(f.a0)):
             degenerate = True
-            axes.append(np.array([0.0, 0.0, 1.0]))
+            proj.append(_bloch_projectors([0.0, 0.0, 1.0]))
             a = 0.0
         else:
-            axes.append(f.vec / a)
+            proj.append(_bloch_projectors([x / a for x in f.vec.tolist()]))
         norms.append(a)
 
     values = separable_spectrum(f1.a0, norms[0], f2.a0, norms[1])
-    # Bloch projectors (I + (-1)^s axis.sigma) / 2 of both factors, indexed
-    # [factor, s - 1], and their Kronecker products [m - 1, n - 1].
-    axes = np.array(axes)
-    axis_ops = sum(axes[:, i, None, None] * _SIGMA[i + 1] for i in range(3))
-    proj = 0.5 * (_SIGMA[0] + _SIGNS[:, None, None] * axis_ops[:, None])
-    pa, pb = proj[0], proj[1]
-    states = pa[:, None, :, None, :, None] * pb[None, :, None, :, None, :]
+    # Bloch projectors of both factors, indexed [factor, s - 1], and their
+    # Kronecker products [m - 1, n - 1].
+    pa, pb = np.array(proj)
+    states = (pa[:, None, :, None, :, None] * pb[None, :, None, :, None, :]).reshape(2, 2, 4, 4)
     return _build(values, states, SolveMethod.SEPARABLE_CLOSED_FORM, degenerate)
 
 
@@ -229,16 +233,23 @@ def _solve_entangled(c: CoefficientSet, d: DerivedCoefficients) -> Eigensystem:
     if sq <= DEGENERACY_RTOL * (1.0 + d.v_quad) or e1 <= gap_floor or e2 - e1 <= gap_floor:
         return _oracle_eigensystem(h, ascending_labels=((1, 2), (1, 1), (2, 1), (2, 2)))
 
-    eye = np.eye(4)
-    ht = h - c.upsilon * eye
-    o_op = ht @ ht - d.v_quad * eye
-    en = np.array([e1, e2])
-    values = c.upsilon + _SIGNS[:, None] * en
-    # [m - 1, n - 1] stacks of (I + (-1)^m Ht / E_n) / 4 and, over n,
-    # I + (-1)^n O / sqrt(Tp).
-    left = 0.25 * (eye + _SIGNS[:, None, None, None] * ht / en[:, None, None])
-    right = eye + _SIGNS[:, None, None] * o_op / sq
-    return _build(values, left @ right, SolveMethod.ENTANGLED_CLOSED_FORM)
+    ups = c.upsilon
+    ht = h - ups * _I4
+    o_op = ht @ ht - d.v_quad * _I4
+    values = np.array([[ups - e1, ups - e2], [ups + e1, ups + e2]])
+    # The ansatz expanded over I, Ht, O = Ht^2 - V I and Ht O: row (m, n)
+    # of ``coef`` holds 1/4 (1, (-1)^m / E_n, (-1)^n / sqrt(Tp),
+    # (-1)^(m+n) / (E_n sqrt(Tp))), rows in the order of _MN.
+    basis = np.array([_I4, ht, o_op, ht @ o_op]).reshape(4, 16)
+    h1, h2, g = 0.25 / e1, 0.25 / e2, 0.25 / sq
+    coef = np.array([
+        [0.25, -h1, -g, h1 / sq],
+        [0.25, -h2, g, -h2 / sq],
+        [0.25, h1, -g, -h1 / sq],
+        [0.25, h2, g, h2 / sq],
+    ])
+    states = (coef @ basis).reshape(2, 2, 4, 4)
+    return _build(values, states, SolveMethod.ENTANGLED_CLOSED_FORM)
 
 
 # --- quartic / oracle routes ----------------------------------------------------
@@ -262,11 +273,11 @@ def secular_coefficients(
     return (1.0, 0.0, -2.0 * d.v_quad, -8.0 * d.s_cubic, d.v_quad**2 - d.theta)
 
 
-def _cluster(values: list[float]) -> list[list[int]]:
-    scale = 1.0 + max(abs(v) for v in values)
+def _cluster(values: list[float], floor: float) -> list[list[int]]:
+    """Runs of consecutive values at most ``floor`` apart."""
     groups: list[list[int]] = [[0]]
     for i in range(1, len(values)):
-        if abs(values[i] - values[groups[-1][-1]]) <= DEGENERACY_RTOL * scale:
+        if abs(values[i] - values[groups[-1][-1]]) <= floor:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -281,26 +292,31 @@ def _oracle_eigensystem(h: np.ndarray, ascending_labels=None) -> Eigensystem:
     """
     dec = eig_hermitian(h)
     desc = dec.eigenvalues.tolist()
-    if ascending_labels is None:
-        labels_desc = list(_MN)
-    else:
-        labels_desc = list(reversed(ascending_labels))
 
     # Every v_k v_k^dag at once, k descending; a cluster of levels shares
-    # its eigenspace projector split evenly.
+    # its eigenspace projector split evenly.  Levels are clustered only when
+    # some gap is within the degeneracy tolerance.
     vt = dec.eigenvectors.T
     states = vt[:, :, None] * vt.conj()[:, None, :]
-    degenerate = False
-    for group in _cluster(desc):
-        if len(group) > 1:
-            degenerate = True
-            proj = sum(states[k] for k in group) / len(group)
-            val = float(np.mean(dec.eigenvalues[group]))
-            for k in group:
-                states[k] = proj
-                desc[k] = val
-    order = [labels_desc.index(mn) for mn in _MN]
-    return _build(np.array(desc)[order], states[order], SolveMethod.ORACLE_NUMERIC, degenerate)
+    w0, w1, w2, w3 = desc
+    floor = DEGENERACY_RTOL * (1.0 + max(abs(w0), abs(w3)))
+    degenerate = w0 - w1 <= floor or w1 - w2 <= floor or w2 - w3 <= floor
+    if degenerate:
+        for group in _cluster(desc, floor):
+            if len(group) > 1:
+                proj = sum(states[k] for k in group) / len(group)
+                val = float(np.mean(dec.eigenvalues[group]))
+                for k in group:
+                    states[k] = proj
+                    desc[k] = val
+    if ascending_labels is not None:
+        labels_desc = list(reversed(ascending_labels))
+        order = [labels_desc.index(mn) for mn in _MN]
+        desc, states = [desc[k] for k in order], states[order]
+    return _build(
+        np.array(desc).reshape(2, 2), states.reshape(2, 2, 4, 4),
+        SolveMethod.ORACLE_NUMERIC, degenerate,
+    )
 
 
 def solve(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:

@@ -179,27 +179,88 @@ class TestDerive:
             lhs = ht2 @ ht2 - 2 * d.v_quad * ht2 + (d.v_quad**2 - d.theta_phi) * np.eye(4)
             assert np.max(np.abs(lhs)) <= 1e-9 * (1 + d.v_quad**2)
 
-    def test_batch_items_equal_single_set_derive_bitwise(self, rng):
-        """derive is the unbatched call of derive_arrays; every item of a
-        batch (mixed shapes of constraint, zeros, scales) carries the same bits."""
+    @staticmethod
+    def _mixed_sets(rng, count):
+        """Constrained and general sets, zero-sprinkled, at scales 1e-6..1e6."""
         sets = []
-        for k in range(60):
+        for k in range(count):
             c = (random_entangled_canonical(rng, ("alpha", "beta", "both")[k % 3])
                  if k % 2 else random_coefficient_set(rng, 10.0 ** rng.uniform(-6, 6)))
             if k % 5 == 0:
                 c = CoefficientSet(c.upsilon, c.alpha * (rng.random(3) < 0.5), c.beta,
                                    c.omega * (rng.random((3, 3)) < 0.5))
+            if k % 7 == 0:
+                c = rotate_set(c, random_rotation(rng), random_rotation(rng))
             sets.append(c)
+        return sets
+
+    @staticmethod
+    def _assert_items_equal_derive(batch, sets, tol=1e-9):
+        """Every field of every item of ``batch`` carries the bits of derive."""
+        n = len(sets)
+        for i, c in enumerate(sets):
+            one = derive(c, tol)
+            for name, value in vars(one).items():
+                item = np.asarray(getattr(batch, name)).reshape((n,) + np.shape(value))[i]
+                assert item.tobytes() == np.asarray(value, dtype=item.dtype).tobytes(), (i, name)
+
+    def test_batch_items_equal_single_set_derive_bitwise(self, rng):
+        """derive is the unbatched call of derive_arrays; every item of a
+        batch (mixed shapes of constraint, zeros, scales) carries the same bits."""
+        sets = self._mixed_sets(rng, 60)
         batch = derive_arrays(
             np.array([c.alpha for c in sets]).reshape(3, 20, 3),
             np.array([c.beta for c in sets]).reshape(3, 20, 3),
             np.array([c.omega for c in sets]).reshape(3, 20, 3, 3),
         )
-        for i, c in enumerate(sets):
-            one = derive(c)
+        self._assert_items_equal_derive(batch, sets)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_items_equal_derive_in_any_shape_and_memory_order(self, tol):
+        """(N,) and (N, M) batches, C order, transposed and strided views:
+        the kernel is elementwise, so the layout cannot move a bit."""
+        rng = np.random.default_rng(20261018)
+        sets = self._mixed_sets(rng, 240)
+        al = np.array([c.alpha for c in sets])
+        be = np.array([c.beta for c in sets])
+        om = np.array([c.omega for c in sets])
+        layouts = {
+            "(N,)": (al, be, om),
+            "(N, M)": (al.reshape(40, 6, 3), be.reshape(40, 6, 3), om.reshape(40, 6, 3, 3)),
+            # Fortran-ordered copies: the component axis has the largest stride.
+            "transposed": tuple(np.asfortranarray(x) for x in (al, be, om)),
+            # Every other row of an interleaved buffer, and omega^T^T.
+            "strided": (
+                np.repeat(al, 2, axis=0)[::2],
+                np.repeat(be, 2, axis=0)[::2],
+                np.ascontiguousarray(om.swapaxes(-1, -2)).swapaxes(-1, -2),
+            ),
+        }
+        for name, (a, b, w) in layouts.items():
+            if name == "transposed":
+                assert not a.flags.c_contiguous and not w.flags.c_contiguous
+            if name == "strided":
+                assert not a.flags.c_contiguous and not w.flags.c_contiguous
+            self._assert_items_equal_derive(derive_arrays(a, b, w, tol), sets, tol)
+
+    def test_scalar_types_of_one_set(self, rng):
+        """derive gives Python floats and bools; derive_arrays on one set keeps
+        numpy scalars, so the array forms divide by zero under np.errstate
+        instead of raising ZeroDivisionError."""
+        for c in self._mixed_sets(rng, 12):
+            one, arr = derive(c), derive_arrays(c.alpha, c.beta, c.omega)
             for name, value in vars(one).items():
-                item = np.asarray(getattr(batch, name)).reshape((60,) + np.shape(value))[i]
-                assert item.tobytes() == np.asarray(value, dtype=item.dtype).tobytes(), name
+                other = getattr(arr, name)
+                if isinstance(value, np.ndarray):
+                    assert isinstance(other, np.ndarray) and other.shape == value.shape
+                elif isinstance(value, bool):
+                    assert isinstance(other, np.bool_), name
+                else:
+                    assert type(value) is float, name
+                    assert isinstance(other, np.floating), name
+        zero = derive_arrays(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.isnan(zero.phi / zero.theta_phi)
 
     def test_even_spectrum_rejects_a_batch_with_one_unconstrained_set(self, rng):
         canonical = [random_entangled_canonical(rng, "alpha") for _ in range(4)]
@@ -396,6 +457,18 @@ class TestClassify:
                 assert label.kind is CaseKind.ENTANGLED_CONSTRAINED
                 assert label.branch is expected
                 assert label.residuals["det_omega"] <= 1e-12
+
+    def test_rounded_rank_one_omega_counts_as_singular(self):
+        """omega = u v^T in floating point keeps cofactors of round-off size, so
+        a cofactor expansion of det omega is as large as |omega| |adj omega|
+        eps and fails the singularity gate; the reflected form must not."""
+        rng = np.random.default_rng(20261018)
+        for _ in range(500):
+            u, v, beta = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3)
+            c = CoefficientSet(rng.normal(), np.zeros(3), beta, np.outer(u, v))
+            label = classify(c)
+            assert label.kind is CaseKind.ENTANGLED_CONSTRAINED, label
+            assert label.residuals["det_omega"] <= 1e-12
 
     def test_diagonal_label(self, rng):
         # Full-rank diagonal omega with generic local vectors: no constraint,
