@@ -29,10 +29,11 @@ from .thermo import EnsembleBranch, thermal_sweep
 from .verify import run_suites, report_lines
 
 # Largest accepted --grid and --steps, refused before any work.  A grid
-# command costs about 4 us a k-point, most of it CSV formatting, and runs in
-# chunks of graphene.CHUNK_POINTS, so --grid 1001 takes seconds in flat
-# memory; a thermo sweep is evaluated as arrays over T, so --steps 10000
-# takes well under a second, most of it CSV formatting.
+# command costs about 1.5 us a k-point (two thirds of it CSV formatting for
+# the bands, under half for the hex-masked concurrence) and runs in chunks
+# of graphene.CHUNK_POINTS, so --grid 1001 takes seconds in flat memory; a
+# thermo sweep is evaluated as arrays over T at 3-9 us a step, 2-3 us of it
+# CSV formatting, so --steps 10000 takes well under a second.
 MAX_GRID = 1001
 MAX_STEPS = 10_000
 
@@ -267,10 +268,22 @@ _HANDLERS = {
 }
 
 
+_PARSER = None
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the
+    process: ``parse_args`` leaves a parser as it was.  ``build_parser``
+    still returns a new parser on every call."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

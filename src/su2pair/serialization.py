@@ -84,22 +84,47 @@ def write_eigensystem(path, es: Eigensystem):
     Path(path).write_text(json.dumps(eigensystem_to_dict(es), indent=2) + "\n")
 
 
+def _column_cells(col: np.ndarray) -> np.ndarray:
+    """The CSV cell of each entry of ``col``; see ``write_csv``."""
+    if col.dtype.kind in "iub":
+        distinct, inverse = np.unique(col, return_inverse=True)
+        template = "%d\n"
+    else:
+        bits = np.asarray(col, dtype=np.float64).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        distinct, template = distinct.view(np.float64), "%.17g\n"
+    text = template * distinct.size % tuple(distinct.tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)[inverse]
+
+
 def write_csv(path, header: list[str], chunks) -> int:
     """Stream column chunks to a CSV and return the number of rows written.
 
     Each chunk holds one 1-D array per header column.  Integer and boolean
-    columns print as integers, the rest with 17 significant digits; each
-    row is formatted by one ``%`` template, which gives the bytes of
-    ``format_float`` per cell.
+    columns print as integers, the rest with 17 significant digits, the
+    bytes of ``format_float`` per cell.
+
+    Each distinct value of a chunk's column is formatted once, by one ``%``
+    over a repeated template, and the rows are joined from an interleaved
+    grid of cells and separators.  Float columns are keyed on their bit
+    pattern (the ``int64`` view), never on their value: ``0.0 == -0.0``,
+    but they print as ``0`` and ``-0``.  Integer and boolean columns are
+    keyed on their values.  A 201^2 band grid has a third as many distinct
+    values as cells; formatting them, about 1 us a k-point, is still two
+    thirds of ``graphene-bands``.  A column of all-distinct values, such as
+    a ``thermo`` sweep's, costs up to a fifth more than per-row formatting.
     """
     rows = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for columns in chunks:
             columns = [np.asarray(col) for col in columns]
-            template = ",".join(
-                "%d" if col.dtype.kind in "iub" else "%.17g" for col in columns
-            ) + "\n"
-            fh.write("".join(map(template.__mod__, zip(*(col.tolist() for col in columns)))))
-            rows += len(columns[0])
+            n = len(columns[0])
+            grid = np.empty((n, 2 * len(columns)), dtype=object)
+            grid[:, 1::2] = ","
+            grid[:, -1] = "\n"
+            for j, col in enumerate(columns):
+                grid[:, 2 * j] = _column_cells(col)
+            fh.write("".join(grid.ravel().tolist()))
+            rows += n
     return rows

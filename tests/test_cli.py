@@ -378,3 +378,81 @@ def test_usage_error_without_subcommand():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process and reuses it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from su2pair import cli
+
+        count = []
+        build = cli.build_parser
+
+        def counted():
+            count.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        return count
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The parsed arguments of each graphene-concurrence and verify call."""
+        from su2pair import cli
+
+        calls = []
+
+        def record(args):
+            calls.append(args)
+            return 0
+
+        for command in ("graphene-concurrence", "verify"):
+            monkeypatch.setitem(cli._HANDLERS, command, record)
+        return calls
+
+    def test_built_once_over_many_calls(self, builds, capsys):
+        for _ in range(5):
+            assert main(["quartic", "--coeffs", "1", "0", "0", "0", "-1"]) == 0
+            assert main(["--help"]) == 0
+        assert len(builds) == 1
+
+    def test_identical_calls_give_identical_bytes(self, tmp_path, capsys):
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            path = tmp_path / name
+            argv = ["graphene-concurrence", "--bias", "1", "--grid", "9",
+                    "--output", str(path)]
+            assert main(argv) == 0
+            stdout = capsys.readouterr().out.replace(str(path), "OUT")
+            outs.append((stdout, path.read_bytes()))
+        assert outs[0] == outs[1]
+
+    def test_options_do_not_carry_over(self, seen):
+        base = ["graphene-concurrence", "--output", "x.csv"]
+        assert main([*base, "--branch-m", "1", "--grid", "5"]) == 0
+        assert main(base) == 0
+        assert (seen[0].branch_m, seen[0].grid) == (1, 5)
+        assert (seen[1].branch_m, seen[1].grid) == (2, 201)
+        assert main(["verify", "--suite", "a", "--suite", "b"]) == 0
+        assert main(["verify", "--suite", "c"]) == 0
+        assert main(["verify"]) == 0
+        assert [args.suite for args in seen[2:]] == [["a", "b"], ["c"], None]
+
+    def test_usage_error_then_valid_command(self, capsys):
+        assert main(["graphene-bands", "--grid", "many", "--output", "x.csv"]) == 2
+        assert main(["quartic", "--coeffs", "1", "0"]) == 2
+        assert main(["no-such-command"]) == 2
+        assert main(["quartic", "--coeffs", "1", "0", "0", "0", "-1"]) == 0
+        assert main(["--help"]) == 0
+
+    def test_build_parser_returns_a_parser_of_its_own(self):
+        from su2pair import cli
+
+        mine = cli.build_parser()
+        assert mine is not cli.build_parser()
+        mine.add_argument("--extra", required=True)
+        assert main(["quartic", "--coeffs", "1", "0", "0", "0", "-1"]) == 0
+        assert cli._shared_parser() is not mine
