@@ -32,7 +32,8 @@ class DerivedCoefficients:
     by the even-spectrum closed forms.  ``det_omega_b`` is the determinant of
     the 2x2 block of omega whenever the third row and column vanish,
     computed frame-independently as (Tr[omega]^2 - Tr[omega^2]) / 2.
-    ``det_omega`` comes from one Householder reflection of omega, and
+    ``det_omega`` comes from one Householder reflection of omega,
+    ``adj_norm`` is |adj omega|_F from the cofactors, and
     ``singular_residual`` is |det omega| / (|omega| |adj omega|), the one
     measure of how far omega is from singular; 0 when adj omega vanishes.
 
@@ -53,6 +54,7 @@ class DerivedCoefficients:
     s_cubic: float
     det_omega_b: float
     det_omega: float
+    adj_norm: float
     singular_residual: float
     alpha_null: bool
     beta_null: bool
@@ -123,7 +125,8 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
     adj_sq = (c11 * c11 + c12 * c12 + c13 * c13 + c21 * c21 + c22 * c22
               + c23 * c23 + c31 * c31 + c32 * c32 + c33 * c33)
     del c11, c12, c13, c21, c22, c23, c31, c32, c33
-    den = om_norm * sqrt(adj_sq)
+    adj_norm = sqrt(adj_sq)
+    den = om_norm * adj_norm
     singular_residual = abs(det_omega) / _where(den > 0.0, den, math.inf)
     del adj_sq, den
 
@@ -191,6 +194,7 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
         s_cubic=s_cubic,
         det_omega_b=p / 2.0,
         det_omega=det_omega,
+        adj_norm=adj_norm,
         singular_residual=singular_residual,
         alpha_null=alpha_null,
         beta_null=beta_null,

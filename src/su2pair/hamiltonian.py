@@ -106,8 +106,8 @@ def fano_compose(c: CoefficientSet) -> np.ndarray:
     scaled Pauli words one at a time would accumulate them.
     """
     src = np.concatenate(([c.upsilon], c.alpha, c.beta, c.omega.ravel()))
-    t = src[_COMPOSE_INDEX] * _COMPOSE_PHASE
-    return t[0] + t[1] + t[2] + t[3]
+    # A reduction over the leading axis adds its slices one by one, in order.
+    return (src[_COMPOSE_INDEX] * _COMPOSE_PHASE).sum(axis=0)
 
 
 def fano_decompose(h: np.ndarray) -> CoefficientSet:
@@ -255,8 +255,7 @@ class Classification:
     """The case of a coefficient set, the residuals that decided it, and the
     work :func:`classify` did on the way: ``derived`` is :func:`derive` of the
     set at the same ``tol`` and ``leading`` the leading singular triple
-    (s1, u, v) of omega, None when omega counts as zero.  The solvers take
-    both from here instead of computing them again.
+    (s1, u, v) of omega, None when omega counts as zero.
     """
 
     kind: CaseKind
@@ -321,6 +320,53 @@ def _ratio(num: float, den: float) -> float:
 # Flat indices of the off-diagonal entries of a 3x3 matrix.
 _OFFDIAGONAL = (1, 2, 3, 5, 6, 7)
 
+# The rank-one screen of `_decide`.  Over the singular values s1 >= s2 >= s3
+# of omega, |adj omega|_F^2 = s1^2 s2^2 + s1^2 s3^2 + s2^2 s3^2 <= 3 s1^2 s2^2
+# and s1 <= |omega|_F, so |adj omega|_F > sqrt(3) tol |omega|_F^2 gives
+# s2/s1 > tol: omega is not rank one and the set is not a product.  The
+# slack covers round-off: each computed cofactor is off by at most
+# 2 eps (|ab| + |cd|), so |adj omega|_F by about 2 eps |omega|_F^2, and
+# LAPACK's s2/s1 by a few eps (a backward-stable SVD); 32 eps covers both
+# with room (seeded rounded rank-one omega need 0.7 eps).  Errors relative to
+# tol need no slack: the bound is loose by sqrt(3/2) at least.  Below the
+# floor, |adj omega|_F^2 holds subnormal terms, whose absolute round-off can
+# double it; inf and NaN fail the test, so all of these take the SVD.
+_ADJ_SLACK = 32.0 * float(np.finfo(float).eps)
+_ADJ_FLOOR = math.sqrt(2.0**52 * _TINY)
+_SQRT3 = math.sqrt(3.0)
+
+
+def _decide(c: CoefficientSet, tol: float):
+    """The route of a set: ``(kind, branch, derived, leading, dyadic)``.
+
+    ``kind`` is separable-dyadic, entangled-constrained (with ``branch``
+    naming the gates that hold) or general, which stands for every set
+    without a closed form; :func:`classify` tells diagonal-omega apart.
+    ``derived`` is :func:`derive` of the set.  ``dyadic`` and ``leading``
+    are the residuals and singular triple of :func:`_dyadic_residuals`, or
+    None when the adjugate of omega already shows it is not rank one, which
+    spares the SVD.  Raises ValueError unless ``tol`` is positive and
+    finite.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    d = derive(c, tol)
+    dyadic = leading = None
+    screen = max((_SQRT3 * tol + _ADJ_SLACK) * d.omega_sq, _ADJ_FLOOR)
+    if not screen < d.adj_norm < math.inf:
+        dyadic, leading = _dyadic_residuals(c, d, tol)
+        if dyadic["rank1"] <= tol and dyadic["factor_consistency"] <= tol:
+            return CaseKind.SEPARABLE_DYADIC, None, d, leading, dyadic
+    if d.alpha_null or d.beta_null:
+        if d.alpha_null and d.beta_null:
+            branch = Branch.BOTH
+        elif d.alpha_null:
+            branch = Branch.ALPHA_NULL
+        else:
+            branch = Branch.BETA_NULL
+        return CaseKind.ENTANGLED_CONSTRAINED, branch, d, leading, dyadic
+    return CaseKind.GENERAL, None, d, leading, dyadic
+
 
 def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
     """Assign the coefficient set to one of the solvable cases.
@@ -329,21 +375,22 @@ def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
     diagonal-omega, then the general catch-all.  A set is
     entangled-constrained exactly when a constraint gate of :func:`derive`
     holds, in whatever local frame it is given; the branch names the gates
-    that hold.  The entangled case is tested before the diagonal one because
-    a constrained set with diagonal omega admits the full eigenstate closed
-    form, which the quartic route does not provide.
+    that hold.  The entangled case comes before the diagonal one because a
+    constrained set admits the closed-form eigensystem whatever its omega.
+    The label is the route :func:`_decide` picks, with general sets whose
+    omega is diagonal within ``tol`` told apart; the residuals report every
+    test, the product-form ones included.
 
     All residuals are relative, so labels are invariant under a global
-    rescaling of the set.
+    rescaling of the set.  Raises ValueError unless ``tol`` is positive and
+    finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    d = derive(c, tol)
+    kind, branch, d, leading, residuals = _decide(c, tol)
+    if residuals is None:
+        residuals, leading = _dyadic_residuals(c, d, tol)
     om_norm = math.sqrt(d.omega_sq)
     al_norm, be_norm = math.sqrt(d.alpha_sq), math.sqrt(d.beta_sq)
     om_abs = [abs(x) for x in c.omega.ravel().tolist()]
-
-    residuals, leading = _dyadic_residuals(c, d, tol)
     residuals.update(
         {
             "alpha_constraint": _ratio(d.alpha_residual, om_norm * al_norm),
@@ -353,26 +400,9 @@ def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
             "offdiagonal": _ratio(max(om_abs[k] for k in _OFFDIAGONAL), max(om_abs)),
         }
     )
-
-    def label(kind, branch=None):
-        return Classification(kind, branch, residuals, derived=d, leading=leading)
-
-    if residuals["rank1"] <= tol and residuals["factor_consistency"] <= tol:
-        return label(CaseKind.SEPARABLE_DYADIC)
-
-    if d.alpha_null or d.beta_null:
-        if d.alpha_null and d.beta_null:
-            branch = Branch.BOTH
-        elif d.alpha_null:
-            branch = Branch.ALPHA_NULL
-        else:
-            branch = Branch.BETA_NULL
-        return label(CaseKind.ENTANGLED_CONSTRAINED, branch)
-
-    if residuals["offdiagonal"] <= tol:
-        return label(CaseKind.DIAGONAL_OMEGA)
-
-    return label(CaseKind.GENERAL)
+    if kind is CaseKind.GENERAL and residuals["offdiagonal"] <= tol:
+        kind = CaseKind.DIAGONAL_OMEGA
+    return Classification(kind, branch, residuals, derived=d, leading=leading)
 
 
 # --- local-rotation machinery -------------------------------------------------

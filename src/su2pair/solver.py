@@ -22,14 +22,13 @@ from .hamiltonian import (
     CaseKind,
     CoefficientSet,
     DerivedCoefficients,
+    _decide,
     _dyadic_residuals,
-    classify,
     derive,
     even_spectrum,
     fano_compose,
 )
-from .oracle import eig_hermitian
-from .pauli import pauli
+from .pauli import pauli, require_hermitian
 
 
 class SolveMethod(enum.Enum):
@@ -149,20 +148,25 @@ def factor_dyadic(
 def _factors(c: CoefficientSet, leading) -> tuple[Su2Factor, Su2Factor]:
     """The factors of a product set from the leading singular triple of omega
     (None for omega = 0), in the gauge of :func:`factor_dyadic`."""
+    a0, a_vec, b0, b_vec = _factor_parts(c, leading)
+    return Su2Factor(a0, a_vec), Su2Factor(b0, b_vec)
+
+
+def _factor_parts(c: CoefficientSet, leading):
+    """(a0, a, b0, b) of the factors a0 + a.sigma and b0 + b.sigma of
+    :func:`_factors`, the vectors as float arrays of shape (3,)."""
     if leading is None:
         # omega = 0: the factor of the shorter local vector is scalar.
         if np.linalg.norm(c.alpha) <= np.linalg.norm(c.beta):
-            return Su2Factor(1.0, np.zeros(3)), Su2Factor(c.upsilon, c.beta)
-        return Su2Factor(c.upsilon, c.alpha), Su2Factor(1.0, np.zeros(3))
+            return 1.0, np.zeros(3), c.upsilon, c.beta
+        return c.upsilon, c.alpha, 1.0, np.zeros(3)
 
     s1, u, v = leading
     u_abs = np.abs(u).tolist()
     if u[u_abs.index(max(u_abs))] < 0:
         u, v = -u, -v
     root = math.sqrt(s1)
-    a0 = float(c.beta @ v) / root
-    b0 = float(c.alpha @ u) / root
-    return Su2Factor(a0, root * u), Su2Factor(b0, root * v)
+    return float(c.beta @ v) / root, root * u, float(c.alpha @ u) / root, root * v
 
 
 def separable_spectrum(a0: float, a: float, b0: float, b: float) -> np.ndarray:
@@ -187,19 +191,24 @@ def solve_separable(f1: Su2Factor, f2: Su2Factor) -> Eigensystem:
     degenerate factor: its projectors are built from the +3 axis and the
     result is flagged.
     """
+    return _solve_product(f1.a0, f1.vec, f2.a0, f2.vec)
+
+
+def _solve_product(a0: float, a_vec: np.ndarray, b0: float, b_vec: np.ndarray) -> Eigensystem:
+    """:func:`solve_separable` of the factors a0 + a.sigma and b0 + b.sigma."""
     degenerate = False
     norms, proj = [], []
-    for f in (f1, f2):
-        a = f.norm
-        if a <= 1e-14 * (1.0 + abs(f.a0)):
+    for f0, vec in ((a0, a_vec), (b0, b_vec)):
+        a = math.sqrt(vec @ vec)
+        if a <= 1e-14 * (1.0 + abs(f0)):
             degenerate = True
             proj.append(_bloch_projectors([0.0, 0.0, 1.0]))
             a = 0.0
         else:
-            proj.append(_bloch_projectors([x / a for x in f.vec.tolist()]))
+            proj.append(_bloch_projectors([x / a for x in vec.tolist()]))
         norms.append(a)
 
-    values = separable_spectrum(f1.a0, norms[0], f2.a0, norms[1])
+    values = separable_spectrum(a0, norms[0], b0, norms[1])
     # Bloch projectors of both factors, indexed [factor, s - 1], and their
     # Kronecker products [m - 1, n - 1].
     pa, pb = np.array(proj)
@@ -234,21 +243,23 @@ def _solve_entangled(c: CoefficientSet, d: DerivedCoefficients) -> Eigensystem:
         return _oracle_eigensystem(h, ascending_labels=((1, 2), (1, 1), (2, 1), (2, 2)))
 
     ups = c.upsilon
-    ht = h - ups * _I4
-    o_op = ht @ ht - d.v_quad * _I4
+    # The ansatz expanded over the basis I, Ht, O = Ht^2 - V I and Ht O,
+    # built in place: row (m, n) of ``coef`` holds 1/4 (1, (-1)^m / E_n,
+    # (-1)^n / sqrt(Tp), (-1)^(m+n) / (E_n sqrt(Tp))), rows in the order of
+    # _MN.  ``coef`` is complex because the product with the basis is.
+    basis = np.empty((4, 4, 4), dtype=complex)
+    basis[0] = _I4
+    ht = np.subtract(h, ups * _I4, out=basis[1])
+    o_op = np.subtract(ht @ ht, d.v_quad * _I4, out=basis[2])
+    np.matmul(ht, o_op, out=basis[3])
     values = np.array([[ups - e1, ups - e2], [ups + e1, ups + e2]])
-    # The ansatz expanded over I, Ht, O = Ht^2 - V I and Ht O: row (m, n)
-    # of ``coef`` holds 1/4 (1, (-1)^m / E_n, (-1)^n / sqrt(Tp),
-    # (-1)^(m+n) / (E_n sqrt(Tp))), rows in the order of _MN.
-    basis = np.array([_I4, ht, o_op, ht @ o_op]).reshape(4, 16)
     h1, h2, g = 0.25 / e1, 0.25 / e2, 0.25 / sq
-    coef = np.array([
-        [0.25, -h1, -g, h1 / sq],
-        [0.25, -h2, g, -h2 / sq],
-        [0.25, h1, -g, -h1 / sq],
-        [0.25, h2, g, h2 / sq],
-    ])
-    states = (coef @ basis).reshape(2, 2, 4, 4)
+    coef = np.array(
+        [0.25, -h1, -g, h1 / sq, 0.25, -h2, g, -h2 / sq,
+         0.25, h1, -g, -h1 / sq, 0.25, h2, g, h2 / sq],
+        dtype=complex,
+    ).reshape(4, 4)
+    states = (coef @ basis.reshape(4, 16)).reshape(2, 2, 4, 4)
     return _build(values, states, SolveMethod.ENTANGLED_CLOSED_FORM)
 
 
@@ -290,13 +301,16 @@ def _oracle_eigensystem(h: np.ndarray, ascending_labels=None) -> Eigensystem:
     ``ascending_labels`` maps the ascending spectrum to (m, n) labels; the
     default is descending energy with m as the slower index.
     """
-    dec = eig_hermitian(h)
-    desc = dec.eigenvalues.tolist()
+    # The oracle's Hermitian eigendecomposition, read descending through
+    # views instead of the copies a SpectralDecomposition keeps.
+    w, v = np.linalg.eigh(require_hermitian(h, "eig_hermitian input"))
+    w = w[::-1]
+    desc = w.tolist()
 
     # Every v_k v_k^dag at once, k descending; a cluster of levels shares
     # its eigenspace projector split evenly.  Levels are clustered only when
     # some gap is within the degeneracy tolerance.
-    vt = dec.eigenvectors.T
+    vt = v.T[::-1]
     states = vt[:, :, None] * vt.conj()[:, None, :]
     w0, w1, w2, w3 = desc
     floor = DEGENERACY_RTOL * (1.0 + max(abs(w0), abs(w3)))
@@ -305,7 +319,7 @@ def _oracle_eigensystem(h: np.ndarray, ascending_labels=None) -> Eigensystem:
         for group in _cluster(desc, floor):
             if len(group) > 1:
                 proj = sum(states[k] for k in group) / len(group)
-                val = float(np.mean(dec.eigenvalues[group]))
+                val = float(np.mean(w[group]))
                 for k in group:
                     states[k] = proj
                     desc[k] = val
@@ -325,13 +339,15 @@ def solve(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
     Product-form sets take the separable closed form and constrained sets
     the entangled closed form, in whatever local frame they are given: the
     ansatz is covariant under local rotations.  Everything else,
-    diagonal-omega sets included, is solved numerically.  The routes take
-    omega's singular triple and the derived coefficients from the label, so
-    a set is derived and decomposed once.
+    diagonal-omega sets included, is solved numerically.  The route comes
+    from :func:`_decide` with the derived coefficients, and omega's singular
+    triple where the product test needed it, so a set is derived once and
+    decomposed at most once.  Raises ValueError unless ``tol`` is positive
+    and finite.
     """
-    label = classify(c, tol)
-    if label.kind is CaseKind.SEPARABLE_DYADIC:
-        return solve_separable(*_factors(c, label.leading))
-    if label.kind is CaseKind.ENTANGLED_CONSTRAINED:
-        return _solve_entangled(c, label.derived)
+    kind, _, d, leading, _ = _decide(c, tol)
+    if kind is CaseKind.SEPARABLE_DYADIC:
+        return _solve_product(*_factor_parts(c, leading))
+    if kind is CaseKind.ENTANGLED_CONSTRAINED:
+        return _solve_entangled(c, d)
     return _oracle_eigensystem(fano_compose(c))

@@ -26,7 +26,7 @@ from .hamiltonian import (
     CaseKind,
     CoefficientSet,
     DerivedCoefficients,
-    classify,
+    _decide,
     derive,
     even_spectrum,
     fano_compose,
@@ -384,23 +384,21 @@ def thermal_sweep(
     t = _check_temperature(temps)
     if t.ndim != 1:
         raise ValueError("temperatures must form a 1-D array")
-    label = classify(c, tol)
-    if label.kind is CaseKind.SEPARABLE_DYADIC and branch is EnsembleBranch.FULL:
-        logz = _log_partition_fn(_factors(c, label.leading), branch, tol)
+    kind, _, d, leading, _ = _decide(c, tol)
+    if kind is CaseKind.SEPARABLE_DYADIC and branch is EnsembleBranch.FULL:
+        logz = _log_partition_fn(_factors(c, leading), branch, tol)
         # Gibbs states of product Hamiltonians are explicitly separable.
         conc, flag = np.zeros(t.shape), 0
+    elif d.alpha_null or d.beta_null:
+        logz = _log_partition_even_fn(c.upsilon, d, branch)
+        conc, _, reliable = _closed_form_concurrence(c, d, t, tol)
+        flag = 0 if reliable else 1
+    elif branch is not EnsembleBranch.FULL:
+        raise ValueError("the positive-only branch applies to the even constrained spectrum")
     else:
-        d = label.derived
-        if d.alpha_null or d.beta_null:
-            logz = _log_partition_even_fn(c.upsilon, d, branch)
-            conc, _, reliable = _closed_form_concurrence(c, d, t, tol)
-            flag = 0 if reliable else 1
-        elif branch is not EnsembleBranch.FULL:
-            raise ValueError("the positive-only branch applies to the even constrained spectrum")
-        else:
-            dec = eig_hermitian(fano_compose(c))
-            logz = lambda tt: _log_partition_levels(dec.eigenvalues, tt)
-            conc, flag = _gibbs_concurrence(dec, t), 2
+        dec = eig_hermitian(fano_compose(c))
+        logz = lambda tt: _log_partition_levels(dec.eigenvalues, tt)
+        conc, flag = _gibbs_concurrence(dec, t), 2
     logz_t, pur = _log_partition_and_purity(logz, t)
     return {
         "t": t,

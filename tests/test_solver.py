@@ -459,7 +459,12 @@ class TestSolveOnePass:
             _assert_same_eigensystem(solve(c, tol), want)
 
     def test_one_derive_and_one_svd_per_solve(self, monkeypatch):
-        """derive and derive_arrays both run the one derive kernel; it is counted."""
+        """derive and derive_arrays both run the one derive kernel; it is
+        counted.  Only a set whose omega may be rank one, a candidate for the
+        product form, has its omega decomposed."""
+        sets = _route_sets()
+        candidates = [np.linalg.matrix_rank(c.omega) <= 1 for c in sets]
+        assert 0 < sum(candidates) < len(sets)
         calls = {"derive": 0, "svd": 0}
 
         def counted(name, fn):
@@ -473,7 +478,7 @@ class TestSolveOnePass:
             hamiltonian, "_derive_kernel", counted("derive", hamiltonian._derive_kernel)
         )
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-        for c in _route_sets():
+        for c, candidate in zip(sets, candidates):
             calls.update(derive=0, svd=0)
             solve(c)
-            assert calls == {"derive": 1, "svd": 1}, classify(c)
+            assert calls == {"derive": 1, "svd": int(candidate)}, c
