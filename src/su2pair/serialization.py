@@ -84,17 +84,251 @@ def write_eigensystem(path, es: Eigensystem):
     Path(path).write_text(json.dumps(eigensystem_to_dict(es), indent=2) + "\n")
 
 
-def _column_cells(col: np.ndarray) -> np.ndarray:
-    """The CSV cell of each entry of ``col``; see ``write_csv``."""
-    if col.dtype.kind in "iub":
-        distinct, inverse = np.unique(col, return_inverse=True)
-        template = "%d\n"
-    else:
-        bits = np.asarray(col, dtype=np.float64).view(np.int64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        distinct, template = distinct.view(np.float64), "%.17g\n"
-    text = template * distinct.size % tuple(distinct.tolist())
-    return np.array(text.split("\n")[:-1], dtype=object)[inverse]
+# --- the '%.17g' kernel ------------------------------------------------------------
+#
+# A double's '%.17g' text is its 17-digit decimal rounding D * 10^(k - 16),
+# laid out by printf's %g rules.  The kernel finds D for a whole array from
+# the double-double product |x| * 10^(16 - k) and accepts it only where the
+# product's error bound decides the rounding; every other value goes through
+# format_float.  Each text is built as three little-endian uint64 words,
+# whose bytes are a row of the grid the kernel returns.
+
+_CELL = 24  # bytes of the longest text, '-d.dddddddddddddddde-XXX'
+_WORD = np.dtype("<u8")
+# The array path takes 1e-250 <= |x| <= 1e250: there every split and
+# partial product below is a normal double.
+_KMAX = 250
+_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+# A rounding this close to a tie goes to format_float; the product's error
+# is below 2^-102 * 10^17 < 2e-14.
+_TIE_WINDOW = 1e-12
+_ONE, _BYTE, _TOP = np.uint64(1), np.uint64(8), np.uint64(63)
+
+
+def _ascii_words(texts) -> np.ndarray:
+    """NUL-padded ASCII ``texts`` as a (len(texts), 3) array of words."""
+    return np.array(texts, f"S{_CELL}").view(_WORD).reshape(len(texts), _CELL // 8)
+
+
+def _group_tables():
+    """The 4-digit groups 0000-9999 as words, and their trailing zero counts."""
+    chars = np.arange(ord("0"), ord("9") + 1, dtype=_WORD)
+    pairs = (chars[:, None] | chars << _BYTE).ravel()
+    zero = np.arange(10) == 0
+    pair_zeros = (zero + np.outer(zero, zero).astype(np.int8)).ravel()
+    groups = (pairs[:, None] | pairs << np.uint64(16)).ravel()
+    zeros = (pair_zeros + np.outer(pair_zeros, np.arange(100) == 0)).ravel()
+    return groups, zeros
+
+
+def _exponent_table() -> np.ndarray:
+    """'e', the sign and the two or three digits of k for |k| <= 250, NUL
+    padded to 5 bytes."""
+    k = np.arange(-_KMAX, _KMAX + 1)
+    digits = _GROUPS[np.abs(k)].view(np.uint8).reshape(k.size, 8)
+    table = np.empty((k.size, 5), np.uint8)
+    table[:, 0] = ord("e")
+    table[:, 1] = np.where(k < 0, ord("-"), ord("+"))
+    table[:, 2:] = np.where(np.abs(k)[:, None] < 100, digits[:, 2:5], digits[:, 1:4])
+    return table
+
+
+_GROUPS, _TRAILING = _group_tables()
+_EXPONENT = _exponent_table()
+# [word, n]: the low n bytes set, and a '.' at byte n (none at n = 24).
+_MASK = _ascii_words([b"\xff" * n for n in range(_CELL + 1)]).T.copy()
+_DOT = _ascii_words([b"\0" * n + b"." for n in range(_CELL)] + [b""]).T.copy()
+# Sign and leading '0.000' of fixed notation below 1, at 5 * sign + zeros.
+_PREFIXES = [sign + lead for sign in ("", "-") for lead in ("", "0.", "0.0", "0.00", "0.000")]
+_PREFIX = _ascii_words(_PREFIXES)[:, 0].copy()
+_PREFIX_LEN = np.array([len(t) for t in _PREFIXES])
+_SPECIAL = _ascii_words(["0", "-0", "inf", "-inf", "nan"]).view(np.uint8)
+# 10^0 ... 10^15 as exact doubles; blocks 10^(16 j) for -15 <= j <= 16.
+_POW10 = np.array([float(10**r) for r in range(16)])
+_BLOCK_LOW, _BLOCK_COUNT = (16 - _KMAX) >> 4, 32
+
+
+def _pow10_pair(q: int) -> tuple[float, float]:
+    """10^q as hi + lo: hi rounded to a double, lo the rounded remainder."""
+    if q >= 0:
+        n = 10**q
+        hi = float(n)
+        return hi, float(n - int(hi))
+    d = 10**-q
+    hi = 1 / d
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * d) / (den * d)
+
+
+def _two_product(a, b):
+    """(p, e) with p = a * b rounded and p + e = a * b exactly (Dekker), by
+    Veltkamp's split of each factor into halves of 26 and 27 bits."""
+    p = a * b
+    c, d = _SPLITTER * a, _SPLITTER * b
+    a_h, b_h = c - (c - a), d - (d - b)
+    a_l, b_l = a - a_h, b - b_h
+    return p, ((a_h * b_h - p) + a_h * b_l + a_l * b_h) + a_l * b_l
+
+
+def _shift_left(words: np.ndarray, bits) -> np.ndarray:
+    """Strings of 3 little-endian words, a (3, n) array, moved up by
+    ``bits`` < 64 bits."""
+    out = words << bits
+    out[1:] |= (words[:-1] >> _ONE) >> (_TOP - bits)  # w >> (64 - bits), also at 0
+    return out
+
+
+def _times_pow10(a: np.ndarray, q: np.ndarray):
+    """y = a * 10^q as (hi, lo) with |y - hi - lo| < 2^-102 y, for doubles
+    ``a`` in [1e-250, 1e250] and -234 <= q <= 266.
+
+    10^q = 10^r 10^(16 j) with 0 <= r < 16: 10^r is a double, and 10^(16 j)
+    a (hi, lo) pair from Python integers, made only for the j present.
+    y = (u + e) (hi_j + lo_j) with u + e = a 10^r and u hi_j = hi + err
+    exactly (numpy has no FMA).  The dropped e lo_j, the pair's own rounding
+    and the four roundings in lo add up to less than 9 * 2^-106 y.
+    """
+    r, j = q & 15, (q >> 4) - _BLOCK_LOW
+    pair_hi, pair_lo = np.zeros(_BLOCK_COUNT), np.zeros(_BLOCK_COUNT)
+    for i in np.flatnonzero(np.bincount(j, minlength=_BLOCK_COUNT)).tolist():
+        pair_hi[i], pair_lo[i] = _pow10_pair(16 * (i + _BLOCK_LOW))
+    u, e = _two_product(a, _POW10[r])
+    hi, err = _two_product(u, pair_hi[j])
+    return hi, err + (u * pair_lo[j] + e * pair_hi[j])
+
+
+def _scaled_decimal(a: np.ndarray):
+    """(k, D, certain) for doubles ``a`` in [1e-250, 1e250]: the decade
+    k = floor(log10 a), and the 17-digit rounding D of y = a * 10^(16 - k)
+    as int64 wherever ``certain`` (else 10^16)."""
+    k = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _times_pow10(a, 16 - k)
+    # Where y >= 10^16 - 16, hi >= 2^53 is an integer, so floor(y) is
+    # exactly hi + floor(lo) and y's fraction is lo's.
+    whole = np.floor(lo)
+    frac = lo - whole
+    floor_y = hi.astype(np.int64) + whole.astype(np.int64)
+    d = floor_y + (frac > 0.5)
+    # 10^16 <= y < 10^17 - 1/2 on the unrounded pair: at exact powers of
+    # ten, log10 may overstate the decade by one.
+    certain = (np.abs(frac - 0.5) > _TIE_WINDOW) & (floor_y >= 10**16) & (d < 10**17)
+    return k, np.where(certain, d, 10**16), certain
+
+
+def _digit_words(d: np.ndarray):
+    """(words, significant) of 17-digit integers: the digits as a 3-word
+    string, and their count up to the last nonzero one."""
+    upper = d // 10**8
+    lower = d - upper * 10**8
+    lead = upper // 10**8
+    upper -= lead * 10**8
+    g1, g3 = upper // 10**4, lower // 10**4
+    g2, g4 = upper - g1 * 10**4, lower - g3 * 10**4
+    t = _TRAILING
+    significant = 17 - (t[g4] + (g4 == 0) * (t[g3] + (g3 == 0) * (t[g2] + (g2 == 0) * t[g1])))
+    w1, w2, w3, w4 = _GROUPS[g1], _GROUPS[g2], _GROUPS[g3], _GROUPS[g4]
+    words = np.empty((3, d.size), _WORD)
+    words[0] = (lead + ord("0")).astype(_WORD) | (w1 << _BYTE) | (w2 << np.uint64(40))
+    words[1] = (w2 >> np.uint64(24)) | (w3 << _BYTE) | (w4 << np.uint64(40))
+    words[2] = w4 >> np.uint64(24)
+    return words, significant
+
+
+def _layout(digits, significant, k, neg) -> np.ndarray:
+    """The (n, 24) text grid of %g's layout of the digit strings, the
+    (3, n) words of :func:`_digit_words`, which it overwrites.
+
+    Fixed notation for -4 <= k <= 16, with a '0.000' prefix below 1;
+    else d.ddd and an exponent of at least two digits.  Trailing zeros are
+    dropped, and the point with them.
+    """
+    fixed = (k >= -4) & (k <= 16)
+    below_one = fixed & (k < 0)
+    above_one = fixed & (k >= 0)
+    length = np.where(above_one, np.maximum(significant, k + 1), significant)
+    point = np.where(above_one, k + 1, np.where(fixed, _CELL, 1))
+    point = np.where(point < length, point, _CELL)
+    # The digits up to the point, the point, and the rest one byte up.
+    digits &= _MASK.take(length, axis=1)
+    low = digits & _MASK.take(point, axis=1)
+    digits ^= low
+    words = low | _shift_left(digits, _BYTE) | _DOT.take(point, axis=1)
+    prefix = 5 * neg + np.where(below_one, -k, 0)
+    size = _PREFIX_LEN[prefix]
+    words = _shift_left(words, (8 * size).astype(_WORD))
+    words[0] |= _PREFIX[prefix]
+    grid = np.ascontiguousarray(words.T).view(np.uint8)
+    sci = np.flatnonzero(~fixed)
+    if sci.size:
+        # 'e', the sign and the exponent's digits right after the mantissa.
+        at = size[sci] + length[sci] + (point[sci] < _CELL)
+        grid[sci[:, None], at[:, None] + np.arange(5)] = _EXPONENT[k[sci] + _KMAX]
+    return grid
+
+
+def _format_17g(x: np.ndarray) -> np.ndarray:
+    """``format_float`` of each entry of the float64 array ``x``, as the rows
+    of a NUL-padded (x.size, 24) uint8 grid.
+
+    Values with 1e-250 <= |x| <= 1e250 are converted as arrays wherever the
+    rounding is certain; zeros, infinities and NaN are table rows; every
+    other value (ties and near-ties of the 17th digit, decades that log10
+    misjudged, huge, tiny and subnormal magnitudes) goes through
+    ``format_float`` one at a time.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    a = np.abs(x)
+    exact = (a >= 10.0**-_KMAX) & (a <= 10.0**_KMAX)
+    k, d, certain = _scaled_decimal(np.where(exact, a, 1.0))
+    exact &= certain
+    grid = _layout(*_digit_words(d), k, np.signbit(x))
+    odd = np.flatnonzero(~exact)
+    if odd.size:
+        v = x[odd]
+        special = (v == 0) | ~np.isfinite(v)
+        code = np.where(np.isnan(v), 4, 2 * np.isinf(v) + np.signbit(v))
+        grid[odd[special]] = _SPECIAL[code[special]]
+        rest = odd[~special]
+        grid[rest] = _ascii_words([format_float(v) for v in x[rest].tolist()]).view(np.uint8)
+    return grid
+
+
+def _int_cells(distinct: np.ndarray) -> np.ndarray:
+    """'%d' of each distinct integer or boolean as rows of a NUL-padded grid,
+    as wide as the longest."""
+    text = ("%d\n" * distinct.size % tuple(distinct.tolist())).split("\n")[:-1]
+    width = max(map(len, text), default=1)
+    return np.array(text, f"S{width}").view(np.uint8).reshape(len(text), width)
+
+
+def _chunk_text(columns) -> str:
+    """The CSV lines of one chunk; see ``write_csv``."""
+    columns = [np.asarray(col) for col in columns]
+    tables, inverses, floats = [], [], []
+    for col in columns:
+        if col.dtype.kind in "iub":
+            distinct, inverse = np.unique(col, return_inverse=True)
+            tables.append(_int_cells(distinct))
+        else:
+            bits = np.asarray(col, dtype=np.float64).view(np.int64)
+            distinct, inverse = np.unique(bits, return_inverse=True)
+            floats.append(distinct.view(np.float64))
+            tables.append(None)
+        inverses.append(inverse)
+    if floats:
+        grid = _format_17g(np.concatenate(floats))
+        parts = iter(np.split(grid, np.cumsum([f.size for f in floats])[:-1]))
+        tables = [next(parts) if t is None else t for t in tables]
+    # One row of cells, each followed by its separator, per CSV line.
+    widths = [t.shape[1] + 1 for t in tables]
+    lines = np.empty((len(columns[0]), sum(widths)), np.uint8)
+    ends = np.cumsum(widths).tolist()
+    for table, inverse, end in zip(tables, inverses, ends):
+        lines[:, end - table.shape[1] - 1:end - 1] = np.take(table, inverse, axis=0)
+        lines[:, end - 1] = ord(",")
+    lines[:, -1] = ord("\n")
+    lines = lines.ravel()
+    return lines[lines != 0].tobytes().decode("ascii")
 
 
 def write_csv(path, header: list[str], chunks) -> int:
@@ -104,27 +338,26 @@ def write_csv(path, header: list[str], chunks) -> int:
     columns print as integers, the rest with 17 significant digits, the
     bytes of ``format_float`` per cell.
 
-    Each distinct value of a chunk's column is formatted once, by one ``%``
-    over a repeated template, and the rows are joined from an interleaved
-    grid of cells and separators.  Float columns are keyed on their bit
+    Each column of a chunk keeps a table of its distinct values, and each
+    distinct value is formatted once.  Float columns are keyed on their bit
     pattern (the ``int64`` view), never on their value: ``0.0 == -0.0``,
     but they print as ``0`` and ``-0``.  Integer and boolean columns are
-    keyed on their values.  A 201^2 band grid has a third as many distinct
-    values as cells; formatting them, about 1 us a k-point, is still two
-    thirds of ``graphene-bands``.  A column of all-distinct values, such as
-    a ``thermo`` sweep's, costs up to a fifth more than per-row formatting.
+    keyed on their values and formatted by ``%d``.  The distinct floats of
+    all columns go through one call of an array kernel, ``_format_17g``: it
+    rounds |x| * 10^(16 - k) to 17 digits from a double-double product and
+    lays out the text as %g does, for less than half the cost of a
+    ``format`` call a value.  Where the product cannot decide the rounding
+    (within 1e-12 of a tie, at a misjudged decade, and for |x| outside
+    [1e-250, 1e250]), the value goes through ``format_float`` itself.  The
+    cells are gathered from the tables into one byte grid of cells, commas
+    and newlines per chunk, whose padding is dropped before it is written
+    as text.
     """
     rows = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for columns in chunks:
-            columns = [np.asarray(col) for col in columns]
-            n = len(columns[0])
-            grid = np.empty((n, 2 * len(columns)), dtype=object)
-            grid[:, 1::2] = ","
-            grid[:, -1] = "\n"
-            for j, col in enumerate(columns):
-                grid[:, 2 * j] = _column_cells(col)
-            fh.write("".join(grid.ravel().tolist()))
-            rows += n
+            text = _chunk_text(columns)
+            fh.write(text)
+            rows += len(columns[0])
     return rows

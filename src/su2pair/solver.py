@@ -130,13 +130,16 @@ def factor_dyadic(
     """Factor a product-form set into its single-qubit Hamiltonians.
 
     Raises FactorizationError exactly when :func:`su2pair.classify` at the
-    same ``tol`` does not label the set separable-dyadic.  The
-    reciprocal-scaling gauge is fixed by |a| = |b| = sqrt(s1) and the sign
-    by making the largest-magnitude component of the left factor vector
-    positive.
+    same ``tol`` does not label the set separable-dyadic, whose route
+    decision it shares, and ValueError unless ``tol`` is positive and
+    finite.  The reciprocal-scaling gauge is fixed by |a| = |b| = sqrt(s1)
+    and the sign by making the largest-magnitude component of the left
+    factor vector positive.
     """
-    residuals, leading = _dyadic_residuals(c, derive(c, tol), tol)
-    if residuals["rank1"] > tol or residuals["factor_consistency"] > tol:
+    kind, _, d, leading, residuals = _decide(c, tol)
+    if kind is not CaseKind.SEPARABLE_DYADIC:
+        if residuals is None:
+            residuals, _ = _dyadic_residuals(c, d, tol)
         raise FactorizationError(
             "not a product set: rank-one residual "
             f"{residuals['rank1']:.3e}, factor consistency "

@@ -32,17 +32,12 @@ from .hamiltonian import (
     fano_compose,
     frame_reduce,
 )
-from .oracle import (
-    SpectralDecomposition,
-    concurrence_from_root,
-    eig_hermitian,
-    wootters_concurrence,
-)
-from .pauli import max_abs
+from .oracle import SpectralDecomposition, eig_hermitian, wootters_concurrence
+from .pauli import max_abs, pauli_word
 from .solver import Eigensystem, Su2Factor, _factors
 
-# Temperatures per stacked Wootters evaluation on the definition route: bounds
-# the (block, 4, 4) temporaries of a sweep whatever its length, and keeps each
+# Temperatures per stacked Wootters SVD on the definition route: bounds the
+# (block, 4, 4) temporaries of a sweep whatever its length, and keeps each
 # block large enough that numpy's per-call cost stays small.
 SWEEP_BLOCK = 128
 
@@ -242,18 +237,26 @@ def log_partition_numeric(c: CoefficientSet, t):
 
 def _gibbs_concurrence(dec: SpectralDecomposition, t: np.ndarray) -> np.ndarray:
     """Wootters concurrence of the Gibbs states at temperatures ``t`` from one
-    eigendecomposition of H: rho = V diag(p) V^dag and sqrt(rho) =
-    V diag(sqrt p) V^dag, SWEEP_BLOCK temperatures per stacked evaluation."""
+    eigendecomposition of H.
+
+    With rho = V diag(p) V^dag, the Wootters lambdas are the singular values
+    of D^1/2 M D^1/2, where M = V^T (sy (x) sy) V and D = diag(p) (Wootters,
+    PRL 80, 2245 (1998)): one stacked SVD per SWEEP_BLOCK temperatures, with
+    no square root of a near-zero eigenvalue.  States with sum p^2 <= 1/3
+    lie in the separable ball (Zyczkowski et al., PRA 58, 883 (1998)) and
+    read 0 without one.
+    """
     w, v = dec.eigenvalues, dec.eigenvectors
-    vh = v.conj().T
-    out = np.empty(t.shape)
-    for start in range(0, t.size, SWEEP_BLOCK):
-        block = slice(start, start + SWEEP_BLOCK)
-        boltz = np.exp(-(w - w[-1]) / t[block, None])
-        p = boltz / np.sum(boltz, axis=1, keepdims=True)
-        rho = (v * p[:, None, :]) @ vh
-        root = (v * np.sqrt(p)[:, None, :]) @ vh
-        out[block] = concurrence_from_root(root, rho)
+    m = v.T @ pauli_word(2, 2) @ v
+    boltz = np.exp(-(w - w[-1]) / t[:, None])
+    p = boltz / np.sum(boltz, axis=1, keepdims=True)
+    rows = np.flatnonzero(np.sum(p * p, axis=1) > 1.0 / 3.0)
+    out = np.zeros(t.shape)
+    for start in range(0, rows.size, SWEEP_BLOCK):
+        block = rows[start:start + SWEEP_BLOCK]
+        root = np.sqrt(p[block])
+        lam = np.linalg.svd(root[:, :, None] * m * root[:, None, :], compute_uv=False)
+        out[block] = np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, 1.0)
     return out
 
 

@@ -247,6 +247,6 @@ def test_screen_spares_the_svd_only_where_omega_cannot_be_rank_one():
 
 @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
 def test_tol_must_be_finite(tol):
-    for call in (classify, solve, lambda c, t: thermal_sweep(c, [1.0], tol=t)):
+    for call in (classify, solve, factor_dyadic, lambda c, t: thermal_sweep(c, [1.0], tol=t)):
         with pytest.raises(ValueError, match="tol"):
             call(GENERAL, tol)

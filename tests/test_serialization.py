@@ -1,18 +1,25 @@
-"""The CSV writer against a per-cell reference writer.
+"""The CSV writer against a per-cell reference writer, and its array
+'%.17g' kernel against ``format_float``.
 
-``write_csv`` formats each distinct value of a chunk's column once; these
-tests hold its bytes to the plain definition of the format: every cell on
-its own, ``format_float`` for floats and ``%d`` for integer and boolean
-columns, joined by ``,`` with a trailing newline.
+``write_csv`` formats each distinct value of a chunk's column once, the
+floats with ``_format_17g``; these tests hold its bytes to the plain
+definition of the format: every cell on its own, ``format_float`` for floats
+and ``%d`` for integer and boolean columns, joined by ``,`` with a trailing
+newline.  The kernel is held to ``format_float`` byte for byte, padding
+included, on seeded bit patterns of every exponent, at every power of ten,
+at the ends of its range and on exact ties of the 17th digit.
 """
 
 import json
+import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from su2pair import cli, graphene
-from su2pair.serialization import format_float, load_coefficient_set, write_csv
+from su2pair import cli, graphene, serialization
+from su2pair.serialization import _format_17g, format_float, load_coefficient_set, write_csv
 from su2pair.thermo import EnsembleBranch, thermal_sweep
 
 
@@ -120,3 +127,129 @@ def test_thousand_step_thermo_csv_equals_the_reference(tmp_path):
                       EnsembleBranch.FULL)
     columns = [s[k] for k in ("t", "z", "purity", "concurrence", "flag")]
     assert out.read_text() == reference_csv(["T", "Z", "purity", "concurrence", "flag"], [columns])
+
+
+def assert_kernel_matches(x):
+    x = np.asarray(x, dtype=np.float64)
+    want = np.array([format_float(v) for v in x.tolist()], "S24").view(np.uint8)
+    got = _format_17g(x)
+    assert got.shape == (x.size, 24) and got.dtype == np.uint8
+    bad = np.flatnonzero((got != want.reshape(x.size, 24)).any(axis=1))
+    assert bad.size == 0, [(repr(x[i]), got[i].tobytes()) for i in bad[:5]]
+
+
+def test_kernel_on_a_million_bit_patterns():
+    """2^20 patterns, each biased exponent 0-2047 (subnormals, inf and NaN
+    included) 512 times, with random signs and mantissas."""
+    rng = np.random.default_rng(15)
+    n = 1 << 20
+    exponent = np.arange(n, dtype=np.uint64) % np.uint64(2048)
+    bits = (
+        (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+        | (exponent << np.uint64(52))
+        | rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    )
+    for block in np.split(bits.view(np.float64), 16):
+        assert_kernel_matches(block)
+
+
+def test_kernel_on_signed_zeros_infinities_and_nans():
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+    assert_kernel_matches(np.concatenate([[0.0, -0.0, np.inf, -np.inf], nans]))
+    assert _format_17g(nans).view("S24").ravel().tolist() == [b"nan"] * 4
+
+
+def test_kernel_at_powers_of_ten_and_their_neighbours():
+    """log10 misjudges the decade at some exact powers of ten (1e23 is
+    9.9999999999999992e+22); both neighbours sit on either side of each
+    decade boundary."""
+    powers = np.array([float("1e%d" % e) for e in range(-320, 309)])
+    for x in (powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)):
+        assert_kernel_matches(np.concatenate([x, -x]))
+
+
+def test_kernel_at_the_ends_of_its_range():
+    edges = np.array([1e-250, 1e250])
+    steps = [np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]
+    assert_kernel_matches(np.concatenate([edges, *steps, -edges]))
+
+
+def exact_ties():
+    """odd / 2^m in [10^(17-m), 10^(18-m)): 18 significant digits, the last
+    a 5, so the 17-digit rounding is an exact tie.  Every such double lies at
+    2 <= m <= 25."""
+    rng = np.random.default_rng(7)
+    out = [1000000000000000.25, 1000000000000000.75]
+    for m in range(2, 26):
+        lo = math.ceil(10.0 ** (17 - m) * 2**m)
+        hi = min(math.floor(10.0 ** (18 - m) * 2**m), 2**53)
+        odds = range(lo | 1, hi, 2)
+        picks = odds if len(odds) <= 64 else [odds[i] for i in rng.integers(0, len(odds), 64)]
+        out.extend(o / 2**m for o in picks)
+    return np.array(out)
+
+
+def near_ties():
+    """x = M 2^-(s+q) with 2^52 <= M < 2^53, so that y = x 10^q = M 5^q / 2^s
+    has the fraction 1/2 + t / 2^s for a small t != 0: the 17-digit rounding
+    of x lies within 1e-12 of a tie without being one."""
+    out = []
+    for q in range(18, 23):
+        p = 5**q
+        for s in range(40, 53):
+            for t in (-2, -1, 1, 3):
+                if abs(t) >= 1e-12 * 2**s:
+                    continue
+                m = (2 ** (s - 1) + t) * pow(p, -1, 2**s) % 2**s
+                m += -(-(2**52 - m) // 2**s) * 2**s  # the first M >= 2^52 in its class
+                if m < 2**53 and 10**16 <= m * p >> s < 10**17 - 1:
+                    out.append(m / 2 ** (s + q))
+    return np.array(out)
+
+
+def test_kernel_on_exact_ties():
+    ties = exact_ties()
+    assert format_float(1000000000000000.25) == "1000000000000000.2"
+    assert format_float(1000000000000000.75) == "1000000000000000.8"
+    assert all(len(Decimal(v).as_tuple().digits) == 18 for v in ties.tolist())
+    assert_kernel_matches(np.concatenate([ties, -ties]))
+
+
+def test_kernel_leaves_ties_and_near_ties_to_format_float(monkeypatch):
+    """Exact ties and roundings within 1e-12 of one are decided by
+    format_float, never by the double-double product."""
+    near = near_ties()
+    assert near.size >= 40
+    for v in near.tolist():
+        k = math.floor(math.log10(v))
+        y = Fraction(v) * Fraction(10) ** (16 - k)
+        assert 10**16 <= y < 10**17 and 0 < abs(y % 1 - Fraction(1, 2)) < 1e-12
+    values = np.concatenate([exact_ties(), near, -near])
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return format_float(v)
+
+    monkeypatch.setattr(serialization, "format_float", counted)
+    assert_kernel_matches(values)
+    assert sorted(calls) == sorted(values.tolist())
+
+
+def test_zero_row_one_row_and_all_fallback_chunks(tmp_path):
+    """Chunks of no rows, of one row, and of floats that all leave the
+    kernel's array path: exact ties, |x| outside [1e-250, 1e250] and
+    subnormals."""
+    rng = np.random.default_rng(3)
+    fallback = np.concatenate([exact_ties()[:40], [1e-300, -2e280, 5e-324, np.finfo(float).max]])
+    fallback = rng.permutation(fallback)
+    flags = rng.integers(0, 3, fallback.size)
+    chunks = [
+        [np.empty(0), np.empty(0, int)],
+        [np.array([0.1]), np.array([1])],
+        [fallback, flags],
+        [np.empty(0), np.empty(0, int)],
+        [-fallback, flags],
+    ]
+    assert_writes_reference(tmp_path / "f.csv", ["x", "flag"], chunks)

@@ -399,3 +399,23 @@ class TestThermalSweep:
         assert abs(pur[0] - 1.0) <= 1e-12
         assert abs(pur[-1] - floor) <= 1e-10
         assert np.all(pur >= floor * (1.0 - 1e-12)) and np.all(pur <= 1.0 + 1e-12)
+
+
+class TestWernerGibbsStates:
+    """Heisenberg sets omega = J I under random local rotations.  omega is
+    not singular, so they take the definition route, and their Gibbs states
+    are Werner states: singlet weight F = e^{4J/T} / (e^{4J/T} + 3) and
+    C = max(0, 2F - 1), which is 0 for J < 0."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_concurrence_matches_the_werner_closed_form(self, seed):
+        rng = np.random.default_rng(seed)
+        j = rng.uniform(0.1, 10.0) * (1.0 if seed % 2 == 0 else -1.0)
+        heisenberg = CoefficientSet(rng.normal(), np.zeros(3), np.zeros(3), j * np.eye(3))
+        c = rotate_set(heisenberg, random_rotation(rng), random_rotation(rng))
+        temps = abs(j) * np.geomspace(0.01, 100.0, 500)
+        s = thermal_sweep(c, temps)
+        assert np.all(s["flag"] == 2)
+        x = np.exp(4.0 * j / temps)
+        werner = np.maximum(0.0, (x - 3.0) / (x + 3.0))
+        assert np.max(np.abs(s["concurrence"] - werner)) <= 1e-13
