@@ -5,7 +5,9 @@ a coefficient set.  :func:`_derive_kernel` computes every field from the
 components of alpha, beta and omega with IEEE + - * / sqrt alone, for one
 set on Python floats or for a batch on arrays;
 :func:`su2pair.hamiltonian.derive` and
-:func:`su2pair.hamiltonian.derive_arrays` are its two callers.
+:func:`su2pair.hamiltonian.derive_arrays` are its two callers.  The kernel
+fills a record's instance dict in one update and leaves the components of
+the three array fields, which a record packs on their first read.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ class DerivedCoefficients:
     field carries the batch's leading axes, and on a single set its scalars
     are numpy scalars.  Both run the same straight-line kernel, so their bits
     agree.
+
+    ``a_vec``, ``b_vec`` and ``w_mat`` are packed from the kernel's
+    components on their first read (``np.array`` for one set, stacked over
+    the batch axes for a batch), cached and read-only; most callers never
+    read them.  Records from the kernel skip the generated ``__init__``, so
+    their instance dict also holds the components until the pack; read the
+    fields by name, not through ``vars``.
     """
 
     v_quad: float
@@ -64,6 +73,24 @@ class DerivedCoefficients:
     beta_sq: float
     omega_sq: float
 
+    def __getattr__(self, name):
+        # Normal lookup failed: on a kernel record that means the first read
+        # of a packed field, whose components the kernel kept as "_" + name.
+        state = self.__dict__
+        parts = state.get("_" + name) if name in _PACKED else None
+        if parts is None:
+            if name in state:  # packed by a concurrent first read
+                return state[name]
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = state["_pack"](parts)
+        value.setflags(write=False)
+        value = state.setdefault(name, value)
+        state.pop("_" + name, None)
+        return value
+
+
+_PACKED = frozenset(("a_vec", "b_vec", "w_mat"))
+
 
 def _where(cond, x, y):
     """np.where that keeps a single set's scalars scalar."""
@@ -81,7 +108,9 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
     (np.sqrt and :func:`_stack_last`).  Each field is the same sequence of
     IEEE + - * / sqrt and exact selections in both cases, so batch items and
     single sets carry the same bits whatever the memory layout or the BLAS
-    build.
+    build.  The record keeps the components of ``a_vec``, ``b_vec`` and
+    ``w_mat`` as nested lists, and ``pack`` turns them into arrays on their
+    first read.
     """
     a1, a2, a3 = a
     b1, b2, b3 = b
@@ -150,8 +179,7 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
     del tau, o11, o22, o33
     phi = (m11 * m11 + m12 * m12 + m13 * m13 + m21 * m21 + m22 * m22
            + m23 * m23 + m31 * m31 + m32 * m32 + m33 * m33)
-    w_mat = pack([[m11, m12, m13], [m21, m22, m23], [m31, m32, m33]])
-    del m11, m12, m13, m21, m22, m23, m31, m32, m33
+    w_mat = [[m11, m12, m13], [m21, m22, m23], [m31, m32, m33]]
 
     # The contractions alpha.omega and omega.beta: the constraint residuals,
     # and half of b_vec and a_vec (scaling by 2 and 4 is exact).
@@ -164,8 +192,8 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
     ra = ra1 * ra1 + ra2 * ra2 + ra3 * ra3
     rb = rb1 * rb1 + rb2 * rb2 + rb3 * rb3
     s_cubic = ra1 * b1 + ra2 * b2 + ra3 * b3
-    a_vec = pack([2.0 * rb1, 2.0 * rb2, 2.0 * rb3])
-    b_vec = pack([2.0 * ra1, 2.0 * ra2, 2.0 * ra3])
+    a_vec = [2.0 * rb1, 2.0 * rb2, 2.0 * rb3]
+    b_vec = [2.0 * ra1, 2.0 * ra2, 2.0 * ra3]
     del ra1, ra2, ra3, rb1, rb2, rb3
     aa, bb = 4.0 * rb, 4.0 * ra
     theta = (aa + bb) + phi
@@ -183,11 +211,12 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
     # overlap both terms vanish identically.
     theta_phi = phi + _where(beta_null, bb, 0.0) + _where(alpha_null, aa, 0.0)
 
-    return DerivedCoefficients(
+    # One instance-dict update in place of the generated frozen __init__,
+    # whose object.__setattr__ per field costs several times the arithmetic
+    # of a single set; the three packed fields keep their components.
+    d = object.__new__(DerivedCoefficients)
+    d.__dict__.update(
         v_quad=al_sq + be_sq + om_sq,
-        a_vec=a_vec,
-        b_vec=b_vec,
-        w_mat=w_mat,
         theta=theta,
         phi=phi,
         theta_phi=theta_phi,
@@ -203,7 +232,12 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
         alpha_sq=al_sq,
         beta_sq=be_sq,
         omega_sq=om_sq,
+        _pack=pack,
+        _a_vec=a_vec,
+        _b_vec=b_vec,
+        _w_mat=w_mat,
     )
+    return d
 
 
 def _stack_last(items) -> np.ndarray:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 import numpy as np
 
 from . import graphene
 from .errors import ConstraintError, InputFormatError, InvariantViolation
-from .hamiltonian import classify, derive, even_spectrum
+from .hamiltonian import CoefficientSet, classify, derive, even_spectrum
 from .quartic import solve_quartic
 from .serialization import (
     format_float,
@@ -36,6 +37,16 @@ from .verify import run_suites, report_lines
 # formatting, so --steps 10000 takes well under a second.
 MAX_GRID = 1001
 MAX_STEPS = 10_000
+
+# A sweep's exponents are energies over T or T/2 (the purity takes Z(T/2)),
+# and log Z adds or subtracts two of them.  Every energy is at most
+# |upsilon| + |alpha| + |beta| + sqrt(3) |omega|_F <= sqrt(6) S for the
+# coefficient scale S, so every exponent is at most this factor times S over
+# T/2.  A lowest temperature at which that overflows is refused, and so is
+# one below twice the smallest normal double: T/2 must be exact, or
+# log Z(T/2) - 2 log Z(T) no longer cancels and the purity reads 0 or inf.
+_EXPONENT_BOUND = 8.0
+_LOWEST_TEMPERATURE = 2.0 * sys.float_info.min
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,8 +145,8 @@ def _nonempty(chunks, args):
 
 
 def _temperatures(tmin: float, tmax: float, steps: int) -> np.ndarray:
-    if not (0 < tmin <= tmax) or steps < 1:
-        raise InputFormatError("need 0 < tmin <= tmax and steps >= 1")
+    if not (0 < tmin <= tmax < math.inf) or steps < 1:
+        raise InputFormatError("need 0 < tmin <= tmax < inf and steps >= 1")
     if steps > MAX_STEPS:
         raise InputFormatError(f"--steps {steps} exceeds the limit of {MAX_STEPS}")
     if steps == 1 or tmin == tmax:
@@ -144,6 +155,20 @@ def _temperatures(tmin: float, tmax: float, steps: int) -> np.ndarray:
     temps = np.exp(np.linspace(np.log(tmin), np.log(tmax), steps))
     temps[0], temps[-1] = tmin, tmax
     return temps
+
+
+def _check_lowest_temperature(tmin: float, c: CoefficientSet) -> None:
+    """Refuse a sweep of the set ``c`` at a lowest temperature where its
+    exponents overflow or T/2 is not a normal double, either of which turns
+    purity and concurrence cells into NaN, 0 or inf.  The coefficient scale
+    is taken with math.hypot, which does not overflow."""
+    scale = math.hypot(c.upsilon, *c.alpha.tolist(), *c.beta.tolist(), *c.omega.ravel().tolist())
+    if tmin < _LOWEST_TEMPERATURE or not math.isfinite(_EXPONENT_BOUND * scale / (tmin / 2.0)):
+        raise InputFormatError(
+            f"--tmin {tmin!r} is too low for a set of coefficient scale "
+            f"{format_float(scale)}: its energies over T/2 overflow, or T/2 "
+            "is not a normal double"
+        )
 
 
 def cmd_solve(args) -> int:
@@ -188,6 +213,7 @@ def cmd_thermo(args) -> int:
     c = load_coefficient_set(args.input)
     branch = EnsembleBranch.FULL if args.branch == "full" else EnsembleBranch.POSITIVE_ONLY
     temps = _temperatures(args.tmin, args.tmax, args.steps)
+    _check_lowest_temperature(args.tmin, c)
     if branch is EnsembleBranch.POSITIVE_ONLY:
         try:
             even_spectrum(derive(c))
@@ -247,6 +273,7 @@ def cmd_graphene_thermal(args) -> int:
         raise InputFormatError("--kx and --ky must be finite")
     else:
         kx, ky = args.kx, args.ky
+    _check_lowest_temperature(args.tmin, graphene.map_to_su2su2(p, kx, ky))
     data = graphene.thermal_concurrence_curve(p, kx, ky, temps)
     write_csv(args.output, ["T", "C", "flag"], [(data["t"], data["c"], data["flag"])])
     print(

@@ -108,27 +108,26 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     """Two-qubit concurrence from its definition.
 
     The lambda_i are the square roots of the descending eigenvalues of
-    rho * spin_flip(rho); they are computed through the equivalent Hermitian
-    operator sqrt(rho) spin_flip(rho) sqrt(rho), with round-off negatives
-    clamped to zero.  Returns max(l1 - l2 - l3 - l4, 0), clipped to [0, 1].
+    rho * spin_flip(rho).  With rho = V diag(p) V^dag they are the singular
+    values of diag(p)^1/2 V^T (sy (x) sy) V diag(p)^1/2 (Wootters, PRL 80,
+    2245 (1998)), taken so, with round-off negatives of p clamped to zero:
+    no matrix square root, whose near-zero eigenvalues would keep only half
+    their digits.  Returns max(l1 - l2 - l3 - l4, 0), clipped to [0, 1].
     """
     rho = _require_density(rho, 4)
-    # Spectrum already validated against the density-matrix gate above;
-    # clamp its round-off negatives here rather than re-gating in mat_func.
-    dec = eig_hermitian(rho)
-    root = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    sq = (dec.eigenvectors * root) @ dec.eigenvectors.conj().T
-    return float(concurrence_from_root(sq, rho))
+    p, v = np.linalg.eigh(rho)
+    root = np.sqrt(np.clip(p, 0.0, None))
+    return float(concurrence_from_weights(root, v.T @ pauli_word(2, 2) @ v))
 
 
-def concurrence_from_root(root: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """max(l1 - l2 - l3 - l4, 0), clipped to [0, 1], of density matrices
-    ``rho`` given their square roots ``root``; both may be stacks (..., 4, 4),
-    evaluated by one stacked eigvalsh.  No validation: see
-    :func:`wootters_concurrence`.
+def concurrence_from_weights(root: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """max(l1 - l2 - l3 - l4, 0), clipped to [0, 1], with the lambdas the
+    singular values of diag(root) m diag(root).  ``root`` (..., 4) holds the
+    square roots of the eigenvalues of density matrices that share one
+    eigenbasis V, and ``m`` = V^T (sy (x) sy) V.  One stacked SVD; no
+    validation: see :func:`wootters_concurrence`.
     """
-    x = root @ spin_flip(rho) @ root
-    lam = np.sqrt(np.clip(np.linalg.eigvalsh(x)[..., ::-1], 0.0, None))
+    lam = np.linalg.svd(root[..., :, None] * m * root[..., None, :], compute_uv=False)
     return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
 
 

@@ -118,7 +118,10 @@ def _build(values, states, method, degenerate=False) -> Eigensystem:
     """The read-only Eigensystem of fresh (2, 2) values and (2, 2, 4, 4) states."""
     values.setflags(write=False)
     states.setflags(write=False)
-    return Eigensystem(values, states, method, degenerate)
+    # One instance-dict update in place of the generated frozen __init__.
+    es = object.__new__(Eigensystem)
+    es.__dict__.update(values=values, states=states, method=method, degenerate=degenerate)
+    return es
 
 
 # --- separable case -----------------------------------------------------------

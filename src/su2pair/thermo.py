@@ -32,7 +32,12 @@ from .hamiltonian import (
     fano_compose,
     frame_reduce,
 )
-from .oracle import SpectralDecomposition, eig_hermitian, wootters_concurrence
+from .oracle import (
+    SpectralDecomposition,
+    concurrence_from_weights,
+    eig_hermitian,
+    wootters_concurrence,
+)
 from .pauli import max_abs, pauli_word
 from .solver import Eigensystem, Su2Factor, _factors
 
@@ -242,9 +247,10 @@ def _gibbs_concurrence(dec: SpectralDecomposition, t: np.ndarray) -> np.ndarray:
     With rho = V diag(p) V^dag, the Wootters lambdas are the singular values
     of D^1/2 M D^1/2, where M = V^T (sy (x) sy) V and D = diag(p) (Wootters,
     PRL 80, 2245 (1998)): one stacked SVD per SWEEP_BLOCK temperatures, with
-    no square root of a near-zero eigenvalue.  States with sum p^2 <= 1/3
-    lie in the separable ball (Zyczkowski et al., PRA 58, 883 (1998)) and
-    read 0 without one.
+    no square root of a near-zero eigenvalue, through the oracle's
+    :func:`~su2pair.oracle.concurrence_from_weights`.  States with
+    sum p^2 <= 1/3 lie in the separable ball (Zyczkowski et al., PRA 58, 883
+    (1998)) and read 0 without one.
     """
     w, v = dec.eigenvalues, dec.eigenvectors
     m = v.T @ pauli_word(2, 2) @ v
@@ -254,9 +260,7 @@ def _gibbs_concurrence(dec: SpectralDecomposition, t: np.ndarray) -> np.ndarray:
     out = np.zeros(t.shape)
     for start in range(0, rows.size, SWEEP_BLOCK):
         block = rows[start:start + SWEEP_BLOCK]
-        root = np.sqrt(p[block])
-        lam = np.linalg.svd(root[:, :, None] * m * root[:, None, :], compute_uv=False)
-        out[block] = np.clip(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0, 1.0)
+        out[block] = concurrence_from_weights(np.sqrt(p[block]), m)
     return out
 
 

@@ -334,6 +334,118 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
     assert not (tmp_path / "out.csv").exists()
 
 
+GOLDEN_SETS = {
+    "entangled": ENTANGLED,
+    "general": GENERAL,
+    "xyz": XYZ,
+    # (2 I + s_x) (x) (0.5 I + s_z)
+    "dyadic": {"upsilon": 1.0, "alpha": [0.5, 0, 0], "beta": [0, 0, 2.0],
+               "omega": [[0, 0, 1.0], [0, 0, 0], [0, 0, 0]]},
+    # The entangled set at 1e-3: its exponents overflow only where T/2 is
+    # already subnormal.
+    "small": {"upsilon": 0.0, "alpha": [0, 0, 1e-3], "beta": [0, 0, 0],
+              "omega": [[1e-3, 0, 0], [0, 1e-3, 0], [0, 0, 0]]},
+}
+
+
+class TestSweepBounds:
+    """Sweep bounds are usage errors (exit 2) unless every cell they give is
+    finite: a bound must be finite, and at the lowest temperature T/2 must be
+    a normal double and the set's exponents must not overflow."""
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        for name, payload in GOLDEN_SETS.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        return main([*argv, "--output", "out.csv"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thermo", "--input", "general.json", "--tmin", "0.1", "--tmax", "inf"],
+            ["thermo", "--input", "entangled.json", "--tmin", "inf", "--tmax", "inf"],
+            ["thermo", "--input", "entangled.json", "--tmin", "nan", "--tmax", "1"],
+            ["graphene-thermal", "--tmax", "inf"],
+            ["graphene-thermal", "--tmin", "0.1", "--tmax", "nan"],
+        ],
+        ids=["thermo-tmax-inf", "thermo-both-inf", "thermo-tmin-nan",
+             "graphene-thermal-tmax-inf", "graphene-thermal-tmax-nan"],
+    )
+    def test_non_finite_bounds(self, argv, tmp_path, monkeypatch):
+        assert self._run(tmp_path, monkeypatch, argv) == 2
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The parent wrote NaN purity (general) and NaN Z, purity and C
+            # (entangled) here, and a purity of 0 at 3e-308.
+            ["thermo", "--input", "general.json", "--tmin", "1e-310", "--tmax", "1"],
+            ["thermo", "--input", "entangled.json", "--tmin", "1e-310", "--tmax", "1"],
+            ["thermo", "--input", "entangled.json", "--tmin", "3e-308", "--tmax", "1"],
+            ["thermo", "--input", "dyadic.json", "--tmin", "1e-309", "--tmax", "1"],
+            ["graphene-thermal", "--tmin", "1e-310", "--tmax", "1"],
+            # A normal T whose half is not exact: the parent wrote purity 0.
+            ["thermo", "--input", "small.json", "--tmin", "2.892596016066276e-308",
+             "--tmax", "1"],
+        ],
+        ids=["general-1e-310", "entangled-1e-310", "entangled-3e-308",
+             "dyadic-1e-309", "graphene-thermal-1e-310", "small-inexact-half"],
+    )
+    def test_lowest_temperature_where_exponents_overflow(self, argv, tmp_path, monkeypatch):
+        assert self._run(tmp_path, monkeypatch, argv) == 2
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SETS))
+    def test_lowest_accepted_temperature_writes_finite_cells(self, name, tmp_path, monkeypatch):
+        """Just above the refused range every purity and concurrence cell is
+        finite and in [0, 1]; Z may read inf.  Just below it is refused."""
+        import math
+        import sys
+
+        c = coefficient_set_from_dict(GOLDEN_SETS[name])
+        scale = math.hypot(c.upsilon, *c.alpha, *c.beta, *c.omega.ravel())
+        edge = max(16.0 * scale / sys.float_info.max, 2.0 * sys.float_info.min)
+        branches = ["full", "positive"] if name == "entangled" else ["full"]
+        for branch in branches:
+            argv = ["thermo", "--input", f"{name}.json", "--tmax", "10", "--steps", "200",
+                    "--branch", branch]
+            below, above = repr(edge * (1 - 1e-9)), repr(edge * (1 + 1e-9))
+            assert self._run(tmp_path, monkeypatch, [*argv, "--tmin", below]) == 2
+            assert self._run(tmp_path, monkeypatch, [*argv, "--tmin", above]) == 0
+            _, rows = read_csv(tmp_path / "out.csv")
+            table = np.array(rows, dtype=float)
+            z, pur, conc = table[:, 1], table[:, 2], table[:, 3]
+            assert np.all(np.isfinite(z) | np.isposinf(z))
+            assert np.all(np.isfinite(pur)) and np.all((pur >= 0.0) & (pur <= 1.0)), branch
+            assert np.all(np.isfinite(conc)) and np.all((conc >= 0.0) & (conc <= 1.0)), branch
+            (tmp_path / "out.csv").unlink()
+
+    @pytest.mark.parametrize("point", [[], ["--bias", "0.5", "--kx", "0.3", "--ky", "2.2"]],
+                             ids=["dirac-point", "biased-off-dirac"])
+    def test_graphene_thermal_at_the_lowest_accepted_temperature(
+        self, point, tmp_path, monkeypatch
+    ):
+        import math
+        import sys
+
+        from su2pair.graphene import GrapheneParams, find_dirac_point, map_to_su2su2
+
+        p = GrapheneParams(bias=0.5 if point else 0.0)
+        k = (0.3, 2.2) if point else find_dirac_point(p)
+        c = map_to_su2su2(p, *k)
+        scale = math.hypot(c.upsilon, *c.alpha, *c.beta, *c.omega.ravel())
+        edge = max(16.0 * scale / sys.float_info.max, 2.0 * sys.float_info.min)
+        argv = ["graphene-thermal", *point, "--tmax", "10", "--steps", "200"]
+        below, above = repr(edge * (1 - 1e-9)), repr(edge * (1 + 1e-9))
+        assert self._run(tmp_path, monkeypatch, [*argv, "--tmin", below]) == 2
+        assert self._run(tmp_path, monkeypatch, [*argv, "--tmin", above]) == 0
+        _, rows = read_csv(tmp_path / "out.csv")
+        conc = np.array(rows, dtype=float)[:, 1]
+        assert np.all(np.isfinite(conc)) and np.all((conc >= 0.0) & (conc <= 1.0))
+
+
 class TestSizeLimits:
     def test_oversized_grid_rejected_before_building(self, tmp_path, monkeypatch):
         from su2pair import cli, graphene

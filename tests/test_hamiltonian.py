@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from su2pair.hamiltonian import (
     Branch,
     CaseKind,
     CoefficientSet,
+    DerivedCoefficients,
     case01_theta,
     classify,
     derive,
@@ -33,6 +36,16 @@ from su2pair.sampling import (
 ENTANGLED_EXAMPLE = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
 # The XYZ exchange model: both local vectors vanish, omega has full rank.
 XYZ_EXCHANGE = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 2.0, 3.0]))
+
+# Every field of DerivedCoefficients, by its public name.  A derived record's
+# instance dict holds the components of a_vec, b_vec and w_mat until their
+# first read, so vars() would skip those three and show private names.
+DERIVED_FIELDS = (
+    "v_quad", "a_vec", "b_vec", "w_mat", "theta", "phi", "theta_phi", "s_cubic",
+    "det_omega_b", "det_omega", "adj_norm", "singular_residual", "alpha_null",
+    "beta_null", "alpha_residual", "beta_residual", "alpha_sq", "beta_sq", "omega_sq",
+)
+PACKED_FIELDS = ("a_vec", "b_vec", "w_mat")
 
 
 class TestFano:
@@ -200,7 +213,8 @@ class TestDerive:
         n = len(sets)
         for i, c in enumerate(sets):
             one = derive(c, tol)
-            for name, value in vars(one).items():
+            for name in DERIVED_FIELDS:
+                value = getattr(one, name)
                 item = np.asarray(getattr(batch, name)).reshape((n,) + np.shape(value))[i]
                 assert item.tobytes() == np.asarray(value, dtype=item.dtype).tobytes(), (i, name)
 
@@ -249,8 +263,9 @@ class TestDerive:
         instead of raising ZeroDivisionError."""
         for c in self._mixed_sets(rng, 12):
             one, arr = derive(c), derive_arrays(c.alpha, c.beta, c.omega)
-            for name, value in vars(one).items():
-                other = getattr(arr, name)
+            for name in DERIVED_FIELDS:
+                value, other = getattr(one, name), getattr(arr, name)
+                assert isinstance(value, np.ndarray) == (name in PACKED_FIELDS), name
                 if isinstance(value, np.ndarray):
                     assert isinstance(other, np.ndarray) and other.shape == value.shape
                 elif isinstance(value, bool):
@@ -261,6 +276,46 @@ class TestDerive:
         zero = derive_arrays(np.zeros(3), np.zeros(3), np.zeros((3, 3)))
         with np.errstate(divide="ignore", invalid="ignore"):
             assert np.isnan(zero.phi / zero.theta_phi)
+
+    def test_field_names_are_the_dataclass_fields(self):
+        assert DERIVED_FIELDS == tuple(f.name for f in fields(DerivedCoefficients))
+
+    def test_packed_fields_read_only_stable_and_equal_across_entry_points(self, rng):
+        """a_vec, b_vec and w_mat are packed on first read: read-only, the
+        same array on every later read, and bitwise equal between derive
+        and derive_arrays on one set and on a batch of that set."""
+        for c in self._mixed_sets(rng, 12):
+            one, arr = derive(c), derive_arrays(c.alpha, c.beta, c.omega)
+            batch = derive_arrays(c.alpha[None], c.beta[None], c.omega[None])
+            for name in PACKED_FIELDS:
+                bits = getattr(one, name).tobytes()
+                for d in (one, arr, batch):
+                    value = getattr(d, name)
+                    assert not value.flags.writeable, name
+                    with pytest.raises(ValueError):
+                        value[(0,) * value.ndim] = 1.0
+                    assert getattr(d, name) is value, name
+                    assert value.tobytes() == bits, name
+
+    def test_records_keep_the_frozen_dataclass_contract(self, rng):
+        """repr, replace and frozenness are those of a record built through
+        the dataclass's own __init__."""
+        from dataclasses import FrozenInstanceError
+
+        c = random_coefficient_set(rng)
+        d = derive(c)
+        fresh = derive(c)
+        ref = DerivedCoefficients(**{name: getattr(fresh, name) for name in DERIVED_FIELDS})
+        assert repr(d) == repr(ref)
+        other = replace(d, v_quad=2.0 * d.v_quad)
+        assert other.v_quad == 2.0 * d.v_quad
+        for name in DERIVED_FIELDS[1:]:
+            got, want = getattr(other, name), getattr(d, name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+        with pytest.raises(FrozenInstanceError):
+            d.v_quad = 0.0
+        with pytest.raises(AttributeError):
+            d.not_a_field  # noqa: B018
 
     def test_even_spectrum_rejects_a_batch_with_one_unconstrained_set(self, rng):
         canonical = [random_entangled_canonical(rng, "alpha") for _ in range(4)]

@@ -88,6 +88,36 @@ class TestMatFunc:
         assert np.allclose(mat_func(BELL, "xlogx"), np.zeros((4, 4)), atol=1e-12)
 
 
+# (T, C) of the golden general set's Gibbs states, C to 20 digits.
+GENERAL_GIBBS_CONCURRENCE = (
+    ("0.1", "0.60510924502289662178"),
+    ("0.11937766417144366", "0.60510924502288921409"),
+    ("0.14251026703029984", "0.60510924502159240999"),
+    ("0.17012542798525895", "0.60510924492387280544"),
+    ("0.2030917620904736", "0.60510924129985924347"),
+    ("0.24244620170823286", "0.60510916733172298113"),
+    ("0.2894266124716751", "0.60510825495504856885"),
+    ("0.345510729459222", "0.60510089785880667232"),
+    ("0.41246263829013524", "0.60505945976210796976"),
+    ("0.49238826317067397", "0.60488705662086317571"),
+    ("0.5878016072274913", "0.60433143330289218842"),
+    ("0.701703828670383", "0.60288591834335539021"),
+    ("0.837677640068292", "0.59973403121235893491"),
+    ("1.0", "0.59376548740478839426"),
+    ("1.1937766417144369", "0.58362826618710442201"),
+    ("1.4251026703029983", "0.56779719568467558596"),
+    ("1.7012542798525891", "0.54467907968877365862"),
+    ("2.0309176209047357", "0.51264433158645669795"),
+    ("2.424462017082328", "0.46991420635261313163"),
+    ("2.894266124716751", "0.41485429650121770877"),
+    ("3.4551072945922194", "0.34712959454386713639"),
+    ("4.124626382901352", "0.26868959491663581183"),
+    ("4.92388263170674", "0.18350701993326895186"),
+    ("5.878016072274914", "0.096440241216686642649"),
+    ("7.017038286703828", "0.012042925900454082655"),
+)
+
+
 class TestWootters:
     def test_bell_state(self):
         assert np.isclose(wootters_concurrence(BELL), 1.0)
@@ -108,9 +138,34 @@ class TestWootters:
             b = wootters_concurrence(u @ rho @ u.conj().T)
             assert abs(a - b) <= 1e-9
 
+    def test_lambdas_are_roots_of_the_eigenvalues_of_rho_times_its_spin_flip(self, rng):
+        """The singular-value form against the definition, on full-rank
+        states whose lambdas are all well away from zero."""
+        for _ in range(50):
+            rho = 0.5 * random_mixed_density(rng) + 0.125 * np.eye(4)
+            lam = np.sqrt(np.sort(np.linalg.eigvals(rho @ spin_flip(rho)).real)[::-1])
+            ref = max(lam[0] - lam[1] - lam[2] - lam[3], 0.0)
+            assert abs(wootters_concurrence(rho) - ref) <= 1e-12
+
     def test_spin_flip_is_involution(self, rng):
         rho = random_mixed_density(rng)
         assert np.allclose(spin_flip(spin_flip(rho)), rho)
+
+    def test_golden_general_gibbs_states_against_50_digit_values(self):
+        """The Gibbs states of the golden general set (tests/test_golden.py)
+        at the 25 lowest temperatures of its 40-step sweep from T = 0.1,
+        against 50-digit concurrences (mpmath, the eigenvalues of rho rho~ at
+        50 digits; the table of CHANGES.md).  Square roots of the eigenvalues
+        of sqrt(rho) rho~ sqrt(rho) erred by up to 1.2e-8 here."""
+        from su2pair.hamiltonian import CoefficientSet
+        from su2pair.thermo import thermal_state
+
+        general = CoefficientSet(
+            0.3, (1, 2, 3), (3, 1, 2), [[1, 0.5, 0], [0.2, 2, 0.1], [0, 0.4, 3]]
+        )
+        for t, ref in GENERAL_GIBBS_CONCURRENCE:
+            got = wootters_concurrence(thermal_state(general, float(t)))
+            assert abs(got - float(ref)) <= 1e-14, (t, got, ref)
 
     def test_rejects_invalid_density(self):
         with pytest.raises(DensityMatrixError):

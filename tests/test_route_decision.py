@@ -79,8 +79,18 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+# Every field of DerivedCoefficients by its public name (a derived record's
+# instance dict holds the components of the three packed arrays instead).
+_DERIVED_FIELDS = (
+    "v_quad", "a_vec", "b_vec", "w_mat", "theta", "phi", "theta_phi", "s_cubic",
+    "det_omega_b", "det_omega", "adj_norm", "singular_residual", "alpha_null",
+    "beta_null", "alpha_residual", "beta_residual", "alpha_sq", "beta_sq", "omega_sq",
+)
+
+
 def _derived_bits(d) -> list[bytes]:
-    return [_bits(getattr(d, f.name)) for f in fields(d)]
+    assert _DERIVED_FIELDS == tuple(f.name for f in fields(d))
+    return [_bits(getattr(d, name)) for name in _DERIVED_FIELDS]
 
 
 def _same_leading(got, want) -> bool:
