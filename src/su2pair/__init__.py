@@ -49,7 +49,6 @@ from .hamiltonian import (
     derive_arrays,
     fano_compose,
     fano_decompose,
-    frame_reduce,
     rotate_set,
     traceless,
 )

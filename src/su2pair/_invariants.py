@@ -31,13 +31,14 @@ class DerivedCoefficients:
     ``theta`` is 1/4 Tr[(Ht^2 - v_quad I)^2], evaluated exactly through the
     Pauli components as |a_vec|^2 + |b_vec|^2 + phi, and ``phi`` is
     Tr[w_mat w_mat^T].  ``theta_phi`` is the constraint-gated variant used
-    by the even-spectrum closed forms.  ``det_omega_b`` is the determinant of
-    the 2x2 block of omega whenever the third row and column vanish,
-    computed frame-independently as (Tr[omega]^2 - Tr[omega^2]) / 2.
-    ``det_omega`` comes from one Householder reflection of omega,
-    ``adj_norm`` is |adj omega|_F from the cofactors, and
-    ``singular_residual`` is |det omega| / (|omega| |adj omega|), the one
+    by the even-spectrum closed forms.  ``det_omega`` comes from one
+    Householder reflection of omega, ``adj_norm`` is |adj omega|_F and
+    ``beta_adj_alpha`` is beta^T adj(omega) alpha, both from the cofactors,
+    and ``singular_residual`` is |det omega| / (|omega| |adj omega|), the one
     measure of how far omega is from singular; 0 when adj omega vanishes.
+    On a constrained set, with omega_B the 2x2 block of omega in the local
+    frame that clears its third row and column, |det omega_B| = ``adj_norm``
+    and (alpha.beta) det omega_B = ``beta_adj_alpha`` in every frame.
 
     From :func:`~su2pair.hamiltonian.derive` the scalar fields are Python
     floats and bools; from :func:`~su2pair.hamiltonian.derive_arrays` every
@@ -61,7 +62,7 @@ class DerivedCoefficients:
     phi: float
     theta_phi: float
     s_cubic: float
-    det_omega_b: float
+    beta_adj_alpha: float
     det_omega: float
     adj_norm: float
     singular_residual: float
@@ -130,7 +131,8 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
     # -sign(x_1) |x| e_1, as sign(x_1) |x| det B of the 2x2 block B left
     # below it.  That is backward stable, so the residual's error is a few
     # eps; a cofactor expansion errs by eps |omega|^3, as much as det itself
-    # on a rounded rank-one omega.  The cofactors give |adj omega|.
+    # on a rounded rank-one omega.  The cofactors give |adj omega| and
+    # beta^T adj(omega) alpha = sum_ij alpha_i C_ij beta_j.
     nx = sqrt(w11 * w11 + w21 * w21 + w31 * w31)
     sx = _where(w11 < 0.0, -1.0, 1.0)
     v1 = w11 + sx * nx
@@ -153,6 +155,9 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
     c33 = w11 * w22 - w12 * w21
     adj_sq = (c11 * c11 + c12 * c12 + c13 * c13 + c21 * c21 + c22 * c22
               + c23 * c23 + c31 * c31 + c32 * c32 + c33 * c33)
+    beta_adj_alpha = (a1 * (c11 * b1 + c12 * b2 + c13 * b3)
+                      + a2 * (c21 * b1 + c22 * b2 + c23 * b3)
+                      + a3 * (c31 * b1 + c32 * b2 + c33 * b3))
     del c11, c12, c13, c21, c22, c23, c31, c32, c33
     adj_norm = sqrt(adj_sq)
     den = om_norm * adj_norm
@@ -221,7 +226,7 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
         phi=phi,
         theta_phi=theta_phi,
         s_cubic=s_cubic,
-        det_omega_b=p / 2.0,
+        beta_adj_alpha=beta_adj_alpha,
         det_omega=det_omega,
         adj_norm=adj_norm,
         singular_residual=singular_residual,

@@ -27,7 +27,6 @@ from .hamiltonian import (
     derive,
     derive_arrays,
     even_spectrum,
-    frame_reduce,
 )
 from .pauli import pauli_word
 
@@ -174,17 +173,6 @@ def _concurrence_from_radicand(radicand: float) -> float:
     return float(value)
 
 
-def block_form_defect(c: CoefficientSet) -> float:
-    """Relative size of the third row and column of omega."""
-    om = np.asarray(c.omega)
-    om_norm = float(np.linalg.norm(om))
-    if om_norm == 0.0:
-        return 0.0
-    return float(
-        max(np.linalg.norm(om[2, :]), np.linalg.norm(om[:, 2])) / om_norm
-    )
-
-
 def concurrence_closed_form_arrays(upsilon, alpha, beta, omega, m: int, n: int,
                                    tol: float = DEFAULT_TOL):
     """(concurrence, cause, radicand) of the (m, n) eigenstates of a batch.
@@ -195,13 +183,15 @@ def concurrence_closed_form_arrays(upsilon, alpha, beta, omega, m: int, n: int,
 
     where v is the constrained vector and, on the alpha branch,
     inner = beta^2 - (alpha.beta) det(omega_B) / alpha^2 (mirrored on the
-    beta branch).  det(omega_B) is a block-frame quantity, so omega must be
-    in block form (third row and column zero).  Where the constrained vector
-    is too small for the branch division the exact Bloch-modulus route is
-    used instead; both agree to round-off wherever both apply.  Items whose
-    ``cause`` is not 0 (a degenerate branch, or a radicand below the
-    round-off floor) read 0.  Raises ConstraintError if any item meets
-    neither constraint.
+    beta branch), with omega_B the 2x2 block of omega in the frame where its
+    third row and column vanish.  The product (alpha.beta) det(omega_B) is
+    beta^T adj(omega) alpha in every frame (``beta_adj_alpha`` of
+    :func:`derive_arrays`), so the sets may come in any local frame.  Where
+    the constrained vector is too small for the branch division the exact
+    Bloch-modulus route is used instead; both agree to round-off wherever
+    both apply.  Items whose ``cause`` is not 0 (a degenerate branch, or a
+    radicand below the round-off floor) read 0.  Raises ConstraintError if
+    any item meets neither constraint.
     """
     _check_mn(m, n)
     alpha, beta, omega = (np.ascontiguousarray(x, dtype=float) for x in (alpha, beta, omega))
@@ -209,14 +199,14 @@ def concurrence_closed_form_arrays(upsilon, alpha, beta, omega, m: int, n: int,
     sq, en, cause = _branch_scales(d, n)
     sn = (-1.0) ** n
     floor = VECTOR_FLOOR * (coefficient_scale(upsilon, alpha, beta, omega) + _TINY)
-    al_sq, be_sq, dot = _dot(alpha, alpha), _dot(beta, beta), _dot(alpha, beta)
+    al_sq, be_sq = _dot(alpha, alpha), _dot(beta, beta)
     # v is the constrained vector, u the other one.
     on_alpha = d.alpha_null & (al_sq >= floor * floor)
     on_beta = d.beta_null & (be_sq >= floor * floor)
     v_sq = _where(on_alpha, al_sq, be_sq)
     u_sq = _where(on_alpha, be_sq, al_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inner = u_sq - dot * d.det_omega_b / v_sq
+        inner = u_sq - d.beta_adj_alpha / v_sq
         lift = 1.0 + 2.0 * sn * inner / sq
         radicand = d.phi / d.theta_phi - v_sq / (en * en) * (lift * lift)
     bloch = ~(on_alpha | on_beta)
@@ -234,14 +224,10 @@ def eigenstate_concurrence_closed_form(
 ) -> float:
     """Concurrence of the (m, n) eigenstate from the coefficients alone.
 
-    :func:`concurrence_closed_form_arrays` on one set.  Sets whose omega is
-    not in block form are first reduced by local rotations, under which the
-    concurrence is invariant.  Raises DegenerateBranchError or
-    ConcurrenceDomainError where that function reports a cause.
+    :func:`concurrence_closed_form_arrays` on one set, in the frame it is
+    given in.  Raises DegenerateBranchError or ConcurrenceDomainError where
+    that function reports a cause, and ConstraintError as it does.
     """
-    _check_mn(m, n)
-    if block_form_defect(c) > tol:
-        c, _, _ = frame_reduce(c, tol)
     value, cause, radicand = concurrence_closed_form_arrays(
         c.upsilon, c.alpha, c.beta, c.omega, m, n, tol
     )

@@ -9,8 +9,9 @@ A Hamiltonian on C^2 (x) C^2 is parameterized as
 with real ``upsilon``, ``alpha``, ``beta`` and ``omega``.  This module houses
 the parameterization itself (`CoefficientSet`), the Pauli-basis decomposition
 and recomposition, the quadratic/quartic derived quantities used by the
-closed-form solvers, the solvable-case classifier, and the local-rotation
-reduction to the canonical frame.
+closed-form solvers, the solvable-case classifier, and local frame rotations.
+Every closed form works in the frame a set is given in: the derived
+quantities it reads are invariant under local rotations.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .pauli import _WORDS, pauli_word, require_hermitian
 
 # The package's relative thresholds, one table (README "Tolerances"):
 # DEFAULT_TOL      constraint residuals and case detection (derive gates,
-#                  classify, frame_reduce, factor_dyadic, every `tol` default)
+#                  classify, factor_dyadic, every `tol` default)
 # DEGENERACY_RTOL  degenerate spectra: sqrt(Tp), E_n or E2 - E1 at most this
 #                  times 1 + V or 1 + sqrt(V) sends the closed-form states to
 #                  the oracle and makes the closed-form concurrence raise;
@@ -216,13 +217,26 @@ def even_spectrum(d: DerivedCoefficients):
         sqrt, maximum = np.sqrt, np.maximum
         constrained = np.logical_or(d.alpha_null, d.beta_null).all()
     if not constrained:
-        raise ConstraintError(
-            "neither alpha.omega = 0 nor omega.beta = 0 holds within tolerance"
-        )
+        raise ConstraintError(_unconstrained_message(d))
     sq = sqrt(maximum(d.theta_phi, 0.0))
     e1 = sqrt(maximum(d.v_quad - sq, 0.0))
     e2 = sqrt(d.v_quad + sq)
     return sq, e1, e2
+
+
+def _unconstrained_message(d: DerivedCoefficients) -> str:
+    """The error of :func:`even_spectrum`, with classify's relative residuals
+    of the first set of ``d`` that meets neither constraint."""
+    k = int(np.argmin(np.logical_or(d.alpha_null, d.beta_null)))
+    pick = lambda x: np.ravel(x)[k].item()
+    om_norm = math.sqrt(pick(d.omega_sq))
+    res_a = _ratio(pick(d.alpha_residual), om_norm * math.sqrt(pick(d.alpha_sq)))
+    res_b = _ratio(pick(d.beta_residual), om_norm * math.sqrt(pick(d.beta_sq)))
+    return (
+        "neither alpha.omega = 0 nor omega.beta = 0 holds within tolerance: "
+        f"alpha.omega residual {res_a:.3e}, omega.beta residual {res_b:.3e}, "
+        f"det_omega residual {pick(d.singular_residual):.3e}"
+    )
 
 
 def case01_theta(c: CoefficientSet) -> float:
@@ -405,23 +419,7 @@ def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
     return Classification(kind, branch, residuals, derived=d, leading=leading)
 
 
-# --- local-rotation machinery -------------------------------------------------
-
-
-def rotation_to_axis3(v: np.ndarray) -> np.ndarray:
-    """Proper rotation mapping v/|v| onto the +3 axis; identity for v = 0."""
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        return np.eye(3)
-    u = np.asarray(v, dtype=float) / n
-    cos_t = u[2]
-    if cos_t >= 1.0 - 1e-15:
-        return np.eye(3)
-    if cos_t <= -1.0 + 1e-15:
-        return np.diag([1.0, -1.0, -1.0])
-    k = np.array([u[1], -u[0], 0.0])  # u x e3
-    kx = np.array([[0.0, 0.0, k[1]], [0.0, 0.0, -k[0]], [-k[1], k[0], 0.0]])
-    return np.eye(3) + kx + kx @ kx / (1.0 + cos_t)
+# --- local rotations ------------------------------------------------------------
 
 
 def rotate_set(c: CoefficientSet, r1: np.ndarray, r2: np.ndarray) -> CoefficientSet:
@@ -429,73 +427,3 @@ def rotate_set(c: CoefficientSet, r1: np.ndarray, r2: np.ndarray) -> Coefficient
     return CoefficientSet(
         c.upsilon, r1 @ c.alpha, r2 @ c.beta, r1 @ c.omega @ r2.T
     )
-
-
-def _symmetrize_angle(b: np.ndarray) -> float:
-    """Rotation angle t with G(t)^T B symmetric for the 2x2 block B."""
-    return float(np.arctan2(b[1, 0] - b[0, 1], b[0, 0] + b[1, 1]))
-
-
-def _plane_rotation(theta: float) -> np.ndarray:
-    ct, st = np.cos(theta), np.sin(theta)
-    return np.array([[ct, -st, 0.0], [st, ct, 0.0], [0.0, 0.0, 1.0]])
-
-
-def frame_reduce(
-    c: CoefficientSet, tol: float = DEFAULT_TOL
-) -> tuple[CoefficientSet, np.ndarray, np.ndarray]:
-    """Rotate a constrained set into the canonical frame.
-
-    Requires a constraint gate of :func:`derive` at ``tol`` to hold.
-    The returned set has the constrained vector along the +3 axis, the
-    matching third row (alpha branch) or column (beta branch) of omega zero
-    together with the opposite one, and a symmetric upper-left 2x2 block.
-    Returns ``(canonical_set, r1, r2)`` with proper rotations acting as in
-    :func:`rotate_set`; the spectrum is invariant.
-    """
-    al, be, om = c.alpha, c.beta, c.omega
-    d = derive(c, tol)
-    om_norm = float(np.linalg.norm(om))
-    res_a = _ratio(d.alpha_residual, om_norm * float(np.linalg.norm(al)))
-    res_b = _ratio(d.beta_residual, om_norm * float(np.linalg.norm(be)))
-    if not (d.alpha_null or d.beta_null):
-        raise ConstraintError(
-            f"neither constraint holds: alpha.omega residual {res_a:.3e}, "
-            f"omega.beta residual {res_b:.3e}, det_omega residual "
-            f"{d.singular_residual:.3e}"
-        )
-
-    if d.alpha_null and (not d.beta_null or res_a <= res_b):
-        r1, r2 = _reduce_alpha_side(al, om, om_norm, tol)
-    else:
-        # Mirror problem: the beta side of omega is the alpha side of omega^T.
-        r2, r1 = _reduce_alpha_side(be, om.T, om_norm, tol)
-    return rotate_set(c, r1, r2), r1, r2
-
-
-def _reduce_alpha_side(
-    al: np.ndarray, om: np.ndarray, om_norm: float, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build (R1, R2) for the alpha-side reduction of omega."""
-    if np.linalg.norm(al) > 0.0:
-        r1 = rotation_to_axis3(al)
-    else:
-        # Degenerate constraint: the gate has found omega singular, and any
-        # left rotation is admissible.  Keep the identity when the third row
-        # already vanishes, otherwise rotate the left null direction of
-        # omega onto axis 3.
-        if np.linalg.norm(om[2, :]) <= tol * om_norm:
-            r1 = np.eye(3)
-        else:
-            r1 = rotation_to_axis3(np.linalg.svd(om)[0][:, 2])
-    om1 = r1 @ om
-    # Right rotation clearing the third column: right singular frame of the
-    # 2x3 upper block (its rank is at most 2).
-    _, _, vt = np.linalg.svd(om1[:2, :])
-    r2 = vt
-    if np.linalg.det(r2) < 0:
-        r2 = np.diag([1.0, 1.0, -1.0]) @ r2
-    om2 = om1 @ r2.T
-    # Left in-plane rotation symmetrizing the block; leaves axis 3 fixed.
-    g = _plane_rotation(_symmetrize_angle(om2[:2, :2]))
-    return g.T @ r1, r2

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import block_form_defect
 from .hamiltonian import (
     COMMUTATOR_RTOL,
     DEFAULT_TOL,
@@ -30,7 +29,6 @@ from .hamiltonian import (
     derive,
     even_spectrum,
     fano_compose,
-    frame_reduce,
 )
 from .oracle import (
     SpectralDecomposition,
@@ -272,9 +270,10 @@ class ThermalConcurrenceResult:
     """Closed-form thermal concurrence with its validity diagnostic.
 
     ``value`` is the closed form; ``wootters`` the definition route on the
-    Gibbs state (None when comparison is skipped); ``commutator_norm``
-    measures [H(a,b,w), H(-a,-b,w)], which must vanish for the closed form
-    to be exact; ``reliable`` records that condition.
+    Gibbs state (None when comparison is skipped); ``commutator_norm`` is
+    the largest entry of [H(a,b,w), H(-a,-b,w)] in the frame the set is
+    given in (that norm is not frame-invariant), which must vanish for the
+    closed form to be exact; ``reliable`` records that condition.
     """
 
     value: float
@@ -322,20 +321,14 @@ def cosh_pair(y1, y2):
     )
 
 
-def _closed_form_concurrence(c: CoefficientSet, d: DerivedCoefficients, t, tol: float):
+def _closed_form_concurrence(c: CoefficientSet, d: DerivedCoefficients, t):
     """(closed-form C at temperatures t, commutator norm, reliable) of a
     constrained set with derived coefficients ``d``; see
     :func:`thermal_concurrence`."""
-    if block_form_defect(c) > tol:
-        # det(omega_B) lives in the block frame; the Gibbs state's
-        # concurrence is invariant under the reducing local rotations.
-        c, _, _ = frame_reduce(c, tol)
-        d = derive(c, tol)
     _, e1, e2 = even_spectrum(d)
-    tr2 = float(np.sum(c.omega**2))
-    two_det = 2.0 * abs(d.det_omega_b)
-    xp = math.sqrt(tr2 + two_det) / t
-    xm = math.sqrt(max(tr2 - two_det, 0.0)) / t
+    two_adj = 2.0 * d.adj_norm
+    xp = math.sqrt(d.omega_sq + two_adj) / t
+    xm = math.sqrt(max(d.omega_sq - two_adj, 0.0)) / t
     y1, y2 = e1 / t, e2 / t
     # Both scaled by e^{-y2}; x+ <= y2.
     value = np.maximum(sinh_cosh_gap(xp, xm, y2), 0.0) / cosh_pair(y1, y2)
@@ -350,14 +343,15 @@ def thermal_concurrence(
 
         C = max{sinh(x+/t) - cosh(x-/t), 0} / [cosh(E2/t) + cosh(E1/t)]
 
-    with x+- = sqrt(Tr[w_B w_B^T] +- 2 |det w_B|).  The derivation commutes
-    the Gibbs state with its spin flip, which only holds when the local part
-    commutes with the interaction part; the result carries that commutator
-    norm, and ``wootters`` (computed unless ``compare=False``) lets callers
-    quantify the deviation outside the provable regime.
+    with x+- = sqrt(|w|_F^2 +- 2 |adj w|_F), in any local frame the
+    sqrt(Tr[w_B w_B^T] +- 2 |det w_B|) of the block frame.  The derivation
+    commutes the Gibbs state with its spin flip, which only holds when the
+    local part commutes with the interaction part; the result carries that
+    commutator norm, and ``wootters`` (computed unless ``compare=False``)
+    lets callers quantify the deviation outside the provable regime.
     """
     t = float(_check_temperature(t))
-    value, comm, reliable = _closed_form_concurrence(c, derive(c, tol), t, tol)
+    value, comm, reliable = _closed_form_concurrence(c, derive(c, tol), t)
     woot = wootters_concurrence(thermal_state(c, t)) if compare else None
     return ThermalConcurrenceResult(
         value=float(value), commutator_norm=comm, reliable=reliable, wootters=woot
@@ -398,7 +392,7 @@ def thermal_sweep(
         conc, flag = np.zeros(t.shape), 0
     elif d.alpha_null or d.beta_null:
         logz = _log_partition_even_fn(c.upsilon, d, branch)
-        conc, _, reliable = _closed_form_concurrence(c, d, t, tol)
+        conc, _, reliable = _closed_form_concurrence(c, d, t)
         flag = 0 if reliable else 1
     elif branch is not EnsembleBranch.FULL:
         raise ValueError("the positive-only branch applies to the even constrained spectrum")

@@ -18,7 +18,7 @@ from .entanglement import (
     eigenstate_concurrence_closed_form,
     pure_concurrence,
 )
-from .hamiltonian import fano_compose
+from .hamiltonian import fano_compose, rotate_set
 from .oracle import eig_hermitian, wootters_concurrence
 from .sampling import (
     RNG_ALGORITHM,
@@ -30,6 +30,7 @@ from .sampling import (
     random_dyadic_set,
     random_entangled_canonical,
     random_rotated_constrained,
+    random_rotation,
     random_separable_factors,
 )
 from .solver import SolveMethod, solve, solve_entangled, solve_separable
@@ -136,12 +137,17 @@ def suite_partition_function(samples: int, seed: int) -> SuiteResult:
 
 
 def suite_concurrence_routes(samples: int, seed: int) -> SuiteResult:
-    """Coefficient closed form = Bloch route = Wootters definition."""
+    """Coefficient closed form = Bloch route = Wootters definition, on
+    canonical sets of each branch and on sets in random local frames."""
     rng = make_rng(seed)
     worst = 0.0
-    branches = ("alpha", "beta", "both")
+    branches = ("alpha", "beta", "both", "rotated")
     for k in range(samples):
-        c = random_entangled_canonical(rng, branches[k % 3])
+        branch = branches[k % 4]
+        if branch == "rotated":
+            c = random_rotated_constrained(rng)[1]
+        else:
+            c = random_entangled_canonical(rng, branch)
         es = solve_entangled(c)
         for (m, n), _, rho in es.items():
             closed = eigenstate_concurrence_closed_form(c, m, n)
@@ -161,8 +167,9 @@ def suite_concurrence_routes(samples: int, seed: int) -> SuiteResult:
 def suite_thermal_concurrence(samples: int, seed: int) -> SuiteResult:
     """Closed thermal concurrence vs the definition route.
 
-    Asserted only on the commuting family where the derivation is exact;
-    generic constrained sets contribute reporting statistics.
+    Asserted only on the commuting family where the derivation is exact,
+    drawn in random local frames; generic constrained sets contribute
+    reporting statistics.
     """
     rng = make_rng(seed)
     worst = 0.0
@@ -171,6 +178,7 @@ def suite_thermal_concurrence(samples: int, seed: int) -> SuiteResult:
     for k in range(samples):
         if k % 2 == 0:
             c = random_commuting_thermal_set(rng)
+            c = rotate_set(c, random_rotation(rng), random_rotation(rng))
             for t in temps:
                 res = thermal_concurrence(c, t)
                 if not res.reliable:

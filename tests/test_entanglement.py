@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su2pair.entanglement import (
+    CLOSED_FORM,
     bloch_vectors,
+    concurrence_closed_form_arrays,
     eigenstate_bloch_closed_form,
     eigenstate_concurrence_closed_form,
     pure_concurrence,
@@ -14,7 +16,7 @@ from su2pair.errors import (
     DegenerateBranchError,
     DensityMatrixError,
 )
-from su2pair.hamiltonian import CoefficientSet, rotate_set
+from su2pair.hamiltonian import CaseKind, CoefficientSet, classify, rotate_set
 from su2pair.oracle import wootters_concurrence
 from su2pair.pauli import kron, partial_trace, pauli
 from su2pair.sampling import (
@@ -162,13 +164,47 @@ class TestClosedFormConcurrence:
         n=st.sampled_from([1, 2]),
     )
     def test_rotated_set_invariant_under_further_rotations(self, seed, m, n):
-        """Both sets leave block form, so both go through the frame reduction."""
+        """Both sets leave block form; the closed form reads them as given.
+
+        Worst over ten seeds of 200 draws: 6.4e-14.
+        """
         rng = np.random.default_rng(seed)
         canonical, rotated = random_rotated_constrained(rng)
         moved = rotate_set(rotated, random_rotation(rng), random_rotation(rng))
         base = eigenstate_concurrence_closed_form(canonical, m, n)
-        assert abs(eigenstate_concurrence_closed_form(rotated, m, n) - base) <= 1e-9
-        assert abs(eigenstate_concurrence_closed_form(moved, m, n) - base) <= 1e-9
+        assert abs(eigenstate_concurrence_closed_form(rotated, m, n) - base) <= 5e-12
+        assert abs(eigenstate_concurrence_closed_form(moved, m, n) - base) <= 5e-12
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_batch_of_rotated_sets_matches_solved_states(self, rng, m, n):
+        """The batch form works off block form: every item equals the
+        concurrence of solve's (m, n) state."""
+        sets = [random_rotated_constrained(rng)[1] for _ in range(100)]
+        ups, al, be, om = (
+            np.array([getattr(c, f) for c in sets]) for f in ("upsilon", "alpha", "beta", "omega")
+        )
+        value, cause, _ = concurrence_closed_form_arrays(ups, al, be, om, m, n)
+        assert (cause == CLOSED_FORM).all()
+        for c, got in zip(sets, value):
+            rho = solve(c).state(m, n)
+            assert abs(got - pure_concurrence(rho)) <= 1e-12
+            assert abs(got - wootters_concurrence(rho)) <= 1e-12
+
+    def test_vanishing_constrained_vector_in_any_frame(self, rng):
+        """alpha = 0 with a generic beta takes the Bloch route, as given and
+        after local rotations."""
+        c = CoefficientSet(0.0, (0, 0, 0), (1.0, 2.0, 0.5), np.diag([1.0, -0.5, 0.0]))
+        for cc in (c, rotate_set(c, random_rotation(rng), random_rotation(rng))):
+            assert classify(cc).kind is CaseKind.ENTANGLED_CONSTRAINED
+            es = solve(cc)
+            for (m, n), _, rho in es.items():
+                got = eigenstate_concurrence_closed_form(cc, m, n)
+                assert abs(got - wootters_concurrence(rho)) <= 1e-12
+
+    def test_unconstrained_set_raises(self):
+        c = CoefficientSet(0.3, (1, 2, 3), (3, 1, 2), np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(ConstraintError, match="alpha.omega residual"):
+            eigenstate_concurrence_closed_form(c, 1, 2)
 
     def test_degenerate_branch_flagged(self):
         c = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 0.0, 0.0]))

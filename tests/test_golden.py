@@ -27,6 +27,12 @@ The general-set thermo CSV was re-pinned when the definition route took the
 Wootters lambdas as singular values of D^1/2 V^T (sy (x) sy) V D^1/2 instead
 of square roots of eigenvalues: 25 of its 40 C cells moved, by at most 6.9e-9,
 and every C cell is now within 2.6e-16 of a 50-digit evaluation (CHANGES.md).
+
+The rotated-set thermo CSV was re-pinned when the thermal closed form
+stopped rotating sets into block form and took x+- from |omega|_F^2 and
+|adj omega|_F in the given frame: 18 of its 40 C cells moved, by at most
+1.7e-16, and the worst C error against a 50-digit evaluation fell from
+1.2e-16 to 6.4e-17 (CHANGES.md).
 """
 
 import contextlib
@@ -116,7 +122,7 @@ CASES = [
     (
         ["thermo", "--input", "rotated.json", "--tmin", "0.01", *_SWEEP],
         _THERMO_STDOUT,
-        "6117b0c667c522e89711fcd5234092ae14455c3f15914dadb954c85437685d93",
+        "caac0d8412b1b6c676eaadd9e33e3ecc0e4ce14d1df13d7817ca17437ec073a5",
     ),
     (
         ["thermo", "--input", "general.json", "--tmin", "0.1", *_SWEEP],

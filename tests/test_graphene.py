@@ -133,13 +133,20 @@ class TestMapping:
             assert abs(got - want) <= 1e-10 * (1 + want)
 
     def test_block_determinant_identity(self, rng):
+        """|adj w|_F = |det w_B| and beta^T adj(w) alpha = (a.b) det w_B with
+        det w_B = (tperp^2 - t3^2 |G|^2) / 4."""
         for _ in range(100):
-            p = GrapheneParams(t3=rng.normal(), tperp=rng.normal())
+            p = GrapheneParams(
+                t3=rng.normal(), tperp=rng.normal(), m=rng.normal(), bias=rng.normal()
+            )
             kx, ky = rng.normal(size=2) * 3
             g = abs(structure_factor(p, kx, ky))
-            want = (p.tperp**2 - p.t3**2 * g**2) / 4
-            got = derive(map_to_su2su2(p, kx, ky)).det_omega_b
-            assert abs(got - want) <= 1e-12 * (1 + abs(want))
+            det_b = (p.tperp**2 - p.t3**2 * g**2) / 4
+            c = map_to_su2su2(p, kx, ky)
+            d = derive(c)
+            assert abs(d.adj_norm - abs(det_b)) <= 1e-12 * (1 + abs(det_b))
+            want = (c.alpha @ c.beta) * det_b
+            assert abs(d.beta_adj_alpha - want) <= 1e-12 * (1 + abs(want))
 
 
 class TestBands:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,9 +19,7 @@ from su2pair.hamiltonian import (
     even_spectrum,
     fano_compose,
     fano_decompose,
-    frame_reduce,
     rotate_set,
-    rotation_to_axis3,
     traceless,
 )
 from su2pair.pauli import _WORDS, kron, pauli
@@ -29,6 +28,7 @@ from su2pair.sampling import (
     random_coefficient_set,
     random_entangled_canonical,
     random_hermitian,
+    random_rotated_constrained,
     random_rotation,
     random_unitary,
 )
@@ -42,7 +42,7 @@ XYZ_EXCHANGE = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 2.0, 3.0]
 # first read, so vars() would skip those three and show private names.
 DERIVED_FIELDS = (
     "v_quad", "a_vec", "b_vec", "w_mat", "theta", "phi", "theta_phi", "s_cubic",
-    "det_omega_b", "det_omega", "adj_norm", "singular_residual", "alpha_null",
+    "beta_adj_alpha", "det_omega", "adj_norm", "singular_residual", "alpha_null",
     "beta_null", "alpha_residual", "beta_residual", "alpha_sq", "beta_sq", "omega_sq",
 )
 PACKED_FIELDS = ("a_vec", "b_vec", "w_mat")
@@ -172,16 +172,33 @@ class TestDerive:
             assert abs(case01_theta(c) - d.theta) <= 1e-9 * (1 + abs(d.theta))
 
     def test_phi_reduced_form_on_canonical_sets(self, rng):
-        """Phi = 4[(a.b - det w_B)^2 + (a x b)^2] on constrained canonical sets."""
+        """Phi = 4[(a.b - det w_B)^2 + (a x b)^2] on constrained canonical sets,
+        where beta_adj_alpha is (a.b) det w_B."""
         for branch in ("alpha", "beta", "both"):
             for _ in range(40):
                 c = random_entangled_canonical(rng, branch)
                 d = derive(c)
+                det_b = float(np.linalg.det(c.omega[:2, :2]))
                 ref = 4.0 * (
-                    (c.alpha @ c.beta - d.det_omega_b) ** 2
+                    (c.alpha @ c.beta - det_b) ** 2
                     + np.cross(c.alpha, c.beta) @ np.cross(c.alpha, c.beta)
                 )
                 assert abs(d.phi - ref) <= 1e-10 * (1 + abs(ref))
+                product = (c.alpha @ c.beta) * det_b
+                assert abs(d.beta_adj_alpha - product) <= 1e-12 * (1 + abs(product))
+
+    def test_adjugate_fields_on_rotated_sets(self, rng):
+        """adj_norm = s1 s2 and beta_adj_alpha = (a.b) det w_B of the block
+        frame, whatever local frame a constrained set comes in."""
+        for _ in range(100):
+            canonical, rotated = random_rotated_constrained(rng)
+            d = derive(rotated)
+            s = np.linalg.svd(rotated.omega, compute_uv=False)
+            scale = 1 + d.omega_sq
+            assert abs(d.adj_norm - s[0] * s[1]) <= 1e-14 * scale
+            det_b = float(np.linalg.det(canonical.omega[:2, :2]))
+            product = (canonical.alpha @ canonical.beta) * det_b
+            assert abs(d.beta_adj_alpha - product) <= 1e-13 * scale * (1 + d.v_quad)
 
     def test_cayley_hamilton_reduction(self, rng):
         for _ in range(100):
@@ -326,6 +343,23 @@ class TestDerive:
         d = derive_arrays(*(np.array([getattr(c, f) for c in canonical]) for f in ("alpha", "beta", "omega")))
         sq, e1, e2 = even_spectrum(d)
         assert sq.shape == e1.shape == e2.shape == (4,)
+
+    def test_unconstrained_error_names_the_relative_residuals(self, rng):
+        """even_spectrum's error carries classify's three constraint residuals,
+        on one set and on the unconstrained item of a batch."""
+        c = CoefficientSet(0.3, (1, 2, 3), (3, 1, 2), np.diag([1.0, 2.0, 3.0]))
+        r = classify(c).residuals
+        want = (
+            f"alpha.omega residual {r['alpha_constraint']:.3e}, "
+            f"omega.beta residual {r['beta_constraint']:.3e}, "
+            f"det_omega residual {r['det_omega']:.3e}"
+        )
+        with pytest.raises(ConstraintError, match=re.escape(want)):
+            even_spectrum(derive(c))
+        sets = [random_entangled_canonical(rng, "alpha"), c, random_entangled_canonical(rng, "beta")]
+        d = derive_arrays(*(np.array([getattr(s, f) for s in sets]) for f in ("alpha", "beta", "omega")))
+        with pytest.raises(ConstraintError, match=re.escape(want)):
+            even_spectrum(d)
 
     def test_odd_traces_vanish_under_constraint(self, rng):
         for _ in range(50):
@@ -589,21 +623,6 @@ class TestClassify:
 
 
 class TestRotations:
-    def test_rotation_to_axis3(self, rng):
-        for _ in range(50):
-            v = rng.normal(size=3)
-            r = rotation_to_axis3(v)
-            assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
-            assert np.isclose(np.linalg.det(r), 1.0)
-            out = r @ v
-            assert np.allclose(out[:2], 0, atol=1e-12)
-            assert out[2] >= 0
-
-    def test_rotation_to_axis3_antiparallel(self):
-        r = rotation_to_axis3(np.array([0.0, 0.0, -2.0]))
-        assert np.allclose(r @ np.array([0.0, 0.0, -1.0]), [0, 0, 1])
-        assert np.isclose(np.linalg.det(r), 1.0)
-
     def test_rotate_set_matches_conjugation(self, rng):
         """u (v.sigma) u^dag = (R v).sigma with R_ij = 1/2 Tr[s_i u s_j u^dag],
         so u1 (x) u2 conjugates H into the rotated set's Hamiltonian."""
@@ -621,42 +640,16 @@ class TestRotations:
             assert np.max(np.abs(lhs - rhs)) <= 1e-11 * (1 + c.scale())
 
 
-class TestFrameReduce:
-    def test_identity_on_canonical(self):
-        reduced, r1, r2 = frame_reduce(ENTANGLED_EXAMPLE)
-        assert np.allclose(r1, np.eye(3))
-        assert np.allclose(r2, np.eye(3))
-        assert np.allclose(reduced.omega, ENTANGLED_EXAMPLE.omega)
-
-    def test_round_trip_recovers_canonical_form(self, rng):
-        """Rotated constrained sets reduce back to canonical form, spectrum intact."""
-        for branch in ("alpha", "beta"):
+    def test_rotated_constrained_sets_stay_constrained(self, rng):
+        """The constraint gates and the spectrum survive local rotations, so
+        the closed forms apply in any frame."""
+        for branch in ("alpha", "beta", "both"):
             for _ in range(25):
                 c = random_entangled_canonical(rng, branch)
                 rot = rotate_set(c, random_rotation(rng), random_rotation(rng))
-                reduced, r1, r2 = frame_reduce(rot)
-                assert classify(reduced).kind is CaseKind.ENTANGLED_CONSTRAINED
-                # proper rotations
-                for r in (r1, r2):
-                    assert np.allclose(r @ r.T, np.eye(3), atol=1e-11)
-                    assert np.isclose(np.linalg.det(r), 1.0)
-                # block form: third row/col zero, symmetric block
-                om = np.asarray(reduced.omega)
-                assert np.max(np.abs(om[2, :])) <= 1e-10 * (1 + c.scale())
-                assert np.max(np.abs(om[:, 2])) <= 1e-10 * (1 + c.scale())
-                assert abs(om[0, 1] - om[1, 0]) <= 1e-10 * (1 + c.scale())
-                # spectrum invariant
-                w0 = np.linalg.eigvalsh(fano_compose(rot))
-                w1 = np.linalg.eigvalsh(fano_compose(reduced))
+                got = classify(rot)
+                assert got.kind is CaseKind.ENTANGLED_CONSTRAINED
+                assert got.branch is classify(c).branch
+                w0 = np.linalg.eigvalsh(fano_compose(c))
+                w1 = np.linalg.eigvalsh(fano_compose(rot))
                 assert np.max(np.abs(w0 - w1)) <= 1e-10 * (1 + np.max(np.abs(w0)))
-
-    def test_degenerate_vector_returns_identity(self):
-        c = CoefficientSet(0.0, (0, 0, 0), (1.0, 2.0, 0.5), np.diag([1.0, -0.5, 0.0]))
-        reduced, r1, _ = frame_reduce(c)
-        assert np.allclose(r1, np.eye(3))
-        assert classify(reduced).kind is not CaseKind.GENERAL
-
-    def test_unconstrained_set_raises(self, rng):
-        c = CoefficientSet(0.3, (1, 2, 3), (3, 1, 2), np.diag([1.0, 2.0, 3.0]))
-        with pytest.raises(ConstraintError):
-            frame_reduce(c)

@@ -83,7 +83,7 @@ def _bits(x) -> bytes:
 # instance dict holds the components of the three packed arrays instead).
 _DERIVED_FIELDS = (
     "v_quad", "a_vec", "b_vec", "w_mat", "theta", "phi", "theta_phi", "s_cubic",
-    "det_omega_b", "det_omega", "adj_norm", "singular_residual", "alpha_null",
+    "beta_adj_alpha", "det_omega", "adj_norm", "singular_residual", "alpha_null",
     "beta_null", "alpha_residual", "beta_residual", "alpha_sq", "beta_sq", "omega_sq",
 )
 

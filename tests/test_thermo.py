@@ -248,14 +248,24 @@ class TestThermalConcurrence:
         assert saw_unreliable
 
     def test_rotation_invariance(self, rng):
-        """Block reduction inside the closed form keeps rotated sets consistent."""
+        """The closed form reads |w|_F and |adj w|_F, so rotated commuting
+        (flag 0) and rotated constrained (flag 1) sets give the block-form
+        value.  Worst over ten seeds: 1.8e-15."""
+        pairs = []
         for _ in range(20):
             c = random_commuting_thermal_set(rng)
-            rot = rotate_set(c, random_rotation(rng), random_rotation(rng))
+            pairs.append((c, rotate_set(c, random_rotation(rng), random_rotation(rng))))
+        pairs += [random_rotated_constrained(rng) for _ in range(20)]
+        for c, rot in pairs:
             for t in (0.5, 2.0):
                 a = thermal_concurrence(c, t, compare=False).value
                 b = thermal_concurrence(rot, t, compare=False).value
-                assert abs(a - b) <= 1e-9
+                assert abs(a - b) <= 1e-13
+
+    def test_unconstrained_set_raises(self):
+        c = CoefficientSet(0.3, (1, 2, 3), (3, 1, 2), np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(ConstraintError, match="det_omega residual"):
+            thermal_concurrence(c, 1.0, compare=False)
 
     def test_monotone_death(self, rng):
         """Zero beyond the death temperature, positive on a left neighborhood."""
