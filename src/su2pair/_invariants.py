@@ -106,12 +106,14 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
     ``a`` and ``b`` hold the three components of alpha and beta, ``w`` the
     three rows of omega.  The components are Python floats for one set
     (``sqrt`` = math.sqrt, ``pack`` = np.array) or arrays over the batch axes
-    (np.sqrt and :func:`_stack_last`).  Each field is the same sequence of
-    IEEE + - * / sqrt and exact selections in both cases, so batch items and
-    single sets carry the same bits whatever the memory layout or the BLAS
-    build.  The record keeps the components of ``a_vec``, ``b_vec`` and
-    ``w_mat`` as nested lists, and ``pack`` turns them into arrays on their
-    first read.
+    (np.sqrt and :func:`_stack_last`).  A batch may give the components that
+    are the same for every item as Python floats; they broadcast.  Each field
+    is the same sequence of IEEE + - * / sqrt and exact selections in every
+    case, so batch items and single sets carry the same bits whatever the
+    memory layout or the BLAS build, and a field that no batch component
+    reaches stays a scalar.  The record keeps the components of ``a_vec``,
+    ``b_vec`` and ``w_mat`` as nested lists, and ``pack`` turns them into
+    arrays on their first read.
     """
     a1, a2, a3 = a
     b1, b2, b3 = b
@@ -245,8 +247,18 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
     return d
 
 
-def _stack_last(items) -> np.ndarray:
-    """Nested lists of batch arrays as one array, the nesting as trailing axes."""
+def _stack_last(items, shape=()) -> np.ndarray:
+    """A list, or a list of lists, of batch arrays as one array, the nesting
+    as trailing axes.  The arrays share the batch's shape and scalar entries
+    broadcast over it; ``shape`` is the batch's shape when every entry is a
+    scalar."""
+    nesting = (len(items),)
     if isinstance(items[0], list):
-        return np.stack([_stack_last(row) for row in items], axis=-2)
-    return np.stack(items, axis=-1)
+        nesting, items = (len(items), len(items[0])), [x for row in items for x in row]
+    shape = next((x.shape for x in items if isinstance(x, np.ndarray) and x.ndim), shape)
+    if not shape:
+        return np.array(items, dtype=float).reshape(nesting)
+    flat = np.empty(shape + (len(items),))
+    for i, x in enumerate(items):
+        flat[..., i] = x
+    return flat.reshape(flat.shape[:-1] + nesting)

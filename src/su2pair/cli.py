@@ -30,9 +30,9 @@ from .thermo import EnsembleBranch, thermal_sweep
 from .verify import run_suites, report_lines
 
 # Largest accepted --grid and --steps, refused before any work.  On a 2-CPU
-# Xeon host a grid command costs 1-1.5 us a k-point (about half of it CSV
-# formatting for the bands) and runs in chunks of graphene.CHUNK_POINTS, so
-# --grid 1001 takes a second or two in flat memory; a thermo sweep is
+# Xeon host a grid command costs 0.8-0.9 us a k-point (half or more of it CSV
+# formatting) and runs in chunks of graphene.CHUNK_POINTS, so --grid 1001
+# takes about a second in flat memory; a thermo sweep is
 # evaluated as arrays over T at 2-5 us a step, 1.2-1.6 us of it CSV
 # formatting, so --steps 10000 takes well under a second.
 MAX_GRID = 1001

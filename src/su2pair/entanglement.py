@@ -23,7 +23,6 @@ from .hamiltonian import (
     _dot,
     _matvec,
     _where,
-    coefficient_scale,
     derive,
     derive_arrays,
     even_spectrum,
@@ -193,13 +192,29 @@ def concurrence_closed_form_arrays(upsilon, alpha, beta, omega, m: int, n: int,
     radicand below the round-off floor) read 0.  Raises ConstraintError if
     any item meets neither constraint.
     """
-    _check_mn(m, n)
     alpha, beta, omega = (np.ascontiguousarray(x, dtype=float) for x in (alpha, beta, omega))
-    d = derive_arrays(alpha, beta, omega, tol)
+    return _concurrence_from_derived(
+        derive_arrays(alpha, beta, omega, tol), upsilon, _dot(alpha, alpha), _dot(beta, beta),
+        m, n, lambda: (alpha, beta, omega),
+    )
+
+
+def _concurrence_from_derived(d: DerivedCoefficients, upsilon, al_sq, be_sq, m: int, n: int,
+                              arrays):
+    """:func:`concurrence_closed_form_arrays` on the derived record ``d`` of
+    a batch.
+
+    ``al_sq`` and ``be_sq`` are |alpha|^2 and |beta|^2 with the bits of
+    ``_dot``, which the radical reads; ``arrays`` returns the batch's
+    (alpha, beta, omega) and is called only where the Bloch-modulus route
+    runs.  The floor below which a constrained vector counts as vanishing is
+    relative to the coefficient scale sqrt(upsilon^2 + al_sq + be_sq +
+    ``omega_sq``).
+    """
+    _check_mn(m, n)
     sq, en, cause = _branch_scales(d, n)
     sn = (-1.0) ** n
-    floor = VECTOR_FLOOR * (coefficient_scale(upsilon, alpha, beta, omega) + _TINY)
-    al_sq, be_sq = _dot(alpha, alpha), _dot(beta, beta)
+    floor = VECTOR_FLOOR * (np.sqrt(upsilon * upsilon + al_sq + be_sq + d.omega_sq) + _TINY)
     # v is the constrained vector, u the other one.
     on_alpha = d.alpha_null & (al_sq >= floor * floor)
     on_beta = d.beta_null & (be_sq >= floor * floor)
@@ -211,7 +226,7 @@ def concurrence_closed_form_arrays(upsilon, alpha, beta, omega, m: int, n: int,
         radicand = d.phi / d.theta_phi - v_sq / (en * en) * (lift * lift)
     bloch = ~(on_alpha | on_beta)
     if bloch.any():
-        a, _, _ = bloch_closed_form_arrays(alpha, beta, omega, d, m, n)
+        a, _, _ = bloch_closed_form_arrays(*arrays(), d, m, n)
         a_mod = np.sqrt(_dot(a, a))
         radicand = _where(bloch, 1.0 - a_mod * a_mod, radicand)
     value, domain_error = _root_of_radicand(radicand)

@@ -4,7 +4,16 @@ The tight-binding Hamiltonian in the {A1, B1, A2, B2} basis (layer (x)
 sublattice) maps one-to-one onto a coefficient set that satisfies the
 alpha-side contraction constraint at every wave vector, so the closed-form
 band energies, eigenstate concurrence and thermal quantities all apply.
-Grid sweeps over the Brillouin zone feed the CSV emitters.
+
+The mapping lives in one place, :func:`_lattice_layer`: the set's
+components at a batch of wave vectors, with the k-independent ones (alpha,
+beta's third entry, omega's third row and column) as Python floats.  Grid
+sweeps over the Brillouin zone take the structure factor from per-axis
+factors gathered by each chunk's axis indices, run the derive kernel on
+these components without staging coefficient arrays, and feed the CSV
+emitters with the k columns as (axis, index) pairs.  Every value has the
+bits of the array functions on the staged sets of
+:func:`lattice_layer_arrays`.
 """
 
 from __future__ import annotations
@@ -14,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import CLOSED_FORM, concurrence_closed_form_arrays
-from .hamiltonian import CoefficientSet, derive, derive_arrays, even_spectrum
+from ._invariants import _derive_kernel, _stack_last
+from .entanglement import CLOSED_FORM, _concurrence_from_derived
+from .hamiltonian import DEFAULT_TOL, CoefficientSet, _dot, derive, even_spectrum
 from .thermo import _check_temperature, cosh_pair, sinh_cosh_gap, spin_flip_commutator
 
 
@@ -45,36 +55,58 @@ class GrapheneParams:
             raise ValueError("lattice constant must be positive")
 
 
+def _structure_factor(p: GrapheneParams, kx, ky, at=None):
+    """G = 2 e^{-i kx lam/2} cos(sqrt(3) ky lam/2) + e^{-i kx lam} at the
+    wave vectors (kx, ky), or at the grid points (kx[ix], ky[iy]) when
+    ``at`` = (ix, iy) indexes the axes kx and ky.  Each factor is evaluated
+    on its own axis and gathered; its bits do not depend on which."""
+    lam = p.lattice
+    half = 2.0 * np.exp(-1j * kx * lam / 2.0)
+    full = np.exp(-1j * kx * lam)
+    cos_y = np.cos(np.sqrt(3.0) * ky * lam / 2.0)
+    if at is not None:
+        ix, iy = at
+        half, full, cos_y = half[ix], full[ix], cos_y[iy]
+    return half * cos_y + full
+
+
 def structure_factor(p: GrapheneParams, kx: float, ky: float) -> complex:
     """Sum of nearest-neighbor phase factors; zeros mark the Dirac points."""
-    lam = p.lattice
-    return 2.0 * np.exp(-1j * kx * lam / 2.0) * np.cos(
-        np.sqrt(3.0) * ky * lam / 2.0
-    ) + np.exp(-1j * kx * lam)
+    return _structure_factor(p, kx, ky)
+
+
+def _lattice_layer(p: GrapheneParams, kx, ky, at=None):
+    """The components (a, b, w) of the lattice-layer sets' alpha, beta and
+    omega rows, in the form ``_derive_kernel`` takes, at the points of
+    :func:`_structure_factor`.
+
+    alpha = (0, 0, bias/2); beta = (-t Re G, t Im G, m); omega is the
+    symmetric 2x2 block built from tperp and t3 G.  The third row and
+    column of omega vanish, so alpha . omega = 0 identically.  The entries
+    that do not depend on k are Python floats; the others carry the shape
+    of the points.  upsilon is 0.
+    """
+    g = _structure_factor(p, kx, ky, at)
+    re, im = g.real, g.imag
+    w12 = -p.t3 * im / 2.0
+    return (
+        [0.0, 0.0, p.bias / 2.0],
+        [-p.t * re, p.t * im, p.m],
+        [[(p.tperp - p.t3 * re) / 2.0, w12, 0.0],
+         [w12, (p.tperp + p.t3 * re) / 2.0, 0.0],
+         [0.0, 0.0, 0.0]],
+    )
 
 
 def lattice_layer_arrays(p: GrapheneParams, kx, ky):
     """(alpha, beta, omega) of the lattice-layer sets at wave vectors kx, ky.
 
-    alpha = (0, 0, bias/2); beta = (-t Re G, t Im G, m); omega is the
-    symmetric 2x2 block built from tperp and t3 G.  The third row of omega
-    vanishes, so alpha . omega = 0 identically.  The arrays carry the shape
-    of ``kx`` as leading axes; upsilon is 0.
+    The components of :func:`_lattice_layer` as arrays that carry the
+    shape of ``kx`` and ``ky`` as leading axes.
     """
-    g = structure_factor(p, kx, ky)
-    re, im = g.real, g.imag
-    shape = np.shape(re)
-    alpha = np.zeros(shape + (3,))
-    alpha[..., 2] = p.bias / 2.0
-    beta = np.empty(shape + (3,))
-    beta[..., 0] = -p.t * re
-    beta[..., 1] = p.t * im
-    beta[..., 2] = p.m
-    omega = np.zeros(shape + (3, 3))
-    omega[..., 0, 0] = (p.tperp - p.t3 * re) / 2.0
-    omega[..., 0, 1] = omega[..., 1, 0] = -p.t3 * im / 2.0
-    omega[..., 1, 1] = (p.tperp + p.t3 * re) / 2.0
-    return alpha, beta, omega
+    a, b, w = _lattice_layer(p, kx, ky)
+    shape = np.shape(b[0])
+    return _stack_last(a, shape), _stack_last(b, shape), _stack_last(w, shape)
 
 
 def map_to_su2su2(p: GrapheneParams, kx: float, ky: float) -> CoefficientSet:
@@ -101,8 +133,9 @@ def build_ab_hamiltonian(p: GrapheneParams, kx: float, ky: float) -> np.ndarray:
     return h
 
 
-def _band_arrays(p: GrapheneParams, kx, ky):
-    _, e1, e2 = even_spectrum(derive_arrays(*lattice_layer_arrays(p, kx, ky)))
+def _band_arrays(p: GrapheneParams, kx, ky, at=None):
+    d = _derive_kernel(*_lattice_layer(p, kx, ky, at), DEFAULT_TOL, np.sqrt, _stack_last)
+    _, e1, e2 = even_spectrum(d)
     return e1, e2
 
 
@@ -182,13 +215,12 @@ def _reciprocal_shells(lattice: float) -> np.ndarray:
 
 
 def first_zone_mask(p: GrapheneParams, kx, ky) -> np.ndarray:
-    """Wigner-Seitz test: k belongs iff it is no farther from 0 than from any G."""
-    shells = _reciprocal_shells(p.lattice)
-    k = np.stack([kx, ky], axis=-1)
-    # One 2-term dot per point and shell, as for a single point.
-    kg = (k[..., None, None, :] @ shells[:, :, None])[..., 0, 0]
-    gg = (shells[:, None, :] @ shells[:, :, None])[..., 0, 0]
-    return ~np.any(2.0 * kg > gg * (1.0 + 1e-12), axis=-1)
+    """Wigner-Seitz test: k belongs iff it is no farther from 0 than from any G,
+    2 k.G <= |G|^2 (1 + 1e-12) for each of the six shell vectors G."""
+    outside = False
+    for gx, gy in _reciprocal_shells(p.lattice).tolist():
+        outside = outside | (2.0 * (kx * gx + ky * gy) > (gx * gx + gy * gy) * (1.0 + 1e-12))
+    return np.logical_not(outside)
 
 
 def in_first_zone(p: GrapheneParams, kx: float, ky: float) -> bool:
@@ -202,46 +234,63 @@ def in_first_zone(p: GrapheneParams, kx: float, ky: float) -> bool:
 CHUNK_POINTS = 4096
 
 
-def _grid_chunks(p: GrapheneParams, g: GridSpec):
-    """(kx, ky) of the grid in row-major order, in chunks of CHUNK_POINTS
-    points before masking; chunks that the mask empties are skipped."""
-    xs, ys = g.axes()
+def _grid_chunks(p: GrapheneParams, g: GridSpec, xs, ys):
+    """Axis indices (ix, iy) of the grid points (xs[ix], ys[iy]) in
+    row-major order, in chunks of CHUNK_POINTS points before masking;
+    chunks that the mask empties are skipped."""
     total = g.nx * g.ny
     for start in range(0, total, CHUNK_POINTS):
-        index = np.arange(start, min(start + CHUNK_POINTS, total))
-        kx, ky = xs[index // g.ny], ys[index % g.ny]
+        ix, iy = np.divmod(np.arange(start, min(start + CHUNK_POINTS, total)), g.ny)
         if g.mask == "hex":
-            inside = first_zone_mask(p, kx, ky)
-            kx, ky = kx[inside], ky[inside]
-        if kx.size:
-            yield kx, ky
+            inside = first_zone_mask(p, xs[ix], ys[iy])
+            ix, iy = ix[inside], iy[inside]
+        if ix.size:
+            yield ix, iy
 
 
 def band_chunks(p: GrapheneParams, g: GridSpec):
     """Positive band energies on the grid, row-major in (kx, ky), one dict
-    of ``kx``, ``ky``, ``e1``, ``e2`` arrays per chunk."""
-    for kx, ky in _grid_chunks(p, g):
-        e1, e2 = _band_arrays(p, kx, ky)
-        yield {"kx": kx, "ky": ky, "e1": e1, "e2": e2}
+    per chunk: ``e1`` and ``e2`` arrays, and ``kx`` and ``ky`` as
+    (axis, index) pairs, the column form ``write_csv`` takes."""
+    xs, ys = g.axes()
+    for ix, iy in _grid_chunks(p, g, xs, ys):
+        e1, e2 = _band_arrays(p, xs, ys, (ix, iy))
+        yield {"kx": (xs, ix), "ky": (ys, iy), "e1": e1, "e2": e2}
 
 
 def concurrence_chunks(p: GrapheneParams, g: GridSpec, m: int = 2, n: int = 1):
-    """Eigenstate concurrence of branch (m, n) on the grid, one dict of
-    ``kx``, ``ky``, ``c``, ``flag`` arrays per chunk.
+    """Eigenstate concurrence of branch (m, n) on the grid, one dict per
+    chunk: ``c`` and ``flag`` arrays, and ``kx`` and ``ky`` as in
+    :func:`band_chunks`.
 
-    Points where the closed form degenerates or leaves its real domain are
-    reported as zero with flag = 1, matching the separable-state reading of
-    those regions.
+    The closed form of ``concurrence_closed_form_arrays`` on the derived
+    record of the chunk's components; the coefficient arrays are staged
+    only where its Bloch-modulus route runs.  Points where the closed form
+    degenerates or leaves its real domain are reported as zero with
+    flag = 1, matching the separable-state reading of those regions.
     """
-    for kx, ky in _grid_chunks(p, g):
-        c, cause, _ = concurrence_closed_form_arrays(0.0, *lattice_layer_arrays(p, kx, ky), m, n)
-        yield {"kx": kx, "ky": ky, "c": c, "flag": (cause != CLOSED_FORM).astype(int)}
+    xs, ys = g.axes()
+    for ix, iy in _grid_chunks(p, g, xs, ys):
+        a, b, w = _lattice_layer(p, xs, ys, (ix, iy))
+        d = _derive_kernel(a, b, w, DEFAULT_TOL, np.sqrt, _stack_last)
+        shape = ix.shape
+        beta = _stack_last(b, shape)
+        # The radical reads |alpha|^2 and |beta|^2 with _dot's bits, which
+        # can differ from the kernel's beta_sq in the last one.  alpha =
+        # (0, 0, bias/2) has one nonzero term, so its _dot is (bias/2)^2
+        # rounded once, whatever the BLAS's order of summation.
+        c, cause, _ = _concurrence_from_derived(
+            d, 0.0, a[2] * a[2], _dot(beta, beta), m, n,
+            lambda: (_stack_last(a, shape), beta, _stack_last(w, shape)),
+        )
+        yield {"kx": (xs, ix), "ky": (ys, iy), "c": c, "flag": (cause != CLOSED_FORM).astype(int)}
 
 
 def _joined(chunks, columns) -> dict[str, np.ndarray]:
     chunks = list(chunks)
+    gathered = lambda col: col[0][col[1]] if isinstance(col, tuple) else col
     return {
-        col: np.concatenate([ch[col] for ch in chunks]) if chunks else np.empty(0)
+        col: np.concatenate([gathered(ch[col]) for ch in chunks]) if chunks else np.empty(0)
         for col in columns
     }
 

@@ -301,30 +301,58 @@ def _int_cells(distinct: np.ndarray) -> np.ndarray:
     return np.array(text, f"S{width}").view(np.uint8).reshape(len(text), width)
 
 
+def _strictly_monotone(x: np.ndarray) -> bool:
+    """Whether the float column ``x`` strictly rises or falls, so that no
+    value repeats; NaN, and 0 next to -0, make it not."""
+    if x.size < 2:
+        return True
+    if x[1] > x[0]:
+        return bool(np.all(x[1:] > x[:-1]))
+    return bool(x[1] < x[0] and np.all(x[1:] < x[:-1]))
+
+
+def _table(col):
+    """(values, index) of a column, such that values[index] are its cells;
+    ``index`` None stands for every row in order."""
+    if isinstance(col, tuple):
+        values, index = col
+        return np.asarray(values), np.asarray(index)
+    col = np.asarray(col)
+    if col.dtype.kind in "iub":
+        return np.unique(col, return_inverse=True)
+    col = np.asarray(col, dtype=np.float64)
+    if _strictly_monotone(col):
+        return col, None
+    distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    return distinct.view(np.float64), inverse
+
+
+def _rows(col) -> int:
+    return len(col[1] if isinstance(col, tuple) else col)
+
+
 def _chunk_text(columns) -> str:
     """The CSV lines of one chunk; see ``write_csv``."""
-    columns = [np.asarray(col) for col in columns]
-    tables, inverses, floats = [], [], []
+    tables, indices, floats = [], [], []
     for col in columns:
-        if col.dtype.kind in "iub":
-            distinct, inverse = np.unique(col, return_inverse=True)
-            tables.append(_int_cells(distinct))
+        values, index = _table(col)
+        if values.dtype.kind in "iub":
+            tables.append(_int_cells(values))
         else:
-            bits = np.asarray(col, dtype=np.float64).view(np.int64)
-            distinct, inverse = np.unique(bits, return_inverse=True)
-            floats.append(distinct.view(np.float64))
+            floats.append(np.asarray(values, dtype=np.float64))
             tables.append(None)
-        inverses.append(inverse)
+        indices.append(index)
     if floats:
         grid = _format_17g(np.concatenate(floats))
         parts = iter(np.split(grid, np.cumsum([f.size for f in floats])[:-1]))
         tables = [next(parts) if t is None else t for t in tables]
     # One row of cells, each followed by its separator, per CSV line.
     widths = [t.shape[1] + 1 for t in tables]
-    lines = np.empty((len(columns[0]), sum(widths)), np.uint8)
+    lines = np.empty((_rows(columns[0]), sum(widths)), np.uint8)
     ends = np.cumsum(widths).tolist()
-    for table, inverse, end in zip(tables, inverses, ends):
-        lines[:, end - table.shape[1] - 1:end - 1] = np.take(table, inverse, axis=0)
+    for table, index, end in zip(tables, indices, ends):
+        cells = table if index is None else np.take(table, index, axis=0)
+        lines[:, end - table.shape[1] - 1:end - 1] = cells
         lines[:, end - 1] = ord(",")
     lines[:, -1] = ord("\n")
     lines = lines.ravel()
@@ -334,16 +362,20 @@ def _chunk_text(columns) -> str:
 def write_csv(path, header: list[str], chunks) -> int:
     """Stream column chunks to a CSV and return the number of rows written.
 
-    Each chunk holds one 1-D array per header column.  Integer and boolean
-    columns print as integers, the rest with 17 significant digits, the
-    bytes of ``format_float`` per cell.
+    Each chunk holds one column per header column: a 1-D array, or a tuple
+    ``(values, index)`` of 1-D arrays that stands for ``values[index]``.
+    Integer and boolean columns print as integers, the rest with 17
+    significant digits, the bytes of ``format_float`` per cell.
 
-    Each column of a chunk keeps a table of its distinct values, and each
-    distinct value is formatted once.  Float columns are keyed on their bit
-    pattern (the ``int64`` view), never on their value: ``0.0 == -0.0``,
-    but they print as ``0`` and ``-0``.  Integer and boolean columns are
-    keyed on their values and formatted by ``%d``.  The distinct floats of
-    all columns go through one call of an array kernel, ``_format_17g``: it
+    Each column of a chunk is formatted through a table of values and an
+    index into it.  A ``(values, index)`` column is its own table, and so is
+    a strictly rising or falling float column, which cannot repeat a value.
+    Every other column keeps a table of its distinct values, so each is
+    formatted once.  Float columns are keyed on their bit pattern (the
+    ``int64`` view), never on their value: ``0.0 == -0.0``, but they print
+    as ``0`` and ``-0``.  Integer and boolean columns are keyed on their
+    values and formatted by ``%d``.  The table floats of all columns go
+    through one call of an array kernel, ``_format_17g``: it
     rounds |x| * 10^(16 - k) to 17 digits from a double-double product and
     lays out the text as %g does, for less than half the cost of a
     ``format`` call a value.  Where the product cannot decide the rounding
@@ -359,5 +391,5 @@ def write_csv(path, header: list[str], chunks) -> int:
         for columns in chunks:
             text = _chunk_text(columns)
             fh.write(text)
-            rows += len(columns[0])
+            rows += _rows(columns[0])
     return rows

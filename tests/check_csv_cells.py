@@ -3,7 +3,12 @@
 Runs the paper's two 201^2 figure commands and a 10000-step ``thermo`` sweep
 of each golden set through the CLI (and so ``write_csv``), recomputes the
 same columns through the library, and compares each cell with
-``format_float`` of its value (``%d`` for integer columns).  A round trip
+``format_float`` of its value (``%d`` for integer columns).  The grid
+columns are recomputed on every point at once through
+``lattice_layer_arrays``, ``derive_arrays`` and
+``concurrence_closed_form_arrays``, so the commands' per-axis structure
+factor, scalar components and axis-indexed k columns are checked against a
+path that shares none of them.  A round trip
 through ``float()`` would pass a cell that is the valid text of a
 neighbouring double; this comparison does not.
 
@@ -19,7 +24,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from su2pair import cli, graphene
+from su2pair.entanglement import CLOSED_FORM, concurrence_closed_form_arrays
+from su2pair.hamiltonian import derive_arrays, even_spectrum
 from su2pair.serialization import format_float, load_coefficient_set
 from su2pair.thermo import EnsembleBranch, thermal_sweep
 
@@ -29,21 +38,37 @@ from test_golden import SETS  # noqa: E402
 STEPS = 10_000
 
 
-def grid_columns(argv, build, keys):
+def grid_columns(argv, values):
+    """kx, ky and the ``values`` columns of a grid command, every point at
+    once through the generic array path (``lattice_layer_arrays`` and the
+    public array functions), not through the grid commands' own."""
     args = cli.build_parser().parse_args([*argv, "--output", "-"])
     p = cli._graphene_params(args)
-    data = build(p, graphene.default_grid(p, args.grid, args.mask))
-    return [data[k] for k in keys]
+    xs, ys = graphene.default_grid(p, args.grid, args.mask).axes()
+    kx, ky = np.repeat(xs, ys.size), np.tile(ys, xs.size)
+    if args.mask == "hex":
+        inside = graphene.first_zone_mask(p, kx, ky)
+        kx, ky = kx[inside], ky[inside]
+    return [kx, ky, *values(*graphene.lattice_layer_arrays(p, kx, ky))]
+
+
+def bands(alpha, beta, omega):
+    _, e1, e2 = even_spectrum(derive_arrays(alpha, beta, omega))
+    return e1, e2
+
+
+def concurrence(alpha, beta, omega):
+    c, cause, _ = concurrence_closed_form_arrays(0.0, alpha, beta, omega, 2, 2)
+    return c, (cause != CLOSED_FORM).astype(int)
 
 
 def cases(workdir: Path):
     """(name, argv, columns) of every command checked."""
-    bands = ["graphene-bands", "--bias", "0.1", "--grid", "201"]
-    yield "bands", bands, grid_columns(bands, graphene.band_grid, ("kx", "ky", "e1", "e2"))
-    conc = ["graphene-concurrence", "--bias", "1", "--branch-n", "2", "--mask", "hex",
+    argv = ["graphene-bands", "--bias", "0.1", "--grid", "201"]
+    yield "bands", argv, grid_columns(argv, bands)
+    argv = ["graphene-concurrence", "--bias", "1", "--branch-n", "2", "--mask", "hex",
             "--grid", "201"]
-    yield "concurrence", conc, grid_columns(
-        conc, lambda p, g: graphene.concurrence_grid(p, g, 2, 2), ("kx", "ky", "c", "flag"))
+    yield "concurrence", argv, grid_columns(argv, concurrence)
     temps = cli._temperatures(0.01, 100.0, STEPS)
     for name, payload in SETS.items():
         path = workdir / f"{name}.json"

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,11 @@ from hypothesis import strategies as st
 
 from su2pair import graphene
 from su2pair.cli import main
-from su2pair.entanglement import eigenstate_concurrence_closed_form
+from su2pair.entanglement import (
+    CLOSED_FORM,
+    concurrence_closed_form_arrays,
+    eigenstate_concurrence_closed_form,
+)
 from su2pair.errors import ConcurrenceDomainError, DegenerateBranchError
 from su2pair.graphene import (
     GrapheneParams,
@@ -19,14 +24,24 @@ from su2pair.graphene import (
     concurrence_grid,
     default_grid,
     find_dirac_point,
+    first_zone_mask,
     in_first_zone,
+    lattice_layer_arrays,
     map_to_su2su2,
     positive_bands,
     structure_factor,
     thermal_concurrence_curve,
     thermal_death_temperature,
 )
-from su2pair.hamiltonian import Branch, CaseKind, classify, derive, fano_compose
+from su2pair.hamiltonian import (
+    Branch,
+    CaseKind,
+    classify,
+    derive,
+    derive_arrays,
+    even_spectrum,
+    fano_compose,
+)
 from su2pair.oracle import eig_hermitian
 
 DEFAULT = GrapheneParams()
@@ -339,6 +354,79 @@ class TestBatchedGridsMatchScalarFunctions:
         assert batched.tolist() == [in_first_zone(p, x, y) for x, y in zip(kx, ky)]
         assert in_first_zone(p, *anchors["corner-in"])
         assert not in_first_zone(p, *anchors["corner-out"])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+class TestStructureAwareGridsMatchTheArrayPath:
+    """The grids take G from per-axis factors, run the derive kernel with
+    the k-independent components as scalars and read |beta|^2 from _dot;
+    every column must equal the generic array path on the staged sets bit
+    for bit, the Bloch-modulus fallback (bias 0) included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=_grid_cases(),
+        m=st.sampled_from([1, 2]),
+        n=st.sampled_from([1, 2]),
+        chunk=st.sampled_from([1, 3, 4096]),
+    )
+    def test_grids_equal_the_generic_array_path(self, case, m, n, chunk):
+        p, g = case
+        with mock.patch.object(graphene, "CHUNK_POINTS", chunk):
+            bands = band_grid(p, g)
+            conc = concurrence_grid(p, g, m, n)
+        xs, ys = g.axes()
+        kx, ky = np.repeat(xs, ys.size), np.tile(ys, xs.size)
+        if g.mask == "hex":
+            inside = first_zone_mask(p, kx, ky)
+            kx, ky = kx[inside], ky[inside]
+        for data in (bands, conc):
+            assert (_bits(data["kx"]), _bits(data["ky"])) == (_bits(kx), _bits(ky))
+        sets = lattice_layer_arrays(p, kx, ky)
+        _, e1, e2 = even_spectrum(derive_arrays(*sets))
+        assert (_bits(bands["e1"]), _bits(bands["e2"])) == (_bits(e1), _bits(e2))
+        c, cause, _ = concurrence_closed_form_arrays(0.0, *sets, m, n)
+        assert _bits(conc["c"]) == _bits(c)
+        assert conc["flag"].tolist() == (cause != CLOSED_FORM).astype(int).tolist()
+
+
+def _inside_reference(lattice, kx, ky):
+    """Zone membership of one point in Python floats: 2 k.G <= |G|^2 (1 + 1e-12)
+    for the six shortest reciprocal vectors G = +-b1, +-b2, +-(b1 - b2)."""
+    c, s = 2.0 * math.pi / lattice, 1.0 / math.sqrt(3.0)
+    b1, b2 = (c * 1.0, c * s), (c * 1.0, c * -s)
+    d = (b1[0] - b2[0], b1[1] - b2[1])
+    shells = [b1, b2, d] + [(-gx, -gy) for gx, gy in (b1, b2, d)]
+    return not any(
+        2.0 * (kx * gx + ky * gy) > (gx * gx + gy * gy) * (1.0 + 1e-12) for gx, gy in shells
+    )
+
+
+class TestFirstZoneMask:
+    @pytest.mark.parametrize("lattice", [1.0, 0.7, 1.9])
+    def test_anchors_equal_the_per_point_reference(self, lattice):
+        p = GrapheneParams(lattice=lattice)
+        anchors = _zone_anchors(p)
+        kx = np.array([k[0] for k in anchors.values()])
+        ky = np.array([k[1] for k in anchors.values()])
+        expected = [_inside_reference(lattice, x, y) for x, y in zip(kx.tolist(), ky.tolist())]
+        assert first_zone_mask(p, kx, ky).tolist() == expected
+        assert [in_first_zone(p, x, y) for x, y in zip(kx, ky)] == expected
+        inside = dict(zip(anchors, expected))
+        assert inside["corner-in"] and not inside["corner-out"]
+
+    @pytest.mark.parametrize("lattice", [1.0, 1.3])
+    def test_seeded_points_equal_the_per_point_reference(self, lattice):
+        p = GrapheneParams(lattice=lattice)
+        rng = np.random.default_rng(19)
+        lim = 5.0 / lattice
+        kx, ky = rng.uniform(-lim, lim, 10_000), rng.uniform(-lim, lim, 10_000)
+        expected = [_inside_reference(lattice, x, y) for x, y in zip(kx.tolist(), ky.tolist())]
+        assert 0 < sum(expected) < len(expected)
+        assert first_zone_mask(p, kx, ky).tolist() == expected
 
 
 @pytest.mark.parametrize(

@@ -80,6 +80,51 @@ def test_signed_zeros_in_one_column(tmp_path):
     assert (tmp_path / "z.csv").read_text() == "x\n0\n-0\n0\n-0\n"
 
 
+def test_axis_index_pairs_write_the_gathered_column(tmp_path):
+    """A (values, index) column writes values[index]; the values hold
+    signed zeros, infinities, NaN, format_float fallbacks (subnormal, huge,
+    17th-digit ties) and repeats, and the index repeats and skips them."""
+    rng = np.random.default_rng(19)
+    floats = np.concatenate([SPECIALS, [0.0, -0.0, 1e-260, -1e260, 1000000000000000.25],
+                             rng.normal(size=20)])
+    ints = np.array([3, -1, 0, 7, -1])
+    chunks = []
+    for n in (0, 1, 40, 300):
+        fi, ii = rng.integers(0, floats.size, n), rng.integers(0, ints.size, n)
+        chunks.append(([floats[fi], (floats, fi), (ints, ii), ints[ii]], [(floats, fi), (ints, ii)]))
+    path = tmp_path / "pairs.csv"
+    assert write_csv(path, ["x", "x_pair", "i_pair", "i"], [c for c, _ in chunks]) == 341
+    plain = [[c[0], c[0], c[3], c[3]] for c, _ in chunks]
+    assert path.read_text() == reference_csv(["x", "x_pair", "i_pair", "i"], plain)
+    assert write_csv(path, ["x", "i"], [c for _, c in chunks]) == 341
+    assert path.read_text() == reference_csv(["x", "i"], [[c[0], c[3]] for c, _ in chunks])
+
+
+MONOTONE = [
+    np.linspace(-3.0, 3.0, 7),
+    np.geomspace(1e-300, 1e300, 50),
+    np.array([-np.inf, -1e260, -0.0, 5e-324, 1000000000000000.25, 1e300, np.inf]),
+    np.array([1.0, 0.0, -1e-260]),
+    np.array([2.5]),
+]
+
+
+@pytest.mark.parametrize("col", MONOTONE, ids=["linear", "geometric", "fallbacks",
+                                              "falling", "single"])
+def test_strictly_monotone_columns_are_their_own_table(col, tmp_path):
+    assert serialization._table(col)[1] is None
+    assert_writes_reference(tmp_path / "m.csv", ["x", "y"], [[col, col[::-1]]])
+
+
+@pytest.mark.parametrize("col", [
+    [0.0, -0.0], [-0.0, 0.0], [1.0, 2.0, 2.0], [1.0, np.nan, 2.0], [np.nan, 1.0], [3.0, 1.0, 2.0],
+])
+def test_columns_that_can_repeat_are_deduplicated(col, tmp_path):
+    col = np.array(col)
+    assert serialization._table(col)[1] is not None
+    assert_writes_reference(tmp_path / "r.csv", ["x"], [[col]])
+
+
 def test_specials_and_an_empty_file(tmp_path):
     flags = np.arange(SPECIALS.size) % 3
     assert_writes_reference(tmp_path / "s.csv", ["x", "flag"], [[SPECIALS, flags]])
