@@ -38,13 +38,17 @@ from .verify import run_suites, report_lines
 MAX_GRID = 1001
 MAX_STEPS = 10_000
 
-# A sweep's exponents are energies over T or T/2 (the purity takes Z(T/2)),
-# and log Z adds or subtracts two of them.  Every energy is at most
-# |upsilon| + |alpha| + |beta| + sqrt(3) |omega|_F <= sqrt(6) S for the
-# coefficient scale S, so every exponent is at most this factor times S over
-# T/2.  A lowest temperature at which that overflows is refused, and so is
-# one below twice the smallest normal double: T/2 must be exact, or
-# log Z(T/2) - 2 log Z(T) no longer cancels and the purity reads 0 or inf.
+# A sweep's exponents are energies over T: the Gibbs weights' level gaps
+# (e_k - e_min)/T, the lowest level over T in log Z, and the closed-form
+# concurrence's x+-/T and E2/T, doubled in its exp(-2x) terms.  Every energy
+# is at most |upsilon| + |alpha| + |beta| + sqrt(3) |omega|_F <= sqrt(6) S
+# for the coefficient scale S, so every exponent is at most 2 sqrt(6) S/T,
+# below 5 S/T.  A lowest temperature at which this factor times S over T/2
+# (16 S/T) overflows is refused, which keeps every exponent finite with room
+# to spare.  So is one below twice the smallest normal double, which keeps
+# every T of a sweep a normal double: a subnormal T carries fewer
+# significant bits, and the T cells of a log-spaced sweep would no longer be
+# its points to double precision.
 _EXPONENT_BOUND = 8.0
 _LOWEST_TEMPERATURE = 2.0 * sys.float_info.min
 

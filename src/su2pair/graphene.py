@@ -14,6 +14,11 @@ these components without staging coefficient arrays, and feed the CSV
 emitters with the k columns as (axis, index) pairs.  Every value has the
 bits of the array functions on the staged sets of
 :func:`lattice_layer_arrays`.
+
+The thermal curve at one wave vector is :func:`su2pair.thermo.thermal_sweep`
+of the mapped set, so the closed form exists once; on the lattice its
+x+- = sqrt(|w|_F^2 +- 2 |adj w|_F) are max/min(tperp, t3 |G|), from which
+:func:`thermal_death_temperature` reads them as well.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from ._invariants import _derive_kernel, _stack_last
 from .entanglement import CLOSED_FORM, _concurrence_from_derived
 from .hamiltonian import DEFAULT_TOL, CoefficientSet, _dot, derive, even_spectrum
-from .thermo import _check_temperature, cosh_pair, sinh_cosh_gap, spin_flip_commutator
+from .thermo import _x_pm, sinh_cosh_gap, thermal_sweep
 
 
 @dataclass(frozen=True)
@@ -310,27 +315,15 @@ def concurrence_grid(
 def thermal_concurrence_curve(
     p: GrapheneParams, kx: float, ky: float, temps
 ) -> dict[str, np.ndarray]:
-    """Thermal concurrence at one wave vector over a temperature set.
+    """Thermal concurrence at one wave vector over a 1-D temperature array.
 
-    Uses the lattice-layer numerator max{sinh(tperp/T) - cosh(t3 |G|/T), 0},
-    which vanishes identically whenever tperp <= t3 |G(k)|; for
-    tperp > t3 |G| it coincides with :func:`su2pair.thermo.thermal_concurrence`
-    on the mapped set.  Flag = 0 where the closed form is provably exact
+    The ``t``, ``concurrence`` (as ``c``) and ``flag`` columns of
+    :func:`su2pair.thermo.thermal_sweep` on the mapped set: the closed form
+    with x+- = max/min(tperp, t3 |G(k)|), flag 0 where it is provably exact
     (the local and interaction parts commute), 1 otherwise.
     """
-    coeffs = map_to_su2su2(p, kx, ky)
-    _, e1, e2 = even_spectrum(derive(coeffs))
-    s_arg = p.tperp
-    c_arg = abs(p.t3 * structure_factor(p, kx, ky))
-    _, reliable = spin_flip_commutator(coeffs)
-
-    t = _check_temperature(temps)
-    if s_arg <= c_arg:
-        c = np.zeros(t.shape)
-    else:
-        y2 = e2 / t
-        c = np.maximum(sinh_cosh_gap(s_arg / t, c_arg / t, y2), 0.0) / cosh_pair(e1 / t, y2)
-    return {"t": t, "c": c, "flag": np.full(t.shape, 0 if reliable else 1)}
+    s = thermal_sweep(map_to_su2su2(p, kx, ky), temps)
+    return {"t": s["t"], "c": s["concurrence"], "flag": s["flag"]}
 
 
 def thermal_death_temperature(
@@ -341,26 +334,22 @@ def thermal_death_temperature(
     t_high: float = 1e6,
     iters: int = 200,
 ) -> float | None:
-    """Bisection for the temperature where the curve numerator changes sign.
+    """Bisection for the temperature where the curve's numerator
+    sinh(x+/T) - cosh(x-/T) changes sign, x+- = max/min(tperp, t3 |G|).
 
-    Returns None when the concurrence is identically zero (tperp <= t3 |G|)
-    or keeps one sign over the bracket.  Raises ValueError unless
+    Returns None when it keeps one sign over the bracket, as it does at
+    every T when x+ = x- (tperp = t3 |G|).  Raises ValueError unless
     0 < t_low < t_high with both finite.
     """
     if not (0.0 < t_low < t_high and math.isfinite(t_high)):
         raise ValueError(f"need 0 < t_low < t_high, both finite; got {t_low}, {t_high}")
-    x_plus = p.tperp
-    x_minus = abs(p.t3 * structure_factor(p, kx, ky))
-    if x_plus <= x_minus:
-        return None
+    x_plus, x_minus = _x_pm(derive(map_to_su2su2(p, kx, ky)))
 
     def gap(t):
         return sinh_cosh_gap(x_plus / t, x_minus / t, x_plus / t)
 
     lo, hi = t_low, t_high
-    if gap(lo) <= 0.0:
-        return None
-    if gap(hi) >= 0.0:
+    if gap(lo) <= 0.0 or gap(hi) >= 0.0:
         return None
     for _ in range(iters):
         mid = math.sqrt(lo * hi)

@@ -1,14 +1,24 @@
 """Thermal ensembles: partition functions, purity, thermal states and concurrence.
 
 Boltzmann's constant is 1 throughout; temperatures share the energy unit of
-the Hamiltonian.  Every cosh/sinh/exp combination is evaluated after
-factoring out the dominant exponent, so the purity limits remain computable
-at temperatures many orders of magnitude away from the spectral scale.
+the Hamiltonian.  Every thermal quantity comes from one kernel,
+:func:`_gibbs_weights`: the weights w_k = exp(-(e_k - e_min)/T) of the
+levels base + e_k, each at most 1 and the lowest level's exactly 1, with the
+log shift -(base + e_min)/T kept apart.  Then log Z = shift + log sum w, the
+purity is sum w^2 / (sum w)^2 (the sum of the squared occupations, with no
+difference of two log Z values), a Gibbs state's occupations are w / sum w,
+and the denominator e^{-E2/T} [cosh(E2/T) + cosh(E1/T)] of the closed-form
+concurrence is half the sum of the four even levels' weights.  The levels
+are offsets from the base energy: upsilon and +-E1, +-E2 for a constrained
+set, a0 b0 and the product offsets for a separable one, 0 and the dense
+eigenvalues otherwise.  Nothing overflows, and a large base energy stays out
+of the level differences.
 
 The partition functions, the purity and the thermal-concurrence pieces take
 a temperature or an array of temperatures; a scalar temperature gives a
 Python float.  :func:`thermal_sweep` evaluates a whole sweep with the
-temperature-independent work done once.
+temperature-independent work done once, and one set of weights shared by Z,
+purity and concurrence.
 """
 
 from __future__ import annotations
@@ -70,94 +80,68 @@ def partition_from_log(logz):
         return _scalar_or_array(np.exp(logz))
 
 
-def _logsumexp(vals):
-    """log sum_k exp(vals[k]) elementwise over equally shaped terms, summed
-    in list order after factoring out the largest term."""
-    top = vals[0]
-    for v in vals[1:]:
-        top = np.maximum(top, v)
-    finite = np.isfinite(top)
-    shift = np.where(finite, top, 0.0)
-    acc = 0.0
-    for v in vals:
-        acc = acc + np.exp(v - shift)
-    return np.where(finite, top + np.log(acc), top)
+# --- Gibbs weights ----------------------------------------------------------------
 
 
-def _log_partition_and_purity(logz, t):
-    """(log Z(T), Z(T/2) / Z(T)^2) from a log-partition function of
-    temperature arrays."""
-    logz_t = logz(t)
-    return logz_t, np.exp(logz(t / 2.0) - 2.0 * logz_t)
+def _gibbs_weights(base: float, levels, t: np.ndarray):
+    """(w, shift) of the levels base + e_k at the temperatures ``t``.
+
+    w[k] = exp(-(e_k - e_min)/T), with the levels on the first axis and the
+    shape of ``t`` after it, and shift = -(base + e_min)/T, so that
+    Z = e^shift sum_k w[k].  Every weight is at most 1 and the lowest
+    level's is 1, so sum w lies in [1, 4].
+    """
+    levels = np.asarray(levels, dtype=float)
+    e_min = levels.min()
+    gaps = (levels - e_min).reshape(levels.shape + (1,) * t.ndim)
+    return np.exp(-gaps / t), -(base + e_min) / t
 
 
-# --- separable ensemble ---------------------------------------------------------
+def _log_z(w: np.ndarray, shift) -> np.ndarray:
+    return shift + np.log(w.sum(0))
 
 
-def _log_partition_product(f1: Su2Factor, f2: Su2Factor, t):
-    a0, a = f1.a0, f1.norm
-    b0, b = f2.a0, f2.norm
-    x = [a * b / t, a0 * b / t, a * b0 / t]
-    base = -a0 * b0 / t
-    ax = [np.abs(v) for v in x]
-    l1, l2, l3 = (-2.0 * v for v in ax)
-    sign = np.sign(x[0]) * np.sign(x[1]) * np.sign(x[2])
-    tail = np.where(
-        sign > 0,
-        _logsumexp([l1, l2, l3, l1 + l2 + l3]),
-        np.where(
-            sign < 0,
-            _logsumexp([0.0, l1 + l2, l1 + l3, l2 + l3]),
-            np.log1p(np.exp(l1)) + np.log1p(np.exp(l2)) + np.log1p(np.exp(l3)) - math.log(2.0),
-        ),
-    )
-    return base + (ax[0] + ax[1] + ax[2]) + tail
+def _purity(w: np.ndarray) -> np.ndarray:
+    """sum_k p_k^2 with p = w / sum w."""
+    total = w.sum(0)
+    return (w * w).sum(0) / (total * total)
+
+
+def _product_levels(f1: Su2Factor, f2: Su2Factor):
+    """(a0 b0, offsets) of the product levels (a0 +- a)(b0 +- b)."""
+    m1, m2, m3 = f1.norm * f2.norm, f1.a0 * f2.norm, f1.norm * f2.a0
+    return f1.a0 * f2.a0, [m1 + m2 + m3, m3 - m1 - m2, m2 - m1 - m3, m1 - m2 - m3]
+
+
+def _even_levels(d: DerivedCoefficients, branch: EnsembleBranch):
+    """Offsets from upsilon of the even levels: +-E1, +-E2, or E1, E2 on the
+    positive branch."""
+    _, e1, e2 = even_spectrum(d)
+    return [e1, e2] if branch is EnsembleBranch.POSITIVE_ONLY else [-e2, -e1, e1, e2]
+
+
+def _system_weights(system, branch: EnsembleBranch, tol: float, t: np.ndarray):
+    """Gibbs weights of a constraint-satisfying CoefficientSet or of a pair
+    of Su2Factor (full branch only)."""
+    if isinstance(system, CoefficientSet):
+        return _gibbs_weights(system.upsilon, _even_levels(derive(system, tol), branch), t)
+    if branch is not EnsembleBranch.FULL:
+        raise ValueError("the positive-only branch applies to the even constrained spectrum")
+    return _gibbs_weights(*_product_levels(*system), t)
+
+
+# --- partition functions and purity ---------------------------------------------
 
 
 def log_partition_separable(f1: Su2Factor, f2: Su2Factor, t):
-    """log Tr[exp(-H1 (x) H2 / t)] from the hyperbolic product form.
-
-    Z = 4 exp(-a0 b0 / t) [prod_p cosh(m_p/t) - prod_p sinh(m_p/t)] with
-    m_1 = a b, m_2 = a0 b, m_3 = a b0.  The product difference is expanded
-    in e^{-2|m_p/t|} so there is no cancellation and no overflow.
-    """
-    return _scalar_or_array(_log_partition_product(f1, f2, _check_temperature(t)))
+    """log Tr[exp(-H1 (x) H2 / t)] over the product levels (a0 +- a)(b0 +- b),
+    log Z = shift + log sum w from the Gibbs weights."""
+    w, shift = _gibbs_weights(*_product_levels(f1, f2), _check_temperature(t))
+    return _scalar_or_array(_log_z(w, shift))
 
 
 def partition_separable(f1: Su2Factor, f2: Su2Factor, t):
     return partition_from_log(log_partition_separable(f1, f2, t))
-
-
-# --- constrained entangled ensemble ---------------------------------------------
-
-
-def _log_partition_even(upsilon: float, e1: float, e2: float, t, branch: EnsembleBranch):
-    y1, y2 = e1 / t, e2 / t
-    if branch is EnsembleBranch.FULL:
-        tail = np.log1p(np.exp(-2 * y2) + np.exp(y1 - y2) + np.exp(-y1 - y2))
-        return -upsilon / t + y2 + tail
-    return -upsilon / t - y1 + np.log1p(np.exp(-(y2 - y1)))
-
-
-def _log_partition_even_fn(upsilon: float, d: DerivedCoefficients, branch: EnsembleBranch):
-    """log Z over temperature arrays of a constrained set with derived
-    coefficients ``d``."""
-    _, e1, e2 = even_spectrum(d)
-    return lambda t: _log_partition_even(upsilon, e1, e2, t, branch)
-
-
-def _log_partition_fn(system, branch: EnsembleBranch, tol: float):
-    """log Z as a function of temperature arrays, the set's own work done once.
-
-    ``system`` is a constraint-satisfying CoefficientSet or a pair of
-    Su2Factor (full branch only).
-    """
-    if isinstance(system, CoefficientSet):
-        return _log_partition_even_fn(system.upsilon, derive(system, tol), branch)
-    if branch is not EnsembleBranch.FULL:
-        raise ValueError("the positive-only branch applies to the even constrained spectrum")
-    f1, f2 = system
-    return lambda t: _log_partition_product(f1, f2, t)
 
 
 def log_partition_entangled(
@@ -167,9 +151,10 @@ def log_partition_entangled(
     tol: float = DEFAULT_TOL,
 ):
     """log of Z = 2 exp(-u/t) [cosh(E2/t) + cosh(E1/t)], or of the
-    positive-energy restriction with cosh(y) replaced by exp(-y)/2."""
-    t = _check_temperature(t)
-    return _scalar_or_array(_log_partition_fn(c, branch, tol)(t))
+    positive-energy restriction exp(-(u + E1)/t) + exp(-(u + E2)/t), as
+    log Z = shift + log sum w from the Gibbs weights of the even levels."""
+    w, shift = _system_weights(c, branch, tol, _check_temperature(t))
+    return _scalar_or_array(_log_z(w, shift))
 
 
 def partition_entangled(
@@ -181,24 +166,26 @@ def partition_entangled(
     return partition_from_log(log_partition_entangled(c, t, branch, tol))
 
 
-# --- purity ---------------------------------------------------------------------
-
-
 def purity(
     system,
     t,
     branch: EnsembleBranch = EnsembleBranch.FULL,
     tol: float = DEFAULT_TOL,
 ):
-    """Thermal purity Z(T/2) / Z(T)^2.
+    """Thermal purity Tr rho^2 = sum_k p_k^2 over the Boltzmann occupations.
 
     ``system`` is either a CoefficientSet satisfying a contraction constraint
     or a pair of Su2Factor (product Hamiltonian; full branch only).  Tends to
-    1/4 as T -> infinity and to 1 as T -> 0 for non-degenerate spectra.
+    1/4 as T -> infinity and to 1 / (ground degeneracy) as T -> 0.
     """
-    t = _check_temperature(t)
-    _, pur = _log_partition_and_purity(_log_partition_fn(system, branch, tol), t)
-    return _scalar_or_array(pur)
+    w, _ = _system_weights(system, branch, tol, _check_temperature(t))
+    return _scalar_or_array(_purity(w))
+
+
+def log_partition_numeric(c: CoefficientSet, t):
+    """log Tr[exp(-H/t)] from the numerical spectrum, for any set."""
+    w = eig_hermitian(fano_compose(c)).eigenvalues
+    return _scalar_or_array(_log_z(*_gibbs_weights(0.0, w, _check_temperature(t))))
 
 
 # --- thermal states --------------------------------------------------------------
@@ -206,41 +193,22 @@ def purity(
 
 def thermal_state(c: CoefficientSet, t: float) -> np.ndarray:
     """The Gibbs state exp(-H/t) / Z for any coefficient set."""
-    t = float(_check_temperature(t))
     dec = eig_hermitian(fano_compose(c))
-    w = dec.eigenvalues
-    boltz = np.exp(-(w - w[-1]) / t)
+    boltz, _ = _gibbs_weights(0.0, dec.eigenvalues, _check_temperature(float(t)))
     rho = (dec.eigenvectors * boltz) @ dec.eigenvectors.conj().T
     return rho / float(np.sum(boltz))
 
 
 def thermal_state_from_eigensystem(es: Eigensystem, t: float) -> np.ndarray:
     """Gibbs state assembled as sum_mn rho_mn exp(-e_mn/t) / Z."""
-    t = float(_check_temperature(t))
-    emin = float(np.min(es.values))
-    num = np.zeros((4, 4), dtype=complex)
-    z = 0.0
-    for _, e, s in es.items():
-        wgt = math.exp(-(e - emin) / t)
-        num += wgt * s
-        z += wgt
-    return num / z
+    items = list(es.items())
+    boltz, _ = _gibbs_weights(0.0, [e for _, e, _ in items], _check_temperature(float(t)))
+    return sum(w * s for w, (_, _, s) in zip(boltz, items)) / boltz.sum()
 
 
-def _log_partition_levels(w: np.ndarray, t):
-    return _logsumexp([-v / t for v in w])
-
-
-def log_partition_numeric(c: CoefficientSet, t):
-    """log Tr[exp(-H/t)] from the numerical spectrum, for any set."""
-    t = _check_temperature(t)
-    w = eig_hermitian(fano_compose(c)).eigenvalues
-    return _scalar_or_array(_log_partition_levels(w, t))
-
-
-def _gibbs_concurrence(dec: SpectralDecomposition, t: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of the Gibbs states at temperatures ``t`` from one
-    eigendecomposition of H.
+def _gibbs_concurrence(dec: SpectralDecomposition, boltz: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of the Gibbs states with weights ``boltz``
+    (levels, temperatures) over the eigenvalues of one eigendecomposition of H.
 
     With rho = V diag(p) V^dag, the Wootters lambdas are the singular values
     of D^1/2 M D^1/2, where M = V^T (sy (x) sy) V and D = diag(p) (Wootters,
@@ -250,12 +218,10 @@ def _gibbs_concurrence(dec: SpectralDecomposition, t: np.ndarray) -> np.ndarray:
     sum p^2 <= 1/3 lie in the separable ball (Zyczkowski et al., PRA 58, 883
     (1998)) and read 0 without one.
     """
-    w, v = dec.eigenvalues, dec.eigenvectors
-    m = v.T @ pauli_word(2, 2) @ v
-    boltz = np.exp(-(w - w[-1]) / t[:, None])
-    p = boltz / np.sum(boltz, axis=1, keepdims=True)
-    rows = np.flatnonzero(np.sum(p * p, axis=1) > 1.0 / 3.0)
-    out = np.zeros(t.shape)
+    m = dec.eigenvectors.T @ pauli_word(2, 2) @ dec.eigenvectors
+    p = (boltz / boltz.sum(0)).T
+    rows = np.flatnonzero(_purity(boltz) > 1.0 / 3.0)
+    out = np.zeros(p.shape[0])
     for start in range(0, rows.size, SWEEP_BLOCK):
         block = rows[start:start + SWEEP_BLOCK]
         out[block] = concurrence_from_weights(np.sqrt(p[block]), m)
@@ -314,26 +280,20 @@ def sinh_cosh_gap(xp, xm, shift):
     )
 
 
-def cosh_pair(y1, y2):
-    """e^{-y2} [cosh(y2) + cosh(y1)] for 0 <= y1 <= y2, without overflow."""
-    return _scalar_or_array(
-        (1.0 + np.exp(-2 * y2) + np.exp(y1 - y2) + np.exp(-y1 - y2)) / 2.0
-    )
-
-
-def _closed_form_concurrence(c: CoefficientSet, d: DerivedCoefficients, t):
-    """(closed-form C at temperatures t, commutator norm, reliable) of a
-    constrained set with derived coefficients ``d``; see
-    :func:`thermal_concurrence`."""
-    _, e1, e2 = even_spectrum(d)
+def _x_pm(d: DerivedCoefficients) -> tuple[float, float]:
+    """x+- = sqrt(|w|_F^2 +- 2 |adj w|_F) of the closed form, x+ >= x-."""
     two_adj = 2.0 * d.adj_norm
-    xp = math.sqrt(d.omega_sq + two_adj) / t
-    xm = math.sqrt(max(d.omega_sq - two_adj, 0.0)) / t
-    y1, y2 = e1 / t, e2 / t
-    # Both scaled by e^{-y2}; x+ <= y2.
-    value = np.maximum(sinh_cosh_gap(xp, xm, y2), 0.0) / cosh_pair(y1, y2)
-    comm, reliable = spin_flip_commutator(c)
-    return value, comm, reliable
+    return math.sqrt(d.omega_sq + two_adj), math.sqrt(max(d.omega_sq - two_adj, 0.0))
+
+
+def _closed_form_concurrence(d: DerivedCoefficients, t: np.ndarray, boltz: np.ndarray):
+    """Closed-form C at temperatures ``t`` of a constrained set with derived
+    coefficients ``d``, given the Gibbs weights of its four even levels; see
+    :func:`thermal_concurrence`.  Numerator and denominator are both scaled
+    by e^{-E2/T}, and x+ <= E2."""
+    xp, xm = _x_pm(d)
+    e2 = even_spectrum(d)[2]
+    return np.maximum(sinh_cosh_gap(xp / t, xm / t, e2 / t), 0.0) / (boltz.sum(0) / 2.0)
 
 
 def thermal_concurrence(
@@ -350,9 +310,12 @@ def thermal_concurrence(
     commutator norm, and ``wootters`` (computed unless ``compare=False``)
     lets callers quantify the deviation outside the provable regime.
     """
-    t = float(_check_temperature(t))
-    value, comm, reliable = _closed_form_concurrence(c, derive(c, tol), t)
-    woot = wootters_concurrence(thermal_state(c, t)) if compare else None
+    t = _check_temperature(float(t))
+    d = derive(c, tol)
+    boltz, _ = _gibbs_weights(c.upsilon, _even_levels(d, EnsembleBranch.FULL), t)
+    value = _closed_form_concurrence(d, t, boltz)
+    comm, reliable = spin_flip_commutator(c)
+    woot = wootters_concurrence(thermal_state(c, float(t))) if compare else None
     return ThermalConcurrenceResult(
         value=float(value), commutator_norm=comm, reliable=reliable, wootters=woot
     )
@@ -371,13 +334,14 @@ def thermal_sweep(
     temperatures, closed-form when possible.
 
     Returns the columns ``t``, ``z``, ``purity``, ``concurrence`` and
-    ``flag``.  The route is chosen once per set: product sets use the
-    separable closed forms (C = 0), constrained sets the even-spectrum ones
-    and the closed-form concurrence, every other set the dense spectrum of
-    one eigendecomposition of H with the Wootters concurrence of its Gibbs
+    ``flag``.  The route is chosen once per set: product sets take the
+    product levels (C = 0), constrained sets the even levels and the
+    closed-form concurrence, every other set the dense spectrum of one
+    eigendecomposition of H with the Wootters concurrence of its Gibbs
     states.  Flags are therefore constant along a sweep; their values are
-    those of :class:`ThermalReport`.  Purity and concurrence come from
-    log Z and stay finite; ``z`` reads inf where Z exceeds the double range.
+    those of :class:`ThermalReport`.  One set of Gibbs weights per route
+    gives log Z, the purity and the concurrence, which stay finite; ``z``
+    reads inf where Z exceeds the double range.
 
     Raises ValueError for a temperature that is not positive and finite, and
     for the positive branch on a set that meets neither constraint.
@@ -387,24 +351,25 @@ def thermal_sweep(
         raise ValueError("temperatures must form a 1-D array")
     kind, _, d, leading, _ = _decide(c, tol)
     if kind is CaseKind.SEPARABLE_DYADIC and branch is EnsembleBranch.FULL:
-        logz = _log_partition_fn(_factors(c, leading), branch, tol)
+        boltz, shift = _gibbs_weights(*_product_levels(*_factors(c, leading)), t)
         # Gibbs states of product Hamiltonians are explicitly separable.
         conc, flag = np.zeros(t.shape), 0
     elif d.alpha_null or d.beta_null:
-        logz = _log_partition_even_fn(c.upsilon, d, branch)
-        conc, _, reliable = _closed_form_concurrence(c, d, t)
-        flag = 0 if reliable else 1
+        boltz, shift = _gibbs_weights(c.upsilon, _even_levels(d, EnsembleBranch.FULL), t)
+        conc = _closed_form_concurrence(d, t, boltz)
+        flag = 0 if spin_flip_commutator(c)[1] else 1
+        if branch is not EnsembleBranch.FULL:
+            boltz, shift = _gibbs_weights(c.upsilon, _even_levels(d, branch), t)
     elif branch is not EnsembleBranch.FULL:
         raise ValueError("the positive-only branch applies to the even constrained spectrum")
     else:
         dec = eig_hermitian(fano_compose(c))
-        logz = lambda tt: _log_partition_levels(dec.eigenvalues, tt)
-        conc, flag = _gibbs_concurrence(dec, t), 2
-    logz_t, pur = _log_partition_and_purity(logz, t)
+        boltz, shift = _gibbs_weights(0.0, dec.eigenvalues, t)
+        conc, flag = _gibbs_concurrence(dec, boltz), 2
     return {
         "t": t,
-        "z": partition_from_log(logz_t),
-        "purity": pur,
+        "z": partition_from_log(_log_z(boltz, shift)),
+        "purity": _purity(boltz),
         "concurrence": conc,
         "flag": np.full(t.shape, flag),
     }

@@ -38,6 +38,7 @@ from .thermo import (
     EnsembleBranch,
     partition_entangled,
     partition_separable,
+    purity,
     thermal_concurrence,
 )
 
@@ -112,28 +113,32 @@ def suite_orthonormality(samples: int, seed: int) -> SuiteResult:
 
 
 def suite_partition_function(samples: int, seed: int) -> SuiteResult:
-    """Closed-form Z against the trace of the Gibbs operator, all branches."""
+    """Closed-form Z and purity against the trace of the Gibbs operator and
+    sum p^2 over the dense spectrum, on both branches."""
     rng = make_rng(seed)
     worst = 0.0
     temps = (0.1, 1.0, 10.0)
     for k in range(samples):
         if k % 2 == 0:
             f1, f2 = random_separable_factors(rng)
-            h = fano_compose(dyadic_set_from_factors(f1, f2))
-            w = eig_hermitian(h).eigenvalues
-            for t in temps:
-                z_ref = float(np.sum(np.exp(-w / t)))
-                worst = max(worst, abs(partition_separable(f1, f2, t) - z_ref) / z_ref)
+            w = eig_hermitian(fano_compose(dyadic_set_from_factors(f1, f2))).eigenvalues
+            runs = [((f1, f2), EnsembleBranch.FULL, w, partition_separable(f1, f2, temps))]
         else:
             c = random_entangled_canonical(rng, "alpha")
             w = eig_hermitian(fano_compose(c)).eigenvalues
-            for t in temps:
-                z_ref = float(np.sum(np.exp(-w / t)))
-                dev = abs(partition_entangled(c, t) - z_ref) / z_ref
-                zp_ref = float(np.sum(np.exp(-w[:2] / t)))  # two largest = positive branch
-                zp = partition_entangled(c, t, EnsembleBranch.POSITIVE_ONLY)
-                worst = max(worst, dev, abs(zp - zp_ref) / zp_ref)
-    return SuiteResult("partition-function", samples, worst, 1e-9, worst <= 1e-9)
+            # The two largest eigenvalues are the positive branch.
+            runs = [(c, b, lv, partition_entangled(c, temps, b))
+                    for b, lv in ((EnsembleBranch.FULL, w), (EnsembleBranch.POSITIVE_ONLY, w[:2]))]
+        for system, branch, levels, z in runs:
+            pur = purity(system, temps, branch)
+            for i, t in enumerate(temps):
+                boltz = np.exp(-levels / t)
+                z_ref = float(np.sum(boltz))
+                pur_ref = float(np.sum((boltz / z_ref) ** 2))
+                worst = max(worst, abs(z[i] - z_ref) / z_ref, abs(pur[i] - pur_ref) / pur_ref)
+    # The worst of seeds 0-9 at 2000 samples is 1.4e-13: eigh's round-off in
+    # the levels, times E/T up to ~50.  Levels off by 1e-12 relative fail.
+    return SuiteResult("partition-function", samples, worst, 1e-11, worst <= 1e-11)
 
 
 def suite_concurrence_routes(samples: int, seed: int) -> SuiteResult:

@@ -17,6 +17,7 @@ from su2pair.graphene import (
     concurrence_grid,
     default_grid,
     find_dirac_point,
+    map_to_su2su2,
     structure_factor,
     thermal_concurrence_curve,
     thermal_death_temperature,
@@ -247,23 +248,26 @@ def test_criterion_7_thermal_concurrence():
             if res.reliable:
                 worst = max(worst, res.deviation)
                 checked += 1
-    # graphene: identically zero whenever tperp <= t3 |Gamma(k)|
+    # graphene: the curve is the closed form of the mapped set at every k,
+    # on both sides of tperp = t3 |Gamma(k)|
     p = GrapheneParams()
-    zero_ok = True
+    temps = np.geomspace(0.01, 50, 40)
+    curve_dev = 0.0
     for kx, ky in ((0.0, 0.0), (0.3, 0.1), (-0.8, 0.5), (1.2, -0.4)):
-        if p.tperp <= p.t3 * abs(structure_factor(p, kx, ky)):
-            curve = thermal_concurrence_curve(p, kx, ky, np.geomspace(0.01, 50, 40))
-            zero_ok = zero_ok and bool(np.all(curve["c"] == 0.0))
+        curve = thermal_concurrence_curve(p, kx, ky, temps)
+        c = map_to_su2su2(p, kx, ky)
+        closed = [thermal_concurrence(c, t, compare=False).value for t in temps]
+        curve_dev = max(curve_dev, float(np.max(np.abs(curve["c"] - closed))))
     kx, ky = find_dirac_point(p)
     t_star = thermal_death_temperature(p, kx, ky)
     death_dev = abs(math.sinh(1.0 / t_star) - 1.0)
-    ok = worst <= 1e-7 and checked > 0 and zero_ok and death_dev <= 1e-6
+    ok = worst <= 1e-7 and checked > 0 and curve_dev <= 1e-15 and death_dev <= 1e-6
     report(
         7,
         "thermal concurrence: commuting-regime exactness + graphene structure",
         ok,
-        f"max dev {worst:.2e} on {checked} commuting checks, zero-region ok={zero_ok}, "
-        f"sinh(1/T*)-1 = {death_dev:.2e}",
+        f"max dev {worst:.2e} on {checked} commuting checks, curve vs closed form "
+        f"{curve_dev:.2e}, sinh(1/T*)-1 = {death_dev:.2e}",
     )
 
 

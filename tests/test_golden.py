@@ -33,6 +33,19 @@ stopped rotating sets into block form and took x+- from |omega|_F^2 and
 |adj omega|_F in the given frame: 18 of its 40 C cells moved, by at most
 1.7e-16, and the worst C error against a 50-digit evaluation fell from
 1.2e-16 to 6.4e-17 (CHANGES.md).
+
+The five thermo CSVs and the three graphene-thermal CSVs were re-pinned when
+Z, purity and the closed-form concurrence's denominator came from one set
+of Gibbs weights exp(-(e_k - e_min)/T): the purity became sum p^2 instead of
+Z(T/2)/Z(T)^2, and the graphene curve became the thermal_sweep columns of
+the mapped set.  On the thermo sweeps the worst purity error against a
+60-digit evaluation fell from 7.4e-15 to 4.7e-16 relative, the worst Z error
+from 1.8e-14 to 8.1e-15, and C stayed within 3.5e-16; the general set's C
+column did not move.  The graphene-thermal C cells at the Dirac point and at
+--bias 0.5 moved by the last bit (2 and 1 cells).  At k = 0 with
+--tperp 0.3 the old curve wrote the zero of one branch of the closed form;
+25 of its 40 C cells now hold the closed form with x+ = t3 |G|, within
+6.3e-17 of a 60-digit evaluation (CHANGES.md).
 """
 
 import contextlib
@@ -95,44 +108,44 @@ CASES = [
     (
         ["graphene-thermal", "--steps", "40"],
         "625d2daad591dcc06dca5d223cdabfa6f71d1beafa50fb54c7618f6e281b6b6d",
-        "bfec9e0fa29084bc9c07e45d7700af339b41d885202f39dfe266590d656c4f7f",
+        "f233690e3ce6851bc41b900a9192be777ade5697dfa91205c87982ad3ac936f4",
     ),
     (
         ["graphene-thermal", "--bias", "0.5", "--kx", "0.3", "--ky", "2.2", "--steps", "40"],
         "4ae41f6360cf2b2c93a7273325cc446982169ebf817c8c85fe917034e0c117a7",
-        "de39f60368297c11025838f399a38eb886c5e462a53fe8e78e8a26e12c7dc400",
+        "3337855995a8dc665379169ae18b01af34a24d95db291332edb7716c9c7fc801",
     ),
     (
-        # tperp <= t3 |G|: the curve's documented zero.
+        # tperp < t3 |G|: x+ = t3 |G| and x- = tperp.
         ["graphene-thermal", "--kx", "0", "--ky", "0", "--tperp", "0.3", "--steps", "40"],
         "ba88d7d9b65702723d93ab7dc69daef2eeff577fbc58caf41e9e468bddc2bb18",
-        "4e43149199d8a22b19a4f1cf39c363d4d52a0a3d95f2eda10690e5d3a4efde11",
+        "ec4b7f75a2d4b8ffaff29f150d9941b432fac07595cb331fb48d1f3a5a7bed9a",
     ),
     (
         ["thermo", "--input", "entangled.json", "--tmin", "0.01", *_SWEEP],
         _THERMO_STDOUT,
-        "3abcf291bbcaaf6fc0c28577dd2d411dd82a02ab5e2c7db695b48d88fba18ff9",
+        "19a0c094ffd808629d10b8ff45dffd4923bc0ccbcfc246a394cf6e7f7bd2ad1a",
     ),
     (
         ["thermo", "--input", "entangled.json", "--tmin", "0.01", *_SWEEP,
          "--branch", "positive"],
         _THERMO_STDOUT,
-        "8bc3729ec6372cf299f046458623b3e65a15118051c1b38e8cee73864c8b150a",
+        "21cf0de370c84b1a09474d240d319d81af4c7c729d879afd4b8dff97a87966a1",
     ),
     (
         ["thermo", "--input", "rotated.json", "--tmin", "0.01", *_SWEEP],
         _THERMO_STDOUT,
-        "caac0d8412b1b6c676eaadd9e33e3ecc0e4ce14d1df13d7817ca17437ec073a5",
+        "33fdb739dc246b4c9e8e1245792151612cfa64e08b41d6f78b272a640fa52679",
     ),
     (
         ["thermo", "--input", "general.json", "--tmin", "0.1", *_SWEEP],
         _THERMO_STDOUT,
-        "d4d6d497ccb670501cdc34454fad3b645298bff63999877469ba416637fcd46a",
+        "5a05bf1a25e7e3bcc1dc4403923f1fea1260819af7c2dea420bfa1271a32fb21",
     ),
     (
         ["thermo", "--input", "dyadic.json", "--tmin", "0.01", *_SWEEP],
         _THERMO_STDOUT,
-        "a727278b762571794436ee8150f70a5e6ca870cf95d9e9da14628911511652d8",
+        "2ac59e3c31d18107c4a5d44fa92607f23a78166e44b685c7889012700ae66cba",
     ),
 ]
 

@@ -42,7 +42,8 @@ from su2pair.hamiltonian import (
     even_spectrum,
     fano_compose,
 )
-from su2pair.oracle import eig_hermitian
+from su2pair.oracle import eig_hermitian, wootters_concurrence
+from su2pair.thermo import thermal_state, thermal_sweep
 
 DEFAULT = GrapheneParams()
 
@@ -453,16 +454,55 @@ def test_chunk_size_leaves_output_bytes_unchanged(argv, tmp_path, monkeypatch):
     assert len(outputs) == 1
 
 
-class TestThermalCurve:
-    def test_identically_zero_at_gamma_point(self):
-        """|G| = 3 > tperp = 1: sinh(1/t) < cosh(3/t) for every t."""
-        data = thermal_concurrence_curve(DEFAULT, 0.0, 0.0, np.linspace(0.01, 20, 100))
-        assert np.all(data["c"] == 0.0)
+def _dirac_points(p):
+    """The two inequivalent Dirac points K and K' = -K."""
+    kx, ky = find_dirac_point(p)
+    return [(kx, ky), (-kx, -ky)]
 
-    def test_zero_for_vanishing_dimer_coupling(self):
-        p = GrapheneParams(tperp=0.0)
-        data = thermal_concurrence_curve(p, 0.3, 0.2, np.linspace(0.1, 5, 20))
-        assert np.all(data["c"] == 0.0)
+
+def _commuting_points():
+    """Wave vectors and parameters at which the local part of the mapped set
+    commutes with its interaction part: t = m = bias = 0 at any k (the local
+    vectors vanish), and the Dirac points at m = bias = 0 (beta vanishes with G)."""
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        p = GrapheneParams(t=0.0, t3=rng.uniform(0.1, 3.0), tperp=rng.uniform(0.1, 3.0))
+        yield p, tuple(rng.uniform(-3.0, 3.0, size=2))
+    yield GrapheneParams(t=0.0, t3=2.0, tperp=0.5), (0.0, 0.0)
+    for p in (DEFAULT, GrapheneParams(t=1.4, t3=0.5, tperp=2.0, lattice=1.3)):
+        for k in _dirac_points(p):
+            yield p, k
+
+
+class TestThermalCurve:
+    @pytest.mark.parametrize(
+        "p",
+        [DEFAULT, GrapheneParams(tperp=0.0), GrapheneParams(tperp=0.3, bias=0.5, m=0.2),
+         GrapheneParams(t=0.0, t3=2.0, tperp=0.5)],
+        ids=["default", "tperp-zero", "biased", "t-zero"],
+    )
+    def test_curve_is_the_sweep_of_the_mapped_set(self, p):
+        """At Gamma, at both Dirac points and at (0.3, 0.2): the curve's
+        columns are those of thermal_sweep on map_to_su2su2, bit for bit."""
+        temps = np.geomspace(0.01, 50.0, 40)
+        for kx, ky in [(0.0, 0.0), (0.3, 0.2), *_dirac_points(p)]:
+            data = thermal_concurrence_curve(p, kx, ky, temps)
+            s = thermal_sweep(map_to_su2su2(p, kx, ky), temps)
+            assert np.array_equal(data["t"], s["t"])
+            assert np.array_equal(data["c"], s["concurrence"])
+            assert np.array_equal(data["flag"], s["flag"])
+
+    def test_exact_at_commuting_points(self):
+        """Where the closed form is provably exact the curve has flag 0 and
+        equals the Wootters concurrence of the Gibbs state, also where
+        tperp < t3 |G| (t = 0, t3 = 2, tperp = 0.5, k = 0 reads C = 1)."""
+        temps = np.geomspace(0.02, 50.0, 25)
+        for p, (kx, ky) in _commuting_points():
+            data = thermal_concurrence_curve(p, kx, ky, temps)
+            c = map_to_su2su2(p, kx, ky)
+            woot = [wootters_concurrence(thermal_state(c, t)) for t in temps]
+            assert np.all(data["flag"] == 0)
+            assert np.max(np.abs(data["c"] - woot)) <= 1e-13
 
     def test_positive_below_death_at_dirac_point(self):
         kx, ky = find_dirac_point(DEFAULT)
@@ -479,8 +519,28 @@ class TestThermalCurve:
         assert t_star is not None
         assert abs(np.sinh(1.0 / t_star) - 1.0) <= 1e-6
 
-    def test_death_none_when_identically_zero(self):
-        assert thermal_death_temperature(DEFAULT, 0.0, 0.0) is None
+    @pytest.mark.parametrize(
+        "p, k",
+        [(GrapheneParams(bias=0.4, m=0.1), (0.3, 2.2)), (DEFAULT, (0.0, 0.0)),
+         (GrapheneParams(tperp=0.3, t3=0.8), (0.3, 0.2)), (GrapheneParams(tperp=0.0), (0.3, 0.2))],
+        ids=["tperp-above", "gamma", "tperp-below", "tperp-zero"],
+    )
+    def test_death_temperature_solves_the_numerator(self, p, k):
+        """sinh(x+/T*) = cosh(x-/T*) with x+- = max/min(tperp, t3 |G|), for
+        tperp above and below t3 |G| (the Dirac point, x- = 0, is
+        test_death_temperature_bisection)."""
+        kx, ky = k
+        g = p.t3 * abs(structure_factor(p, kx, ky))
+        x_plus, x_minus = max(p.tperp, g), min(p.tperp, g)
+        t_star = thermal_death_temperature(p, kx, ky)
+        assert t_star is not None
+        lhs, rhs = math.sinh(x_plus / t_star), math.cosh(x_minus / t_star)
+        assert abs(lhs - rhs) <= 1e-9 * rhs
+
+    @pytest.mark.parametrize("t3, tperp", [(1.0, 3.0), (0.5, 1.5)], ids=["t3-1", "t3-half"])
+    def test_death_none_at_equal_couplings(self, t3, tperp):
+        """tperp = t3 |G| at k = 0 (G = 3): sinh(x/T) < cosh(x/T) at every T."""
+        assert thermal_death_temperature(GrapheneParams(t3=t3, tperp=tperp), 0.0, 0.0) is None
 
     def test_matches_thermo_closed_form_when_dimer_dominates(self):
         """For tperp > t3 |G| the curve equals the general closed form."""

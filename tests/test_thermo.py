@@ -1,4 +1,6 @@
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from su2pair.solver import Su2Factor, solve_entangled, solve_separable
 from su2pair.thermo import (
     SWEEP_BLOCK,
     EnsembleBranch,
+    log_partition_entangled,
     log_partition_numeric,
     log_partition_separable,
     partition_entangled,
@@ -429,3 +432,156 @@ class TestWernerGibbsStates:
         x = np.exp(4.0 * j / temps)
         werner = np.maximum(0.0, (x - 3.0) / (x + 3.0))
         assert np.max(np.abs(s["concurrence"] - werner)) <= 1e-13
+
+
+# --- 50-digit reference from the standard library ------------------------------------
+
+_DIGITS = decimal.Context(prec=50, Emin=-999_999_999, Emax=999_999_999)
+_ONE, _I = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+_ZERO = (Fraction(0), Fraction(0))
+# The Pauli matrices as exact complex entries (re, im).
+_EXACT_PAULI = (
+    ((_ONE, _ZERO), (_ZERO, _ONE)),
+    ((_ZERO, _ONE), (_ONE, _ZERO)),
+    ((_ZERO, (Fraction(0), Fraction(-1))), (_I, _ZERO)),
+    ((_ONE, _ZERO), (_ZERO, (Fraction(-1), Fraction(0)))),
+)
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _exact_traceless(c: CoefficientSet):
+    """H - upsilon I of the set as exact 4x4 complex entries, from the
+    coefficient floats: sum_ij c_ij sigma_i (x) sigma_j over (i, j) != (0, 0)."""
+    coef = [[Fraction(0)] * 4 for _ in range(4)]
+    for k in range(3):
+        coef[k + 1][0] = Fraction(float(c.alpha[k]))
+        coef[0][k + 1] = Fraction(float(c.beta[k]))
+        for j in range(3):
+            coef[k + 1][j + 1] = Fraction(float(c.omega[k, j]))
+    h = [[_ZERO] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            if coef[i][j] == 0:
+                continue
+            for r in range(4):
+                for s in range(4):
+                    unit = _cmul(_EXACT_PAULI[i][r // 2][s // 2], _EXACT_PAULI[j][r % 2][s % 2])
+                    h[r][s] = (h[r][s][0] + coef[i][j] * unit[0], h[r][s][1] + coef[i][j] * unit[1])
+    return h
+
+
+def _exact_square(m):
+    out = [[_ZERO] * 4 for _ in range(4)]
+    for r in range(4):
+        for s in range(4):
+            acc = _ZERO
+            for k in range(4):
+                p = _cmul(m[r][k], m[k][s])
+                acc = (acc[0] + p[0], acc[1] + p[1])
+            out[r][s] = acc
+    return out
+
+
+def _dec(x) -> decimal.Decimal:
+    """The exact value of a float or Fraction, rounded once to 50 digits."""
+    x = Fraction(x)
+    return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+
+
+def _even_levels_50(c: CoefficientSet) -> list[decimal.Decimal]:
+    """upsilon +- E1, upsilon +- E2 with E_n = sqrt(V +- sqrt(Theta)),
+    V = Tr Ht^2 / 4 and Theta = Tr (Ht^2 - V)^2 / 4 from the exact Ht."""
+    h2 = _exact_square(_exact_traceless(c))
+    v = sum(h2[k][k][0] for k in range(4)) / 4
+    shifted = [[(h2[r][s][0] - (v if r == s else 0), h2[r][s][1]) for s in range(4)]
+               for r in range(4)]
+    sq = _exact_square(shifted)
+    theta = sum(sq[k][k][0] for k in range(4)) / 4
+    with decimal.localcontext(_DIGITS):
+        root = _dec(theta).sqrt()
+        e1 = max(_dec(v) - root, decimal.Decimal(0)).sqrt()
+        e2 = (_dec(v) + root).sqrt()
+        u = _dec(float(c.upsilon))
+        return [u - e2, u - e1, u + e1, u + e2]
+
+
+def _product_levels_50(f1: Su2Factor, f2: Su2Factor) -> list[decimal.Decimal]:
+    """(a0 +- |a|)(b0 +- |b|) from the factors' floats."""
+    with decimal.localcontext(_DIGITS):
+        a0, b0 = _dec(f1.a0), _dec(f2.a0)
+        a = _dec(sum(Fraction(float(x)) ** 2 for x in f1.vec)).sqrt()
+        b = _dec(sum(Fraction(float(x)) ** 2 for x in f2.vec)).sqrt()
+        return [(a0 + s * a) * (b0 + r * b) for s in (1, -1) for r in (1, -1)]
+
+
+def _log_z_and_purity_50(levels, t: float) -> tuple[float, float]:
+    """log Z and sum p^2 at temperature t, the weights shifted by the lowest level."""
+    with decimal.localcontext(_DIGITS):
+        t = _dec(t)
+        low = min(levels)
+        w = [(-(e - low) / t).exp() for e in levels]
+        total = sum(w, decimal.Decimal(0))
+        log_z = -low / t + total.ln()
+        return float(log_z), float(sum(x * x for x in w) / (total * total))
+
+
+REFERENCE_TEMPS = np.geomspace(1e-2, 1e2, 13)
+
+
+def _reference_draws():
+    """(system, levels) for seeded alpha, beta, both, rotated and product
+    sets with base energies 0, 1e3 and 1e6."""
+    rng = np.random.default_rng(2024)
+    for base in (0.0, 1e3, 1e6):
+        for _ in range(4):
+            for route in ("alpha", "beta", "both", "rotated"):
+                c = route_set(route, rng)
+                c = CoefficientSet(base, c.alpha, c.beta, c.omega)
+                yield c, _even_levels_50(c)
+            f1, f2 = random_separable_factors(rng)
+            shift = math.sqrt(base)
+            f1, f2 = Su2Factor(f1.a0 + shift, f1.vec), Su2Factor(f2.a0 + shift, f2.vec)
+            yield (f1, f2), _product_levels_50(f1, f2)
+
+
+class TestAgainstFiftyDigits:
+    """log Z and purity against the 50-digit reference above: constrained
+    sets on both branches and product sets, with base energies up to 1e6.
+    There a purity taken as a difference of two log Z values of size
+    1e8 would keep only ~8 digits; the sum of p^2 keeps all but the last."""
+
+    def test_log_partition_and_purity(self):
+        worst_log_z = worst_purity = 0.0
+        for system, levels in _reference_draws():
+            if isinstance(system, CoefficientSet):
+                runs = [(EnsembleBranch.FULL, levels), (EnsembleBranch.POSITIVE_ONLY, levels[2:])]
+            else:
+                runs = [(EnsembleBranch.FULL, levels)]
+            for branch, lv in runs:
+                if isinstance(system, CoefficientSet):
+                    log_z = log_partition_entangled(system, REFERENCE_TEMPS, branch)
+                else:
+                    log_z = log_partition_separable(*system, REFERENCE_TEMPS)
+                pur = purity(system, REFERENCE_TEMPS, branch)
+                for t, got_log_z, got_pur in zip(REFERENCE_TEMPS, log_z, pur):
+                    ref_log_z, ref_pur = _log_z_and_purity_50(lv, float(t))
+                    worst_log_z = max(worst_log_z, abs(got_log_z - ref_log_z) / max(1.0, abs(ref_log_z)))
+                    worst_purity = max(worst_purity, abs(got_pur / ref_pur - 1.0))
+        assert worst_purity <= 4e-15
+        assert worst_log_z <= 4e-15
+
+    def test_threefold_ground_level_down_to_1e_minus_20(self):
+        """omega = -I: levels 3, -1, -1, -1, so the purity tends to 1/3."""
+        c = CoefficientSet(0.0, np.zeros(3), np.zeros(3), -np.eye(3))
+        temps = np.geomspace(1.0, 1e-20, 41)
+        s = thermal_sweep(c, temps)
+        levels = [decimal.Decimal(v) for v in (3, -1, -1, -1)]
+        for t, z, pur in zip(temps, s["z"], s["purity"]):
+            ref_log_z, ref_pur = _log_z_and_purity_50(levels, float(t))
+            assert abs(pur / ref_pur - 1.0) <= 4e-15
+            if z < np.inf:
+                assert abs(math.log(z) - ref_log_z) <= 4e-15 * max(1.0, abs(ref_log_z))
+        assert abs(s["purity"][-1] - 1.0 / 3.0) <= 1e-15
