@@ -5,9 +5,20 @@ a coefficient set.  :func:`_derive_kernel` computes every field from the
 components of alpha, beta and omega with IEEE + - * / sqrt alone, for one
 set on Python floats or for a batch on arrays;
 :func:`su2pair.hamiltonian.derive` and
-:func:`su2pair.hamiltonian.derive_arrays` are its two callers.  The kernel
-fills a record's instance dict in one update and leaves the components of
-the three array fields, which a record packs on their first read.
+:func:`su2pair.hamiltonian.derive_arrays` are its public callers.  The
+kernel fills a record's instance dict in one update and leaves the
+components of the three array fields, which a record packs on their first
+read.
+
+A batch whose structure makes some components exact zeros in every item
+(the graphene grids: alpha_1, alpha_2 and the third row and column of
+omega) may pass them to :func:`_derive_components` as the structural zero
+``_ZERO``.  Its products are itself and a sum returns the other operand, so
+the unchanged kernel skips every array pass over a term that vanishes by
+construction (120 ufunc calls for a 4096-point lattice chunk, not 279).
+Dropping ``x + 0`` can change only the sign of a zero, and dropping
+``0 * x`` agrees with IEEE wherever x is finite, so the caller passes it
+only where every intermediate is.  No record field holds it.
 """
 
 from __future__ import annotations
@@ -93,9 +104,60 @@ class DerivedCoefficients:
 _PACKED = frozenset(("a_vec", "b_vec", "w_mat"))
 
 
+class _StructuralZero:
+    """An exact zero that a batch's structure guarantees in every item, such
+    as a lattice-layer set's alpha_1 and the third row and column of its
+    omega: its products and quotients are itself, a sum returns the other
+    operand and a difference its negation, so the kernel's terms in it cost
+    no array pass.  It stands for +0 or -0 alike, and where a term it drops
+    would be 0 * inf the kernel reads 0, not NaN; callers pass it only
+    where every intermediate is finite.  ``<=`` and ``float`` read it as
+    0.0.  Ndarray operators defer to it, and no ufunc takes it.
+    """
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __truediv__ = __mul__
+
+    def __add__(self, other):
+        return other
+
+    __radd__ = __rsub__ = __add__
+
+    def __sub__(self, other):
+        return -other
+
+    def __neg__(self):
+        return self
+
+    __abs__ = __neg__
+
+    def __float__(self):
+        return 0.0
+
+    def __le__(self, other):
+        return 0.0 <= other
+
+    def __repr__(self):
+        return "_ZERO"
+
+
+_ZERO = _StructuralZero()
+
+
 def _where(cond, x, y):
-    """np.where that keeps a single set's scalars scalar."""
+    """np.where that keeps a single set's scalars scalar.  On a batch the
+    structural zero stays one where the other branch is zero too, and reads
+    as 0.0 otherwise."""
     if isinstance(cond, np.ndarray):
+        if x is _ZERO or y is _ZERO:
+            x, y = (0.0 if v is _ZERO else v for v in (x, y))
+            if type(x) is float and type(y) is float and x == y == 0.0:
+                return _ZERO
         return np.where(cond, x, y)
     return x if cond else y
 
@@ -107,7 +169,8 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
     three rows of omega.  The components are Python floats for one set
     (``sqrt`` = math.sqrt, ``pack`` = np.array) or arrays over the batch axes
     (np.sqrt and :func:`_stack_last`).  A batch may give the components that
-    are the same for every item as Python floats; they broadcast.  Each field
+    are the same for every item as Python floats, which broadcast, and
+    through :func:`_derive_components` its structural zeros as ``_ZERO``.  Each field
     is the same sequence of IEEE + - * / sqrt and exact selections in every
     case, so batch items and single sets carry the same bits whatever the
     memory layout or the BLAS build, and a field that no batch component
@@ -244,6 +307,30 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
         _b_vec=b_vec,
         _w_mat=w_mat,
     )
+    return d
+
+
+def _sqrt_batch(x):
+    """np.sqrt that passes the structural zero through."""
+    return x if x is _ZERO else np.sqrt(x)
+
+
+def _real_zeros(items):
+    """A packed field's (nested) component list with _ZERO read as 0.0."""
+    return [_real_zeros(x) if type(x) is list else 0.0 if x is _ZERO else x for x in items]
+
+
+def _derive_components(a, b, w, tol: float) -> DerivedCoefficients:
+    """:func:`_derive_kernel` on a batch's components, any of which may be the
+    structural zero ``_ZERO``; a field the kernel leaves as ``_ZERO`` reads
+    0.0 in the record, so no record field holds it."""
+    d = _derive_kernel(a, b, w, tol, _sqrt_batch, _stack_last)
+    state = d.__dict__
+    for name, value in state.items():
+        if value is _ZERO:
+            state[name] = 0.0
+        elif type(value) is list:
+            state[name] = _real_zeros(value)
     return d
 
 

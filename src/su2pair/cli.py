@@ -30,9 +30,10 @@ from .thermo import EnsembleBranch, thermal_sweep
 from .verify import run_suites, report_lines
 
 # Largest accepted --grid and --steps, refused before any work.  On a 2-CPU
-# Xeon host a grid command costs 0.8-0.9 us a k-point (half or more of it CSV
-# formatting) and runs in chunks of graphene.CHUNK_POINTS, so --grid 1001
-# takes about a second in flat memory; a thermo sweep is
+# Xeon host a grid command costs about 0.8 us a k-point at 201^2 (more than
+# half of it CSV formatting, 0.09-0.11 us the derive kernel) and runs in
+# chunks of graphene.CHUNK_POINTS, so --grid 1001 takes about a second in
+# flat memory; a thermo sweep is
 # evaluated as arrays over T at 2-5 us a step, 1.2-1.6 us of it CSV
 # formatting, so --steps 10000 takes well under a second.
 MAX_GRID = 1001
@@ -43,8 +44,8 @@ MAX_STEPS = 10_000
 # concurrence's x+-/T and E2/T, doubled in its exp(-2x) terms.  Every energy
 # is at most |upsilon| + |alpha| + |beta| + sqrt(3) |omega|_F <= sqrt(6) S
 # for the coefficient scale S, so every exponent is at most 2 sqrt(6) S/T,
-# below 5 S/T.  A lowest temperature at which this factor times S over T/2
-# (16 S/T) overflows is refused, which keeps every exponent finite with room
+# below 5 S/T.  A lowest temperature at which 16 S/T (this factor times S
+# over T/2) overflows is refused, which keeps every exponent finite with room
 # to spare.  So is one below twice the smallest normal double, which keeps
 # every T of a sweep a normal double: a subnormal T carries fewer
 # significant bits, and the T cells of a log-spaced sweep would no longer be
@@ -162,16 +163,17 @@ def _temperatures(tmin: float, tmax: float, steps: int) -> np.ndarray:
 
 
 def _check_lowest_temperature(tmin: float, c: CoefficientSet) -> None:
-    """Refuse a sweep of the set ``c`` at a lowest temperature where its
-    exponents overflow or T/2 is not a normal double, either of which turns
-    purity and concurrence cells into NaN, 0 or inf.  The coefficient scale
-    is taken with math.hypot, which does not overflow."""
+    """Refuse a sweep of the set ``c`` at a lowest temperature T below twice
+    the smallest normal double, or at which 16 S/T is not finite for the
+    coefficient scale S, taken with math.hypot, which does not overflow.
+    16 S/T is formed as 8 S over T/2, which is exact at every accepted T, so
+    a set whose 8 S overflows is refused at every T."""
     scale = math.hypot(c.upsilon, *c.alpha.tolist(), *c.beta.tolist(), *c.omega.ravel().tolist())
     if tmin < _LOWEST_TEMPERATURE or not math.isfinite(_EXPONENT_BOUND * scale / (tmin / 2.0)):
         raise InputFormatError(
             f"--tmin {tmin!r} is too low for a set of coefficient scale "
-            f"{format_float(scale)}: its energies over T/2 overflow, or T/2 "
-            "is not a normal double"
+            f"{format_float(scale)}: 16 S/T overflows, or T is below twice "
+            "the smallest normal double"
         )
 
 

@@ -11,9 +11,13 @@ beta's third entry, omega's third row and column) as Python floats.  Grid
 sweeps over the Brillouin zone take the structure factor from per-axis
 factors gathered by each chunk's axis indices, run the derive kernel on
 these components without staging coefficient arrays, and feed the CSV
-emitters with the k columns as (axis, index) pairs.  Every value has the
-bits of the array functions on the staged sets of
-:func:`lattice_layer_arrays`.
+emitters with the k columns as (axis, index) pairs.  On a grid the seven
+components that vanish by construction (alpha_1, alpha_2, omega's third row
+and column) are the structural zero of :mod:`su2pair._invariants`, so the
+kernel skips every term in them, unless a parameter exceeds
+STRUCTURAL_SCALE, where they are 0.0 and overflow takes the generic path's
+course.  Every value has the bits of the array functions on the staged sets
+of :func:`lattice_layer_arrays`, and a grid raises where they raise.
 
 The thermal curve at one wave vector is :func:`su2pair.thermo.thermal_sweep`
 of the mapped set, so the closed form exists once; on the lattice its
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._invariants import _derive_kernel, _stack_last
+from ._invariants import _ZERO, _derive_components, _stack_last
 from .entanglement import CLOSED_FORM, _concurrence_from_derived
 from .hamiltonian import DEFAULT_TOL, CoefficientSet, _dot, derive, even_spectrum
 from .thermo import _x_pm, sinh_cosh_gap, thermal_sweep
@@ -80,6 +84,13 @@ def structure_factor(p: GrapheneParams, kx: float, ky: float) -> complex:
     return _structure_factor(p, kx, ky)
 
 
+# Largest parameter magnitude at which the grids pass the structural zero.
+# The lattice components are then at most 3 S and the derive kernel's terms
+# at most quartic in them, so every intermediate is finite and each term the
+# zero drops is an exact zero; the generic path first overflows near 1e77.
+STRUCTURAL_SCALE = 1e60
+
+
 def _lattice_layer(p: GrapheneParams, kx, ky, at=None):
     """The components (a, b, w) of the lattice-layer sets' alpha, beta and
     omega rows, in the form ``_derive_kernel`` takes, at the points of
@@ -90,16 +101,24 @@ def _lattice_layer(p: GrapheneParams, kx, ky, at=None):
     column of omega vanish, so alpha . omega = 0 identically.  The entries
     that do not depend on k are Python floats; the others carry the shape
     of the points.  upsilon is 0.
+
+    On a grid (``at`` given) alpha_1, alpha_2 and omega's third row and
+    column are the structural zero ``_ZERO``, for
+    :func:`~su2pair._invariants._derive_components` only, unless a
+    parameter exceeds STRUCTURAL_SCALE in magnitude; they are 0.0 otherwise,
+    and always 0.0 where the components are staged.
     """
     g = _structure_factor(p, kx, ky, at)
     re, im = g.real, g.imag
     w12 = -p.t3 * im / 2.0
+    scale = max(abs(p.t), abs(p.t3), abs(p.tperp), abs(p.m), abs(p.bias))
+    z = _ZERO if at is not None and scale <= STRUCTURAL_SCALE else 0.0
     return (
-        [0.0, 0.0, p.bias / 2.0],
+        [z, z, p.bias / 2.0],
         [-p.t * re, p.t * im, p.m],
-        [[(p.tperp - p.t3 * re) / 2.0, w12, 0.0],
-         [w12, (p.tperp + p.t3 * re) / 2.0, 0.0],
-         [0.0, 0.0, 0.0]],
+        [[(p.tperp - p.t3 * re) / 2.0, w12, z],
+         [w12, (p.tperp + p.t3 * re) / 2.0, z],
+         [z, z, z]],
     )
 
 
@@ -139,7 +158,7 @@ def build_ab_hamiltonian(p: GrapheneParams, kx: float, ky: float) -> np.ndarray:
 
 
 def _band_arrays(p: GrapheneParams, kx, ky, at=None):
-    d = _derive_kernel(*_lattice_layer(p, kx, ky, at), DEFAULT_TOL, np.sqrt, _stack_last)
+    d = _derive_components(*_lattice_layer(p, kx, ky, at), DEFAULT_TOL)
     _, e1, e2 = even_spectrum(d)
     return e1, e2
 
@@ -277,7 +296,7 @@ def concurrence_chunks(p: GrapheneParams, g: GridSpec, m: int = 2, n: int = 1):
     xs, ys = g.axes()
     for ix, iy in _grid_chunks(p, g, xs, ys):
         a, b, w = _lattice_layer(p, xs, ys, (ix, iy))
-        d = _derive_kernel(a, b, w, DEFAULT_TOL, np.sqrt, _stack_last)
+        d = _derive_components(a, b, w, DEFAULT_TOL)
         shape = ix.shape
         beta = _stack_last(b, shape)
         # The radical reads |alpha|^2 and |beta|^2 with _dot's bits, which

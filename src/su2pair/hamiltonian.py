@@ -228,7 +228,8 @@ def _unconstrained_message(d: DerivedCoefficients) -> str:
     """The error of :func:`even_spectrum`, with classify's relative residuals
     of the first set of ``d`` that meets neither constraint."""
     k = int(np.argmin(np.logical_or(d.alpha_null, d.beta_null)))
-    pick = lambda x: np.ravel(x)[k].item()
+    # A field that no batch component reaches is one scalar for every item.
+    pick = lambda x: np.ravel(x)[k].item() if np.ndim(x) else float(x)
     om_norm = math.sqrt(pick(d.omega_sq))
     res_a = _ratio(pick(d.alpha_residual), om_norm * math.sqrt(pick(d.alpha_sq)))
     res_b = _ratio(pick(d.beta_residual), om_norm * math.sqrt(pick(d.beta_sq)))

@@ -100,7 +100,7 @@ _WORD = np.dtype("<u8")
 _KMAX = 250
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 # A rounding this close to a tie goes to format_float; the product's error
-# is below 2^-102 * 10^17 < 2e-14.
+# is below 2^-104 * 10^17 < 5e-15.
 _TIE_WINDOW = 1e-12
 _ONE, _BYTE, _TOP = np.uint64(1), np.uint64(8), np.uint64(63)
 
@@ -143,9 +143,6 @@ _PREFIXES = [sign + lead for sign in ("", "-") for lead in ("", "0.", "0.0", "0.
 _PREFIX = _ascii_words(_PREFIXES)[:, 0].copy()
 _PREFIX_LEN = np.array([len(t) for t in _PREFIXES])
 _SPECIAL = _ascii_words(["0", "-0", "inf", "-inf", "nan"]).view(np.uint8)
-# 10^0 ... 10^15 as exact doubles; blocks 10^(16 j) for -15 <= j <= 16.
-_POW10 = np.array([float(10**r) for r in range(16)])
-_BLOCK_LOW, _BLOCK_COUNT = (16 - _KMAX) >> 4, 32
 
 
 def _pow10_pair(q: int) -> tuple[float, float]:
@@ -160,14 +157,18 @@ def _pow10_pair(q: int) -> tuple[float, float]:
     return hi, (den - num * d) / (den * d)
 
 
-def _two_product(a, b):
-    """(p, e) with p = a * b rounded and p + e = a * b exactly (Dekker), by
-    Veltkamp's split of each factor into halves of 26 and 27 bits."""
-    p = a * b
-    c, d = _SPLITTER * a, _SPLITTER * b
-    a_h, b_h = c - (c - a), d - (d - b)
-    a_l, b_l = a - a_h, b - b_h
-    return p, ((a_h * b_h - p) + a_h * b_l + a_l * b_h) + a_l * b_l
+def _split(x):
+    """Veltkamp's split x = head + tail exactly, into halves of 26 and 27 bits."""
+    c = _SPLITTER * x
+    head = c - (c - x)
+    return head, x - head
+
+
+# The exponents q = 16 - k that _times_pow10 takes, and 10^q for each as the
+# rows hi, lo, head(hi) and tail(hi) of one table, built from Python integers.
+_Q_LOW, _Q_HIGH = 16 - _KMAX, 16 + _KMAX
+_POW10 = np.array([_pow10_pair(q) for q in range(_Q_LOW, _Q_HIGH + 1)]).T
+_POW10 = np.vstack([_POW10, *_split(_POW10[0])])
 
 
 def _shift_left(words: np.ndarray, bits) -> np.ndarray:
@@ -179,22 +180,20 @@ def _shift_left(words: np.ndarray, bits) -> np.ndarray:
 
 
 def _times_pow10(a: np.ndarray, q: np.ndarray):
-    """y = a * 10^q as (hi, lo) with |y - hi - lo| < 2^-102 y, for doubles
+    """y = a * 10^q as (hi, lo) with |y - hi - lo| < 2^-104 y, for doubles
     ``a`` in [1e-250, 1e250] and -234 <= q <= 266.
 
-    10^q = 10^r 10^(16 j) with 0 <= r < 16: 10^r is a double, and 10^(16 j)
-    a (hi, lo) pair from Python integers, made only for the j present.
-    y = (u + e) (hi_j + lo_j) with u + e = a 10^r and u hi_j = hi + err
-    exactly (numpy has no FMA).  The dropped e lo_j, the pair's own rounding
-    and the four roundings in lo add up to less than 9 * 2^-106 y.
+    10^q = p + r to 2^-106 10^q, with p and r from the table.  a p = hi + e
+    exactly by Dekker's two-product, from the Veltkamp halves of a and the
+    tabled halves of p (numpy has no FMA), and lo = e + a r.  The pair's own
+    rounding, that of a r and that of the sum, at most 2^-106 y, 2^-106 y
+    and 2^-105 y, add up to less than 2^-104 y.
     """
-    r, j = q & 15, (q >> 4) - _BLOCK_LOW
-    pair_hi, pair_lo = np.zeros(_BLOCK_COUNT), np.zeros(_BLOCK_COUNT)
-    for i in np.flatnonzero(np.bincount(j, minlength=_BLOCK_COUNT)).tolist():
-        pair_hi[i], pair_lo[i] = _pow10_pair(16 * (i + _BLOCK_LOW))
-    u, e = _two_product(a, _POW10[r])
-    hi, err = _two_product(u, pair_hi[j])
-    return hi, err + (u * pair_lo[j] + e * pair_hi[j])
+    p, r, p_head, p_tail = _POW10.take(q - _Q_LOW, axis=1)
+    hi = a * p
+    a_head, a_tail = _split(a)
+    e = ((a_head * p_head - hi) + a_head * p_tail + a_tail * p_head) + a_tail * p_tail
+    return hi, e + a * r
 
 
 def _scaled_decimal(a: np.ndarray):
@@ -331,8 +330,9 @@ def _rows(col) -> int:
     return len(col[1] if isinstance(col, tuple) else col)
 
 
-def _chunk_text(columns) -> str:
-    """The CSV lines of one chunk; see ``write_csv``."""
+def _chunk_text(columns) -> np.ndarray:
+    """The CSV lines of one chunk as a 1-D array of ASCII bytes; see
+    ``write_csv``."""
     tables, indices, floats = [], [], []
     for col in columns:
         values, index = _table(col)
@@ -356,7 +356,7 @@ def _chunk_text(columns) -> str:
         lines[:, end - 1] = ord(",")
     lines[:, -1] = ord("\n")
     lines = lines.ravel()
-    return lines[lines != 0].tobytes().decode("ascii")
+    return lines[lines != 0]
 
 
 def write_csv(path, header: list[str], chunks) -> int:
@@ -382,14 +382,14 @@ def write_csv(path, header: list[str], chunks) -> int:
     (within 1e-12 of a tie, at a misjudged decade, and for |x| outside
     [1e-250, 1e250]), the value goes through ``format_float`` itself.  The
     cells are gathered from the tables into one byte grid of cells, commas
-    and newlines per chunk, whose padding is dropped before it is written
-    as text.
+    and newlines per chunk, whose padding is dropped before its bytes are
+    written to the file opened in binary mode: lines end in ``\n`` on
+    every platform.
     """
     rows = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for columns in chunks:
-            text = _chunk_text(columns)
-            fh.write(text)
+            fh.write(_chunk_text(columns))
             rows += _rows(columns[0])
     return rows

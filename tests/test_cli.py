@@ -350,8 +350,9 @@ GOLDEN_SETS = {
 
 class TestSweepBounds:
     """Sweep bounds are usage errors (exit 2) unless every cell they give is
-    finite: a bound must be finite, and at the lowest temperature T/2 must be
-    a normal double and the set's exponents must not overflow."""
+    finite: a bound must be finite, and the lowest temperature T must be at
+    least twice the smallest normal double, with 16 S/T finite for the set's
+    coefficient scale S."""
 
     @staticmethod
     def _run(tmp_path, monkeypatch, argv):
@@ -393,9 +394,13 @@ class TestSweepBounds:
         ids=["general-1e-310", "entangled-1e-310", "entangled-3e-308",
              "dyadic-1e-309", "graphene-thermal-1e-310", "small-inexact-half"],
     )
-    def test_lowest_temperature_where_exponents_overflow(self, argv, tmp_path, monkeypatch):
+    def test_lowest_temperature_where_exponents_overflow(self, argv, tmp_path, monkeypatch,
+                                                        capsys):
         assert self._run(tmp_path, monkeypatch, argv) == 2
         assert not (tmp_path / "out.csv").exists()
+        assert capsys.readouterr().err.endswith(
+            ": 16 S/T overflows, or T is below twice the smallest normal double\n"
+        )
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SETS))
     def test_lowest_accepted_temperature_writes_finite_cells(self, name, tmp_path, monkeypatch):

@@ -5,13 +5,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2pair import graphene
+from su2pair._invariants import _ZERO, _derive_components
 from su2pair.cli import main
 from su2pair.entanglement import (
     CLOSED_FORM,
+    _concurrence_from_derived,
     concurrence_closed_form_arrays,
     eigenstate_concurrence_closed_form,
 )
@@ -284,14 +286,31 @@ def _zone_anchors(p):
     }
 
 
+# Exact zeros of both signs, and magnitudes from 1e-170 up past the generic
+# path's overflow near 1e77 (t3 or tperp alone), around the grids' structural
+# scale and into the range where the parameters' squares overflow.
+_EDGE_MAGNITUDES = [1e-170, 1e-160, 1e-80, graphene.STRUCTURAL_SCALE,
+                    2.0 * graphene.STRUCTURAL_SCALE, 1e76, 1e77, 1e78, 1e150, 1e155, 1e300]
+
+
+def _parameter(ordinary, edge):
+    """A parameter from ``ordinary``, or on edge cases also an exact +-0 or
+    a signed magnitude of ``_EDGE_MAGNITUDES``."""
+    if not edge:
+        return ordinary
+    signed = st.tuples(st.sampled_from(_EDGE_MAGNITUDES), st.sampled_from([1.0, -1.0]))
+    return ordinary | st.sampled_from([0.0, -0.0]) | signed.map(lambda ms: ms[0] * ms[1])
+
+
 @st.composite
 def _grid_cases(draw):
+    edge = draw(st.booleans())
     p = GrapheneParams(
-        t=draw(st.floats(0.2, 2.0)),
-        t3=draw(st.floats(0.0, 2.0)),
-        tperp=draw(st.floats(0.0, 2.0)),
-        m=draw(st.sampled_from([0.0, 0.3]) | st.floats(-1.0, 1.0)),
-        bias=draw(st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 2.0)),
+        t=draw(_parameter(st.floats(0.2, 2.0), edge)),
+        t3=draw(_parameter(st.floats(0.0, 2.0), edge)),
+        tperp=draw(_parameter(st.floats(0.0, 2.0), edge)),
+        m=draw(_parameter(st.sampled_from([0.0, 0.3]) | st.floats(-1.0, 1.0), edge)),
+        bias=draw(_parameter(st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 2.0), edge)),
         lattice=draw(st.sampled_from([1.0]) | st.floats(0.5, 2.0)),
     )
     # The first grid point is exactly the anchor (linspace starts at kx_min).
@@ -306,9 +325,54 @@ def _grid_cases(draw):
     return p, g
 
 
+# The generic path exits 3 on this set (ConstraintError: det omega is NaN);
+# a structural zero would read 0 * inf as 0 and write NaN cells.
+_OVERFLOW_CASE = (
+    GrapheneParams(t=0.0, t3=1e155, tperp=0.0, bias=1.0),
+    GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5),
+)
+
+
+def _outcome(f, *args):
+    """f(*args), or the class of the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def _per_point(f, points):
+    """[f(kx, ky) for each point], or the class of the first exception, as
+    a grid that stops at its first failing chunk reports it."""
+    values = []
+    for kx, ky in points:
+        value = _outcome(f, kx, ky)
+        if isinstance(value, type):
+            return value
+        values.append(value)
+    return values
+
+
+def _bits(x):
+    """The bit patterns of a float array, every NaN read as one: a CSV cell
+    reads 'nan' whatever its sign and payload."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.int64).tolist()
+
+
+def _assert_same(got, expected, bits):
+    """Equal exception classes, or values equal under ``bits``."""
+    if isinstance(got, type) or isinstance(expected, type):
+        assert got is expected
+    else:
+        assert bits(got) == bits(expected)
+
+
 class TestBatchedGridsMatchScalarFunctions:
     """band_grid and concurrence_grid evaluate k-points in batches; each point
-    must equal the scalar functions bit for bit."""
+    must equal the scalar functions bit for bit, and a grid must raise the
+    class that the first failing point raises."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -317,6 +381,7 @@ class TestBatchedGridsMatchScalarFunctions:
         n=st.sampled_from([1, 2]),
         chunk=st.sampled_from([1, 3, 4096]),
     )
+    @example(case=_OVERFLOW_CASE, m=2, n=1, chunk=4096)
     def test_points_equal_scalar_functions(self, case, m, n, chunk):
         p, g = case
         xs, ys = g.axes()
@@ -325,16 +390,22 @@ class TestBatchedGridsMatchScalarFunctions:
             if g.mask == "none" or in_first_zone(p, kx, ky)
         ]
         with mock.patch.object(graphene, "CHUNK_POINTS", chunk):
-            bands = band_grid(p, g)
-            conc = concurrence_grid(p, g, m, n)
+            bands = _outcome(band_grid, p, g)
+            conc = _outcome(concurrence_grid, p, g, m, n)
         for data in (bands, conc):
-            assert list(zip(data["kx"].tolist(), data["ky"].tolist())) == points
-        assert list(zip(bands["e1"].tolist(), bands["e2"].tolist())) == [
-            positive_bands(p, kx, ky) for kx, ky in points
-        ]
-        assert list(zip(conc["c"].tolist(), conc["flag"].tolist())) == [
-            _scalar_concurrence(p, kx, ky, m, n) for kx, ky in points
-        ]
+            if not isinstance(data, type):
+                assert list(zip(data["kx"].tolist(), data["ky"].tolist())) == points
+        pairs = lambda data, a, b: data if isinstance(data, type) else list(zip(data[a], data[b]))
+        _assert_same(
+            pairs(bands, "e1", "e2"),
+            _per_point(lambda kx, ky: positive_bands(p, kx, ky), points),
+            _bits,
+        )
+        _assert_same(
+            pairs(conc, "c", "flag"),
+            _per_point(lambda kx, ky: _scalar_concurrence(p, kx, ky, m, n), points),
+            lambda rows: [(_bits([c])[0], int(f)) for c, f in rows],
+        )
 
     def test_dirac_point_is_flagged_in_both_paths(self):
         """Unbiased and massless: E1 vanishes at G = 0, so branch n = 1 flags."""
@@ -357,15 +428,19 @@ class TestBatchedGridsMatchScalarFunctions:
         assert not in_first_zone(p, *anchors["corner-out"])
 
 
-def _bits(x):
-    return np.asarray(x, dtype=float).view(np.int64).tolist()
+def _holds_zero(value):
+    if isinstance(value, list):
+        return any(map(_holds_zero, value))
+    return value is _ZERO
 
 
 class TestStructureAwareGridsMatchTheArrayPath:
     """The grids take G from per-axis factors, run the derive kernel with
-    the k-independent components as scalars and read |beta|^2 from _dot;
-    every column must equal the generic array path on the staged sets bit
-    for bit, the Bloch-modulus fallback (bias 0) included."""
+    the k-independent components as scalars and the structural zeros as
+    ``_ZERO``, and read |beta|^2 from _dot; every column must equal the
+    generic array path on the staged sets bit for bit, the Bloch-modulus
+    fallback (bias 0) included, and raise its class where it raises.  No
+    record field and no staged array may hold the structural zero."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -374,24 +449,90 @@ class TestStructureAwareGridsMatchTheArrayPath:
         n=st.sampled_from([1, 2]),
         chunk=st.sampled_from([1, 3, 4096]),
     )
+    @example(case=_OVERFLOW_CASE, m=2, n=1, chunk=4096)
     def test_grids_equal_the_generic_array_path(self, case, m, n, chunk):
         p, g = case
-        with mock.patch.object(graphene, "CHUNK_POINTS", chunk):
-            bands = band_grid(p, g)
-            conc = concurrence_grid(p, g, m, n)
+        inputs, records, staged = [], [], []
+
+        def derive_components(a, b, w, tol):
+            inputs.append([*a, *b, *w[0], *w[1], *w[2]])
+            records.append(_derive_components(a, b, w, tol))
+            return records[-1]
+
+        def concurrence_from_derived(d, upsilon, al_sq, be_sq, m, n, arrays):
+            staged.append(arrays)
+            return _concurrence_from_derived(d, upsilon, al_sq, be_sq, m, n, arrays)
+
+        with mock.patch.object(graphene, "CHUNK_POINTS", chunk), \
+                mock.patch.object(graphene, "_derive_components", derive_components), \
+                mock.patch.object(graphene, "_concurrence_from_derived", concurrence_from_derived):
+            bands = _outcome(band_grid, p, g)
+            conc = _outcome(concurrence_grid, p, g, m, n)
+        scale = max(abs(p.t), abs(p.t3), abs(p.tperp), abs(p.m), abs(p.bias))
+        structural = scale <= graphene.STRUCTURAL_SCALE
+        assert all(_holds_zero(x) == structural for x in inputs)
+        assert not any(_holds_zero(v) for d in records for v in vars(d).values())
+        for d in records:
+            for name in ("a_vec", "b_vec", "w_mat"):
+                assert getattr(d, name).dtype == np.float64
+        for arrays in staged:
+            assert all(x.dtype == np.float64 for x in arrays())
+
         xs, ys = g.axes()
         kx, ky = np.repeat(xs, ys.size), np.tile(ys, xs.size)
         if g.mask == "hex":
             inside = first_zone_mask(p, kx, ky)
             kx, ky = kx[inside], ky[inside]
         for data in (bands, conc):
-            assert (_bits(data["kx"]), _bits(data["ky"])) == (_bits(kx), _bits(ky))
+            if not isinstance(data, type):
+                assert (_bits(data["kx"]), _bits(data["ky"])) == (_bits(kx), _bits(ky))
+        assert bool(inputs) == bool(kx.size)
         sets = lattice_layer_arrays(p, kx, ky)
-        _, e1, e2 = even_spectrum(derive_arrays(*sets))
-        assert (_bits(bands["e1"]), _bits(bands["e2"])) == (_bits(e1), _bits(e2))
-        c, cause, _ = concurrence_closed_form_arrays(0.0, *sets, m, n)
-        assert _bits(conc["c"]) == _bits(c)
-        assert conc["flag"].tolist() == (cause != CLOSED_FORM).astype(int).tolist()
+        columns = lambda data, *names: data if isinstance(data, type) else [data[k] for k in names]
+        expected = _outcome(lambda: even_spectrum(derive_arrays(*sets))[1:])
+        _assert_same(columns(bands, "e1", "e2"), expected, _bits)
+        expected = _outcome(lambda: concurrence_closed_form_arrays(0.0, *sets, m, n)[:2])
+        if not isinstance(expected, type):
+            c, cause = expected
+            expected = [c, (cause != CLOSED_FORM).astype(int)]
+        _assert_same(columns(conc, "c", "flag"), expected, _bits)
+
+
+class _CountedArray(np.ndarray):
+    """An array that counts the ufunc calls made on it and on its results."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountedArray.calls += 1
+        plain = [x.view(np.ndarray) if isinstance(x, _CountedArray) else x for x in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        return out.view(_CountedArray) if isinstance(out, np.ndarray) else out
+
+
+def _kernel_ufunc_calls(p, structural_scale):
+    """Ufunc calls of the grids' derive on the first 4096-point chunk of the
+    101^2 bands grid."""
+    g = default_grid(p, 101)
+    xs, ys = g.axes()
+    ix, iy = next(graphene._grid_chunks(p, g, xs, ys))
+    assert ix.size == 4096
+    with mock.patch.object(graphene, "STRUCTURAL_SCALE", structural_scale):
+        a, b, w = graphene._lattice_layer(p, xs, ys, (ix, iy))
+    count = lambda x: [count(v) for v in x] if isinstance(x, list) else (
+        x.view(_CountedArray) if isinstance(x, np.ndarray) else x)
+    _CountedArray.calls = 0
+    _derive_components(count(a), count(b), count(w), 1e-8)
+    return _CountedArray.calls
+
+
+def test_structural_zeros_drop_the_kernel_terms_they_vanish_from():
+    """The grids' derive kernel makes at most 120 ufunc calls a chunk with
+    the structural zeros; on 0.0 in their place it made 279 when they came."""
+    p = GrapheneParams(bias=0.1)
+    structural = _kernel_ufunc_calls(p, graphene.STRUCTURAL_SCALE)
+    assert structural == _kernel_ufunc_calls(p, graphene.STRUCTURAL_SCALE)
+    assert structural <= 120 < _kernel_ufunc_calls(p, -1.0)
 
 
 def _inside_reference(lattice, kx, ky):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from su2pair._invariants import _derive_components
 from su2pair.errors import ConstraintError, NonHermitianError
 from su2pair.hamiltonian import (
     Branch,
     CaseKind,
+    DEFAULT_TOL,
     CoefficientSet,
     DerivedCoefficients,
     case01_theta,
@@ -358,6 +360,27 @@ class TestDerive:
             even_spectrum(derive(c))
         sets = [random_entangled_canonical(rng, "alpha"), c, random_entangled_canonical(rng, "beta")]
         d = derive_arrays(*(np.array([getattr(s, f) for s in sets]) for f in ("alpha", "beta", "omega")))
+        with pytest.raises(ConstraintError, match=re.escape(want)):
+            even_spectrum(d)
+
+    def test_unconstrained_error_reads_scalar_fields_of_a_batch(self):
+        """A batch may give components common to every item as scalars, as
+        the graphene grids do, so some fields are scalars; the error on an
+        item past the first reads them for that item."""
+        c = CoefficientSet(0.0, (0, 0, 1), (0, 1, 0), np.eye(3))
+        r = classify(c).residuals
+        want = (
+            f"alpha.omega residual {r['alpha_constraint']:.3e}, "
+            f"omega.beta residual {r['beta_constraint']:.3e}, "
+            f"det_omega residual {r['det_omega']:.3e}"
+        )
+        # Item 0 has omega = diag(1, 1, 0) and alpha.omega = 0; item 1 is c.
+        d = _derive_components(
+            [0.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.array([0.0, 1.0])]],
+            DEFAULT_TOL,
+        )
+        assert isinstance(d.alpha_sq, float)
         with pytest.raises(ConstraintError, match=re.escape(want)):
             even_spectrum(d)
 
