@@ -6,16 +6,18 @@ components of alpha, beta and omega with IEEE + - * / sqrt alone, for one
 set on Python floats or for a batch on arrays;
 :func:`su2pair.hamiltonian.derive` and
 :func:`su2pair.hamiltonian.derive_arrays` are its public callers.  The
-kernel fills a record's instance dict in one update and leaves the
-components of the three array fields, which a record packs on their first
-read.
+kernel fills a record's instance dict in one update.  :func:`_ht2_parts`
+forms the Pauli components of Ht^2 beyond v_quad, from which the kernel
+takes phi, theta, s_cubic and the constraint residuals, and the
+eigenstate Bloch vectors of :mod:`su2pair.entanglement` take their
+closed form.
 
 A batch whose structure makes some components exact zeros in every item
 (the graphene grids: alpha_1, alpha_2 and the third row and column of
 omega) may pass them to :func:`_derive_components` as the structural zero
 ``_ZERO``.  Its products are itself and a sum returns the other operand, so
 the unchanged kernel skips every array pass over a term that vanishes by
-construction (120 ufunc calls for a 4096-point lattice chunk, not 279).
+construction (118 ufunc calls for a 4096-point lattice chunk, not 274).
 Dropping ``x + 0`` can change only the sign of a zero, and dropping
 ``0 * x`` agrees with IEEE wherever x is finite, so the caller passes it
 only where every intermediate is.  No record field holds it.
@@ -37,11 +39,11 @@ class DerivedCoefficients:
 
     ``v_quad`` is 1/4 Tr[Ht^2] for the traceless part Ht, the sum of the
     squared norms ``alpha_sq`` = |alpha|^2, ``beta_sq`` = |beta|^2 and
-    ``omega_sq`` = |omega|_F^2; ``a_vec``/``b_vec`` are the single-qubit
-    Pauli components of Ht^2 and ``w_mat`` its two-qubit component.
+    ``omega_sq`` = |omega|_F^2.  With a and b the single-qubit Pauli
+    components of Ht^2 and W its two-qubit component (:func:`_ht2_parts`),
     ``theta`` is 1/4 Tr[(Ht^2 - v_quad I)^2], evaluated exactly through the
-    Pauli components as |a_vec|^2 + |b_vec|^2 + phi, and ``phi`` is
-    Tr[w_mat w_mat^T].  ``theta_phi`` is the constraint-gated variant used
+    Pauli components as |a|^2 + |b|^2 + phi, and ``phi`` is
+    Tr[W W^T].  ``theta_phi`` is the constraint-gated variant used
     by the even-spectrum closed forms.  ``det_omega`` comes from one
     Householder reflection of omega, ``adj_norm`` is |adj omega|_F and
     ``beta_adj_alpha`` is beta^T adj(omega) alpha, both from the cofactors,
@@ -55,20 +57,11 @@ class DerivedCoefficients:
     floats and bools; from :func:`~su2pair.hamiltonian.derive_arrays` every
     field carries the batch's leading axes, and on a single set its scalars
     are numpy scalars.  Both run the same straight-line kernel, so their bits
-    agree.
-
-    ``a_vec``, ``b_vec`` and ``w_mat`` are packed from the kernel's
-    components on their first read (``np.array`` for one set, stacked over
-    the batch axes for a batch), cached and read-only; most callers never
-    read them.  Records from the kernel skip the generated ``__init__``, so
-    their instance dict also holds the components until the pack; read the
-    fields by name, not through ``vars``.
+    agree.  Records from the kernel skip the generated ``__init__`` and
+    fill their instance dict with exactly the fields, in field order.
     """
 
     v_quad: float
-    a_vec: np.ndarray
-    b_vec: np.ndarray
-    w_mat: np.ndarray
     theta: float
     phi: float
     theta_phi: float
@@ -84,24 +77,6 @@ class DerivedCoefficients:
     alpha_sq: float
     beta_sq: float
     omega_sq: float
-
-    def __getattr__(self, name):
-        # Normal lookup failed: on a kernel record that means the first read
-        # of a packed field, whose components the kernel kept as "_" + name.
-        state = self.__dict__
-        parts = state.get("_" + name) if name in _PACKED else None
-        if parts is None:
-            if name in state:  # packed by a concurrent first read
-                return state[name]
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = state["_pack"](parts)
-        value.setflags(write=False)
-        value = state.setdefault(name, value)
-        state.pop("_" + name, None)
-        return value
-
-
-_PACKED = frozenset(("a_vec", "b_vec", "w_mat"))
 
 
 class _StructuralZero:
@@ -162,21 +137,53 @@ def _where(cond, x, y):
     return x if cond else y
 
 
-def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
+def _ht2_parts(a, b, w):
+    """alpha.omega, omega.beta and the rows of W, from the components that
+    :func:`_derive_kernel` takes: the Pauli components of Ht^2 beyond v_quad
+    are a = 2 omega.beta, b = 2 alpha.omega (exact scalings) and W."""
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    (w11, w12, w13), (w21, w22, w23), (w31, w32, w33) = w
+    # p = Tr[omega]^2 - Tr[omega^2] from the diagonal of omega^2, and
+    # W = 2 (alpha beta^T - (omega^2)^T + tau omega^T) - p I entry by entry,
+    # with (omega^2)_ji = sum_k omega_jk omega_ki.
+    tau = w11 + w22 + w33
+    o11 = w11 * w11 + w12 * w21 + w13 * w31
+    o22 = w21 * w12 + w22 * w22 + w23 * w32
+    o33 = w31 * w13 + w32 * w23 + w33 * w33
+    p = tau * tau - (o11 + o22 + o33)
+    w_rows = [
+        [2.0 * ((a1 * b1 - o11) + tau * w11) - p,
+         2.0 * ((a1 * b2 - (w21 * w11 + w22 * w21 + w23 * w31)) + tau * w21),
+         2.0 * ((a1 * b3 - (w31 * w11 + w32 * w21 + w33 * w31)) + tau * w31)],
+        [2.0 * ((a2 * b1 - (w11 * w12 + w12 * w22 + w13 * w32)) + tau * w12),
+         2.0 * ((a2 * b2 - o22) + tau * w22) - p,
+         2.0 * ((a2 * b3 - (w31 * w12 + w32 * w22 + w33 * w32)) + tau * w32)],
+        [2.0 * ((a3 * b1 - (w11 * w13 + w12 * w23 + w13 * w33)) + tau * w13),
+         2.0 * ((a3 * b2 - (w21 * w13 + w22 * w23 + w23 * w33)) + tau * w23),
+         2.0 * ((a3 * b3 - o33) + tau * w33) - p],
+    ]
+    alpha_omega = [a1 * w11 + a2 * w21 + a3 * w31,
+                   a1 * w12 + a2 * w22 + a3 * w32,
+                   a1 * w13 + a2 * w23 + a3 * w33]
+    omega_beta = [w11 * b1 + w12 * b2 + w13 * b3,
+                  w21 * b1 + w22 * b2 + w23 * b3,
+                  w31 * b1 + w32 * b2 + w33 * b3]
+    return alpha_omega, omega_beta, w_rows
+
+
+def _derive_kernel(a, b, w, tol: float, sqrt) -> DerivedCoefficients:
     """Every field of :class:`DerivedCoefficients` as straight-line arithmetic.
 
     ``a`` and ``b`` hold the three components of alpha and beta, ``w`` the
     three rows of omega.  The components are Python floats for one set
-    (``sqrt`` = math.sqrt, ``pack`` = np.array) or arrays over the batch axes
-    (np.sqrt and :func:`_stack_last`).  A batch may give the components that
-    are the same for every item as Python floats, which broadcast, and
-    through :func:`_derive_components` its structural zeros as ``_ZERO``.  Each field
-    is the same sequence of IEEE + - * / sqrt and exact selections in every
-    case, so batch items and single sets carry the same bits whatever the
-    memory layout or the BLAS build, and a field that no batch component
-    reaches stays a scalar.  The record keeps the components of ``a_vec``,
-    ``b_vec`` and ``w_mat`` as nested lists, and ``pack`` turns them into
-    arrays on their first read.
+    (``sqrt`` = math.sqrt) or arrays over the batch axes (np.sqrt).  A
+    batch may give the components that are the same for every item as
+    Python floats, which broadcast, and through :func:`_derive_components`
+    its structural zeros as ``_ZERO``.  Each field is the same sequence of
+    IEEE + - * / sqrt and exact selections in every case, so batch items and
+    single sets carry the same bits whatever the memory layout or the BLAS
+    build, and a field that no batch component reaches stays a scalar.
     """
     a1, a2, a3 = a
     b1, b2, b3 = b
@@ -229,41 +236,15 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
     singular_residual = abs(det_omega) / _where(den > 0.0, den, math.inf)
     del adj_sq, den
 
-    # p = Tr[omega]^2 - Tr[omega^2] from the diagonal of omega^2, and
-    # w_mat = 2 (alpha beta^T - (omega^2)^T + tau omega^T) - p I entry by
-    # entry, with (omega^2)_ji = sum_k omega_jk omega_ki.
-    tau = w11 + w22 + w33
-    o11 = w11 * w11 + w12 * w21 + w13 * w31
-    o22 = w21 * w12 + w22 * w22 + w23 * w32
-    o33 = w31 * w13 + w32 * w23 + w33 * w33
-    p = tau * tau - (o11 + o22 + o33)
-    m11 = 2.0 * ((a1 * b1 - o11) + tau * w11) - p
-    m12 = 2.0 * ((a1 * b2 - (w21 * w11 + w22 * w21 + w23 * w31)) + tau * w21)
-    m13 = 2.0 * ((a1 * b3 - (w31 * w11 + w32 * w21 + w33 * w31)) + tau * w31)
-    m21 = 2.0 * ((a2 * b1 - (w11 * w12 + w12 * w22 + w13 * w32)) + tau * w12)
-    m22 = 2.0 * ((a2 * b2 - o22) + tau * w22) - p
-    m23 = 2.0 * ((a2 * b3 - (w31 * w12 + w32 * w22 + w33 * w32)) + tau * w32)
-    m31 = 2.0 * ((a3 * b1 - (w11 * w13 + w12 * w23 + w13 * w33)) + tau * w13)
-    m32 = 2.0 * ((a3 * b2 - (w21 * w13 + w22 * w23 + w23 * w33)) + tau * w23)
-    m33 = 2.0 * ((a3 * b3 - o33) + tau * w33) - p
-    del tau, o11, o22, o33
+    # phi = |W|_F^2, and the contractions alpha.omega and omega.beta: the
+    # constraint residuals, and half of Ht^2's b and a (scaling by 4 is exact).
+    (ra1, ra2, ra3), (rb1, rb2, rb3), w_rows = _ht2_parts(a, b, w)
+    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = w_rows
     phi = (m11 * m11 + m12 * m12 + m13 * m13 + m21 * m21 + m22 * m22
            + m23 * m23 + m31 * m31 + m32 * m32 + m33 * m33)
-    w_mat = [[m11, m12, m13], [m21, m22, m23], [m31, m32, m33]]
-
-    # The contractions alpha.omega and omega.beta: the constraint residuals,
-    # and half of b_vec and a_vec (scaling by 2 and 4 is exact).
-    ra1 = a1 * w11 + a2 * w21 + a3 * w31
-    ra2 = a1 * w12 + a2 * w22 + a3 * w32
-    ra3 = a1 * w13 + a2 * w23 + a3 * w33
-    rb1 = w11 * b1 + w12 * b2 + w13 * b3
-    rb2 = w21 * b1 + w22 * b2 + w23 * b3
-    rb3 = w31 * b1 + w32 * b2 + w33 * b3
     ra = ra1 * ra1 + ra2 * ra2 + ra3 * ra3
     rb = rb1 * rb1 + rb2 * rb2 + rb3 * rb3
     s_cubic = ra1 * b1 + ra2 * b2 + ra3 * b3
-    a_vec = [2.0 * rb1, 2.0 * rb2, 2.0 * rb3]
-    b_vec = [2.0 * ra1, 2.0 * ra2, 2.0 * ra3]
     del ra1, ra2, ra3, rb1, rb2, rb3
     aa, bb = 4.0 * rb, 4.0 * ra
     theta = (aa + bb) + phi
@@ -276,14 +257,14 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
     alpha_null = (alpha_residual <= tol * (om_norm * sqrt(al_sq) + _TINY)) & singular
     beta_null = (beta_residual <= tol * (om_norm * sqrt(be_sq) + _TINY)) & singular
 
-    # |b_vec|^2 = 4 alpha.omega.omega^T.alpha enters when omega.beta = 0,
-    # |a_vec|^2 = 4 beta.omega^T.omega.beta when alpha.omega = 0; on the
+    # |b|^2 = 4 alpha.omega.omega^T.alpha enters when omega.beta = 0,
+    # |a|^2 = 4 beta.omega^T.omega.beta when alpha.omega = 0; on the
     # overlap both terms vanish identically.
     theta_phi = phi + _where(beta_null, bb, 0.0) + _where(alpha_null, aa, 0.0)
 
     # One instance-dict update in place of the generated frozen __init__,
     # whose object.__setattr__ per field costs several times the arithmetic
-    # of a single set; the three packed fields keep their components.
+    # of a single set.
     d = object.__new__(DerivedCoefficients)
     d.__dict__.update(
         v_quad=al_sq + be_sq + om_sq,
@@ -302,10 +283,6 @@ def _derive_kernel(a, b, w, tol: float, sqrt, pack) -> DerivedCoefficients:
         alpha_sq=al_sq,
         beta_sq=be_sq,
         omega_sq=om_sq,
-        _pack=pack,
-        _a_vec=a_vec,
-        _b_vec=b_vec,
-        _w_mat=w_mat,
     )
     return d
 
@@ -315,22 +292,15 @@ def _sqrt_batch(x):
     return x if x is _ZERO else np.sqrt(x)
 
 
-def _real_zeros(items):
-    """A packed field's (nested) component list with _ZERO read as 0.0."""
-    return [_real_zeros(x) if type(x) is list else 0.0 if x is _ZERO else x for x in items]
-
-
 def _derive_components(a, b, w, tol: float) -> DerivedCoefficients:
     """:func:`_derive_kernel` on a batch's components, any of which may be the
     structural zero ``_ZERO``; a field the kernel leaves as ``_ZERO`` reads
     0.0 in the record, so no record field holds it."""
-    d = _derive_kernel(a, b, w, tol, _sqrt_batch, _stack_last)
+    d = _derive_kernel(a, b, w, tol, _sqrt_batch)
     state = d.__dict__
     for name, value in state.items():
         if value is _ZERO:
             state[name] = 0.0
-        elif type(value) is list:
-            state[name] = _real_zeros(value)
     return d
 
 

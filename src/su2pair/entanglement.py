@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._invariants import _ht2_parts, _stack_last
 from .errors import ConcurrenceDomainError, DegenerateBranchError, DensityMatrixError
 from .hamiltonian import (
     _TINY,
@@ -118,17 +119,28 @@ def bloch_closed_form_arrays(alpha, beta, omega, d: DerivedCoefficients, m: int,
     """Bloch vectors (a, b) of the (m, n) eigenstates of a batch, with the cause array.
 
     ``d`` is :func:`derive_arrays` of the batch; items whose cause is not 0
-    have a degenerate denominator and meaningless vectors.
+    have a degenerate denominator and meaningless vectors.  The Pauli
+    components of Ht^2 (single-qubit a_vec and b_vec, two-qubit w_mat) come
+    from the derive kernel's own straight-line helper, on one set's
+    components as Python floats, as :func:`derive` takes them.
     """
     sq, en, cause = _branch_scales(d, n)
+    if alpha.ndim == beta.ndim == 1 and omega.ndim == 2:
+        parts, pack = (alpha.tolist(), beta.tolist(), omega.tolist()), np.array
+    else:
+        parts, pack = (np.moveaxis(alpha, -1, 0), np.moveaxis(beta, -1, 0),
+                       np.moveaxis(omega, (-2, -1), (0, 1))), _stack_last
+    alpha_omega, omega_beta, w_rows = _ht2_parts(*parts)
+    a_vec, b_vec = pack([2.0 * x for x in omega_beta]), pack([2.0 * x for x in alpha_omega])
+    w_mat = pack(w_rows)
     sm, sn = (-1.0) ** m, (-1.0) ** n
     sq, en = np.asarray(sq)[..., None], np.asarray(en)[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = sn * d.a_vec / sq + sm * alpha / en + sm * sn * (
-            _matvec(d.w_mat, beta) + _matvec(omega, d.b_vec)
+        a = sn * a_vec / sq + sm * alpha / en + sm * sn * (
+            _matvec(w_mat, beta) + _matvec(omega, b_vec)
         ) / (sq * en)
-        b = sn * d.b_vec / sq + sm * beta / en + sm * sn * (
-            _matvec(d.w_mat.swapaxes(-1, -2), alpha) + _matvec(omega.swapaxes(-1, -2), d.a_vec)
+        b = sn * b_vec / sq + sm * beta / en + sm * sn * (
+            _matvec(w_mat.swapaxes(-1, -2), alpha) + _matvec(omega.swapaxes(-1, -2), a_vec)
         ) / (sq * en)
     return a, b, cause
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._invariants import _TINY, DerivedCoefficients, _derive_kernel, _stack_last, _where
+from ._invariants import _TINY, DerivedCoefficients, _derive_kernel, _where
 from .errors import ConstraintError, NonHermitianError
 from .pauli import _WORDS, pauli_word, require_hermitian
 
@@ -187,7 +187,6 @@ def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoeffi
         np.moveaxis(om, (-2, -1), (0, 1)),
         tol,
         np.sqrt,
-        _stack_last,
     )
 
 
@@ -196,9 +195,7 @@ def derive(c: CoefficientSet, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
 
     The same kernel runs on the set's components as Python floats.
     """
-    return _derive_kernel(
-        c.alpha.tolist(), c.beta.tolist(), c.omega.tolist(), tol, math.sqrt, np.array
-    )
+    return _derive_kernel(c.alpha.tolist(), c.beta.tolist(), c.omega.tolist(), tol, math.sqrt)
 
 
 def even_spectrum(d: DerivedCoefficients):

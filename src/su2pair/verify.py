@@ -93,7 +93,9 @@ def suite_oracle_equivalence(samples: int, seed: int) -> SuiteResult:
         es = solve_entangled(c)
         val_dev, proj_dev = _match_oracle(es, fano_compose(c))
         worst = max(worst, val_dev, proj_dev)
-    return SuiteResult("oracle-equivalence", samples, worst, 1e-8, worst <= 1e-8)
+    # The worst of seeds 0-9 at 2000 samples is 6.9e-14.  Entangled-route
+    # eigenvalues off by 1e-10 relative fail.
+    return SuiteResult("oracle-equivalence", samples, worst, 5e-12, worst <= 5e-12)
 
 
 def suite_orthonormality(samples: int, seed: int) -> SuiteResult:
@@ -109,7 +111,9 @@ def suite_orthonormality(samples: int, seed: int) -> SuiteResult:
             for j, sj in enumerate(states):
                 overlap = float(np.einsum("ab,ba->", si, sj).real)
                 worst = max(worst, abs(overlap - (1.0 if i == j else 0.0)))
-    return SuiteResult("orthonormality", samples, worst, 1e-8, worst <= 1e-8)
+    # The worst of seeds 0-9 at 2000 samples is 5.5e-14 (2.3e-13 at seed 42).
+    # States scaled by 1 + 1e-10 fail.
+    return SuiteResult("orthonormality", samples, worst, 5e-12, worst <= 5e-12)
 
 
 def suite_partition_function(samples: int, seed: int) -> SuiteResult:
@@ -166,7 +170,9 @@ def suite_concurrence_routes(samples: int, seed: int) -> SuiteResult:
                 float(np.max(np.abs(pair_cf.a_bloch - pair_tr.a_bloch))),
                 float(np.max(np.abs(pair_cf.b_bloch - pair_tr.b_bloch))),
             )
-    return SuiteResult("concurrence-routes", samples, worst, 1e-7, worst <= 1e-7)
+    # The worst of seeds 0-9 at 2000 samples is 6.6e-12.  Bloch vectors from
+    # Ht^2 components off by 1e-9 relative fail.
+    return SuiteResult("concurrence-routes", samples, worst, 5e-10, worst <= 5e-10)
 
 
 def suite_thermal_concurrence(samples: int, seed: int) -> SuiteResult:
@@ -180,6 +186,9 @@ def suite_thermal_concurrence(samples: int, seed: int) -> SuiteResult:
     worst = 0.0
     unreliable_devs = []
     temps = (0.3, 1.0, 5.0)
+    # The worst of seeds 0-9 at 2000 samples is 8.4e-15.  A closed form off
+    # by 1e-11 relative fails.
+    tol = 5e-13
     for k in range(samples):
         if k % 2 == 0:
             c = random_commuting_thermal_set(rng)
@@ -188,7 +197,7 @@ def suite_thermal_concurrence(samples: int, seed: int) -> SuiteResult:
                 res = thermal_concurrence(c, t)
                 if not res.reliable:
                     return SuiteResult(
-                        "thermal-concurrence", samples, math.inf, 1e-7, False,
+                        "thermal-concurrence", samples, math.inf, tol, False,
                         "commuting family flagged unreliable",
                     )
                 worst = max(worst, res.deviation)
@@ -206,7 +215,7 @@ def suite_thermal_concurrence(samples: int, seed: int) -> SuiteResult:
             f"median dev={np.median(unreliable_devs):.2e}, "
             f"max dev={np.max(unreliable_devs):.2e} (reported, not asserted)"
         )
-    return SuiteResult("thermal-concurrence", samples, worst, 1e-7, worst <= 1e-7, detail)
+    return SuiteResult("thermal-concurrence", samples, worst, tol, worst <= tol, detail)
 
 
 # Set families, cycled in this order so that the first three samples already

@@ -1,7 +1,8 @@
 """Every CSV cell against ``format_float`` of its value, at volume.
 
-Runs the paper's two 201^2 figure commands and a 10000-step ``thermo`` sweep
-of each golden set through the CLI (and so ``write_csv``), recomputes the
+Runs the paper's two 201^2 figure commands, the 201^2 concurrence grid at
+bias 0 (where every point takes the Bloch-modulus route), and a 10000-step
+``thermo`` sweep of each golden set through the CLI (and so ``write_csv``), recomputes the
 same columns through the library, and compares each cell with
 ``format_float`` of its value (``%d`` for integer columns).  The grid
 columns are recomputed on every point at once through
@@ -57,9 +58,11 @@ def bands(alpha, beta, omega):
     return e1, e2
 
 
-def concurrence(alpha, beta, omega):
-    c, cause, _ = concurrence_closed_form_arrays(0.0, alpha, beta, omega, 2, 2)
-    return c, (cause != CLOSED_FORM).astype(int)
+def concurrence(m, n):
+    def columns(alpha, beta, omega):
+        c, cause, _ = concurrence_closed_form_arrays(0.0, alpha, beta, omega, m, n)
+        return c, (cause != CLOSED_FORM).astype(int)
+    return columns
 
 
 def cases(workdir: Path):
@@ -68,7 +71,10 @@ def cases(workdir: Path):
     yield "bands", argv, grid_columns(argv, bands)
     argv = ["graphene-concurrence", "--bias", "1", "--branch-n", "2", "--mask", "hex",
             "--grid", "201"]
-    yield "concurrence", argv, grid_columns(argv, concurrence)
+    yield "concurrence", argv, grid_columns(argv, concurrence(2, 2))
+    # Bias 0: every point takes the Bloch-modulus route, branch (2, 1).
+    argv = ["graphene-concurrence", "--bias", "0", "--grid", "201"]
+    yield "concurrence-bias0", argv, grid_columns(argv, concurrence(2, 1))
     temps = cli._temperatures(0.01, 100.0, STEPS)
     for name, payload in SETS.items():
         path = workdir / f"{name}.json"

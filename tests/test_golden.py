@@ -46,6 +46,11 @@ column did not move.  The graphene-thermal C cells at the Dirac point and at
 --tperp 0.3 the old curve wrote the zero of one branch of the closed form;
 25 of its 40 C cells now hold the closed form with x+ = t3 |G|, within
 6.3e-17 of a 60-digit evaluation (CHANGES.md).
+
+The two bias-0 graphene-concurrence CSVs reach the Bloch-modulus route of
+the closed-form concurrence on every point (alpha = 0, and omega . beta
+does not vanish); they were recorded before the Bloch route formed the Ht^2
+components through the derive kernel's own helper, which moved no byte.
 """
 
 import contextlib
@@ -104,6 +109,18 @@ CASES = [
          "--grid", "21"],
         "edd4a055324565b3f75d0fd55d46ac3a276f440506b58430ff9dbfc69a768720",
         "acf51c98c4891af7093a043fd9523d6365a3e5bea3e3cb81e5c4cfac2e4c7e68",
+    ),
+    # Bias 0 leaves alpha = 0, so every point takes the Bloch-modulus route.
+    (
+        ["graphene-concurrence", "--grid", "21"],
+        "d5709d3ee12a24a4fbd05ffea26fcb7207ee71d350ea1c9a4aa16add40361d75",
+        "160094b659d31bd6970496eeba58367ada669c53912404e9c79965ad23afb2c3",
+    ),
+    (
+        ["graphene-concurrence", "--bias", "0", "--m", "0.2", "--branch-m", "1",
+         "--branch-n", "2", "--mask", "hex", "--grid", "21"],
+        "edd4a055324565b3f75d0fd55d46ac3a276f440506b58430ff9dbfc69a768720",
+        "55cec3cf9169fb3109c6837a6abaa748eaebd87b6d6505223d6d390868d68b42",
     ),
     (
         ["graphene-thermal", "--steps", "40"],

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2pair._invariants import _derive_components
+from su2pair.entanglement import bloch_closed_form_arrays, eigenstate_bloch_closed_form
 from su2pair.errors import ConstraintError, NonHermitianError
 from su2pair.hamiltonian import (
     Branch,
@@ -39,15 +40,12 @@ ENTANGLED_EXAMPLE = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0,
 # The XYZ exchange model: both local vectors vanish, omega has full rank.
 XYZ_EXCHANGE = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 2.0, 3.0]))
 
-# Every field of DerivedCoefficients, by its public name.  A derived record's
-# instance dict holds the components of a_vec, b_vec and w_mat until their
-# first read, so vars() would skip those three and show private names.
+# Every field of DerivedCoefficients, in field order.
 DERIVED_FIELDS = (
-    "v_quad", "a_vec", "b_vec", "w_mat", "theta", "phi", "theta_phi", "s_cubic",
-    "beta_adj_alpha", "det_omega", "adj_norm", "singular_residual", "alpha_null",
-    "beta_null", "alpha_residual", "beta_residual", "alpha_sq", "beta_sq", "omega_sq",
+    "v_quad", "theta", "phi", "theta_phi", "s_cubic", "beta_adj_alpha", "det_omega",
+    "adj_norm", "singular_residual", "alpha_null", "beta_null", "alpha_residual",
+    "beta_residual", "alpha_sq", "beta_sq", "omega_sq",
 )
-PACKED_FIELDS = ("a_vec", "b_vec", "w_mat")
 
 
 class TestFano:
@@ -132,8 +130,7 @@ class TestDerive:
     def test_rank_one_diagonal(self):
         c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 0.0, 0.0]))
         d = derive(c)
-        assert np.allclose(d.w_mat, 0)
-        assert d.phi == 0.0
+        assert d.phi == 0.0  # phi = |W|_F^2: Ht^2 has no two-qubit part
         assert d.v_quad == 1.0
 
     def test_entangled_example_values(self):
@@ -284,10 +281,7 @@ class TestDerive:
             one, arr = derive(c), derive_arrays(c.alpha, c.beta, c.omega)
             for name in DERIVED_FIELDS:
                 value, other = getattr(one, name), getattr(arr, name)
-                assert isinstance(value, np.ndarray) == (name in PACKED_FIELDS), name
-                if isinstance(value, np.ndarray):
-                    assert isinstance(other, np.ndarray) and other.shape == value.shape
-                elif isinstance(value, bool):
+                if isinstance(value, bool):
                     assert isinstance(other, np.bool_), name
                 else:
                     assert type(value) is float, name
@@ -299,22 +293,34 @@ class TestDerive:
     def test_field_names_are_the_dataclass_fields(self):
         assert DERIVED_FIELDS == tuple(f.name for f in fields(DerivedCoefficients))
 
-    def test_packed_fields_read_only_stable_and_equal_across_entry_points(self, rng):
-        """a_vec, b_vec and w_mat are packed on first read: read-only, the
-        same array on every later read, and bitwise equal between derive
-        and derive_arrays on one set and on a batch of that set."""
-        for c in self._mixed_sets(rng, 12):
-            one, arr = derive(c), derive_arrays(c.alpha, c.beta, c.omega)
-            batch = derive_arrays(c.alpha[None], c.beta[None], c.omega[None])
-            for name in PACKED_FIELDS:
-                bits = getattr(one, name).tobytes()
-                for d in (one, arr, batch):
-                    value = getattr(d, name)
-                    assert not value.flags.writeable, name
-                    with pytest.raises(ValueError):
-                        value[(0,) * value.ndim] = 1.0
-                    assert getattr(d, name) is value, name
-                    assert value.tobytes() == bits, name
+    def test_bloch_vectors_bitwise_equal_across_entry_points(self, rng):
+        """The Bloch closed form forms the Pauli components of Ht^2 through
+        the derive kernel's helper, on one set's components as Python floats
+        and on a batch's as arrays: one set, a 1-element batch and each item
+        of a mixed batch (every constrained branch, zero-sprinkled and
+        rotated sets) give the same bits."""
+        sets = []
+        for k in range(12):
+            c = random_entangled_canonical(rng, ("alpha", "beta", "both")[k % 3])
+            if k % 4 == 1:
+                c = CoefficientSet(c.upsilon, c.alpha * (rng.random(3) < 0.7), c.beta, c.omega)
+            if k % 4 == 2:
+                c = rotate_set(c, random_rotation(rng), random_rotation(rng))
+            sets.append(c)
+        sets += [random_rotated_constrained(rng)[1] for _ in range(4)]
+        al, be, om = (np.array([getattr(c, f) for c in sets]) for f in ("alpha", "beta", "omega"))
+        for m in (1, 2):
+            for n in (1, 2):
+                mixed = bloch_closed_form_arrays(al, be, om, derive_arrays(al, be, om), m, n)
+                assert not mixed[2].any()
+                for i, c in enumerate(sets):
+                    pair = eigenstate_bloch_closed_form(c, m, n)
+                    x = (c.alpha[None], c.beta[None], c.omega[None])
+                    single = bloch_closed_form_arrays(*x, derive_arrays(*x), m, n)
+                    for k, want in enumerate((pair.a_bloch, pair.b_bloch)):
+                        assert single[k].shape == (1, 3)
+                        assert single[k][0].tobytes() == want.tobytes(), (i, m, n)
+                        assert mixed[k][i].tobytes() == want.tobytes(), (i, m, n)
 
     def test_records_keep_the_frozen_dataclass_contract(self, rng):
         """repr, replace and frozenness are those of a record built through
@@ -323,6 +329,7 @@ class TestDerive:
 
         c = random_coefficient_set(rng)
         d = derive(c)
+        assert tuple(vars(d)) == DERIVED_FIELDS
         fresh = derive(c)
         ref = DerivedCoefficients(**{name: getattr(fresh, name) for name in DERIVED_FIELDS})
         assert repr(d) == repr(ref)

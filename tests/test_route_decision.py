@@ -79,12 +79,11 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-# Every field of DerivedCoefficients by its public name (a derived record's
-# instance dict holds the components of the three packed arrays instead).
+# Every field of DerivedCoefficients, in field order.
 _DERIVED_FIELDS = (
-    "v_quad", "a_vec", "b_vec", "w_mat", "theta", "phi", "theta_phi", "s_cubic",
-    "beta_adj_alpha", "det_omega", "adj_norm", "singular_residual", "alpha_null",
-    "beta_null", "alpha_residual", "beta_residual", "alpha_sq", "beta_sq", "omega_sq",
+    "v_quad", "theta", "phi", "theta_phi", "s_cubic", "beta_adj_alpha", "det_omega",
+    "adj_norm", "singular_residual", "alpha_null", "beta_null", "alpha_residual",
+    "beta_residual", "alpha_sq", "beta_sq", "omega_sq",
 )
 
 
