@@ -168,7 +168,7 @@ def _check_lowest_temperature(tmin: float, c: CoefficientSet) -> None:
     coefficient scale S, taken with math.hypot, which does not overflow.
     16 S/T is formed as 8 S over T/2, which is exact at every accepted T, so
     a set whose 8 S overflows is refused at every T."""
-    scale = math.hypot(c.upsilon, *c.alpha.tolist(), *c.beta.tolist(), *c.omega.ravel().tolist())
+    scale = math.hypot(*c.packed.tolist())
     if tmin < _LOWEST_TEMPERATURE or not math.isfinite(_EXPONENT_BOUND * scale / (tmin / 2.0)):
         raise InputFormatError(
             f"--tmin {tmin!r} is too low for a set of coefficient scale "

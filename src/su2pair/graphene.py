@@ -14,10 +14,10 @@ these components without staging coefficient arrays, and feed the CSV
 emitters with the k columns as (axis, index) pairs.  On a grid the seven
 components that vanish by construction (alpha_1, alpha_2, omega's third row
 and column) are the structural zero of :mod:`su2pair._invariants`, so the
-kernel skips every term in them, unless a parameter exceeds
-STRUCTURAL_SCALE, where they are 0.0 and overflow takes the generic path's
-course.  Every value has the bits of the array functions on the staged sets
-of :func:`lattice_layer_arrays`, and a grid raises where they raise.
+kernel skips every term in them.  :class:`GrapheneParams` refuses
+parameters beyond STRUCTURAL_SCALE, below which no intermediate overflows,
+so every value has the bits of the array functions on the staged sets of
+:func:`lattice_layer_arrays`, and a grid raises where they raise.
 
 The thermal curve at one wave vector is :func:`su2pair.thermo.thermal_sweep`
 of the mapped set, so the closed form exists once; on the lattice its
@@ -38,6 +38,14 @@ from .hamiltonian import DEFAULT_TOL, CoefficientSet, _dot, derive, even_spectru
 from .thermo import _x_pm, sinh_cosh_gap, thermal_sweep
 
 
+# Largest magnitude GrapheneParams accepts for t, t3, tperp, m and bias.
+# The lattice components are then at most 3 S and the derive kernel's terms
+# at most quartic in them, so every intermediate is finite and each term the
+# grids' structural zero drops is an exact zero; the kernel first overflows
+# near 1e77.
+STRUCTURAL_SCALE = 1e60
+
+
 @dataclass(frozen=True)
 class GrapheneParams:
     """Hopping and gap parameters of the AB-stacked bilayer.
@@ -46,7 +54,9 @@ class GrapheneParams:
     non-dimer-to-non-dimer interlayer hopping, ``tperp`` the dimer coupling,
     ``m`` a sublattice mass, ``bias`` the interlayer bias voltage and
     ``lattice`` the lattice constant.  The dimer-to-non-dimer hopping t4 is
-    fixed to zero, which also makes the matrix traceless.
+    fixed to zero, which also makes the matrix traceless.  Every parameter
+    must be finite, the lattice constant positive, and the others at most
+    STRUCTURAL_SCALE in magnitude; ValueError names the one that is not.
     """
 
     t: float = 1.0
@@ -58,8 +68,11 @@ class GrapheneParams:
 
     def __post_init__(self):
         for name in ("t", "t3", "tperp", "m", "bias", "lattice"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            if name != "lattice" and abs(value) > STRUCTURAL_SCALE:
+                raise ValueError(f"{name} = {value!r} exceeds {STRUCTURAL_SCALE:g} in magnitude")
         if not self.lattice > 0:
             raise ValueError("lattice constant must be positive")
 
@@ -84,13 +97,6 @@ def structure_factor(p: GrapheneParams, kx: float, ky: float) -> complex:
     return _structure_factor(p, kx, ky)
 
 
-# Largest parameter magnitude at which the grids pass the structural zero.
-# The lattice components are then at most 3 S and the derive kernel's terms
-# at most quartic in them, so every intermediate is finite and each term the
-# zero drops is an exact zero; the generic path first overflows near 1e77.
-STRUCTURAL_SCALE = 1e60
-
-
 def _lattice_layer(p: GrapheneParams, kx, ky, at=None):
     """The components (a, b, w) of the lattice-layer sets' alpha, beta and
     omega rows, in the form ``_derive_kernel`` takes, at the points of
@@ -104,15 +110,13 @@ def _lattice_layer(p: GrapheneParams, kx, ky, at=None):
 
     On a grid (``at`` given) alpha_1, alpha_2 and omega's third row and
     column are the structural zero ``_ZERO``, for
-    :func:`~su2pair._invariants._derive_components` only, unless a
-    parameter exceeds STRUCTURAL_SCALE in magnitude; they are 0.0 otherwise,
-    and always 0.0 where the components are staged.
+    :func:`~su2pair._invariants._derive_components` only; they are 0.0
+    where the components are staged.
     """
     g = _structure_factor(p, kx, ky, at)
     re, im = g.real, g.imag
     w12 = -p.t3 * im / 2.0
-    scale = max(abs(p.t), abs(p.t3), abs(p.tperp), abs(p.m), abs(p.bias))
-    z = _ZERO if at is not None and scale <= STRUCTURAL_SCALE else 0.0
+    z = _ZERO if at is not None else 0.0
     return (
         [z, z, p.bias / 2.0],
         [-p.t * re, p.t * im, p.m],

@@ -39,19 +39,16 @@ DEFAULT_TOL = 1e-9
 DEGENERACY_RTOL = 1e-8
 COMMUTATOR_RTOL = 1e-12
 
-def _as_readonly(a, shape) -> np.ndarray:
-    out = np.array(a, dtype=float).reshape(shape)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("coefficients must be finite")
-    out.setflags(write=False)
-    return out
-
 
 @dataclass(frozen=True)
 class CoefficientSet:
     """Real Pauli-basis coefficients (upsilon, alpha, beta, omega) of a 4x4 Hermitian.
 
-    Instances are immutable; the array fields are read-only views.
+    Instances are immutable.  ``packed`` is one read-only float64 vector of
+    the 16 coefficients in :func:`fano_compose`'s order, upsilon, alpha,
+    beta, then omega row by row, and ``alpha``, ``beta`` and ``omega`` are
+    read-only views of it; ``upsilon`` is its first entry as a Python
+    float.  The inputs are validated once, on the packed vector.
     """
 
     upsilon: float
@@ -61,12 +58,24 @@ class CoefficientSet:
 
     def __post_init__(self):
         upsilon = float(self.upsilon)
-        if not np.isfinite(upsilon):
+        if not math.isfinite(upsilon):
             raise ValueError("upsilon must be finite")
-        object.__setattr__(self, "upsilon", upsilon)
-        object.__setattr__(self, "alpha", _as_readonly(self.alpha, (3,)))
-        object.__setattr__(self, "beta", _as_readonly(self.beta, (3,)))
-        object.__setattr__(self, "omega", _as_readonly(self.omega, (3, 3)))
+        packed = np.empty(16)
+        packed[0] = upsilon
+        packed[1:4] = np.asarray(self.alpha, dtype=float).reshape((3,))
+        packed[4:7] = np.asarray(self.beta, dtype=float).reshape((3,))
+        packed[7:].reshape(3, 3)[...] = np.asarray(self.omega, dtype=float).reshape((3, 3))
+        if not np.isfinite(packed).all():
+            raise ValueError("coefficients must be finite")
+        # Views of a read-only array are read-only and cannot be made writeable.
+        packed.setflags(write=False)
+        self.__dict__.update(
+            upsilon=upsilon,
+            alpha=packed[1:4],
+            beta=packed[4:7],
+            omega=packed[7:].reshape(3, 3),
+            packed=packed,
+        )
 
     def scale(self) -> float:
         """Euclidean norm of all coefficients, the natural size of the set."""
@@ -102,13 +111,15 @@ _COMPOSE_INDEX, _COMPOSE_PHASE = _compose_table()
 def fano_compose(c: CoefficientSet) -> np.ndarray:
     """Assemble the 4x4 Hermitian matrix from its Pauli-basis coefficients.
 
-    Each entry sums its four signed coefficients in the order upsilon, then
-    alpha_i, beta_i, omega_i1..omega_i3 per i, the order in which adding the
-    scaled Pauli words one at a time would accumulate them.
+    One gather from the set's packed vector: each entry sums its four
+    signed coefficients in the order upsilon, then alpha_i, beta_i,
+    omega_i1..omega_i3 per i, the order in which adding the scaled Pauli
+    words one at a time would accumulate them.  Entries (r, s) and (s, r)
+    sum conjugate phases in that one order, so wherever every entry is
+    finite the result is exactly Hermitian: its Hermiticity defect is 0.
     """
-    src = np.concatenate(([c.upsilon], c.alpha, c.beta, c.omega.ravel()))
     # A reduction over the leading axis adds its slices one by one, in order.
-    return (src[_COMPOSE_INDEX] * _COMPOSE_PHASE).sum(axis=0)
+    return (c.packed[_COMPOSE_INDEX] * _COMPOSE_PHASE).sum(axis=0)
 
 
 def fano_decompose(h: np.ndarray) -> CoefficientSet:
@@ -193,9 +204,14 @@ def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoeffi
 def derive(c: CoefficientSet, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
     """:func:`derive_arrays` on one set, with Python floats and bools as scalars.
 
-    The same kernel runs on the set's components as Python floats.
+    The same kernel runs on the set's components as Python floats, from
+    one ``tolist()`` of its packed vector.
     """
-    return _derive_kernel(c.alpha.tolist(), c.beta.tolist(), c.omega.tolist(), tol, math.sqrt)
+    _, a1, a2, a3, b1, b2, b3, w11, w12, w13, w21, w22, w23, w31, w32, w33 = c.packed.tolist()
+    return _derive_kernel(
+        (a1, a2, a3), (b1, b2, b3), ((w11, w12, w13), (w21, w22, w23), (w31, w32, w33)),
+        tol, math.sqrt,
+    )
 
 
 def even_spectrum(d: DerivedCoefficients):
@@ -402,7 +418,7 @@ def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
         residuals, leading = _dyadic_residuals(c, d, tol)
     om_norm = math.sqrt(d.omega_sq)
     al_norm, be_norm = math.sqrt(d.alpha_sq), math.sqrt(d.beta_sq)
-    om_abs = [abs(x) for x in c.omega.ravel().tolist()]
+    om_abs = [abs(x) for x in c.packed[7:].tolist()]
     residuals.update(
         {
             "alpha_constraint": _ratio(d.alpha_residual, om_norm * al_norm),

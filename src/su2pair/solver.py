@@ -62,7 +62,13 @@ class Su2Factor:
 
 
 _MN = ((1, 1), (1, 2), (2, 1), (2, 2))
-_I4 = np.eye(4)
+# Complex, so that subtracting multiples of it from a complex matrix casts
+# nothing; the products and differences keep the bits of the real identity's.
+_I4 = np.eye(4, dtype=complex)
+# The entangled ansatz's operator basis with its first operator, I, in
+# place; each solve fills a copy.
+_ANSATZ_BASIS = np.zeros((4, 4, 4), dtype=complex)
+_ANSATZ_BASIS[0] = _I4
 
 
 @dataclass(frozen=True)
@@ -182,11 +188,12 @@ def separable_spectrum(a0: float, a: float, b0: float, b: float) -> np.ndarray:
 
 
 def _bloch_projectors(n: list[float]) -> list:
-    """(I + (-1)^s n.sigma) / 2 for s = 1, 2 of a unit 3-vector n, as nested lists."""
+    """(I + (-1)^s n.sigma) / 2 for s = 1, 2 of a unit 3-vector n, as one
+    flat list of the entries in C order over (s, row, column)."""
     n1, n2, n3 = n
     lo, hi = complex(n1, -n2) / 2.0, complex(n1, n2) / 2.0
     up, down = (1.0 + n3) / 2.0, (1.0 - n3) / 2.0
-    return [[[down, -lo], [-hi, up]], [[up, lo], [hi, down]]]
+    return [down, -lo, -hi, up, up, lo, hi, down]
 
 
 def solve_separable(f1: Su2Factor, f2: Su2Factor) -> Eigensystem:
@@ -208,16 +215,17 @@ def _solve_product(a0: float, a_vec: np.ndarray, b0: float, b_vec: np.ndarray) -
         a = math.sqrt(vec @ vec)
         if a <= 1e-14 * (1.0 + abs(f0)):
             degenerate = True
-            proj.append(_bloch_projectors([0.0, 0.0, 1.0]))
+            proj += _bloch_projectors([0.0, 0.0, 1.0])
             a = 0.0
         else:
-            proj.append(_bloch_projectors([x / a for x in vec.tolist()]))
+            proj += _bloch_projectors([x / a for x in vec.tolist()])
         norms.append(a)
 
     values = separable_spectrum(a0, norms[0], b0, norms[1])
-    # Bloch projectors of both factors, indexed [factor, s - 1], and their
+    # Bloch projectors of both factors, indexed [factor, s - 1], from one
+    # flat list (a nested one costs numpy twice as much to read), and their
     # Kronecker products [m - 1, n - 1].
-    pa, pb = np.array(proj)
+    pa, pb = np.array(proj, dtype=complex).reshape(2, 2, 2, 2)
     states = (pa[:, None, :, None, :, None] * pb[None, :, None, :, None, :]).reshape(2, 2, 4, 4)
     return _build(values, states, SolveMethod.SEPARABLE_CLOSED_FORM, degenerate)
 
@@ -246,15 +254,17 @@ def _solve_entangled(c: CoefficientSet, d: DerivedCoefficients) -> Eigensystem:
     h = fano_compose(c)
     gap_floor = DEGENERACY_RTOL * (1.0 + math.sqrt(d.v_quad))
     if sq <= DEGENERACY_RTOL * (1.0 + d.v_quad) or e1 <= gap_floor or e2 - e1 <= gap_floor:
-        return _oracle_eigensystem(h, ascending_labels=((1, 2), (1, 1), (2, 1), (2, 2)))
+        return _oracle_eigensystem(
+            require_hermitian(h, "eig_hermitian input"),
+            ascending_labels=((1, 2), (1, 1), (2, 1), (2, 2)),
+        )
 
     ups = c.upsilon
     # The ansatz expanded over the basis I, Ht, O = Ht^2 - V I and Ht O,
     # built in place: row (m, n) of ``coef`` holds 1/4 (1, (-1)^m / E_n,
     # (-1)^n / sqrt(Tp), (-1)^(m+n) / (E_n sqrt(Tp))), rows in the order of
     # _MN.  ``coef`` is complex because the product with the basis is.
-    basis = np.empty((4, 4, 4), dtype=complex)
-    basis[0] = _I4
+    basis = _ANSATZ_BASIS.copy()
     ht = np.subtract(h, ups * _I4, out=basis[1])
     o_op = np.subtract(ht @ ht, d.v_quad * _I4, out=basis[2])
     np.matmul(ht, o_op, out=basis[3])
@@ -304,12 +314,15 @@ def _cluster(values: list[float], floor: float) -> list[list[int]]:
 def _oracle_eigensystem(h: np.ndarray, ascending_labels=None) -> Eigensystem:
     """Numerical eigensystem with degenerate eigenspaces split per label.
 
+    ``h`` must be Hermitian with finite entries: the output of
+    :func:`~su2pair.pauli.require_hermitian`, or :func:`fano_compose` of a
+    set whose derived ``v_quad`` is finite, which is exactly Hermitian.
     ``ascending_labels`` maps the ascending spectrum to (m, n) labels; the
     default is descending energy with m as the slower index.
     """
     # The oracle's Hermitian eigendecomposition, read descending through
     # views instead of the copies a SpectralDecomposition keeps.
-    w, v = np.linalg.eigh(require_hermitian(h, "eig_hermitian input"))
+    w, v = np.linalg.eigh(h)
     w = w[::-1]
     desc = w.tolist()
 
@@ -349,11 +362,18 @@ def solve(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
     from :func:`_decide` with the derived coefficients, and omega's singular
     triple where the product test needed it, so a set is derived once and
     decomposed at most once.  Raises ValueError unless ``tol`` is positive
-    and finite.
+    and finite, and NonHermitianError where the composed matrix overflows.
     """
     kind, _, d, leading, _ = _decide(c, tol)
     if kind is CaseKind.SEPARABLE_DYADIC:
         return _solve_product(*_factor_parts(c, leading))
     if kind is CaseKind.ENTANGLED_CONSTRAINED:
         return _solve_entangled(c, d)
-    return _oracle_eigensystem(fano_compose(c))
+    h = fano_compose(c)
+    # A finite v_quad bounds alpha, beta and omega by sqrt(max double), and
+    # three such terms added to a finite upsilon stay below where rounding
+    # overflows, so every entry of h is finite and h is exactly Hermitian.
+    # Only an infinite v_quad leaves a composition that may overflow.
+    if not math.isfinite(d.v_quad):
+        h = require_hermitian(h, "eig_hermitian input")
+    return _oracle_eigensystem(h)

@@ -90,6 +90,19 @@ class TestSolveCommand:
         assert main(["solve", "--input", str(path)]) == 0
         assert "0.5" in capsys.readouterr().out
 
+    def test_overflowing_composition(self, tmp_path, capsys):
+        """A general set whose matrix overflows is an invariant violation."""
+        path = tmp_path / "overflow.json"
+        path.write_text(
+            json.dumps({"upsilon": 0.0, "alpha": [0, 0, 1e308], "beta": [0, 0, 1e308],
+                        "omega": (1e308 * np.eye(3)).tolist()})
+        )
+        with np.errstate(over="ignore"):
+            assert main(["solve", "--input", str(path)]) == 3
+        assert capsys.readouterr() == (
+            "", "invariant violation: eig_hermitian input contains non-finite entries\n"
+        )
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -285,6 +298,23 @@ class TestGrapheneCommands:
         values = [float(r[1]) for r in rows]
         assert values[0] > 0.9  # deep below the death temperature
         assert values[-1] == 0.0
+
+    @pytest.mark.parametrize(
+        "command", ["graphene-bands", "graphene-concurrence", "graphene-thermal"]
+    )
+    def test_parameters_past_the_structural_scale_are_usage_errors(
+        self, command, tmp_path, capsys
+    ):
+        """A parameter beyond STRUCTURAL_SCALE is refused before any output.
+        Such grids used to exit 0 with inf or nan cells, or exit 3."""
+        out = tmp_path / "x.csv"
+        for name in ("t", "t3", "tperp", "m", "bias"):
+            for value in ("2e60", "1e155", "1e300", "-1e300"):
+                assert main([command, f"--{name}={value}", "--output", str(out)]) == 2
+                assert not out.exists()
+                assert capsys.readouterr() == (
+                    "", f"error: {name} = {float(value)!r} exceeds 1e+60 in magnitude\n"
+                )
 
     def test_thermal_curve_k_flags(self, tmp_path):
         code = main(

@@ -111,6 +111,81 @@ class TestFano:
             CoefficientSet(np.nan, (0, 0, 0), (0, 0, 0), np.zeros((3, 3)))
 
 
+def _given_as(form, x):
+    """(upsilon, alpha, beta, omega) of the 4x4 layout ``x`` ([0, 0],
+    [1:, 0], [0, 1:], [1:, 1:]) in one of the forms CoefficientSet takes."""
+    ups, al, be, om = x[0, 0], x[1:, 0], x[0, 1:], x[1:, 1:]
+    if form == "lists":
+        return float(ups), al.tolist(), be.tolist(), om.tolist()
+    if form == "tuples":
+        return float(ups), tuple(al.tolist()), tuple(be.tolist()), tuple(map(tuple, om.tolist()))
+    if form == "numpy-scalars":
+        return ups, list(al), [np.float32(v) for v in be], [list(row) for row in om]
+    return ups, al, be, om
+
+
+class TestPackedCoefficients:
+    """A set holds one read-only 16-entry float64 vector in fano_compose's
+    order (upsilon, alpha, beta, omega row by row); alpha, beta and omega
+    are read-only views of it, however the coefficients were given."""
+
+    @pytest.mark.parametrize("form", ["lists", "tuples", "numpy-scalars", "strided-views"])
+    def test_fields_are_read_only_views_of_one_packed_vector(self, form):
+        x = np.arange(1.0, 17.0).reshape(4, 4) - 8.5
+        c = CoefficientSet(*_given_as(form, x))
+        packed = c.packed
+        want = [x[0, 0], *x[1:, 0], *x[0, 1:], *x[1:, 1:].ravel()]
+        assert packed.dtype == np.float64 and packed.shape == (16,)
+        assert packed.tolist() == want
+        assert type(c.upsilon) is float and c.upsilon == want[0]
+        assert not packed.flags.writeable
+        start = packed.__array_interface__["data"][0]
+        for field, offset, shape in ((c.alpha, 1, (3,)), (c.beta, 4, (3,)), (c.omega, 7, (3, 3))):
+            assert field.dtype == np.float64 and field.shape == shape
+            assert np.shares_memory(field, packed)
+            assert field.__array_interface__["data"][0] == start + 8 * offset
+            assert field.ravel().tolist() == want[offset:offset + field.size]
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[(0,) * field.ndim] = 1.0
+            with pytest.raises(ValueError):
+                field.setflags(write=True)
+        # fano_compose gathers from the packed vector.
+        assert np.array_equal(fano_compose(c), fano_compose(CoefficientSet(*_given_as("lists", x))))
+
+    @staticmethod
+    def _reshape_message(size, shape):
+        with pytest.raises(ValueError) as exc:
+            np.empty(size).reshape(shape)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("field", ["upsilon", "alpha", "beta", "omega"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_refused(self, field, bad):
+        args = dict(upsilon=0.5, alpha=[1, 2, 3], beta=(4, 5, 6), omega=np.eye(3))
+        args[field] = {"upsilon": bad, "alpha": [1.0, bad, 3.0], "beta": (bad, 5.0, 6.0),
+                       "omega": np.diag([1.0, 2.0, bad])}[field]
+        message = "upsilon must be finite" if field == "upsilon" else "coefficients must be finite"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CoefficientSet(**args)
+
+    @pytest.mark.parametrize(
+        "field, value, shape",
+        [("alpha", [1.0, 2.0], (3,)), ("beta", np.zeros(4), (3,)),
+         ("omega", np.eye(2), (3, 3)), ("omega", np.zeros((3, 4)), (3, 3))],
+    )
+    def test_mis_shaped_input_is_refused(self, field, value, shape):
+        args = dict(upsilon=0.5, alpha=[1, 2, 3], beta=(4, 5, 6), omega=np.eye(3))
+        args[field] = value
+        message = self._reshape_message(np.size(value), shape)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CoefficientSet(**args)
+
+    def test_flat_omega_is_accepted_row_by_row(self):
+        c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.arange(9.0))
+        assert c.omega.tolist() == np.arange(9.0).reshape(3, 3).tolist()
+
+
 class TestTraceless:
     def test_scalar_set(self):
         c = CoefficientSet(5.0, (0, 0, 0), (0, 0, 0), np.zeros((3, 3)))

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from su2pair import hamiltonian
-from su2pair.errors import CaseReductionError, ConstraintError, FactorizationError
+from su2pair import hamiltonian, solver
+from su2pair.errors import (
+    CaseReductionError,
+    ConstraintError,
+    FactorizationError,
+    NonHermitianError,
+)
 from su2pair.hamiltonian import (
     CaseKind,
     CoefficientSet,
@@ -394,6 +399,42 @@ class TestSolveDispatch:
             assert np.max(np.abs(np.sort(es.values.ravel()) - want)) <= 1e-9 * (
                 1 + np.max(np.abs(want))
             )
+
+    def test_oracle_guard_runs_exactly_where_v_quad_is_not_finite(self, rng, monkeypatch):
+        """The oracle route skips require_hermitian on fano_compose's matrix
+        where the derived v_quad is finite: every entry is then finite and
+        the matrix exactly Hermitian.  Past that the guard still runs: a
+        composition that overflows raises NonHermitianError, and a finite
+        one (a general set at 1e200) is solved."""
+        calls, require_hermitian = [], solver.require_hermitian
+
+        def counted(h, what="matrix"):
+            calls.append(what)
+            return require_hermitian(h, what)
+
+        monkeypatch.setattr(solver, "require_hermitian", counted)
+        for _ in range(20):
+            c = random_coefficient_set(rng)
+            assert solve(c).method is SolveMethod.ORACLE_NUMERIC
+        assert calls == []
+
+        # alpha_3 = beta_3 = 1e308 and omega = 1e308 I: the diagonal entries
+        # sum three of them.  (upsilon = alpha_3 = 1e308 is a product set.)
+        overflow = CoefficientSet(0.0, (0, 0, 1e308), (0, 0, 1e308), 1e308 * np.eye(3))
+        assert classify(overflow).kind is CaseKind.DIAGONAL_OMEGA
+        with np.errstate(over="ignore"), pytest.raises(NonHermitianError, match="non-finite"):
+            solve(overflow)
+        assert calls == ["eig_hermitian input"]
+
+        x = 1e200 * rng.normal(size=(4, 4))
+        large = CoefficientSet(x[0, 0], x[1:, 0], x[0, 1:], x[1:, 1:])
+        assert classify(large).kind is CaseKind.GENERAL and derive(large).v_quad == np.inf
+        es = solve(large)
+        assert calls == ["eig_hermitian input"] * 2
+        assert es.method is SolveMethod.ORACLE_NUMERIC
+        assert np.isfinite(es.values).all() and np.isfinite(es.states).all()
+        want = np.sort(np.linalg.eigvalsh(fano_compose(large)))
+        assert np.max(np.abs(np.sort(es.values.ravel()) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_oracle_degenerate_projectors(self):
         h_coeffs = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.eye(3))
