@@ -29,7 +29,6 @@ from .graphene import (
     GrapheneParams,
     GridSpec,
     band_grid,
-    build_ab_hamiltonian,
     concurrence_grid,
     default_grid,
     find_dirac_point,
@@ -50,16 +49,13 @@ from .hamiltonian import (
     fano_compose,
     fano_decompose,
     rotate_set,
-    traceless,
 )
 from .oracle import (
     SpectralDecomposition,
     eig_hermitian,
-    mat_func,
-    von_neumann_entropy,
     wootters_concurrence,
 )
-from .pauli import kron, partial_trace, pauli, pauli_word
+from .pauli import pauli, pauli_word
 from .quartic import solve_quartic
 from .solver import (
     Eigensystem,
@@ -81,8 +77,42 @@ from .thermo import (
     thermal_concurrence,
     thermal_report,
     thermal_state,
-    thermal_state_from_eigensystem,
     thermal_sweep,
 )
+
+# The public names, one group per module; tests/test_surface.py pins them.
+__all__ = [
+    # entanglement
+    "BlochPair", "bloch_vectors", "concurrence_closed_form_arrays",
+    "eigenstate_bloch_closed_form", "eigenstate_concurrence_closed_form",
+    "pure_concurrence",
+    # errors
+    "CaseReductionError", "ConcurrenceDomainError", "ConstraintError",
+    "DegenerateBranchError", "DensityMatrixError", "FactorizationError",
+    "InputFormatError", "InvariantViolation", "NonHermitianError",
+    # graphene
+    "GrapheneParams", "GridSpec", "band_grid", "concurrence_grid",
+    "default_grid", "find_dirac_point", "map_to_su2su2",
+    "structure_factor", "thermal_concurrence_curve",
+    "thermal_death_temperature",
+    # hamiltonian
+    "Branch", "CaseKind", "Classification", "CoefficientSet",
+    "DerivedCoefficients", "classify", "derive", "derive_arrays",
+    "fano_compose", "fano_decompose", "rotate_set",
+    # oracle
+    "SpectralDecomposition", "eig_hermitian", "wootters_concurrence",
+    # pauli
+    "pauli", "pauli_word",
+    # quartic
+    "solve_quartic",
+    # solver
+    "Eigensystem", "SolveMethod", "Su2Factor", "factor_dyadic",
+    "secular_coefficients", "solve", "solve_entangled", "solve_separable",
+    # thermo
+    "EnsembleBranch", "ThermalConcurrenceResult", "ThermalReport",
+    "partition_entangled", "partition_separable", "purity",
+    "thermal_concurrence", "thermal_report", "thermal_state",
+    "thermal_sweep",
+]
 
 __version__ = "0.1.0"

@@ -197,6 +197,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_quartic(args) -> int:
+    if not all(map(math.isfinite, args.coeffs)):
+        raise InputFormatError("--coeffs must be finite")
+    if args.coeffs[0] == 0:
+        raise InputFormatError("--coeffs: leading coefficient is zero: not a quartic")
     roots = solve_quartic(*args.coeffs)
     for z in roots:
         print(f"{format_float(z.real)} {'+' if z.imag >= 0 else '-'} {format_float(abs(z.imag))}i")

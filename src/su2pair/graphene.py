@@ -28,6 +28,7 @@ x+- = sqrt(|w|_F^2 +- 2 |adj w|_F) are max/min(tperp, t3 |G|), from which
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,13 @@ from .thermo import _x_pm, sinh_cosh_gap, thermal_sweep
 # near 1e77.
 STRUCTURAL_SCALE = 1e60
 
+# Smallest lattice constant GrapheneParams accepts: the smallest double at
+# which the default window's width, twice 4 pi / (3 lattice), is finite, so
+# that np.linspace gives finite axes.  The k vectors themselves overflow only
+# further down, near 4.04e-308: the reciprocal shell b1 - b2 and sqrt(3) k_y
+# at the window's edge, both 4 pi / (sqrt(3) lattice).
+SMALLEST_LATTICE = 8.0 * math.pi / 3.0 / sys.float_info.max
+
 
 @dataclass(frozen=True)
 class GrapheneParams:
@@ -55,8 +63,9 @@ class GrapheneParams:
     ``m`` a sublattice mass, ``bias`` the interlayer bias voltage and
     ``lattice`` the lattice constant.  The dimer-to-non-dimer hopping t4 is
     fixed to zero, which also makes the matrix traceless.  Every parameter
-    must be finite, the lattice constant positive, and the others at most
-    STRUCTURAL_SCALE in magnitude; ValueError names the one that is not.
+    must be finite, the lattice constant at least SMALLEST_LATTICE, and the
+    others at most STRUCTURAL_SCALE in magnitude; ValueError names the one
+    that is not.
     """
 
     t: float = 1.0
@@ -75,6 +84,11 @@ class GrapheneParams:
                 raise ValueError(f"{name} = {value!r} exceeds {STRUCTURAL_SCALE:g} in magnitude")
         if not self.lattice > 0:
             raise ValueError("lattice constant must be positive")
+        if self.lattice < SMALLEST_LATTICE:
+            raise ValueError(
+                f"lattice = {self.lattice!r} is below {SMALLEST_LATTICE!r}, "
+                "where the k-space window overflows"
+            )
 
 
 def _structure_factor(p: GrapheneParams, kx, ky, at=None):
@@ -142,35 +156,10 @@ def map_to_su2su2(p: GrapheneParams, kx: float, ky: float) -> CoefficientSet:
     return CoefficientSet(0.0, *lattice_layer_arrays(p, float(kx), float(ky)))
 
 
-def build_ab_hamiltonian(p: GrapheneParams, kx: float, ky: float) -> np.ndarray:
-    """The tight-binding matrix in the {A1, B1, A2, B2} basis with mass and bias."""
-    g = structure_factor(p, kx, ky)
-    t, t3, tp = p.t, p.t3, p.tperp
-    h = np.array(
-        [
-            [0.0, -t * g, 0.0, -t3 * np.conj(g)],
-            [-t * np.conj(g), 0.0, tp, 0.0],
-            [0.0, tp, 0.0, -t * g],
-            [-t3 * g, 0.0, -t * np.conj(g), 0.0],
-        ],
-        dtype=complex,
-    )
-    h += np.diag([p.m, -p.m, p.m, -p.m]).astype(complex)
-    half = p.bias / 2.0
-    h += np.diag([half, half, -half, -half]).astype(complex)
-    return h
-
-
 def _band_arrays(p: GrapheneParams, kx, ky, at=None):
     d = _derive_components(*_lattice_layer(p, kx, ky, at), DEFAULT_TOL)
     _, e1, e2 = even_spectrum(d)
     return e1, e2
-
-
-def positive_bands(p: GrapheneParams, kx: float, ky: float) -> tuple[float, float]:
-    """(E1, E2) with E_n = sqrt(V + (-1)^n sqrt(Tp)); the spectrum is +-E1, +-E2."""
-    e1, e2 = _band_arrays(p, float(kx), float(ky))
-    return float(e1), float(e2)
 
 
 def find_dirac_point(
@@ -249,11 +238,6 @@ def first_zone_mask(p: GrapheneParams, kx, ky) -> np.ndarray:
     for gx, gy in _reciprocal_shells(p.lattice).tolist():
         outside = outside | (2.0 * (kx * gx + ky * gy) > (gx * gx + gy * gy) * (1.0 + 1e-12))
     return np.logical_not(outside)
-
-
-def in_first_zone(p: GrapheneParams, kx: float, ky: float) -> bool:
-    """first_zone_mask at one wave vector."""
-    return bool(first_zone_mask(p, float(kx), float(ky)))
 
 
 # k-points evaluated at a time: bounds a grid command's memory whatever the

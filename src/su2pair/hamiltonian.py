@@ -147,11 +147,6 @@ def fano_decompose(h: np.ndarray) -> CoefficientSet:
     return CoefficientSet(upsilon, alpha, beta, omega)
 
 
-def traceless(c: CoefficientSet) -> np.ndarray:
-    """The traceless part of the composed Hamiltonian."""
-    return fano_compose(c) - c.upsilon * np.eye(4, dtype=complex)
-
-
 # Products over leading batch axes, for the array forms of other modules.
 def _dot(x: np.ndarray, y: np.ndarray):
     """x . y over the last axis."""
@@ -250,18 +245,6 @@ def _unconstrained_message(d: DerivedCoefficients) -> str:
         "neither alpha.omega = 0 nor omega.beta = 0 holds within tolerance: "
         f"alpha.omega residual {res_a:.3e}, omega.beta residual {res_b:.3e}, "
         f"det_omega residual {pick(d.singular_residual):.3e}"
-    )
-
-
-def case01_theta(c: CoefficientSet) -> float:
-    """The rank-one-reduction form 4(a.w.w^T.a + b.w^T.w.b + a^2 b^2).
-
-    Equals ``DerivedCoefficients.theta`` exactly when omega is dyadic; kept
-    as a documented cross-check of that reduction.
-    """
-    al, be, om = c.alpha, c.beta, c.omega
-    return 4.0 * float(
-        al @ om @ om.T @ al + be @ om.T @ om @ be + (al @ al) * (be @ be)
     )
 
 

@@ -1,9 +1,8 @@
 """Brute-force numerical ground truth for 4x4 Hermitian problems.
 
 Everything the closed forms claim is cross-checked against this module:
-a dense Hermitian eigendecomposition, spectral matrix functions, the
-Wootters concurrence evaluated from its definition, and the von Neumann
-entropy of a qubit marginal.
+a dense Hermitian eigendecomposition and the Wootters concurrence
+evaluated from its definition.
 """
 
 from __future__ import annotations
@@ -53,36 +52,6 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(w, v)
 
 
-def mat_func(m: np.ndarray, func: str) -> np.ndarray:
-    """Apply exp, sqrt, or x*log(x) on the spectrum of a Hermitian matrix.
-
-    For ``sqrt`` and ``xlogx`` the spectrum must be nonnegative up to
-    round-off: eigenvalues above -1e-12 * (1 + max|w|) are clamped to zero,
-    anything lower is an error.  ``exp`` factors out the largest eigenvalue
-    so intermediate terms cannot overflow.
-    """
-    dec = eig_hermitian(m)
-    w = dec.eigenvalues.copy()
-    if func == "exp":
-        top = float(w[0])
-        f = np.exp(w - top)
-        out = (dec.eigenvectors * f) @ dec.eigenvectors.conj().T
-        return out * np.exp(top)
-    floor = -1e-12 * (1.0 + float(np.max(np.abs(w))))
-    if func in ("sqrt", "xlogx"):
-        if float(w[-1]) < floor:
-            raise DensityMatrixError(
-                f"matrix has negative eigenvalue {w[-1]:.3e} beyond round-off"
-            )
-        w = np.clip(w, 0.0, None)
-        if func == "sqrt":
-            f = np.sqrt(w)
-        else:
-            f = np.where(w > 0.0, w * np.log(np.where(w > 0.0, w, 1.0)), 0.0)
-        return (dec.eigenvectors * f) @ dec.eigenvectors.conj().T
-    raise ValueError(f"unknown matrix function {func!r}")
-
-
 def _require_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarray:
     rho = require_hermitian(rho, "density matrix")
     if rho.shape != (dim, dim):
@@ -98,20 +67,15 @@ def _require_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarra
     return rho
 
 
-def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """The transformation (sy (x) sy) rho* (sy (x) sy) of one state or a stack."""
-    yy = pauli_word(2, 2)
-    return yy @ np.asarray(rho, dtype=complex).conj() @ yy
-
-
 def wootters_concurrence(rho: np.ndarray) -> float:
     """Two-qubit concurrence from its definition.
 
     The lambda_i are the square roots of the descending eigenvalues of
-    rho * spin_flip(rho).  With rho = V diag(p) V^dag they are the singular
-    values of diag(p)^1/2 V^T (sy (x) sy) V diag(p)^1/2 (Wootters, PRL 80,
-    2245 (1998)), taken so, with round-off negatives of p clamped to zero:
-    no matrix square root, whose near-zero eigenvalues would keep only half
+    rho (sy (x) sy) rho* (sy (x) sy), rho times its spin flip.  With
+    rho = V diag(p) V^dag they are the singular values of
+    diag(p)^1/2 V^T (sy (x) sy) V diag(p)^1/2 (Wootters, PRL 80, 2245
+    (1998)), taken so, with round-off negatives of p clamped to zero: no
+    matrix square root, whose near-zero eigenvalues would keep only half
     their digits.  Returns max(l1 - l2 - l3 - l4, 0), clipped to [0, 1].
     """
     rho = _require_density(rho, 4)
@@ -129,14 +93,3 @@ def concurrence_from_weights(root: np.ndarray, m: np.ndarray) -> np.ndarray:
     """
     lam = np.linalg.svd(root[..., :, None] * m * root[..., None, :], compute_uv=False)
     return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
-
-
-def von_neumann_entropy(rho2: np.ndarray) -> float:
-    """Base-2 von Neumann entropy of a single-qubit density matrix."""
-    rho2 = _require_density(rho2, 2)
-    w = np.clip(np.linalg.eigvalsh(rho2), 0.0, None)
-    out = 0.0
-    for p in w:
-        if p > 0.0:
-            out -= float(p * np.log2(p))
-    return out

@@ -1,4 +1,4 @@
-"""Fixed-size complex matrix algebra: Pauli basis, tensor products, partial trace.
+"""Fixed-size complex matrix algebra: the Pauli basis and Hermiticity checks.
 
 Everything in the package lives in 2x2 and 4x4 complex matrices together with
 real 3-vectors and 3x3 real matrices; there is deliberately no general N-d
@@ -50,19 +50,9 @@ def pauli_word(i: int, j: int) -> np.ndarray:
     return _WORDS[i, j]
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two 2x2 matrices; satisfies the mixed-product rule."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     m = np.asarray(m)
     return float(np.abs(m - m.conj().T).max())
-
-
-def is_hermitian(m: np.ndarray, rtol: float = HERMITIAN_RTOL) -> bool:
-    m = np.asarray(m)
-    return hermiticity_defect(m) <= rtol * (1.0 + float(np.max(np.abs(m))))
 
 
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -79,20 +69,6 @@ def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
             f"{what} is not Hermitian: defect {defect:.3e} exceeds {bound:.3e}"
         )
     return m
-
-
-def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
-    """Trace out one qubit of a 4x4 operator, keeping subsystem ``keep`` (1 or 2).
-
-    Defined for any 4x4 input; preserves the total trace and maps
-    kron(a, b) to a*Tr[b] (keep=1) or b*Tr[a] (keep=2).
-    """
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    if keep == 1:
-        return np.einsum("ikjk->ij", r)
-    if keep == 2:
-        return np.einsum("kikj->ij", r)
-    raise ValueError(f"keep must be 1 or 2, got {keep}")
 
 
 def max_abs(m: np.ndarray) -> float:

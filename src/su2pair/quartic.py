@@ -99,11 +99,3 @@ def solve_quartic(c4: float, c3: float, c2: float, c1: float, c0: float) -> np.n
     roots = [_polish(y - shift, coeffs, dcoeffs) for y in ys]
     roots.sort(key=lambda z: (-z.real, -z.imag))
     return np.array(roots, dtype=complex)
-
-
-def quartic_residuals(
-    roots: np.ndarray, c4: float, c3: float, c2: float, c1: float, c0: float
-) -> float:
-    """Sum of |p(root)| over the returned roots, for verification."""
-    coeffs = np.array([c4, c3, c2, c1, c0], dtype=complex)
-    return float(sum(abs(np.polyval(coeffs, z)) for z in roots))

@@ -25,17 +25,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int = 4, scale: float = 1.0) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * 0.5 * (a + a.conj().T)
-
-
-def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))
     q = q * np.sign(np.diagonal(r))
@@ -59,18 +48,6 @@ def random_diagonal_zero_set(rng: np.random.Generator) -> CoefficientSet:
     k = int(rng.integers(3))
     omega[k, k] = 0.0
     return CoefficientSet(rng.normal(), rng.normal(size=3), rng.normal(size=3), omega)
-
-
-def random_pure_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    psi /= np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
-
-
-def random_mixed_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 def _spectrum_gap(values: np.ndarray) -> float:

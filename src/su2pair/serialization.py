@@ -20,15 +20,6 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def coefficient_set_to_dict(c) -> dict:
-    return {
-        "upsilon": c.upsilon,
-        "alpha": [float(v) for v in c.alpha],
-        "beta": [float(v) for v in c.beta],
-        "omega": [[float(v) for v in row] for row in c.omega],
-    }
-
-
 def coefficient_set_from_dict(data) -> CoefficientSet:
     if not isinstance(data, dict):
         raise InputFormatError("coefficient set must be a JSON object")

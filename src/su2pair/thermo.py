@@ -47,7 +47,7 @@ from .oracle import (
     wootters_concurrence,
 )
 from .pauli import max_abs, pauli_word
-from .solver import Eigensystem, Su2Factor, _factors
+from .solver import Su2Factor, _factors
 
 # Temperatures per stacked Wootters SVD on the definition route: bounds the
 # (block, 4, 4) temporaries of a sweep whatever its length, and keeps each
@@ -182,12 +182,6 @@ def purity(
     return _scalar_or_array(_purity(w))
 
 
-def log_partition_numeric(c: CoefficientSet, t):
-    """log Tr[exp(-H/t)] from the numerical spectrum, for any set."""
-    w = eig_hermitian(fano_compose(c)).eigenvalues
-    return _scalar_or_array(_log_z(*_gibbs_weights(0.0, w, _check_temperature(t))))
-
-
 # --- thermal states --------------------------------------------------------------
 
 
@@ -197,13 +191,6 @@ def thermal_state(c: CoefficientSet, t: float) -> np.ndarray:
     boltz, _ = _gibbs_weights(0.0, dec.eigenvalues, _check_temperature(float(t)))
     rho = (dec.eigenvectors * boltz) @ dec.eigenvectors.conj().T
     return rho / float(np.sum(boltz))
-
-
-def thermal_state_from_eigensystem(es: Eigensystem, t: float) -> np.ndarray:
-    """Gibbs state assembled as sum_mn rho_mn exp(-e_mn/t) / Z."""
-    items = list(es.items())
-    boltz, _ = _gibbs_weights(0.0, [e for _, e, _ in items], _check_temperature(float(t)))
-    return sum(w * s for w, (_, _, s) in zip(boltz, items)) / boltz.sum()
 
 
 def _gibbs_concurrence(dec: SpectralDecomposition, boltz: np.ndarray) -> np.ndarray:

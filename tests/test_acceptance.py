@@ -24,13 +24,11 @@ from su2pair.graphene import (
 )
 from su2pair.hamiltonian import (
     CoefficientSet,
-    case01_theta,
     derive,
     fano_compose,
-    traceless,
 )
 from su2pair.oracle import eig_hermitian, wootters_concurrence
-from su2pair.pauli import kron, pauli
+from su2pair.pauli import pauli
 from su2pair.sampling import (
     dyadic_set_from_factors,
     make_rng,
@@ -47,6 +45,8 @@ from su2pair.thermo import (
     thermal_concurrence,
     thermal_state,
 )
+
+from references import case01_theta, traceless
 
 SEED = 42
 
@@ -343,8 +343,8 @@ def test_criterion_9_documented_paper_discrepancies():
     minus = CoefficientSet(a0 * b0, -b0 * av, -a0 * bv, np.outer(av, bv))
     plus = CoefficientSet(a0 * b0, b0 * av, a0 * bv, np.outer(av, bv))
     sign_ok = (
-        np.max(np.abs(fano_compose(plus) - kron(h1, h2))) <= 1e-12
-        and np.max(np.abs(fano_compose(minus) - kron(h1, h2))) > 1.0
+        np.max(np.abs(fano_compose(plus) - np.kron(h1, h2))) <= 1e-12
+        and np.max(np.abs(fano_compose(minus) - np.kron(h1, h2))) > 1.0
     )
 
     # (d) rank-one Theta reduction vs the defining trace on a full-rank omega

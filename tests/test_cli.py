@@ -5,11 +5,9 @@ import pytest
 
 from su2pair.cli import main
 from su2pair.hamiltonian import CoefficientSet
-from su2pair.serialization import (
-    coefficient_set_from_dict,
-    coefficient_set_to_dict,
-    format_float,
-)
+from su2pair.serialization import coefficient_set_from_dict, format_float
+
+from references import coefficient_set_to_dict, log_partition_numeric
 
 ENTANGLED = {
     "upsilon": 0.0,
@@ -135,6 +133,22 @@ class TestQuarticCommand:
         reals = sorted(float(line.split()[0]) for line in out)
         assert np.allclose(reals, [-2, -1, 1, 2], atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ("nan 0 0 0 1", "--coeffs must be finite"),
+            ("1 inf 0 0 1", "--coeffs must be finite"),
+            ("1 0 nan 0 0", "--coeffs must be finite"),
+            ("0 1 1 1 1", "--coeffs: leading coefficient is zero: not a quartic"),
+            ("-0 1 1 1 1", "--coeffs: leading coefficient is zero: not a quartic"),
+        ],
+    )
+    def test_coefficients_that_are_no_quartic_are_usage_errors(self, coeffs, message, capsys):
+        """Non-finite coefficients used to print four 'nan - nani' roots
+        and exit 0, and a zero leading coefficient exited 3."""
+        assert main(["quartic", "--coeffs", *coeffs.split()]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
@@ -220,8 +234,6 @@ class TestThermoCommand:
 
     def test_xyz_exchange_takes_the_definition_route(self, tmp_path):
         """alpha = beta = 0 with full-rank omega is unconstrained: flag 2, dense Z."""
-        from su2pair.thermo import log_partition_numeric
-
         path = tmp_path / "xyz.json"
         path.write_text(json.dumps(XYZ))
         out = tmp_path / "sweep.csv"
@@ -316,6 +328,31 @@ class TestGrapheneCommands:
                     "", f"error: {name} = {float(value)!r} exceeds 1e+60 in magnitude\n"
                 )
 
+    @pytest.mark.parametrize(
+        "command", ["graphene-bands", "graphene-concurrence", "graphene-thermal"]
+    )
+    def test_lattice_at_and_below_the_smallest_lattice(self, command, tmp_path, capsys):
+        """At SMALLEST_LATTICE every graphene command writes finite cells;
+        one double below it the command is refused before any output."""
+        from su2pair.graphene import SMALLEST_LATTICE
+
+        out = tmp_path / "x.csv"
+        size = ["--steps", "5"] if command == "graphene-thermal" else ["--grid", "5"]
+        argv = [command, *size, "--output", str(out)]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert main([*argv, f"--lattice={SMALLEST_LATTICE!r}"]) == 0
+        _, rows = read_csv(out)
+        assert rows and np.isfinite(np.array(rows, dtype=float)).all()
+        out.unlink()
+        capsys.readouterr()
+        below = float(np.nextafter(SMALLEST_LATTICE, 0.0))
+        assert main([*argv, f"--lattice={below!r}"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == (
+            "", f"error: lattice = {below!r} is below {SMALLEST_LATTICE!r}, "
+            "where the k-space window overflows\n"
+        )
+
     def test_thermal_curve_k_flags(self, tmp_path):
         code = main(
             ["graphene-thermal", "--kx", "0", "--output", str(tmp_path / "x.csv")]
@@ -353,9 +390,16 @@ GENERAL = {
         # The hex mask removes all four corners of a 2x2 grid.
         ["graphene-bands", "--grid", "2", "--mask", "hex"],
         ["graphene-concurrence", "--grid", "2", "--mask", "hex"],
+        # Below graphene.SMALLEST_LATTICE the k-space window overflows.
+        *[[command, "--lattice", lattice]
+          for lattice in ("3e-308", "1e-310")
+          for command in ("graphene-bands", "graphene-concurrence", "graphene-thermal")],
     ],
     ids=["positive-branch-unconstrained", "non-finite-hopping", "grid-too-small",
-         "bands-fully-masked", "concurrence-fully-masked"],
+         "bands-fully-masked", "concurrence-fully-masked",
+         *[f"{command}-lattice-{lattice}"
+           for lattice in ("3e-308", "1e-310")
+           for command in ("bands", "concurrence", "thermal")]],
 )
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

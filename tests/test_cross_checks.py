@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 
-from su2pair.graphene import GrapheneParams, build_ab_hamiltonian, map_to_su2su2
+from su2pair.graphene import GrapheneParams, map_to_su2su2
 from su2pair.hamiltonian import CoefficientSet, fano_compose
 from su2pair.oracle import eig_hermitian, wootters_concurrence
 from su2pair.sampling import (
@@ -22,6 +22,8 @@ from su2pair.thermo import (
     purity,
     thermal_state,
 )
+
+from references import build_ab_hamiltonian
 
 
 def test_biased_gamma_point_oracle_vs_closed_form():

@@ -18,14 +18,15 @@ from su2pair.errors import (
 )
 from su2pair.hamiltonian import CaseKind, CoefficientSet, classify, rotate_set
 from su2pair.oracle import wootters_concurrence
-from su2pair.pauli import kron, partial_trace, pauli
+from su2pair.pauli import pauli
 from su2pair.sampling import (
     random_entangled_canonical,
-    random_pure_density,
     random_rotated_constrained,
     random_rotation,
 )
 from su2pair.solver import solve, solve_entangled
+
+from references import partial_trace, random_pure_density, von_neumann_entropy
 
 ENTANGLED_EXAMPLE = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
 BELL = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2.0
@@ -40,7 +41,7 @@ class TestBlochVectors:
     def test_product_projector(self):
         up = 0.5 * (np.eye(2) + pauli(3))
         down = 0.5 * (np.eye(2) - pauli(3))
-        pair = bloch_vectors(kron(up, down))
+        pair = bloch_vectors(np.kron(up, down))
         assert np.allclose(pair.a_bloch, [0, 0, 1])
         assert np.allclose(pair.b_bloch, [0, 0, -1])
 
@@ -96,7 +97,7 @@ class TestPureConcurrence:
         assert np.isclose(pure_concurrence(BELL), 1.0)
 
     def test_product(self, rng):
-        rho = kron(random_pure_density(rng, 2), random_pure_density(rng, 2))
+        rho = np.kron(random_pure_density(rng, 2), random_pure_density(rng, 2))
         assert pure_concurrence(rho) <= 1e-7
 
     def test_rejects_mixed(self):
@@ -218,8 +219,6 @@ class TestClosedFormConcurrence:
 
 def test_marginal_entropy_consistency(rng):
     """Entanglement entropy of closed-form eigenstates matches their concurrence."""
-    from su2pair.oracle import von_neumann_entropy
-
     for _ in range(20):
         c = random_entangled_canonical(rng, "alpha")
         es = solve_entangled(c)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -22,15 +23,12 @@ from su2pair.graphene import (
     GrapheneParams,
     GridSpec,
     band_grid,
-    build_ab_hamiltonian,
     concurrence_grid,
     default_grid,
     find_dirac_point,
     first_zone_mask,
-    in_first_zone,
     lattice_layer_arrays,
     map_to_su2su2,
-    positive_bands,
     structure_factor,
     thermal_concurrence_curve,
     thermal_death_temperature,
@@ -47,7 +45,15 @@ from su2pair.hamiltonian import (
 from su2pair.oracle import eig_hermitian, wootters_concurrence
 from su2pair.thermo import thermal_state, thermal_sweep
 
+from references import build_ab_hamiltonian
+
 DEFAULT = GrapheneParams()
+
+
+def _point_bands(p, kx, ky):
+    """(E1, E2) at one wave vector: the even spectrum of the mapped set."""
+    _, e1, e2 = even_spectrum(derive(map_to_su2su2(p, kx, ky)))
+    return e1, e2
 
 
 def small_grid(p, n=21):
@@ -172,21 +178,21 @@ class TestBands:
         for _ in range(50):
             p = GrapheneParams(bias=float(rng.normal()), m=float(rng.normal()))
             kx, ky = rng.normal(size=2) * 3
-            e1, e2 = positive_bands(p, kx, ky)
+            e1, e2 = _point_bands(p, kx, ky)
             w = eig_hermitian(build_ab_hamiltonian(p, kx, ky)).eigenvalues
             assert np.allclose(np.sort(w), [-e2, -e1, e1, e2], atol=1e-9 * (1 + e2))
 
     def test_dirac_touching_without_gap_terms(self):
         p = GrapheneParams(m=0.0, bias=0.0)
         kx, ky = find_dirac_point(p)
-        e1, _ = positive_bands(p, kx, ky)
+        e1, _ = _point_bands(p, kx, ky)
         assert e1 <= 1e-8
 
     def test_bias_gaps_the_dirac_point(self):
         """At G = 0: V = bias^2/4 + tperp^2/2 and sqrt(Tp) = tperp^2/2."""
         p = GrapheneParams(bias=1.0)
         kx, ky = find_dirac_point(p)
-        e1, e2 = positive_bands(p, kx, ky)
+        e1, e2 = _point_bands(p, kx, ky)
         assert np.isclose(e1, 0.5, atol=1e-9)
         assert np.isclose(e2, np.sqrt(p.bias**2 / 4 + p.tperp**2), atol=1e-9)
         d = derive(map_to_su2su2(p, kx, ky))
@@ -211,9 +217,9 @@ class TestBands:
 
 class TestMask:
     def test_zone_membership(self):
-        assert in_first_zone(DEFAULT, 0.0, 0.0)
+        assert first_zone_mask(DEFAULT, 0.0, 0.0)
         corner = 4 * np.pi / (3 * np.sqrt(3.0))
-        assert not in_first_zone(DEFAULT, 0.0, 2.5 * corner)
+        assert not first_zone_mask(DEFAULT, 0.0, 2.5 * corner)
 
     def test_masked_grid_is_smaller(self):
         p = DEFAULT
@@ -376,7 +382,7 @@ class TestBatchedGridsMatchScalarFunctions:
         xs, ys = g.axes()
         points = [
             (float(kx), float(ky)) for kx in xs for ky in ys
-            if g.mask == "none" or in_first_zone(p, kx, ky)
+            if g.mask == "none" or first_zone_mask(p, kx, ky)
         ]
         with mock.patch.object(graphene, "CHUNK_POINTS", chunk):
             bands = _outcome(band_grid, p, g)
@@ -387,7 +393,7 @@ class TestBatchedGridsMatchScalarFunctions:
         pairs = lambda data, a, b: data if isinstance(data, type) else list(zip(data[a], data[b]))
         _assert_same(
             pairs(bands, "e1", "e2"),
-            _per_point(lambda kx, ky: positive_bands(p, kx, ky), points),
+            _per_point(lambda kx, ky: _point_bands(p, kx, ky), points),
             _bits,
         )
         _assert_same(
@@ -412,9 +418,9 @@ class TestBatchedGridsMatchScalarFunctions:
         kx = np.array([k[0] for k in anchors.values()])
         ky = np.array([k[1] for k in anchors.values()])
         batched = graphene.first_zone_mask(p, kx, ky)
-        assert batched.tolist() == [in_first_zone(p, x, y) for x, y in zip(kx, ky)]
-        assert in_first_zone(p, *anchors["corner-in"])
-        assert not in_first_zone(p, *anchors["corner-out"])
+        assert batched.tolist() == [bool(first_zone_mask(p, x, y)) for x, y in zip(kx, ky)]
+        assert first_zone_mask(p, *anchors["corner-in"])
+        assert not first_zone_mask(p, *anchors["corner-out"])
 
 
 def _holds_zero(value):
@@ -542,7 +548,7 @@ class TestFirstZoneMask:
         ky = np.array([k[1] for k in anchors.values()])
         expected = [_inside_reference(lattice, x, y) for x, y in zip(kx.tolist(), ky.tolist())]
         assert first_zone_mask(p, kx, ky).tolist() == expected
-        assert [in_first_zone(p, x, y) for x, y in zip(kx, ky)] == expected
+        assert [bool(first_zone_mask(p, x, y)) for x, y in zip(kx, ky)] == expected
         inside = dict(zip(anchors, expected))
         assert inside["corner-in"] and not inside["corner-out"]
 
@@ -720,6 +726,32 @@ def test_parameters_must_be_finite(name):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             GrapheneParams(**{name: bad})
+
+
+def test_lattice_at_least_the_smallest_lattice():
+    """SMALLEST_LATTICE is the smallest double at which the default window's
+    width, twice 4 pi / (3 lattice), is finite.  There the window's axes,
+    the reciprocal shells and sqrt(3) k_y at the window's edge are finite,
+    and the grids evaluate with no overflow or invalid operation; any smaller
+    lattice is refused, by name and bound."""
+    bound = graphene.SMALLEST_LATTICE
+    assert bound == 4.660183791720613e-308
+    p = GrapheneParams(lattice=bound)
+    xs, ys = default_grid(p).axes()
+    assert np.isfinite(xs).all() and np.isfinite(ys).all()
+    assert np.isfinite(graphene._reciprocal_shells(bound)).all()
+    assert math.isfinite(math.sqrt(3.0) * ys[-1])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        g = default_grid(p, 5)
+        assert np.isfinite(band_grid(p, g)["e2"]).all()
+        assert np.isfinite(concurrence_grid(p, g)["c"]).all()
+    below = float(np.nextafter(bound, 0.0))
+    lim = 4.0 * math.pi / (3.0 * below)
+    assert math.isinf(lim - (-lim))
+    message = rf"^lattice = .* is below {re.escape(repr(bound))}, where the k-space window overflows$"
+    for bad in (below, 4e-308, 3e-308, 1e-310, 5e-324):
+        with pytest.raises(ValueError, match=message):
+            GrapheneParams(lattice=bad)
 
 
 @pytest.mark.parametrize("name", ["t", "t3", "tperp", "m", "bias"])

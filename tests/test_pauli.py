@@ -1,17 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from su2pair.errors import NonHermitianError
-from su2pair.pauli import (
-    is_hermitian,
-    kron,
-    partial_trace,
-    pauli,
-    pauli_word,
-    require_hermitian,
-)
+from su2pair.pauli import pauli, pauli_word, require_hermitian
 
 EPS_IJK = np.zeros((3, 3, 3))
 for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -47,66 +38,20 @@ def test_pauli_index_error():
         pauli_word(1, 5)
 
 
-def test_kron_identity_and_diagonal():
-    assert np.array_equal(kron(pauli(0), pauli(0)), np.eye(4))
-    assert np.allclose(kron(pauli(3), pauli(0)), np.diag([1, 1, -1, -1]))
+def test_pauli_word_identity_and_diagonal():
+    assert np.array_equal(pauli_word(0, 0), np.eye(4))
+    assert np.allclose(pauli_word(3, 0), np.diag([1, 1, -1, -1]))
 
 
-def test_kron_antidiagonal_xx():
+def test_pauli_word_antidiagonal_xx():
     expected = np.zeros((4, 4))
     expected[0, 3] = expected[1, 2] = expected[2, 1] = expected[3, 0] = 1.0
-    assert np.allclose(kron(pauli(1), pauli(1)), expected)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_kron_mixed_product(seed):
-    rng = np.random.default_rng(seed)
-    a, b, c, d = (
-        rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4)
-    )
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (1 + np.max(np.abs(rhs)))
+    assert np.allclose(pauli_word(1, 1), expected)
 
 
 def test_require_hermitian_rejects(rng):
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     with pytest.raises(NonHermitianError):
         require_hermitian(m + 10 * np.eye(4) * 1j)
-    assert is_hermitian(m + m.conj().T)
-
-
-def test_partial_trace_product_states(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b /= np.trace(b)
-    assert np.allclose(partial_trace(kron(a, b), 1), a)
-    a2 = a / np.trace(a)
-    assert np.allclose(partial_trace(kron(a2, b), 2), b)
-
-
-def test_partial_trace_bell_state():
-    """Both marginals of a Bell state are maximally mixed."""
-    psi = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    rho = np.outer(psi, psi.conj())
-    assert np.allclose(partial_trace(rho, 1), np.eye(2) / 2)
-    assert np.allclose(partial_trace(rho, 2), np.eye(2) / 2)
-
-
-def test_partial_trace_linear_and_trace_preserving(rng):
-    for _ in range(50):
-        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        y = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lam = complex(rng.normal(), rng.normal())
-        for keep in (1, 2):
-            assert np.allclose(
-                partial_trace(x + lam * y, keep),
-                partial_trace(x, keep) + lam * partial_trace(y, keep),
-            )
-            assert np.isclose(np.trace(partial_trace(x, keep)), np.trace(x))
-
-
-def test_partial_trace_bad_keep():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), 3)
+    h = m + m.conj().T
+    assert np.array_equal(require_hermitian(h), h)

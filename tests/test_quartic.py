@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from su2pair.quartic import quartic_residuals, solve_quartic
+from su2pair.quartic import solve_quartic
+
+from references import quartic_residuals
 
 
 def sorted_real(roots):

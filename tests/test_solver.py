@@ -18,7 +18,7 @@ from su2pair.hamiltonian import (
     rotate_set,
 )
 from su2pair.oracle import eig_hermitian
-from su2pair.pauli import kron, pauli
+from su2pair.pauli import pauli
 from su2pair.quartic import solve_quartic
 from su2pair.sampling import (
     dyadic_set_from_factors,
@@ -95,14 +95,14 @@ class TestFactorDyadic:
     def test_diagonal_example(self):
         c = dyadic_set_from_factors(Su2Factor(2, (0, 0, 1)), Su2Factor(3, (0, 0, 1)))
         f1, f2 = factor_dyadic(c)
-        assert np.max(np.abs(kron(f1.matrix(), f2.matrix()) - fano_compose(c))) <= 1e-10
+        assert np.max(np.abs(np.kron(f1.matrix(), f2.matrix()) - fano_compose(c))) <= 1e-10
 
     def test_generic_round_trip(self):
         a, b = np.array([1.0, 2.0, 0.0]), np.array([0.0, 1.0, 1.0])
         a0, b0 = 0.7, -1.2
         c = CoefficientSet(a0 * b0, b0 * a, a0 * b, np.outer(a, b))
         f1, f2 = factor_dyadic(c)
-        assert np.max(np.abs(kron(f1.matrix(), f2.matrix()) - fano_compose(c))) <= 1e-10
+        assert np.max(np.abs(np.kron(f1.matrix(), f2.matrix()) - fano_compose(c))) <= 1e-10
 
     def test_gauge_convention(self, rng):
         for _ in range(20):
@@ -120,7 +120,7 @@ class TestFactorDyadic:
     def test_zero_omega_scalar_factor(self):
         c = CoefficientSet(0.5, (0, 0, 0), (1.0, 0.0, 2.0), np.zeros((3, 3)))
         f1, f2 = factor_dyadic(c)
-        assert np.max(np.abs(kron(f1.matrix(), f2.matrix()) - fano_compose(c))) <= 1e-12
+        assert np.max(np.abs(np.kron(f1.matrix(), f2.matrix()) - fano_compose(c))) <= 1e-12
 
     def test_zero_omega_two_vectors_rejected(self):
         c = CoefficientSet(0.0, (1, 0, 0), (0, 1, 0), np.zeros((3, 3)))
@@ -134,7 +134,7 @@ class TestFactorDyadic:
         assert classify(c, tol=1e-6).kind is CaseKind.SEPARABLE_DYADIC
         f1, f2 = factor_dyadic(c, tol=1e-6)
         h = fano_compose(c)
-        assert np.max(np.abs(kron(f1.matrix(), f2.matrix()) - h)) <= 1e-12 * np.max(np.abs(h))
+        assert np.max(np.abs(np.kron(f1.matrix(), f2.matrix()) - h)) <= 1e-12 * np.max(np.abs(h))
 
     def test_upsilon_defect_is_measured_against_s1(self):
         """omega = 1e-12 e1 e1^T beside alpha = beta = 1e-5 e1 would need
@@ -188,7 +188,7 @@ class TestSeparableDecision:
             else:
                 assert separable
                 h = fano_compose(c)
-                err = np.max(np.abs(kron(f1.matrix(), f2.matrix()) - h))
+                err = np.max(np.abs(np.kron(f1.matrix(), f2.matrix()) - h))
                 assert err <= 10 * tol * (1 + np.max(np.abs(h)))
 
 
@@ -248,9 +248,9 @@ class TestSolveSeparable:
         assert sorted(es.values.ravel()) == [-1, -1, 1, 1]
         plus = np.array([1, 1]) / np.sqrt(2)
         minus = np.array([1, -1]) / np.sqrt(2)
-        want = kron(np.outer(minus, minus), np.outer(minus, minus))
+        want = np.kron(np.outer(minus, minus), np.outer(minus, minus))
         assert np.allclose(es.state(1, 1), want, atol=1e-12)
-        assert_eigensystem_contracts(es, kron(pauli(1), pauli(1)))
+        assert_eigensystem_contracts(es, np.kron(pauli(1), pauli(1)))
 
     def test_fully_degenerate_factor(self):
         es = solve_separable(Su2Factor(1, (0, 0, 0)), Su2Factor(1, (0, 0, 0)))
@@ -272,7 +272,7 @@ class TestSolveSeparable:
         for _ in range(100):
             f1, f2 = random_separable_factors(rng)
             es = solve_separable(f1, f2)
-            h = kron(f1.matrix(), f2.matrix())
+            h = np.kron(f1.matrix(), f2.matrix())
             assert_eigensystem_contracts(es, h)
             assert np.max(np.abs(np.sort(es.values.ravel()) - oracle_sorted(h))) <= 1e-9 * (
                 1 + np.max(np.abs(es.values))

@@ -1,0 +1,55 @@
+"""The package's public surface: the names ``su2pair`` exports."""
+
+import inspect
+import re
+from pathlib import Path
+
+import su2pair
+
+PUBLIC = [
+    "BlochPair", "Branch", "CaseKind", "CaseReductionError", "Classification",
+    "CoefficientSet", "ConcurrenceDomainError", "ConstraintError",
+    "DegenerateBranchError", "DensityMatrixError", "DerivedCoefficients",
+    "Eigensystem", "EnsembleBranch", "FactorizationError", "GrapheneParams",
+    "GridSpec", "InputFormatError", "InvariantViolation", "NonHermitianError",
+    "SolveMethod", "SpectralDecomposition", "Su2Factor",
+    "ThermalConcurrenceResult", "ThermalReport", "band_grid", "bloch_vectors",
+    "classify", "concurrence_closed_form_arrays", "concurrence_grid",
+    "default_grid", "derive", "derive_arrays", "eig_hermitian",
+    "eigenstate_bloch_closed_form", "eigenstate_concurrence_closed_form",
+    "factor_dyadic", "fano_compose", "fano_decompose", "find_dirac_point",
+    "map_to_su2su2", "partition_entangled", "partition_separable", "pauli",
+    "pauli_word", "pure_concurrence", "purity", "rotate_set",
+    "secular_coefficients", "solve", "solve_entangled", "solve_quartic",
+    "solve_separable", "structure_factor", "thermal_concurrence",
+    "thermal_concurrence_curve", "thermal_death_temperature", "thermal_report",
+    "thermal_state", "thermal_sweep", "wootters_concurrence",
+]
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_all_is_the_public_list():
+    assert sorted(su2pair.__all__) == PUBLIC
+
+
+def test_every_public_name_resolves():
+    for name in PUBLIC:
+        assert getattr(su2pair, name).__module__.startswith("su2pair.")
+
+
+def test_all_is_what_the_package_exports():
+    """Every public name bound in the package, submodules aside, is in __all__."""
+    exported = [
+        name for name, value in vars(su2pair).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    ]
+    assert sorted(exported) == PUBLIC
+
+
+def test_readme_library_sketch_uses_only_public_names():
+    text = README.read_text()
+    sketch = text.split("## Library sketch", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    used = set(re.findall(r"\bsp\.(\w+)", sketch))
+    assert {"fano_decompose", "concurrence_grid", "band_grid", "thermal_report"} <= used
+    assert used <= set(PUBLIC)

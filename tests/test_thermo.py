@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from su2pair.errors import ConstraintError
 from su2pair.hamiltonian import CoefficientSet, fano_compose, rotate_set
-from su2pair.oracle import eig_hermitian, mat_func, wootters_concurrence
+from su2pair.oracle import eig_hermitian, wootters_concurrence
 from su2pair.sampling import (
     dyadic_set_from_factors,
     random_commuting_thermal_set,
@@ -25,7 +25,6 @@ from su2pair.thermo import (
     SWEEP_BLOCK,
     EnsembleBranch,
     log_partition_entangled,
-    log_partition_numeric,
     log_partition_separable,
     partition_entangled,
     partition_separable,
@@ -33,9 +32,10 @@ from su2pair.thermo import (
     thermal_concurrence,
     thermal_report,
     thermal_state,
-    thermal_state_from_eigensystem,
     thermal_sweep,
 )
+
+from references import log_partition_numeric, mat_func, thermal_state_from_eigensystem
 
 ENTANGLED_EXAMPLE = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
 ZERO_SET = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.zeros((3, 3)))
