@@ -1,9 +1,10 @@
 """Two-qubit SU(2)xSU(2) Hamiltonian toolkit.
 
 Closed-form eigensystems (separable and constrained-entangled cases),
-quartic secular equations, pure-state and thermal concurrence, partition
-functions and purity, all verified against a dense numerical oracle, plus
-the Bernal-stacked bilayer graphene specialization.
+quartic secular equations, pure-state concurrence, and thermal sweeps of
+the partition function, purity and concurrence, all verified against a
+dense numerical oracle, plus the Bernal-stacked bilayer graphene
+specialization.
 """
 
 from .entanglement import (
@@ -71,9 +72,6 @@ from .thermo import (
     EnsembleBranch,
     ThermalConcurrenceResult,
     ThermalReport,
-    partition_entangled,
-    partition_separable,
-    purity,
     thermal_concurrence,
     thermal_report,
     thermal_state,
@@ -110,7 +108,6 @@ __all__ = [
     "secular_coefficients", "solve", "solve_entangled", "solve_separable",
     # thermo
     "EnsembleBranch", "ThermalConcurrenceResult", "ThermalReport",
-    "partition_entangled", "partition_separable", "purity",
     "thermal_concurrence", "thermal_report", "thermal_state",
     "thermal_sweep",
 ]

@@ -233,9 +233,18 @@ def _reciprocal_shells(lattice: float) -> np.ndarray:
 
 def first_zone_mask(p: GrapheneParams, kx, ky) -> np.ndarray:
     """Wigner-Seitz test: k belongs iff it is no farther from 0 than from any G,
-    2 k.G <= |G|^2 (1 + 1e-12) for each of the six shell vectors G."""
+    2 k.G <= |G|^2 (1 + 1e-12) for each of the six shell vectors G.
+
+    k and G are first scaled by one power of two that brings max|G| into
+    [1/2, 1), so |G|^2 stays finite at tiny lattices.  The scaling is exact:
+    wherever nothing overflows or goes subnormal, the comparison keeps its
+    bits.
+    """
+    shells = _reciprocal_shells(p.lattice)
+    scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(shells))))[1])
+    kx, ky = kx * scale, ky * scale
     outside = False
-    for gx, gy in _reciprocal_shells(p.lattice).tolist():
+    for gx, gy in (shells * scale).tolist():
         outside = outside | (2.0 * (kx * gx + ky * gy) > (gx * gx + gy * gy) * (1.0 + 1e-12))
     return np.logical_not(outside)
 

@@ -11,6 +11,8 @@ import cmath
 
 import numpy as np
 
+from .errors import InvariantViolation
+
 _NEWTON_STEPS = 5
 
 
@@ -62,7 +64,9 @@ def solve_quartic(c4: float, c3: float, c2: float, c1: float, c0: float) -> np.n
     """Roots of c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0 = 0.
 
     Returns four complex roots sorted by descending real part, ties broken
-    by descending imaginary part.  Raises ValueError when c4 = 0.
+    by descending imaginary part.  Raises ValueError when c4 = 0, and
+    InvariantViolation when a root is not finite, as when dividing by a tiny
+    c4 overflows the monic coefficients.
     """
     if c4 == 0:
         raise ValueError("leading coefficient is zero: not a quartic")
@@ -96,6 +100,10 @@ def solve_quartic(c4: float, c3: float, c2: float, c1: float, c0: float) -> np.n
 
     coeffs = np.array([1.0, b, c, d, e], dtype=complex)
     dcoeffs = np.array([4.0, 3 * b, 2 * c, d], dtype=complex)
-    roots = [_polish(y - shift, coeffs, dcoeffs) for y in ys]
+    with np.errstate(all="ignore"):
+        roots = [_polish(y - shift, coeffs, dcoeffs) for y in ys]
+    if not all(cmath.isfinite(z) for z in roots):
+        listed = ", ".join(str(complex(z)) for z in roots)
+        raise InvariantViolation(f"quartic roots are not finite: {listed}")
     roots.sort(key=lambda z: (-z.real, -z.imag))
     return np.array(roots, dtype=complex)

@@ -14,11 +14,10 @@ set, a0 b0 and the product offsets for a separable one, 0 and the dense
 eigenvalues otherwise.  Nothing overflows, and a large base energy stays out
 of the level differences.
 
-The partition functions, the purity and the thermal-concurrence pieces take
-a temperature or an array of temperatures; a scalar temperature gives a
-Python float.  :func:`thermal_sweep` evaluates a whole sweep with the
-temperature-independent work done once, and one set of weights shared by Z,
-purity and concurrence.
+:func:`thermal_sweep` is the thermal entry point: Z, purity, concurrence
+and flag of any set over an array of temperatures, with the
+temperature-independent work done once and one set of weights shared by Z,
+purity and concurrence.  :func:`thermal_report` is its one-row view.
 """
 
 from __future__ import annotations
@@ -74,12 +73,6 @@ def _scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def partition_from_log(logz):
-    """Z = exp(log Z), or inf where Z exceeds the largest double."""
-    with np.errstate(over="ignore"):
-        return _scalar_or_array(np.exp(logz))
-
-
 # --- Gibbs weights ----------------------------------------------------------------
 
 
@@ -97,8 +90,10 @@ def _gibbs_weights(base: float, levels, t: np.ndarray):
     return np.exp(-gaps / t), -(base + e_min) / t
 
 
-def _log_z(w: np.ndarray, shift) -> np.ndarray:
-    return shift + np.log(w.sum(0))
+def _partition(w: np.ndarray, shift) -> np.ndarray:
+    """Z = exp(shift + log sum w), or inf where Z exceeds the largest double."""
+    with np.errstate(over="ignore"):
+        return np.exp(shift + np.log(w.sum(0)))
 
 
 def _purity(w: np.ndarray) -> np.ndarray:
@@ -118,68 +113,6 @@ def _even_levels(d: DerivedCoefficients, branch: EnsembleBranch):
     positive branch."""
     _, e1, e2 = even_spectrum(d)
     return [e1, e2] if branch is EnsembleBranch.POSITIVE_ONLY else [-e2, -e1, e1, e2]
-
-
-def _system_weights(system, branch: EnsembleBranch, tol: float, t: np.ndarray):
-    """Gibbs weights of a constraint-satisfying CoefficientSet or of a pair
-    of Su2Factor (full branch only)."""
-    if isinstance(system, CoefficientSet):
-        return _gibbs_weights(system.upsilon, _even_levels(derive(system, tol), branch), t)
-    if branch is not EnsembleBranch.FULL:
-        raise ValueError("the positive-only branch applies to the even constrained spectrum")
-    return _gibbs_weights(*_product_levels(*system), t)
-
-
-# --- partition functions and purity ---------------------------------------------
-
-
-def log_partition_separable(f1: Su2Factor, f2: Su2Factor, t):
-    """log Tr[exp(-H1 (x) H2 / t)] over the product levels (a0 +- a)(b0 +- b),
-    log Z = shift + log sum w from the Gibbs weights."""
-    w, shift = _gibbs_weights(*_product_levels(f1, f2), _check_temperature(t))
-    return _scalar_or_array(_log_z(w, shift))
-
-
-def partition_separable(f1: Su2Factor, f2: Su2Factor, t):
-    return partition_from_log(log_partition_separable(f1, f2, t))
-
-
-def log_partition_entangled(
-    c: CoefficientSet,
-    t,
-    branch: EnsembleBranch = EnsembleBranch.FULL,
-    tol: float = DEFAULT_TOL,
-):
-    """log of Z = 2 exp(-u/t) [cosh(E2/t) + cosh(E1/t)], or of the
-    positive-energy restriction exp(-(u + E1)/t) + exp(-(u + E2)/t), as
-    log Z = shift + log sum w from the Gibbs weights of the even levels."""
-    w, shift = _system_weights(c, branch, tol, _check_temperature(t))
-    return _scalar_or_array(_log_z(w, shift))
-
-
-def partition_entangled(
-    c: CoefficientSet,
-    t,
-    branch: EnsembleBranch = EnsembleBranch.FULL,
-    tol: float = DEFAULT_TOL,
-):
-    return partition_from_log(log_partition_entangled(c, t, branch, tol))
-
-
-def purity(
-    system,
-    t,
-    branch: EnsembleBranch = EnsembleBranch.FULL,
-    tol: float = DEFAULT_TOL,
-):
-    """Thermal purity Tr rho^2 = sum_k p_k^2 over the Boltzmann occupations.
-
-    ``system`` is either a CoefficientSet satisfying a contraction constraint
-    or a pair of Su2Factor (product Hamiltonian; full branch only).  Tends to
-    1/4 as T -> infinity and to 1 / (ground degeneracy) as T -> 0.
-    """
-    w, _ = _system_weights(system, branch, tol, _check_temperature(t))
-    return _scalar_or_array(_purity(w))
 
 
 # --- thermal states --------------------------------------------------------------
@@ -355,7 +288,7 @@ def thermal_sweep(
         conc, flag = _gibbs_concurrence(dec, boltz), 2
     return {
         "t": t,
-        "z": partition_from_log(_log_z(boltz, shift)),
+        "z": _partition(boltz, shift),
         "purity": _purity(boltz),
         "concurrence": conc,
         "flag": np.full(t.shape, flag),

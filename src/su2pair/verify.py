@@ -34,13 +34,7 @@ from .sampling import (
     random_separable_factors,
 )
 from .solver import SolveMethod, solve, solve_entangled, solve_separable
-from .thermo import (
-    EnsembleBranch,
-    partition_entangled,
-    partition_separable,
-    purity,
-    thermal_concurrence,
-)
+from .thermo import EnsembleBranch, thermal_state, thermal_sweep
 
 
 @dataclass(frozen=True)
@@ -117,32 +111,45 @@ def suite_orthonormality(samples: int, seed: int) -> SuiteResult:
 
 
 def suite_partition_function(samples: int, seed: int) -> SuiteResult:
-    """Closed-form Z and purity against the trace of the Gibbs operator and
-    sum p^2 over the dense spectrum, on both branches."""
+    """Z and purity of :func:`thermal_sweep` against the trace of the Gibbs
+    operator and sum p^2 over the dense spectrum, on product sets and on
+    constrained sets on both branches.  Fails at once when a product set
+    reads a flag other than 0 or a nonzero concurrence, or a constrained set
+    reads flag 2 (the definition route)."""
     rng = make_rng(seed)
     worst = 0.0
-    temps = (0.1, 1.0, 10.0)
-    for k in range(samples):
-        if k % 2 == 0:
-            f1, f2 = random_separable_factors(rng)
-            w = eig_hermitian(fano_compose(dyadic_set_from_factors(f1, f2))).eigenvalues
-            runs = [((f1, f2), EnsembleBranch.FULL, w, partition_separable(f1, f2, temps))]
-        else:
-            c = random_entangled_canonical(rng, "alpha")
-            w = eig_hermitian(fano_compose(c)).eigenvalues
-            # The two largest eigenvalues are the positive branch.
-            runs = [(c, b, lv, partition_entangled(c, temps, b))
-                    for b, lv in ((EnsembleBranch.FULL, w), (EnsembleBranch.POSITIVE_ONLY, w[:2]))]
-        for system, branch, levels, z in runs:
-            pur = purity(system, temps, branch)
-            for i, t in enumerate(temps):
-                boltz = np.exp(-levels / t)
-                z_ref = float(np.sum(boltz))
-                pur_ref = float(np.sum((boltz / z_ref) ** 2))
-                worst = max(worst, abs(z[i] - z_ref) / z_ref, abs(pur[i] - pur_ref) / pur_ref)
+    temps = np.array([0.1, 1.0, 10.0])
     # The worst of seeds 0-9 at 2000 samples is 1.4e-13: eigh's round-off in
     # the levels, times E/T up to ~50.  Levels off by 1e-12 relative fail.
-    return SuiteResult("partition-function", samples, worst, 1e-11, worst <= 1e-11)
+    tol = 1e-11
+    for k in range(samples):
+        product = k % 2 == 0
+        if product:
+            c = dyadic_set_from_factors(*random_separable_factors(rng))
+        else:
+            c = random_entangled_canonical(rng, "alpha")
+        w = eig_hermitian(fano_compose(c)).eigenvalues
+        s = thermal_sweep(c, temps)
+        if product and (np.any(s["flag"] != 0) or np.any(s["concurrence"] != 0.0)):
+            detail = f"product set read flag {s['flag'][0]}, max C {np.max(s['concurrence']):.3e}"
+            return SuiteResult("partition-function", samples, math.inf, tol, False, detail)
+        if not product and np.any(s["flag"] == 2):
+            detail = "constrained set read flag 2"
+            return SuiteResult("partition-function", samples, math.inf, tol, False, detail)
+        runs = [(s, w)]
+        if not product:
+            # The two largest eigenvalues are the positive branch.
+            runs.append((thermal_sweep(c, temps, EnsembleBranch.POSITIVE_ONLY), w[:2]))
+        for s, levels in runs:
+            boltz = np.exp(-levels[:, None] / temps)
+            z_ref = boltz.sum(0)
+            pur_ref = ((boltz / z_ref) ** 2).sum(0)
+            worst = max(
+                worst,
+                float(np.max(np.abs(s["z"] - z_ref) / z_ref)),
+                float(np.max(np.abs(s["purity"] - pur_ref) / pur_ref)),
+            )
+    return SuiteResult("partition-function", samples, worst, tol, worst <= tol)
 
 
 def suite_concurrence_routes(samples: int, seed: int) -> SuiteResult:
@@ -176,38 +183,41 @@ def suite_concurrence_routes(samples: int, seed: int) -> SuiteResult:
 
 
 def suite_thermal_concurrence(samples: int, seed: int) -> SuiteResult:
-    """Closed thermal concurrence vs the definition route.
+    """Each row's concurrence from :func:`thermal_sweep` against the Wootters
+    concurrence of the Gibbs state.
 
-    Asserted only on the commuting family where the derivation is exact,
-    drawn in random local frames; generic constrained sets contribute
-    reporting statistics.
+    The commuting family, drawn in random local frames, must read flag 0
+    (the closed form is provably exact there) and is asserted; so are the
+    flag-0 rows of generic constrained sets, whose flag-1 rows contribute
+    reporting statistics.  A constrained set that reads flag 2 fails.
     """
     rng = make_rng(seed)
     worst = 0.0
     unreliable_devs = []
-    temps = (0.3, 1.0, 5.0)
+    temps = np.array([0.3, 1.0, 5.0])
     # The worst of seeds 0-9 at 2000 samples is 8.4e-15.  A closed form off
     # by 1e-11 relative fails.
     tol = 5e-13
     for k in range(samples):
-        if k % 2 == 0:
+        commuting = k % 2 == 0
+        if commuting:
             c = random_commuting_thermal_set(rng)
             c = rotate_set(c, random_rotation(rng), random_rotation(rng))
-            for t in temps:
-                res = thermal_concurrence(c, t)
-                if not res.reliable:
-                    return SuiteResult(
-                        "thermal-concurrence", samples, math.inf, tol, False,
-                        "commuting family flagged unreliable",
-                    )
-                worst = max(worst, res.deviation)
         else:
             c = random_entangled_canonical(rng, "alpha")
-            res = thermal_concurrence(c, 1.0)
-            if res.reliable:
-                worst = max(worst, res.deviation)
+        s = thermal_sweep(c, temps)
+        if commuting and np.any(s["flag"] != 0):
+            detail = "commuting family flagged unreliable"
+            return SuiteResult("thermal-concurrence", samples, math.inf, tol, False, detail)
+        if np.any(s["flag"] == 2):
+            detail = "constrained set read flag 2"
+            return SuiteResult("thermal-concurrence", samples, math.inf, tol, False, detail)
+        for t, conc, flag in zip(temps, s["concurrence"], s["flag"]):
+            dev = abs(float(conc) - wootters_concurrence(thermal_state(c, t)))
+            if flag == 0:
+                worst = max(worst, dev)
             else:
-                unreliable_devs.append(res.deviation)
+                unreliable_devs.append(dev)
     detail = ""
     if unreliable_devs:
         detail = (

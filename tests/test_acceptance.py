@@ -39,11 +39,10 @@ from su2pair.sampling import (
 from su2pair.solver import solve_entangled, solve_separable
 from su2pair.thermo import (
     EnsembleBranch,
-    partition_entangled,
-    partition_separable,
-    purity,
     thermal_concurrence,
+    thermal_report,
     thermal_state,
+    thermal_sweep,
 )
 
 from references import case01_theta, traceless
@@ -135,21 +134,22 @@ def test_criterion_3_cayley_hamilton_identity():
 def test_criterion_4_partition_function_equality():
     rng = make_rng(SEED + 2)
     worst = 0.0
-    temps = (0.1, 1.0, 10.0)
+    temps = np.array([0.1, 1.0, 10.0])
     for _ in range(500):
-        f1, f2 = random_separable_factors(rng)
-        w = eig_hermitian(fano_compose(dyadic_set_from_factors(f1, f2))).eigenvalues
-        for t in temps:
+        c = dyadic_set_from_factors(*random_separable_factors(rng))
+        w = eig_hermitian(fano_compose(c)).eigenvalues
+        for t, z in zip(temps, thermal_sweep(c, temps)["z"]):
             z_ref = float(np.sum(np.exp(-w / t)))
-            worst = max(worst, abs(partition_separable(f1, f2, t) - z_ref) / z_ref)
+            worst = max(worst, abs(z - z_ref) / z_ref)
     for c in entangled_pool(500, rng):
         w = eig_hermitian(fano_compose(c)).eigenvalues
-        for t in temps:
+        z = thermal_sweep(c, temps)["z"]
+        zp = thermal_sweep(c, temps, EnsembleBranch.POSITIVE_ONLY)["z"]
+        for i, t in enumerate(temps):
             z_ref = float(np.sum(np.exp(-w / t)))
-            worst = max(worst, abs(partition_entangled(c, t) - z_ref) / z_ref)
+            worst = max(worst, abs(z[i] - z_ref) / z_ref)
             zp_ref = float(np.sum(np.exp(-w[:2] / t)))
-            zp = partition_entangled(c, t, EnsembleBranch.POSITIVE_ONLY)
-            worst = max(worst, abs(zp - zp_ref) / zp_ref)
+            worst = max(worst, abs(zp[i] - zp_ref) / zp_ref)
     ok = worst <= 1e-9
     report(4, "partition functions vs oracle trace", ok, f"max relative dev {worst:.2e}")
 
@@ -161,22 +161,19 @@ def test_criterion_5_purity_limits():
     state_dev = 0.0
     for k in range(50):
         if k % 2 == 0:
-            f1, f2 = random_separable_factors(rng)
-            c = dyadic_set_from_factors(f1, f2)
-            system = (f1, f2)
+            c = dyadic_set_from_factors(*random_separable_factors(rng))
         else:
             c = random_entangled_canonical(rng, "alpha")
-            system = c
         w = eig_hermitian(fano_compose(c)).eigenvalues
         norm = float(np.max(np.abs(w)))
         gap = float(np.min(np.diff(np.sort(w))))
-        hot = purity(system, 1e6 * norm)
+        hot = thermal_report(c, 1e6 * norm).purity
         hot_lo, hot_hi = min(hot_lo, hot), max(hot_hi, hot)
-        cold_min = min(cold_min, purity(system, 1e-3 * gap))
+        cold_min = min(cold_min, thermal_report(c, 1e-3 * gap).purity)
         for t in (0.5, 2.0):
             rho = thermal_state(c, t)
             ref = float(np.einsum("ab,ba->", rho, rho).real)
-            state_dev = max(state_dev, abs(purity(system, t) - ref))
+            state_dev = max(state_dev, abs(thermal_report(c, t).purity - ref))
     ok = (
         0.25 <= hot_lo
         and hot_hi <= 0.251

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from su2pair import thermo
 from su2pair.cli import main
-from su2pair.hamiltonian import CoefficientSet
+from su2pair.hamiltonian import CaseKind, CoefficientSet
 from su2pair.serialization import coefficient_set_from_dict, format_float
 
 from references import coefficient_set_to_dict, log_partition_numeric
@@ -149,6 +151,14 @@ class TestQuarticCommand:
         assert main(["quartic", "--coeffs", *coeffs.split()]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_non_finite_roots_are_invariant_violations(self, capsys):
+        """A leading coefficient of 1e-300 overflows the monic coefficients:
+        the command used to print four 'nan - nani' roots and exit 0."""
+        assert main(["quartic", "--coeffs", "1e-300", "1", "0", "0", "1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("invariant violation: ") and "not finite" in err
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
@@ -178,6 +188,27 @@ class TestVerifyCommand:
 
     def test_unknown_suite(self):
         assert main(["verify", "--samples", "5", "--suite", "spam"]) == 2
+
+    def test_thermal_suites_fail_when_every_set_reads_general(self, monkeypatch, capsys):
+        """With the sweep's route decision sending every set to the
+        definition route, product sets read flag 2 and so do the commuting
+        family and the constrained sets: both thermal suites must fail."""
+        decide = thermo._decide
+
+        def general(c, tol):
+            d = decide(c, tol)[2]
+            return CaseKind.GENERAL, None, dataclasses.replace(
+                d, alpha_null=False, beta_null=False), None, None
+
+        monkeypatch.setattr(thermo, "_decide", general)
+        argv = ["verify", "--samples", "20", "--seed", "0",
+                "--suite", "partition-function", "--suite", "thermal-concurrence"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("partition-function") and "FAIL" in lines[1]
+        assert "product set read flag 2" in lines[1]
+        assert lines[2].startswith("thermal-concurrence") and "FAIL" in lines[2]
+        assert "commuting family flagged unreliable" in lines[2]
 
 
 class TestThermoCommand:

@@ -16,12 +16,7 @@ from su2pair.sampling import (
 from su2pair.entanglement import pure_concurrence
 from su2pair.serialization import eigensystem_to_dict
 from su2pair.solver import solve, solve_entangled
-from su2pair.thermo import (
-    EnsembleBranch,
-    partition_entangled,
-    purity,
-    thermal_state,
-)
+from su2pair.thermo import EnsembleBranch, thermal_report, thermal_state
 
 from references import build_ab_hamiltonian
 
@@ -50,7 +45,7 @@ def test_named_k_point_partition_function():
     c = map_to_su2su2(p, 1.0, 0.5)
     w = eig_hermitian(fano_compose(c)).eigenvalues
     z_ref = float(np.sum(np.exp(-w / 1.0)))
-    assert abs(partition_entangled(c, 1.0) - z_ref) <= 1e-9 * z_ref
+    assert abs(thermal_report(c, 1.0).z_value - z_ref) <= 1e-9 * z_ref
 
 
 def test_solve_across_scales():
@@ -87,7 +82,7 @@ def test_positive_branch_purity_equals_projected_state(rng):
             raw = proj @ thermal_state(c, t) @ proj
             rho_pos = raw / np.trace(raw).real
             ref = float(np.einsum("ab,ba->", rho_pos, rho_pos).real)
-            got = purity(c, t, EnsembleBranch.POSITIVE_ONLY)
+            got = thermal_report(c, t, EnsembleBranch.POSITIVE_ONLY).purity
             assert abs(got - ref) <= 1e-8
 
 

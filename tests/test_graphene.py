@@ -562,6 +562,21 @@ class TestFirstZoneMask:
         assert 0 < sum(expected) < len(expected)
         assert first_zone_mask(p, kx, ky).tolist() == expected
 
+    def test_hex_point_set_is_the_same_at_every_lattice(self):
+        """The mask scales k and G by a power of two first; below a lattice
+        of ~1e-154 |G|^2 overflowed unscaled and all 81 points were kept."""
+
+        def kept(lattice):
+            p = GrapheneParams(lattice=lattice)
+            xs, ys = default_grid(p, 9, "hex").axes()
+            kx, ky = np.meshgrid(xs, ys, indexing="ij")
+            return first_zone_mask(p, kx, ky).tolist()
+
+        unit = kept(1.0)
+        assert sum(map(sum, unit)) == 43
+        for lattice in (1e-150, 1e-160, 1e-300):
+            assert kept(lattice) == unit
+
 
 @pytest.mark.parametrize(
     "argv",

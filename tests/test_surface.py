@@ -18,8 +18,7 @@ PUBLIC = [
     "default_grid", "derive", "derive_arrays", "eig_hermitian",
     "eigenstate_bloch_closed_form", "eigenstate_concurrence_closed_form",
     "factor_dyadic", "fano_compose", "fano_decompose", "find_dirac_point",
-    "map_to_su2su2", "partition_entangled", "partition_separable", "pauli",
-    "pauli_word", "pure_concurrence", "purity", "rotate_set",
+    "map_to_su2su2", "pauli", "pauli_word", "pure_concurrence", "rotate_set",
     "secular_coefficients", "solve", "solve_entangled", "solve_quartic",
     "solve_separable", "structure_factor", "thermal_concurrence",
     "thermal_concurrence_curve", "thermal_death_temperature", "thermal_report",

@@ -20,15 +20,10 @@ from su2pair.sampling import (
     random_rotation,
     random_separable_factors,
 )
-from su2pair.solver import Su2Factor, solve_entangled, solve_separable
+from su2pair.solver import Su2Factor, factor_dyadic, solve_entangled, solve_separable
 from su2pair.thermo import (
     SWEEP_BLOCK,
     EnsembleBranch,
-    log_partition_entangled,
-    log_partition_separable,
-    partition_entangled,
-    partition_separable,
-    purity,
     thermal_concurrence,
     thermal_report,
     thermal_state,
@@ -46,30 +41,38 @@ def oracle_z(c: CoefficientSet, t: float) -> float:
     return float(np.sum(np.exp(-w / t)))
 
 
+def product_set(a0, a, b0, b) -> CoefficientSet:
+    return dyadic_set_from_factors(Su2Factor(a0, a), Su2Factor(b0, b))
+
+
 class TestPartitionSeparable:
     def test_zero_hamiltonian(self):
-        z = partition_separable(Su2Factor(0, (0, 0, 0)), Su2Factor(0, (0, 0, 0)), 1.0)
+        z = thermal_report(product_set(0, (0, 0, 0), 0, (0, 0, 0)), 1.0).z_value
         assert np.isclose(z, 4.0)
 
     def test_zz_product(self):
-        f = Su2Factor(0, (0, 0, 1))
-        assert np.isclose(partition_separable(f, f, 1.0), 4.0 * np.cosh(1.0))
+        c = product_set(0, (0, 0, 1), 0, (0, 0, 1))
+        assert np.isclose(thermal_report(c, 1.0).z_value, 4.0 * np.cosh(1.0))
 
     def test_diagonal_spectrum(self):
-        z = partition_separable(Su2Factor(1, (0, 0, 1)), Su2Factor(2, (0, 0, 1)), 2.0)
+        z = thermal_report(product_set(1, (0, 0, 1), 2, (0, 0, 1)), 2.0).z_value
         assert np.isclose(z, np.sum(np.exp(-np.array([0, 0, 2, 6]) / 2.0)))
 
     def test_oracle_equality_fuzz(self, rng):
+        temps = np.array([0.1, 1.0, 10.0])
         for _ in range(100):
-            f1, f2 = random_separable_factors(rng)
-            c = dyadic_set_from_factors(f1, f2)
-            for t in (0.1, 1.0, 10.0):
+            c = dyadic_set_from_factors(*random_separable_factors(rng))
+            s = thermal_sweep(c, temps)
+            assert np.all(s["flag"] == 0)
+            for t, z in zip(temps, s["z"]):
                 z_ref = oracle_z(c, t)
-                assert abs(partition_separable(f1, f2, t) - z_ref) <= 1e-9 * z_ref
+                assert abs(z - z_ref) <= 1e-9 * z_ref
 
-    def test_log_space_extremes(self, rng):
-        """log Z stays finite and correct far below the spectral scale."""
-        f1, f2 = random_separable_factors(rng)
+    def test_far_below_the_spectral_scale(self, rng):
+        """At T = 1e-4 log Z lies beyond the double range: Z reads inf or 0
+        on the side of its sign, and the purity keeps its digits."""
+        c = dyadic_set_from_factors(*random_separable_factors(rng))
+        f1, f2 = factor_dyadic(c)
         values = np.sort(
             [
                 (f1.a0 + sm * f1.norm) * (f2.a0 + sn * f2.norm)
@@ -81,67 +84,79 @@ class TestPartitionSeparable:
         want = -values[0] / t + math.log1p(
             sum(math.exp(-(v - values[0]) / t) for v in values[1:])
         )
-        assert np.isclose(log_partition_separable(f1, f2, t), want, rtol=1e-12)
+        assert abs(want) > 746.0
+        rep = thermal_report(c, t)
+        assert rep.z_value == (math.inf if want > 0 else 0.0)
+        w = [math.exp(-(v - values[0]) / t) for v in values]
+        assert np.isclose(rep.purity, sum(x * x for x in w) / sum(w) ** 2, rtol=1e-12)
 
     def test_temperature_validation(self):
         with pytest.raises(ValueError):
-            partition_separable(Su2Factor(0, (0, 0, 1)), Su2Factor(0, (0, 0, 1)), 0.0)
+            thermal_report(product_set(0, (0, 0, 1), 0, (0, 0, 1)), 0.0)
 
 
 class TestPartitionEntangled:
     def test_zero_set(self):
-        assert np.isclose(partition_entangled(ZERO_SET, 1.0), 4.0)
+        assert np.isclose(thermal_report(ZERO_SET, 1.0).z_value, 4.0)
 
     def test_reference_example(self):
-        z = partition_entangled(ENTANGLED_EXAMPLE, 1.0)
+        z = thermal_report(ENTANGLED_EXAMPLE, 1.0).z_value
         assert np.isclose(z, 2.0 * (np.cosh(np.sqrt(5.0)) + np.cosh(1.0)))
 
     def test_oracle_equality_fuzz(self, rng):
+        temps = np.array([0.1, 1.0, 10.0])
         for k in range(100):
             branch = ("alpha", "beta", "both")[k % 3]
             c = random_entangled_canonical(rng, branch)
-            for t in (0.1, 1.0, 10.0):
+            s = thermal_sweep(c, temps)
+            assert np.all(s["flag"] != 2)
+            for t, z in zip(temps, s["z"]):
                 z_ref = oracle_z(c, t)
-                assert abs(partition_entangled(c, t) - z_ref) <= 1e-9 * z_ref
+                assert abs(z - z_ref) <= 1e-9 * z_ref
 
     def test_positive_branch(self):
-        z = partition_entangled(ZERO_SET, 1.0, EnsembleBranch.POSITIVE_ONLY)
+        z = thermal_report(ZERO_SET, 1.0, EnsembleBranch.POSITIVE_ONLY).z_value
         assert np.isclose(z, 2.0)
-        zp = partition_entangled(ENTANGLED_EXAMPLE, 1.0, EnsembleBranch.POSITIVE_ONLY)
+        zp = thermal_report(ENTANGLED_EXAMPLE, 1.0, EnsembleBranch.POSITIVE_ONLY).z_value
         assert np.isclose(zp, np.exp(-np.sqrt(5.0)) + np.exp(-1.0))
 
     def test_positive_branch_oracle_projection(self, rng):
         """Positive branch equals the trace over the upper half spectrum."""
+        temps = np.array([0.5, 2.0])
         for _ in range(50):
             c = random_entangled_canonical(rng, "alpha")
             w = eig_hermitian(fano_compose(c)).eigenvalues  # descending
-            for t in (0.5, 2.0):
+            zp = thermal_sweep(c, temps, EnsembleBranch.POSITIVE_ONLY)["z"]
+            for t, z in zip(temps, zp):
                 z_ref = float(np.sum(np.exp(-w[:2] / t)))
-                zp = partition_entangled(c, t, EnsembleBranch.POSITIVE_ONLY)
-                assert abs(zp - z_ref) <= 1e-9 * z_ref
+                assert abs(z - z_ref) <= 1e-9 * z_ref
 
-    def test_unconstrained_rejected(self):
-        c = CoefficientSet(0.3, (1, 2, 3), (3, 1, 2), np.diag([1.0, 2.0, 3.0]))
-        with pytest.raises(ConstraintError):
-            partition_entangled(c, 1.0)
-
-    def test_xyz_exchange_rejected(self):
-        """alpha = beta = 0 meets no constraint once omega has full rank."""
-        c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 2.0, 3.0]))
-        with pytest.raises(ConstraintError):
-            partition_entangled(c, 1.0)
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [((1, 2, 3), (3, 1, 2)), ((0, 0, 0), (0, 0, 0))],
+        ids=["unconstrained", "xyz-exchange"],
+    )
+    def test_sets_without_a_constraint_take_the_definition_route(self, alpha, beta):
+        """alpha = beta = 0 meets no constraint either once omega has full
+        rank: flag 2 on the full branch, and the positive branch refused."""
+        c = CoefficientSet(0.3, alpha, beta, np.diag([1.0, 2.0, 3.0]))
+        rep = thermal_report(c, 1.0)
+        assert rep.flag == 2
+        assert np.isclose(rep.z_value, oracle_z(c, 1.0))
+        with pytest.raises(ValueError, match="positive-only branch"):
+            thermal_report(c, 1.0, EnsembleBranch.POSITIVE_ONLY)
 
 
 class TestPurity:
     def test_zero_hamiltonian_always_quarter(self):
-        for t in (1e-3, 1.0, 1e5):
-            assert np.isclose(purity(ZERO_SET, t), 0.25)
+        pur = thermal_sweep(ZERO_SET, [1e-3, 1.0, 1e5])["purity"]
+        assert np.allclose(pur, 0.25)
 
     def test_high_temperature_limit(self):
-        assert abs(purity(ENTANGLED_EXAMPLE, 1e6) - 0.25) <= 1e-3
+        assert abs(thermal_report(ENTANGLED_EXAMPLE, 1e6).purity - 0.25) <= 1e-3
 
     def test_low_temperature_limit(self):
-        assert purity(ENTANGLED_EXAMPLE, 1e-2) >= 1.0 - 1e-6
+        assert thermal_report(ENTANGLED_EXAMPLE, 1e-2).purity >= 1.0 - 1e-6
 
     def test_matches_state_purity(self, rng):
         for _ in range(50):
@@ -149,33 +164,35 @@ class TestPurity:
             for t in (0.3, 1.0, 4.0):
                 rho = thermal_state(c, t)
                 ref = float(np.einsum("ab,ba->", rho, rho).real)
-                assert abs(purity(c, t) - ref) <= 1e-8
+                assert abs(thermal_report(c, t).purity - ref) <= 1e-8
 
     def test_separable_route(self, rng):
         for _ in range(30):
-            f1, f2 = random_separable_factors(rng)
-            c = dyadic_set_from_factors(f1, f2)
+            c = dyadic_set_from_factors(*random_separable_factors(rng))
             for t in (0.5, 2.0):
                 rho = thermal_state(c, t)
                 ref = float(np.einsum("ab,ba->", rho, rho).real)
-                assert abs(purity((f1, f2), t) - ref) <= 1e-8
+                rep = thermal_report(c, t)
+                assert rep.flag == 0
+                assert abs(rep.purity - ref) <= 1e-8
 
     def test_monotone_in_temperature(self, rng):
         for _ in range(20):
             c = random_entangled_canonical(rng, "alpha")
             temps = np.exp(np.linspace(np.log(0.05), np.log(50.0), 40))
-            values = [purity(c, t) for t in temps]
+            values = thermal_sweep(c, temps)["purity"]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_positive_branch_limits(self):
-        assert purity(ENTANGLED_EXAMPLE, 1e-3, EnsembleBranch.POSITIVE_ONLY) >= 1 - 1e-9
+        pur = thermal_sweep(ENTANGLED_EXAMPLE, [1e-3, 1e7], EnsembleBranch.POSITIVE_ONLY)["purity"]
+        assert pur[0] >= 1 - 1e-9
         # two-state ensemble: infinite-temperature purity is 1/2
-        assert abs(purity(ENTANGLED_EXAMPLE, 1e7, EnsembleBranch.POSITIVE_ONLY) - 0.5) <= 1e-3
+        assert abs(pur[1] - 0.5) <= 1e-3
 
     def test_positive_branch_rejected_for_separable(self, rng):
-        f1, f2 = random_separable_factors(rng)
+        c = dyadic_set_from_factors(*random_separable_factors(rng))
         with pytest.raises(ValueError):
-            purity((f1, f2), 1.0, EnsembleBranch.POSITIVE_ONLY)
+            thermal_report(c, 1.0, EnsembleBranch.POSITIVE_ONLY)
 
 
 class TestThermalState:
@@ -532,46 +549,51 @@ REFERENCE_TEMPS = np.geomspace(1e-2, 1e2, 13)
 
 
 def _reference_draws():
-    """(system, levels) for seeded alpha, beta, both, rotated and product
-    sets with base energies 0, 1e3 and 1e6."""
+    """(set, levels, constrained) for seeded alpha, beta, both, rotated and
+    product sets with base energies 0, 1e3 and 1e6.  A product set's levels
+    come from the factors that factor_dyadic recovers from it, the ones the
+    sweep reads."""
     rng = np.random.default_rng(2024)
     for base in (0.0, 1e3, 1e6):
         for _ in range(4):
             for route in ("alpha", "beta", "both", "rotated"):
                 c = route_set(route, rng)
                 c = CoefficientSet(base, c.alpha, c.beta, c.omega)
-                yield c, _even_levels_50(c)
+                yield c, _even_levels_50(c), True
             f1, f2 = random_separable_factors(rng)
             shift = math.sqrt(base)
-            f1, f2 = Su2Factor(f1.a0 + shift, f1.vec), Su2Factor(f2.a0 + shift, f2.vec)
-            yield (f1, f2), _product_levels_50(f1, f2)
+            c = dyadic_set_from_factors(Su2Factor(f1.a0 + shift, f1.vec),
+                                        Su2Factor(f2.a0 + shift, f2.vec))
+            yield c, _product_levels_50(*factor_dyadic(c)), False
 
 
 class TestAgainstFiftyDigits:
-    """log Z and purity against the 50-digit reference above: constrained
-    sets on both branches and product sets, with base energies up to 1e6.
-    There a purity taken as a difference of two log Z values of size
-    1e8 would keep only ~8 digits; the sum of p^2 keeps all but the last."""
+    """log Z and purity of thermal_sweep against the 50-digit reference
+    above: constrained sets on both branches and product sets, with base
+    energies up to 1e6.  There a purity taken as a difference of two log Z
+    values of size 1e8 would keep only ~8 digits; the sum of p^2 keeps all
+    but the last.  log Z is read from Z where Z is a normal double."""
 
     def test_log_partition_and_purity(self):
         worst_log_z = worst_purity = 0.0
-        for system, levels in _reference_draws():
-            if isinstance(system, CoefficientSet):
-                runs = [(EnsembleBranch.FULL, levels), (EnsembleBranch.POSITIVE_ONLY, levels[2:])]
-            else:
-                runs = [(EnsembleBranch.FULL, levels)]
+        log_z_rows = 0
+        for c, levels, constrained in _reference_draws():
+            runs = [(EnsembleBranch.FULL, levels)]
+            if constrained:
+                runs.append((EnsembleBranch.POSITIVE_ONLY, levels[2:]))
             for branch, lv in runs:
-                if isinstance(system, CoefficientSet):
-                    log_z = log_partition_entangled(system, REFERENCE_TEMPS, branch)
-                else:
-                    log_z = log_partition_separable(*system, REFERENCE_TEMPS)
-                pur = purity(system, REFERENCE_TEMPS, branch)
-                for t, got_log_z, got_pur in zip(REFERENCE_TEMPS, log_z, pur):
+                s = thermal_sweep(c, REFERENCE_TEMPS, branch)
+                assert s["flag"][0] in ((0, 1) if constrained else (0,))
+                for t, z, got_pur in zip(REFERENCE_TEMPS, s["z"], s["purity"]):
                     ref_log_z, ref_pur = _log_z_and_purity_50(lv, float(t))
-                    worst_log_z = max(worst_log_z, abs(got_log_z - ref_log_z) / max(1.0, abs(ref_log_z)))
                     worst_purity = max(worst_purity, abs(got_pur / ref_pur - 1.0))
+                    if np.finfo(float).tiny <= z < np.inf:
+                        log_z_rows += 1
+                        dev = abs(math.log(z) - ref_log_z) / max(1.0, abs(ref_log_z))
+                        worst_log_z = max(worst_log_z, dev)
         assert worst_purity <= 4e-15
         assert worst_log_z <= 4e-15
+        assert log_z_rows > 0
 
     def test_threefold_ground_level_down_to_1e_minus_20(self):
         """omega = -I: levels 3, -1, -1, -1, so the purity tends to 1/3."""
