@@ -10,14 +10,18 @@ kernel fills a record's instance dict in one update.  :func:`_ht2_parts`
 forms the Pauli components of Ht^2 beyond v_quad, from which the kernel
 takes phi, theta, s_cubic and the constraint residuals, and the
 eigenstate Bloch vectors of :mod:`su2pair.entanglement` take their
-closed form.
+closed form.  :func:`_cofactors` forms the cofactors of omega, from which
+the kernel takes adj_norm and beta_adj_alpha, and the closed-form
+concurrence of :mod:`su2pair.entanglement` the vectors adj(omega)^T beta
+and adj(omega) alpha.
 
 A batch whose structure makes some components exact zeros in every item
 (the graphene grids: alpha_1, alpha_2 and the third row and column of
-omega) may pass them to :func:`_derive_components` as the structural zero
-``_ZERO``.  Its products are itself and a sum returns the other operand, so
-the unchanged kernel skips every array pass over a term that vanishes by
-construction (118 ufunc calls for a 4096-point lattice chunk, not 274).
+omega) may pass them to :func:`_derive_components`, and to the
+concurrence radical, as the structural zero ``_ZERO``.  Its products are
+itself and a sum returns the other operand, so the unchanged kernel and
+helpers skip every array pass over a term that vanishes by construction
+(118 ufunc calls for the kernel on a 4096-point lattice chunk, not 274).
 Dropping ``x + 0`` can change only the sign of a zero, and dropping
 ``0 * x`` agrees with IEEE wherever x is finite, so the caller passes it
 only where every intermediate is.  No record field holds it.
@@ -172,6 +176,15 @@ def _ht2_parts(a, b, w):
     return alpha_omega, omega_beta, w_rows
 
 
+def _cofactors(w):
+    """The rows of the cofactor matrix C of omega, adj omega = C^T, from the
+    rows of omega as :func:`_derive_kernel` takes them."""
+    (w11, w12, w13), (w21, w22, w23), (w31, w32, w33) = w
+    return [[w22 * w33 - w23 * w32, w23 * w31 - w21 * w33, w21 * w32 - w22 * w31],
+            [w32 * w13 - w33 * w12, w33 * w11 - w31 * w13, w31 * w12 - w32 * w11],
+            [w12 * w23 - w13 * w22, w13 * w21 - w11 * w23, w11 * w22 - w12 * w21]]
+
+
 def _derive_kernel(a, b, w, tol: float, sqrt) -> DerivedCoefficients:
     """Every field of :class:`DerivedCoefficients` as straight-line arithmetic.
 
@@ -216,15 +229,7 @@ def _derive_kernel(a, b, w, tol: float, sqrt) -> DerivedCoefficients:
         (w22 - f2 * w21) * (w33 - f3 * w31) - (w23 - f3 * w21) * (w32 - f2 * w31)
     )
     del nx, sx, v1, vv, f2, f3
-    c11 = w22 * w33 - w23 * w32
-    c12 = w23 * w31 - w21 * w33
-    c13 = w21 * w32 - w22 * w31
-    c21 = w32 * w13 - w33 * w12
-    c22 = w33 * w11 - w31 * w13
-    c23 = w31 * w12 - w32 * w11
-    c31 = w12 * w23 - w13 * w22
-    c32 = w13 * w21 - w11 * w23
-    c33 = w11 * w22 - w12 * w21
+    (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = _cofactors(w)
     adj_sq = (c11 * c11 + c12 * c12 + c13 * c13 + c21 * c21 + c22 * c22
               + c23 * c23 + c31 * c31 + c32 * c32 + c33 * c33)
     beta_adj_alpha = (a1 * (c11 * b1 + c12 * b2 + c13 * b3)
@@ -302,20 +307,3 @@ def _derive_components(a, b, w, tol: float) -> DerivedCoefficients:
         if value is _ZERO:
             state[name] = 0.0
     return d
-
-
-def _stack_last(items, shape=()) -> np.ndarray:
-    """A list, or a list of lists, of batch arrays as one array, the nesting
-    as trailing axes.  The arrays share the batch's shape and scalar entries
-    broadcast over it; ``shape`` is the batch's shape when every entry is a
-    scalar."""
-    nesting = (len(items),)
-    if isinstance(items[0], list):
-        nesting, items = (len(items), len(items[0])), [x for row in items for x in row]
-    shape = next((x.shape for x in items if isinstance(x, np.ndarray) and x.ndim), shape)
-    if not shape:
-        return np.array(items, dtype=float).reshape(nesting)
-    flat = np.empty(shape + (len(items),))
-    for i, x in enumerate(items):
-        flat[..., i] = x
-    return flat.reshape(flat.shape[:-1] + nesting)

@@ -3,8 +3,9 @@
 For a pure state the concurrence is sqrt(1 - A^2) with A the Bloch modulus
 of either marginal; this module provides that route from the state matrix,
 the coefficient-level closed forms for eigenstate Bloch vectors and
-concurrence, and flags for the degenerate denominators where the closed
-forms collapse.
+concurrence (one radical for every constrained set, a vanishing
+constrained vector included), and flags for the degenerate denominators
+where the closed forms collapse.
 """
 
 from __future__ import annotations
@@ -13,19 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._invariants import _ht2_parts, _stack_last
+from ._invariants import _cofactors, _derive_kernel, _ht2_parts
 from .errors import ConcurrenceDomainError, DegenerateBranchError, DensityMatrixError
 from .hamiltonian import (
-    _TINY,
     DEFAULT_TOL,
     DEGENERACY_RTOL,
     CoefficientSet,
     DerivedCoefficients,
-    _dot,
-    _matvec,
+    _batch_components,
     _where,
     derive,
-    derive_arrays,
     even_spectrum,
 )
 from .pauli import pauli_word
@@ -36,10 +34,6 @@ RADICAND_FLOOR = -1e-10
 
 # Purity gate admitting closed-form states with accumulated round-off.
 PURITY_TOL = 1e-6
-
-# Below this relative size a constrained vector is treated as vanishing and
-# the branch formula (which divides by its squared norm) is bypassed.
-VECTOR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -115,48 +109,26 @@ def _raise_for(cause: int, n: int, radicand: float = 0.0):
         )
 
 
-def bloch_closed_form_arrays(alpha, beta, omega, d: DerivedCoefficients, m: int, n: int):
-    """Bloch vectors (a, b) of the (m, n) eigenstates of a batch, with the cause array.
-
-    ``d`` is :func:`derive_arrays` of the batch; items whose cause is not 0
-    have a degenerate denominator and meaningless vectors.  The Pauli
-    components of Ht^2 (single-qubit a_vec and b_vec, two-qubit w_mat) come
-    from the derive kernel's own straight-line helper, on one set's
-    components as Python floats, as :func:`derive` takes them.
-    """
-    sq, en, cause = _branch_scales(d, n)
-    if alpha.ndim == beta.ndim == 1 and omega.ndim == 2:
-        parts, pack = (alpha.tolist(), beta.tolist(), omega.tolist()), np.array
-    else:
-        parts, pack = (np.moveaxis(alpha, -1, 0), np.moveaxis(beta, -1, 0),
-                       np.moveaxis(omega, (-2, -1), (0, 1))), _stack_last
-    alpha_omega, omega_beta, w_rows = _ht2_parts(*parts)
-    a_vec, b_vec = pack([2.0 * x for x in omega_beta]), pack([2.0 * x for x in alpha_omega])
-    w_mat = pack(w_rows)
-    sm, sn = (-1.0) ** m, (-1.0) ** n
-    sq, en = np.asarray(sq)[..., None], np.asarray(en)[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = sn * a_vec / sq + sm * alpha / en + sm * sn * (
-            _matvec(w_mat, beta) + _matvec(omega, b_vec)
-        ) / (sq * en)
-        b = sn * b_vec / sq + sm * beta / en + sm * sn * (
-            _matvec(w_mat.swapaxes(-1, -2), alpha) + _matvec(omega.swapaxes(-1, -2), a_vec)
-        ) / (sq * en)
-    return a, b, cause
-
-
 def eigenstate_bloch_closed_form(
     c: CoefficientSet, m: int, n: int, tol: float = DEFAULT_TOL
 ) -> BlochPair:
     """Bloch vectors of the (m, n) eigenstate from the coefficients alone.
 
     Valid for constraint-satisfying sets with a non-degenerate spectrum;
-    raises DegenerateBranchError when a denominator collapses.
+    raises DegenerateBranchError when a denominator collapses.  The Pauli
+    components of Ht^2 (single-qubit a_vec and b_vec, two-qubit w_mat) come
+    from the derive kernel's own straight-line helper, on the set's
+    components as Python floats, as :func:`derive` takes them.
     """
     _check_mn(m, n)
-    d = derive(c, tol)
-    a, b, cause = bloch_closed_form_arrays(c.alpha, c.beta, c.omega, d, m, n)
+    sq, en, cause = _branch_scales(derive(c, tol), n)
     _raise_for(cause, n)
+    alpha, beta, omega = c.alpha, c.beta, c.omega
+    alpha_omega, omega_beta, w_rows = _ht2_parts(alpha.tolist(), beta.tolist(), omega.tolist())
+    a_vec, b_vec, w_mat = 2.0 * np.array(omega_beta), 2.0 * np.array(alpha_omega), np.array(w_rows)
+    sm, sn = (-1.0) ** m, (-1.0) ** n
+    a = sn * a_vec / sq + sm * alpha / en + sm * sn * (w_mat @ beta + omega @ b_vec) / (sq * en)
+    b = sn * b_vec / sq + sm * beta / en + sm * sn * (w_mat.T @ alpha + omega.T @ a_vec) / (sq * en)
     return BlochPair(a, b)
 
 
@@ -184,66 +156,60 @@ def _concurrence_from_radicand(radicand: float) -> float:
     return float(value)
 
 
-def concurrence_closed_form_arrays(upsilon, alpha, beta, omega, m: int, n: int,
+def concurrence_closed_form_arrays(alpha, beta, omega, m: int, n: int,
                                    tol: float = DEFAULT_TOL):
     """(concurrence, cause, radicand) of the (m, n) eigenstates of a batch.
 
-    Uses the constraint-resolved radical
+    Uses the constraint-resolved radical, with v the constrained vector
+    (alpha on the alpha branch) and u the other one,
 
-        C^2 = Phi/Tp - |v|^2/E_n^2 * [1 + 2 (-1)^n inner / sqrt(Tp)]^2
+        C^2 = Phi/Tp - [|v|^2 A^2 - 4 (-1)^n A X / sqrt(Tp) + 4 Y^2 / Tp] / E_n^2,
+        A = 1 + 2 (-1)^n |u|^2 / sqrt(Tp),
 
-    where v is the constrained vector and, on the alpha branch,
-    inner = beta^2 - (alpha.beta) det(omega_B) / alpha^2 (mirrored on the
-    beta branch), with omega_B the 2x2 block of omega in the frame where its
-    third row and column vanish.  The product (alpha.beta) det(omega_B) is
-    beta^T adj(omega) alpha in every frame (``beta_adj_alpha`` of
-    :func:`derive_arrays`), so the sets may come in any local frame.  Where
-    the constrained vector is too small for the branch division the exact
-    Bloch-modulus route is used instead; both agree to round-off wherever
-    both apply.  Items whose ``cause`` is not 0 (a degenerate branch, or a
+    where X = beta^T adj(omega) alpha (``beta_adj_alpha`` of
+    :func:`~su2pair.hamiltonian.derive_arrays`) and Y^2 is
+    |adj(omega)^T beta|^2 on the alpha branch, |adj(omega) alpha|^2 on the
+    beta branch.  On the constraint Y^2 = X^2 / |v|^2, so the bracket is
+    |v|^2 [1 + 2 (-1)^n (|u|^2 - X / |v|^2) / sqrt(Tp)]^2 expanded, without
+    its division by |v|^2: one formula holds down to v = 0.  Every term is
+    invariant under local rotations, so the sets may come in any local
+    frame.  Items whose ``cause`` is not 0 (a degenerate branch, or a
     radicand below the round-off floor) read 0.  Raises ConstraintError if
     any item meets neither constraint.
     """
-    alpha, beta, omega = (np.ascontiguousarray(x, dtype=float) for x in (alpha, beta, omega))
-    return _concurrence_from_derived(
-        derive_arrays(alpha, beta, omega, tol), upsilon, _dot(alpha, alpha), _dot(beta, beta),
-        m, n, lambda: (alpha, beta, omega),
-    )
+    a, b, w = _batch_components(alpha, beta, omega)
+    return _concurrence_from_derived(_derive_kernel(a, b, w, tol, np.sqrt), a, b, w, m, n)
 
 
-def _concurrence_from_derived(d: DerivedCoefficients, upsilon, al_sq, be_sq, m: int, n: int,
-                              arrays):
+def _concurrence_from_derived(d: DerivedCoefficients, a, b, w, m: int, n: int):
     """:func:`concurrence_closed_form_arrays` on the derived record ``d`` of
-    a batch.
-
-    ``al_sq`` and ``be_sq`` are |alpha|^2 and |beta|^2 with the bits of
-    ``_dot``, which the radical reads; ``arrays`` returns the batch's
-    (alpha, beta, omega) and is called only where the Bloch-modulus route
-    runs.  The floor below which a constrained vector counts as vanishing is
-    relative to the coefficient scale sqrt(upsilon^2 + al_sq + be_sq +
-    ``omega_sq``).
-    """
+    a batch and its components (a, b, w), in the form ``_derive_kernel``
+    takes them, structural zeros included."""
     _check_mn(m, n)
     sq, en, cause = _branch_scales(d, n)
     sn = (-1.0) ** n
-    floor = VECTOR_FLOOR * (np.sqrt(upsilon * upsilon + al_sq + be_sq + d.omega_sq) + _TINY)
-    # v is the constrained vector, u the other one.
-    on_alpha = d.alpha_null & (al_sq >= floor * floor)
-    on_beta = d.beta_null & (be_sq >= floor * floor)
-    v_sq = _where(on_alpha, al_sq, be_sq)
-    u_sq = _where(on_alpha, be_sq, al_sq)
+    on_alpha = d.alpha_null
+    # adj(omega)^T beta = C beta and adj(omega) alpha = C^T alpha, with C
+    # the cofactor matrix.
+    rows = _cofactors(w)
+    c_beta = [c1 * b[0] + c2 * b[1] + c3 * b[2] for c1, c2, c3 in rows]
+    c_alpha = [a[0] * c1 + a[1] * c2 + a[2] * c3 for c1, c2, c3 in zip(*rows)]
+    y_sq = _where(on_alpha, _norm_sq(c_beta), _norm_sq(c_alpha))
+    v_sq = _where(on_alpha, d.alpha_sq, d.beta_sq)
+    u_sq = _where(on_alpha, d.beta_sq, d.alpha_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
-        inner = u_sq - d.beta_adj_alpha / v_sq
-        lift = 1.0 + 2.0 * sn * inner / sq
-        radicand = d.phi / d.theta_phi - v_sq / (en * en) * (lift * lift)
-    bloch = ~(on_alpha | on_beta)
-    if bloch.any():
-        a, _, _ = bloch_closed_form_arrays(*arrays(), d, m, n)
-        a_mod = np.sqrt(_dot(a, a))
-        radicand = _where(bloch, 1.0 - a_mod * a_mod, radicand)
+        lift = 1.0 + 2.0 * sn * u_sq / sq
+        bracket = (v_sq * lift * lift - 4.0 * sn * lift * d.beta_adj_alpha / sq
+                   + 4.0 * y_sq / d.theta_phi)
+        radicand = d.phi / d.theta_phi - bracket / (en * en)
     value, domain_error = _root_of_radicand(radicand)
     cause = _where((cause == CLOSED_FORM) & domain_error, RADICAND_DOMAIN, cause)
     return _where(cause == CLOSED_FORM, value, 0.0), cause, radicand
+
+
+def _norm_sq(v):
+    """|v|^2 of a vector given as three components."""
+    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
 
 
 def eigenstate_concurrence_closed_form(
@@ -255,9 +221,7 @@ def eigenstate_concurrence_closed_form(
     given in.  Raises DegenerateBranchError or ConcurrenceDomainError where
     that function reports a cause, and ConstraintError as it does.
     """
-    value, cause, radicand = concurrence_closed_form_arrays(
-        c.upsilon, c.alpha, c.beta, c.omega, m, n, tol
-    )
+    value, cause, radicand = concurrence_closed_form_arrays(c.alpha, c.beta, c.omega, m, n, tol)
     _raise_for(cause, n, radicand)
     return float(value)
 

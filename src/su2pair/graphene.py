@@ -9,14 +9,15 @@ The mapping lives in one place, :func:`_lattice_layer`: the set's
 components at a batch of wave vectors, with the k-independent ones (alpha,
 beta's third entry, omega's third row and column) as Python floats.  Grid
 sweeps over the Brillouin zone take the structure factor from per-axis
-factors gathered by each chunk's axis indices, run the derive kernel on
-these components without staging coefficient arrays, and feed the CSV
-emitters with the k columns as (axis, index) pairs.  On a grid the seven
-components that vanish by construction (alpha_1, alpha_2, omega's third row
-and column) are the structural zero of :mod:`su2pair._invariants`, so the
-kernel skips every term in them.  :class:`GrapheneParams` refuses
-parameters beyond STRUCTURAL_SCALE, below which no intermediate overflows,
-so every value has the bits of the array functions on the staged sets of
+factors gathered by each chunk's axis indices, run the derive kernel and
+the concurrence radical on these components without staging coefficient
+arrays, and feed the CSV emitters with the k columns as (axis, index)
+pairs.  On a grid the seven components that vanish by construction
+(alpha_1, alpha_2, omega's third row and column) are the structural zero of
+:mod:`su2pair._invariants`, so the kernel and the radical skip every term
+in them.  :class:`GrapheneParams` refuses parameters beyond
+STRUCTURAL_SCALE, below which no intermediate overflows, so every value has
+the bits of the array functions on the staged sets of
 :func:`lattice_layer_arrays`, and a grid raises where they raise.
 
 The thermal curve at one wave vector is :func:`su2pair.thermo.thermal_sweep`
@@ -33,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._invariants import _ZERO, _derive_components, _stack_last
+from ._invariants import _ZERO, _derive_components
 from .entanglement import CLOSED_FORM, _concurrence_from_derived
-from .hamiltonian import DEFAULT_TOL, CoefficientSet, _dot, derive, even_spectrum
+from .hamiltonian import DEFAULT_TOL, CoefficientSet, derive, even_spectrum
 from .thermo import _x_pm, sinh_cosh_gap, thermal_sweep
 
 
@@ -124,8 +125,8 @@ def _lattice_layer(p: GrapheneParams, kx, ky, at=None):
 
     On a grid (``at`` given) alpha_1, alpha_2 and omega's third row and
     column are the structural zero ``_ZERO``, for
-    :func:`~su2pair._invariants._derive_components` only; they are 0.0
-    where the components are staged.
+    :func:`~su2pair._invariants._derive_components` and the concurrence
+    radical only; they are 0.0 where the components are staged.
     """
     g = _structure_factor(p, kx, ky, at)
     re, im = g.real, g.imag
@@ -138,6 +139,20 @@ def _lattice_layer(p: GrapheneParams, kx, ky, at=None):
          [w12, (p.tperp + p.t3 * re) / 2.0, z],
          [z, z, z]],
     )
+
+
+def _stack_last(items, shape) -> np.ndarray:
+    """A list, or a list of lists, of batch values of ``shape`` (scalars
+    broadcast over it) as one array, the nesting as trailing axes."""
+    nesting = (len(items),)
+    if isinstance(items[0], list):
+        nesting, items = (len(items), len(items[0])), [x for row in items for x in row]
+    if not shape:
+        return np.array(items, dtype=float).reshape(nesting)
+    flat = np.empty(shape + (len(items),))
+    for i, x in enumerate(items):
+        flat[..., i] = x
+    return flat.reshape(flat.shape[:-1] + nesting)
 
 
 def lattice_layer_arrays(p: GrapheneParams, kx, ky):
@@ -284,9 +299,8 @@ def concurrence_chunks(p: GrapheneParams, g: GridSpec, m: int = 2, n: int = 1):
     chunk: ``c`` and ``flag`` arrays, and ``kx`` and ``ky`` as in
     :func:`band_chunks`.
 
-    The closed form of ``concurrence_closed_form_arrays`` on the derived
-    record of the chunk's components; the coefficient arrays are staged
-    only where its Bloch-modulus route runs.  Points where the closed form
+    The closed form of ``concurrence_closed_form_arrays`` on the chunk's
+    components and their derived record.  Points where the closed form
     degenerates or leaves its real domain are reported as zero with
     flag = 1, matching the separable-state reading of those regions.
     """
@@ -294,16 +308,7 @@ def concurrence_chunks(p: GrapheneParams, g: GridSpec, m: int = 2, n: int = 1):
     for ix, iy in _grid_chunks(p, g, xs, ys):
         a, b, w = _lattice_layer(p, xs, ys, (ix, iy))
         d = _derive_components(a, b, w, DEFAULT_TOL)
-        shape = ix.shape
-        beta = _stack_last(b, shape)
-        # The radical reads |alpha|^2 and |beta|^2 with _dot's bits, which
-        # can differ from the kernel's beta_sq in the last one.  alpha =
-        # (0, 0, bias/2) has one nonzero term, so its _dot is (bias/2)^2
-        # rounded once, whatever the BLAS's order of summation.
-        c, cause, _ = _concurrence_from_derived(
-            d, 0.0, a[2] * a[2], _dot(beta, beta), m, n,
-            lambda: (_stack_last(a, shape), beta, _stack_last(w, shape)),
-        )
+        c, cause, _ = _concurrence_from_derived(d, a, b, w, m, n)
         yield {"kx": (xs, ix), "ky": (ys, iy), "c": c, "flag": (cause != CLOSED_FORM).astype(int)}
 
 

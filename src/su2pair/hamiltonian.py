@@ -155,13 +155,6 @@ def _dot(x: np.ndarray, y: np.ndarray):
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v for stacks of matrices and vectors."""
-    if v.ndim == 1:
-        return m @ v
-    return (m @ v[..., :, None])[..., 0]
-
-
 def _sum_squares(m: np.ndarray) -> np.ndarray:
     """Sum of the squared entries of each 3x3 matrix (one 9-term pairwise sum)."""
     return (m * m).sum(axis=(-2, -1))
@@ -186,14 +179,14 @@ def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoeffi
     factorization.  Each item's fields are bitwise those of :func:`derive` on that set, in any
     memory order: the kernel works elementwise on component views.
     """
+    return _derive_kernel(*_batch_components(alpha, beta, omega), tol, np.sqrt)
+
+
+def _batch_components(alpha, beta, omega):
+    """A batch's components in the form ``_derive_kernel`` takes: views of
+    alpha, beta and omega with the component axes first."""
     al, be, om = (np.asarray(x, dtype=float) for x in (alpha, beta, omega))
-    return _derive_kernel(
-        np.moveaxis(al, -1, 0),
-        np.moveaxis(be, -1, 0),
-        np.moveaxis(om, (-2, -1), (0, 1)),
-        tol,
-        np.sqrt,
-    )
+    return np.moveaxis(al, -1, 0), np.moveaxis(be, -1, 0), np.moveaxis(om, (-2, -1), (0, 1))
 
 
 def derive(c: CoefficientSet, tol: float = DEFAULT_TOL) -> DerivedCoefficients:

@@ -174,17 +174,20 @@ class ThermalConcurrenceResult:
         return abs(self.value - self.wootters)
 
 
-def flip_local_signs(c: CoefficientSet) -> CoefficientSet:
-    """The spin-flipped coefficient set (alpha, beta) -> (-alpha, -beta)."""
-    return CoefficientSet(c.upsilon, -c.alpha, -c.beta, c.omega)
-
-
 def spin_flip_commutator(c: CoefficientSet) -> tuple[float, bool]:
     """Norm of [H(a,b,w), H(-a,-b,w)] and whether it is negligible, which
-    makes the thermal-concurrence closed form provably exact."""
-    h = fano_compose(c)
-    hf = fano_compose(flip_local_signs(c))
-    norm = max_abs(h @ hf - hf @ h)
+    makes the thermal-concurrence closed form provably exact.
+
+    The commutator is 4i sum_lj N_lj sigma_l (x) sigma_j with
+    N_lj = (alpha x omega[:, j])_l + (beta x omega[l, :])_j, composed in
+    one gather; its norm is the largest modulus of its entries.
+    """
+    a, b, w = c.alpha.tolist(), c.beta.tolist(), c.omega.tolist()
+    # Indices are cyclic: (x cross y)_l = x_{l+1} y_{l+2} - x_{l+2} y_{l+1}.
+    n = [[4.0 * ((a[l - 2] * w[l - 1][j] - a[l - 1] * w[l - 2][j])
+                 + (b[j - 2] * w[l][j - 1] - b[j - 1] * w[l][j - 2])) for j in range(3)]
+         for l in range(3)]
+    norm = max_abs(fano_compose(CoefficientSet(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), n)))
     return norm, norm <= COMMUTATOR_RTOL * (1.0 + c.scale() ** 2)
 
 

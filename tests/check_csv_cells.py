@@ -1,9 +1,10 @@
 """Every CSV cell against ``format_float`` of its value, at volume.
 
 Runs the paper's two 201^2 figure commands, the 201^2 concurrence grid at
-bias 0 (where every point takes the Bloch-modulus route), and a 10000-step
-``thermo`` sweep of each golden set through the CLI (and so ``write_csv``), recomputes the
-same columns through the library, and compares each cell with
+bias 0 (where the constrained vector alpha vanishes at every point), and a
+10000-step ``thermo`` sweep of each golden set through the CLI (and so
+``write_csv``), recomputes the same columns through the library, and
+compares each cell with
 ``format_float`` of its value (``%d`` for integer columns).  The grid
 columns are recomputed on every point at once through
 ``lattice_layer_arrays``, ``derive_arrays`` and
@@ -60,7 +61,7 @@ def bands(alpha, beta, omega):
 
 def concurrence(m, n):
     def columns(alpha, beta, omega):
-        c, cause, _ = concurrence_closed_form_arrays(0.0, alpha, beta, omega, m, n)
+        c, cause, _ = concurrence_closed_form_arrays(alpha, beta, omega, m, n)
         return c, (cause != CLOSED_FORM).astype(int)
     return columns
 
@@ -72,7 +73,7 @@ def cases(workdir: Path):
     argv = ["graphene-concurrence", "--bias", "1", "--branch-n", "2", "--mask", "hex",
             "--grid", "201"]
     yield "concurrence", argv, grid_columns(argv, concurrence(2, 2))
-    # Bias 0: every point takes the Bloch-modulus route, branch (2, 1).
+    # Bias 0: alpha = 0 at every point, branch (2, 1).
     argv = ["graphene-concurrence", "--bias", "0", "--grid", "201"]
     yield "concurrence-bias0", argv, grid_columns(argv, concurrence(2, 1))
     temps = cli._temperatures(0.01, 100.0, STEPS)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from su2pair import thermo
+from su2pair import thermo, verify
 from su2pair.cli import main
 from su2pair.hamiltonian import CaseKind, CoefficientSet
 from su2pair.serialization import coefficient_set_from_dict, format_float
@@ -209,6 +209,21 @@ class TestVerifyCommand:
         assert "product set read flag 2" in lines[1]
         assert lines[2].startswith("thermal-concurrence") and "FAIL" in lines[2]
         assert "commuting family flagged unreliable" in lines[2]
+
+    def test_concurrence_routes_fail_on_nan_where_alpha_vanishes(self, monkeypatch, capsys):
+        """A closed form that reads NaN on the draws whose constrained
+        vector is tiny or zero fails the suite: a NaN deviation is the
+        worst, not dropped by max()."""
+        closed = verify.eigenstate_concurrence_closed_form
+
+        def nan_where_alpha_vanishes(c, m, n):
+            return float("nan") if np.linalg.norm(c.alpha) < 1e-3 else closed(c, m, n)
+
+        monkeypatch.setattr(verify, "eigenstate_concurrence_closed_form", nan_where_alpha_vanishes)
+        argv = ["verify", "--samples", "20", "--seed", "0", "--suite", "concurrence-routes"]
+        assert main(argv) == 1
+        line = capsys.readouterr().out.splitlines()[1]
+        assert line.startswith("concurrence-routes") and "max_dev=nan" in line and "FAIL" in line
 
 
 class TestThermoCommand:

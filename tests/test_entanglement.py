@@ -181,10 +181,8 @@ class TestClosedFormConcurrence:
         """The batch form works off block form: every item equals the
         concurrence of solve's (m, n) state."""
         sets = [random_rotated_constrained(rng)[1] for _ in range(100)]
-        ups, al, be, om = (
-            np.array([getattr(c, f) for c in sets]) for f in ("upsilon", "alpha", "beta", "omega")
-        )
-        value, cause, _ = concurrence_closed_form_arrays(ups, al, be, om, m, n)
+        al, be, om = (np.array([getattr(c, f) for c in sets]) for f in ("alpha", "beta", "omega"))
+        value, cause, _ = concurrence_closed_form_arrays(al, be, om, m, n)
         assert (cause == CLOSED_FORM).all()
         for c, got in zip(sets, value):
             rho = solve(c).state(m, n)
@@ -192,8 +190,8 @@ class TestClosedFormConcurrence:
             assert abs(got - wootters_concurrence(rho)) <= 1e-12
 
     def test_vanishing_constrained_vector_in_any_frame(self, rng):
-        """alpha = 0 with a generic beta takes the Bloch route, as given and
-        after local rotations."""
+        """alpha = 0 with a generic beta: the radical has no division by
+        |alpha|^2, so it holds as given and after local rotations."""
         c = CoefficientSet(0.0, (0, 0, 0), (1.0, 2.0, 0.5), np.diag([1.0, -0.5, 0.0]))
         for cc in (c, rotate_set(c, random_rotation(rng), random_rotation(rng))):
             assert classify(cc).kind is CaseKind.ENTANGLED_CONSTRAINED

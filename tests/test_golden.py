@@ -47,10 +47,15 @@ column did not move.  The graphene-thermal C cells at the Dirac point and at
 25 of its 40 C cells now hold the closed form with x+ = t3 |G|, within
 6.3e-17 of a 60-digit evaluation (CHANGES.md).
 
-The two bias-0 graphene-concurrence CSVs reach the Bloch-modulus route of
-the closed-form concurrence on every point (alpha = 0, and omega . beta
-does not vanish); they were recorded before the Bloch route formed the Ht^2
-components through the derive kernel's own helper, which moved no byte.
+The three graphene-concurrence CSVs were re-pinned when the closed-form
+concurrence became one radical without a division by |v|^2, v the
+constrained vector, and the Bloch-modulus route that had served v = 0 (both
+bias-0 CSVs, alpha = 0 at every point) was deleted.  Against a 40-digit
+evaluation of each point's eigenstate, on the points' double coefficients:
+at bias 1 (hex) 68 of 257 C cells moved and the worst error stayed
+8.9e-15; at bias 0, 419 of 441 moved and the worst error fell from 1.08e-12
+to 1.9e-16; at bias 0, m 0.2 (hex), 233 of 257 moved and it fell from
+8.8e-15 to 2.2e-16.  No flag moved (CHANGES.md).
 """
 
 import contextlib
@@ -108,19 +113,19 @@ CASES = [
         ["graphene-concurrence", "--bias", "1", "--mask", "hex", "--branch-n", "2",
          "--grid", "21"],
         "edd4a055324565b3f75d0fd55d46ac3a276f440506b58430ff9dbfc69a768720",
-        "acf51c98c4891af7093a043fd9523d6365a3e5bea3e3cb81e5c4cfac2e4c7e68",
+        "06742c6f6fe3cfe9fdefdc231a4dc73bf80cacd5c7c2420624d3cb90448e18ab",
     ),
-    # Bias 0 leaves alpha = 0, so every point takes the Bloch-modulus route.
+    # Bias 0 leaves alpha = 0: the constrained vector vanishes at every point.
     (
         ["graphene-concurrence", "--grid", "21"],
         "d5709d3ee12a24a4fbd05ffea26fcb7207ee71d350ea1c9a4aa16add40361d75",
-        "160094b659d31bd6970496eeba58367ada669c53912404e9c79965ad23afb2c3",
+        "bc7605a7cab3e6abf7d8bd62fda2aa3b9579e944a2a1a270bd6a7b3c4539d62a",
     ),
     (
         ["graphene-concurrence", "--bias", "0", "--m", "0.2", "--branch-m", "1",
          "--branch-n", "2", "--mask", "hex", "--grid", "21"],
         "edd4a055324565b3f75d0fd55d46ac3a276f440506b58430ff9dbfc69a768720",
-        "55cec3cf9169fb3109c6837a6abaa748eaebd87b6d6505223d6d390868d68b42",
+        "1d20aeacdfd173ea72a0ac4cf55490beda648ce488ee6dd550662afa2af7e476",
     ),
     (
         ["graphene-thermal", "--steps", "40"],

@@ -36,6 +36,7 @@ from su2pair.graphene import (
 from su2pair.hamiltonian import (
     Branch,
     CaseKind,
+    CoefficientSet,
     classify,
     derive,
     derive_arrays,
@@ -267,6 +268,31 @@ class TestConcurrenceGrid:
             es = solve_entangled(map_to_su2su2(p, kx, ky))
             assert abs(cval - wootters_concurrence(es.state(2, 1))) <= 1e-7
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_bias_zero_matches_dense_eigenvectors(self, m, n):
+        """At bias 0 alpha vanishes at every point, so the radical meets
+        |v| = 0 throughout.  Against 2|psi_00 psi_11 - psi_01 psi_10| of
+        eigh's eigenvectors of each point's composed set, on every point
+        whose level is apart from the others by at least 1e-3 of the
+        spectral scale (all 441 points), the worst error is 2.0e-15 over
+        the four branches; the Bloch-modulus route that served alpha = 0
+        before the radical lost its division by |v|^2 erred by 1.1e-12 on
+        the n = 1 branches."""
+        p = GrapheneParams()
+        data = concurrence_grid(p, default_grid(p, 21), m, n)
+        assert not data["flag"].any()
+        h = np.array([fano_compose(CoefficientSet(0.0, *x))
+                      for x in zip(*lattice_layer_arrays(p, data["kx"], data["ky"]))])
+        e, v = np.linalg.eigh(h)
+        # Levels ascend as -E2, -E1, E1, E2: the (m, n) level is (-1)^m E_n.
+        k = {(1, 2): 0, (1, 1): 1, (2, 1): 2, (2, 2): 3}[(m, n)]
+        psi = v[:, :, k]
+        ref = 2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])
+        gap = np.abs(np.delete(e, k, axis=1) - e[:, k:k + 1]).min(axis=1)
+        apart = gap >= 1e-3 * np.abs(e).max(axis=1)
+        assert apart.sum() >= 400
+        assert np.max(np.abs(data["c"] - ref)[apart]) <= 1e-13
+
 
 def _scalar_concurrence(p, kx, ky, m, n):
     """The per-point closed form, its raise mapped to flag 1 as the grids do."""
@@ -430,12 +456,12 @@ def _holds_zero(value):
 
 
 class TestStructureAwareGridsMatchTheArrayPath:
-    """The grids take G from per-axis factors, run the derive kernel with
-    the k-independent components as scalars and the structural zeros as
-    ``_ZERO``, and read |beta|^2 from _dot; every column must equal the
-    generic array path on the staged sets bit for bit, the Bloch-modulus
-    fallback (bias 0) included, and raise its class where it raises.  No
-    record field and no staged array may hold the structural zero."""
+    """The grids take G from per-axis factors and run the derive kernel and
+    the concurrence radical with the k-independent components as scalars
+    and the structural zeros as ``_ZERO``; every column must equal the
+    generic array path on the staged sets bit for bit, bias 0 (alpha = 0)
+    included, and raise its class where it raises.  No record field and no
+    returned column may hold the structural zero."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -446,16 +472,18 @@ class TestStructureAwareGridsMatchTheArrayPath:
     )
     def test_grids_equal_the_generic_array_path(self, case, m, n, chunk):
         p, g = case
-        inputs, records, staged = [], [], []
+        inputs, records, outputs = [], [], []
 
         def derive_components(a, b, w, tol):
             inputs.append([*a, *b, *w[0], *w[1], *w[2]])
             records.append(_derive_components(a, b, w, tol))
             return records[-1]
 
-        def concurrence_from_derived(d, upsilon, al_sq, be_sq, m, n, arrays):
-            staged.append(arrays)
-            return _concurrence_from_derived(d, upsilon, al_sq, be_sq, m, n, arrays)
+        def concurrence_from_derived(d, a, b, w, m, n):
+            passed = [*a, *b, *w[0], *w[1], *w[2]]
+            assert d is records[-1] and all(x is y for x, y in zip(passed, inputs[-1]))
+            outputs.append(_concurrence_from_derived(d, a, b, w, m, n))
+            return outputs[-1]
 
         with mock.patch.object(graphene, "CHUNK_POINTS", chunk), \
                 mock.patch.object(graphene, "_derive_components", derive_components), \
@@ -466,8 +494,8 @@ class TestStructureAwareGridsMatchTheArrayPath:
         assert not any(_holds_zero(v) for d in records for v in vars(d).values())
         for d in records:
             assert all(np.asarray(v).dtype in (np.float64, np.bool_) for v in vars(d).values())
-        for arrays in staged:
-            assert all(x.dtype == np.float64 for x in arrays())
+        for out in outputs:
+            assert all(isinstance(x, np.ndarray) for x in out)
 
         xs, ys = g.axes()
         kx, ky = np.repeat(xs, ys.size), np.tile(ys, xs.size)
@@ -482,7 +510,7 @@ class TestStructureAwareGridsMatchTheArrayPath:
         columns = lambda data, *names: data if isinstance(data, type) else [data[k] for k in names]
         expected = _outcome(lambda: even_spectrum(derive_arrays(*sets))[1:])
         _assert_same(columns(bands, "e1", "e2"), expected, _bits)
-        expected = _outcome(lambda: concurrence_closed_form_arrays(0.0, *sets, m, n)[:2])
+        expected = _outcome(lambda: concurrence_closed_form_arrays(*sets, m, n)[:2])
         if not isinstance(expected, type):
             c, cause = expected
             expected = [c, (cause != CLOSED_FORM).astype(int)]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2pair._invariants import _derive_components
-from su2pair.entanglement import bloch_closed_form_arrays, eigenstate_bloch_closed_form
+from su2pair.entanglement import bloch_vectors, eigenstate_bloch_closed_form
 from su2pair.errors import ConstraintError, NonHermitianError
 from su2pair.hamiltonian import (
     Branch,
@@ -351,12 +351,11 @@ class TestDerive:
     def test_field_names_are_the_dataclass_fields(self):
         assert DERIVED_FIELDS == tuple(f.name for f in fields(DerivedCoefficients))
 
-    def test_bloch_vectors_bitwise_equal_across_entry_points(self, rng):
+    def test_bloch_vectors_match_solved_states_in_any_frame(self, rng):
         """The Bloch closed form forms the Pauli components of Ht^2 through
-        the derive kernel's helper, on one set's components as Python floats
-        and on a batch's as arrays: one set, a 1-element batch and each item
-        of a mixed batch (every constrained branch, zero-sprinkled and
-        rotated sets) give the same bits."""
+        the derive kernel's helper, on one set's components as Python
+        floats: on every constrained branch, zero-sprinkled and rotated
+        sets, it equals the Bloch vectors of the solved states."""
         sets = []
         for k in range(12):
             c = random_entangled_canonical(rng, ("alpha", "beta", "both")[k % 3])
@@ -366,19 +365,11 @@ class TestDerive:
                 c = rotate_set(c, random_rotation(rng), random_rotation(rng))
             sets.append(c)
         sets += [random_rotated_constrained(rng)[1] for _ in range(4)]
-        al, be, om = (np.array([getattr(c, f) for c in sets]) for f in ("alpha", "beta", "omega"))
-        for m in (1, 2):
-            for n in (1, 2):
-                mixed = bloch_closed_form_arrays(al, be, om, derive_arrays(al, be, om), m, n)
-                assert not mixed[2].any()
-                for i, c in enumerate(sets):
-                    pair = eigenstate_bloch_closed_form(c, m, n)
-                    x = (c.alpha[None], c.beta[None], c.omega[None])
-                    single = bloch_closed_form_arrays(*x, derive_arrays(*x), m, n)
-                    for k, want in enumerate((pair.a_bloch, pair.b_bloch)):
-                        assert single[k].shape == (1, 3)
-                        assert single[k][0].tobytes() == want.tobytes(), (i, m, n)
-                        assert mixed[k][i].tobytes() == want.tobytes(), (i, m, n)
+        for i, c in enumerate(sets):
+            for (m, n), _, rho in solve_entangled(c).items():
+                pair, want = eigenstate_bloch_closed_form(c, m, n), bloch_vectors(rho)
+                assert np.max(np.abs(pair.a_bloch - want.a_bloch)) <= 1e-12, (i, m, n)
+                assert np.max(np.abs(pair.b_bloch - want.b_bloch)) <= 1e-12, (i, m, n)
 
     def test_records_keep_the_frozen_dataclass_contract(self, rng):
         """repr, replace and frozenness are those of a record built through
