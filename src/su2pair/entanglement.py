@@ -190,17 +190,19 @@ def _concurrence_from_derived(d: DerivedCoefficients, a, b, w, m: int, n: int):
     sn = (-1.0) ** n
     on_alpha = d.alpha_null
     # adj(omega)^T beta = C beta and adj(omega) alpha = C^T alpha, with C
-    # the cofactor matrix.
+    # the cofactor matrix.  Y is cubic in the coefficients, so it is scaled
+    # by 1/sqrt(Tp) before it is squared: every intermediate stays at most
+    # quartic, as in the derive kernel.
     rows = _cofactors(w)
     c_beta = [c1 * b[0] + c2 * b[1] + c3 * b[2] for c1, c2, c3 in rows]
     c_alpha = [a[0] * c1 + a[1] * c2 + a[2] * c3 for c1, c2, c3 in zip(*rows)]
-    y_sq = _where(on_alpha, _norm_sq(c_beta), _norm_sq(c_alpha))
     v_sq = _where(on_alpha, d.alpha_sq, d.beta_sq)
     u_sq = _where(on_alpha, d.beta_sq, d.alpha_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
+        y_sq_over_tp = _norm_sq([_where(on_alpha, yb, ya) / sq for yb, ya in zip(c_beta, c_alpha)])
         lift = 1.0 + 2.0 * sn * u_sq / sq
         bracket = (v_sq * lift * lift - 4.0 * sn * lift * d.beta_adj_alpha / sq
-                   + 4.0 * y_sq / d.theta_phi)
+                   + 4.0 * y_sq_over_tp)
         radicand = d.phi / d.theta_phi - bracket / (en * en)
     value, domain_error = _root_of_radicand(radicand)
     cause = _where((cause == CLOSED_FORM) & domain_error, RADICAND_DOMAIN, cause)

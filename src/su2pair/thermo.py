@@ -180,15 +180,20 @@ def spin_flip_commutator(c: CoefficientSet) -> tuple[float, bool]:
 
     The commutator is 4i sum_lj N_lj sigma_l (x) sigma_j with
     N_lj = (alpha x omega[:, j])_l + (beta x omega[l, :])_j, composed in
-    one gather; its norm is the largest modulus of its entries.
+    one gather; its norm is the largest modulus of its entries.  Where N
+    or the bound COMMUTATOR_RTOL (1 + scale^2) overflows, the norm reads inf
+    or the commutator is not negligible: nothing is proved there.
     """
     a, b, w = c.alpha.tolist(), c.beta.tolist(), c.omega.tolist()
     # Indices are cyclic: (x cross y)_l = x_{l+1} y_{l+2} - x_{l+2} y_{l+1}.
     n = [[4.0 * ((a[l - 2] * w[l - 1][j] - a[l - 1] * w[l - 2][j])
                  + (b[j - 2] * w[l][j - 1] - b[j - 1] * w[l][j - 2])) for j in range(3)]
          for l in range(3)]
+    if not np.isfinite(n).all():
+        return math.inf, False
     norm = max_abs(fano_compose(CoefficientSet(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), n)))
-    return norm, norm <= COMMUTATOR_RTOL * (1.0 + c.scale() ** 2)
+    bound = COMMUTATOR_RTOL * (1.0 + c.scale() ** 2)
+    return norm, norm <= bound < math.inf
 
 
 def sinh_cosh_gap(xp, xm, shift):

@@ -293,6 +293,31 @@ class TestConcurrenceGrid:
         assert apart.sum() >= 400
         assert np.max(np.abs(data["c"] - ref)[apart]) <= 1e-13
 
+    @pytest.mark.parametrize("bias", [0.0, 1.0])
+    def test_invariant_under_scaling_every_parameter(self, bias):
+        """Concurrence does not change when H is scaled.  Scaling every
+        parameter by a power of two scales each term of the radical exactly
+        unless one overflows or underflows, so the grid must match the
+        unscaled one bit for bit, flags included, up to STRUCTURAL_SCALE.
+        Far below unit scale the absolute floor of the degeneracy test
+        flags every point, so there the radicands are compared.  Squaring
+        the cubic |adj(omega)^T beta| before dividing it by Tp overflowed
+        at the large scales and underflowed at the small one."""
+        base = GrapheneParams(t=1.0, t3=0.7, tperp=0.9, m=0.2, bias=bias)
+        g = default_grid(base, 21, "hex")
+        ref = concurrence_grid(base, g)
+        layer = lambda p: lattice_layer_arrays(p, ref["kx"], ref["ky"])
+        radicand = lambda p: concurrence_closed_form_arrays(*layer(p), 2, 1)[2]
+        for k in (182, 198, -182):
+            s = 2.0**k
+            p = GrapheneParams(t=s, t3=0.7 * s, tperp=0.9 * s, m=0.2 * s, bias=bias * s)
+            with np.errstate(all="ignore"):
+                assert _bits(radicand(p)) == _bits(radicand(base))
+                if k > 0:
+                    data = concurrence_grid(p, g)
+                    assert _bits(data["c"]) == _bits(ref["c"])
+                    assert data["flag"].tolist() == ref["flag"].tolist()
+
 
 def _scalar_concurrence(p, kx, ky, m, n):
     """The per-point closed form, its raise mapped to flag 1 as the grids do."""

@@ -24,6 +24,7 @@ from su2pair.solver import Su2Factor, factor_dyadic, solve_entangled, solve_sepa
 from su2pair.thermo import (
     SWEEP_BLOCK,
     EnsembleBranch,
+    spin_flip_commutator,
     thermal_concurrence,
     thermal_report,
     thermal_state,
@@ -429,6 +430,18 @@ class TestThermalSweep:
         assert abs(pur[0] - 1.0) <= 1e-12
         assert abs(pur[-1] - floor) <= 1e-10
         assert np.all(pur >= floor * (1.0 - 1e-12)) and np.all(pur <= 1.0 + 1e-12)
+
+    def test_overflowing_commutator_proves_nothing(self):
+        """A canonical alpha-branch set scaled by 1e160 has an N that
+        overflows, and one scaled by 1e154 a bound COMMUTATOR_RTOL (1 +
+        scale^2) that does: neither commutator is negligible, and the sweep
+        flags the set 1 instead of raising on the set it composes."""
+        c = random_entangled_canonical(np.random.default_rng(0), "alpha")
+        scaled = lambda s: CoefficientSet(c.upsilon * s, c.alpha * s, c.beta * s, c.omega * s)
+        with np.errstate(all="ignore"):
+            assert spin_flip_commutator(scaled(1e160)) == (math.inf, False)
+            assert not spin_flip_commutator(scaled(1e154))[1]
+            assert thermal_sweep(scaled(1e154), np.array([1.0]))["flag"].tolist() == [1]
 
 
 class TestWernerGibbsStates:
