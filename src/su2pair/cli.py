@@ -27,7 +27,6 @@ from .serialization import (
 )
 from .solver import solve
 from .thermo import EnsembleBranch, thermal_sweep
-from .verify import run_suites, report_lines
 
 # Largest accepted --grid and --steps, refused before any work.  On a 2-CPU
 # Xeon host a grid command costs about 0.8 us a k-point at 201^2 (more than
@@ -208,6 +207,10 @@ def cmd_quartic(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here so that no other subcommand pays for loading the suites
+    # and their samplers.
+    from .verify import report_lines, run_suites
+
     if args.samples < 1:
         raise InputFormatError("--samples must be at least 1")
     try:

@@ -22,6 +22,7 @@ from .hamiltonian import (
     CoefficientSet,
     DerivedCoefficients,
     _batch_components,
+    _float_components,
     _where,
     derive,
     even_spectrum,
@@ -184,7 +185,7 @@ def concurrence_closed_form_arrays(alpha, beta, omega, m: int, n: int,
 def _concurrence_from_derived(d: DerivedCoefficients, a, b, w, m: int, n: int):
     """:func:`concurrence_closed_form_arrays` on the derived record ``d`` of
     a batch and its components (a, b, w), in the form ``_derive_kernel``
-    takes them, structural zeros included."""
+    takes them, structural zeros included, or of one set as Python floats."""
     _check_mn(m, n)
     sq, en, cause = _branch_scales(d, n)
     sn = (-1.0) ** n
@@ -220,10 +221,17 @@ def eigenstate_concurrence_closed_form(
     """Concurrence of the (m, n) eigenstate from the coefficients alone.
 
     :func:`concurrence_closed_form_arrays` on one set, in the frame it is
-    given in.  Raises DegenerateBranchError or ConcurrenceDomainError where
-    that function reports a cause, and ConstraintError as it does.
+    given in, run on :func:`derive` and the set's components as Python
+    floats: the same arithmetic, so the same bits.  Raises
+    DegenerateBranchError or ConcurrenceDomainError where that function
+    reports a cause, and ConstraintError as it does.
     """
-    value, cause, radicand = concurrence_closed_form_arrays(c.alpha, c.beta, c.omega, m, n, tol)
+    d = derive(c, tol)
+    _check_mn(m, n)
+    # A degenerate branch can leave a zero denominator in the radical, on
+    # which Python floats raise: it is refused first.
+    _raise_for(_branch_scales(d, n)[2], n)
+    value, cause, radicand = _concurrence_from_derived(d, *_float_components(c), m, n)
     _raise_for(cause, n, radicand)
     return float(value)
 

@@ -189,17 +189,20 @@ def _batch_components(alpha, beta, omega):
     return np.moveaxis(al, -1, 0), np.moveaxis(be, -1, 0), np.moveaxis(om, (-2, -1), (0, 1))
 
 
+def _float_components(c: CoefficientSet):
+    """One set's components in the form ``_derive_kernel`` takes, as Python
+    floats from one ``tolist()`` of its packed vector: alpha, beta and the
+    rows of omega."""
+    _, a1, a2, a3, b1, b2, b3, w11, w12, w13, w21, w22, w23, w31, w32, w33 = c.packed.tolist()
+    return (a1, a2, a3), (b1, b2, b3), ((w11, w12, w13), (w21, w22, w23), (w31, w32, w33))
+
+
 def derive(c: CoefficientSet, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
     """:func:`derive_arrays` on one set, with Python floats and bools as scalars.
 
-    The same kernel runs on the set's components as Python floats, from
-    one ``tolist()`` of its packed vector.
+    The same kernel runs on the set's components as Python floats.
     """
-    _, a1, a2, a3, b1, b2, b3, w11, w12, w13, w21, w22, w23, w31, w32, w33 = c.packed.tolist()
-    return _derive_kernel(
-        (a1, a2, a3), (b1, b2, b3), ((w11, w12, w13), (w21, w22, w23), (w31, w32, w33)),
-        tol, math.sqrt,
-    )
+    return _derive_kernel(*_float_components(c), tol, math.sqrt)
 
 
 def even_spectrum(d: DerivedCoefficients):
@@ -243,7 +246,6 @@ def _unconstrained_message(d: DerivedCoefficients) -> str:
 
 class CaseKind(enum.Enum):
     SEPARABLE_DYADIC = "separable-dyadic"
-    DIAGONAL_OMEGA = "diagonal-omega"
     ENTANGLED_CONSTRAINED = "entangled-constrained"
     GENERAL = "general"
 
@@ -256,19 +258,11 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """The case of a coefficient set, the residuals that decided it, and the
-    work :func:`classify` did on the way: ``derived`` is :func:`derive` of the
-    set at the same ``tol`` and ``leading`` the leading singular triple
-    (s1, u, v) of omega, None when omega counts as zero.
-    """
+    """The case of a coefficient set and the residuals that decided it."""
 
     kind: CaseKind
     branch: Branch | None = None
     residuals: dict[str, float] = field(default_factory=dict)
-    derived: DerivedCoefficients | None = field(default=None, repr=False, compare=False)
-    leading: tuple[float, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __str__(self):
         if self.branch is None:
@@ -321,9 +315,6 @@ def _ratio(num: float, den: float) -> float:
     return float(num / den) if den > 0.0 else 0.0
 
 
-# Flat indices of the off-diagonal entries of a 3x3 matrix.
-_OFFDIAGONAL = (1, 2, 3, 5, 6, 7)
-
 # The rank-one screen of `_decide`.  Over the singular values s1 >= s2 >= s3
 # of omega, |adj omega|_F^2 = s1^2 s2^2 + s1^2 s3^2 + s2^2 s3^2 <= 3 s1^2 s2^2
 # and s1 <= |omega|_F, so |adj omega|_F > sqrt(3) tol |omega|_F^2 gives
@@ -345,7 +336,7 @@ def _decide(c: CoefficientSet, tol: float):
 
     ``kind`` is separable-dyadic, entangled-constrained (with ``branch``
     naming the gates that hold) or general, which stands for every set
-    without a closed form; :func:`classify` tells diagonal-omega apart.
+    without a closed form, diagonal omega included.
     ``derived`` is :func:`derive` of the set.  ``dyadic`` and ``leading``
     are the residuals and singular triple of :func:`_dyadic_residuals`, or
     None when the adjugate of omega already shows it is not rank one, which
@@ -375,38 +366,31 @@ def _decide(c: CoefficientSet, tol: float):
 def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
     """Assign the coefficient set to one of the solvable cases.
 
-    Precedence: separable-dyadic, then entangled-constrained, then
-    diagonal-omega, then the general catch-all.  A set is
-    entangled-constrained exactly when a constraint gate of :func:`derive`
-    holds, in whatever local frame it is given; the branch names the gates
-    that hold.  The entangled case comes before the diagonal one because a
-    constrained set admits the closed-form eigensystem whatever its omega.
-    The label is the route :func:`_decide` picks, with general sets whose
-    omega is diagonal within ``tol`` told apart; the residuals report every
-    test, the product-form ones included.
+    Precedence: separable-dyadic, then entangled-constrained, then the
+    general catch-all.  A set is entangled-constrained exactly when a
+    constraint gate of :func:`derive` holds, in whatever local frame it is
+    given; the branch names the gates that hold.  The label is the route
+    :func:`_decide` picks; the residuals report every test, the
+    product-form ones included.
 
     All residuals are relative, so labels are invariant under a global
     rescaling of the set.  Raises ValueError unless ``tol`` is positive and
     finite.
     """
-    kind, branch, d, leading, residuals = _decide(c, tol)
+    kind, branch, d, _, residuals = _decide(c, tol)
     if residuals is None:
-        residuals, leading = _dyadic_residuals(c, d, tol)
+        residuals, _ = _dyadic_residuals(c, d, tol)
     om_norm = math.sqrt(d.omega_sq)
     al_norm, be_norm = math.sqrt(d.alpha_sq), math.sqrt(d.beta_sq)
-    om_abs = [abs(x) for x in c.packed[7:].tolist()]
     residuals.update(
         {
             "alpha_constraint": _ratio(d.alpha_residual, om_norm * al_norm),
             "beta_constraint": _ratio(d.beta_residual, om_norm * be_norm),
             "det_omega": d.singular_residual,
             "s_cubic": _ratio(abs(d.s_cubic), om_norm * al_norm * be_norm),
-            "offdiagonal": _ratio(max(om_abs[k] for k in _OFFDIAGONAL), max(om_abs)),
         }
     )
-    if kind is CaseKind.GENERAL and residuals["offdiagonal"] <= tol:
-        kind = CaseKind.DIAGONAL_OMEGA
-    return Classification(kind, branch, residuals, derived=d, leading=leading)
+    return Classification(kind, branch, residuals)
 
 
 # --- local rotations ------------------------------------------------------------

@@ -357,8 +357,8 @@ def solve(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
 
     Product-form sets take the separable closed form and constrained sets
     the entangled closed form, in whatever local frame they are given: the
-    ansatz is covariant under local rotations.  Everything else,
-    diagonal-omega sets included, is solved numerically.  The route comes
+    ansatz is covariant under local rotations.  Every general set, one
+    with diagonal omega included, is solved numerically.  The route comes
     from :func:`_decide` with the derived coefficients, and omega's singular
     triple where the product test needed it, so a set is derived once and
     decomposed at most once.  Raises ValueError unless ``tol`` is positive

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import su2pair
 from su2pair import thermo, verify
 from su2pair.cli import main
 from su2pair.hamiltonian import CaseKind, CoefficientSet
@@ -125,6 +130,31 @@ class TestClassifyCommand:
         out = capsys.readouterr().out
         assert "entangled-constrained" in out
         assert "residual" in out
+
+    def test_diagonal_omega_is_general(self, tmp_path, capsys):
+        path = tmp_path / "xyz.json"
+        path.write_text(json.dumps(XYZ))
+        assert main(["classify", "--input", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "case: general"
+        assert [line.split()[1] for line in lines[1:]] == [
+            "alpha_constraint", "beta_constraint", "det_omega", "factor_consistency",
+            "rank1", "s_cubic",
+        ]
+
+
+def test_cli_import_leaves_verify_unloaded():
+    """Only the verify subcommand loads the suites and their samplers."""
+    probe = (
+        "import sys, su2pair.cli; "
+        "print(sorted({'su2pair.verify', 'su2pair.sampling'} & set(sys.modules)))"
+    )
+    src = str(Path(su2pair.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestQuarticCommand:

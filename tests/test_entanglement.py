@@ -179,12 +179,14 @@ class TestClosedFormConcurrence:
     @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_batch_of_rotated_sets_matches_solved_states(self, rng, m, n):
         """The batch form works off block form: every item equals the
-        concurrence of solve's (m, n) state."""
+        concurrence of solve's (m, n) state, and the scalar form bit for bit."""
         sets = [random_rotated_constrained(rng)[1] for _ in range(100)]
         al, be, om = (np.array([getattr(c, f) for c in sets]) for f in ("alpha", "beta", "omega"))
         value, cause, _ = concurrence_closed_form_arrays(al, be, om, m, n)
         assert (cause == CLOSED_FORM).all()
         for c, got in zip(sets, value):
+            scalar = eigenstate_concurrence_closed_form(c, m, n)
+            assert np.float64(scalar).tobytes() == got.tobytes()
             rho = solve(c).state(m, n)
             assert abs(got - pure_concurrence(rho)) <= 1e-12
             assert abs(got - wootters_concurrence(rho)) <= 1e-12

@@ -503,7 +503,7 @@ class TestConstraintGate:
         assert not d.alpha_null and not d.beta_null
         with pytest.raises(ConstraintError):
             even_spectrum(d)
-        assert classify(XYZ_EXCHANGE).kind is CaseKind.DIAGONAL_OMEGA
+        assert classify(XYZ_EXCHANGE).kind is CaseKind.GENERAL
 
 
 class TestPaperTypoCrossChecks:
@@ -640,9 +640,11 @@ class TestClassify:
 
     def test_diagonal_label(self, rng):
         # Full-rank diagonal omega with generic local vectors: no constraint,
-        # not factorizable, but diagonal.
+        # not factorizable, so general like any other set without a closed form.
         c = CoefficientSet(0.3, (1, 2, 3), (3, 1, 2), np.diag([1.0, 2.0, 3.0]))
-        assert classify(c).kind is CaseKind.DIAGONAL_OMEGA
+        label = classify(c)
+        assert label.kind is CaseKind.GENERAL and str(label) == "general"
+        assert "offdiagonal" not in label.residuals
 
     def test_general_label(self, rng):
         for _ in range(20):

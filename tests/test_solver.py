@@ -421,7 +421,7 @@ class TestSolveDispatch:
         # alpha_3 = beta_3 = 1e308 and omega = 1e308 I: the diagonal entries
         # sum three of them.  (upsilon = alpha_3 = 1e308 is a product set.)
         overflow = CoefficientSet(0.0, (0, 0, 1e308), (0, 0, 1e308), 1e308 * np.eye(3))
-        assert classify(overflow).kind is CaseKind.DIAGONAL_OMEGA
+        assert classify(overflow).kind is CaseKind.GENERAL
         with np.errstate(over="ignore"), pytest.raises(NonHermitianError, match="non-finite"):
             solve(overflow)
         assert calls == ["eig_hermitian input"]
@@ -448,8 +448,8 @@ class TestSolveDispatch:
 def _route_sets():
     """Sets for every route of solve: product sets (omega = 0 among them),
     constrained sets on each branch, canonical and rotated, a constrained
-    set whose closed form declines to the oracle, diagonal-omega and
-    general sets."""
+    set whose closed form declines to the oracle, and general sets,
+    diagonal omega among them."""
     rng = np.random.default_rng(29)
     sets = [
         CoefficientSet(0.5, (0, 0, 0), (1.0, 0.0, 2.0), np.zeros((3, 3))),
