@@ -16,7 +16,6 @@ from .entanglement import (
     pure_concurrence,
 )
 from .errors import (
-    CaseReductionError,
     ConcurrenceDomainError,
     ConstraintError,
     DegenerateBranchError,
@@ -85,9 +84,9 @@ __all__ = [
     "eigenstate_bloch_closed_form", "eigenstate_concurrence_closed_form",
     "pure_concurrence",
     # errors
-    "CaseReductionError", "ConcurrenceDomainError", "ConstraintError",
-    "DegenerateBranchError", "DensityMatrixError", "FactorizationError",
-    "InputFormatError", "InvariantViolation", "NonHermitianError",
+    "ConcurrenceDomainError", "ConstraintError", "DegenerateBranchError",
+    "DensityMatrixError", "FactorizationError", "InputFormatError",
+    "InvariantViolation", "NonHermitianError",
     # graphene
     "GrapheneParams", "GridSpec", "band_grid", "concurrence_grid",
     "default_grid", "find_dirac_point", "map_to_su2su2",

@@ -197,7 +197,11 @@ def _derive_kernel(a, b, w, tol: float, sqrt) -> DerivedCoefficients:
     IEEE + - * / sqrt and exact selections in every case, so batch items and
     single sets carry the same bits whatever the memory layout or the BLAS
     build, and a field that no batch component reaches stays a scalar.
+    Every derived record is made here, so this is where ``tol`` is checked:
+    ValueError unless it is positive and finite.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     a1, a2, a3 = a
     b1, b2, b3 = b
     (w11, w12, w13), (w21, w22, w23), (w31, w32, w33) = w

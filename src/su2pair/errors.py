@@ -22,10 +22,6 @@ class FactorizationError(InvariantViolation):
     """Coefficient set is not consistent with a tensor-product factorization."""
 
 
-class CaseReductionError(InvariantViolation):
-    """The rank-one reduction behind the secular quartic does not apply."""
-
-
 class DensityMatrixError(InvariantViolation):
     """Input is not a valid density matrix within tolerance."""
 

@@ -341,10 +341,8 @@ def _decide(c: CoefficientSet, tol: float):
     are the residuals and singular triple of :func:`_dyadic_residuals`, or
     None when the adjugate of omega already shows it is not rank one, which
     spares the SVD.  Raises ValueError unless ``tol`` is positive and
-    finite.
+    finite, as :func:`derive` does.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
     d = derive(c, tol)
     dyadic = leading = None
     screen = max((_SQRT3 * tol + _ADJ_SLACK) * d.omega_sq, _ADJ_FLOOR)

@@ -3,8 +3,8 @@
 Separable product Hamiltonians factor into two single-qubit problems; sets
 satisfying one of the contraction constraints admit an even quartic spectrum
 and a polynomial eigenprojector ansatz; everything else falls back to the
-numerical oracle.  The secular quartic of rank-one-reducible sets is
-available through :func:`secular_coefficients`.
+numerical oracle.  The secular quartic of every set, whose roots plus
+upsilon are its spectrum, is available through :func:`secular_coefficients`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseReductionError, FactorizationError
+from .errors import FactorizationError
 from .hamiltonian import (
     DEFAULT_TOL,
     DEGENERACY_RTOL,
@@ -282,22 +282,20 @@ def _solve_entangled(c: CoefficientSet, d: DerivedCoefficients) -> Eigensystem:
 # --- quartic / oracle routes ----------------------------------------------------
 
 
-def secular_coefficients(
-    d: DerivedCoefficients, tol: float = DEFAULT_TOL
-) -> tuple[float, float, float, float, float]:
-    """Coefficients (1, 0, -2V, -8s, V^2 - Theta) of the secular quartic.
+def secular_coefficients(d: DerivedCoefficients) -> tuple[float, float, float, float, float]:
+    """Coefficients (1, 0, -2V, -8(s - det omega), V^2 - Theta) of the secular
+    quartic, whose roots plus upsilon are the spectrum of any set.
 
-    Valid when the rank-one reduction holds, i.e. omega is singular; the
-    cubic invariant of the shifted spectrum is -8(s - det omega), so an
-    omega whose ``singular_residual`` exceeds ``tol`` falsifies the linear
-    coefficient and is an error.
+    Newton's identities on the traceless part Ht give them from its power
+    sums Tr Ht^2 = 4V, Tr Ht^3 = 24(s - det omega) and Tr Ht^4 = 4(V^2 + Theta).
+    The fields of a :func:`~su2pair.hamiltonian.derive_arrays` record
+    broadcast, so it gives every item's coefficients, each with the bits of
+    the single-set call.  Near-degenerate roots lose accuracy as in any
+    closed-form quartic: roots a relative gap g apart err by about eps / g^2,
+    and by up to eps^(1/3) (~6e-6) where three roots meet.
     """
-    if d.singular_residual > tol:
-        raise CaseReductionError(
-            f"det(omega) = {d.det_omega:.3e} (residual {d.singular_residual:.3e}) "
-            "invalidates the rank-one reduction"
-        )
-    return (1.0, 0.0, -2.0 * d.v_quad, -8.0 * d.s_cubic, d.v_quad**2 - d.theta)
+    return (1.0, 0.0, -2.0 * d.v_quad, -8.0 * (d.s_cubic - d.det_omega),
+            d.v_quad * d.v_quad - d.theta)
 
 
 def _cluster(values: list[float], floor: float) -> list[list[int]]:

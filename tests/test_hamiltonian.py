@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import fields, replace
 
@@ -7,7 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2pair._invariants import _derive_components
-from su2pair.entanglement import bloch_vectors, eigenstate_bloch_closed_form
+from su2pair.entanglement import (
+    bloch_vectors,
+    concurrence_closed_form_arrays,
+    eigenstate_bloch_closed_form,
+    eigenstate_concurrence_closed_form,
+)
 from su2pair.errors import ConstraintError, NonHermitianError
 from su2pair.hamiltonian import (
     Branch,
@@ -24,13 +30,14 @@ from su2pair.hamiltonian import (
     rotate_set,
 )
 from su2pair.pauli import _WORDS, pauli
-from su2pair.solver import SolveMethod, solve_entangled
+from su2pair.solver import SolveMethod, solve, solve_entangled
 from su2pair.sampling import (
     random_coefficient_set,
     random_entangled_canonical,
     random_rotated_constrained,
     random_rotation,
 )
+from su2pair.thermo import thermal_sweep
 
 from references import case01_theta, random_hermitian, random_unitary, traceless
 
@@ -698,9 +705,23 @@ class TestClassify:
     def test_degeneracy_flag_invariant_under_rescaling(self, c, lam):
         assert _closed_form_declined(_scaled(c, lam)) == _closed_form_declined(c)
 
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            classify(ENTANGLED_EXAMPLE, tol=0.0)
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda c, tol: derive(c, tol),
+        lambda c, tol: derive_arrays(c.alpha, c.beta, c.omega, tol),
+        lambda c, tol: concurrence_closed_form_arrays(c.alpha, c.beta, c.omega, 1, 1, tol),
+        lambda c, tol: eigenstate_concurrence_closed_form(c, 1, 1, tol),
+        lambda c, tol: eigenstate_bloch_closed_form(c, 1, 1, tol),
+        lambda c, tol: classify(c, tol),
+        lambda c, tol: solve(c, tol),
+        lambda c, tol: thermal_sweep(c, [1.0], tol=tol),
+    ], ids=["derive", "derive_arrays", "concurrence_closed_form_arrays",
+            "eigenstate_concurrence_closed_form", "eigenstate_bloch_closed_form",
+            "classify", "solve", "thermal_sweep"])
+    def test_tol_must_be_positive_and_finite(self, call, tol):
+        """Every derived record is made by one kernel, which checks tol."""
+        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+            call(ENTANGLED_EXAMPLE, tol)
 
 
 class TestRotations:

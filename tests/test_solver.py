@@ -3,7 +3,6 @@ import pytest
 
 from su2pair import hamiltonian, solver
 from su2pair.errors import (
-    CaseReductionError,
     ConstraintError,
     FactorizationError,
     NonHermitianError,
@@ -13,6 +12,7 @@ from su2pair.hamiltonian import (
     CoefficientSet,
     classify,
     derive,
+    derive_arrays,
     even_spectrum,
     fano_compose,
     rotate_set,
@@ -70,14 +70,38 @@ class TestSecularCoefficients:
         assert np.allclose(np.sort(roots.real), [-2, -2, 0, 4], atol=1e-8)
         assert np.allclose(np.sort(roots.real) + c.upsilon, [0, 0, 2, 6], atol=1e-8)
 
-    def test_full_rank_omega_rejected(self):
-        # The exchange operator sum_i s_i (x) s_i has det(omega) = 1; the
-        # rank-one reduction behind the -8s coefficient fails there (the
-        # true spectrum {1,1,1,-3} is not even), so this must raise rather
-        # than return a wrong quartic.
+    def test_exchange_operator(self):
+        """sum_i s_i (x) s_i has det(omega) = 1 and the uneven spectrum
+        {1, 1, 1, -3}: its quartic is (x - 1)^3 (x + 3)."""
         d = derive(CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.eye(3)))
-        with pytest.raises(CaseReductionError):
-            secular_coefficients(d)
+        coeffs = secular_coefficients(d)
+        assert coeffs == (1.0, 0.0, -6.0, 8.0, -3.0)
+        # A triple root is resolved to about eps^(1/3) at worst.
+        roots = np.sort(solve_quartic(*coeffs).real)
+        assert np.max(np.abs(roots - [-3, 1, 1, 1])) <= 1e-5
+
+    def test_roots_are_the_spectrum_of_every_set(self):
+        """The quartic's roots plus upsilon are the spectrum of generic sets
+        at scales 10^-3 .. 10^3, full-rank omega included."""
+        rng = np.random.default_rng(2008)
+        worst = 0.0
+        for _ in range(1000):
+            c = random_coefficient_set(rng, 10.0 ** rng.uniform(-3, 3))
+            want = np.linalg.eigvalsh(fano_compose(c))
+            roots = solve_quartic(*secular_coefficients(derive(c)))
+            err = np.max(np.abs(np.sort(roots.real) + c.upsilon - want))
+            worst = max(worst, err / (1 + np.max(np.abs(want))))
+        assert worst <= 1e-12
+
+    def test_batch_items_equal_single_sets(self, rng):
+        sets = [random_coefficient_set(rng, 10.0 ** k) for k in range(-3, 4)]
+        sets.append(CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.eye(3)))
+        batch = secular_coefficients(derive_arrays(
+            [c.alpha for c in sets], [c.beta for c in sets], [c.omega for c in sets]
+        ))
+        for i, c in enumerate(sets):
+            item = np.array([np.broadcast_to(x, (len(sets),))[i] for x in batch])
+            assert item.tobytes() == np.array(secular_coefficients(derive(c))).tobytes()
 
     def test_rank_two_diagonal_with_fields_is_exact(self, rng):
         """det(omega) = 0 keeps the quartic exact even at rank two."""

@@ -7,7 +7,7 @@ from pathlib import Path
 import su2pair
 
 PUBLIC = [
-    "BlochPair", "Branch", "CaseKind", "CaseReductionError", "Classification",
+    "BlochPair", "Branch", "CaseKind", "Classification",
     "CoefficientSet", "ConcurrenceDomainError", "ConstraintError",
     "DegenerateBranchError", "DensityMatrixError", "DerivedCoefficients",
     "Eigensystem", "EnsembleBranch", "FactorizationError", "GrapheneParams",
