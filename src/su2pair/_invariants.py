@@ -36,6 +36,11 @@ import numpy as np
 
 _TINY = float(np.finfo(float).tiny)
 
+# The relative tolerance of the constraint gates and of case detection:
+# the derive gates here, classify's product test and factor_dyadic.  The
+# other thresholds sit beside it in hamiltonian (README "Tolerances").
+DEFAULT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DerivedCoefficients:
@@ -185,7 +190,7 @@ def _cofactors(w):
             [w12 * w23 - w13 * w22, w13 * w21 - w11 * w23, w11 * w22 - w12 * w21]]
 
 
-def _derive_kernel(a, b, w, tol: float, sqrt) -> DerivedCoefficients:
+def _derive_kernel(a, b, w, sqrt) -> DerivedCoefficients:
     """Every field of :class:`DerivedCoefficients` as straight-line arithmetic.
 
     ``a`` and ``b`` hold the three components of alpha and beta, ``w`` the
@@ -197,11 +202,8 @@ def _derive_kernel(a, b, w, tol: float, sqrt) -> DerivedCoefficients:
     IEEE + - * / sqrt and exact selections in every case, so batch items and
     single sets carry the same bits whatever the memory layout or the BLAS
     build, and a field that no batch component reaches stays a scalar.
-    Every derived record is made here, so this is where ``tol`` is checked:
-    ValueError unless it is positive and finite.
+    The constraint gates are decided here, at ``DEFAULT_TOL``.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
     a1, a2, a3 = a
     b1, b2, b3 = b
     (w11, w12, w13), (w21, w22, w23), (w31, w32, w33) = w
@@ -261,10 +263,10 @@ def _derive_kernel(a, b, w, tol: float, sqrt) -> DerivedCoefficients:
     # A vanishing constrained vector leaves the secular quartic's linear
     # term -8(s - det omega), so omega must be singular as well; for a
     # non-negligible vector that follows from the contraction itself.
-    singular = singular_residual <= tol
+    singular = singular_residual <= DEFAULT_TOL
     alpha_residual, beta_residual = sqrt(ra), sqrt(rb)
-    alpha_null = (alpha_residual <= tol * (om_norm * sqrt(al_sq) + _TINY)) & singular
-    beta_null = (beta_residual <= tol * (om_norm * sqrt(be_sq) + _TINY)) & singular
+    alpha_null = (alpha_residual <= DEFAULT_TOL * (om_norm * sqrt(al_sq) + _TINY)) & singular
+    beta_null = (beta_residual <= DEFAULT_TOL * (om_norm * sqrt(be_sq) + _TINY)) & singular
 
     # |b|^2 = 4 alpha.omega.omega^T.alpha enters when omega.beta = 0,
     # |a|^2 = 4 beta.omega^T.omega.beta when alpha.omega = 0; on the
@@ -301,11 +303,11 @@ def _sqrt_batch(x):
     return x if x is _ZERO else np.sqrt(x)
 
 
-def _derive_components(a, b, w, tol: float) -> DerivedCoefficients:
+def _derive_components(a, b, w) -> DerivedCoefficients:
     """:func:`_derive_kernel` on a batch's components, any of which may be the
     structural zero ``_ZERO``; a field the kernel leaves as ``_ZERO`` reads
     0.0 in the record, so no record field holds it."""
-    d = _derive_kernel(a, b, w, tol, _sqrt_batch)
+    d = _derive_kernel(a, b, w, _sqrt_batch)
     state = d.__dict__
     for name, value in state.items():
         if value is _ZERO:

@@ -17,7 +17,6 @@ import numpy as np
 from ._invariants import _cofactors, _derive_kernel, _ht2_parts
 from .errors import ConcurrenceDomainError, DegenerateBranchError, DensityMatrixError
 from .hamiltonian import (
-    DEFAULT_TOL,
     DEGENERACY_RTOL,
     CoefficientSet,
     DerivedCoefficients,
@@ -110,9 +109,7 @@ def _raise_for(cause: int, n: int, radicand: float = 0.0):
         )
 
 
-def eigenstate_bloch_closed_form(
-    c: CoefficientSet, m: int, n: int, tol: float = DEFAULT_TOL
-) -> BlochPair:
+def eigenstate_bloch_closed_form(c: CoefficientSet, m: int, n: int) -> BlochPair:
     """Bloch vectors of the (m, n) eigenstate from the coefficients alone.
 
     Valid for constraint-satisfying sets with a non-degenerate spectrum;
@@ -122,7 +119,7 @@ def eigenstate_bloch_closed_form(
     components as Python floats, as :func:`derive` takes them.
     """
     _check_mn(m, n)
-    sq, en, cause = _branch_scales(derive(c, tol), n)
+    sq, en, cause = _branch_scales(derive(c), n)
     _raise_for(cause, n)
     alpha, beta, omega = c.alpha, c.beta, c.omega
     alpha_omega, omega_beta, w_rows = _ht2_parts(alpha.tolist(), beta.tolist(), omega.tolist())
@@ -157,8 +154,7 @@ def _concurrence_from_radicand(radicand: float) -> float:
     return float(value)
 
 
-def concurrence_closed_form_arrays(alpha, beta, omega, m: int, n: int,
-                                   tol: float = DEFAULT_TOL):
+def concurrence_closed_form_arrays(alpha, beta, omega, m: int, n: int):
     """(concurrence, cause, radicand) of the (m, n) eigenstates of a batch.
 
     Uses the constraint-resolved radical, with v the constrained vector
@@ -179,7 +175,7 @@ def concurrence_closed_form_arrays(alpha, beta, omega, m: int, n: int,
     any item meets neither constraint.
     """
     a, b, w = _batch_components(alpha, beta, omega)
-    return _concurrence_from_derived(_derive_kernel(a, b, w, tol, np.sqrt), a, b, w, m, n)
+    return _concurrence_from_derived(_derive_kernel(a, b, w, np.sqrt), a, b, w, m, n)
 
 
 def _concurrence_from_derived(d: DerivedCoefficients, a, b, w, m: int, n: int):
@@ -215,9 +211,7 @@ def _norm_sq(v):
     return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
 
 
-def eigenstate_concurrence_closed_form(
-    c: CoefficientSet, m: int, n: int, tol: float = DEFAULT_TOL
-) -> float:
+def eigenstate_concurrence_closed_form(c: CoefficientSet, m: int, n: int) -> float:
     """Concurrence of the (m, n) eigenstate from the coefficients alone.
 
     :func:`concurrence_closed_form_arrays` on one set, in the frame it is
@@ -226,7 +220,7 @@ def eigenstate_concurrence_closed_form(
     DegenerateBranchError or ConcurrenceDomainError where that function
     reports a cause, and ConstraintError as it does.
     """
-    d = derive(c, tol)
+    d = derive(c)
     _check_mn(m, n)
     # A degenerate branch can leave a zero denominator in the radical, on
     # which Python floats raise: it is refused first.

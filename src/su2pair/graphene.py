@@ -36,7 +36,7 @@ import numpy as np
 
 from ._invariants import _ZERO, _derive_components
 from .entanglement import CLOSED_FORM, _concurrence_from_derived
-from .hamiltonian import DEFAULT_TOL, CoefficientSet, derive, even_spectrum
+from .hamiltonian import CoefficientSet, derive, even_spectrum
 from .thermo import _x_pm, sinh_cosh_gap, thermal_sweep
 
 
@@ -54,6 +54,11 @@ STRUCTURAL_SCALE = 1e60
 # at the window's edge, both 4 pi / (sqrt(3) lattice).
 SMALLEST_LATTICE = 8.0 * math.pi / 3.0 / sys.float_info.max
 
+# Largest lattice constant GrapheneParams accepts: the largest double at
+# which 3 sqrt(3) lattice, the denominator of the zone corner K that
+# find_dirac_point returns, is finite (the rounded quotient is that double).
+LARGEST_LATTICE = sys.float_info.max / (3.0 * math.sqrt(3.0))
+
 
 @dataclass(frozen=True)
 class GrapheneParams:
@@ -64,9 +69,9 @@ class GrapheneParams:
     ``m`` a sublattice mass, ``bias`` the interlayer bias voltage and
     ``lattice`` the lattice constant.  The dimer-to-non-dimer hopping t4 is
     fixed to zero, which also makes the matrix traceless.  Every parameter
-    must be finite, the lattice constant at least SMALLEST_LATTICE, and the
-    others at most STRUCTURAL_SCALE in magnitude; ValueError names the one
-    that is not.
+    must be finite, the lattice constant between SMALLEST_LATTICE and
+    LARGEST_LATTICE, and the others at most STRUCTURAL_SCALE in magnitude;
+    ValueError names the one that is not.
     """
 
     t: float = 1.0
@@ -89,6 +94,11 @@ class GrapheneParams:
             raise ValueError(
                 f"lattice = {self.lattice!r} is below {SMALLEST_LATTICE!r}, "
                 "where the k-space window overflows"
+            )
+        if self.lattice > LARGEST_LATTICE:
+            raise ValueError(
+                f"lattice = {self.lattice!r} is above {LARGEST_LATTICE!r}, "
+                "where the Dirac point overflows"
             )
 
 
@@ -172,37 +182,15 @@ def map_to_su2su2(p: GrapheneParams, kx: float, ky: float) -> CoefficientSet:
 
 
 def _band_arrays(p: GrapheneParams, kx, ky, at=None):
-    d = _derive_components(*_lattice_layer(p, kx, ky, at), DEFAULT_TOL)
+    d = _derive_components(*_lattice_layer(p, kx, ky, at))
     _, e1, e2 = even_spectrum(d)
     return e1, e2
 
 
-def find_dirac_point(
-    p: GrapheneParams, seed: tuple[float, float] | None = None, steps: int = 60
-) -> tuple[float, float]:
-    """Newton iteration on (Re G, Im G) locating a zero of the structure factor."""
-    lam = p.lattice
-    if seed is None:
-        seed = (0.0, 4.0 * np.pi / (3.0 * np.sqrt(3.0) * lam))
-    kx, ky = float(seed[0]), float(seed[1])
-    for _ in range(steps):
-        g = structure_factor(p, kx, ky)
-        if abs(g) < 1e-14:
-            break
-        dgx = -1j * lam * (
-            np.exp(-1j * kx * lam / 2.0) * np.cos(np.sqrt(3.0) * ky * lam / 2.0)
-            + np.exp(-1j * kx * lam)
-        )
-        dgy = -np.sqrt(3.0) * lam * np.exp(-1j * kx * lam / 2.0) * np.sin(
-            np.sqrt(3.0) * ky * lam / 2.0
-        )
-        jac = np.array([[dgx.real, dgy.real], [dgx.imag, dgy.imag]])
-        try:
-            step = np.linalg.solve(jac, np.array([g.real, g.imag]))
-        except np.linalg.LinAlgError:
-            break
-        kx, ky = kx - step[0], ky - step[1]
-    return kx, ky
+def find_dirac_point(p: GrapheneParams) -> tuple[float, float]:
+    """The zone corner K = (0, 4 pi / (3 sqrt(3) lattice)), a zero of the
+    structure factor: 2 cos(2 pi / 3) + 1 = 0."""
+    return 0.0, float(4.0 * np.pi / (3.0 * np.sqrt(3.0) * p.lattice))
 
 
 @dataclass(frozen=True)
@@ -307,7 +295,7 @@ def concurrence_chunks(p: GrapheneParams, g: GridSpec, m: int = 2, n: int = 1):
     xs, ys = g.axes()
     for ix, iy in _grid_chunks(p, g, xs, ys):
         a, b, w = _lattice_layer(p, xs, ys, (ix, iy))
-        d = _derive_components(a, b, w, DEFAULT_TOL)
+        d = _derive_components(a, b, w)
         c, cause, _ = _concurrence_from_derived(d, a, b, w, m, n)
         yield {"kx": (xs, ix), "ky": (ys, iy), "c": c, "flag": (cause != CLOSED_FORM).astype(int)}
 
@@ -347,32 +335,23 @@ def thermal_concurrence_curve(
     return {"t": s["t"], "c": s["concurrence"], "flag": s["flag"]}
 
 
-def thermal_death_temperature(
-    p: GrapheneParams,
-    kx: float,
-    ky: float,
-    t_low: float = 1e-6,
-    t_high: float = 1e6,
-    iters: int = 200,
-) -> float | None:
-    """Bisection for the temperature where the curve's numerator
-    sinh(x+/T) - cosh(x-/T) changes sign, x+- = max/min(tperp, t3 |G|).
+def thermal_death_temperature(p: GrapheneParams, kx: float, ky: float) -> float | None:
+    """Bisection, 200 geometric halvings of the bracket [1e-6, 1e6], for the
+    temperature where the curve's numerator sinh(x+/T) - cosh(x-/T) changes
+    sign, x+- = max/min(tperp, t3 |G|).
 
     Returns None when it keeps one sign over the bracket, as it does at
-    every T when x+ = x- (tperp = t3 |G|).  Raises ValueError unless
-    0 < t_low < t_high with both finite.
+    every T when x+ = x- (tperp = t3 |G|).
     """
-    if not (0.0 < t_low < t_high and math.isfinite(t_high)):
-        raise ValueError(f"need 0 < t_low < t_high, both finite; got {t_low}, {t_high}")
     x_plus, x_minus = _x_pm(derive(map_to_su2su2(p, kx, ky)))
 
     def gap(t):
         return sinh_cosh_gap(x_plus / t, x_minus / t, x_plus / t)
 
-    lo, hi = t_low, t_high
+    lo, hi = 1e-6, 1e6
     if gap(lo) <= 0.0 or gap(hi) >= 0.0:
         return None
-    for _ in range(iters):
+    for _ in range(200):
         mid = math.sqrt(lo * hi)
         if gap(mid) > 0.0:
             lo = mid

@@ -22,20 +22,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._invariants import _TINY, DerivedCoefficients, _derive_kernel, _where
+from ._invariants import _TINY, DEFAULT_TOL, DerivedCoefficients, _derive_kernel, _where
 from .errors import ConstraintError, NonHermitianError
 from .pauli import _WORDS, pauli_word, require_hermitian
 
 # The package's relative thresholds, one table (README "Tolerances"):
 # DEFAULT_TOL      constraint residuals and case detection (derive gates,
-#                  classify, factor_dyadic, every `tol` default)
+#                  classify, factor_dyadic); defined in _invariants
 # DEGENERACY_RTOL  degenerate spectra: sqrt(Tp), E_n or E2 - E1 at most this
 #                  times 1 + V or 1 + sqrt(V) sends the closed-form states to
 #                  the oracle and makes the closed-form concurrence raise;
 #                  oracle eigenvalues within this times 1 + max|e| merge
 # COMMUTATOR_RTOL  the thermal-concurrence closed form is provably exact when
 #                  the spin-flip commutator is at most this times 1 + scale^2
-DEFAULT_TOL = 1e-9
 DEGENERACY_RTOL = 1e-8
 COMMUTATOR_RTOL = 1e-12
 
@@ -167,19 +166,19 @@ def coefficient_scale(upsilon, alpha, beta, omega) -> np.ndarray:
     )
 
 
-def derive_arrays(alpha, beta, omega, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
+def derive_arrays(alpha, beta, omega) -> DerivedCoefficients:
     """Every derived quantity of a batch: alpha (..., 3), beta (..., 3), omega (..., 3, 3).
 
     The constraint gates ``alpha_null`` (alpha . omega = 0) and ``beta_null``
-    (omega . beta = 0) are decided from relative residuals at tolerance
-    ``tol``, each together with ``singular_residual`` <= tol; they select
-    which quadratic-form terms enter ``theta_phi``.  Residuals and gates are
+    (omega . beta = 0) are decided from relative residuals, each together
+    with ``singular_residual``, at ``DEFAULT_TOL``; they select which
+    quadratic-form terms enter ``theta_phi``.  Residuals and gates are
     invariant under local rotations, so the gates hold in any frame.
     det omega comes from one Householder reflection, not an LU
     factorization.  Each item's fields are bitwise those of :func:`derive` on that set, in any
     memory order: the kernel works elementwise on component views.
     """
-    return _derive_kernel(*_batch_components(alpha, beta, omega), tol, np.sqrt)
+    return _derive_kernel(*_batch_components(alpha, beta, omega), np.sqrt)
 
 
 def _batch_components(alpha, beta, omega):
@@ -197,12 +196,12 @@ def _float_components(c: CoefficientSet):
     return (a1, a2, a3), (b1, b2, b3), ((w11, w12, w13), (w21, w22, w23), (w31, w32, w33))
 
 
-def derive(c: CoefficientSet, tol: float = DEFAULT_TOL) -> DerivedCoefficients:
+def derive(c: CoefficientSet) -> DerivedCoefficients:
     """:func:`derive_arrays` on one set, with Python floats and bools as scalars.
 
     The same kernel runs on the set's components as Python floats.
     """
-    return _derive_kernel(*_float_components(c), tol, math.sqrt)
+    return _derive_kernel(*_float_components(c), math.sqrt)
 
 
 def even_spectrum(d: DerivedCoefficients):
@@ -210,8 +209,7 @@ def even_spectrum(d: DerivedCoefficients):
 
     The spectrum is upsilon +- E1, upsilon +- E2.  Works on the scalar or the
     batched fields of ``d`` alike; raises ConstraintError unless every item
-    meets alpha.omega = 0 or omega.beta = 0 at the tolerance ``d`` was
-    derived with.
+    meets alpha.omega = 0 or omega.beta = 0 within ``DEFAULT_TOL``.
     """
     # One set's fields are scalars, for which math's functions cost a tenth
     # of numpy's ufunc calls; both are correctly rounded, so the bits agree.
@@ -280,7 +278,7 @@ def _off_axis(x: list[float], u: list[float]) -> tuple[float, float]:
 
 
 def _dyadic_residuals(
-    c: CoefficientSet, d: DerivedCoefficients, tol: float
+    c: CoefficientSet, d: DerivedCoefficients
 ) -> tuple[dict[str, float], tuple[float, np.ndarray, np.ndarray] | None]:
     """Residuals of the product-form factorization H = H1 (x) H2.
 
@@ -289,7 +287,7 @@ def _dyadic_residuals(
     The factor consistency is the largest defect of the factors built from
     (s1, u, v) against the scale: the parts of alpha and beta off u and v,
     and |upsilon - (alpha.u)(beta.v) / s1|.  For omega = 0 (s1 at most
-    ``tol`` times the non-scalar scale sqrt(|alpha|^2 + |beta|^2 + |omega|^2))
+    ``DEFAULT_TOL`` times the non-scalar scale sqrt(|alpha|^2 + |beta|^2 + |omega|^2))
     one factor must be scalar, i.e. alpha = 0 or beta = 0.  The norms come
     from ``d`` = :func:`derive` of ``c``.  Returns the residuals and the
     leading singular triple (s1, u, v) of omega, None for omega = 0.
@@ -298,7 +296,7 @@ def _dyadic_residuals(
     u_mat, svals, vt = np.linalg.svd(c.omega)
     s1, s2, _ = svals.tolist()
     out = {"rank1": s2 / (s1 + _TINY)}
-    if s1 <= tol * math.sqrt(d.v_quad):
+    if s1 <= DEFAULT_TOL * math.sqrt(d.v_quad):
         # omega = 0: consistent iff one local factor is proportional to I.
         out["factor_consistency"] = math.sqrt(min(d.alpha_sq, d.beta_sq)) / sc
         return out, None
@@ -317,21 +315,21 @@ def _ratio(num: float, den: float) -> float:
 
 # The rank-one screen of `_decide`.  Over the singular values s1 >= s2 >= s3
 # of omega, |adj omega|_F^2 = s1^2 s2^2 + s1^2 s3^2 + s2^2 s3^2 <= 3 s1^2 s2^2
-# and s1 <= |omega|_F, so |adj omega|_F > sqrt(3) tol |omega|_F^2 gives
-# s2/s1 > tol: omega is not rank one and the set is not a product.  The
+# and s1 <= |omega|_F, so |adj omega|_F > sqrt(3) DEFAULT_TOL |omega|_F^2
+# gives s2/s1 > DEFAULT_TOL: omega is not rank one and the set is not a product.  The
 # slack covers round-off: each computed cofactor is off by at most
 # 2 eps (|ab| + |cd|), so |adj omega|_F by about 2 eps |omega|_F^2, and
 # LAPACK's s2/s1 by a few eps (a backward-stable SVD); 32 eps covers both
 # with room (seeded rounded rank-one omega need 0.7 eps).  Errors relative to
-# tol need no slack: the bound is loose by sqrt(3/2) at least.  Below the
+# DEFAULT_TOL need no slack: the bound is loose by sqrt(3/2) at least.  Below the
 # floor, |adj omega|_F^2 holds subnormal terms, whose absolute round-off can
 # double it; inf and NaN fail the test, so all of these take the SVD.
 _ADJ_SLACK = 32.0 * float(np.finfo(float).eps)
 _ADJ_FLOOR = math.sqrt(2.0**52 * _TINY)
-_SQRT3 = math.sqrt(3.0)
+_SCREEN = math.sqrt(3.0) * DEFAULT_TOL + _ADJ_SLACK
 
 
-def _decide(c: CoefficientSet, tol: float):
+def _decide(c: CoefficientSet):
     """The route of a set: ``(kind, branch, derived, leading, dyadic)``.
 
     ``kind`` is separable-dyadic, entangled-constrained (with ``branch``
@@ -340,15 +338,14 @@ def _decide(c: CoefficientSet, tol: float):
     ``derived`` is :func:`derive` of the set.  ``dyadic`` and ``leading``
     are the residuals and singular triple of :func:`_dyadic_residuals`, or
     None when the adjugate of omega already shows it is not rank one, which
-    spares the SVD.  Raises ValueError unless ``tol`` is positive and
-    finite, as :func:`derive` does.
+    spares the SVD.
     """
-    d = derive(c, tol)
+    d = derive(c)
     dyadic = leading = None
-    screen = max((_SQRT3 * tol + _ADJ_SLACK) * d.omega_sq, _ADJ_FLOOR)
+    screen = max(_SCREEN * d.omega_sq, _ADJ_FLOOR)
     if not screen < d.adj_norm < math.inf:
-        dyadic, leading = _dyadic_residuals(c, d, tol)
-        if dyadic["rank1"] <= tol and dyadic["factor_consistency"] <= tol:
+        dyadic, leading = _dyadic_residuals(c, d)
+        if dyadic["rank1"] <= DEFAULT_TOL and dyadic["factor_consistency"] <= DEFAULT_TOL:
             return CaseKind.SEPARABLE_DYADIC, None, d, leading, dyadic
     if d.alpha_null or d.beta_null:
         if d.alpha_null and d.beta_null:
@@ -361,7 +358,7 @@ def _decide(c: CoefficientSet, tol: float):
     return CaseKind.GENERAL, None, d, leading, dyadic
 
 
-def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
+def classify(c: CoefficientSet) -> Classification:
     """Assign the coefficient set to one of the solvable cases.
 
     Precedence: separable-dyadic, then entangled-constrained, then the
@@ -371,13 +368,13 @@ def classify(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Classification:
     :func:`_decide` picks; the residuals report every test, the
     product-form ones included.
 
-    All residuals are relative, so labels are invariant under a global
-    rescaling of the set.  Raises ValueError unless ``tol`` is positive and
-    finite.
+    All residuals are relative, and every test compares them with
+    ``DEFAULT_TOL``, so labels are invariant under a global rescaling of
+    the set.
     """
-    kind, branch, d, _, residuals = _decide(c, tol)
+    kind, branch, d, _, residuals = _decide(c)
     if residuals is None:
-        residuals, _ = _dyadic_residuals(c, d, tol)
+        residuals, _ = _dyadic_residuals(c, d)
     om_norm = math.sqrt(d.omega_sq)
     al_norm, be_norm = math.sqrt(d.alpha_sq), math.sqrt(d.beta_sq)
     residuals.update(

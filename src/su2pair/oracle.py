@@ -52,15 +52,17 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(w, v)
 
 
-def _require_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarray:
+def _require_density(rho: np.ndarray) -> np.ndarray:
+    """``rho`` if it is a Hermitian 4x4 matrix with trace within 1e-10 of 1
+    and no eigenvalue below -1e-10; DensityMatrixError otherwise."""
     rho = require_hermitian(rho, "density matrix")
-    if rho.shape != (dim, dim):
-        raise DensityMatrixError(f"expected a {dim}x{dim} density matrix")
+    if rho.shape != (4, 4):
+        raise DensityMatrixError("expected a 4x4 density matrix")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > 1e-10:
         raise DensityMatrixError(f"density matrix trace {tr} is not 1")
     w = np.linalg.eigvalsh(rho)
-    if float(w[0]) < -tol:
+    if float(w[0]) < -1e-10:
         raise DensityMatrixError(
             f"density matrix has negative eigenvalue {w[0]:.3e}"
         )
@@ -78,7 +80,7 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     matrix square root, whose near-zero eigenvalues would keep only half
     their digits.  Returns max(l1 - l2 - l3 - l4, 0), clipped to [0, 1].
     """
-    rho = _require_density(rho, 4)
+    rho = _require_density(rho)
     p, v = np.linalg.eigh(rho)
     root = np.sqrt(np.clip(p, 0.0, None))
     return float(concurrence_from_weights(root, v.T @ pauli_word(2, 2) @ v))

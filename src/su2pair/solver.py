@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import FactorizationError
 from .hamiltonian import (
-    DEFAULT_TOL,
     DEGENERACY_RTOL,
     CaseKind,
     CoefficientSet,
@@ -133,22 +132,19 @@ def _build(values, states, method, degenerate=False) -> Eigensystem:
 # --- separable case -----------------------------------------------------------
 
 
-def factor_dyadic(
-    c: CoefficientSet, tol: float = DEFAULT_TOL
-) -> tuple[Su2Factor, Su2Factor]:
+def factor_dyadic(c: CoefficientSet) -> tuple[Su2Factor, Su2Factor]:
     """Factor a product-form set into its single-qubit Hamiltonians.
 
-    Raises FactorizationError exactly when :func:`su2pair.classify` at the
-    same ``tol`` does not label the set separable-dyadic, whose route
-    decision it shares, and ValueError unless ``tol`` is positive and
-    finite.  The reciprocal-scaling gauge is fixed by |a| = |b| = sqrt(s1)
-    and the sign by making the largest-magnitude component of the left
-    factor vector positive.
+    Raises FactorizationError exactly when :func:`su2pair.classify` does
+    not label the set separable-dyadic, whose route decision it shares.
+    The reciprocal-scaling gauge is fixed by |a| = |b| = sqrt(s1) and the
+    sign by making the largest-magnitude component of the left factor
+    vector positive.
     """
-    kind, _, d, leading, residuals = _decide(c, tol)
+    kind, _, d, leading, residuals = _decide(c)
     if kind is not CaseKind.SEPARABLE_DYADIC:
         if residuals is None:
-            residuals, _ = _dyadic_residuals(c, d, tol)
+            residuals, _ = _dyadic_residuals(c, d)
         raise FactorizationError(
             "not a product set: rank-one residual "
             f"{residuals['rank1']:.3e}, factor consistency "
@@ -233,7 +229,7 @@ def _solve_product(a0: float, a_vec: np.ndarray, b0: float, b_vec: np.ndarray) -
 # --- constrained entangled case -----------------------------------------------
 
 
-def solve_entangled(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
+def solve_entangled(c: CoefficientSet) -> Eigensystem:
     """Closed-form eigensystem of a constraint-satisfying set.
 
     Eigenvalues are upsilon + (-1)^m E_n with E_n = sqrt(V + (-1)^n sqrt(Tp));
@@ -245,7 +241,7 @@ def solve_entangled(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
     the states (and values) come from the oracle instead, labelled by the
     closed-form energy pattern, and the result is flagged.
     """
-    return _solve_entangled(c, derive(c, tol))
+    return _solve_entangled(c, derive(c))
 
 
 def _solve_entangled(c: CoefficientSet, d: DerivedCoefficients) -> Eigensystem:
@@ -350,7 +346,7 @@ def _oracle_eigensystem(h: np.ndarray, ascending_labels=None) -> Eigensystem:
     )
 
 
-def solve(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
+def solve(c: CoefficientSet) -> Eigensystem:
     """Solve a coefficient set along the route its :func:`classify` label names.
 
     Product-form sets take the separable closed form and constrained sets
@@ -359,10 +355,10 @@ def solve(c: CoefficientSet, tol: float = DEFAULT_TOL) -> Eigensystem:
     with diagonal omega included, is solved numerically.  The route comes
     from :func:`_decide` with the derived coefficients, and omega's singular
     triple where the product test needed it, so a set is derived once and
-    decomposed at most once.  Raises ValueError unless ``tol`` is positive
-    and finite, and NonHermitianError where the composed matrix overflows.
+    decomposed at most once.  Raises NonHermitianError where the composed
+    matrix overflows.
     """
-    kind, _, d, leading, _ = _decide(c, tol)
+    kind, _, d, leading, _ = _decide(c)
     if kind is CaseKind.SEPARABLE_DYADIC:
         return _solve_product(*_factor_parts(c, leading))
     if kind is CaseKind.ENTANGLED_CONSTRAINED:

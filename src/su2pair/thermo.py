@@ -30,7 +30,6 @@ import numpy as np
 
 from .hamiltonian import (
     COMMUTATOR_RTOL,
-    DEFAULT_TOL,
     CaseKind,
     CoefficientSet,
     DerivedCoefficients,
@@ -225,7 +224,7 @@ def _closed_form_concurrence(d: DerivedCoefficients, t: np.ndarray, boltz: np.nd
 
 
 def thermal_concurrence(
-    c: CoefficientSet, t: float, tol: float = DEFAULT_TOL, compare: bool = True
+    c: CoefficientSet, t: float, compare: bool = True
 ) -> ThermalConcurrenceResult:
     """Closed-form concurrence of the Gibbs state of a constrained set.
 
@@ -239,7 +238,7 @@ def thermal_concurrence(
     lets callers quantify the deviation outside the provable regime.
     """
     t = _check_temperature(float(t))
-    d = derive(c, tol)
+    d = derive(c)
     boltz, _ = _gibbs_weights(c.upsilon, _even_levels(d, EnsembleBranch.FULL), t)
     value = _closed_form_concurrence(d, t, boltz)
     comm, reliable = spin_flip_commutator(c)
@@ -253,10 +252,7 @@ def thermal_concurrence(
 
 
 def thermal_sweep(
-    c: CoefficientSet,
-    temps,
-    branch: EnsembleBranch = EnsembleBranch.FULL,
-    tol: float = DEFAULT_TOL,
+    c: CoefficientSet, temps, branch: EnsembleBranch = EnsembleBranch.FULL
 ) -> dict[str, np.ndarray]:
     """Z, purity and concurrence of any coefficient set over a 1-D array of
     temperatures, closed-form when possible.
@@ -277,7 +273,7 @@ def thermal_sweep(
     t = _check_temperature(temps)
     if t.ndim != 1:
         raise ValueError("temperatures must form a 1-D array")
-    kind, _, d, leading, _ = _decide(c, tol)
+    kind, _, d, leading, _ = _decide(c)
     if kind is CaseKind.SEPARABLE_DYADIC and branch is EnsembleBranch.FULL:
         boltz, shift = _gibbs_weights(*_product_levels(*_factors(c, leading)), t)
         # Gibbs states of product Hamiltonians are explicitly separable.
@@ -321,16 +317,13 @@ class ThermalReport:
 
 
 def thermal_report(
-    c: CoefficientSet,
-    t: float,
-    branch: EnsembleBranch = EnsembleBranch.FULL,
-    tol: float = DEFAULT_TOL,
+    c: CoefficientSet, t: float, branch: EnsembleBranch = EnsembleBranch.FULL
 ) -> ThermalReport:
     """One sweep row: :func:`thermal_sweep` at the single temperature ``t``.
 
     Raises ValueError as thermal_sweep does.
     """
-    s = thermal_sweep(c, [t], branch, tol)
+    s = thermal_sweep(c, [t], branch)
     return ThermalReport(
         float(s["t"][0]),
         float(s["z"][0]),

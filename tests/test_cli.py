@@ -225,8 +225,8 @@ class TestVerifyCommand:
         family and the constrained sets: both thermal suites must fail."""
         decide = thermo._decide
 
-        def general(c, tol):
-            d = decide(c, tol)[2]
+        def general(c):
+            d = decide(c)[2]
             return CaseKind.GENERAL, None, dataclasses.replace(
                 d, alpha_null=False, beta_null=False), None, None
 
@@ -427,6 +427,31 @@ class TestGrapheneCommands:
         assert capsys.readouterr() == (
             "", f"error: lattice = {below!r} is below {SMALLEST_LATTICE!r}, "
             "where the k-space window overflows\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command", ["graphene-bands", "graphene-concurrence", "graphene-thermal"]
+    )
+    def test_lattice_at_and_above_the_largest_lattice(self, command, tmp_path, capsys):
+        """At LARGEST_LATTICE every graphene command writes finite cells;
+        one double above it the command is refused before any output."""
+        from su2pair.graphene import LARGEST_LATTICE
+
+        out = tmp_path / "x.csv"
+        size = ["--steps", "5"] if command == "graphene-thermal" else ["--grid", "5"]
+        argv = [command, *size, "--output", str(out)]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert main([*argv, f"--lattice={LARGEST_LATTICE!r}"]) == 0
+        _, rows = read_csv(out)
+        assert rows and np.isfinite(np.array(rows, dtype=float)).all()
+        out.unlink()
+        capsys.readouterr()
+        above = float(np.nextafter(LARGEST_LATTICE, np.inf))
+        assert main([*argv, f"--lattice={above!r}"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == (
+            "", f"error: lattice = {above!r} is above {LARGEST_LATTICE!r}, "
+            "where the Dirac point overflows\n"
         )
 
     def test_thermal_curve_k_flags(self, tmp_path):

@@ -1,4 +1,3 @@
-import math
 import re
 from dataclasses import fields, replace
 
@@ -8,17 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2pair._invariants import _derive_components
-from su2pair.entanglement import (
-    bloch_vectors,
-    concurrence_closed_form_arrays,
-    eigenstate_bloch_closed_form,
-    eigenstate_concurrence_closed_form,
-)
+from su2pair.entanglement import bloch_vectors, eigenstate_bloch_closed_form
 from su2pair.errors import ConstraintError, NonHermitianError
 from su2pair.hamiltonian import (
     Branch,
     CaseKind,
-    DEFAULT_TOL,
     CoefficientSet,
     DerivedCoefficients,
     classify,
@@ -30,14 +23,13 @@ from su2pair.hamiltonian import (
     rotate_set,
 )
 from su2pair.pauli import _WORDS, pauli
-from su2pair.solver import SolveMethod, solve, solve_entangled
+from su2pair.solver import SolveMethod, solve_entangled
 from su2pair.sampling import (
     random_coefficient_set,
     random_entangled_canonical,
     random_rotated_constrained,
     random_rotation,
 )
-from su2pair.thermo import thermal_sweep
 
 from references import case01_theta, random_hermitian, random_unitary, traceless
 
@@ -289,11 +281,11 @@ class TestDerive:
         return sets
 
     @staticmethod
-    def _assert_items_equal_derive(batch, sets, tol=1e-9):
+    def _assert_items_equal_derive(batch, sets):
         """Every field of every item of ``batch`` carries the bits of derive."""
         n = len(sets)
         for i, c in enumerate(sets):
-            one = derive(c, tol)
+            one = derive(c)
             for name in DERIVED_FIELDS:
                 value = getattr(one, name)
                 item = np.asarray(getattr(batch, name)).reshape((n,) + np.shape(value))[i]
@@ -310,8 +302,7 @@ class TestDerive:
         )
         self._assert_items_equal_derive(batch, sets)
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
-    def test_items_equal_derive_in_any_shape_and_memory_order(self, tol):
+    def test_items_equal_derive_in_any_shape_and_memory_order(self):
         """(N,) and (N, M) batches, C order, transposed and strided views:
         the kernel is elementwise, so the layout cannot move a bit."""
         rng = np.random.default_rng(20261018)
@@ -336,7 +327,7 @@ class TestDerive:
                 assert not a.flags.c_contiguous and not w.flags.c_contiguous
             if name == "strided":
                 assert not a.flags.c_contiguous and not w.flags.c_contiguous
-            self._assert_items_equal_derive(derive_arrays(a, b, w, tol), sets, tol)
+            self._assert_items_equal_derive(derive_arrays(a, b, w), sets)
 
     def test_scalar_types_of_one_set(self, rng):
         """derive gives Python floats and bools; derive_arrays on one set keeps
@@ -441,7 +432,6 @@ class TestDerive:
         d = _derive_components(
             [0.0, 0.0, 1.0], [0.0, 1.0, 0.0],
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.array([0.0, 1.0])]],
-            DEFAULT_TOL,
         )
         assert isinstance(d.alpha_sq, float)
         with pytest.raises(ConstraintError, match=re.escape(want)):
@@ -704,24 +694,6 @@ class TestClassify:
     )
     def test_degeneracy_flag_invariant_under_rescaling(self, c, lam):
         assert _closed_form_declined(_scaled(c, lam)) == _closed_form_declined(c)
-
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("call", [
-        lambda c, tol: derive(c, tol),
-        lambda c, tol: derive_arrays(c.alpha, c.beta, c.omega, tol),
-        lambda c, tol: concurrence_closed_form_arrays(c.alpha, c.beta, c.omega, 1, 1, tol),
-        lambda c, tol: eigenstate_concurrence_closed_form(c, 1, 1, tol),
-        lambda c, tol: eigenstate_bloch_closed_form(c, 1, 1, tol),
-        lambda c, tol: classify(c, tol),
-        lambda c, tol: solve(c, tol),
-        lambda c, tol: thermal_sweep(c, [1.0], tol=tol),
-    ], ids=["derive", "derive_arrays", "concurrence_closed_form_arrays",
-            "eigenstate_concurrence_closed_form", "eigenstate_bloch_closed_form",
-            "classify", "solve", "thermal_sweep"])
-    def test_tol_must_be_positive_and_finite(self, call, tol):
-        """Every derived record is made by one kernel, which checks tol."""
-        with pytest.raises(ValueError, match="^tol must be positive and finite$"):
-            call(ENTANGLED_EXAMPLE, tol)
 
 
 class TestRotations:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from su2pair.errors import DensityMatrixError, NonHermitianError
-from su2pair.oracle import eig_hermitian, wootters_concurrence
+from su2pair.oracle import EIG_RTOL, eig_hermitian, wootters_concurrence
 from su2pair.pauli import pauli_word
 
 from references import (
@@ -32,10 +32,10 @@ class TestEig:
         for _ in range(1000):
             m = random_hermitian(rng, scale=float(rng.uniform(0.1, 5.0)))
             dec = eig_hermitian(m)
-            bound = 1e-11 * (1 + np.max(np.abs(m)))
+            bound = EIG_RTOL * (1 + np.max(np.abs(m)))
             assert np.max(np.abs(dec.reconstruct() - m)) <= bound
             v = dec.eigenvectors
-            assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-11
+            assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= EIG_RTOL
             assert np.all(np.diff(dec.eigenvalues) <= 1e-14)
 
     def test_deterministic(self, rng):

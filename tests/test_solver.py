@@ -8,6 +8,7 @@ from su2pair.errors import (
     NonHermitianError,
 )
 from su2pair.hamiltonian import (
+    DEFAULT_TOL,
     CaseKind,
     CoefficientSet,
     classify,
@@ -153,10 +154,10 @@ class TestFactorDyadic:
 
     def test_small_omega_beside_a_large_upsilon(self):
         """(100 + 0.01 s1) (x) (100 + 0.01 s1): omega is 1e-8 of the scale but
-        all of the non-scalar part, so the set is a product at tol = 1e-6."""
+        all of the non-scalar part, so the set is a product."""
         c = CoefficientSet(1e4, (1, 0, 0), (1, 0, 0), 1e-4 * np.outer((1, 0, 0), (1, 0, 0)))
-        assert classify(c, tol=1e-6).kind is CaseKind.SEPARABLE_DYADIC
-        f1, f2 = factor_dyadic(c, tol=1e-6)
+        assert classify(c).kind is CaseKind.SEPARABLE_DYADIC
+        f1, f2 = factor_dyadic(c)
         h = fano_compose(c)
         assert np.max(np.abs(np.kron(f1.matrix(), f2.matrix()) - h)) <= 1e-12 * np.max(np.abs(h))
 
@@ -172,11 +173,11 @@ class TestFactorDyadic:
 
 
 def _separable_decision_sets(rng):
-    """Product sets, product sets perturbed across every tolerance, omega = 0
+    """Product sets, product sets perturbed by 1e-15 to 1e-4, omega = 0
     sets and generic sets."""
     sets = [
         # Exactly separable, with omega below 1e-6 of the scale but not of
-        # the non-scalar part: a product at every tol.
+        # the non-scalar part: a product.
         CoefficientSet(1e4, (1, 0, 0), (1, 0, 0), 1e-4 * np.outer((1, 0, 0), (1, 0, 0))),
         # Rank one and aligned, but the factors would need upsilon = 100.
         CoefficientSet(1.0, (1e-5, 0, 0), (1e-5, 0, 0), 1e-12 * np.outer((1, 0, 0), (1, 0, 0))),
@@ -201,19 +202,18 @@ def _separable_decision_sets(rng):
 
 
 class TestSeparableDecision:
-    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
-    def test_factor_dyadic_raises_exactly_off_the_separable_label(self, tol, rng):
+    def test_factor_dyadic_raises_exactly_off_the_separable_label(self, rng):
         for c in _separable_decision_sets(rng):
-            separable = classify(c, tol).kind is CaseKind.SEPARABLE_DYADIC
+            separable = classify(c).kind is CaseKind.SEPARABLE_DYADIC
             try:
-                f1, f2 = factor_dyadic(c, tol)
+                f1, f2 = factor_dyadic(c)
             except FactorizationError:
                 assert not separable
             else:
                 assert separable
                 h = fano_compose(c)
                 err = np.max(np.abs(np.kron(f1.matrix(), f2.matrix()) - h))
-                assert err <= 10 * tol * (1 + np.max(np.abs(h)))
+                assert err <= 10 * DEFAULT_TOL * (1 + np.max(np.abs(h)))
 
 
 def _near_singular_sets():
@@ -511,17 +511,16 @@ class TestSolveOnePass:
             (SolveMethod.ORACLE_NUMERIC, False),
         }
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
-    def test_solve_equals_the_public_routes_bitwise(self, tol):
+    def test_solve_equals_the_public_routes_bitwise(self):
         for c in _route_sets():
-            kind = classify(c, tol).kind
+            kind = classify(c).kind
             if kind is CaseKind.SEPARABLE_DYADIC:
-                want = solve_separable(*factor_dyadic(c, tol))
+                want = solve_separable(*factor_dyadic(c))
             elif kind is CaseKind.ENTANGLED_CONSTRAINED:
-                want = solve_entangled(c, tol)
+                want = solve_entangled(c)
             else:
                 want = _oracle_eigensystem(fano_compose(c))
-            _assert_same_eigensystem(solve(c, tol), want)
+            _assert_same_eigensystem(solve(c), want)
 
     def test_one_derive_and_one_svd_per_solve(self, monkeypatch):
         """derive and derive_arrays both run the one derive kernel; it is

@@ -46,6 +46,16 @@ def test_all_is_what_the_package_exports():
     assert sorted(exported) == PUBLIC
 
 
+def test_no_public_callable_takes_a_search_or_tolerance_knob():
+    """Tolerances, brackets and iteration counts are the package's fixed
+    constants, not per-call settings.  Exceptions take a message only."""
+    knobs = {"tol", "seed", "steps", "t_low", "t_high", "iters"}
+    for name in PUBLIC:
+        value = getattr(su2pair, name)
+        if not (inspect.isclass(value) and issubclass(value, Exception)):
+            assert not knobs & set(inspect.signature(value).parameters), name
+
+
 def test_readme_library_sketch_uses_only_public_names():
     text = README.read_text()
     sketch = text.split("## Library sketch", 1)[1].split("```python", 1)[1].split("```", 1)[0]
