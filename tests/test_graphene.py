@@ -102,6 +102,30 @@ class TestStructureFactor:
             worst = max(worst, abs(structure_factor(p, *find_dirac_point(p))))
         assert worst < 1e-14
 
+    @pytest.mark.parametrize(
+        "lam",
+        [graphene.SMALLEST_LATTICE, 1e-300, 1e-10, 0.246, 1.0, 1e10, 1e300,
+         graphene.LARGEST_LATTICE],
+        ids=["smallest", "1e-300", "1e-10", "0.246", "1", "1e10", "1e300", "largest"],
+    )
+    def test_dirac_point_is_the_zone_corner_in_closed_form(self, lam):
+        """K = (0, 4 pi / (3 sqrt(3) lattice)) to the bit, computed without
+        an overflow, underflow or invalid operation, and a zero of G."""
+        p = GrapheneParams(lattice=lam)
+        with np.errstate(over="raise", under="raise", invalid="raise", divide="raise"):
+            kx, ky = find_dirac_point(p)
+            g = abs(structure_factor(p, kx, ky))
+        assert kx == 0.0 and not math.copysign(1.0, kx) < 0
+        assert ky == 4.0 * math.pi / (3.0 * math.sqrt(3.0) * lam)
+        assert type(kx) is float and type(ky) is float
+        assert g < 1e-14
+
+    @pytest.mark.parametrize("knob", ["seed", "steps"])
+    def test_dirac_point_takes_no_search_knob(self, knob):
+        """The closed form needs no start point or iteration count."""
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{knob}'"):
+            find_dirac_point(DEFAULT, **{knob: None})
+
 
 class TestMapping:
     def test_gamma_point_coefficients(self):
@@ -745,6 +769,47 @@ class TestThermalCurve:
         assert t_star is not None
         lhs, rhs = math.sinh(x_plus / t_star), math.cosh(x_minus / t_star)
         assert abs(lhs - rhs) <= 1e-9 * rhs
+
+    @pytest.mark.parametrize(
+        "tperp, inside",
+        [(1e-6, True), (8e-7, False), (8e5, True), (1e6, False)],
+        ids=["low-inside", "low-outside", "high-inside", "high-outside"],
+    )
+    def test_death_temperature_at_the_dirac_point_in_the_fixed_bracket(self, tperp, inside):
+        """At K, x- = 0 and T* = tperp / asinh(1): found to the last bits
+        while it lies in [1e-6, 1e6], None once it leaves."""
+        p = GrapheneParams(tperp=tperp)
+        t_star = thermal_death_temperature(p, *find_dirac_point(p))
+        want = tperp / math.asinh(1.0)
+        assert (1e-6 < want < 1e6) is inside
+        if inside:
+            assert abs(t_star - want) <= 4 * sys.float_info.epsilon * want
+        else:
+            assert t_star is None
+
+    @pytest.mark.parametrize(
+        "t3, inside",
+        [(4e-7, True), (2e-7, False), (2.5e5, True), (3e5, False)],
+        ids=["low-inside", "low-outside", "high-inside", "high-outside"],
+    )
+    def test_death_temperature_at_gamma_in_the_fixed_bracket(self, t3, inside):
+        """At k = 0 with tperp = 0, x+ = 3 t3 and x- = 0, so T* = 3 t3 / asinh(1):
+        found while it lies in [1e-6, 1e6], None once it leaves."""
+        p = GrapheneParams(t3=t3, tperp=0.0)
+        t_star = thermal_death_temperature(p, 0.0, 0.0)
+        want = 3.0 * t3 / math.asinh(1.0)
+        assert (1e-6 < want < 1e6) is inside
+        if inside:
+            assert abs(t_star - want) <= 4 * sys.float_info.epsilon * want
+        else:
+            assert t_star is None
+
+    @pytest.mark.parametrize("knob", ["t_low", "t_high", "iters"])
+    def test_death_temperature_takes_no_bracket_or_iteration_count(self, knob):
+        """The bracket and the number of halvings are fixed."""
+        kx, ky = find_dirac_point(DEFAULT)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{knob}'"):
+            thermal_death_temperature(DEFAULT, kx, ky, **{knob: 1.0})
 
     @pytest.mark.parametrize("t3, tperp", [(1.0, 3.0), (0.5, 1.5)], ids=["t3-1", "t3-half"])
     def test_death_none_at_equal_couplings(self, t3, tperp):

@@ -7,11 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from su2pair._invariants import _derive_components
-from su2pair.entanglement import bloch_vectors, eigenstate_bloch_closed_form
+from su2pair.entanglement import (
+    bloch_vectors,
+    concurrence_closed_form_arrays,
+    eigenstate_bloch_closed_form,
+    eigenstate_concurrence_closed_form,
+)
 from su2pair.errors import ConstraintError, NonHermitianError
 from su2pair.hamiltonian import (
     Branch,
     CaseKind,
+    DEFAULT_TOL,
     CoefficientSet,
     DerivedCoefficients,
     classify,
@@ -23,13 +29,15 @@ from su2pair.hamiltonian import (
     rotate_set,
 )
 from su2pair.pauli import _WORDS, pauli
-from su2pair.solver import SolveMethod, solve_entangled
+from su2pair.solver import SolveMethod, factor_dyadic, solve, solve_entangled
 from su2pair.sampling import (
     random_coefficient_set,
     random_entangled_canonical,
     random_rotated_constrained,
     random_rotation,
 )
+
+from su2pair.thermo import thermal_concurrence, thermal_report, thermal_sweep
 
 from references import case01_theta, random_hermitian, random_unitary, traceless
 
@@ -694,6 +702,34 @@ class TestClassify:
     )
     def test_degeneracy_flag_invariant_under_rescaling(self, c, lam):
         assert _closed_form_declined(_scaled(c, lam)) == _closed_form_declined(c)
+
+    @pytest.mark.parametrize("call, positional", [
+        (lambda c, *t, **k: derive(c, *t, **k), True),
+        (lambda c, *t, **k: derive_arrays(c.alpha, c.beta, c.omega, *t, **k), True),
+        (lambda c, *t, **k: classify(c, *t, **k), True),
+        (lambda c, *t, **k: factor_dyadic(c, *t, **k), True),
+        (lambda c, *t, **k: solve(c, *t, **k), True),
+        (lambda c, *t, **k: solve_entangled(c, *t, **k), True),
+        (lambda c, *t, **k: eigenstate_bloch_closed_form(c, 1, 1, *t, **k), True),
+        (lambda c, *t, **k: concurrence_closed_form_arrays(
+            c.alpha, c.beta, c.omega, 1, 1, *t, **k), True),
+        (lambda c, *t, **k: eigenstate_concurrence_closed_form(c, 1, 1, *t, **k), True),
+        (lambda c, *t, **k: thermal_concurrence(c, 1.0, **k), False),
+        (lambda c, *t, **k: thermal_sweep(c, [1.0], **k), False),
+        (lambda c, *t, **k: thermal_report(c, 1.0, **k), False),
+    ], ids=["derive", "derive_arrays", "classify", "factor_dyadic", "solve",
+            "solve_entangled", "eigenstate_bloch_closed_form",
+            "concurrence_closed_form_arrays", "eigenstate_concurrence_closed_form",
+            "thermal_concurrence", "thermal_sweep", "thermal_report"])
+    def test_tol_is_not_a_parameter(self, call, positional):
+        """Every derived record is made at the one fixed DEFAULT_TOL: a
+        per-call tol is refused, not ignored, by keyword and, where its old
+        slot is now past the last parameter, by position."""
+        with pytest.raises(TypeError, match="unexpected keyword argument 'tol'"):
+            call(ENTANGLED_EXAMPLE, tol=DEFAULT_TOL)
+        if positional:
+            with pytest.raises(TypeError, match=r"takes \d+ positional arguments? but"):
+                call(ENTANGLED_EXAMPLE, DEFAULT_TOL)
 
 
 class TestRotations:

@@ -131,6 +131,29 @@ class TestWootters:
         with pytest.raises(DensityMatrixError):
             wootters_concurrence(np.diag([1.5, -0.5, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_density_must_be_4x4(self, n):
+        with pytest.raises(DensityMatrixError, match="^expected a 4x4 density matrix$"):
+            wootters_concurrence(np.eye(n) / n)
+
+    @pytest.mark.parametrize("excess, accepted", [(5e-11, True), (2e-10, False)])
+    def test_trace_within_the_fixed_1e_10_of_one(self, excess, accepted):
+        rho = np.diag([0.25 + excess, 0.25, 0.25, 0.25])
+        if accepted:
+            assert wootters_concurrence(rho) == 0.0
+        else:
+            with pytest.raises(DensityMatrixError, match="trace .* is not 1"):
+                wootters_concurrence(rho)
+
+    @pytest.mark.parametrize("negative, accepted", [(5e-11, True), (2e-10, False)])
+    def test_no_eigenvalue_below_the_fixed_minus_1e_10(self, negative, accepted):
+        rho = np.diag([0.5 + negative, 0.5, 0.0, -negative])
+        if accepted:
+            assert wootters_concurrence(rho) == 0.0
+        else:
+            with pytest.raises(DensityMatrixError, match="negative eigenvalue -2.000e-10"):
+                wootters_concurrence(rho)
+
 
 class TestVonNeumann:
     def test_binary_entropy_relation(self, rng):

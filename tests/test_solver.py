@@ -201,10 +201,24 @@ def _separable_decision_sets(rng):
     return sets
 
 
+def _scaled(c: CoefficientSet, lam: float) -> CoefficientSet:
+    return CoefficientSet(lam * c.upsilon, lam * c.alpha, lam * c.beta, lam * c.omega)
+
+
+# Powers of two, so every scaled set is the unit-scale set exactly.
+SCALES = [1.0, 2.0**-40, 2.0**40]
+SCALE_IDS = ["unit", "2^-40", "2^40"]
+
+
 class TestSeparableDecision:
-    def test_factor_dyadic_raises_exactly_off_the_separable_label(self, rng):
-        for c in _separable_decision_sets(rng):
+    @pytest.mark.parametrize("scale", SCALES, ids=SCALE_IDS)
+    def test_factor_dyadic_raises_exactly_off_the_separable_label(self, scale, rng):
+        """The one fixed tolerance is relative: the label, and whether
+        factor_dyadic raises, are the same at every exact rescaling."""
+        for unit in _separable_decision_sets(rng):
+            c = _scaled(unit, scale)
             separable = classify(c).kind is CaseKind.SEPARABLE_DYADIC
+            assert separable == (classify(unit).kind is CaseKind.SEPARABLE_DYADIC), unit
             try:
                 f1, f2 = factor_dyadic(c)
             except FactorizationError:
@@ -511,9 +525,12 @@ class TestSolveOnePass:
             (SolveMethod.ORACLE_NUMERIC, False),
         }
 
-    def test_solve_equals_the_public_routes_bitwise(self):
-        for c in _route_sets():
+    @pytest.mark.parametrize("scale", SCALES, ids=SCALE_IDS)
+    def test_solve_equals_the_public_routes_bitwise(self, scale):
+        for unit in _route_sets():
+            c = _scaled(unit, scale)
             kind = classify(c).kind
+            assert kind is classify(unit).kind, unit
             if kind is CaseKind.SEPARABLE_DYADIC:
                 want = solve_separable(*factor_dyadic(c))
             elif kind is CaseKind.ENTANGLED_CONSTRAINED:

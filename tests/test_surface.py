@@ -56,6 +56,20 @@ def test_no_public_callable_takes_a_search_or_tolerance_knob():
             assert not knobs & set(inspect.signature(value).parameters), name
 
 
+def test_default_tol_is_defined_once():
+    """The gates are decided in _invariants at DEFAULT_TOL; hamiltonian
+    re-exports that one value, and no other module binds its own."""
+    from su2pair import _invariants, hamiltonian
+
+    assert hamiltonian.DEFAULT_TOL is _invariants.DEFAULT_TOL == 1e-9
+    src = Path(su2pair.__file__).resolve().parent
+    binders = sorted(
+        path.name for path in src.glob("*.py")
+        if re.search(r"^\s*DEFAULT_TOL\s*(:[^=]*)?=", path.read_text(), re.M)
+    )
+    assert binders == ["_invariants.py"]
+
+
 def test_readme_library_sketch_uses_only_public_names():
     text = README.read_text()
     sketch = text.split("## Library sketch", 1)[1].split("```python", 1)[1].split("```", 1)[0]
