@@ -164,10 +164,10 @@ def _temperatures(tmin: float, tmax: float, steps: int) -> np.ndarray:
 def _check_lowest_temperature(tmin: float, c: CoefficientSet) -> None:
     """Refuse a sweep of the set ``c`` at a lowest temperature T below twice
     the smallest normal double, or at which 16 S/T is not finite for the
-    coefficient scale S, taken with math.hypot, which does not overflow.
+    coefficient scale S = ``c.scale()``, which does not overflow.
     16 S/T is formed as 8 S over T/2, which is exact at every accepted T, so
     a set whose 8 S overflows is refused at every T."""
-    scale = math.hypot(*c.packed.tolist())
+    scale = c.scale()
     if tmin < _LOWEST_TEMPERATURE or not math.isfinite(_EXPONENT_BOUND * scale / (tmin / 2.0)):
         raise InputFormatError(
             f"--tmin {tmin!r} is too low for a set of coefficient scale "

@@ -25,8 +25,8 @@ from .hamiltonian import (
     _where,
     derive,
     even_spectrum,
+    fano_decompose,
 )
-from .pauli import pauli_word
 
 # Radicands above this are round-off and clamp to zero; anything lower is a
 # genuine domain violation and raises.
@@ -59,18 +59,14 @@ class BlochPair:
 
 
 def bloch_vectors(rho: np.ndarray) -> BlochPair:
-    """Single-qubit Pauli expectations A_i = Tr[rho (sigma_i x I)], B_j likewise."""
-    rho = np.asarray(rho, dtype=complex)
-    tr = complex(np.trace(rho))
+    """Single-qubit Pauli expectations A_i = Tr[rho (sigma_i x I)], B_j likewise:
+    4 alpha and 4 beta of :func:`~su2pair.hamiltonian.fano_decompose`, which
+    raises NonHermitianError for a non-Hermitian ``rho``."""
+    tr = complex(np.trace(np.asarray(rho, dtype=complex)))
     if abs(tr - 1.0) > 1e-9:
         raise DensityMatrixError(f"state trace {tr} is not 1")
-    a = np.array(
-        [np.einsum("ab,ba->", rho, pauli_word(i, 0)).real for i in (1, 2, 3)]
-    )
-    b = np.array(
-        [np.einsum("ab,ba->", rho, pauli_word(0, j)).real for j in (1, 2, 3)]
-    )
-    return BlochPair(a, b)
+    c = fano_decompose(rho)
+    return BlochPair(4.0 * c.alpha, 4.0 * c.beta)
 
 
 # Per-point outcome of the closed-form concurrence: 0 a value, otherwise the

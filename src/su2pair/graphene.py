@@ -151,20 +151,6 @@ def _lattice_layer(p: GrapheneParams, kx, ky, at=None):
     )
 
 
-def _stack_last(items, shape) -> np.ndarray:
-    """A list, or a list of lists, of batch values of ``shape`` (scalars
-    broadcast over it) as one array, the nesting as trailing axes."""
-    nesting = (len(items),)
-    if isinstance(items[0], list):
-        nesting, items = (len(items), len(items[0])), [x for row in items for x in row]
-    if not shape:
-        return np.array(items, dtype=float).reshape(nesting)
-    flat = np.empty(shape + (len(items),))
-    for i, x in enumerate(items):
-        flat[..., i] = x
-    return flat.reshape(flat.shape[:-1] + nesting)
-
-
 def lattice_layer_arrays(p: GrapheneParams, kx, ky):
     """(alpha, beta, omega) of the lattice-layer sets at wave vectors kx, ky.
 
@@ -173,7 +159,8 @@ def lattice_layer_arrays(p: GrapheneParams, kx, ky):
     """
     a, b, w = _lattice_layer(p, kx, ky)
     shape = np.shape(b[0])
-    return _stack_last(a, shape), _stack_last(b, shape), _stack_last(w, shape)
+    stack = lambda items: np.stack([np.broadcast_to(x, shape) for x in items], axis=-1)
+    return stack(a), stack(b), stack(w[0] + w[1] + w[2]).reshape(shape + (3, 3))
 
 
 def map_to_su2su2(p: GrapheneParams, kx: float, ky: float) -> CoefficientSet:

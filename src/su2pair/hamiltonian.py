@@ -24,7 +24,7 @@ import numpy as np
 
 from ._invariants import _TINY, DEFAULT_TOL, DerivedCoefficients, _derive_kernel, _where
 from .errors import ConstraintError, NonHermitianError
-from .pauli import _WORDS, pauli_word, require_hermitian
+from .pauli import _WORDS, require_hermitian
 
 # The package's relative thresholds, one table (README "Tolerances"):
 # DEFAULT_TOL      constraint residuals and case detection (derive gates,
@@ -34,7 +34,8 @@ from .pauli import _WORDS, pauli_word, require_hermitian
 #                  the oracle and makes the closed-form concurrence raise;
 #                  oracle eigenvalues within this times 1 + max|e| merge
 # COMMUTATOR_RTOL  the thermal-concurrence closed form is provably exact when
-#                  the spin-flip commutator is at most this times 1 + scale^2
+#                  the spin-flip commutator is at most this times
+#                  V = |alpha|^2 + |beta|^2 + |omega|^2
 DEGENERACY_RTOL = 1e-8
 COMMUTATOR_RTOL = 1e-12
 
@@ -77,8 +78,8 @@ class CoefficientSet:
         )
 
     def scale(self) -> float:
-        """Euclidean norm of all coefficients, the natural size of the set."""
-        return float(coefficient_scale(self.upsilon, self.alpha, self.beta, self.omega))
+        """Euclidean norm of all coefficients, the natural size of the set; never overflows."""
+        return math.hypot(*self.packed.tolist())
 
 
 def _compose_table() -> tuple[np.ndarray, np.ndarray]:
@@ -124,46 +125,19 @@ def fano_compose(c: CoefficientSet) -> np.ndarray:
 def fano_decompose(h: np.ndarray) -> CoefficientSet:
     """Project a Hermitian 4x4 matrix onto the Pauli basis.
 
-    Raises NonHermitianError for non-Hermitian input; the coefficients of a
-    Hermitian matrix are real, and any residual imaginary part beyond
-    round-off is rejected rather than silently discarded.
+    All sixteen coefficients Tr[h sigma_i (x) sigma_j] / 4 come from one
+    contraction.  Raises NonHermitianError for non-Hermitian input; the
+    coefficients of a Hermitian matrix are real, and any residual imaginary
+    part beyond round-off is rejected rather than silently discarded.
     """
     h = require_hermitian(h, "fano_decompose input")
     scale = 1.0 + float(np.max(np.abs(h)))
-
-    def proj(i, j):
-        val = np.einsum("ab,ba->", h, pauli_word(i, j)) / 4.0
-        if abs(val.imag) > 1e-12 * scale:
-            raise NonHermitianError(
-                f"Pauli coefficient ({i},{j}) has imaginary part {val.imag:.3e}"
-            )
-        return val.real
-
-    upsilon = proj(0, 0)
-    alpha = np.array([proj(i, 0) for i in (1, 2, 3)])
-    beta = np.array([proj(0, j) for j in (1, 2, 3)])
-    omega = np.array([[proj(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)])
-    return CoefficientSet(upsilon, alpha, beta, omega)
-
-
-# Products over leading batch axes, for the array forms of other modules.
-def _dot(x: np.ndarray, y: np.ndarray):
-    """x . y over the last axis."""
-    if x.ndim == 1:
-        return x @ y
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def _sum_squares(m: np.ndarray) -> np.ndarray:
-    """Sum of the squared entries of each 3x3 matrix (one 9-term pairwise sum)."""
-    return (m * m).sum(axis=(-2, -1))
-
-
-def coefficient_scale(upsilon, alpha, beta, omega) -> np.ndarray:
-    """Euclidean norm of all coefficients, over leading batch axes."""
-    return np.sqrt(
-        upsilon * upsilon + _dot(alpha, alpha) + _dot(beta, beta) + _sum_squares(omega)
-    )
+    coef = np.einsum("ab,ijba->ij", h, _WORDS) / 4.0
+    for (i, j), im in np.ndenumerate(coef.imag):
+        if abs(im) > 1e-12 * scale:
+            raise NonHermitianError(f"Pauli coefficient ({i},{j}) has imaginary part {im:.3e}")
+    coef = coef.real
+    return CoefficientSet(coef[0, 0], coef[1:, 0], coef[0, 1:], coef[1:, 1:])
 
 
 def derive_arrays(alpha, beta, omega) -> DerivedCoefficients:
@@ -292,7 +266,7 @@ def _dyadic_residuals(
     from ``d`` = :func:`derive` of ``c``.  Returns the residuals and the
     leading singular triple (s1, u, v) of omega, None for omega = 0.
     """
-    sc = math.sqrt(c.upsilon * c.upsilon + d.v_quad) + _TINY
+    sc = c.scale() + _TINY
     u_mat, svals, vt = np.linalg.svd(c.omega)
     s1, s2, _ = svals.tolist()
     out = {"rank1": s2 / (s1 + _TINY)}

@@ -89,7 +89,6 @@ def random_entangled_canonical(
     rng: np.random.Generator,
     branch: str = "alpha",
     min_gap: float = MIN_GAP,
-    with_upsilon: bool = True,
 ) -> CoefficientSet:
     """A canonical constraint-satisfying set with a non-degenerate spectrum.
 
@@ -102,7 +101,7 @@ def random_entangled_canonical(
         blk = 0.5 * (blk + blk.T)
         omega = np.zeros((3, 3))
         omega[:2, :2] = blk
-        ups = rng.normal() if with_upsilon else 0.0
+        ups = rng.normal()
         if branch == "alpha":
             alpha = np.array([0.0, 0.0, abs(rng.normal())])
             beta = rng.normal(size=3)

@@ -179,9 +179,11 @@ def spin_flip_commutator(c: CoefficientSet) -> tuple[float, bool]:
 
     The commutator is 4i sum_lj N_lj sigma_l (x) sigma_j with
     N_lj = (alpha x omega[:, j])_l + (beta x omega[l, :])_j, composed in
-    one gather; its norm is the largest modulus of its entries.  Where N
-    or the bound COMMUTATOR_RTOL (1 + scale^2) overflows, the norm reads inf
-    or the commutator is not negligible: nothing is proved there.
+    one gather; its norm is the largest modulus of its entries.  The norm
+    has no upsilon and is quadratic in alpha, beta and omega, so it is
+    negligible when 0 or at most COMMUTATOR_RTOL V, a test free of shifts
+    and scale: divided twice by sqrt(V), it cannot overflow.  Where N
+    overflows, the norm reads inf and nothing is proved.
     """
     a, b, w = c.alpha.tolist(), c.beta.tolist(), c.omega.tolist()
     # Indices are cyclic: (x cross y)_l = x_{l+1} y_{l+2} - x_{l+2} y_{l+1}.
@@ -191,8 +193,8 @@ def spin_flip_commutator(c: CoefficientSet) -> tuple[float, bool]:
     if not np.isfinite(n).all():
         return math.inf, False
     norm = max_abs(fano_compose(CoefficientSet(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), n)))
-    bound = COMMUTATOR_RTOL * (1.0 + c.scale() ** 2)
-    return norm, norm <= bound < math.inf
+    h = math.hypot(*c.packed[1:].tolist())
+    return norm, norm == 0.0 or norm / h / h <= COMMUTATOR_RTOL
 
 
 def sinh_cosh_gap(xp, xm, shift):

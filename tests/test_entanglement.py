@@ -15,6 +15,7 @@ from su2pair.errors import (
     ConstraintError,
     DegenerateBranchError,
     DensityMatrixError,
+    NonHermitianError,
 )
 from su2pair.hamiltonian import CaseKind, CoefficientSet, classify, rotate_set
 from su2pair.oracle import wootters_concurrence
@@ -45,9 +46,17 @@ class TestBlochVectors:
         assert np.allclose(pair.a_bloch, [0, 0, 1])
         assert np.allclose(pair.b_bloch, [0, 0, -1])
 
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(DensityMatrixError):
-            bloch_vectors(np.eye(4))
+    @pytest.mark.parametrize(
+        "rho, error",
+        [
+            (np.eye(4), DensityMatrixError),
+            (np.eye(4) / 4 + np.triu(np.ones((4, 4)), 1) / 8, NonHermitianError),
+        ],
+        ids=["trace-4", "not-hermitian"],
+    )
+    def test_rejects_what_is_not_a_state(self, rho, error):
+        with pytest.raises(error):
+            bloch_vectors(rho)
 
     def test_closed_form_matches_trace_route(self, rng):
         for k in range(200):

@@ -1,4 +1,7 @@
+import decimal
+import math
 import re
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -110,6 +113,20 @@ class TestFano:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         with pytest.raises(NonHermitianError):
             fano_decompose(m)
+
+    @pytest.mark.parametrize("size", [1e-200, 1e-160, 1.0, 1e160, 1e200])
+    def test_scale_is_the_hypot_at_every_magnitude(self, size):
+        """S is math.hypot of the packed vector, bit for bit and without a
+        warning, where the sum of squares underflows or overflows, and
+        within 2 ulp of a 50-digit reference."""
+        v = np.random.default_rng(5).normal(size=16) * size
+        c = CoefficientSet(v[0], v[1:4], v[4:7], v[7:].reshape(3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scale = c.scale()
+        assert scale == math.hypot(*c.packed.tolist())
+        exact = decimal.Context(prec=50).sqrt(sum(decimal.Decimal(x) ** 2 for x in v.tolist()))
+        assert abs(decimal.Decimal(scale) - exact) <= 2 * math.ulp(scale)
 
     def test_coefficients_must_be_finite(self):
         with pytest.raises(ValueError):

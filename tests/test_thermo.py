@@ -433,15 +433,35 @@ class TestThermalSweep:
 
     def test_overflowing_commutator_proves_nothing(self):
         """A canonical alpha-branch set scaled by 1e160 has an N that
-        overflows, and one scaled by 1e154 a bound COMMUTATOR_RTOL (1 +
-        scale^2) that does: neither commutator is negligible, and the sweep
-        flags the set 1 instead of raising on the set it composes."""
+        overflows, and one scaled by 1e154 a finite norm whose ratio to V is
+        far above COMMUTATOR_RTOL: neither commutator is negligible, and the
+        sweep flags the set 1 instead of raising on the set it composes."""
         c = random_entangled_canonical(np.random.default_rng(0), "alpha")
         scaled = lambda s: CoefficientSet(c.upsilon * s, c.alpha * s, c.beta * s, c.omega * s)
         with np.errstate(all="ignore"):
             assert spin_flip_commutator(scaled(1e160)) == (math.inf, False)
             assert not spin_flip_commutator(scaled(1e154))[1]
             assert thermal_sweep(scaled(1e154), np.array([1.0]))["flag"].tolist() == [1]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flag_ignores_upsilon_shifts_and_global_scale(self, seed):
+        """The flag column reads the same after upsilon -> upsilon + 2^k,
+        k <= 30, and after scaling the set and T by 4^j, j in [-60, 60]:
+        the commutator test has no upsilon and is relative to V."""
+        rng = np.random.default_rng(seed)
+        temps = np.geomspace(0.01, 100.0, 7)
+        sets = [random_entangled_canonical(rng, b) for b in ("alpha", "beta", "both")]
+        sets += [random_rotated_constrained(rng)[1], random_commuting_thermal_set(rng)]
+        for c in sets:
+            flag = thermal_sweep(c, temps)["flag"].tolist()
+            for k in range(31):
+                shifted = CoefficientSet(c.upsilon + 2.0**k, c.alpha, c.beta, c.omega)
+                assert thermal_sweep(shifted, temps)["flag"].tolist() == flag, k
+            for j in range(-60, 61):
+                s = 4.0**j
+                scaled = CoefficientSet(c.upsilon * s, c.alpha * s, c.beta * s, c.omega * s)
+                assert thermal_sweep(scaled, temps * s)["flag"].tolist() == flag, j
+        assert [thermal_sweep(c, temps)["flag"][0] for c in sets] == [1, 1, 1, 1, 0]
 
 
 class TestWernerGibbsStates:
