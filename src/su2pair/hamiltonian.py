@@ -270,7 +270,7 @@ def _dyadic_residuals(
     u_mat, svals, vt = np.linalg.svd(c.omega)
     s1, s2, _ = svals.tolist()
     out = {"rank1": s2 / (s1 + _TINY)}
-    if s1 <= DEFAULT_TOL * math.sqrt(d.v_quad):
+    if s1 <= DEFAULT_TOL * math.hypot(*c.packed[1:].tolist()):
         # omega = 0: consistent iff one local factor is proportional to I.
         out["factor_consistency"] = math.sqrt(min(d.alpha_sq, d.beta_sq)) / sc
         return out, None

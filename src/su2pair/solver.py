@@ -288,7 +288,7 @@ def secular_coefficients(d: DerivedCoefficients) -> tuple[float, float, float, f
     broadcast, so it gives every item's coefficients, each with the bits of
     the single-set call.  Near-degenerate roots lose accuracy as in any
     closed-form quartic: roots a relative gap g apart err by about eps / g^2,
-    and by up to eps^(1/3) (~6e-6) where three roots meet.
+    and by up to ~5e-6, about eps^(1/3), where three roots meet.
     """
     return (1.0, 0.0, -2.0 * d.v_quad, -8.0 * (d.s_cubic - d.det_omega),
             d.v_quad * d.v_quad - d.theta)

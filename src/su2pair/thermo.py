@@ -182,19 +182,22 @@ def spin_flip_commutator(c: CoefficientSet) -> tuple[float, bool]:
     one gather; its norm is the largest modulus of its entries.  The norm
     has no upsilon and is quadratic in alpha, beta and omega, so it is
     negligible when 0 or at most COMMUTATOR_RTOL V, a test free of shifts
-    and scale: divided twice by sqrt(V), it cannot overflow.  Where N
-    overflows, the norm reads inf and nothing is proved.
+    and scale.  N is formed from alpha, beta and omega divided by 2^k, the
+    power of two with their largest modulus in [2^k, 2^(k+1)): an exact
+    scaling, so N neither underflows for tiny sets nor overflows for huge
+    ones, and the ratio to V keeps its bits.  The norm is scaled back by
+    4^k, and reads 0 or inf past the double range.
     """
-    a, b, w = c.alpha.tolist(), c.beta.tolist(), c.omega.tolist()
+    k = math.frexp(max_abs(c.packed[1:]))[1] - 1
+    v = np.ldexp(c.packed[1:], -k).tolist()
+    a, b, w = v[:3], v[3:6], (v[6:9], v[9:12], v[12:])
     # Indices are cyclic: (x cross y)_l = x_{l+1} y_{l+2} - x_{l+2} y_{l+1}.
     n = [[4.0 * ((a[l - 2] * w[l - 1][j] - a[l - 1] * w[l - 2][j])
                  + (b[j - 2] * w[l][j - 1] - b[j - 1] * w[l][j - 2])) for j in range(3)]
          for l in range(3)]
-    if not np.isfinite(n).all():
-        return math.inf, False
     norm = max_abs(fano_compose(CoefficientSet(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), n)))
-    h = math.hypot(*c.packed[1:].tolist())
-    return norm, norm == 0.0 or norm / h / h <= COMMUTATOR_RTOL
+    h = math.hypot(*v)
+    return norm * 2.0**k * 2.0**k, norm == 0.0 or norm / h / h <= COMMUTATOR_RTOL
 
 
 def sinh_cosh_gap(xp, xm, shift):

@@ -296,6 +296,15 @@ class TestSolveSeparable:
         assert np.allclose(es.values, 1.0)
         assert np.allclose(sum(s for _, _, s in es.items()), np.eye(4))
 
+    def test_product_past_the_square_root_of_the_double_range(self):
+        """1e155 s1 (x) s1: V = |omega|^2 overflows, but the omega = 0 test
+        compares s1 with the hypot of alpha, beta and omega, so the product
+        keeps its eigenvalues +-1e155 (it read four zeros)."""
+        c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1e155, 0.0, 0.0]))
+        es = solve(c)
+        assert es.method is SolveMethod.SEPARABLE_CLOSED_FORM
+        assert np.allclose(es.sorted_values(), [-1e155, -1e155, 1e155, 1e155], rtol=1e-15, atol=0)
+
     def test_label_convention(self, rng):
         """epsilon_mn = (a0 + (-1)^m a)(b0 + (-1)^n b) exactly."""
         for _ in range(20):

@@ -443,6 +443,17 @@ class TestThermalSweep:
             assert not spin_flip_commutator(scaled(1e154))[1]
             assert thermal_sweep(scaled(1e154), np.array([1.0]))["flag"].tolist() == [1]
 
+    def test_flag_survives_scales_where_n_underflows(self):
+        """alpha = (0, 0, s), omega = s diag(1, 2, 0) reads flag 1 at unit
+        scale and at every smaller s: N is formed at unit scale, so it no
+        longer underflows to 0 and reads flag 0 ("provably exact") at 1e-170."""
+        for s in (1.0, 1e-160, 1e-170, 1e-250, 1e-300):
+            c = CoefficientSet(0.0, (0, 0, s), (0, 0, 0), np.diag([s, 2 * s, 0]))
+            norm, negligible = spin_flip_commutator(c)
+            assert not negligible, s
+            assert math.isclose(norm, 12.0 * s * s, rel_tol=1e-15, abs_tol=1e-322), s
+            assert thermal_sweep(c, np.array([s]))["flag"].tolist() == [1], s
+
     @pytest.mark.parametrize("seed", range(3))
     def test_flag_ignores_upsilon_shifts_and_global_scale(self, seed):
         """The flag column reads the same after upsilon -> upsilon + 2^k,
