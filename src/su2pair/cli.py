@@ -17,7 +17,7 @@ import numpy as np
 
 from . import graphene
 from .errors import ConstraintError, InputFormatError, InvariantViolation
-from .hamiltonian import CoefficientSet, classify, derive, even_spectrum
+from .hamiltonian import CoefficientSet, classify
 from .quartic import solve_quartic
 from .serialization import (
     format_float,
@@ -227,12 +227,11 @@ def cmd_thermo(args) -> int:
     branch = EnsembleBranch.FULL if args.branch == "full" else EnsembleBranch.POSITIVE_ONLY
     temps = _temperatures(args.tmin, args.tmax, args.steps)
     _check_lowest_temperature(args.tmin, c)
-    if branch is EnsembleBranch.POSITIVE_ONLY:
-        try:
-            even_spectrum(derive(c))
-        except ConstraintError as exc:
-            raise InputFormatError(f"--branch positive: {exc}") from exc
-    s = thermal_sweep(c, temps, branch)
+    try:
+        s = thermal_sweep(c, temps, branch)
+    except ConstraintError as exc:
+        # Only the positive branch needs a constraint.
+        raise InputFormatError(f"--branch positive: {exc}") from exc
     columns = [s[name] for name in ("t", "z", "purity", "concurrence", "flag")]
     rows = write_csv(args.output, ["T", "Z", "purity", "concurrence", "flag"], [columns])
     print(f"{rows} temperatures written to {args.output}")

@@ -17,10 +17,10 @@ import numpy as np
 from ._invariants import _cofactors, _derive_kernel, _ht2_parts
 from .errors import ConcurrenceDomainError, DegenerateBranchError, DensityMatrixError
 from .hamiltonian import (
-    DEGENERACY_RTOL,
     CoefficientSet,
     DerivedCoefficients,
     _batch_components,
+    _degenerate_branch,
     _float_components,
     _where,
     derive,
@@ -80,16 +80,12 @@ RADICAND_DOMAIN = 3
 def _branch_scales(d: DerivedCoefficients, n: int):
     """(sqrt_theta_phi, E_n, cause) over the batch of ``d``; needs constrained sets.
 
-    ``cause`` is 0, DEGENERATE_THETA_PHI or DEGENERATE_E_N.
+    ``cause`` is 0, DEGENERATE_THETA_PHI or DEGENERATE_E_N, by
+    :func:`~su2pair.hamiltonian._degenerate_branch`.
     """
     sq, e1, e2 = even_spectrum(d)
-    # E_n^2 is compared before the square root rounds it.
-    bound = DEGENERACY_RTOL * (1.0 + np.sqrt(d.v_quad))
-    cause = _where(
-        sq <= DEGENERACY_RTOL * (1.0 + d.v_quad),
-        DEGENERATE_THETA_PHI,
-        _where(d.v_quad + (-1) ** n * sq <= bound * bound, DEGENERATE_E_N, CLOSED_FORM),
-    )
+    theta_phi, e_n = _degenerate_branch(d, sq, n)
+    cause = _where(theta_phi, DEGENERATE_THETA_PHI, _where(e_n, DEGENERATE_E_N, CLOSED_FORM))
     return sq, (e1, e2)[n - 1], cause
 
 

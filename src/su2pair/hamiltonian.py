@@ -29,13 +29,19 @@ from .pauli import _WORDS, require_hermitian
 # The package's relative thresholds, one table (README "Tolerances"):
 # DEFAULT_TOL      constraint residuals and case detection (derive gates,
 #                  classify, factor_dyadic); defined in _invariants
-# DEGENERACY_RTOL  degenerate spectra: sqrt(Tp), E_n or E2 - E1 at most this
-#                  times 1 + V or 1 + sqrt(V) sends the closed-form states to
-#                  the oracle and makes the closed-form concurrence raise;
+# DEGENERACY_RTOL  degenerate spectra (_degenerate_branch): sqrt(Tp) at most
+#                  this times 1 + V, or E_n at most this times 1 + sqrt(V),
+#                  sends the closed-form states to the oracle (n = 1) and
+#                  makes the closed-form concurrence of branch n raise;
 #                  oracle eigenvalues within this times 1 + max|e| merge
 # COMMUTATOR_RTOL  the thermal-concurrence closed form is provably exact when
-#                  the spin-flip commutator is at most this times
+#                  the Frobenius norm of the spin-flip commutator, which no
+#                  local rotation changes, is at most this times
 #                  V = |alpha|^2 + |beta|^2 + |omega|^2
+# 1e-14            degenerate separable factors, a fixed floor with no name
+#                  in solver._solve_product: a factor vector of norm at most
+#                  this times 1 + |f0| (f0 the factor's scalar part) takes
+#                  the +3 axis for its projectors and flags the result
 DEGENERACY_RTOL = 1e-8
 COMMUTATOR_RTOL = 1e-12
 
@@ -198,6 +204,22 @@ def even_spectrum(d: DerivedCoefficients):
     e1 = sqrt(maximum(d.v_quad - sq, 0.0))
     e2 = sqrt(d.v_quad + sq)
     return sq, e1, e2
+
+
+def _degenerate_branch(d: DerivedCoefficients, sq, n: int):
+    """(sqrt(Tp) degenerate, E_n degenerate) of branch n, the one rule that
+    refuses the even closed forms, for ``sq`` = sqrt(Tp) of
+    :func:`even_spectrum`.
+
+    sqrt(Tp) is degenerate at most ``DEGENERACY_RTOL`` (1 + V), and E_n
+    when E_n^2 = V + (-1)^n sqrt(Tp), compared before the square root
+    rounds it, is at most (``DEGENERACY_RTOL`` (1 + sqrt(V)))^2.  Since
+    E1 <= E2, branch 1 is refused whenever branch 2 is.  Python bools for
+    one set's Python floats, boolean arrays for a batch.
+    """
+    sqrt = math.sqrt if isinstance(d.v_quad, float) else np.sqrt
+    bound = DEGENERACY_RTOL * (1.0 + sqrt(d.v_quad))
+    return sq <= DEGENERACY_RTOL * (1.0 + d.v_quad), d.v_quad + (-1) ** n * sq <= bound * bound
 
 
 def _unconstrained_message(d: DerivedCoefficients) -> str:

@@ -22,6 +22,7 @@ from .hamiltonian import (
     CoefficientSet,
     DerivedCoefficients,
     _decide,
+    _degenerate_branch,
     _dyadic_residuals,
     derive,
     even_spectrum,
@@ -237,9 +238,10 @@ def solve_entangled(c: CoefficientSet) -> Eigensystem:
 
         rho_mn = 1/4 [I + (-1)^m Ht / E_n] [I + (-1)^n (Ht^2 - V I) / sqrt(Tp)].
 
-    When sqrt(Tp) or E_1 is numerically degenerate the ansatz collapses, so
-    the states (and values) come from the oracle instead, labelled by the
-    closed-form energy pattern, and the result is flagged.
+    When sqrt(Tp) or E_1 is numerically degenerate by the rule that also
+    refuses the closed-form concurrence, the ansatz collapses, so the states
+    (and values) come from the oracle instead, labelled by the closed-form
+    energy pattern, and the result is flagged when the oracle's levels merge.
     """
     return _solve_entangled(c, derive(c))
 
@@ -248,8 +250,8 @@ def _solve_entangled(c: CoefficientSet, d: DerivedCoefficients) -> Eigensystem:
     """:func:`solve_entangled` with ``d`` = :func:`derive` of ``c``."""
     sq, e1, e2 = even_spectrum(d)
     h = fano_compose(c)
-    gap_floor = DEGENERACY_RTOL * (1.0 + math.sqrt(d.v_quad))
-    if sq <= DEGENERACY_RTOL * (1.0 + d.v_quad) or e1 <= gap_floor or e2 - e1 <= gap_floor:
+    # Branch 1 is refused whenever branch 2 is, so it decides for both.
+    if any(_degenerate_branch(d, sq, 1)):
         return _oracle_eigensystem(
             require_hermitian(h, "eig_hermitian input"),
             ascending_labels=((1, 2), (1, 1), (2, 1), (2, 2)),

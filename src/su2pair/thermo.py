@@ -28,12 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConstraintError
 from .hamiltonian import (
     COMMUTATOR_RTOL,
     CaseKind,
     CoefficientSet,
     DerivedCoefficients,
     _decide,
+    _unconstrained_message,
     derive,
     even_spectrum,
     fano_compose,
@@ -65,11 +67,6 @@ def _check_temperature(t) -> np.ndarray:
     if bad.any():
         raise ValueError(f"temperature must be positive and finite, got {t[bad].flat[0]}")
     return t
-
-
-def _scalar_or_array(x):
-    """A 0-d result as a Python float, so scalar temperatures give scalars."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 # --- Gibbs weights ----------------------------------------------------------------
@@ -105,13 +102,6 @@ def _product_levels(f1: Su2Factor, f2: Su2Factor):
     """(a0 b0, offsets) of the product levels (a0 +- a)(b0 +- b)."""
     m1, m2, m3 = f1.norm * f2.norm, f1.a0 * f2.norm, f1.norm * f2.a0
     return f1.a0 * f2.a0, [m1 + m2 + m3, m3 - m1 - m2, m2 - m1 - m3, m1 - m2 - m3]
-
-
-def _even_levels(d: DerivedCoefficients, branch: EnsembleBranch):
-    """Offsets from upsilon of the even levels: +-E1, +-E2, or E1, E2 on the
-    positive branch."""
-    _, e1, e2 = even_spectrum(d)
-    return [e1, e2] if branch is EnsembleBranch.POSITIVE_ONLY else [-e2, -e1, e1, e2]
 
 
 # --- thermal states --------------------------------------------------------------
@@ -156,9 +146,10 @@ class ThermalConcurrenceResult:
 
     ``value`` is the closed form; ``wootters`` the definition route on the
     Gibbs state (None when comparison is skipped); ``commutator_norm`` is
-    the largest entry of [H(a,b,w), H(-a,-b,w)] in the frame the set is
-    given in (that norm is not frame-invariant), which must vanish for the
-    closed form to be exact; ``reliable`` records that condition.
+    the Frobenius norm of [H(a,b,w), H(-a,-b,w)], which no local rotation
+    changes and which must vanish for the closed form to be exact;
+    ``reliable`` records that condition, as :func:`spin_flip_commutator`
+    decides it.
     """
 
     value: float
@@ -174,28 +165,30 @@ class ThermalConcurrenceResult:
 
 
 def spin_flip_commutator(c: CoefficientSet) -> tuple[float, bool]:
-    """Norm of [H(a,b,w), H(-a,-b,w)] and whether it is negligible, which
-    makes the thermal-concurrence closed form provably exact.
+    """Frobenius norm of [H(a,b,w), H(-a,-b,w)] and whether it is
+    negligible, which makes the thermal-concurrence closed form provably
+    exact.
 
     The commutator is 4i sum_lj N_lj sigma_l (x) sigma_j with
-    N_lj = (alpha x omega[:, j])_l + (beta x omega[l, :])_j, composed in
-    one gather; its norm is the largest modulus of its entries.  The norm
-    has no upsilon and is quadratic in alpha, beta and omega, so it is
-    negligible when 0 or at most COMMUTATOR_RTOL V, a test free of shifts
-    and scale.  N is formed from alpha, beta and omega divided by 2^k, the
-    power of two with their largest modulus in [2^k, 2^(k+1)): an exact
-    scaling, so N neither underflows for tiny sets nor overflows for huge
-    ones, and the ratio to V keeps its bits.  The norm is scaled back by
-    4^k, and reads 0 or inf past the double range.
+    N_lj = (alpha x omega[:, j])_l + (beta x omega[l, :])_j.  The Pauli
+    words are orthogonal with squared norm 4, so its Frobenius norm is
+    8 |N|_F, read from N's nine entries.  A local rotation maps N to
+    R1 N R2^T, so the norm, unlike any one matrix entry, holds in every
+    frame.  The norm has no upsilon and is quadratic in alpha, beta and
+    omega, so it is negligible when 0 or at most COMMUTATOR_RTOL V, a test
+    free of shifts and scale.  N is formed from alpha, beta and omega
+    divided by 2^k, the power of two with their largest modulus in
+    [2^k, 2^(k+1)): an exact scaling, so N neither underflows for tiny sets
+    nor overflows for huge ones, and the ratio to V keeps its bits.  The
+    norm is scaled back by 4^k, and reads 0 or inf past the double range.
     """
     k = math.frexp(max_abs(c.packed[1:]))[1] - 1
     v = np.ldexp(c.packed[1:], -k).tolist()
     a, b, w = v[:3], v[3:6], (v[6:9], v[9:12], v[12:])
     # Indices are cyclic: (x cross y)_l = x_{l+1} y_{l+2} - x_{l+2} y_{l+1}.
-    n = [[4.0 * ((a[l - 2] * w[l - 1][j] - a[l - 1] * w[l - 2][j])
-                 + (b[j - 2] * w[l][j - 1] - b[j - 1] * w[l][j - 2])) for j in range(3)]
-         for l in range(3)]
-    norm = max_abs(fano_compose(CoefficientSet(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), n)))
+    norm = 8.0 * math.hypot(*[(a[l - 2] * w[l - 1][j] - a[l - 1] * w[l - 2][j])
+                              + (b[j - 2] * w[l][j - 1] - b[j - 1] * w[l][j - 2])
+                              for l in range(3) for j in range(3)])
     h = math.hypot(*v)
     return norm * 2.0**k * 2.0**k, norm == 0.0 or norm / h / h <= COMMUTATOR_RTOL
 
@@ -203,13 +196,10 @@ def spin_flip_commutator(c: CoefficientSet) -> tuple[float, bool]:
 def sinh_cosh_gap(xp, xm, shift):
     """e^{-shift} [sinh(xp) - cosh(xm)] for xm and xp in [0, shift]: every
     exponent is at most zero, so nothing overflows, and the sign is exact."""
-    return _scalar_or_array(
-        (
-            np.exp(xp - shift) * -np.expm1(-2 * xp)
-            - np.exp(xm - shift) * (1.0 + np.exp(-2 * xm))
-        )
-        / 2.0
-    )
+    return (
+        np.exp(xp - shift) * -np.expm1(-2 * xp)
+        - np.exp(xm - shift) * (1.0 + np.exp(-2 * xm))
+    ) / 2.0
 
 
 def _x_pm(d: DerivedCoefficients) -> tuple[float, float]:
@@ -218,14 +208,20 @@ def _x_pm(d: DerivedCoefficients) -> tuple[float, float]:
     return math.sqrt(d.omega_sq + two_adj), math.sqrt(max(d.omega_sq - two_adj, 0.0))
 
 
-def _closed_form_concurrence(d: DerivedCoefficients, t: np.ndarray, boltz: np.ndarray):
-    """Closed-form C at temperatures ``t`` of a constrained set with derived
-    coefficients ``d``, given the Gibbs weights of its four even levels; see
-    :func:`thermal_concurrence`.  Numerator and denominator are both scaled
-    by e^{-E2/T}, and x+ <= E2."""
+def _even_closed_forms(upsilon: float, d: DerivedCoefficients, t: np.ndarray):
+    """(w, shift, C, [E1, E2]) of a constrained set with derived
+    coefficients ``d`` at temperatures ``t``, from one even spectrum: the
+    Gibbs weights and log shift of the four levels upsilon +- E1,
+    upsilon +- E2, the closed-form concurrence of
+    :func:`thermal_concurrence`, and the positive offsets, whose levels are
+    the positive-only branch.  Numerator and denominator of C are both
+    scaled by e^{-E2/T}, and x+ <= E2.  Raises ConstraintError as
+    :func:`~su2pair.hamiltonian.even_spectrum` does."""
+    _, e1, e2 = even_spectrum(d)
+    boltz, shift = _gibbs_weights(upsilon, [-e2, -e1, e1, e2], t)
     xp, xm = _x_pm(d)
-    e2 = even_spectrum(d)[2]
-    return np.maximum(sinh_cosh_gap(xp / t, xm / t, e2 / t), 0.0) / (boltz.sum(0) / 2.0)
+    conc = np.maximum(sinh_cosh_gap(xp / t, xm / t, e2 / t), 0.0) / (boltz.sum(0) / 2.0)
+    return boltz, shift, conc, [e1, e2]
 
 
 def thermal_concurrence(
@@ -243,9 +239,7 @@ def thermal_concurrence(
     lets callers quantify the deviation outside the provable regime.
     """
     t = _check_temperature(float(t))
-    d = derive(c)
-    boltz, _ = _gibbs_weights(c.upsilon, _even_levels(d, EnsembleBranch.FULL), t)
-    value = _closed_form_concurrence(d, t, boltz)
+    value = _even_closed_forms(c.upsilon, derive(c), t)[2]
     comm, reliable = spin_flip_commutator(c)
     woot = wootters_concurrence(thermal_state(c, float(t))) if compare else None
     return ThermalConcurrenceResult(
@@ -272,8 +266,9 @@ def thermal_sweep(
     gives log Z, the purity and the concurrence, which stay finite; ``z``
     reads inf where Z exceeds the double range.
 
-    Raises ValueError for a temperature that is not positive and finite, and
-    for the positive branch on a set that meets neither constraint.
+    Raises ValueError for a temperature that is not positive and finite,
+    and ConstraintError, a ValueError, with the constraint residuals for the
+    positive branch on a set that meets neither constraint.
     """
     t = _check_temperature(temps)
     if t.ndim != 1:
@@ -284,13 +279,15 @@ def thermal_sweep(
         # Gibbs states of product Hamiltonians are explicitly separable.
         conc, flag = np.zeros(t.shape), 0
     elif d.alpha_null or d.beta_null:
-        boltz, shift = _gibbs_weights(c.upsilon, _even_levels(d, EnsembleBranch.FULL), t)
-        conc = _closed_form_concurrence(d, t, boltz)
+        boltz, shift, conc, positive = _even_closed_forms(c.upsilon, d, t)
         flag = 0 if spin_flip_commutator(c)[1] else 1
         if branch is not EnsembleBranch.FULL:
-            boltz, shift = _gibbs_weights(c.upsilon, _even_levels(d, branch), t)
+            boltz, shift = _gibbs_weights(c.upsilon, positive, t)
     elif branch is not EnsembleBranch.FULL:
-        raise ValueError("the positive-only branch applies to the even constrained spectrum")
+        raise ConstraintError(
+            "the positive-only branch applies to the even constrained spectrum: "
+            + _unconstrained_message(d)
+        )
     else:
         dec = eig_hermitian(fano_compose(c))
         boltz, shift = _gibbs_weights(0.0, dec.eigenvalues, t)

@@ -520,6 +520,25 @@ class TestConstraintGate:
         even = c.upsilon + np.array([-e2, -e1, e1, e2])
         assert np.max(np.abs(even - e)) <= 1e-9 * (1 + np.max(np.abs(e)))
 
+    # E1 = sqrt(V - sqrt(Tp)) cancels where E1 << E2: its error is about
+    # sqrt(eps V), where eigvalsh errs by about eps sqrt(V).  The random test
+    # above meets this when it draws alpha = beta = 0 and an omega with equal
+    # nonzero singular values; this set is one, pinned so that the defect
+    # shows on every run until ROADMAP item 7 (a backward-stable E1) lands.
+    @pytest.mark.xfail(strict=True, reason="E1 = sqrt(V - sqrt(Tp)) cancels near E1 = 0")
+    def test_equal_singular_values_have_the_even_spectrum(self):
+        """omega with singular values (3, 3, 0) in a rotated frame: the
+        spectrum is -6, 0, 0, 6, and E1 reads 6.0e-8 against the 7e-9 bound
+        of the test above."""
+        omega = [[0.8750168667406661, -1.4277937635577944, 1.9053467764321144],
+                 [-0.4401166539908998, 2.4886604843545155, 1.4239634299220036],
+                 [0.44027284470823447, -0.1584022669208964, 1.7122111820649848]]
+        c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), omega)
+        _, e1, e2 = even_spectrum(derive(c))
+        e = np.linalg.eigvalsh(fano_compose(c))
+        even = c.upsilon + np.array([-e2, -e1, e1, e2])
+        assert np.max(np.abs(even - e)) <= 1e-9 * (1 + np.max(np.abs(e)))
+
     def test_vanishing_vector_with_full_rank_omega_is_not_constrained(self):
         d = derive(XYZ_EXCHANGE)
         assert not d.alpha_null and not d.beta_null

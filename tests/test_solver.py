@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from su2pair import hamiltonian, solver
+from su2pair.entanglement import eigenstate_concurrence_closed_form
 from su2pair.errors import (
     ConstraintError,
     FactorizationError,
+    InvariantViolation,
     NonHermitianError,
 )
 from su2pair.hamiltonian import (
@@ -394,6 +396,41 @@ class TestSolveEntangled:
         es = solve_entangled(c)
         assert es.degenerate
         assert np.allclose(np.sort(es.values.ravel()), [-2, 0, 0, 2])
+
+    def test_near_degenerate_pair_takes_the_closed_form(self):
+        """omega = diag(10, 5.2e-8, 0) has sqrt(Tp) = 1.04e-6, above its
+        degeneracy bound 1.01e-6, so the closed-form concurrence exists and
+        solve keeps the two level pairs 1.04e-7 apart instead of
+        merging them in the oracle."""
+        c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([10.0, 5.2e-8, 0.0]))
+        assert eigenstate_concurrence_closed_form(c, 2, 1) == 1.0
+        es = solve(c)
+        assert (es.method, es.degenerate) == (SolveMethod.ENTANGLED_CLOSED_FORM, False)
+        assert np.allclose(es.values, [[-10 + 5.2e-8, -10 - 5.2e-8], [10 - 5.2e-8, 10 + 5.2e-8]],
+                           rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0])
+    def test_solve_refuses_exactly_where_the_concurrence_does(self, scale):
+        """One degeneracy rule: solve takes the entangled closed form exactly
+        where the closed-form concurrence of branch n = 1 raises nothing, on
+        either m.  omega = diag(s, eps, 0) has sqrt(Tp) = 2 s eps, so eps is
+        drawn within 5% of DEGENERACY_RTOL (1 + s^2) / (2 s), where sqrt(Tp)
+        meets its bound, and both sides of it are reached."""
+        rng = np.random.default_rng(int(10 * scale))
+        threshold = hamiltonian.DEGENERACY_RTOL * (1.0 + scale * scale) / (2.0 * scale)
+        routes = set()
+        for eps in threshold * (1.0 + rng.uniform(-0.05, 0.05, 60)):
+            c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([scale, eps, 0.0]))
+            closed = solve(c).method is SolveMethod.ENTANGLED_CLOSED_FORM
+            for m in (1, 2):
+                try:
+                    eigenstate_concurrence_closed_form(c, m, 1)
+                except InvariantViolation:
+                    assert not closed, (eps, m)
+                else:
+                    assert closed, (eps, m)
+            routes.add(closed)
+        assert routes == {False, True}
 
     def test_unconstrained_rejected(self):
         c = CoefficientSet(0.3, (1, 2, 3), (3, 1, 2), np.diag([1.0, 2.0, 3.0]))

@@ -446,13 +446,37 @@ class TestThermalSweep:
     def test_flag_survives_scales_where_n_underflows(self):
         """alpha = (0, 0, s), omega = s diag(1, 2, 0) reads flag 1 at unit
         scale and at every smaller s: N is formed at unit scale, so it no
-        longer underflows to 0 and reads flag 0 ("provably exact") at 1e-170."""
+        longer underflows to 0 and reads flag 0 ("provably exact") at 1e-170.
+        Its N has entries s^2 and -2 s^2, so the commutator 4i sum N sigma (x)
+        sigma has Frobenius norm 2 |4 N|_F = 2 sqrt(80) s^2."""
         for s in (1.0, 1e-160, 1e-170, 1e-250, 1e-300):
             c = CoefficientSet(0.0, (0, 0, s), (0, 0, 0), np.diag([s, 2 * s, 0]))
             norm, negligible = spin_flip_commutator(c)
             assert not negligible, s
-            assert math.isclose(norm, 12.0 * s * s, rel_tol=1e-15, abs_tol=1e-322), s
+            want = 2.0 * math.sqrt(80.0) * s * s
+            assert math.isclose(norm, want, rel_tol=1e-15, abs_tol=1e-322), s
             assert thermal_sweep(c, np.array([s]))["flag"].tolist() == [1], s
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_commutator_norm_and_flag_are_frame_free(self, seed):
+        """A local rotation maps N to R1 N R2^T, so the Frobenius norm
+        8 |N|_F of the spin-flip commutator holds within 1e-13 of
+        max(norm, V) under random local rotations, V its natural scale
+        where it is round-off, and the flag column does not move."""
+        rng = np.random.default_rng(seed)
+        temps = np.geomspace(0.01, 100.0, 5)
+        sets = [random_entangled_canonical(rng, b) for b in ("alpha", "beta", "both")]
+        sets += [random_rotated_constrained(rng)[1], random_commuting_thermal_set(rng)]
+        for c in sets:
+            norm, negligible = spin_flip_commutator(c)
+            bound = 1e-13 * max(norm, float(c.packed[1:] @ c.packed[1:]))
+            flag = thermal_sweep(c, temps)["flag"].tolist()
+            for _ in range(20):
+                rot = rotate_set(c, random_rotation(rng), random_rotation(rng))
+                rot_norm, rot_negligible = spin_flip_commutator(rot)
+                assert abs(rot_norm - norm) <= bound, (norm, rot_norm)
+                assert rot_negligible == negligible
+                assert thermal_sweep(rot, temps)["flag"].tolist() == flag
 
     @pytest.mark.parametrize("seed", range(3))
     def test_flag_ignores_upsilon_shifts_and_global_scale(self, seed):
