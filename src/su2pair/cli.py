@@ -285,11 +285,13 @@ def cmd_graphene_thermal(args) -> int:
         raise InputFormatError("--kx and --ky must be finite")
     else:
         kx, ky = args.kx, args.ky
-    _check_lowest_temperature(args.tmin, graphene.map_to_su2su2(p, kx, ky))
-    data = graphene.thermal_concurrence_curve(p, kx, ky, temps)
-    write_csv(args.output, ["T", "C", "flag"], [(data["t"], data["c"], data["flag"])])
+    # One mapping serves the check and the curve: thermal_concurrence_curve's sweep.
+    c = graphene.map_to_su2su2(p, kx, ky)
+    _check_lowest_temperature(args.tmin, c)
+    s = thermal_sweep(c, temps)
+    write_csv(args.output, ["T", "C", "flag"], [(s["t"], s["concurrence"], s["flag"])])
     print(
-        f"{data['t'].size} temperatures written to {args.output} "
+        f"{s['t'].size} temperatures written to {args.output} "
         f"at k = ({format_float(kx)}, {format_float(ky)})"
     )
     return 0

@@ -128,22 +128,17 @@ def pure_concurrence(rho: np.ndarray) -> float:
     purity = float(np.einsum("ab,ba->", rho, rho).real)
     if abs(purity - 1.0) > PURITY_TOL:
         raise DensityMatrixError(f"state purity {purity} is not 1: mixed input")
-    pair = bloch_vectors(rho)
-    return _concurrence_from_radicand(1.0 - pair.a_modulus**2)
+    radicand = 1.0 - bloch_vectors(rho).a_modulus**2
+    value, domain_error = _root_of_radicand(radicand)
+    if domain_error:
+        _raise_for(RADICAND_DOMAIN, 0, radicand)
+    return float(value)
 
 
 def _root_of_radicand(radicand):
     """sqrt of concurrence radicands with round-off negatives clamped to zero,
     and where each radicand is below the round-off floor."""
     return np.sqrt(np.minimum(np.maximum(radicand, 0.0), 1.0)), radicand < RADICAND_FLOOR
-
-
-def _concurrence_from_radicand(radicand: float) -> float:
-    """sqrt of one concurrence radicand; raises below the round-off floor."""
-    value, domain_error = _root_of_radicand(radicand)
-    if domain_error:
-        _raise_for(RADICAND_DOMAIN, 0, radicand)
-    return float(value)
 
 
 def concurrence_closed_form_arrays(alpha, beta, omega, m: int, n: int):
@@ -173,9 +168,13 @@ def concurrence_closed_form_arrays(alpha, beta, omega, m: int, n: int):
 def _concurrence_from_derived(d: DerivedCoefficients, a, b, w, m: int, n: int):
     """:func:`concurrence_closed_form_arrays` on the derived record ``d`` of
     a batch and its components (a, b, w), in the form ``_derive_kernel``
-    takes them, structural zeros included, or of one set as Python floats."""
+    takes them, structural zeros included, or of one set as Python floats.
+    One set's Python floats would raise on a degenerate branch's zero
+    denominator, so its cause returns first, with a NaN radicand."""
     _check_mn(m, n)
     sq, en, cause = _branch_scales(d, n)
+    if type(d.v_quad) is float and cause != CLOSED_FORM:
+        return 0.0, cause, np.nan
     sn = (-1.0) ** n
     on_alpha = d.alpha_null
     # adj(omega)^T beta = C beta and adj(omega) alpha = C^T alpha, with C
@@ -212,12 +211,7 @@ def eigenstate_concurrence_closed_form(c: CoefficientSet, m: int, n: int) -> flo
     DegenerateBranchError or ConcurrenceDomainError where that function
     reports a cause, and ConstraintError as it does.
     """
-    d = derive(c)
-    _check_mn(m, n)
-    # A degenerate branch can leave a zero denominator in the radical, on
-    # which Python floats raise: it is refused first.
-    _raise_for(_branch_scales(d, n)[2], n)
-    value, cause, radicand = _concurrence_from_derived(d, *_float_components(c), m, n)
+    value, cause, radicand = _concurrence_from_derived(derive(c), *_float_components(c), m, n)
     _raise_for(cause, n, radicand)
     return float(value)
 

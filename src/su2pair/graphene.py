@@ -7,7 +7,8 @@ band energies, eigenstate concurrence and thermal quantities all apply.
 
 The mapping lives in one place, :func:`_lattice_layer`: the set's
 components at a batch of wave vectors, with the k-independent ones (alpha,
-beta's third entry, omega's third row and column) as Python floats.  Grid
+beta's third entry, omega's third row and column) as Python floats;
+:func:`map_to_su2su2` builds one wave vector's set from them.  Grid
 sweeps over the Brillouin zone take the structure factor from per-axis
 factors gathered by each chunk's axis indices, run the derive kernel and
 the concurrence radical on these components without staging coefficient
@@ -18,7 +19,8 @@ pairs.  On a grid the seven components that vanish by construction
 in them.  :class:`GrapheneParams` refuses parameters beyond
 STRUCTURAL_SCALE, below which no intermediate overflows, so every value has
 the bits of the array functions on the staged sets of
-:func:`lattice_layer_arrays`, and a grid raises where they raise.
+:func:`lattice_layer_arrays`, the array reference, and a grid raises where
+they raise.
 
 The thermal curve at one wave vector is :func:`su2pair.thermo.thermal_sweep`
 of the mapped set, so the closed form exists once; on the lattice its
@@ -155,7 +157,8 @@ def lattice_layer_arrays(p: GrapheneParams, kx, ky):
     """(alpha, beta, omega) of the lattice-layer sets at wave vectors kx, ky.
 
     The components of :func:`_lattice_layer` as arrays that carry the
-    shape of ``kx`` and ``ky`` as leading axes.
+    shape of ``kx`` and ``ky`` as leading axes: the array reference for
+    the bits of the grids and of :func:`map_to_su2su2`.
     """
     a, b, w = _lattice_layer(p, kx, ky)
     shape = np.shape(b[0])
@@ -164,14 +167,8 @@ def lattice_layer_arrays(p: GrapheneParams, kx, ky):
 
 
 def map_to_su2su2(p: GrapheneParams, kx: float, ky: float) -> CoefficientSet:
-    """The lattice-layer coefficient set at one wave vector."""
-    return CoefficientSet(0.0, *lattice_layer_arrays(p, float(kx), float(ky)))
-
-
-def _band_arrays(p: GrapheneParams, kx, ky, at=None):
-    d = _derive_components(*_lattice_layer(p, kx, ky, at))
-    _, e1, e2 = even_spectrum(d)
-    return e1, e2
+    """The lattice-layer coefficient set at one wave vector, from :func:`_lattice_layer`."""
+    return CoefficientSet(0.0, *_lattice_layer(p, float(kx), float(ky)))
 
 
 def find_dirac_point(p: GrapheneParams) -> tuple[float, float]:
@@ -265,7 +262,7 @@ def band_chunks(p: GrapheneParams, g: GridSpec):
     (axis, index) pairs, the column form ``write_csv`` takes."""
     xs, ys = g.axes()
     for ix, iy in _grid_chunks(p, g, xs, ys):
-        e1, e2 = _band_arrays(p, xs, ys, (ix, iy))
+        _, e1, e2 = even_spectrum(_derive_components(*_lattice_layer(p, xs, ys, (ix, iy))))
         yield {"kx": (xs, ix), "ky": (ys, iy), "e1": e1, "e2": e2}
 
 

@@ -46,7 +46,7 @@ DEGENERACY_RTOL = 1e-8
 COMMUTATOR_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
     """Real Pauli-basis coefficients (upsilon, alpha, beta, omega) of a 4x4 Hermitian.
 
@@ -54,7 +54,9 @@ class CoefficientSet:
     the 16 coefficients in :func:`fano_compose`'s order, upsilon, alpha,
     beta, then omega row by row, and ``alpha``, ``beta`` and ``omega`` are
     read-only views of it; ``upsilon`` is its first entry as a Python
-    float.  The inputs are validated once, on the packed vector.
+    float.  The inputs are validated once, on the packed vector.  Two sets
+    are equal when their packed vectors are, and equal sets hash alike
+    (0.0 and -0.0 included), so sets can key a dict.
     """
 
     upsilon: float
@@ -82,6 +84,14 @@ class CoefficientSet:
             omega=packed[7:].reshape(3, 3),
             packed=packed,
         )
+
+    def __eq__(self, other):
+        if not isinstance(other, CoefficientSet):
+            return NotImplemented
+        return np.array_equal(self.packed, other.packed)
+
+    def __hash__(self):
+        return hash(tuple(self.packed.tolist()))
 
     def scale(self) -> float:
         """Euclidean norm of all coefficients, the natural size of the set; never overflows."""

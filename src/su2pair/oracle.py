@@ -2,7 +2,8 @@
 
 Everything the closed forms claim is cross-checked against this module:
 a dense Hermitian eigendecomposition and the Wootters concurrence
-evaluated from its definition.
+evaluated from its definition, validated on the one decomposition that
+gives its lambdas.
 """
 
 from __future__ import annotations
@@ -52,23 +53,6 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(w, v)
 
 
-def _require_density(rho: np.ndarray) -> np.ndarray:
-    """``rho`` if it is a Hermitian 4x4 matrix with trace within 1e-10 of 1
-    and no eigenvalue below -1e-10; DensityMatrixError otherwise."""
-    rho = require_hermitian(rho, "density matrix")
-    if rho.shape != (4, 4):
-        raise DensityMatrixError("expected a 4x4 density matrix")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-10:
-        raise DensityMatrixError(f"density matrix trace {tr} is not 1")
-    w = np.linalg.eigvalsh(rho)
-    if float(w[0]) < -1e-10:
-        raise DensityMatrixError(
-            f"density matrix has negative eigenvalue {w[0]:.3e}"
-        )
-    return rho
-
-
 def wootters_concurrence(rho: np.ndarray) -> float:
     """Two-qubit concurrence from its definition.
 
@@ -79,9 +63,18 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     (1998)), taken so, with round-off negatives of p clamped to zero: no
     matrix square root, whose near-zero eigenvalues would keep only half
     their digits.  Returns max(l1 - l2 - l3 - l4, 0), clipped to [0, 1].
+    Raises DensityMatrixError unless rho is Hermitian and 4x4, with trace
+    within 1e-10 of 1 and no eigenvalue of that decomposition below -1e-10.
     """
-    rho = _require_density(rho)
+    rho = require_hermitian(rho, "density matrix")
+    if rho.shape != (4, 4):
+        raise DensityMatrixError("expected a 4x4 density matrix")
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > 1e-10:
+        raise DensityMatrixError(f"density matrix trace {tr} is not 1")
     p, v = np.linalg.eigh(rho)
+    if float(p[0]) < -1e-10:
+        raise DensityMatrixError(f"density matrix has negative eigenvalue {p[0]:.3e}")
     root = np.sqrt(np.clip(p, 0.0, None))
     return float(concurrence_from_weights(root, v.T @ pauli_word(2, 2) @ v))
 

@@ -151,19 +151,15 @@ def factor_dyadic(c: CoefficientSet) -> tuple[Su2Factor, Su2Factor]:
             f"{residuals['rank1']:.3e}, factor consistency "
             f"{residuals['factor_consistency']:.3e}"
         )
-    return _factors(c, leading)
-
-
-def _factors(c: CoefficientSet, leading) -> tuple[Su2Factor, Su2Factor]:
-    """The factors of a product set from the leading singular triple of omega
-    (None for omega = 0), in the gauge of :func:`factor_dyadic`."""
     a0, a_vec, b0, b_vec = _factor_parts(c, leading)
     return Su2Factor(a0, a_vec), Su2Factor(b0, b_vec)
 
 
 def _factor_parts(c: CoefficientSet, leading):
-    """(a0, a, b0, b) of the factors a0 + a.sigma and b0 + b.sigma of
-    :func:`_factors`, the vectors as float arrays of shape (3,)."""
+    """(a0, a, b0, b) of the factors a0 + a.sigma and b0 + b.sigma of a
+    product set, from omega's leading singular triple (None for omega = 0),
+    in the gauge of :func:`factor_dyadic`, the vectors of shape (3,): the
+    one product factorization, which solve and the thermal sweep read."""
     if leading is None:
         # omega = 0: the factor of the shorter local vector is scalar.
         if np.linalg.norm(c.alpha) <= np.linalg.norm(c.beta):

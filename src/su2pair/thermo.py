@@ -47,7 +47,7 @@ from .oracle import (
     wootters_concurrence,
 )
 from .pauli import max_abs, pauli_word
-from .solver import Su2Factor, _factors
+from .solver import _factor_parts
 
 # Temperatures per stacked Wootters SVD on the definition route: bounds the
 # (block, 4, 4) temporaries of a sweep whatever its length, and keeps each
@@ -98,10 +98,11 @@ def _purity(w: np.ndarray) -> np.ndarray:
     return (w * w).sum(0) / (total * total)
 
 
-def _product_levels(f1: Su2Factor, f2: Su2Factor):
-    """(a0 b0, offsets) of the product levels (a0 +- a)(b0 +- b)."""
-    m1, m2, m3 = f1.norm * f2.norm, f1.a0 * f2.norm, f1.norm * f2.a0
-    return f1.a0 * f2.a0, [m1 + m2 + m3, m3 - m1 - m2, m2 - m1 - m3, m1 - m2 - m3]
+def _product_levels(a0: float, a_vec: np.ndarray, b0: float, b_vec: np.ndarray):
+    """(a0 b0, offsets) of the product levels (a0 +- a)(b0 +- b), a = |a_vec|, b = |b_vec|."""
+    a, b = math.sqrt(a_vec @ a_vec), math.sqrt(b_vec @ b_vec)
+    m1, m2, m3 = a * b, a0 * b, a * b0
+    return a0 * b0, [m1 + m2 + m3, m3 - m1 - m2, m2 - m1 - m3, m1 - m2 - m3]
 
 
 # --- thermal states --------------------------------------------------------------
@@ -115,7 +116,7 @@ def thermal_state(c: CoefficientSet, t: float) -> np.ndarray:
     return rho / float(np.sum(boltz))
 
 
-def _gibbs_concurrence(dec: SpectralDecomposition, boltz: np.ndarray) -> np.ndarray:
+def _gibbs_concurrence(dec: SpectralDecomposition, boltz: np.ndarray, purity) -> np.ndarray:
     """Wootters concurrence of the Gibbs states with weights ``boltz``
     (levels, temperatures) over the eigenvalues of one eigendecomposition of H.
 
@@ -123,13 +124,14 @@ def _gibbs_concurrence(dec: SpectralDecomposition, boltz: np.ndarray) -> np.ndar
     of D^1/2 M D^1/2, where M = V^T (sy (x) sy) V and D = diag(p) (Wootters,
     PRL 80, 2245 (1998)): one stacked SVD per SWEEP_BLOCK temperatures, with
     no square root of a near-zero eigenvalue, through the oracle's
-    :func:`~su2pair.oracle.concurrence_from_weights`.  States with
-    sum p^2 <= 1/3 lie in the separable ball (Zyczkowski et al., PRA 58, 883
-    (1998)) and read 0 without one.
+    :func:`~su2pair.oracle.concurrence_from_weights`.  States whose
+    ``purity`` sum p^2 is at most 1/3, as the sweep computed it, lie in the
+    separable ball (Zyczkowski et al., PRA 58, 883 (1998)) and read 0
+    without one.
     """
     m = dec.eigenvectors.T @ pauli_word(2, 2) @ dec.eigenvectors
     p = (boltz / boltz.sum(0)).T
-    rows = np.flatnonzero(_purity(boltz) > 1.0 / 3.0)
+    rows = np.flatnonzero(purity > 1.0 / 3.0)
     out = np.zeros(p.shape[0])
     for start in range(0, rows.size, SWEEP_BLOCK):
         block = rows[start:start + SWEEP_BLOCK]
@@ -275,7 +277,7 @@ def thermal_sweep(
         raise ValueError("temperatures must form a 1-D array")
     kind, _, d, leading, _ = _decide(c)
     if kind is CaseKind.SEPARABLE_DYADIC and branch is EnsembleBranch.FULL:
-        boltz, shift = _gibbs_weights(*_product_levels(*_factors(c, leading)), t)
+        boltz, shift = _gibbs_weights(*_product_levels(*_factor_parts(c, leading)), t)
         # Gibbs states of product Hamiltonians are explicitly separable.
         conc, flag = np.zeros(t.shape), 0
     elif d.alpha_null or d.beta_null:
@@ -291,11 +293,14 @@ def thermal_sweep(
     else:
         dec = eig_hermitian(fano_compose(c))
         boltz, shift = _gibbs_weights(0.0, dec.eigenvalues, t)
-        conc, flag = _gibbs_concurrence(dec, boltz), 2
+        flag = 2
+    purity = _purity(boltz)
+    if flag == 2:
+        conc = _gibbs_concurrence(dec, boltz, purity)
     return {
         "t": t,
         "z": _partition(boltz, shift),
-        "purity": _purity(boltz),
+        "purity": purity,
         "concurrence": conc,
         "flag": np.full(t.shape, flag),
     }

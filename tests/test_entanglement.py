@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su2pair import entanglement
 from su2pair.entanglement import (
     CLOSED_FORM,
     bloch_vectors,
@@ -220,6 +221,34 @@ class TestClosedFormConcurrence:
         c = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 0.0, 0.0]))
         with pytest.raises(DegenerateBranchError):
             eigenstate_concurrence_closed_form(c, 1, 1)
+
+    @pytest.mark.parametrize(
+        "c, n, message",
+        [(CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 0.0, 0.0])), 2,
+          "theta_phi is numerically degenerate"),
+         (CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 1.0, 0.0])), 1,
+          "E_1 is numerically degenerate"),
+         (ENTANGLED_EXAMPLE, 2, None)],
+        ids=["theta-phi", "e-n", "closed-form"],
+    )
+    def test_branch_scales_run_once(self, c, n, message, monkeypatch):
+        """The scalar closed form decides its branch once: a degenerate
+        cause returns before any division and raises; a value is reached
+        through the same single call."""
+        calls = []
+        real = entanglement._branch_scales
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(entanglement, "_branch_scales", counted)
+        if message is None:
+            assert 0.0 <= eigenstate_concurrence_closed_form(c, 1, n) <= 1.0
+        else:
+            with pytest.raises(DegenerateBranchError, match=f"^{message}$"):
+                eigenstate_concurrence_closed_form(c, 1, n)
+        assert len(calls) == 1
 
     def test_bad_indices(self):
         with pytest.raises(ValueError):

@@ -150,6 +150,24 @@ class TestMapping:
         assert np.allclose(c.beta, [0, 0, 0.3], atol=1e-10)
         assert np.allclose(c.omega, np.diag([0.5, 0.5, 0.0]), atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "lattice", [1.0, graphene.SMALLEST_LATTICE, graphene.LARGEST_LATTICE],
+        ids=["unit", "smallest", "largest"],
+    )
+    def test_set_has_the_bits_of_the_array_reference(self, lattice):
+        """map_to_su2su2 builds from _lattice_layer without staging arrays;
+        its packed vector is that of lattice_layer_arrays, byte for byte, at
+        the Dirac point, at Gamma and at seeded points of the window."""
+        rng = np.random.default_rng(35)
+        p = GrapheneParams(t=0.9, t3=0.4, tperp=1.3, m=0.2, bias=0.5, lattice=lattice)
+        g = default_grid(p)
+        kx = rng.uniform(g.kx_min, g.kx_max, 50).tolist()
+        ky = rng.uniform(g.ky_min, g.ky_max, 50).tolist()
+        for k in [find_dirac_point(p), (0.0, 0.0), *zip(kx, ky)]:
+            alpha, beta, omega = lattice_layer_arrays(p, *k)
+            want = np.concatenate([[0.0], alpha, beta, omega.ravel()])
+            assert map_to_su2su2(p, *k).packed.tobytes() == want.tobytes(), k
+
     def test_matrix_route_equals_pauli_route(self, rng):
         """Tight-binding matrix and composed coefficients agree entry-wise."""
         for _ in range(1000):
@@ -724,6 +742,24 @@ class TestThermalCurve:
             assert np.array_equal(data["t"], s["t"])
             assert np.array_equal(data["c"], s["concurrence"])
             assert np.array_equal(data["flag"], s["flag"])
+
+    @pytest.mark.parametrize("point", [[], ["--bias", "0.5", "--kx", "0.3", "--ky", "2.2"]],
+                             ids=["dirac-point", "biased-off-dirac"])
+    def test_command_maps_its_wave_vector_once(self, point, tmp_path, monkeypatch):
+        """graphene-thermal maps its set once, for the lowest-temperature
+        check and for the curve."""
+        calls = []
+        real = graphene._lattice_layer
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(graphene, "_lattice_layer", counted)
+        argv = ["graphene-thermal", *point, "--steps", "40", "--output", str(tmp_path / "c.csv")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert len(calls) == 1
 
     def test_exact_at_commuting_points(self):
         """Where the closed form is provably exact the curve has flag 0 and

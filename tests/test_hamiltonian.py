@@ -208,6 +208,44 @@ class TestPackedCoefficients:
         assert c.omega.tolist() == np.arange(9.0).reshape(3, 3).tolist()
 
 
+class TestEqualityAndHashing:
+    """Sets compare and hash by their packed vectors, so equal sets given in
+    different forms are equal and key a dict alike."""
+
+    X = np.arange(1.0, 17.0).reshape(4, 4) - 8.5
+
+    def test_equal_distinct_sets_compare_equal(self):
+        a, b = (CoefficientSet(*_given_as(form, self.X)) for form in ("lists", "strided-views"))
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_one_changed_coefficient_compares_unequal(self, k):
+        a = CoefficientSet(*_given_as("lists", self.X))
+        x = self.X.copy()
+        x.flat[k] += 0.25
+        b = CoefficientSet(*_given_as("lists", x))
+        assert a != b and not a == b
+
+    def test_other_types_are_not_equal(self):
+        a = CoefficientSet(*_given_as("lists", self.X))
+        assert a != a.packed.tolist() and a != (a.upsilon, a.alpha, a.beta, a.omega)
+
+    def test_signed_zeros_compare_and_hash_alike(self):
+        a = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.eye(3))
+        b = CoefficientSet(-0.0, (-0.0, 0, 1), (0, -0.0, 0), np.eye(3))
+        assert a == b and hash(a) == hash(b)
+
+    def test_sets_key_a_dict(self):
+        table = {CoefficientSet(*_given_as(form, self.X)): form
+                 for form in ("lists", "tuples", "numpy-scalars", "strided-views")}
+        assert len(table) == 1
+        assert table[CoefficientSet(*_given_as("tuples", self.X))] == "strided-views"
+        other = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.eye(3))
+        table[other] = "other"
+        assert len(table) == 2 and table[rotate_set(other, np.eye(3), np.eye(3))] == "other"
+
+
 class TestDerive:
     def test_rank_one_diagonal(self):
         c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 0.0, 0.0]))

@@ -154,6 +154,29 @@ class TestWootters:
             with pytest.raises(DensityMatrixError, match="negative eigenvalue -2.000e-10"):
                 wootters_concurrence(rho)
 
+    def test_one_decomposition_validates_and_gives_the_lambdas(self, rng, monkeypatch):
+        """Each call makes exactly one LAPACK decomposition, accepted states
+        and states refused for a negative eigenvalue alike."""
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        for rho in (random_mixed_density(rng), random_pure_density(rng), np.eye(4) / 4):
+            calls.clear()
+            wootters_concurrence(rho)
+            assert calls == ["eigh"]
+        calls.clear()
+        with pytest.raises(DensityMatrixError, match="negative eigenvalue"):
+            wootters_concurrence(np.diag([0.5 + 2e-10, 0.5, 0.0, -2e-10]))
+        assert calls == ["eigh"]
+
 
 class TestVonNeumann:
     def test_binary_entropy_relation(self, rng):
