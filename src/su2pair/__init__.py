@@ -33,8 +33,6 @@ from .graphene import (
     default_grid,
     find_dirac_point,
     map_to_su2su2,
-    structure_factor,
-    thermal_concurrence_curve,
     thermal_death_temperature,
 )
 from .hamiltonian import (
@@ -90,7 +88,6 @@ __all__ = [
     # graphene
     "GrapheneParams", "GridSpec", "band_grid", "concurrence_grid",
     "default_grid", "find_dirac_point", "map_to_su2su2",
-    "structure_factor", "thermal_concurrence_curve",
     "thermal_death_temperature",
     # hamiltonian
     "Branch", "CaseKind", "Classification", "CoefficientSet",

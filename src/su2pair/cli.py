@@ -213,6 +213,8 @@ def cmd_verify(args) -> int:
 
     if args.samples < 1:
         raise InputFormatError("--samples must be at least 1")
+    if args.seed < 0:
+        raise InputFormatError("--seed must be non-negative")
     try:
         results = run_suites(args.samples, args.seed, args.suite)
     except KeyError as exc:
@@ -285,7 +287,7 @@ def cmd_graphene_thermal(args) -> int:
         raise InputFormatError("--kx and --ky must be finite")
     else:
         kx, ky = args.kx, args.ky
-    # One mapping serves the check and the curve: thermal_concurrence_curve's sweep.
+    # One mapping serves the check and the curve.
     c = graphene.map_to_su2su2(p, kx, ky)
     _check_lowest_temperature(args.tmin, c)
     s = thermal_sweep(c, temps)

@@ -22,8 +22,9 @@ the bits of the array functions on the staged sets of
 :func:`lattice_layer_arrays`, the array reference, and a grid raises where
 they raise.
 
-The thermal curve at one wave vector is :func:`su2pair.thermo.thermal_sweep`
-of the mapped set, so the closed form exists once; on the lattice its
+The thermal curve at one wave vector is
+``thermal_sweep(map_to_su2su2(p, kx, ky), temps)``, with no wrapper here,
+so the closed form exists once; on the lattice its
 x+- = sqrt(|w|_F^2 +- 2 |adj w|_F) are max/min(tperp, t3 |G|), from which
 :func:`thermal_death_temperature` reads them as well.
 """
@@ -39,7 +40,7 @@ import numpy as np
 from ._invariants import _ZERO, _derive_components
 from .entanglement import CLOSED_FORM, _concurrence_from_derived
 from .hamiltonian import CoefficientSet, derive, even_spectrum
-from .thermo import _x_pm, sinh_cosh_gap, thermal_sweep
+from .thermo import _x_pm, sinh_cosh_gap
 
 
 # Largest magnitude GrapheneParams accepts for t, t3, tperp, m and bias.
@@ -119,11 +120,6 @@ def _structure_factor(p: GrapheneParams, kx, ky, at=None):
     return half * cos_y + full
 
 
-def structure_factor(p: GrapheneParams, kx: float, ky: float) -> complex:
-    """Sum of nearest-neighbor phase factors; zeros mark the Dirac points."""
-    return _structure_factor(p, kx, ky)
-
-
 def _lattice_layer(p: GrapheneParams, kx, ky, at=None):
     """The components (a, b, w) of the lattice-layer sets' alpha, beta and
     omega rows, in the form ``_derive_kernel`` takes, at the points of
@@ -179,7 +175,10 @@ def find_dirac_point(p: GrapheneParams) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular k-space sampling window, optionally masked to the first zone."""
+    """Rectangular k-space sampling window, optionally masked to the first zone.
+
+    The bounds must be finite and ordered; ValueError names a non-finite one.
+    """
 
     kx_min: float
     kx_max: float
@@ -192,6 +191,9 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 samples per axis")
+        for name in ("kx_min", "kx_max", "ky_min", "ky_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.kx_max <= self.kx_min or self.ky_max <= self.ky_min:
             raise ValueError("grid ranges must be ordered")
         if self.mask not in ("none", "hex"):
@@ -303,20 +305,6 @@ def concurrence_grid(
 ) -> dict[str, np.ndarray]:
     """Eigenstate concurrence of branch (m, n) on the grid; see concurrence_chunks."""
     return _joined(concurrence_chunks(p, g, m, n), ("kx", "ky", "c", "flag"))
-
-
-def thermal_concurrence_curve(
-    p: GrapheneParams, kx: float, ky: float, temps
-) -> dict[str, np.ndarray]:
-    """Thermal concurrence at one wave vector over a 1-D temperature array.
-
-    The ``t``, ``concurrence`` (as ``c``) and ``flag`` columns of
-    :func:`su2pair.thermo.thermal_sweep` on the mapped set: the closed form
-    with x+- = max/min(tperp, t3 |G(k)|), flag 0 where it is provably exact
-    (the local and interaction parts commute), 1 otherwise.
-    """
-    s = thermal_sweep(map_to_su2su2(p, kx, ky), temps)
-    return {"t": s["t"], "c": s["concurrence"], "flag": s["flag"]}
 
 
 def thermal_death_temperature(p: GrapheneParams, kx: float, ky: float) -> float | None:

@@ -30,10 +30,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     def projector(self, k: int) -> np.ndarray:
         v = self.eigenvectors[:, k]
         return np.outer(v, v.conj())

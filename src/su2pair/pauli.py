@@ -50,11 +50,6 @@ def pauli_word(i: int, j: int) -> np.ndarray:
     return _WORDS[i, j]
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max())
-
-
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Validate Hermiticity and return the input as a complex array."""
     m = np.asarray(m, dtype=complex)
@@ -62,15 +57,10 @@ def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     size = float(np.abs(m).max())
     if not math.isfinite(size):
         raise NonHermitianError(f"{what} contains non-finite entries")
-    defect = hermiticity_defect(m)
+    defect = float(np.abs(m - m.conj().T).max())
     bound = HERMITIAN_RTOL * (1.0 + size)
     if defect > bound:
         raise NonHermitianError(
             f"{what} is not Hermitian: defect {defect:.3e} exceeds {bound:.3e}"
         )
     return m
-
-
-def max_abs(m: np.ndarray) -> float:
-    """Max-norm of a matrix, used throughout for residual bounds."""
-    return float(np.max(np.abs(np.asarray(m))))

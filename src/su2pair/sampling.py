@@ -33,12 +33,9 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def random_coefficient_set(rng: np.random.Generator, scale: float = 1.0) -> CoefficientSet:
+def random_coefficient_set(rng: np.random.Generator) -> CoefficientSet:
     return CoefficientSet(
-        scale * rng.normal(),
-        scale * rng.normal(size=3),
-        scale * rng.normal(size=3),
-        scale * rng.normal(size=(3, 3)),
+        rng.normal(), rng.normal(size=3), rng.normal(size=3), rng.normal(size=(3, 3))
     )
 
 
@@ -55,15 +52,13 @@ def _spectrum_gap(values: np.ndarray) -> float:
     return float(np.min(np.diff(flat)))
 
 
-def random_separable_factors(
-    rng: np.random.Generator, min_gap: float = MIN_GAP
-) -> tuple[Su2Factor, Su2Factor]:
+def random_separable_factors(rng: np.random.Generator) -> tuple[Su2Factor, Su2Factor]:
     """A product-Hamiltonian factor pair with a non-degenerate joint spectrum."""
     for _ in range(_MAX_DRAWS):
         f1 = Su2Factor(rng.normal(), rng.normal(size=3))
         f2 = Su2Factor(rng.normal(), rng.normal(size=3))
         values = separable_spectrum(f1.a0, f1.norm, f2.a0, f2.norm)
-        if _spectrum_gap(values) >= min_gap and min(f1.norm, f2.norm) >= min_gap:
+        if _spectrum_gap(values) >= MIN_GAP and min(f1.norm, f2.norm) >= MIN_GAP:
             return f1, f2
     raise RuntimeError("failed to draw a non-degenerate separable pair")
 
@@ -79,17 +74,11 @@ def dyadic_set_from_factors(f1: Su2Factor, f2: Su2Factor) -> CoefficientSet:
     )
 
 
-def random_dyadic_set(
-    rng: np.random.Generator, min_gap: float = MIN_GAP
-) -> CoefficientSet:
-    return dyadic_set_from_factors(*random_separable_factors(rng, min_gap))
+def random_dyadic_set(rng: np.random.Generator) -> CoefficientSet:
+    return dyadic_set_from_factors(*random_separable_factors(rng))
 
 
-def random_entangled_canonical(
-    rng: np.random.Generator,
-    branch: str = "alpha",
-    min_gap: float = MIN_GAP,
-) -> CoefficientSet:
+def random_entangled_canonical(rng: np.random.Generator, branch: str = "alpha") -> CoefficientSet:
     """A canonical constraint-satisfying set with a non-degenerate spectrum.
 
     ``branch='alpha'`` puts the constrained vector alpha on axis 3 with a
@@ -115,16 +104,14 @@ def random_entangled_canonical(
             raise ValueError(f"unknown branch {branch!r}")
         c = CoefficientSet(ups, alpha, beta, omega)
         sq, e1, e2 = even_spectrum(derive(c))
-        if min(sq, e1, e2 - e1) >= min_gap:
+        if min(sq, e1, e2 - e1) >= MIN_GAP:
             return c
     raise RuntimeError("failed to draw a non-degenerate entangled set")
 
 
-def random_rotated_constrained(
-    rng: np.random.Generator, min_gap: float = MIN_GAP
-) -> tuple[CoefficientSet, CoefficientSet]:
+def random_rotated_constrained(rng: np.random.Generator) -> tuple[CoefficientSet, CoefficientSet]:
     """(canonical set, same set conjugated by random local rotations)."""
-    c = random_entangled_canonical(rng, "alpha", min_gap)
+    c = random_entangled_canonical(rng, "alpha")
     return c, rotate_set(c, random_rotation(rng), random_rotation(rng))
 
 

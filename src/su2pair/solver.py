@@ -28,7 +28,7 @@ from .hamiltonian import (
     even_spectrum,
     fano_compose,
 )
-from .pauli import pauli, require_hermitian
+from .pauli import require_hermitian
 
 
 class SolveMethod(enum.Enum):
@@ -53,12 +53,6 @@ class Su2Factor:
     @property
     def norm(self) -> float:
         return math.sqrt(self.vec @ self.vec)
-
-    def matrix(self) -> np.ndarray:
-        m = self.a0 * np.eye(2, dtype=complex)
-        for i in range(3):
-            m += self.vec[i] * pauli(i + 1)
-        return m
 
 
 _MN = ((1, 1), (1, 2), (2, 1), (2, 2))

@@ -18,6 +18,9 @@ of the level differences.
 and flag of any set over an array of temperatures, with the
 temperature-independent work done once and one set of weights shared by Z,
 purity and concurrence.  :func:`thermal_report` is its one-row view.
+:func:`thermal_concurrence` sets a constrained set's closed form at one
+temperature beside the Wootters concurrence of its Gibbs state, which it
+takes, like the sweep's definition route, from one eigendecomposition of H.
 """
 
 from __future__ import annotations
@@ -40,13 +43,8 @@ from .hamiltonian import (
     even_spectrum,
     fano_compose,
 )
-from .oracle import (
-    SpectralDecomposition,
-    concurrence_from_weights,
-    eig_hermitian,
-    wootters_concurrence,
-)
-from .pauli import max_abs, pauli_word
+from .oracle import SpectralDecomposition, concurrence_from_weights, eig_hermitian
+from .pauli import pauli_word
 from .solver import _factor_parts
 
 # Temperatures per stacked Wootters SVD on the definition route: bounds the
@@ -147,22 +145,19 @@ class ThermalConcurrenceResult:
     """Closed-form thermal concurrence with its validity diagnostic.
 
     ``value`` is the closed form; ``wootters`` the definition route on the
-    Gibbs state (None when comparison is skipped); ``commutator_norm`` is
-    the Frobenius norm of [H(a,b,w), H(-a,-b,w)], which no local rotation
-    changes and which must vanish for the closed form to be exact;
-    ``reliable`` records that condition, as :func:`spin_flip_commutator`
-    decides it.
+    Gibbs state; ``commutator_norm`` is the Frobenius norm of
+    [H(a,b,w), H(-a,-b,w)], which no local rotation changes and which must
+    vanish for the closed form to be exact; ``reliable`` records that
+    condition, as :func:`spin_flip_commutator` decides it.
     """
 
     value: float
     commutator_norm: float
     reliable: bool
-    wootters: float | None = None
+    wootters: float
 
     @property
-    def deviation(self) -> float | None:
-        if self.wootters is None:
-            return None
+    def deviation(self) -> float:
         return abs(self.value - self.wootters)
 
 
@@ -184,7 +179,7 @@ def spin_flip_commutator(c: CoefficientSet) -> tuple[float, bool]:
     nor overflows for huge ones, and the ratio to V keeps its bits.  The
     norm is scaled back by 4^k, and reads 0 or inf past the double range.
     """
-    k = math.frexp(max_abs(c.packed[1:]))[1] - 1
+    k = math.frexp(float(np.max(np.abs(c.packed[1:]))))[1] - 1
     v = np.ldexp(c.packed[1:], -k).tolist()
     a, b, w = v[:3], v[3:6], (v[6:9], v[9:12], v[12:])
     # Indices are cyclic: (x cross y)_l = x_{l+1} y_{l+2} - x_{l+2} y_{l+1}.
@@ -226,9 +221,7 @@ def _even_closed_forms(upsilon: float, d: DerivedCoefficients, t: np.ndarray):
     return boltz, shift, conc, [e1, e2]
 
 
-def thermal_concurrence(
-    c: CoefficientSet, t: float, compare: bool = True
-) -> ThermalConcurrenceResult:
+def thermal_concurrence(c: CoefficientSet, t: float) -> ThermalConcurrenceResult:
     """Closed-form concurrence of the Gibbs state of a constrained set.
 
         C = max{sinh(x+/t) - cosh(x-/t), 0} / [cosh(E2/t) + cosh(E1/t)]
@@ -237,15 +230,19 @@ def thermal_concurrence(
     sqrt(Tr[w_B w_B^T] +- 2 |det w_B|) of the block frame.  The derivation
     commutes the Gibbs state with its spin flip, which only holds when the
     local part commutes with the interaction part; the result carries that
-    commutator norm, and ``wootters`` (computed unless ``compare=False``)
-    lets callers quantify the deviation outside the provable regime.
+    commutator norm, and ``wootters``, the Wootters concurrence of the Gibbs
+    state from one eigendecomposition of H as :func:`thermal_sweep`'s
+    definition route computes it, lets callers quantify the deviation
+    outside the provable regime.
     """
     t = _check_temperature(float(t))
     value = _even_closed_forms(c.upsilon, derive(c), t)[2]
     comm, reliable = spin_flip_commutator(c)
-    woot = wootters_concurrence(thermal_state(c, float(t))) if compare else None
+    dec = eig_hermitian(fano_compose(c))
+    boltz, _ = _gibbs_weights(0.0, dec.eigenvalues, t.reshape(1))
+    woot = _gibbs_concurrence(dec, boltz, _purity(boltz))[0]
     return ThermalConcurrenceResult(
-        value=float(value), commutator_norm=comm, reliable=reliable, wootters=woot
+        value=float(value), commutator_norm=comm, reliable=reliable, wootters=float(woot)
     )
 
 

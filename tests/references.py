@@ -6,14 +6,17 @@ or a random draw that only the tests need.  The test modules import them
 from here; ``test_references.py`` checks the references themselves.
 """
 
+import cmath
+import math
+
 import numpy as np
 
 from su2pair.errors import DensityMatrixError
-from su2pair.graphene import GrapheneParams, structure_factor
+from su2pair.graphene import GrapheneParams
 from su2pair.hamiltonian import CoefficientSet, fano_compose
-from su2pair.oracle import eig_hermitian
-from su2pair.pauli import pauli_word
-from su2pair.solver import Eigensystem
+from su2pair.oracle import SpectralDecomposition, eig_hermitian
+from su2pair.pauli import pauli, pauli_word
+from su2pair.solver import Eigensystem, Su2Factor
 
 # --- random draws ------------------------------------------------------------------
 
@@ -41,6 +44,12 @@ def random_mixed_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def scaled(s: float, c: CoefficientSet) -> CoefficientSet:
+    """The set s * c: every coefficient multiplied by s.  ``s`` comes first,
+    so a scale drawn in the call is drawn before a set drawn there."""
+    return CoefficientSet(s * c.upsilon, s * c.alpha, s * c.beta, s * c.omega)
+
+
 # --- matrices and states ---------------------------------------------------------
 
 
@@ -62,6 +71,20 @@ def spin_flip(rho: np.ndarray) -> np.ndarray:
     """The transformation (sy (x) sy) rho* (sy (x) sy) of one state or a stack."""
     yy = pauli_word(2, 2)
     return yy @ np.asarray(rho, dtype=complex).conj() @ yy
+
+
+def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
+    """V diag(w) V^dag of an eigendecomposition."""
+    v = dec.eigenvectors
+    return (v * dec.eigenvalues) @ v.conj().T
+
+
+def product_matrix(f1: Su2Factor, f2: Su2Factor) -> np.ndarray:
+    """H1 (x) H2 of two single-qubit factors, each a0 I + a . sigma."""
+    def factor(f):
+        return f.a0 * np.eye(2, dtype=complex) + sum(f.vec[i] * pauli(i + 1) for i in range(3))
+
+    return np.kron(factor(f1), factor(f2))
 
 
 def mat_func(m: np.ndarray, func: str) -> np.ndarray:
@@ -130,8 +153,18 @@ def coefficient_set_to_dict(c: CoefficientSet) -> dict:
     }
 
 
+def structure_factor(p: GrapheneParams, kx: float, ky: float) -> complex:
+    """G = 2 e^{-i kx lam/2} cos(sqrt(3) ky lam/2) + e^{-i kx lam}, the sum of
+    the nearest-neighbor phase factors, written out on Python complex
+    numbers; its zeros are the Dirac points."""
+    lam = p.lattice
+    half = 2.0 * cmath.exp(-1j * kx * lam / 2.0) * math.cos(math.sqrt(3.0) * ky * lam / 2.0)
+    return half + cmath.exp(-1j * kx * lam)
+
+
 def build_ab_hamiltonian(p: GrapheneParams, kx: float, ky: float) -> np.ndarray:
-    """The tight-binding matrix in the {A1, B1, A2, B2} basis with mass and bias."""
+    """The tight-binding matrix in the {A1, B1, A2, B2} basis with mass and
+    bias, built on :func:`structure_factor`, not the package's."""
     g = structure_factor(p, kx, ky)
     t, t3, tp = p.t, p.t3, p.tperp
     h = np.array(

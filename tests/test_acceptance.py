@@ -18,8 +18,6 @@ from su2pair.graphene import (
     default_grid,
     find_dirac_point,
     map_to_su2su2,
-    structure_factor,
-    thermal_concurrence_curve,
     thermal_death_temperature,
 )
 from su2pair.hamiltonian import (
@@ -45,7 +43,7 @@ from su2pair.thermo import (
     thermal_sweep,
 )
 
-from references import case01_theta, traceless
+from references import case01_theta, structure_factor, traceless
 
 SEED = 42
 
@@ -55,9 +53,9 @@ def report(num, desc, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def entangled_pool(count, rng, min_gap=5e-2):
+def entangled_pool(count, rng):
     branches = ("alpha", "beta", "both")
-    return [random_entangled_canonical(rng, branches[k % 3], min_gap) for k in range(count)]
+    return [random_entangled_canonical(rng, branches[k % 3]) for k in range(count)]
 
 
 def test_criterion_1_oracle_spectral_equivalence():
@@ -251,10 +249,10 @@ def test_criterion_7_thermal_concurrence():
     temps = np.geomspace(0.01, 50, 40)
     curve_dev = 0.0
     for kx, ky in ((0.0, 0.0), (0.3, 0.1), (-0.8, 0.5), (1.2, -0.4)):
-        curve = thermal_concurrence_curve(p, kx, ky, temps)
         c = map_to_su2su2(p, kx, ky)
-        closed = [thermal_concurrence(c, t, compare=False).value for t in temps]
-        curve_dev = max(curve_dev, float(np.max(np.abs(curve["c"] - closed))))
+        curve = thermal_sweep(c, temps)
+        closed = [thermal_concurrence(c, t).value for t in temps]
+        curve_dev = max(curve_dev, float(np.max(np.abs(curve["concurrence"] - closed))))
     kx, ky = find_dirac_point(p)
     t_star = thermal_death_temperature(p, kx, ky)
     death_dev = abs(math.sinh(1.0 / t_star) - 1.0)

@@ -207,6 +207,13 @@ class TestVerifyCommand:
     def test_zero_samples_usage_error(self):
         assert main(["verify", "--samples", "0"]) == 2
 
+    def test_negative_seed_usage_error(self, capsys):
+        """numpy refuses a negative seed with a ValueError, which would
+        exit 3; it is refused first as a usage error."""
+        assert main(["verify", "--samples", "5", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --seed must be non-negative")
+
     def test_named_suite(self, capsys):
         code = main(
             ["verify", "--samples", "10", "--seed", "3", "--suite", "thermal-concurrence"]
@@ -642,13 +649,12 @@ class TestSizeLimits:
     def test_oversized_sweep_rejected_before_running(
         self, entangled_file, tmp_path, monkeypatch
     ):
-        from su2pair import cli, graphene
+        from su2pair import cli
 
         def no_sweep(*_):
             raise AssertionError("sweep ran")
 
         monkeypatch.setattr(cli, "thermal_sweep", no_sweep)
-        monkeypatch.setattr(graphene, "thermal_concurrence_curve", no_sweep)
         steps = ["--steps", str(cli.MAX_STEPS + 1), "--output", str(tmp_path / "x.csv")]
         thermo = ["thermo", "--input", str(entangled_file), "--tmin", "0.1", "--tmax", "1"]
         assert main([*thermo, *steps]) == 2

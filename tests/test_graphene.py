@@ -30,8 +30,6 @@ from su2pair.graphene import (
     first_zone_mask,
     lattice_layer_arrays,
     map_to_su2su2,
-    structure_factor,
-    thermal_concurrence_curve,
     thermal_death_temperature,
 )
 from su2pair.hamiltonian import (
@@ -47,6 +45,7 @@ from su2pair.hamiltonian import (
 from su2pair.oracle import eig_hermitian, wootters_concurrence
 from su2pair.thermo import thermal_state, thermal_sweep
 
+import references
 from references import build_ab_hamiltonian
 
 DEFAULT = GrapheneParams()
@@ -65,17 +64,17 @@ def small_grid(p, n=21):
 
 class TestStructureFactor:
     def test_gamma_point(self):
-        assert structure_factor(DEFAULT, 0.0, 0.0) == pytest.approx(3.0 + 0j)
+        assert graphene._structure_factor(DEFAULT, 0.0, 0.0) == pytest.approx(3.0 + 0j)
 
     def test_cosine_at_pi(self):
-        g = structure_factor(DEFAULT, 0.0, 2 * np.pi / np.sqrt(3.0))
+        g = graphene._structure_factor(DEFAULT, 0.0, 2 * np.pi / np.sqrt(3.0))
         assert g == pytest.approx(-1.0 + 0j, abs=1e-12)
 
     def test_conjugation_under_k_reflection(self, rng):
         for _ in range(50):
             kx, ky = rng.normal(size=2) * 4
-            a = structure_factor(DEFAULT, kx, ky)
-            b = structure_factor(DEFAULT, -kx, -ky)
+            a = graphene._structure_factor(DEFAULT, kx, ky)
+            b = graphene._structure_factor(DEFAULT, -kx, -ky)
             assert abs(a - np.conj(b)) <= 1e-12 * (1 + abs(a))
 
     def test_reciprocal_periodicity(self, rng):
@@ -84,10 +83,22 @@ class TestStructureFactor:
         b2 = 2 * np.pi / lam * np.array([1.0, -1.0 / np.sqrt(3.0)])
         for _ in range(50):
             k = rng.normal(size=2) * 3
-            base = structure_factor(DEFAULT, *k)
+            base = graphene._structure_factor(DEFAULT, *k)
             for g in (b1, b2, b1 - b2):
-                shifted = structure_factor(DEFAULT, *(k + g))
+                shifted = graphene._structure_factor(DEFAULT, *(k + g))
                 assert abs(shifted - base) <= 1e-12 * (1 + abs(base))
+
+    @pytest.mark.parametrize("lam", [1.0, 0.246])
+    def test_matches_the_written_out_reference(self, lam):
+        """The package's G against the reference's own formula on Python
+        complex numbers, at Gamma, the zone corner and 100 seeded k."""
+        p = GrapheneParams(lattice=lam)
+        rng = np.random.default_rng(20261020)
+        points = [(0.0, 0.0), find_dirac_point(p), *(rng.uniform(-8.0, 8.0, (100, 2)) / lam)]
+        for kx, ky in points:
+            want = references.structure_factor(p, float(kx), float(ky))
+            got = graphene._structure_factor(p, kx, ky)
+            assert abs(got - want) <= 1e-14 * (1 + abs(want))
 
     def test_dirac_point_zeros_the_structure_factor_at_every_lattice(self):
         """The closed-form zone corner K is a zero of G to 1e-14 at 10^4
@@ -99,7 +110,7 @@ class TestStructureFactor:
         worst = 0.0
         for lam in [*lattices.tolist(), lo, hi, 1.0, 0.246]:
             p = GrapheneParams(lattice=lam)
-            worst = max(worst, abs(structure_factor(p, *find_dirac_point(p))))
+            worst = max(worst, abs(graphene._structure_factor(p, *find_dirac_point(p))))
         assert worst < 1e-14
 
     @pytest.mark.parametrize(
@@ -114,7 +125,7 @@ class TestStructureFactor:
         p = GrapheneParams(lattice=lam)
         with np.errstate(over="raise", under="raise", invalid="raise", divide="raise"):
             kx, ky = find_dirac_point(p)
-            g = abs(structure_factor(p, kx, ky))
+            g = abs(graphene._structure_factor(p, kx, ky))
         assert kx == 0.0 and not math.copysign(1.0, kx) < 0
         assert ky == 4.0 * math.pi / (3.0 * math.sqrt(3.0) * lam)
         assert type(kx) is float and type(ky) is float
@@ -202,7 +213,7 @@ class TestMapping:
                 m=rng.normal(), bias=rng.normal(),
             )
             kx, ky = rng.normal(size=2) * 3
-            g = abs(structure_factor(p, kx, ky))
+            g = abs(graphene._structure_factor(p, kx, ky))
             want = p.m**2 + p.bias**2 / 4 + p.t**2 * g**2 + (p.tperp**2 + p.t3**2 * g**2) / 2
             got = derive(map_to_su2su2(p, kx, ky)).v_quad
             assert abs(got - want) <= 1e-10 * (1 + want)
@@ -215,7 +226,7 @@ class TestMapping:
                 t3=rng.normal(), tperp=rng.normal(), m=rng.normal(), bias=rng.normal()
             )
             kx, ky = rng.normal(size=2) * 3
-            g = abs(structure_factor(p, kx, ky))
+            g = abs(graphene._structure_factor(p, kx, ky))
             det_b = (p.tperp**2 - p.t3**2 * g**2) / 4
             c = map_to_su2su2(p, kx, ky)
             d = derive(c)
@@ -285,6 +296,18 @@ class TestMask:
             GridSpec(1, 0, 0, 1, 5, 5)
         with pytest.raises(ValueError):
             GridSpec(0, 1, 0, 1, 5, 5, mask="circle")
+
+    @pytest.mark.parametrize("index", range(4), ids=["kx_min", "kx_max", "ky_min", "ky_max"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_grid_refuses_a_non_finite_bound(self, index, bad):
+        """A NaN bound passes the ordering test (every comparison with NaN
+        is False), and an infinite one gives non-finite axes; both are
+        refused by name."""
+        bounds = [0.0, 1.0, 0.0, 1.0]
+        bounds[index] = bad
+        name = ("kx_min", "kx_max", "ky_min", "ky_max")[index]
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GridSpec(*bounds, 3, 3)
 
 
 class TestConcurrenceGrid:
@@ -726,23 +749,6 @@ def _commuting_points():
 
 
 class TestThermalCurve:
-    @pytest.mark.parametrize(
-        "p",
-        [DEFAULT, GrapheneParams(tperp=0.0), GrapheneParams(tperp=0.3, bias=0.5, m=0.2),
-         GrapheneParams(t=0.0, t3=2.0, tperp=0.5)],
-        ids=["default", "tperp-zero", "biased", "t-zero"],
-    )
-    def test_curve_is_the_sweep_of_the_mapped_set(self, p):
-        """At Gamma, at both Dirac points and at (0.3, 0.2): the curve's
-        columns are those of thermal_sweep on map_to_su2su2, bit for bit."""
-        temps = np.geomspace(0.01, 50.0, 40)
-        for kx, ky in [(0.0, 0.0), (0.3, 0.2), *_dirac_points(p)]:
-            data = thermal_concurrence_curve(p, kx, ky, temps)
-            s = thermal_sweep(map_to_su2su2(p, kx, ky), temps)
-            assert np.array_equal(data["t"], s["t"])
-            assert np.array_equal(data["c"], s["concurrence"])
-            assert np.array_equal(data["flag"], s["flag"])
-
     @pytest.mark.parametrize("point", [[], ["--bias", "0.5", "--kx", "0.3", "--ky", "2.2"]],
                              ids=["dirac-point", "biased-off-dirac"])
     def test_command_maps_its_wave_vector_once(self, point, tmp_path, monkeypatch):
@@ -767,20 +773,19 @@ class TestThermalCurve:
         tperp < t3 |G| (t = 0, t3 = 2, tperp = 0.5, k = 0 reads C = 1)."""
         temps = np.geomspace(0.02, 50.0, 25)
         for p, (kx, ky) in _commuting_points():
-            data = thermal_concurrence_curve(p, kx, ky, temps)
             c = map_to_su2su2(p, kx, ky)
+            data = thermal_sweep(c, temps)
             woot = [wootters_concurrence(thermal_state(c, t)) for t in temps]
             assert np.all(data["flag"] == 0)
-            assert np.max(np.abs(data["c"] - woot)) <= 1e-13
+            assert np.max(np.abs(data["concurrence"] - woot)) <= 1e-13
 
     def test_positive_below_death_at_dirac_point(self):
         kx, ky = find_dirac_point(DEFAULT)
         t_star = 1.0 / np.arcsinh(1.0)
-        data = thermal_concurrence_curve(
-            DEFAULT, kx, ky, [t_star * 0.5, t_star * 0.99, t_star * 1.01, t_star * 10]
-        )
-        assert data["c"][0] > 0 and data["c"][1] > 0
-        assert data["c"][2] == 0.0 and data["c"][3] == 0.0
+        temps = [t_star * 0.5, t_star * 0.99, t_star * 1.01, t_star * 10]
+        data = thermal_sweep(map_to_su2su2(DEFAULT, kx, ky), temps)
+        assert data["concurrence"][0] > 0 and data["concurrence"][1] > 0
+        assert data["concurrence"][2] == 0.0 and data["concurrence"][3] == 0.0
 
     def test_death_temperature_bisection(self):
         kx, ky = find_dirac_point(DEFAULT)
@@ -799,7 +804,7 @@ class TestThermalCurve:
         tperp above and below t3 |G| (the Dirac point, x- = 0, is
         test_death_temperature_bisection)."""
         kx, ky = k
-        g = p.t3 * abs(structure_factor(p, kx, ky))
+        g = p.t3 * abs(graphene._structure_factor(p, kx, ky))
         x_plus, x_minus = max(p.tperp, g), min(p.tperp, g)
         t_star = thermal_death_temperature(p, kx, ky)
         assert t_star is not None
@@ -861,26 +866,26 @@ class TestThermalCurve:
         kx += 0.05  # small offset: 0 < t3 |G| < tperp
         c = map_to_su2su2(p, kx, ky)
         temps = np.linspace(0.2, 5, 10)
-        data = thermal_concurrence_curve(p, kx, ky, temps)
-        for t, val in zip(data["t"], data["c"]):
-            assert abs(val - thermal_concurrence(c, t, compare=False).value) <= 1e-12
+        data = thermal_sweep(c, temps)
+        for t, val in zip(data["t"], data["concurrence"]):
+            assert abs(val - thermal_concurrence(c, t).value) <= 1e-12
 
     def test_no_overflow_far_below_the_band_scale(self):
         """E2 >> tperp at large bias; exp((E2 - tperp)/T) must not be formed."""
         p = GrapheneParams(bias=10.0)
         kx, ky = find_dirac_point(p)
-        data = thermal_concurrence_curve(p, kx, ky, [1e-3, 1e-2, 1.0])
-        assert np.all((data["c"] >= 0.0) & (data["c"] <= 1.0))
+        data = thermal_sweep(map_to_su2su2(p, kx, ky), [1e-3, 1e-2, 1.0])
+        assert np.all((data["concurrence"] >= 0.0) & (data["concurrence"] <= 1.0))
 
     def test_rejects_bad_temperature(self):
         with pytest.raises(ValueError):
-            thermal_concurrence_curve(DEFAULT, 0.0, 0.0, [1.0, -2.0])
+            thermal_sweep(map_to_su2su2(DEFAULT, 0.0, 0.0), [1.0, -2.0])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_temperature(self, bad):
         kx, ky = find_dirac_point(DEFAULT)
         with pytest.raises(ValueError):
-            thermal_concurrence_curve(DEFAULT, kx, ky, [1.0, bad])
+            thermal_sweep(map_to_su2su2(DEFAULT, kx, ky), [1.0, bad])
 
 
 def test_lattice_validation():

@@ -42,7 +42,7 @@ from su2pair.sampling import (
 
 from su2pair.thermo import thermal_concurrence, thermal_report, thermal_sweep
 
-from references import case01_theta, random_hermitian, random_unitary, traceless
+from references import case01_theta, random_hermitian, random_unitary, scaled, traceless
 
 ENTANGLED_EXAMPLE = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
 # The XYZ exchange model: both local vectors vanish, omega has full rank.
@@ -334,7 +334,7 @@ class TestDerive:
         sets = []
         for k in range(count):
             c = (random_entangled_canonical(rng, ("alpha", "beta", "both")[k % 3])
-                 if k % 2 else random_coefficient_set(rng, 10.0 ** rng.uniform(-6, 6)))
+                 if k % 2 else scaled(10.0 ** rng.uniform(-6, 6), random_coefficient_set(rng)))
             if k % 5 == 0:
                 c = CoefficientSet(c.upsilon, c.alpha * (rng.random(3) < 0.5), c.beta,
                                    c.omega * (rng.random((3, 3)) < 0.5))

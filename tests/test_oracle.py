@@ -11,6 +11,7 @@ from references import (
     random_mixed_density,
     random_pure_density,
     random_unitary,
+    reconstruct,
     spin_flip,
     von_neumann_entropy,
 )
@@ -33,7 +34,7 @@ class TestEig:
             m = random_hermitian(rng, scale=float(rng.uniform(0.1, 5.0)))
             dec = eig_hermitian(m)
             bound = EIG_RTOL * (1 + np.max(np.abs(m)))
-            assert np.max(np.abs(dec.reconstruct() - m)) <= bound
+            assert np.max(np.abs(reconstruct(dec) - m)) <= bound
             v = dec.eigenvectors
             assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= EIG_RTOL
             assert np.all(np.diff(dec.eigenvalues) <= 1e-14)

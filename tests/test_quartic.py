@@ -6,7 +6,7 @@ from su2pair.quartic import solve_quartic
 from su2pair.sampling import random_coefficient_set
 from su2pair.solver import secular_coefficients
 
-from references import quartic_residuals
+from references import quartic_residuals, scaled
 
 
 def sorted_real(roots):
@@ -135,7 +135,9 @@ class TestBatch:
         set's spectrum at scales 10^-3 .. 10^3, within the bound of the
         single-set property in test_solver.py."""
         rng = np.random.default_rng(2008)
-        sets = [random_coefficient_set(rng, 10.0 ** rng.uniform(-3, 3)) for _ in range(1000)]
+        sets = [
+            scaled(10.0 ** rng.uniform(-3, 3), random_coefficient_set(rng)) for _ in range(1000)
+        ]
         roots = solve_quartic(*secular_coefficients(derive_arrays(
             [c.alpha for c in sets], [c.beta for c in sets], [c.omega for c in sets]
         )))

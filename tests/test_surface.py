@@ -20,9 +20,8 @@ PUBLIC = [
     "factor_dyadic", "fano_compose", "fano_decompose", "find_dirac_point",
     "map_to_su2su2", "pauli", "pauli_word", "pure_concurrence", "rotate_set",
     "secular_coefficients", "solve", "solve_entangled", "solve_quartic",
-    "solve_separable", "structure_factor", "thermal_concurrence",
-    "thermal_concurrence_curve", "thermal_death_temperature", "thermal_report",
-    "thermal_state", "thermal_sweep", "wootters_concurrence",
+    "solve_separable", "thermal_concurrence", "thermal_death_temperature",
+    "thermal_report", "thermal_state", "thermal_sweep", "wootters_concurrence",
 ]
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -49,11 +48,21 @@ def test_all_is_what_the_package_exports():
 def test_no_public_callable_takes_a_search_or_tolerance_knob():
     """Tolerances, brackets and iteration counts are the package's fixed
     constants, not per-call settings.  Exceptions take a message only."""
-    knobs = {"tol", "seed", "steps", "t_low", "t_high", "iters"}
+    knobs = {"tol", "seed", "steps", "t_low", "t_high", "iters", "compare"}
     for name in PUBLIC:
         value = getattr(su2pair, name)
         if not (inspect.isclass(value) and issubclass(value, Exception)):
             assert not knobs & set(inspect.signature(value).parameters), name
+
+
+def test_samplers_take_no_one_value_parameter():
+    """The spectral gap and the draw scale are fixed: MIN_GAP, and unit
+    normal coefficients that a caller scales itself."""
+    from su2pair import sampling
+
+    for name, value in vars(sampling).items():
+        if inspect.isfunction(value) and value.__module__ == sampling.__name__:
+            assert not {"min_gap", "scale"} & set(inspect.signature(value).parameters), name
 
 
 def test_default_tol_is_defined_once():

@@ -32,6 +32,7 @@ from su2pair.thermo import (
 )
 
 from references import log_partition_numeric, mat_func, thermal_state_from_eigensystem
+from test_golden import SETS
 
 ENTANGLED_EXAMPLE = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
 ZERO_SET = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.zeros((3, 3)))
@@ -240,11 +241,11 @@ class TestThermalConcurrence:
         # x+ = x-: sinh never beats cosh at equal arguments.
         c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 0.0, 0.0]))
         for t in (0.01, 0.5, 10.0):
-            assert thermal_concurrence(c, t, compare=False).value == 0.0
+            assert thermal_concurrence(c, t).value == 0.0
 
     def test_bell_ground_state_limit(self):
         c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
-        res = thermal_concurrence(c, 0.05, compare=False)
+        res = thermal_concurrence(c, 0.05)
         assert res.reliable
         assert res.value >= 1.0 - 1e-6
 
@@ -265,7 +266,7 @@ class TestThermalConcurrence:
                 assert res.deviation <= 1e-7
             else:
                 saw_unreliable = True
-                assert res.deviation is not None
+                assert math.isfinite(res.deviation)
         assert saw_unreliable
 
     def test_rotation_invariance(self, rng):
@@ -279,14 +280,38 @@ class TestThermalConcurrence:
         pairs += [random_rotated_constrained(rng) for _ in range(20)]
         for c, rot in pairs:
             for t in (0.5, 2.0):
-                a = thermal_concurrence(c, t, compare=False).value
-                b = thermal_concurrence(rot, t, compare=False).value
+                a = thermal_concurrence(c, t).value
+                b = thermal_concurrence(rot, t).value
                 assert abs(a - b) <= 1e-13
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        """The Wootters reference comes from the one eigendecomposition of H
+        that the sweep's definition route uses, not from a second one of
+        the Gibbs state."""
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        thermal_concurrence(CoefficientSet(**SETS["rotated"]), 1.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["entangled", "rotated"])
+    def test_wootters_is_the_gibbs_state_reference(self, name):
+        """``wootters`` equals the Wootters concurrence of thermal_state over
+        40 temperatures in [0.01, 100]."""
+        c = CoefficientSet(**SETS[name])
+        for t in np.geomspace(0.01, 100.0, 40):
+            want = wootters_concurrence(thermal_state(c, t))
+            assert abs(thermal_concurrence(c, t).wootters - want) <= 1e-13
 
     def test_unconstrained_set_raises(self):
         c = CoefficientSet(0.3, (1, 2, 3), (3, 1, 2), np.diag([1.0, 2.0, 3.0]))
         with pytest.raises(ConstraintError, match="det_omega residual"):
-            thermal_concurrence(c, 1.0, compare=False)
+            thermal_concurrence(c, 1.0)
 
     def test_monotone_death(self, rng):
         """Zero beyond the death temperature, positive on a left neighborhood."""
@@ -294,9 +319,9 @@ class TestThermalConcurrence:
         # death where sinh(2/t) = 1: t* = 2/arcsinh(1)
         t_star = 2.0 / np.arcsinh(1.0)
         for t in (t_star * 1.01, t_star * 2, t_star * 10):
-            assert thermal_concurrence(c, t, compare=False).value == 0.0
+            assert thermal_concurrence(c, t).value == 0.0
         for t in (t_star * 0.99, t_star * 0.5):
-            assert thermal_concurrence(c, t, compare=False).value > 0.0
+            assert thermal_concurrence(c, t).value > 0.0
 
 
 class TestThermalReport:
