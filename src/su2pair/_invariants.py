@@ -25,12 +25,16 @@ helpers skip every array pass over a term that vanishes by construction
 Dropping ``x + 0`` can change only the sign of a zero, and dropping
 ``0 * x`` agrees with IEEE wherever x is finite, so the caller passes it
 only where every intermediate is.  No record field holds it.
+
+:func:`_record` is the decorator that makes the package's other immutable
+records, in place of a frozen dataclass and its generated code.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -86,6 +90,74 @@ class DerivedCoefficients:
     alpha_sq: float
     beta_sq: float
     omega_sq: float
+
+
+def _record(cls):
+    """Make ``cls`` an immutable record of its annotated fields, as a frozen
+    dataclass would, but from closures alone: no method is generated as
+    source and compiled, which is most of a dataclass's cost at import.
+
+    ``__init__`` takes the fields in order, by position or keyword, with the
+    class attributes as defaults (a dict default is copied for each
+    instance), stores them in the instance dict and then calls
+    ``__post_init__`` where the class has one; ``inspect.signature`` reads
+    the fields.  Assigning or deleting an attribute raises
+    :class:`dataclasses.FrozenInstanceError`, a subclass of AttributeError.
+    ``==`` compares the fields of two records of the same class as tuples,
+    ``hash`` hashes that tuple, and ``repr`` reads ``Name(field=value,
+    ...)``.  A method the class defines itself is kept.  The class is not a
+    dataclass: ``dataclasses.fields`` and ``replace`` refuse it.
+    """
+    names = tuple(cls.__annotations__)
+    size = len(names)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    cls.__signature__ = signature = inspect.Signature([
+        inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                          default=defaults.get(name, inspect.Parameter.empty),
+                          annotation=cls.__annotations__[name])
+        for name in names
+    ])
+
+    def fresh(default):
+        return default.copy() if isinstance(default, dict) else default
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != size:
+            # Signature.bind raises the TypeError a call with these arguments would.
+            given = signature.bind(*args, **kwargs).arguments
+            args = [given[name] if name in given else fresh(defaults[name]) for name in names]
+        self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def values(record):
+        return tuple(map(record.__dict__.__getitem__, names))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, values(self)))
+        return f"{cls.__qualname__}({fields})"
+
+    for method in (__init__, __setattr__, __delattr__, __eq__, __hash__, __repr__):
+        if method.__name__ not in cls.__dict__:
+            method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+            setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    return cls
 
 
 class _StructuralZero:

@@ -10,11 +10,9 @@ where the closed forms collapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._invariants import _cofactors, _derive_kernel, _ht2_parts
+from ._invariants import _cofactors, _derive_kernel, _ht2_parts, _record
 from .errors import ConcurrenceDomainError, DegenerateBranchError, DensityMatrixError
 from .hamiltonian import (
     CoefficientSet,
@@ -36,7 +34,7 @@ RADICAND_FLOOR = -1e-10
 PURITY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@_record
 class BlochPair:
     """Bloch vectors of the two single-qubit marginals."""
 

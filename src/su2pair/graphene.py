@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._invariants import _ZERO, _derive_components
+from ._invariants import _ZERO, _derive_components, _record
 from .entanglement import CLOSED_FORM, _concurrence_from_derived
 from .hamiltonian import CoefficientSet, derive, even_spectrum
 from .thermo import _x_pm, sinh_cosh_gap
@@ -63,7 +62,7 @@ SMALLEST_LATTICE = 8.0 * math.pi / 3.0 / sys.float_info.max
 LARGEST_LATTICE = sys.float_info.max / (3.0 * math.sqrt(3.0))
 
 
-@dataclass(frozen=True)
+@_record
 class GrapheneParams:
     """Hopping and gap parameters of the AB-stacked bilayer.
 
@@ -173,7 +172,7 @@ def find_dirac_point(p: GrapheneParams) -> tuple[float, float]:
     return 0.0, float(4.0 * np.pi / (3.0 * np.sqrt(3.0) * p.lattice))
 
 
-@dataclass(frozen=True)
+@_record
 class GridSpec:
     """Rectangular k-space sampling window, optionally masked to the first zone.
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._invariants import _TINY, DEFAULT_TOL, DerivedCoefficients, _derive_kernel, _where
+from ._invariants import _TINY, DEFAULT_TOL, DerivedCoefficients, _derive_kernel, _record, _where
 from .errors import ConstraintError, NonHermitianError
 from .pauli import _WORDS, require_hermitian
 
@@ -46,7 +45,7 @@ DEGENERACY_RTOL = 1e-8
 COMMUTATOR_RTOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class CoefficientSet:
     """Real Pauli-basis coefficients (upsilon, alpha, beta, omega) of a 4x4 Hermitian.
 
@@ -260,13 +259,13 @@ class Branch(enum.Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
+@_record
 class Classification:
     """The case of a coefficient set and the residuals that decided it."""
 
     kind: CaseKind
     branch: Branch | None = None
-    residuals: dict[str, float] = field(default_factory=dict)
+    residuals: dict[str, float] = {}
 
     def __str__(self):
         if self.branch is None:

@@ -8,10 +8,9 @@ gives its lambdas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._invariants import _record
 from .errors import DensityMatrixError
 from .pauli import pauli_word, require_hermitian
 
@@ -19,7 +18,7 @@ from .pauli import pauli_word, require_hermitian
 EIG_RTOL = 1e-11
 
 
-@dataclass(frozen=True)
+@_record
 class SpectralDecomposition:
     """Eigenvalues in descending order with matching orthonormal eigenvectors.
 

@@ -28,8 +28,9 @@ _SIGMA = np.array(
 )
 _SIGMA.setflags(write=False)
 
-# 4x4 Pauli words sigma_i (x) sigma_j, indexed [i, j], i,j in 0..3.
-_WORDS = np.array([[np.kron(_SIGMA[i], _SIGMA[j]) for j in range(4)] for i in range(4)])
+# 4x4 Pauli words sigma_i (x) sigma_j, indexed [i, j], i,j in 0..3: every
+# Kronecker product in one broadcast multiply, the bits of np.kron's.
+_WORDS = (_SIGMA[:, None, :, None, :, None] * _SIGMA[None, :, None, :, None, :]).reshape(4, 4, 4, 4)
 _WORDS.setflags(write=False)
 
 

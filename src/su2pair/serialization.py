@@ -20,12 +20,26 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _require_numbers(key: str, value) -> None:
+    """Raise InputFormatError naming ``key`` unless ``value`` is a JSON
+    number or nested lists of them.  A JSON number parses to an int or a
+    float; a bool is an int to Python but true or false in JSON, and a
+    string such as "0.5" is text, so both are refused."""
+    if isinstance(value, list):
+        for item in value:
+            _require_numbers(key, item)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputFormatError(f"{key} entries must be JSON numbers, not {value!r}")
+
+
 def coefficient_set_from_dict(data) -> CoefficientSet:
     if not isinstance(data, dict):
         raise InputFormatError("coefficient set must be a JSON object")
     missing = {"upsilon", "alpha", "beta", "omega"} - set(data)
     if missing:
         raise InputFormatError(f"coefficient set is missing keys: {sorted(missing)}")
+    for key in ("upsilon", "alpha", "beta", "omega"):
+        _require_numbers(key, data[key])
     try:
         upsilon = float(data["upsilon"])
         alpha = np.asarray(data["alpha"], dtype=float)
@@ -33,6 +47,9 @@ def coefficient_set_from_dict(data) -> CoefficientSet:
         omega = np.asarray(data["omega"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"non-numeric coefficient entry: {exc}") from exc
+    except OverflowError as exc:
+        # A JSON integer beyond the largest double.
+        raise InputFormatError(f"coefficients must be finite: {exc}") from exc
     if alpha.shape != (3,) or beta.shape != (3,):
         raise InputFormatError("alpha and beta must have 3 entries")
     if omega.shape != (3, 3):
@@ -72,7 +89,13 @@ def eigensystem_to_dict(es: Eigensystem) -> dict:
 
 
 def write_eigensystem(path, es: Eigensystem):
-    Path(path).write_text(json.dumps(eigensystem_to_dict(es), indent=2) + "\n")
+    """Write :func:`eigensystem_to_dict` of ``es`` as indented JSON; a path
+    that cannot be written raises InputFormatError."""
+    text = json.dumps(eigensystem_to_dict(es), indent=2) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
 
 
 # --- the '%.17g' kernel ------------------------------------------------------------
@@ -375,12 +398,16 @@ def write_csv(path, header: list[str], chunks) -> int:
     cells are gathered from the tables into one byte grid of cells, commas
     and newlines per chunk, whose padding is dropped before its bytes are
     written to the file opened in binary mode: lines end in ``\n`` on
-    every platform.
+    every platform.  A path that cannot be opened or written raises
+    InputFormatError.
     """
     rows = 0
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode("utf-8"))
-        for columns in chunks:
-            fh.write(_chunk_text(columns))
-            rows += _rows(columns[0])
+    try:
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\n").encode("utf-8"))
+            for columns in chunks:
+                fh.write(_chunk_text(columns))
+                rows += _rows(columns[0])
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
     return rows

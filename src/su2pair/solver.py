@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._invariants import _record
 from .errors import FactorizationError
 from .hamiltonian import (
     DEGENERACY_RTOL,
@@ -37,7 +38,7 @@ class SolveMethod(enum.Enum):
     ORACLE_NUMERIC = "oracle-numeric"
 
 
-@dataclass(frozen=True)
+@_record
 class Su2Factor:
     """A single-qubit Hamiltonian a0 * I + a . sigma."""
 

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._invariants import _record
 from .errors import ConstraintError
 from .hamiltonian import (
     COMMUTATOR_RTOL,
@@ -140,7 +140,7 @@ def _gibbs_concurrence(dec: SpectralDecomposition, boltz: np.ndarray, purity) ->
 # --- thermal concurrence ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class ThermalConcurrenceResult:
     """Closed-form thermal concurrence with its validity diagnostic.
 
@@ -303,7 +303,7 @@ def thermal_sweep(
     }
 
 
-@dataclass(frozen=True)
+@_record
 class ThermalReport:
     """One row of a temperature sweep: Z, purity and concurrence with a flag.
 

@@ -8,10 +8,10 @@ CLI ``verify`` subcommand is a thin wrapper around :func:`run_suites`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._invariants import _record
 from .entanglement import (
     bloch_vectors,
     eigenstate_bloch_closed_form,
@@ -37,7 +37,7 @@ from .solver import SolveMethod, solve, solve_entangled, solve_separable
 from .thermo import EnsembleBranch, thermal_state, thermal_sweep
 
 
-@dataclass(frozen=True)
+@_record
 class SuiteResult:
     name: str
     samples: int

@@ -73,6 +73,45 @@ class TestSerialization:
                 coefficient_set_from_dict(payload)
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("upsilon", "0.5"),
+        ("upsilon", True),
+        ("alpha", ["1", 0, 0]),
+        ("alpha", [1, True, 0]),
+        ("beta", [0, 0, "1e-3"]),
+        ("omega", [[1, 0, 0], [0, 1, 0], [0, 0, False]]),
+        ("omega", [[1, 0, 0], [0, 1, 0], "001"]),
+    ])
+    def test_entries_must_be_json_numbers(self, key, value):
+        """A string or a boolean is no number, though float() takes it."""
+        from su2pair.errors import InputFormatError
+
+        with pytest.raises(InputFormatError, match=f"^{key} entries must be JSON numbers, not "):
+            coefficient_set_from_dict({**ENTANGLED, key: value})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("upsilon", 10**400, "coefficients must be finite"),
+        ("upsilon", float("nan"), "upsilon must be finite"),
+        ("alpha", [0, 0, float("inf")], "coefficients must be finite"),
+        ("omega", [[0, 0, 0], [0, -(10**400), 0], [0, 0, 0]], "coefficients must be finite"),
+    ], ids=["upsilon-huge-integer", "upsilon-nan", "alpha-inf", "omega-huge-integer"])
+    def test_entries_beyond_the_doubles_must_be_finite(self, key, value, message):
+        from su2pair.errors import InputFormatError
+
+        with pytest.raises(InputFormatError, match=f"^{message}"):
+            coefficient_set_from_dict({**ENTANGLED, key: value})
+
+    def test_strings_and_booleans_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"upsilon": "0.5", "alpha": ["1", True, 0],
+                                    "beta": [0, 0, "1e-3"],
+                                    "omega": [[1, 0, 0], [0, 1, 0], [0, 0, False]]}))
+        assert main(["classify", "--input", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: upsilon entries must be JSON numbers, not '0.5'\n"
+        )
+
+
 class TestSolveCommand:
     def test_entangled_file(self, entangled_file, tmp_path, capsys):
         out = tmp_path / "eig.json"
@@ -514,6 +553,28 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
     (tmp_path / "general.json").write_text(json.dumps(GENERAL))
     assert main([*argv, "--output", "out.csv"]) == 2
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--input", "entangled.json"],
+        ["thermo", "--input", "entangled.json", "--tmin", "1", "--tmax", "2", "--steps", "3"],
+        ["graphene-bands", "--grid", "5"],
+        ["graphene-concurrence", "--grid", "5"],
+        ["graphene-thermal", "--steps", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_exits_2(argv, target, tmp_path, monkeypatch, capsys):
+    """An --output that cannot be opened is a usage error, as an --input
+    that cannot be read is, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "entangled.json").write_text(json.dumps(ENTANGLED))
+    path = tmp_path / "absent" / "out" if target == "missing-directory" else tmp_path
+    assert main([*argv, "--output", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
 
 
 GOLDEN_SETS = {

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from su2pair.errors import NonHermitianError
-from su2pair.pauli import pauli, pauli_word, require_hermitian
+from su2pair.pauli import _WORDS, pauli, pauli_word, require_hermitian
 
 EPS_IJK = np.zeros((3, 3, 3))
 for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -36,6 +36,15 @@ def test_pauli_index_error():
         pauli(4)
     with pytest.raises(IndexError):
         pauli_word(1, 5)
+
+
+def test_words_are_the_kronecker_products_bit_for_bit():
+    """The broadcast table holds np.kron's bits, the signs of its zeros
+    included, and stays read-only."""
+    kron = np.array([[np.kron(pauli(i), pauli(j)) for j in range(4)] for i in range(4)])
+    assert _WORDS.dtype == kron.dtype and _WORDS.shape == kron.shape == (4, 4, 4, 4)
+    assert _WORDS.tobytes() == kron.tobytes()
+    assert not _WORDS.flags.writeable
 
 
 def test_pauli_word_identity_and_diagonal():
