@@ -5,107 +5,94 @@ quartic secular equations, pure-state concurrence, and thermal sweeps of
 the partition function, purity and concurrence, all verified against a
 dense numerical oracle, plus the Bernal-stacked bilayer graphene
 specialization.
+
+Importing the package executes none of its modules.  Each module in
+``_LAZY`` is registered in ``sys.modules`` through
+``importlib.util.LazyLoader`` and is compiled and executed on its first
+attribute access, so a process pays only for the modules it uses: a
+graphene grid command never executes ``thermo``, ``solver``, ``oracle`` or
+``quartic``.  ``_NAMES`` maps each module to the public names it exports;
+``__all__`` is built from it, and a module ``__getattr__`` (PEP 562)
+resolves each name on first use and keeps it in the package namespace.
+Public names win over submodule names, so ``su2pair.pauli`` is the
+function.  ``cli``, ``verify`` and ``sampling`` are imported the usual way.
+On Python 3.11 the lazy loader takes no lock: threads that first touch one
+module at the same time can find it half executed.
 """
 
-from .entanglement import (
-    BlochPair,
-    bloch_vectors,
-    concurrence_closed_form_arrays,
-    eigenstate_bloch_closed_form,
-    eigenstate_concurrence_closed_form,
-    pure_concurrence,
-)
-from .errors import (
-    ConcurrenceDomainError,
-    ConstraintError,
-    DegenerateBranchError,
-    DensityMatrixError,
-    FactorizationError,
-    InputFormatError,
-    InvariantViolation,
-    NonHermitianError,
-)
-from .graphene import (
-    GrapheneParams,
-    GridSpec,
-    band_grid,
-    concurrence_grid,
-    default_grid,
-    find_dirac_point,
-    map_to_su2su2,
-    thermal_death_temperature,
-)
-from .hamiltonian import (
-    Branch,
-    CaseKind,
-    Classification,
-    CoefficientSet,
-    DerivedCoefficients,
-    classify,
-    derive,
-    derive_arrays,
-    fano_compose,
-    fano_decompose,
-    rotate_set,
-)
-from .oracle import (
-    SpectralDecomposition,
-    eig_hermitian,
-    wootters_concurrence,
-)
-from .pauli import pauli, pauli_word
-from .quartic import solve_quartic
-from .solver import (
-    Eigensystem,
-    SolveMethod,
-    Su2Factor,
-    factor_dyadic,
-    secular_coefficients,
-    solve,
-    solve_entangled,
-    solve_separable,
-)
-from .thermo import (
-    EnsembleBranch,
-    ThermalConcurrenceResult,
-    ThermalReport,
-    thermal_concurrence,
-    thermal_report,
-    thermal_state,
-    thermal_sweep,
-)
+import importlib.util
+import sys
 
 # The public names, one group per module; tests/test_surface.py pins them.
-__all__ = [
-    # entanglement
-    "BlochPair", "bloch_vectors", "concurrence_closed_form_arrays",
-    "eigenstate_bloch_closed_form", "eigenstate_concurrence_closed_form",
-    "pure_concurrence",
-    # errors
-    "ConcurrenceDomainError", "ConstraintError", "DegenerateBranchError",
-    "DensityMatrixError", "FactorizationError", "InputFormatError",
-    "InvariantViolation", "NonHermitianError",
-    # graphene
-    "GrapheneParams", "GridSpec", "band_grid", "concurrence_grid",
-    "default_grid", "find_dirac_point", "map_to_su2su2",
-    "thermal_death_temperature",
-    # hamiltonian
-    "Branch", "CaseKind", "Classification", "CoefficientSet",
-    "DerivedCoefficients", "classify", "derive", "derive_arrays",
-    "fano_compose", "fano_decompose", "rotate_set",
-    # oracle
-    "SpectralDecomposition", "eig_hermitian", "wootters_concurrence",
-    # pauli
-    "pauli", "pauli_word",
-    # quartic
-    "solve_quartic",
-    # solver
-    "Eigensystem", "SolveMethod", "Su2Factor", "factor_dyadic",
-    "secular_coefficients", "solve", "solve_entangled", "solve_separable",
-    # thermo
-    "EnsembleBranch", "ThermalConcurrenceResult", "ThermalReport",
-    "thermal_concurrence", "thermal_report", "thermal_state",
-    "thermal_sweep",
-]
+_NAMES = {
+    "entanglement": (
+        "BlochPair", "bloch_vectors", "concurrence_closed_form_arrays",
+        "eigenstate_bloch_closed_form", "eigenstate_concurrence_closed_form",
+        "pure_concurrence",
+    ),
+    "errors": (
+        "ConcurrenceDomainError", "ConstraintError", "DegenerateBranchError",
+        "DensityMatrixError", "FactorizationError", "InputFormatError",
+        "InvariantViolation", "NonHermitianError",
+    ),
+    "graphene": (
+        "GrapheneParams", "GridSpec", "band_grid", "concurrence_grid",
+        "default_grid", "find_dirac_point", "map_to_su2su2",
+        "thermal_death_temperature",
+    ),
+    "hamiltonian": (
+        "Branch", "CaseKind", "Classification", "CoefficientSet",
+        "DerivedCoefficients", "classify", "derive", "derive_arrays",
+        "fano_compose", "fano_decompose", "rotate_set",
+    ),
+    "oracle": ("SpectralDecomposition", "eig_hermitian", "wootters_concurrence"),
+    "pauli": ("pauli", "pauli_word"),
+    "quartic": ("solve_quartic",),
+    "solver": (
+        "Eigensystem", "SolveMethod", "Su2Factor", "factor_dyadic",
+        "secular_coefficients", "solve", "solve_entangled", "solve_separable",
+    ),
+    "thermo": (
+        "EnsembleBranch", "ThermalConcurrenceResult", "ThermalReport",
+        "thermal_concurrence", "thermal_report", "thermal_state",
+        "thermal_sweep",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+# Every module that ``import su2pair.cli`` used to execute, cli aside: a
+# lazily registered cli would make ``python -m su2pair.cli`` warn that it
+# was in sys.modules before it ran.
+_LAZY = (*_NAMES, "_invariants", "serialization")
+
+
+def _register(module: str) -> None:
+    spec = importlib.util.find_spec(f"{__name__}.{module}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    lazy = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = lazy
+    spec.loader.exec_module(lazy)
+
+
+for _module in _LAZY:
+    _register(_module)
+del _module
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        value = getattr(sys.modules[f"{__name__}.{_MODULE_OF[name]}"], name)
+    elif name in _LAZY:
+        value = sys.modules[f"{__name__}.{name}"]
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _MODULE_OF.keys() | set(_LAZY))
+
 
 __version__ = "0.1.0"

@@ -15,18 +15,9 @@ import sys
 
 import numpy as np
 
-from . import graphene
+# Modules, not names: each is executed only when a command first uses it.
+from . import graphene, hamiltonian, quartic, serialization, solver, thermo
 from .errors import ConstraintError, InputFormatError, InvariantViolation
-from .hamiltonian import CoefficientSet, classify
-from .quartic import solve_quartic
-from .serialization import (
-    format_float,
-    load_coefficient_set,
-    write_csv,
-    write_eigensystem,
-)
-from .solver import solve
-from .thermo import EnsembleBranch, thermal_sweep
 
 # Largest accepted --grid and --steps, refused before any work.  On a 2-CPU
 # Xeon host a grid command costs about 0.8 us a k-point at 201^2 (more than
@@ -37,6 +28,10 @@ from .thermo import EnsembleBranch, thermal_sweep
 # formatting, so --steps 10000 takes well under a second.
 MAX_GRID = 1001
 MAX_STEPS = 10_000
+# Largest accepted verify --samples, refused before any suite runs.  All
+# suites take about 2 ms a draw on the same host (--samples 10000 takes
+# 21 s), so 100 000 draws, five times CI's largest run, take 3.5 minutes.
+MAX_SAMPLES = 100_000
 
 # A sweep's exponents are energies over T: the Gibbs weights' level gaps
 # (e_k - e_min)/T, the lowest level over T in log Z, and the closed-form
@@ -161,7 +156,7 @@ def _temperatures(tmin: float, tmax: float, steps: int) -> np.ndarray:
     return temps
 
 
-def _check_lowest_temperature(tmin: float, c: CoefficientSet) -> None:
+def _check_lowest_temperature(tmin: float, c: hamiltonian.CoefficientSet) -> None:
     """Refuse a sweep of the set ``c`` at a lowest temperature T below twice
     the smallest normal double, or at which 16 S/T is not finite for the
     coefficient scale S = ``c.scale()``, which does not overflow.
@@ -171,24 +166,24 @@ def _check_lowest_temperature(tmin: float, c: CoefficientSet) -> None:
     if tmin < _LOWEST_TEMPERATURE or not math.isfinite(_EXPONENT_BOUND * scale / (tmin / 2.0)):
         raise InputFormatError(
             f"--tmin {tmin!r} is too low for a set of coefficient scale "
-            f"{format_float(scale)}: 16 S/T overflows, or T is below twice "
+            f"{serialization.format_float(scale)}: 16 S/T overflows, or T is below twice "
             "the smallest normal double"
         )
 
 
 def cmd_solve(args) -> int:
-    es = solve(load_coefficient_set(args.input))
+    es = solver.solve(serialization.load_coefficient_set(args.input))
     print(f"method: {es.method.value}" + (" (degenerate)" if es.degenerate else ""))
     for (m, n), e, _ in es.items():
-        print(f"eigenvalue[{m},{n}] = {format_float(e)}")
+        print(f"eigenvalue[{m},{n}] = {serialization.format_float(e)}")
     if args.output:
-        write_eigensystem(args.output, es)
+        serialization.write_eigensystem(args.output, es)
         print(f"eigensystem written to {args.output}")
     return 0
 
 
 def cmd_classify(args) -> int:
-    label = classify(load_coefficient_set(args.input))
+    label = hamiltonian.classify(serialization.load_coefficient_set(args.input))
     print(f"case: {label}")
     for key in sorted(label.residuals):
         print(f"residual {key} = {label.residuals[key]:.6e}")
@@ -200,9 +195,10 @@ def cmd_quartic(args) -> int:
         raise InputFormatError("--coeffs must be finite")
     if args.coeffs[0] == 0:
         raise InputFormatError("--coeffs: leading coefficient is zero: not a quartic")
-    roots = solve_quartic(*args.coeffs)
+    roots = quartic.solve_quartic(*args.coeffs)
+    fmt = serialization.format_float
     for z in roots:
-        print(f"{format_float(z.real)} {'+' if z.imag >= 0 else '-'} {format_float(abs(z.imag))}i")
+        print(f"{fmt(z.real)} {'+' if z.imag >= 0 else '-'} {fmt(abs(z.imag))}i")
     return 0
 
 
@@ -213,6 +209,8 @@ def cmd_verify(args) -> int:
 
     if args.samples < 1:
         raise InputFormatError("--samples must be at least 1")
+    if args.samples > MAX_SAMPLES:
+        raise InputFormatError(f"--samples {args.samples} exceeds the limit of {MAX_SAMPLES}")
     if args.seed < 0:
         raise InputFormatError("--seed must be non-negative")
     try:
@@ -225,17 +223,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_thermo(args) -> int:
-    c = load_coefficient_set(args.input)
-    branch = EnsembleBranch.FULL if args.branch == "full" else EnsembleBranch.POSITIVE_ONLY
+    c = serialization.load_coefficient_set(args.input)
+    branches = thermo.EnsembleBranch
+    branch = branches.FULL if args.branch == "full" else branches.POSITIVE_ONLY
     temps = _temperatures(args.tmin, args.tmax, args.steps)
     _check_lowest_temperature(args.tmin, c)
     try:
-        s = thermal_sweep(c, temps, branch)
+        s = thermo.thermal_sweep(c, temps, branch)
     except ConstraintError as exc:
         # Only the positive branch needs a constraint.
         raise InputFormatError(f"--branch positive: {exc}") from exc
     columns = [s[name] for name in ("t", "z", "purity", "concurrence", "flag")]
-    rows = write_csv(args.output, ["T", "Z", "purity", "concurrence", "flag"], [columns])
+    header = ["T", "Z", "purity", "concurrence", "flag"]
+    rows = serialization.write_csv(args.output, header, [columns])
     print(f"{rows} temperatures written to {args.output}")
     return 0
 
@@ -251,10 +251,10 @@ def cmd_graphene_bands(args) -> int:
             e1_mins.append(np.min(ch["e1"]))
             yield ch["kx"], ch["ky"], ch["e1"], ch["e2"]
 
-    rows = write_csv(args.output, ["kx", "ky", "E1", "E2"], columns())
+    rows = serialization.write_csv(args.output, ["kx", "ky", "E1", "E2"], columns())
     print(
         f"{rows} points written to {args.output}; "
-        f"min E1 = {format_float(float(np.min(e1_mins)))}"
+        f"min E1 = {serialization.format_float(float(np.min(e1_mins)))}"
     )
     return 0
 
@@ -271,7 +271,7 @@ def cmd_graphene_concurrence(args) -> int:
             flagged += int(np.sum(ch["flag"]))
             yield ch["kx"], ch["ky"], ch["c"], ch["flag"]
 
-    rows = write_csv(args.output, ["kx", "ky", "C", "flag"], columns())
+    rows = serialization.write_csv(args.output, ["kx", "ky", "C", "flag"], columns())
     print(f"{rows} points written to {args.output}; {flagged} flagged")
     return 0
 
@@ -290,11 +290,12 @@ def cmd_graphene_thermal(args) -> int:
     # One mapping serves the check and the curve.
     c = graphene.map_to_su2su2(p, kx, ky)
     _check_lowest_temperature(args.tmin, c)
-    s = thermal_sweep(c, temps)
-    write_csv(args.output, ["T", "C", "flag"], [(s["t"], s["concurrence"], s["flag"])])
+    s = thermo.thermal_sweep(c, temps)
+    columns = (s["t"], s["concurrence"], s["flag"])
+    serialization.write_csv(args.output, ["T", "C", "flag"], [columns])
     print(
         f"{s['t'].size} temperatures written to {args.output} "
-        f"at k = ({format_float(kx)}, {format_float(ky)})"
+        f"at k = ({serialization.format_float(kx)}, {serialization.format_float(ky)})"
     )
     return 0
 

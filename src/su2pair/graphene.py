@@ -36,10 +36,11 @@ import sys
 
 import numpy as np
 
+# A module import: only thermal_death_temperature executes thermo.
+from . import thermo
 from ._invariants import _ZERO, _derive_components, _record
 from .entanglement import CLOSED_FORM, _concurrence_from_derived
 from .hamiltonian import CoefficientSet, derive, even_spectrum
-from .thermo import _x_pm, sinh_cosh_gap
 
 
 # Largest magnitude GrapheneParams accepts for t, t3, tperp, m and bias.
@@ -314,10 +315,10 @@ def thermal_death_temperature(p: GrapheneParams, kx: float, ky: float) -> float 
     Returns None when it keeps one sign over the bracket, as it does at
     every T when x+ = x- (tperp = t3 |G|).
     """
-    x_plus, x_minus = _x_pm(derive(map_to_su2su2(p, kx, ky)))
+    x_plus, x_minus = thermo._x_pm(derive(map_to_su2su2(p, kx, ky)))
 
     def gap(t):
-        return sinh_cosh_gap(x_plus / t, x_minus / t, x_plus / t)
+        return thermo.sinh_cosh_gap(x_plus / t, x_minus / t, x_plus / t)
 
     lo, hi = 1e-6, 1e6
     if gap(lo) <= 0.0 or gap(hi) >= 0.0:

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
+# A module import for the annotations: writing a CSV executes no solver.
+from . import solver
 from .errors import InputFormatError
 from .hamiltonian import CoefficientSet
-from .solver import Eigensystem
 
 
 def format_float(x: float) -> str:
@@ -64,14 +65,16 @@ def load_coefficient_set(path) -> CoefficientSet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{path} is not valid JSON: nested too deeply") from exc
     return coefficient_set_from_dict(data)
 
 
-def eigensystem_to_dict(es: Eigensystem) -> dict:
+def eigensystem_to_dict(es: solver.Eigensystem) -> dict:
     """Wire format: labelled eigenvalues plus states as (re, im) entry pairs."""
     eigenvalues = [
         {"m": m, "n": n, "value": e} for (m, n), e, _ in es.items()
@@ -88,7 +91,7 @@ def eigensystem_to_dict(es: Eigensystem) -> dict:
     }
 
 
-def write_eigensystem(path, es: Eigensystem):
+def write_eigensystem(path, es: solver.Eigensystem):
     """Write :func:`eigensystem_to_dict` of ``es`` as indented JSON; a path
     that cannot be written raises InputFormatError."""
     text = json.dumps(eigensystem_to_dict(es), indent=2) + "\n"

@@ -155,6 +155,27 @@ class TestSolveCommand:
     def test_missing_file(self, tmp_path):
         assert main(["solve", "--input", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["classify"], ["solve"], ["thermo", "--tmin", "1", "--tmax", "2", "--output", "x.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_input_that_is_not_utf8_exits_2(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main([command[0], "--input", "utf16.json", *command[1:]]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: cannot read utf16.json: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        ))
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_json_nested_too_deeply_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        depth = 100_000
+        nested = "[" * depth + "0" + "]" * depth
+        path.write_text(json.dumps({**ENTANGLED, "alpha": None}).replace("null", nested))
+        assert main(["classify", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path} is not valid JSON: nested too deeply\n")
+
     def test_non_finite_coefficients(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text(json.dumps({**ENTANGLED, "upsilon": "NaN"}))
@@ -715,11 +736,23 @@ class TestSizeLimits:
         def no_sweep(*_):
             raise AssertionError("sweep ran")
 
-        monkeypatch.setattr(cli, "thermal_sweep", no_sweep)
+        monkeypatch.setattr(thermo, "thermal_sweep", no_sweep)
         steps = ["--steps", str(cli.MAX_STEPS + 1), "--output", str(tmp_path / "x.csv")]
-        thermo = ["thermo", "--input", str(entangled_file), "--tmin", "0.1", "--tmax", "1"]
-        assert main([*thermo, *steps]) == 2
+        sweep = ["thermo", "--input", str(entangled_file), "--tmin", "0.1", "--tmax", "1"]
+        assert main([*sweep, *steps]) == 2
         assert main(["graphene-thermal", *steps]) == 2
+
+    def test_oversized_verify_rejected_before_any_suite(self, monkeypatch, capsys):
+        from su2pair import cli
+
+        def no_suites(*_):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(verify, "run_suites", no_suites)
+        assert main(["verify", "--samples", str(cli.MAX_SAMPLES + 1)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --samples {cli.MAX_SAMPLES + 1} exceeds the limit of 100000\n"
+        )
 
     def test_limits_admit_defaults_and_benchmark_sizes(self):
         from su2pair import cli
@@ -727,8 +760,11 @@ class TestSizeLimits:
         parser = cli.build_parser()
         grid = parser.parse_args(["graphene-bands", "--output", "x.csv"]).grid
         steps = parser.parse_args(["graphene-thermal", "--output", "x.csv"]).steps
+        samples = parser.parse_args(["verify"]).samples
         assert max(grid, 101) <= cli.MAX_GRID
         assert max(steps, 1000) <= cli.MAX_STEPS
+        # CI's largest verify run.
+        assert max(samples, 20_000) <= cli.MAX_SAMPLES
 
 
 def test_usage_error_without_subcommand():

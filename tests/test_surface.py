@@ -37,12 +37,30 @@ def test_every_public_name_resolves():
 
 
 def test_all_is_what_the_package_exports():
-    """Every public name bound in the package, submodules aside, is in __all__."""
+    """Every public name bound in the package, submodules aside, is in __all__.
+    Names resolve on first use, so each name dir() lists is resolved first."""
+    for name in dir(su2pair):
+        getattr(su2pair, name)
     exported = [
         name for name, value in vars(su2pair).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     ]
     assert sorted(exported) == PUBLIC
+
+
+def test_pauli_is_the_function_not_the_module():
+    assert inspect.isfunction(su2pair.pauli)
+    assert su2pair.pauli.__module__ == "su2pair.pauli"
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from su2pair import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(su2pair.__all__)
+
+
+def test_dir_lists_every_public_name():
+    assert set(su2pair.__all__) <= set(dir(su2pair))
 
 
 def test_no_public_callable_takes_a_search_or_tolerance_knob():
