@@ -9,6 +9,7 @@ violation.  Identical options and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -312,17 +313,12 @@ _HANDLERS = {
 }
 
 
-_PARSER = None
-
-
+@functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
     """The parser ``main`` uses, built on its first call and kept for the
     process: ``parse_args`` leaves a parser as it was.  ``build_parser``
     still returns a new parser on every call."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    return _PARSER
+    return build_parser()
 
 
 def main(argv=None) -> int:

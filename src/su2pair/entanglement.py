@@ -59,7 +59,10 @@ class BlochPair:
 def bloch_vectors(rho: np.ndarray) -> BlochPair:
     """Single-qubit Pauli expectations A_i = Tr[rho (sigma_i x I)], B_j likewise:
     4 alpha and 4 beta of :func:`~su2pair.hamiltonian.fano_decompose`, which
-    raises NonHermitianError for a non-Hermitian ``rho``."""
+    raises NonHermitianError for a non-Hermitian ``rho``.  Raises
+    DensityMatrixError for a ``rho`` that is not 4x4 or whose trace is not 1."""
+    if np.shape(rho) != (4, 4):
+        raise DensityMatrixError(f"expected a 4x4 density matrix, not of shape {np.shape(rho)}")
     tr = complex(np.trace(np.asarray(rho, dtype=complex)))
     if abs(tr - 1.0) > 1e-9:
         raise DensityMatrixError(f"state trace {tr} is not 1")

@@ -141,10 +141,13 @@ def fano_decompose(h: np.ndarray) -> CoefficientSet:
     """Project a Hermitian 4x4 matrix onto the Pauli basis.
 
     All sixteen coefficients Tr[h sigma_i (x) sigma_j] / 4 come from one
-    contraction.  Raises NonHermitianError for non-Hermitian input; the
-    coefficients of a Hermitian matrix are real, and any residual imaginary
-    part beyond round-off is rejected rather than silently discarded.
+    contraction.  Raises ValueError for an array that is not 4x4, and
+    NonHermitianError for non-Hermitian input; the coefficients of a
+    Hermitian matrix are real, and any residual imaginary part beyond
+    round-off is rejected rather than silently discarded.
     """
+    if np.shape(h) != (4, 4):
+        raise ValueError(f"fano_decompose input must be 4x4, not of shape {np.shape(h)}")
     h = require_hermitian(h, "fano_decompose input")
     scale = 1.0 + float(np.max(np.abs(h)))
     coef = np.einsum("ab,ijba->ij", h, _WORDS) / 4.0

@@ -61,9 +61,9 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     Raises DensityMatrixError unless rho is Hermitian and 4x4, with trace
     within 1e-10 of 1 and no eigenvalue of that decomposition below -1e-10.
     """
-    rho = require_hermitian(rho, "density matrix")
-    if rho.shape != (4, 4):
+    if np.shape(rho) != (4, 4):
         raise DensityMatrixError("expected a 4x4 density matrix")
+    rho = require_hermitian(rho, "density matrix")
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-10:
         raise DensityMatrixError(f"density matrix trace {tr} is not 1")

@@ -33,6 +33,23 @@ def _require_numbers(key: str, value) -> None:
         raise InputFormatError(f"{key} entries must be JSON numbers, not {value!r}")
 
 
+def _floats(data: dict, key: str, shape: tuple, expected: str) -> np.ndarray:
+    """The JSON numbers ``data[key]`` as a float array of ``shape``; any
+    other nesting, a ragged one included, raises InputFormatError naming
+    ``key`` and the ``expected`` layout."""
+    try:
+        value = np.asarray(data[key], dtype=float)
+    except OverflowError as exc:
+        # A JSON integer beyond the largest double.
+        raise InputFormatError(f"coefficients must be finite: {exc}") from exc
+    except ValueError:
+        pass
+    else:
+        if value.shape == shape:
+            return value
+    raise InputFormatError(f"{key} must be {expected}")
+
+
 def coefficient_set_from_dict(data) -> CoefficientSet:
     if not isinstance(data, dict):
         raise InputFormatError("coefficient set must be a JSON object")
@@ -41,22 +58,12 @@ def coefficient_set_from_dict(data) -> CoefficientSet:
         raise InputFormatError(f"coefficient set is missing keys: {sorted(missing)}")
     for key in ("upsilon", "alpha", "beta", "omega"):
         _require_numbers(key, data[key])
+    upsilon = _floats(data, "upsilon", (), "a number")
+    alpha = _floats(data, "alpha", (3,), "3 numbers")
+    beta = _floats(data, "beta", (3,), "3 numbers")
+    omega = _floats(data, "omega", (3, 3), "3 rows of 3 numbers")
     try:
-        upsilon = float(data["upsilon"])
-        alpha = np.asarray(data["alpha"], dtype=float)
-        beta = np.asarray(data["beta"], dtype=float)
-        omega = np.asarray(data["omega"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"non-numeric coefficient entry: {exc}") from exc
-    except OverflowError as exc:
-        # A JSON integer beyond the largest double.
-        raise InputFormatError(f"coefficients must be finite: {exc}") from exc
-    if alpha.shape != (3,) or beta.shape != (3,):
-        raise InputFormatError("alpha and beta must have 3 entries")
-    if omega.shape != (3, 3):
-        raise InputFormatError("omega must be 3 rows of 3 numbers")
-    try:
-        return CoefficientSet(upsilon, alpha, beta, omega)
+        return CoefficientSet(float(upsilon), alpha, beta, omega)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 

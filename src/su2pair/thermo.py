@@ -263,7 +263,9 @@ def thermal_sweep(
     states.  Flags are therefore constant along a sweep; their values are
     those of :class:`ThermalReport`.  One set of Gibbs weights per route
     gives log Z, the purity and the concurrence, which stay finite; ``z``
-    reads inf where Z exceeds the double range.
+    reads inf where Z exceeds the double range.  On the positive-only
+    branch only ``z`` and ``purity`` come from the two positive levels:
+    ``concurrence`` and ``flag`` stay those of the full ensemble.
 
     Raises ValueError for a temperature that is not positive and finite,
     and ConstraintError, a ValueError, with the constraint residuals for the

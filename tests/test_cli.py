@@ -111,6 +111,21 @@ class TestSerialization:
             "", "error: upsilon entries must be JSON numbers, not '0.5'\n"
         )
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("upsilon", [1], "upsilon must be a number"),
+        ("alpha", [0, [0], 1], "alpha must be 3 numbers"),
+        ("beta", [0, 0, [0]], "beta must be 3 numbers"),
+        ("omega", [[1, 0, 0], [0, 1], [0, 0, 0]], "omega must be 3 rows of 3 numbers"),
+    ])
+    def test_wrong_nesting_names_the_key_and_its_layout(self, key, value, message, tmp_path,
+                                                       capsys):
+        """Every entry is a JSON number: the message names the key and the
+        layout it needs."""
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({**ENTANGLED, key: value}))
+        assert main(["classify", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestSolveCommand:
     def test_entangled_file(self, entangled_file, tmp_path, capsys):
@@ -249,6 +264,18 @@ class TestQuarticCommand:
         assert out == ""
         assert err.startswith("invariant violation: ") and "not finite" in err
 
+    def test_any_other_value_error_exits_3(self, monkeypatch, capsys):
+        """A ValueError that is neither a usage error nor a named invariant
+        violation is still a numeric failure: exit 3, no traceback."""
+        from su2pair import quartic
+
+        def failing(*coeffs):
+            raise ValueError("no roots")
+
+        monkeypatch.setattr(quartic, "solve_quartic", failing)
+        assert main(["quartic", "--coeffs", "1", "0", "0", "0", "-1"]) == 3
+        assert capsys.readouterr() == ("", "error: no roots\n")
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
@@ -306,6 +333,29 @@ class TestVerifyCommand:
         assert "product set read flag 2" in lines[1]
         assert lines[2].startswith("thermal-concurrence") and "FAIL" in lines[2]
         assert "commuting family flagged unreliable" in lines[2]
+
+    def test_thermal_suites_fail_when_constrained_sets_read_flag_2(self, monkeypatch, capsys):
+        """With the sweep reading the definition-route flag 2 wherever its
+        closed forms read 1, product and commuting sets keep flag 0 and the
+        constrained sets fail both thermal suites."""
+        sweep = verify.thermal_sweep
+
+        def flag_2_for_1(c, temps, branch=thermo.EnsembleBranch.FULL):
+            s = sweep(c, temps, branch)
+            return {**s, "flag": np.where(s["flag"] == 1, 2, s["flag"])}
+
+        monkeypatch.setattr(verify, "thermal_sweep", flag_2_for_1)
+        argv = ["verify", "--samples", "20", "--seed", "0",
+                "--suite", "partition-function", "--suite", "thermal-concurrence"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        for line, name in zip(lines[1:3], ("partition-function", "thermal-concurrence")):
+            assert line.startswith(name) and "FAIL" in line
+            assert "constrained set read flag 2" in line
+
+    def test_run_suites_refuses_zero_samples(self):
+        with pytest.raises(ValueError, match="^sample count must be at least 1$"):
+            verify.run_suites(0, 0)
 
     def test_concurrence_routes_fail_on_nan_where_alpha_vanishes(self, monkeypatch, capsys):
         """A closed form that reads NaN on the draws whose constrained
@@ -392,9 +442,29 @@ class TestThermoCommand:
     def test_xyz_exchange_positive_branch_is_a_usage_error(self, tmp_path):
         path = tmp_path / "xyz.json"
         path.write_text(json.dumps(XYZ))
+        out = tmp_path / "x.csv"
         code = main(["thermo", "--input", str(path), "--tmin", "0.1", "--tmax", "10",
-                     "--branch", "positive", "--output", str(tmp_path / "x.csv")])
+                     "--branch", "positive", "--output", str(out)])
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale, upsilon", [(1.0, 1e8), (2.0**-24, 0.0)],
+                             ids=["upsilon-1e8", "scaled-2^-24"])
+    def test_one_temperature_keeps_the_entangled_flag(self, scale, upsilon, tmp_path):
+        """--steps 1 sweeps T = tmin alone.  The entangled set reads flag 1
+        with upsilon = 1e8, and with the set and T scaled by 2^-24: the
+        flag reads neither upsilon nor the global scale."""
+        path, out = tmp_path / "set.json", tmp_path / "one.csv"
+        path.write_text(json.dumps({
+            "upsilon": upsilon, "alpha": [0, 0, scale], "beta": [0, 0, 0],
+            "omega": [[scale, 0, 0], [0, scale, 0], [0, 0, 0]],
+        }))
+        t = format_float(scale)
+        code = main(["thermo", "--input", str(path), "--tmin", t, "--tmax", t,
+                     "--steps", "1", "--output", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        assert [(row[0], row[4]) for row in rows] == [(t, "1")]
 
     def test_bad_range(self, entangled_file, tmp_path):
         code = main(
@@ -421,6 +491,28 @@ class TestGrapheneCommands:
         for path in (a, b):
             main(["graphene-bands", "--bias", "1", "--grid", "9", "--output", str(path)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["graphene-bands", "--bias", "0.1"],
+        ["graphene-concurrence", "--bias", "1", "--branch-n", "2", "--mask", "hex"],
+    ], ids=lambda argv: argv[0])
+    def test_figure_csv_is_the_same_bytes_in_every_process(self, argv, tmp_path):
+        """The paper's two 201^2 figure commands, each run in two processes
+        with different hash seeds, write byte-identical multi-chunk CSVs."""
+        from su2pair.graphene import CHUNK_POINTS
+
+        src = str(Path(su2pair.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"{seed}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "su2pair.cli", *argv, "--output", str(out)],
+                capture_output=True, check=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\n") > CHUNK_POINTS + 1
+        assert outputs[0] == outputs[1]
 
     def test_bands_hex_mask(self, tmp_path):
         full, masked = tmp_path / "f.csv", tmp_path / "m.csv"
@@ -526,6 +618,14 @@ class TestGrapheneCommands:
             ["graphene-thermal", "--kx", "0", "--output", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("kx, ky", [("nan", "0"), ("0", "inf"), ("-inf", "nan")])
+    def test_thermal_curve_at_a_non_finite_k(self, kx, ky, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["graphene-thermal", f"--kx={kx}", f"--ky={ky}", "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr() == ("", "error: --kx and --ky must be finite\n")
 
     def test_csv_round_trip_exact(self, tmp_path):
         from su2pair.graphene import GrapheneParams, band_grid, default_grid
@@ -789,7 +889,7 @@ class TestSharedParser:
             count.append(1)
             return build()
 
-        monkeypatch.setattr(cli, "_PARSER", None)
+        cli._shared_parser.cache_clear()
         monkeypatch.setattr(cli, "build_parser", counted)
         return count
 

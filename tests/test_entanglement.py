@@ -52,8 +52,10 @@ class TestBlochVectors:
         [
             (np.eye(4), DensityMatrixError),
             (np.eye(4) / 4 + np.triu(np.ones((4, 4)), 1) / 8, NonHermitianError),
+            (np.eye(2) / 2, DensityMatrixError),
+            (np.ones((4, 4, 2)) / 4, DensityMatrixError),
         ],
-        ids=["trace-4", "not-hermitian"],
+        ids=["trace-4", "not-hermitian", "2x2", "4x4x2"],
     )
     def test_rejects_what_is_not_a_state(self, rho, error):
         with pytest.raises(error):

@@ -109,6 +109,11 @@ class TestFano:
             back = fano_compose(fano_decompose(h))
             assert np.max(np.abs(back - h)) <= 1e-12 * (1 + np.max(np.abs(h)))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4, 2), (3, 4), (16,)])
+    def test_decompose_refuses_any_shape_but_4x4(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"must be 4x4, not of shape {shape}")):
+            fano_decompose(np.ones(shape))
+
     def test_decompose_rejects_non_hermitian(self, rng):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         with pytest.raises(NonHermitianError):

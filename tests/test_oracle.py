@@ -137,6 +137,13 @@ class TestWootters:
         with pytest.raises(DensityMatrixError, match="^expected a 4x4 density matrix$"):
             wootters_concurrence(np.eye(n) / n)
 
+    @pytest.mark.parametrize("shape", [(4, 4, 2), (2, 3), (16,)])
+    def test_density_of_no_square_shape_is_refused_first(self, shape):
+        """Refused before the Hermiticity check, which cannot subtract the
+        transpose of a non-square array."""
+        with pytest.raises(DensityMatrixError, match="^expected a 4x4 density matrix$"):
+            wootters_concurrence(np.ones(shape) / 4)
+
     @pytest.mark.parametrize("excess, accepted", [(5e-11, True), (2e-10, False)])
     def test_trace_within_the_fixed_1e_10_of_one(self, excess, accepted):
         rho = np.diag([0.25 + excess, 0.25, 0.25, 0.25])

@@ -391,6 +391,12 @@ _route_and_branch = st.sampled_from(ROUTES).flatmap(
 
 
 class TestThermalSweep:
+    def test_temperatures_must_form_a_1d_array(self):
+        c = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
+        for temps in (1.0, np.ones((2, 3))):
+            with pytest.raises(ValueError, match="^temperatures must form a 1-D array$"):
+                thermal_sweep(c, temps)
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=_seed,
