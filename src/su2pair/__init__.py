@@ -7,21 +7,23 @@ dense numerical oracle, plus the Bernal-stacked bilayer graphene
 specialization.
 
 Importing the package executes none of its modules.  Each module in
-``_LAZY`` is registered in ``sys.modules`` through
-``importlib.util.LazyLoader`` and is compiled and executed on its first
-attribute access, so a process pays only for the modules it uses: a
-graphene grid command never executes ``thermo``, ``solver``, ``oracle`` or
-``quartic``.  ``_NAMES`` maps each module to the public names it exports;
+``_LAZY`` is registered in ``sys.modules`` as a :class:`_LazyModule` and
+is compiled and executed on its first attribute access, so a process pays
+only for the modules it uses: a graphene grid command never executes
+``thermo``, ``solver``, ``oracle`` or ``quartic``.  A module executes under
+one package-wide reentrant lock and becomes a plain module only after its
+code has run, so threads that first touch it together wait for one
+execution.  ``_NAMES`` maps each module to the public names it exports;
 ``__all__`` is built from it, and a module ``__getattr__`` (PEP 562)
 resolves each name on first use and keeps it in the package namespace.
 Public names win over submodule names, so ``su2pair.pauli`` is the
 function.  ``cli``, ``verify`` and ``sampling`` are imported the usual way.
-On Python 3.11 the lazy loader takes no lock: threads that first touch one
-module at the same time can find it half executed.
 """
 
 import importlib.util
 import sys
+import threading
+import types
 
 # The public names, one group per module; tests/test_surface.py pins them.
 _NAMES = {
@@ -67,12 +69,39 @@ __all__ = list(_MODULE_OF)
 _LAZY = (*_NAMES, "_invariants", "serialization")
 
 
+# Held while a registered module executes.  One lock for the package
+# cannot deadlock on lock order, and a reentrant one lets a module's code
+# touch the modules it imports.
+_EXECUTING = threading.RLock()
+
+
+class _LazyModule(types.ModuleType):
+    """A registered module whose code has not run: its first attribute
+    access, ``__dict__`` included, executes it.  ``type(m)`` reads no
+    attribute, so ``type(m) is types.ModuleType`` tells an executed module
+    without executing one."""
+
+    def __getattribute__(self, attr):
+        with _EXECUTING:
+            if type(self) is _LazyModule:
+                self.__class__ = _ExecutingModule
+                spec = types.ModuleType.__getattribute__(self, "__spec__")
+                spec.loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return types.ModuleType.__getattribute__(self, attr)
+
+
+class _ExecutingModule(_LazyModule):
+    """A module whose code is running: the thread running it reads what is
+    there so far, as in any import, and every other thread waits for the
+    lock, which is released once the code has run."""
+
+
 def _register(module: str) -> None:
     spec = importlib.util.find_spec(f"{__name__}.{module}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
     lazy = importlib.util.module_from_spec(spec)
+    lazy.__class__ = _LazyModule
     sys.modules[spec.name] = lazy
-    spec.loader.exec_module(lazy)
 
 
 for _module in _LAZY:

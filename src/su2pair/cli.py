@@ -4,6 +4,12 @@ Subcommands: solve, classify, quartic, verify, thermo, graphene-bands,
 graphene-concurrence, graphene-thermal.  Exit codes: 0 success, 1
 verification failure, 2 usage or parse error, 3 numeric invariant
 violation.  Identical options and seed produce byte-identical outputs.
+
+A process compiles and executes only the code its commands run.  ``main``
+keeps one parser, which lists every subcommand, and adds a subcommand's
+arguments the first time the process runs it; :func:`build_parser` returns
+a complete parser.  The package's modules are imported as modules, and each
+executes when a command first uses it.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import functools
 import itertools
 import math
 import sys
+import threading
 
 import numpy as np
 
@@ -49,68 +56,68 @@ _EXPONENT_BOUND = 8.0
 _LOWEST_TEMPERATURE = 2.0 * sys.float_info.min
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="su2pair",
-        description="Closed-form eigensystems, entanglement and thermodynamics "
-        "of two-qubit Hamiltonians, with a bilayer-graphene front end.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="coefficient-set JSON file")
+    p.add_argument("--output", help="eigensystem JSON output path")
 
-    p_solve = sub.add_parser("solve", help="solve a coefficient set for its eigensystem")
-    p_solve.add_argument("--input", required=True, help="coefficient-set JSON file")
-    p_solve.add_argument("--output", help="eigensystem JSON output path")
 
-    p_cls = sub.add_parser("classify", help="report the solvable case of a coefficient set")
-    p_cls.add_argument("--input", required=True, help="coefficient-set JSON file")
+def _classify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="coefficient-set JSON file")
 
-    p_quartic = sub.add_parser("quartic", help="roots of a quartic polynomial")
-    p_quartic.add_argument(
+
+def _quartic_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--coeffs", nargs=5, type=float, required=True, metavar=("C4", "C3", "C2", "C1", "C0")
     )
 
-    p_verify = sub.add_parser("verify", help="run the seeded verification suites")
-    p_verify.add_argument("--samples", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--suite", action="append", help="restrict to named suites")
 
-    p_thermo = sub.add_parser("thermo", help="temperature sweep: Z, purity, concurrence")
-    p_thermo.add_argument("--input", required=True, help="coefficient-set JSON file")
-    p_thermo.add_argument("--tmin", type=float, required=True)
-    p_thermo.add_argument("--tmax", type=float, required=True)
-    p_thermo.add_argument("--steps", type=int, default=50)
-    p_thermo.add_argument(
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--suite", action="append", help="restrict to named suites")
+
+
+def _thermo_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="coefficient-set JSON file")
+    p.add_argument("--tmin", type=float, required=True)
+    p.add_argument("--tmax", type=float, required=True)
+    p.add_argument("--steps", type=int, default=50)
+    p.add_argument(
         "--branch", choices=["full", "positive"], default="full",
         help="full ensemble or positive-energy restriction",
     )
-    p_thermo.add_argument("--output", required=True, help="CSV output path")
+    p.add_argument("--output", required=True, help="CSV output path")
 
-    for name, extra in (
-        ("graphene-bands", "positive band energies on a k grid"),
-        ("graphene-concurrence", "eigenstate concurrence on a k grid"),
-        ("graphene-thermal", "thermal concurrence curve at one k point"),
-    ):
-        g = sub.add_parser(name, help=extra)
-        g.add_argument("--t", type=float, default=1.0, help="intralayer hopping")
-        g.add_argument("--t3", type=float, default=1.0, help="non-dimer interlayer hopping")
-        g.add_argument("--tperp", type=float, default=1.0, help="dimer coupling")
-        g.add_argument("--m", type=float, default=0.0, help="sublattice mass")
-        g.add_argument("--bias", type=float, default=0.0, help="interlayer bias voltage")
-        g.add_argument("--lattice", type=float, default=1.0, help="lattice constant")
-        g.add_argument("--output", required=True, help="CSV output path")
-        if name == "graphene-thermal":
-            g.add_argument("--kx", type=float, default=None, help="defaults to a Dirac point")
-            g.add_argument("--ky", type=float, default=None)
-            g.add_argument("--tmin", type=float, default=0.01)
-            g.add_argument("--tmax", type=float, default=100.0)
-            g.add_argument("--steps", type=int, default=50)
-        else:
-            g.add_argument("--grid", type=int, default=201, help="samples per axis")
-            g.add_argument("--mask", choices=["none", "hex"], default="none")
-        if name == "graphene-concurrence":
-            g.add_argument("--branch-m", type=int, choices=[1, 2], default=2)
-            g.add_argument("--branch-n", type=int, choices=[1, 2], default=1)
-    return parser
+
+def _graphene_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--t", type=float, default=1.0, help="intralayer hopping")
+    p.add_argument("--t3", type=float, default=1.0, help="non-dimer interlayer hopping")
+    p.add_argument("--tperp", type=float, default=1.0, help="dimer coupling")
+    p.add_argument("--m", type=float, default=0.0, help="sublattice mass")
+    p.add_argument("--bias", type=float, default=0.0, help="interlayer bias voltage")
+    p.add_argument("--lattice", type=float, default=1.0, help="lattice constant")
+    p.add_argument("--output", required=True, help="CSV output path")
+
+
+def _grid_arguments(p: argparse.ArgumentParser) -> None:
+    _graphene_arguments(p)
+    p.add_argument("--grid", type=int, default=201, help="samples per axis")
+    p.add_argument("--mask", choices=["none", "hex"], default="none")
+
+
+def _concurrence_arguments(p: argparse.ArgumentParser) -> None:
+    _grid_arguments(p)
+    p.add_argument("--branch-m", type=int, choices=[1, 2], default=2)
+    p.add_argument("--branch-n", type=int, choices=[1, 2], default=1)
+
+
+def _graphene_thermal_arguments(p: argparse.ArgumentParser) -> None:
+    _graphene_arguments(p)
+    p.add_argument("--kx", type=float, default=None, help="defaults to a Dirac point")
+    p.add_argument("--ky", type=float, default=None)
+    p.add_argument("--tmin", type=float, default=0.01)
+    p.add_argument("--tmax", type=float, default=100.0)
+    p.add_argument("--steps", type=int, default=50)
 
 
 def _graphene_params(args) -> graphene.GrapheneParams:
@@ -301,29 +308,78 @@ def cmd_graphene_thermal(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "solve": cmd_solve,
-    "classify": cmd_classify,
-    "quartic": cmd_quartic,
-    "verify": cmd_verify,
-    "thermo": cmd_thermo,
-    "graphene-bands": cmd_graphene_bands,
-    "graphene-concurrence": cmd_graphene_concurrence,
-    "graphene-thermal": cmd_graphene_thermal,
-}
+# Each subcommand once: its name, its help line, the function that adds its
+# arguments to its parser, and its handler.
+_COMMANDS = (
+    ("solve", "solve a coefficient set for its eigensystem", _solve_arguments, cmd_solve),
+    ("classify", "report the solvable case of a coefficient set", _classify_arguments,
+     cmd_classify),
+    ("quartic", "roots of a quartic polynomial", _quartic_arguments, cmd_quartic),
+    ("verify", "run the seeded verification suites", _verify_arguments, cmd_verify),
+    ("thermo", "temperature sweep: Z, purity, concurrence", _thermo_arguments, cmd_thermo),
+    ("graphene-bands", "positive band energies on a k grid", _grid_arguments,
+     cmd_graphene_bands),
+    ("graphene-concurrence", "eigenstate concurrence on a k grid", _concurrence_arguments,
+     cmd_graphene_concurrence),
+    ("graphene-thermal", "thermal concurrence curve at one k point",
+     _graphene_thermal_arguments, cmd_graphene_thermal),
+)
+_HANDLERS = {name: handler for name, _, _, handler in _COMMANDS}
+
+
+def _subcommand_parsers():
+    """The top-level parser, which lists every subcommand with its help
+    line, and by name each subcommand's parser, still without arguments,
+    with the function that adds them."""
+    parser = argparse.ArgumentParser(
+        prog="su2pair",
+        description="Closed-form eigensystems, entanglement and thermodynamics "
+        "of two-qubit Hamiltonians, with a bilayer-graphene front end.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    return parser, {
+        name: (sub.add_parser(name, help=text), add_arguments)
+        for name, text, add_arguments, _ in _COMMANDS
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser with every subcommand's arguments."""
+    parser, waiting = _subcommand_parsers()
+    for subparser, add_arguments in waiting.values():
+        add_arguments(subparser)
+    return parser
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call and kept for the
-    process: ``parse_args`` leaves a parser as it was.  ``build_parser``
-    still returns a new parser on every call."""
-    return build_parser()
+def _shared_parser():
+    """The parser ``main`` uses, with the subcommands still waiting for
+    their arguments: built on the first call and kept for the process.
+    ``main`` adds a subcommand's arguments the first time it runs it, so a
+    process builds only the arguments of the commands it runs, while
+    ``--help``, the usage line and top-level errors list every subcommand
+    as :func:`build_parser`'s parser does.  ``parse_args`` leaves a parser
+    as it was, and ``cache_clear()`` starts over."""
+    return _subcommand_parsers()
+
+
+# Held while main completes a subcommand's parser, so that no thread parses
+# with one that is half built.
+_COMPLETING = threading.Lock()
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, waiting = _shared_parser()
+    # argparse reads the command from the first argument that is not an
+    # option: the top level has no option that takes a value.
+    command = next((a for a in argv if not a.startswith("-")), None)
+    with _COMPLETING:
+        if command in waiting:
+            subparser, add_arguments = waiting.pop(command)
+            add_arguments(subparser)
     try:
-        args = _shared_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -316,6 +316,26 @@ def _dyadic_residuals(
     return out, (s1, u, v)
 
 
+def _factor_parts(c: CoefficientSet, leading):
+    """(a0, a, b0, b) of the factors a0 + a.sigma and b0 + b.sigma of a
+    product set, from omega's leading singular triple of
+    :func:`_dyadic_residuals` (None for omega = 0), in the gauge of
+    :func:`~su2pair.solver.factor_dyadic`, the vectors of shape (3,): the
+    one product factorization, which solve and the thermal sweep read."""
+    if leading is None:
+        # omega = 0: the factor of the shorter local vector is scalar.
+        if np.linalg.norm(c.alpha) <= np.linalg.norm(c.beta):
+            return 1.0, np.zeros(3), c.upsilon, c.beta
+        return c.upsilon, c.alpha, 1.0, np.zeros(3)
+
+    s1, u, v = leading
+    u_abs = np.abs(u).tolist()
+    if u[u_abs.index(max(u_abs))] < 0:
+        u, v = -u, -v
+    root = math.sqrt(s1)
+    return float(c.beta @ v) / root, root * u, float(c.alpha @ u) / root, root * v
+
+
 def _ratio(num: float, den: float) -> float:
     """num/den with the convention 0/0 = 0 (a vanishing scale has no defect)."""
     return float(num / den) if den > 0.0 else 0.0

@@ -52,8 +52,13 @@ def pauli_word(i: int, j: int) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity and return the input as a complex array."""
+    """Validate Hermiticity and return the input as a complex array.
+
+    Raises ValueError, before any arithmetic, for input that is not a
+    non-empty square 2-D array."""
     m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"{what} must be a non-empty square 2-D array, not of shape {m.shape}")
     # max|M| is inf or nan exactly when some entry is not finite.
     size = float(np.abs(m).max())
     if not math.isfinite(size):

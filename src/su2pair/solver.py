@@ -25,6 +25,7 @@ from .hamiltonian import (
     _decide,
     _degenerate_branch,
     _dyadic_residuals,
+    _factor_parts,
     derive,
     even_spectrum,
     fano_compose,
@@ -148,25 +149,6 @@ def factor_dyadic(c: CoefficientSet) -> tuple[Su2Factor, Su2Factor]:
         )
     a0, a_vec, b0, b_vec = _factor_parts(c, leading)
     return Su2Factor(a0, a_vec), Su2Factor(b0, b_vec)
-
-
-def _factor_parts(c: CoefficientSet, leading):
-    """(a0, a, b0, b) of the factors a0 + a.sigma and b0 + b.sigma of a
-    product set, from omega's leading singular triple (None for omega = 0),
-    in the gauge of :func:`factor_dyadic`, the vectors of shape (3,): the
-    one product factorization, which solve and the thermal sweep read."""
-    if leading is None:
-        # omega = 0: the factor of the shorter local vector is scalar.
-        if np.linalg.norm(c.alpha) <= np.linalg.norm(c.beta):
-            return 1.0, np.zeros(3), c.upsilon, c.beta
-        return c.upsilon, c.alpha, 1.0, np.zeros(3)
-
-    s1, u, v = leading
-    u_abs = np.abs(u).tolist()
-    if u[u_abs.index(max(u_abs))] < 0:
-        u, v = -u, -v
-    root = math.sqrt(s1)
-    return float(c.beta @ v) / root, root * u, float(c.alpha @ u) / root, root * v
 
 
 def separable_spectrum(a0: float, a: float, b0: float, b: float) -> np.ndarray:

@@ -30,6 +30,9 @@ import math
 
 import numpy as np
 
+# A module import: of thermal_sweep's routes, only the definition route
+# executes the oracle.
+from . import oracle
 from ._invariants import _record
 from .errors import ConstraintError
 from .hamiltonian import (
@@ -38,14 +41,13 @@ from .hamiltonian import (
     CoefficientSet,
     DerivedCoefficients,
     _decide,
+    _factor_parts,
     _unconstrained_message,
     derive,
     even_spectrum,
     fano_compose,
 )
-from .oracle import SpectralDecomposition, concurrence_from_weights, eig_hermitian
 from .pauli import pauli_word
-from .solver import _factor_parts
 
 # Temperatures per stacked Wootters SVD on the definition route: bounds the
 # (block, 4, 4) temporaries of a sweep whatever its length, and keeps each
@@ -108,13 +110,13 @@ def _product_levels(a0: float, a_vec: np.ndarray, b0: float, b_vec: np.ndarray):
 
 def thermal_state(c: CoefficientSet, t: float) -> np.ndarray:
     """The Gibbs state exp(-H/t) / Z for any coefficient set."""
-    dec = eig_hermitian(fano_compose(c))
+    dec = oracle.eig_hermitian(fano_compose(c))
     boltz, _ = _gibbs_weights(0.0, dec.eigenvalues, _check_temperature(float(t)))
     rho = (dec.eigenvectors * boltz) @ dec.eigenvectors.conj().T
     return rho / float(np.sum(boltz))
 
 
-def _gibbs_concurrence(dec: SpectralDecomposition, boltz: np.ndarray, purity) -> np.ndarray:
+def _gibbs_concurrence(dec: oracle.SpectralDecomposition, boltz: np.ndarray, purity) -> np.ndarray:
     """Wootters concurrence of the Gibbs states with weights ``boltz``
     (levels, temperatures) over the eigenvalues of one eigendecomposition of H.
 
@@ -133,7 +135,7 @@ def _gibbs_concurrence(dec: SpectralDecomposition, boltz: np.ndarray, purity) ->
     out = np.zeros(p.shape[0])
     for start in range(0, rows.size, SWEEP_BLOCK):
         block = rows[start:start + SWEEP_BLOCK]
-        out[block] = concurrence_from_weights(np.sqrt(p[block]), m)
+        out[block] = oracle.concurrence_from_weights(np.sqrt(p[block]), m)
     return out
 
 
@@ -238,7 +240,7 @@ def thermal_concurrence(c: CoefficientSet, t: float) -> ThermalConcurrenceResult
     t = _check_temperature(float(t))
     value = _even_closed_forms(c.upsilon, derive(c), t)[2]
     comm, reliable = spin_flip_commutator(c)
-    dec = eig_hermitian(fano_compose(c))
+    dec = oracle.eig_hermitian(fano_compose(c))
     boltz, _ = _gibbs_weights(0.0, dec.eigenvalues, t.reshape(1))
     woot = _gibbs_concurrence(dec, boltz, _purity(boltz))[0]
     return ThermalConcurrenceResult(
@@ -290,7 +292,7 @@ def thermal_sweep(
             + _unconstrained_message(d)
         )
     else:
-        dec = eig_hermitian(fano_compose(c))
+        dec = oracle.eig_hermitian(fano_compose(c))
         boltz, shift = _gibbs_weights(0.0, dec.eigenvalues, t)
         flag = 2
     purity = _purity(boltz)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -875,22 +876,40 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
+# An option of each subcommand that takes a value.
+VALUED_OPTION = {
+    "solve": "--input", "classify": "--input", "quartic": "--coeffs", "verify": "--samples",
+    "thermo": "--tmin", "graphene-bands": "--grid", "graphene-concurrence": "--branch-m",
+    "graphene-thermal": "--kx",
+}
+# Every subcommand with help, with no options, with an unknown option, with
+# one followed by values and with an option missing its value, and the
+# top level's own cases.
+PARSE_CASES = [
+    [], ["-h"], ["-h", "thermo"], ["no-such-command"], ["--bogus"],
+    ["--bogus", "quartic", "--coeffs", "1", "0", "0", "0", "-1"],
+    *([name, *tail] for name, option in VALUED_OPTION.items()
+      for tail in (["-h"], [], ["--bogus"], ["--bogus", "1", "2"], [option])),
+]
+
+
 class TestSharedParser:
     """``main`` builds its parser once per process and reuses it."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
+        """One entry for each time the shared parser is built."""
         from su2pair import cli
 
         count = []
-        build = cli.build_parser
+        build = cli._subcommand_parsers
 
         def counted():
             count.append(1)
             return build()
 
         cli._shared_parser.cache_clear()
-        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_subcommand_parsers", counted)
         return count
 
     @pytest.fixture
@@ -950,4 +969,71 @@ class TestSharedParser:
         assert mine is not cli.build_parser()
         mine.add_argument("--extra", required=True)
         assert main(["quartic", "--coeffs", "1", "0", "0", "0", "-1"]) == 0
-        assert cli._shared_parser() is not mine
+        assert cli._shared_parser()[0] is not mine
+
+    def test_a_command_adds_only_its_own_arguments(self, capsys):
+        from su2pair import cli
+
+        cli._shared_parser.cache_clear()
+        assert main(["thermo", "-h"]) == 0
+        assert "--tmin" in capsys.readouterr().out
+        _, waiting = cli._shared_parser()
+        assert set(waiting) == set(cli._HANDLERS) - {"thermo"}
+
+    def test_threads_running_their_first_command_together_all_parse_it(self, monkeypatch):
+        """No thread parses with a subcommand parser that another thread is
+        still completing: 20 rounds of four threads, each round on a new
+        shared parser that lacks the command's arguments."""
+        from su2pair import cli
+
+        parsed, codes = [], []
+        monkeypatch.setitem(
+            cli._HANDLERS, "graphene-concurrence",
+            lambda args: parsed.append((args.output, args.branch_m, args.grid)),
+        )
+        argv = ["graphene-concurrence", "--output", "x.csv", "--branch-m", "1", "--grid", "5"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                cli._shared_parser.cache_clear()
+                cli._shared_parser()
+                barrier = threading.Barrier(4)
+
+                def first_command():
+                    barrier.wait()
+                    codes.append(main(argv))
+
+                threads = [threading.Thread(target=first_command) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert codes == [None] * 80
+        assert parsed == [("x.csv", 1, 5)] * 80
+
+    @pytest.mark.parametrize("first", [False, True], ids=["fresh", "after-another-command"])
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "none")
+    def test_main_parses_as_the_complete_parser(self, argv, first, monkeypatch, capsys):
+        """Exit code, stdout and stderr of main equal build_parser()'s, with
+        every handler printing the arguments it was given."""
+        from su2pair import cli
+
+        for name in cli._HANDLERS:
+            monkeypatch.setitem(cli._HANDLERS, name, lambda args: print(sorted(vars(args).items())))
+        cli._shared_parser.cache_clear()
+        if first:
+            other = next(name for name in cli._HANDLERS if name not in argv)
+            main([other, "-h"])
+            capsys.readouterr()
+        code = main(argv)
+        seen = (code or 0, *capsys.readouterr())
+        try:
+            print(sorted(vars(cli.build_parser().parse_args(argv)).items()))
+            code = 0
+        except SystemExit as exc:
+            code = exc.code or 0
+        assert seen == (code, *capsys.readouterr())

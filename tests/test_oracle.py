@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,13 @@ class TestEig:
     def test_rejects_non_hermitian(self, rng):
         with pytest.raises(NonHermitianError):
             eig_hermitian(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 4, 2), (3,), (0, 0)])
+    def test_refuses_what_is_no_square_matrix_by_its_shape(self, shape):
+        """pauli.require_hermitian checks the shape before any arithmetic,
+        so numpy's broadcast or linear-algebra errors do not leak."""
+        with pytest.raises(ValueError, match=re.escape(f"square 2-D array, not of shape {shape}")):
+            eig_hermitian(np.ones(shape))
 
 
 # (T, C) of the golden general set's Gibbs states, C to 20 digits.
