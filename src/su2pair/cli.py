@@ -37,8 +37,8 @@ from .errors import ConstraintError, InputFormatError, InvariantViolation
 MAX_GRID = 1001
 MAX_STEPS = 10_000
 # Largest accepted verify --samples, refused before any suite runs.  All
-# suites take about 2 ms a draw on the same host (--samples 10000 takes
-# 21 s), so 100 000 draws, five times CI's largest run, take 3.5 minutes.
+# suites take about 2.5 ms a draw on the same host (--samples 10000 takes
+# 24-28 s), so 100 000 draws, five times CI's largest run, take 4-5 minutes.
 MAX_SAMPLES = 100_000
 
 # A sweep's exponents are energies over T: the Gibbs weights' level gaps
@@ -213,12 +213,18 @@ def cmd_quartic(args) -> int:
 def cmd_verify(args) -> int:
     # Imported here so that no other subcommand pays for loading the suites
     # and their samplers.
-    from .verify import report_lines, run_suites
+    from .verify import DISPATCH_MIN_SAMPLES, report_lines, run_suites
 
     if args.samples < 1:
         raise InputFormatError("--samples must be at least 1")
     if args.samples > MAX_SAMPLES:
         raise InputFormatError(f"--samples {args.samples} exceeds the limit of {MAX_SAMPLES}")
+    dispatch = args.suite is None or "solver-dispatch" in args.suite
+    if dispatch and args.samples < DISPATCH_MIN_SAMPLES:
+        raise InputFormatError(
+            f"--samples {args.samples} is below {DISPATCH_MIN_SAMPLES}, the fewest that "
+            "reach every solver-dispatch route"
+        )
     if args.seed < 0:
         raise InputFormatError("--seed must be non-negative")
     try:

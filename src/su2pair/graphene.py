@@ -32,6 +32,7 @@ x+- = sqrt(|w|_F^2 +- 2 |adj w|_F) are max/min(tperp, t3 |G|), from which
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 import numpy as np
@@ -178,6 +179,7 @@ class GridSpec:
     """Rectangular k-space sampling window, optionally masked to the first zone.
 
     The bounds must be finite and ordered; ValueError names a non-finite one.
+    The sample counts must be integers; TypeError names one that is not.
     """
 
     kx_min: float
@@ -189,6 +191,11 @@ class GridSpec:
     mask: str = "none"
 
     def __post_init__(self):
+        for name in ("nx", "ny"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, not {getattr(self, name)!r}") from None
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 samples per axis")
         for name in ("kx_min", "kx_max", "ky_min", "ky_max"):

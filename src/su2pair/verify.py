@@ -78,8 +78,13 @@ def _match_oracle(es, h) -> tuple[float, float]:
     return val_dev, proj_dev
 
 
+# The constrained branches that the entangled-route suites cycle through.
+_BRANCHES = ("alpha", "beta", "both")
+
+
 def suite_oracle_equivalence(samples: int, seed: int) -> SuiteResult:
-    """Closed-form eigensystems reproduce the dense solver on both cases."""
+    """Closed-form eigensystems reproduce the dense solver on product sets
+    and on entangled sets of each constrained branch."""
     rng = make_rng(seed)
     worst = 0.0
     half = max(samples // 2, 1)
@@ -88,22 +93,23 @@ def suite_oracle_equivalence(samples: int, seed: int) -> SuiteResult:
         es = solve_separable(f1, f2)
         val_dev, proj_dev = _match_oracle(es, fano_compose(dyadic_set_from_factors(f1, f2)))
         worst = _worst(worst, val_dev, proj_dev)
-    for _ in range(samples - half):
-        c = random_entangled_canonical(rng, "alpha")
+    for k in range(samples - half):
+        c = random_entangled_canonical(rng, _BRANCHES[k % 3])
         es = solve_entangled(c)
         val_dev, proj_dev = _match_oracle(es, fano_compose(c))
         worst = _worst(worst, val_dev, proj_dev)
-    # The worst of seeds 0-9 at 2000 samples is 6.9e-14.  Entangled-route
+    # The worst of seeds 0-9 at 2000 samples is 4.4e-14.  Entangled-route
     # eigenvalues off by 1e-10 relative fail.
     return SuiteResult("oracle-equivalence", samples, worst, 5e-12, worst <= 5e-12)
 
 
 def suite_orthonormality(samples: int, seed: int) -> SuiteResult:
-    """Tr[rho_mn rho_pq] = delta delta and unit traces on entangled states."""
+    """Tr[rho_mn rho_pq] = delta delta and unit traces on entangled states
+    of each constrained branch."""
     rng = make_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        c = random_entangled_canonical(rng, "alpha")
+    for k in range(samples):
+        c = random_entangled_canonical(rng, _BRANCHES[k % 3])
         es = solve_entangled(c)
         states = [s for _, _, s in es.items()]
         for i, si in enumerate(states):
@@ -111,7 +117,7 @@ def suite_orthonormality(samples: int, seed: int) -> SuiteResult:
             for j, sj in enumerate(states):
                 overlap = float(np.einsum("ab,ba->", si, sj).real)
                 worst = _worst(worst, abs(overlap - (1.0 if i == j else 0.0)))
-    # The worst of seeds 0-9 at 2000 samples is 5.5e-14 (2.3e-13 at seed 42).
+    # The worst of seeds 0-9 at 2000 samples is 1.1e-13 (4.0e-14 at seed 42).
     # States scaled by 1 + 1e-10 fail.
     return SuiteResult("orthonormality", samples, worst, 5e-12, worst <= 5e-12)
 
@@ -248,7 +254,8 @@ def suite_thermal_concurrence(samples: int, seed: int) -> SuiteResult:
 
 
 # Set families, cycled in this order so that the first three samples already
-# reach every route: separable, entangled, oracle.
+# reach every route: separable, entangled, oracle.  Fewer samples are refused.
+DISPATCH_MIN_SAMPLES = 3
 _DISPATCH_DRAWS = (
     random_dyadic_set,
     lambda rng: random_entangled_canonical(rng, "alpha"),
@@ -290,12 +297,14 @@ def run_suites(samples: int, seed: int, names=None) -> list[SuiteResult]:
     if samples < 1:
         raise ValueError("sample count must be at least 1")
     picked = list(SUITES) if names is None else list(names)
-    results = []
     for name in picked:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
-        results.append(SUITES[name](samples, seed))
-    return results
+    if "solver-dispatch" in picked and samples < DISPATCH_MIN_SAMPLES:
+        raise ValueError(
+            f"solver-dispatch needs at least {DISPATCH_MIN_SAMPLES} samples to reach every route"
+        )
+    return [SUITES[name](samples, seed) for name in picked]
 
 
 def report_lines(results: list[SuiteResult], samples: int, seed: int) -> list[str]:

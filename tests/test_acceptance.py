@@ -9,8 +9,6 @@ import time
 
 import numpy as np
 
-from su2pair.entanglement import eigenstate_concurrence_closed_form, pure_concurrence
-from su2pair.errors import ConcurrenceDomainError, DegenerateBranchError
 from su2pair.graphene import (
     GrapheneParams,
     band_grid,
@@ -25,23 +23,21 @@ from su2pair.hamiltonian import (
     derive,
     fano_compose,
 )
-from su2pair.oracle import eig_hermitian, wootters_concurrence
+from su2pair.oracle import eig_hermitian
 from su2pair.pauli import pauli
 from su2pair.sampling import (
     dyadic_set_from_factors,
     make_rng,
-    random_commuting_thermal_set,
     random_entangled_canonical,
     random_separable_factors,
 )
-from su2pair.solver import solve_entangled, solve_separable
 from su2pair.thermo import (
-    EnsembleBranch,
     thermal_concurrence,
     thermal_report,
     thermal_state,
     thermal_sweep,
 )
+from su2pair.verify import run_suites
 
 from references import case01_theta, structure_factor, traceless
 
@@ -53,73 +49,27 @@ def report(num, desc, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def entangled_pool(count, rng):
-    branches = ("alpha", "beta", "both")
-    return [random_entangled_canonical(rng, branches[k % 3]) for k in range(count)]
+def suite(num, desc, name, samples, seed, seconds=math.inf):
+    """One ``verify`` suite as a criterion, passing within ``seconds``."""
+    t0 = time.perf_counter()
+    (result,) = run_suites(samples, seed, [name])
+    elapsed = time.perf_counter() - t0
+    report(num, desc, result.passed and elapsed <= seconds, f"{result.summary()}, {elapsed:.1f}s")
 
 
 def test_criterion_1_oracle_spectral_equivalence():
-    rng = make_rng(SEED)
-    t0 = time.perf_counter()
-    val_dev = proj_dev = 0.0
-    for _ in range(1000):
-        f1, f2 = random_separable_factors(rng)
-        es = solve_separable(f1, f2)
-        dec = eig_hermitian(fano_compose(dyadic_set_from_factors(f1, f2)))
-        scale = 1.0 + float(np.max(np.abs(dec.eigenvalues)))
-        val_dev = max(
-            val_dev,
-            float(np.max(np.abs(np.sort(es.values.ravel()) - np.sort(dec.eigenvalues))))
-            / scale,
-        )
-        for _, e, s in es.items():
-            k = int(np.argmin(np.abs(dec.eigenvalues - e)))
-            proj_dev = max(proj_dev, float(np.max(np.abs(s - dec.projector(k)))))
-    for c in entangled_pool(1000, rng):
-        es = solve_entangled(c)
-        dec = eig_hermitian(fano_compose(c))
-        scale = 1.0 + float(np.max(np.abs(dec.eigenvalues)))
-        val_dev = max(
-            val_dev,
-            float(np.max(np.abs(np.sort(es.values.ravel()) - np.sort(dec.eigenvalues))))
-            / scale,
-        )
-        for _, e, s in es.items():
-            k = int(np.argmin(np.abs(dec.eigenvalues - e)))
-            proj_dev = max(proj_dev, float(np.max(np.abs(s - dec.projector(k)))))
-    elapsed = time.perf_counter() - t0
-    ok = val_dev <= 1e-9 and proj_dev <= 1e-8 and elapsed <= 10.0
-    report(
-        1,
-        "oracle spectral equivalence, 2000 sets",
-        ok,
-        f"value dev {val_dev:.2e}, projector dev {proj_dev:.2e}, {elapsed:.1f}s",
-    )
+    suite(1, "oracle spectral equivalence, 2000 sets", "oracle-equivalence", 2000, SEED, 10.0)
 
 
 def test_criterion_2_orthonormal_pure_basis():
-    rng = make_rng(SEED + 1)
-    overlap_dev = trace_dev = 0.0
-    for c in entangled_pool(500, rng):
-        states = [s for _, _, s in solve_entangled(c).items()]
-        for i, si in enumerate(states):
-            trace_dev = max(trace_dev, abs(float(np.trace(si).real) - 1.0))
-            for j, sj in enumerate(states):
-                got = float(np.einsum("ab,ba->", si, sj).real)
-                overlap_dev = max(overlap_dev, abs(got - (1.0 if i == j else 0.0)))
-    ok = overlap_dev <= 1e-8 and trace_dev <= 1e-10
-    report(
-        2,
-        "orthonormal pure eigenbasis, 500 sets",
-        ok,
-        f"overlap dev {overlap_dev:.2e}, trace dev {trace_dev:.2e}",
-    )
+    suite(2, "orthonormal pure eigenbasis, 500 sets", "orthonormality", 500, SEED + 1)
 
 
 def test_criterion_3_cayley_hamilton_identity():
-    rng = make_rng(SEED + 1)  # same stream shape as criterion 2
+    rng = make_rng(SEED + 1)  # criterion 2's draws
     worst = 0.0
-    for c in entangled_pool(500, rng):
+    for k in range(500):
+        c = random_entangled_canonical(rng, ("alpha", "beta", "both")[k % 3])
         d = derive(c)
         ht = traceless(c)
         ht2 = ht @ ht
@@ -130,26 +80,7 @@ def test_criterion_3_cayley_hamilton_identity():
 
 
 def test_criterion_4_partition_function_equality():
-    rng = make_rng(SEED + 2)
-    worst = 0.0
-    temps = np.array([0.1, 1.0, 10.0])
-    for _ in range(500):
-        c = dyadic_set_from_factors(*random_separable_factors(rng))
-        w = eig_hermitian(fano_compose(c)).eigenvalues
-        for t, z in zip(temps, thermal_sweep(c, temps)["z"]):
-            z_ref = float(np.sum(np.exp(-w / t)))
-            worst = max(worst, abs(z - z_ref) / z_ref)
-    for c in entangled_pool(500, rng):
-        w = eig_hermitian(fano_compose(c)).eigenvalues
-        z = thermal_sweep(c, temps)["z"]
-        zp = thermal_sweep(c, temps, EnsembleBranch.POSITIVE_ONLY)["z"]
-        for i, t in enumerate(temps):
-            z_ref = float(np.sum(np.exp(-w / t)))
-            worst = max(worst, abs(z[i] - z_ref) / z_ref)
-            zp_ref = float(np.sum(np.exp(-w[:2] / t)))
-            worst = max(worst, abs(zp[i] - zp_ref) / zp_ref)
-    ok = worst <= 1e-9
-    report(4, "partition functions vs oracle trace", ok, f"max relative dev {worst:.2e}")
+    suite(4, "partition functions vs oracle trace", "partition-function", 1000, SEED + 2)
 
 
 def test_criterion_5_purity_limits():
@@ -188,61 +119,13 @@ def test_criterion_5_purity_limits():
 
 
 def test_criterion_6_concurrence_triple_route():
-    rng = make_rng(SEED + 4)
-    worst = 0.0
-    for c in entangled_pool(500, rng):
-        es = solve_entangled(c)
-        for (m, n), _, rho in es.items():
-            closed = eigenstate_concurrence_closed_form(c, m, n)
-            worst = max(
-                worst,
-                abs(closed - pure_concurrence(rho)),
-                abs(closed - wootters_concurrence(rho)),
-            )
-    grid_points = flagged = 0
-    for bias in (0.1, 1.0, 10.0):
-        p = GrapheneParams(bias=bias)
-        spec = default_grid(p, samples=51)
-        xs, ys = spec.axes()
-        for kx in xs:
-            for ky in ys:
-                from su2pair.graphene import map_to_su2su2
-
-                c = map_to_su2su2(p, float(kx), float(ky))
-                try:
-                    es = solve_entangled(c)
-                    for n in (1, 2):
-                        closed = eigenstate_concurrence_closed_form(c, 2, n)
-                        rho = es.state(2, n)
-                        worst = max(
-                            worst,
-                            abs(closed - pure_concurrence(rho)),
-                            abs(closed - wootters_concurrence(rho)),
-                        )
-                        grid_points += 1
-                except (ConcurrenceDomainError, DegenerateBranchError):
-                    flagged += 1
-    ok = worst <= 1e-7 and grid_points > 0
-    report(
-        6,
-        "concurrence closed form = Bloch = Wootters",
-        ok,
-        f"max dev {worst:.2e} over 500 sets + {grid_points} grid branches "
-        f"({flagged} flagged excluded)",
-    )
+    # Grids: test_graphene.py::TestConcurrenceGrid::test_matches_dense_eigenvectors.
+    suite(6, "concurrence closed form = Bloch = Wootters", "concurrence-routes", 500, SEED + 4)
 
 
 def test_criterion_7_thermal_concurrence():
-    rng = make_rng(SEED + 5)
-    worst = 0.0
-    checked = 0
-    for _ in range(200):
-        c = random_commuting_thermal_set(rng)
-        for t in (0.3, 1.0, 5.0):
-            res = thermal_concurrence(c, t)
-            if res.reliable:
-                worst = max(worst, res.deviation)
-                checked += 1
+    # 200 commuting sets: the suite alternates them with constrained sets.
+    (result,) = run_suites(400, SEED + 5, ["thermal-concurrence"])
     # graphene: the curve is the closed form of the mapped set at every k,
     # on both sides of tperp = t3 |Gamma(k)|
     p = GrapheneParams()
@@ -256,13 +139,13 @@ def test_criterion_7_thermal_concurrence():
     kx, ky = find_dirac_point(p)
     t_star = thermal_death_temperature(p, kx, ky)
     death_dev = abs(math.sinh(1.0 / t_star) - 1.0)
-    ok = worst <= 1e-7 and checked > 0 and curve_dev <= 1e-15 and death_dev <= 1e-6
+    ok = result.passed and curve_dev <= 1e-15 and death_dev <= 1e-6
     report(
         7,
         "thermal concurrence: commuting-regime exactness + graphene structure",
         ok,
-        f"max dev {worst:.2e} on {checked} commuting checks, curve vs closed form "
-        f"{curve_dev:.2e}, sinh(1/T*)-1 = {death_dev:.2e}",
+        f"{result.summary()}; curve vs closed form {curve_dev:.2e}, "
+        f"sinh(1/T*)-1 = {death_dev:.2e}",
     )
 
 

@@ -358,6 +358,27 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="^sample count must be at least 1$"):
             verify.run_suites(0, 0)
 
+    @pytest.mark.parametrize("suites", [[], ["solver-dispatch"]], ids=["all", "named"])
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_too_few_draws_for_every_route_is_a_usage_error(self, samples, suites, capsys):
+        """solver-dispatch reaches the oracle route on its third draw, so
+        fewer read as a failed route although every deviation is round-off.
+        The CLI refuses them as a usage error, and run_suites with a
+        ValueError."""
+        argv = ["verify", "--samples", str(samples)]
+        for name in suites:
+            argv += ["--suite", name]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: --samples {samples} is below 3, the fewest that reach every "
+            "solver-dispatch route\n"))
+        with pytest.raises(ValueError, match="^solver-dispatch needs at least 3 samples"):
+            verify.run_suites(samples, 0, ["orthonormality", *suites] if suites else None)
+
+    def test_one_draw_runs_without_solver_dispatch(self, capsys):
+        assert main(["verify", "--samples", "1", "--suite", "orthonormality"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "all suites passed"
+
     def test_concurrence_routes_fail_on_nan_where_alpha_vanishes(self, monkeypatch, capsys):
         """A closed form that reads NaN on the draws whose constrained
         vector is tiny or zero fails the suite: a NaN deviation is the

@@ -296,6 +296,15 @@ class TestMask:
             GridSpec(1, 0, 0, 1, 5, 5)
         with pytest.raises(ValueError):
             GridSpec(0, 1, 0, 1, 5, 5, mask="circle")
+        # Before the counts were checked, 2.5 reached np.linspace and '3'
+        # a str < int comparison, each with numpy's or Python's message.
+        with pytest.raises(TypeError, match="^nx must be an integer, not 2.5$"):
+            GridSpec(-1, 1, -1, 1, 2.5, 3)
+        with pytest.raises(TypeError, match="^ny must be an integer, not '3'$"):
+            GridSpec(-1, 1, -1, 1, 3, "3")
+        with pytest.raises(TypeError, match="^ny must be an integer"):
+            GridSpec(-1, 1, -1, 1, 3, np.float64(3.0))
+        assert band_grid(GrapheneParams(), GridSpec(-1, 1, -1, 1, np.int64(3), 3))["kx"].size == 9
 
     @pytest.mark.parametrize("index", range(4), ids=["kx_min", "kx_max", "ky_min", "ky_max"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -341,30 +350,39 @@ class TestConcurrenceGrid:
             es = solve_entangled(map_to_su2su2(p, kx, ky))
             assert abs(cval - wootters_concurrence(es.state(2, 1))) <= 1e-7
 
-    @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1), (2, 2)])
-    def test_bias_zero_matches_dense_eigenvectors(self, m, n):
-        """At bias 0 alpha vanishes at every point, so the radical meets
-        |v| = 0 throughout.  Against 2|psi_00 psi_11 - psi_01 psi_10| of
-        eigh's eigenvectors of each point's composed set, on every point
-        whose level is apart from the others by at least 1e-3 of the
-        spectral scale (all 441 points), the worst error is 2.0e-15 over
-        the four branches; the Bloch-modulus route that served alpha = 0
-        before the radical lost its division by |v|^2 erred by 1.1e-12 on
-        the n = 1 branches."""
-        p = GrapheneParams()
-        data = concurrence_grid(p, default_grid(p, 21), m, n)
-        assert not data["flag"].any()
+    # Each bias's bound is its worst error over the four branches at 51^2,
+    # with a margin of 16-30x: 6.3e-15 at bias 0, 1.7e-10 at 0.1 (on the
+    # n = 1 branches), 1.9e-12 at 1 and 8.0e-13 at 10.
+    @pytest.mark.parametrize("bias, bound", [(0.0, 1e-13), (0.1, 5e-9), (1.0, 5e-11),
+                                             (10.0, 2e-11)],
+                             ids=["bias-0", "bias-0.1", "bias-1", "bias-10"])
+    def test_matches_dense_eigenvectors(self, bias, bound):
+        """Each branch's grid against 2|psi_00 psi_11 - psi_01 psi_10| of
+        eigh's eigenvectors of each point's composed set, one batched eigh,
+        on every point whose level is apart from the others by at least 1e-3
+        of the spectral scale: at least 2597 of the 2601 points, none
+        flagged.  At bias 0 alpha vanishes at every point, so the radical
+        meets |v| = 0 throughout; the Bloch-modulus route that served
+        alpha = 0 before the radical lost its division by |v|^2 erred by
+        1.1e-12 on the n = 1 branches.  The mapped sets have
+        adj(omega)^T beta = 0, so the radical's 4 Y^2 / Tp term is zero here;
+        the concurrence-routes suite checks it."""
+        p = GrapheneParams(bias=bias)
+        grid = default_grid(p, 51)
+        points = concurrence_grid(p, grid)
         h = np.array([fano_compose(CoefficientSet(0.0, *x))
-                      for x in zip(*lattice_layer_arrays(p, data["kx"], data["ky"]))])
+                      for x in zip(*lattice_layer_arrays(p, points["kx"], points["ky"]))])
         e, v = np.linalg.eigh(h)
         # Levels ascend as -E2, -E1, E1, E2: the (m, n) level is (-1)^m E_n.
-        k = {(1, 2): 0, (1, 1): 1, (2, 1): 2, (2, 2): 3}[(m, n)]
-        psi = v[:, :, k]
-        ref = 2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])
-        gap = np.abs(np.delete(e, k, axis=1) - e[:, k:k + 1]).min(axis=1)
-        apart = gap >= 1e-3 * np.abs(e).max(axis=1)
-        assert apart.sum() >= 400
-        assert np.max(np.abs(data["c"] - ref)[apart]) <= 1e-13
+        for k, (m, n) in enumerate([(1, 2), (1, 1), (2, 1), (2, 2)]):
+            data = concurrence_grid(p, grid, m, n)
+            assert not data["flag"].any()
+            psi = v[:, :, k]
+            ref = 2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])
+            gap = np.abs(np.delete(e, k, axis=1) - e[:, k:k + 1]).min(axis=1)
+            apart = gap >= 1e-3 * np.abs(e).max(axis=1)
+            assert apart.sum() >= 2597
+            assert np.max(np.abs(data["c"] - ref)[apart]) <= bound, (m, n)
 
     @pytest.mark.parametrize("bias", [0.0, 1.0])
     def test_invariant_under_scaling_every_parameter(self, bias):
