@@ -26,7 +26,7 @@ Dropping ``x + 0`` can change only the sign of a zero, and dropping
 ``0 * x`` agrees with IEEE wherever x is finite, so the caller passes it
 only where every intermediate is.  No record field holds it.
 
-:func:`_record` is the decorator that makes the package's other immutable
+:func:`_record` is the decorator that makes the package's immutable
 records, in place of a frozen dataclass and its generated code.
 """
 
@@ -46,52 +46,6 @@ _TINY = float(np.finfo(float).tiny)
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DerivedCoefficients:
-    """Quadratic and quartic invariants of a coefficient set.
-
-    ``v_quad`` is 1/4 Tr[Ht^2] for the traceless part Ht, the sum of the
-    squared norms ``alpha_sq`` = |alpha|^2, ``beta_sq`` = |beta|^2 and
-    ``omega_sq`` = |omega|_F^2.  With a and b the single-qubit Pauli
-    components of Ht^2 and W its two-qubit component (:func:`_ht2_parts`),
-    ``theta`` is 1/4 Tr[(Ht^2 - v_quad I)^2], evaluated exactly through the
-    Pauli components as |a|^2 + |b|^2 + phi, and ``phi`` is
-    Tr[W W^T].  ``theta_phi`` is the constraint-gated variant used
-    by the even-spectrum closed forms.  ``det_omega`` comes from one
-    Householder reflection of omega, ``adj_norm`` is |adj omega|_F and
-    ``beta_adj_alpha`` is beta^T adj(omega) alpha, both from the cofactors,
-    and ``singular_residual`` is |det omega| / (|omega| |adj omega|), the one
-    measure of how far omega is from singular; 0 when adj omega vanishes.
-    On a constrained set, with omega_B the 2x2 block of omega in the local
-    frame that clears its third row and column, |det omega_B| = ``adj_norm``
-    and (alpha.beta) det omega_B = ``beta_adj_alpha`` in every frame.
-
-    From :func:`~su2pair.hamiltonian.derive` the scalar fields are Python
-    floats and bools; from :func:`~su2pair.hamiltonian.derive_arrays` every
-    field carries the batch's leading axes, and on a single set its scalars
-    are numpy scalars.  Both run the same straight-line kernel, so their bits
-    agree.  Records from the kernel skip the generated ``__init__`` and
-    fill their instance dict with exactly the fields, in field order.
-    """
-
-    v_quad: float
-    theta: float
-    phi: float
-    theta_phi: float
-    s_cubic: float
-    beta_adj_alpha: float
-    det_omega: float
-    adj_norm: float
-    singular_residual: float
-    alpha_null: bool
-    beta_null: bool
-    alpha_residual: float
-    beta_residual: float
-    alpha_sq: float
-    beta_sq: float
-    omega_sq: float
-
-
 def _record(cls):
     """Make ``cls`` an immutable record of its annotated fields, as a frozen
     dataclass would, but from closures alone: no method is generated as
@@ -105,8 +59,9 @@ def _record(cls):
     :class:`dataclasses.FrozenInstanceError`, a subclass of AttributeError.
     ``==`` compares the fields of two records of the same class as tuples,
     ``hash`` hashes that tuple, and ``repr`` reads ``Name(field=value,
-    ...)``.  A method the class defines itself is kept.  The class is not a
-    dataclass: ``dataclasses.fields`` and ``replace`` refuse it.
+    ...)``.  A method the class defines itself is kept.  Stacked under
+    ``dataclass(init=False, repr=False, eq=False)``, which generates no
+    method, the class is a dataclass too.
     """
     names = tuple(cls.__annotations__)
     size = len(names)
@@ -158,6 +113,53 @@ def _record(cls):
             setattr(cls, method.__name__, method)
     cls.__match_args__ = names
     return cls
+
+
+@dataclass(init=False, repr=False, eq=False)
+@_record
+class DerivedCoefficients:
+    """Quadratic and quartic invariants of a coefficient set.
+
+    ``v_quad`` is 1/4 Tr[Ht^2] for the traceless part Ht, the sum of the
+    squared norms ``alpha_sq`` = |alpha|^2, ``beta_sq`` = |beta|^2 and
+    ``omega_sq`` = |omega|_F^2.  With a and b the single-qubit Pauli
+    components of Ht^2 and W its two-qubit component (:func:`_ht2_parts`),
+    ``theta`` is 1/4 Tr[(Ht^2 - v_quad I)^2], evaluated exactly through the
+    Pauli components as |a|^2 + |b|^2 + phi, and ``phi`` is
+    Tr[W W^T].  ``theta_phi`` is the constraint-gated variant used
+    by the even-spectrum closed forms.  ``det_omega`` comes from one
+    Householder reflection of omega, ``adj_norm`` is |adj omega|_F and
+    ``beta_adj_alpha`` is beta^T adj(omega) alpha, both from the cofactors,
+    and ``singular_residual`` is |det omega| / (|omega| |adj omega|), the one
+    measure of how far omega is from singular; 0 when adj omega vanishes.
+    On a constrained set, with omega_B the 2x2 block of omega in the local
+    frame that clears its third row and column, |det omega_B| = ``adj_norm``
+    and (alpha.beta) det omega_B = ``beta_adj_alpha`` in every frame.
+
+    From :func:`~su2pair.hamiltonian.derive` the scalar fields are Python
+    floats and bools; from :func:`~su2pair.hamiltonian.derive_arrays` every
+    field carries the batch's leading axes, and on a single set its scalars
+    are numpy scalars.  Both run the same straight-line kernel, so their bits
+    agree.  Records from the kernel skip ``__init__`` and fill their
+    instance dict with exactly the fields, in field order.
+    """
+
+    v_quad: float
+    theta: float
+    phi: float
+    theta_phi: float
+    s_cubic: float
+    beta_adj_alpha: float
+    det_omega: float
+    adj_norm: float
+    singular_residual: float
+    alpha_null: bool
+    beta_null: bool
+    alpha_residual: float
+    beta_residual: float
+    alpha_sq: float
+    beta_sq: float
+    omega_sq: float
 
 
 class _StructuralZero:
@@ -345,9 +347,7 @@ def _derive_kernel(a, b, w, sqrt) -> DerivedCoefficients:
     # overlap both terms vanish identically.
     theta_phi = phi + _where(beta_null, bb, 0.0) + _where(alpha_null, aa, 0.0)
 
-    # One instance-dict update in place of the generated frozen __init__,
-    # whose object.__setattr__ per field costs several times the arithmetic
-    # of a single set.
+    # One instance-dict update, without __init__'s argument binding.
     d = object.__new__(DerivedCoefficients)
     d.__dict__.update(
         v_quad=al_sq + be_sq + om_sq,

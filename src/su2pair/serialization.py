@@ -6,7 +6,7 @@ round-trips to the exact in-memory double.
 
 from __future__ import annotations
 
-import json
+import binascii
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +69,8 @@ def coefficient_set_from_dict(data) -> CoefficientSet:
 
 
 def load_coefficient_set(path) -> CoefficientSet:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -101,6 +103,8 @@ def eigensystem_to_dict(es: solver.Eigensystem) -> dict:
 def write_eigensystem(path, es: solver.Eigensystem):
     """Write :func:`eigensystem_to_dict` of ``es`` as indented JSON; a path
     that cannot be written raises InputFormatError."""
+    import json
+
     text = json.dumps(eigensystem_to_dict(es), indent=2) + "\n"
     try:
         Path(path).write_text(text)
@@ -169,18 +173,6 @@ _PREFIX_LEN = np.array([len(t) for t in _PREFIXES])
 _SPECIAL = _ascii_words(["0", "-0", "inf", "-inf", "nan"]).view(np.uint8)
 
 
-def _pow10_pair(q: int) -> tuple[float, float]:
-    """10^q as hi + lo: hi rounded to a double, lo the rounded remainder."""
-    if q >= 0:
-        n = 10**q
-        hi = float(n)
-        return hi, float(n - int(hi))
-    d = 10**-q
-    hi = 1 / d
-    num, den = hi.as_integer_ratio()
-    return hi, (den - num * d) / (den * d)
-
-
 def _split(x):
     """Veltkamp's split x = head + tail exactly, into halves of 26 and 27 bits."""
     c = _SPLITTER * x
@@ -189,10 +181,8 @@ def _split(x):
 
 
 # The exponents q = 16 - k that _times_pow10 takes, and 10^q for each as the
-# rows hi, lo, head(hi) and tail(hi) of one table, built from Python integers.
+# rows hi, lo, head(hi) and tail(hi) of one table, _POW10, at the module's end.
 _Q_LOW, _Q_HIGH = 16 - _KMAX, 16 + _KMAX
-_POW10 = np.array([_pow10_pair(q) for q in range(_Q_LOW, _Q_HIGH + 1)]).T
-_POW10 = np.vstack([_POW10, *_split(_POW10[0])])
 
 
 def _shift_left(words: np.ndarray, bits) -> np.ndarray:
@@ -421,3 +411,152 @@ def write_csv(path, header: list[str], chunks) -> int:
     except OSError as exc:
         raise InputFormatError(f"cannot write {path}: {exc}") from exc
     return rows
+
+
+# 10^q for _Q_LOW <= q <= _Q_HIGH as two rows of little-endian doubles in
+# base64: hi, 10^q rounded to a double, and lo, the rounded remainder, as
+# pow10_pair in tests/references.py computes them from Python integers.
+_POW10 = np.frombuffer(binascii.a2b_base64("""
+tE20m7tvWQ8hYaGCqsuPD7XcpJFK38MP4hMONh3X+A/bmJGD5AwvEIn/OtIOaGMQa7/JhhJCmBBF
+L3wol1LOEIudTXme8wIR7gShF4awNxEqRomdp5xtEdrLdcLogaIR0T4T82Ii1xGFDtiv++oMEhMJ
+503dEkISWMtgoZSXdhIu/rjJeT2sEt2eEx5spuESlIaYJQcQFhM5qP7uCJRLEyMpX5WFPIETbPO2
++qaLtRNHsGS5kO7qEy3u3nMa1SAUuKnWEGEKVRQmVAxV+UyKFJi0J9UbcMAUvaFxyiKM9BQtCg59
+K68pFVzGKC57DWAV8/ey+dkQlBXwtR94EBXJFWyjJ5ZUWv8VI8bY3XSYMxas904Vkn5oFpe1opo2
+np4WfrGlIOIi0xbeHc+omusHF1blAlOB5j0XVs/h0xCwchcrQ9oIFVynF/bTEEsaM90XeoTqbvA/
+EhiYJaWK7M9GGP5uTq3ng3wYXwVRzHDSsRi2RmX/DEfmGGSYPj/Q2BsZPh+HJ4JnURkO52ixYsGF
+GdIgw127MbsZg/SZGhX/8BmkcUBh2j4lGg2OkPmQjloayFj6mxqZkBr67vhCYb/EGrgqt5M57/ka
+s3pS/IM1MBtgGWf75EJkG7jfQDqeU5kbphfRyIWozxvIroKdU8kDHHpa44SouzgcGDEcppLqbhyv
+ntGnm1KjHFsGxpFCJ9gc8oc3NhMxDh33tOIBrN5CHTViWwJXlncdwjrywux7rR25ZNf5c23iHec9
+TfjQCBceYY1gNgXLTB5dWPxB4/6BHnRuexKcfrYeEUoaF0Me7B5LbnDu6ZIhH92JDGqk91UfVayP
+hI11ix+1y9lyeCnBH6I+kI/Wc/UfS050M8zQKiDvsCigf8JgICrdMogf85QgdZQ/aucvyiDJvGei
+8F0AIfurActsdTQh+hbC/ceSaSG5nDL9efefIfOhPz6s+tMhcIrPTVf5CCIMbUMhrTc/IigkyjTM
+gnMiMq38QX9jqCJ+2HsSX3zeIk9njWu7DRMjI8FwRirRRyNr8QzYdMV9I+MWCAdpm7IjnBzKSENC
+5yPDo/wa1BIdJFrm3ZDEK1Ik8F8VtbW2hiTst1oiY2S8JPSyePW9vvEksN/Wcm0uJiWdl4zPCLpb
+JcLet4FFVJElctYl4lapxSUPTK+arBP7JYmPreBL7DAmbPPY2F4nZSZHMA+PNnGaJix+aRnChtAm
+t93Dn3KoBCcl1bRHj9I5JzcF0YyZI3AnhUYF8H8spCcmmAbsnzfZJzA+COeHhQ8o3iZl8HSzQyiV
+cH4sUqB4KLoMnrdmyK4o9cfCMkA94yjyeXM/kAwYKW5YUE+0D04pRTeSsdDJgikWxfbdRHy3KVt2
+dBVWW+0p+clozRVZIip3/MJAW+9WKpW78xAyq4wqPVWYSv/qwSqNaj4dv2X2KjAFjuQu/ysrPsPY
+Tn1/YSsN9I6iXN+VKxGxMsszV8srqq7/XoAWASxVmr92IFw1LOqAb5Qos2oskrDFXPmvoCy3HPez
+99vULOXj9KD1Egotbw6ZhNlLQC0LUr/lz150LY0mL9+DdqktMfD61iTU3y0f1lwGl+QTLqYL9Me8
+3UgukA7x+SsVfy4aqTZ8O22zLmBTRFuKSOguOGgV8qxaHi8jYU0XrPhSL2y5IB3Xtocvx+do5Iyk
+vS/ckMEO2IbyLxP1cRKOKCcwWHIOl7HyXDB3B2n+rheSMFVJA76ancYwqhuEbQFF/DBKkXLkIKsx
+MZ01jx3pFWYxBAPzZGObmzHj4RcfHkHRMVva3aZlkQUy8lCVEL/1OjKXUl1ql9lwMj2n9ET9D6Uy
+DdExlvxT2jKoIt/dfXQQM1LrVlWdkUQzJqasqgS2eTPY56vqwhGwM87hVqUzFuQzQZqsjsAbGTTS
+wFeysGJPNIPYdm+unYM0pI5UCxqFuDRNsimOYKbuNHAP2lj8JyM1TJMQb/vxVzUfuNRKeu6NNRPz
+xG4MtcI12C92ik9i9zXOuxNt4zotNmFVLCTORGI2uWo3rQHWljZnRYUYgovMNmFLU08x1wE3OR4o
+o/1MNjfHJfILPeBrN5xXdycmbKE3gy1VsS/H1TfkeKqd+zgLOI+LikKdA0E4ci4tk4REdTgPevi3
+pZWqOElM+5KHneA4XB+6d+nEFDkzp6jVI/ZJOYBoiWXWOYA5oMLr/ktItDlHs6b+XlrpORlgUL72
+sB86EDzyNprOUzoUy67EQMKIOtl92vXQ8r46p46omcJX8zpRshJAsy0oO+ZeFxAgOV47T5sOCrTj
+kjsjQpIMoZzHO6zStk/Jg/07rEPS0V1yMjyX1EZG9Q5nPLyJ2Jey0pw8Flbnnq8D0jybK6GGm4QG
+PYJ2SWjCJTw9EeotgZmXcT2VZHnhf/2lPbu919nffNs9ldYm6AsuET46jDDijnlFPkivvJry13o+
+je21oPfGsD7xaOOItfjkPi1DHOviNho//Knx0k1iUD97FK5H4XqEP5qZmZmZmbk/AAAAAAAA8D8A
+AAAAAAAkQAAAAAAAAFlAAAAAAABAj0AAAAAAAIjDQAAAAAAAavhAAAAAAICELkEAAAAA0BJjQQAA
+AACE15dBAAAAAGXNzUEAAAAgX6ACQgAAAOh2SDdCAAAAopQabUIAAEDlnDCiQgAAkB7EvNZCAAA0
+JvVrDEMAgOA3ecNBQwCg2IVXNHZDAMhOZ23Bq0MAPZFg5FjhQ0CMtXgdrxVEUO/i1uQaS0SS1U0G
+z/CARPZK4ccCLbVEtJ3ZeUN46kSRAigsKosgRTUDMrf0rVRFAoT+5HHZiUWBEh8v5yfARSHX5vrg
+MfRF6oygOVk+KUYksAiI741fRhduBbW1uJNGnMlGIuOmyEYDfNjqm9D+RoJNx3JhQjNH4yB5z/kS
+aEcbaVdDuBeeR7GhFirTztJHHUqc9IeCB0ilXMPxKWM9SOcZGjf6XXJIYaDgxHj1pkh5yBj21rLc
+SEx9z1nG7xFJnlxD8LdrRknGM1TspQZ8SVygtLMnhLFJc8ihoDHl5UmPOsoIfl4bSppkfsUOG1FK
+wP3ddtJhhUowfZUUR7q6Sj5u3WxstPBKzskUiIfhJEtB/Blq6RlaS6k9UOIxUJBLE03kWj5kxEtX
+YJ3xTX35S224BG6h3C9MRPPC5OTpY0wVsPMdXuSYTBuccKV1Hc9MkWFmh2lyA031+T/pA084TXL4
+j+PEYm5NR/s5Drv9ok0ZesjRKb3XTZ+YOkZ0rA1OZJ/kq8iLQk49x93Wui53Tgw5lYxp+qxOp0Pd
+94Ec4k6RlNR1oqMWT7W5SROLTExPERQO7NavgU8WmRGnzBu2T1v/1dC/outPmb+F4rdFIVB/Lyfb
+JZdVUF/78FHv/IpQG502kxXewFBiRAT4mhX1UHtVBbYBWypRbVXDEeF4YFHIKjRWGZeUUXo1wavf
+vMlRbMFYywsWAFLH8S6+jhs0Ujmuum1yImlSx1kpCQ9rn1Id2Lll6aLTUiROKL+jiwhTrWHyroyu
+PlMMfVftFy1zU09crehd+KdTY7PYYnX23VMecMddCboSVCVMObWLaEdULp+Hoq5CfVR9w5QlrUmy
+VFz0+W4Y3OZUc3G4ih6THFXoRrMW89tRVaIYYNzvUoZVyh5406vnu1U/Eytky3DxVQ7YNT3+zCVW
+Ek6DzD1AW1bLENKfJgiRVv6UxkcwSsVWPTq4Wbyc+lZmJBO49aEwV4DtFyZzymRX4Oid7w/9mVeM
+scL1KT7QV+9dM3O0TQRYazUAkCFhOVjFQgD0ablvWLspgDji06NYKjSgxtrI2Fg1QUh4EfsOWcEo
+LevqXENZ8XL4pSU0eFmtj3YPL0GuWcwZqmm96OJZP6AUxOyiF1pPyBn1p4tNWjIdMPlId4JafiR8
+NxsVt1qeLVsFYtrsWoL8WEN9CCJbozsvlJyKVluMCju5Qy2MW5fmxFNKnMFbPSC26FwD9ltNqOMi
+NIQrXDBJzpWgMmFcfNtBu0h/lVxbUhLqGt/KXHlzS9JwywBdV1DeBk3+NF1t5JVI4D1qXcSuXS2s
+ZqBddRq1OFeA1F0SYeIGbaAJXqt8TSREBEBe1ttgLVUFdF7MErl4qgapXn9X5xZVSN9er5ZQLjWN
+E19bvOR5gnBIX3LrXRijjH5fJ7M67+UXs1/xXwlr393nX+23y0VX1R1g9FKfi1alUmCxJ4curE6H
+YJ3xKDpXIr1gApdZhHY18mDD/G8l1MImYfT7yy6Jc1xheH0/vTXIkWHWXI8sQzrGYQw0s/fTyPth
+hwDQeoRdMWKpAISZ5bRlYtQA5f8eIptihCDvX1P10GKl6Oo3qDIFY8+i5UVSfzpjwYWva5OPcGMy
+Z5tGeLOkY/5AQlhW4Nljn2gp9zUsEGTGwvN0QzdEZHizMFIURXlkVuC8ZlmWr2Q2DDbg973jZEOP
+Q9h1rRhlFHNUTtPYTmXsx/QQhEeDZej5MRVlGbhlYXh+Wr4f7mU9C4/41tMiZgzOsrbMiFdmj4Ff
+5P9qjWb5sLvu32LCZjidauqX+/ZmhkQF5X26LGfUSiOvjvRhZ4kd7FqycZZn6ySn8R4OzGcTdwhX
+04gBaNeUyiwI6zVoDTr9N8pla2hIRP5inh+haFrVvfuFZ9VosUqtemfBCmmvTqys4LhAaVpi19cY
+53Rp8TrNDd8gqmnWRKBoi1TgaQxWyEKuaRRqj2t60xmESWpzBllIIOV/agikNy0077NqCo2FOAHr
+6GpM8KaGwSUfazBWKPSYd1Nru2syMX9ViGuqBn/93mq+aypkb17LAvNrNT0LNn7DJ2yCDI7DXbRd
+bNHHOJq6kJJsxvnGQOk0x2w3uPiQIwL9bCNzmzpWITJt609CyaupZm3m45K7FlScbXDOOzWOtNFt
+DMKKwrEhBm6Pci0zHqo7bpln/N9SSnFuf4H7l+ecpW7fYfp9IQTbbix9vO6U4hBvdpxrKjobRW+U
+gwa1CGJ6bz0SJHFFfbBvzBZtzZac5G9/XMiAvMMZcM85fdBVGlBwQ4icROsghHBUqsMVJim5cOmU
+NJtvc+9wEd0AwSWoI3FWFEExL5JYcWtZkf26to5x49d63jQyw3HcjRkWwv73cVPxn5ty/i1y1PZD
+oQe/YnKJ9JSJyW6Xcqsx+ut7Ss1yC198c41OAnPNdlvQMOI2c4FUcgS9mmxz0HTHIrbgoXMEUnmr
+41jWc4amV5Yc7wt0FMj23XF1QXQYenRVztJ1dJ6Y0eqBR6t0Y//CMrEM4XQ8v3N/3U8VdQuvUN/U
+o0p1Z22SC2WmgHXACHdO/s+0dfHKFOL9A+p11v5MrX5CIHaMPqBYHlNUdi9OyO7lZ4l2u2F6at/B
+v3YVfYyiK9nzdlqcL4t2zyh3fO56oUxF8wsbqtnJnxYoDF7rr0O441GMlDPIVrNGcwzib+H05/nJ
+jO3lDPkwPAiN0T6gbnqWLI2+2Nt68yFuDXZnySw41aoNVMH7N4aK0Q2unAp0sCX0jRNeebdxaDMO
+NCVU7bjec44CXVJRzqyRjnwXsjT8z7MOqViILwHPCY9qN7W9YCFAj6JCkXbcFIqPS5M1lBOasI8d
++EJ5mMDkj+4kNrSgBysQKa5D4YjJURCzmZQZ6zuGEPAfAxCNGsqQ7OcDVDCh8JDn4QRpfMkkkTAN
+o8Ht/WyRhC/0zZbCmxE3iR39hpm6kUm4TsaL/qORXGbity7+2JEAbJfp9nxgkgBH/aM0nJSSoLOB
+GV8e0xIhgoh/25fvElVRtS/pviMTaqno3qgrfhMUT4taTNqGE0p3tCPI29iTjspQFl2JH5TG9JNv
+0a4tlH483nKhRnmUz+XK5yTMv5QKffaGuPzOlCYOWlTzXQOVbCRcClwNVpV50gzzTG+EFaLjv0B/
+05mVbwTiHfT2+xVSLNQqiaX3FRPZTpEiTlyWwHoUrVkNW5aXmYUBCx3Clv3/5sFNpPaW+H/BZMKa
+GJf23/H9csFOlwNqpBCMY5YXhITNFG/8yxcoLQfQVtzHF3L4CIRs0/0XR5uF0iOkMhi9HxtnWhad
+mNbzcID4LdKYaZ7lvhKN8hgDBp9uVzAnGT6c3FrJgWGZp+HJ2B3xqpkHocXvVNaamUq4XVFfDBGa
+c5nUltw9JZoMkN0Qq1x5Ggd6iurq2b8aiRgtpWXQ5xpUoYfxgDsSm63sLKQ9azIb2Cc4DQ0GZxvG
+Oe/1DWfEm8j3lIwuf/YbRspF0AXhI5yuea6IjrJBnPPzkupm8IQciCdkrb/pwpy1mF7MF9IDnR7B
+iUBiOTcd13SeeinCN519e64JU5OIHZeGBvMJrtcdelCQ3xgz+x1om4voIAAunm9fVLf1n34eS3cp
+JfNHph4e1XPu79nbHpo17xWULw2fgIG1jbw9Qp8/PLqdqGViH1maa512gKSfd0BjIkrQ7J/W3geq
+RvcHIKlLsVs9VwCg9eyUZWijgKAyKPp+Qsy0oB9ZXI+p//SgZUIyM7ABByH+0v4/HMI8IQgvAJar
+gZuhNsV/hOmdzSF9SWAanPr6odxb+CBDuSGilsZkCzbsZCIRHwjH8WJ3oiW75jiKWNQiEZbfOFOR
+BqOWexcHqDU8owpLRe7beVkjzZ3W6VLYjyPAurNbmDG4o0irr8YA4fAj8zTSg19zNaRB9+RsIr9E
+JF45/J4iwqyk26Ndo1X54aRd5pXnqRADJfqvvTBq6kslBHKJoX2NjqWEzusJ3TC2pWr3ZM6uC8El
+r3KAX1msGqar9Qh2+3YFpmemYy1aKY8mAZC8uLDztiYB2nVzTlj+JoFQUxBi7iUnURI0Sv20ZScb
+6T5jw92Up8RGHXhoKrSndZgklgI16adbkBQxbx84KI5LpgK12GGoxxBY3o7YrCjlU7hXyjqwKDia
+aTtfEgUpYwAihXsrTSntAaqZadlRKcy+9f8d2JSpBkYzAGrHpykP/fdv10gMqtcBBVp5Uk4qaHvz
+ntAxZKqQFqwxkU++qpfH0QMVOdQqQuOc3VJcE6sSHASVZzNIq3Vu3ULf34ArEsqUE9cXtSuW/HnY
+zF3qK4R3D9MBqM4rsqrpIwEpAyxVkLMFzV+YLGt0IEfAd84shpHoWLAV9izntSJvHJsrLQYbW1cc
+DyQtHB7TNi6RkS3S8kPivPraLWP4Tq3BlsstaCuKIccnMi7fpAmLI6d0runxM5ITL6Yux9yB7bB1
+xy7+lDhKx1QXL3t0jTnyUzovM5cHnIiLf68AfQnDam6nr0Dcy3MFSt2vsCxBL3ljCzAjiO6EqMM9
+sBYVFVNJmnKw0tISLJJftDB5eOhIiYjmsENL6yajqu4wPjzrgVY1S7GmBTMRVgGBsUAc/1WuBpWx
+UeN+61lIyrESTi8zOG0Ass2bADjvbmUygYUBDFaVhTLh5gGPq/q6MmefPY2pRu6ywPhyD6wnGjO8
+7dPEZSxoM2uL+2RA5Kizitx0/KA6zrO0TkjuJCXXs9pZYh0ZMUY0UPC6ZF+9ezRlrOk9t6yiNEH0
+TXkNVOS0r45eKO+WFjUvbU5sqBoetXjfidfqpYU1qqiTcprwtLXUkjgPwSzqtcRbg6n4Wyi2tjLk
+0/ZyXradwCJ3S/CJNsRw61RebLA2C7PZFYp467bnD6hNVisht+ATEuErdlW3lLNUkySWmjd54Cm4
+rTvBN2mny9lmdfq3Xrfgt592Pzg25dilR1RnOAc9nh6zUoo47oxuBijG17gpMAoIsrcNuZmH5uvC
+tCU5oPVHFoM3ebnnPYMJCadOOZXfoKV5zc65huj28Cd/+TmqKE17vPdHOiyN32VUCnK6O7irv3RG
+s7qUTC3fIzDQuiOwg5Tp4RU7LJyk+WNaSztkHvmDgeeOu/5l9+Rhoba7+n5qvHST2Lu4HoXrUbgO
+vJqZmZmZmVm8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA
+AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA
+AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA
+AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAGBBAAAAAAAAcEEAAAAAAADLwQAAAAAAwPHBAAAA
+AADACMIAAAAAAERYQgAAAACAKp9CAAAAAMAVssIAAAAAaLL0QgAAAAB/EDPDAAAAQGEraEMAAACQ
+OTaeQwAAAPTHw8VDAACAB6NlAsQAAKA29AA5RAAAkIhigl5EAACtyr6IqUQAwKeCERXQxADARo1X
+aeDEAA4TrnWQQsUARl9mTNJcxfDi/u/bgLzFVGQBFO1e7EVI6w3IQrXrRT3TvZCtq0vGBqR2ekxL
+gcb5sutm4GG6RiWwrL/TgvfGkR5Bg7rj9EY2ZhEkqRwqR+LfirbpUWBHBU16ezNzzccYgWNpAUDT
+xyyMdzgAAjvIN2+VRoDCYcj8NMWn38yZSDuCtpEXQMBIZRESuw4oAkm+ldZpErI2SdPEs/tooWPJ
+BFtQneFEpMmJ40gJNKzCySnHyeh9UeFJHodfrLu0QkqYo91dqoddSh9DVT1lOqlKDLaquYA76MqP
+YxXoYEoey3O8GiL53EXLOEqvSuRVgksYc2x1da2bS/fjsbQ0puhLey7v8OBnJ0znBdXSJr5SzD9x
+6/CeJHFM4mSzpXIklcx58DcsnGTpTBDahC4yj7DM79lFAU3rZ03XoC6DQMyLTfS2BVyvQL3NLMnB
+zDYkAc7d7cj/EbUVzlQpu39WIkvOFoMV+ESFl07b4xo2lmbNTkhzhg7vANNOAwJFWiX4Mk++3pSn
+6CR8z24WetEiLqPPCZzYhav5188Whp3OLPD7z85zIgEcdjHQYYi1gNHpetA8dXHwItK40I+uRW6K
+Kp9Q0rhOaKk3EVH0MTt72PQ00ccA+7L45nJR+cC537agp1FDdr5C27ij0dMTbhMSp9jROrM9S3kJ
+X1L8b/kwFJqc0gpokIXNfrhS+r6FjL+w8NKQorEgIUYWU2b6kEsrFFLTgGPF8GSzlFMwXnsWH/DU
+Uw8pl49kT+fTU/N8sz0jHdQUGC6QBjZS1BmeOTSIw4bUaAFSkBod19Q+fpnLnhsDVefuPz9D8UNV
+QdUfHijbYVW3GiztBtek1cpC7lCRGcTVQhZrLQVwA1bp7WI8AyZMVrLUvQXCl4lW3kkth7L9v1ZW
+nPgoH/3nVkqeZIbMASnXXURHAAu4B1dUN/2RzxKP12u9wUQ+lMxXMWaRr27KzVcRkCJpvbAW2Psy
+Jc/E6GhYc//cBexFjlhY4FV8TBTN2G5Ya5tfWfTYii5GgrdvKdksutdipctf2S5q466j76HZ5RJx
+ajKuudnoVUPBbwYI2sNWKGMXECzaOjb5nQ6KYdpv+BB12yaEWtGmSkoSJuNaF0J1c1u+/1pZW+tr
+gxRG2y8y5kakmXvbioLATuX/mlvTXI9dIUDO2wLNPG0KdBnczN7/uXt511tTAK9KUMV/3J8Ba3WR
+2o7cfo9Oi7Jb1lxeMyIun/ILXQ2war7Ru1hdCK4CF2N1l12tM+UZIWqV3RPQCyyVWPPd9J14xKLo
+M15xxZZ1y+JoXlEmcaA1kEzeQMrd8y5x317RPNWwek0HX/tz9aIm3zLfg5cm2oc0dF9kPbDQqUGp
+X0OzI7vrbdDf7F8TVpl2C2AN5DMq4NVO4EB0A9NgLVrgKor4IBcXtOBMU8kWI+PmYAy/IhyhIOvg
+aLeVsWT0IOGoZL+7L6aC4VyEoaqIYKFhGzVsVaqOxOG0F6ditcksYl8ir0TdA1ziCRUlaiv7jGJq
+S6N2E4yn4t7w2dVzSOFiFW1Qy5CaFWMXIok/TcBuY8cqKeE+H4PjeXVzmQ7nt+O2FPSPNHgH5OMZ
+8bNBVj3kXGDtINKrZOQ6XJRUY+uk5LiMRtbD2dVkzF+wl2mg9mTgO87+QSQ+ZWzlQD+p1nJlc8Ld
+4VjnkOXETJXGS0jt5RbAio9CywZm8kdJZvbAQeYJMxIAZueMZiz/WgD+hJBm975xgD2mxGam6LiP
+GRgD52iR0/kP70vn4Tok/Gl1gefObKUJd1qkZwBO/My6o/nngJ7Ef1bzL2ghxrUfLPBXaNSb0ZMb
+9p5oJgsY44nOqmh8g/cWi2D4aC2yWu5WPD9pj0IdrCbpUelntm3UR86UaQBuOxsT/9rpAW3rO1CC
+/GkIQjJXIhf9adcSMFExum3qxwu+0l6Uouq4jm2HdjnX6poNt9Yr+AJrgGgyZhvbS2ugAr8/4tFy
+a1yeKJjSPLzrDTrNwfiz7GuCRASStwfva6aql6hlk13sT5W9Ej/4hOyj+mzXTja67GiNb+U6eN5s
+Po80YbbpCe3DbGD+CBlY7fSH+D1LH47tB6tE+XAsxW03KmrIcoj17e8s7RXCVQRu68NLsmZKQ+45
+rbcXQAeW7oiYpR0QicvuVX+HEqo1Ce8qXymXFIM/7/W287zZY2fvWVIYFmiepu8RmWHk/bnTb6sA
+hqKCVwfwlT9sWk5pSXB7TwfxocN/cKfctpJ1S6jw6Emyeykv7/CeI2ElDAUZcYVsuS5PRk9xmR6f
+6YtfXHFwRv5GJCKn8QzYvVit6tzxhFO7K1YJIfKb11VJVLRacn6yVKSWno7ycRBL2eHcxHLJrYjB
+lq/X8jzZ6nF8mw3z42OZ45ZAWfNu3j9OXsiX8xKsn8PrdLvz
+"""), "<f8").reshape(2, _Q_HIGH - _Q_LOW + 1)
+_POW10 = np.vstack([_POW10, *_split(_POW10[0])])

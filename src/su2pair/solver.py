@@ -67,7 +67,8 @@ _ANSATZ_BASIS = np.zeros((4, 4, 4), dtype=complex)
 _ANSATZ_BASIS[0] = _I4
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
+@_record
 class Eigensystem:
     """Four eigenvalues and density-matrix eigenprojectors, indexed (m, n).
 
@@ -120,7 +121,6 @@ def _build(values, states, method, degenerate=False) -> Eigensystem:
     """The read-only Eigensystem of fresh (2, 2) values and (2, 2, 4, 4) states."""
     values.setflags(write=False)
     states.setflags(write=False)
-    # One instance-dict update in place of the generated frozen __init__.
     es = object.__new__(Eigensystem)
     es.__dict__.update(values=values, states=states, method=method, degenerate=degenerate)
     return es

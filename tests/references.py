@@ -207,3 +207,19 @@ def quartic_residuals(
     """Sum of |p(root)| over the given roots."""
     coeffs = np.array([c4, c3, c2, c1, c0], dtype=complex)
     return float(sum(abs(np.polyval(coeffs, z)) for z in roots))
+
+
+# --- number formatting -------------------------------------------------------------
+
+
+def pow10_pair(q: int) -> tuple[float, float]:
+    """10^q as hi + lo: hi rounded to a double, lo the rounded remainder,
+    from Python integers; the rows of ``serialization._POW10``."""
+    if q >= 0:
+        n = 10**q
+        hi = float(n)
+        return hi, float(n - int(hi))
+    d = 10**-q
+    hi = 1 / d
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * d) / (den * d)

@@ -194,8 +194,6 @@ def test_criterion_9_documented_paper_discrepancies():
     p = GrapheneParams()
     kx, ky = 0.7, 0.3
     g = structure_factor(p, kx, ky)
-    from su2pair.graphene import map_to_su2su2
-
     d = derive(map_to_su2su2(p, kx, ky))
     v_printed = p.m**2 + p.bias**2 / 4 + 0.5 * (
         2 * p.t**2 + p.tperp**2 + p.t3**2 * abs(g) ** 2

@@ -2,7 +2,8 @@
 sys.modules and executes each on first use.  Each probe runs in a fresh
 interpreter.  A module counts as executed when ``type(m) is
 types.ModuleType``: ``type()`` does not trigger a lazy load, where
-``m.__class__`` would."""
+``m.__class__`` would.  The probe reads whether the command imported
+``json`` before it imports ``json`` itself."""
 
 import json
 import os
@@ -26,13 +27,16 @@ REGISTERED = {
 }
 
 PROBE = """\
-import contextlib, io, json, sys, types
+import contextlib, io, sys, types
 from su2pair.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:]) if sys.argv[1:] else 0
 ours = {n: m for n, m in sys.modules.items() if n.split(".")[0] == "su2pair"}
+json_imported = "json" in sys.modules
+import json
 print(json.dumps({
     "code": code,
+    "json": json_imported,
     "registered": sorted(ours),
     "executed": sorted(n for n, m in ours.items() if type(m) is types.ModuleType),
 }))
@@ -55,6 +59,7 @@ def probe(argv=(), cwd=None) -> dict:
 def test_cli_import_executes_only_cli_and_errors():
     seen = probe()
     assert seen["executed"] == ["su2pair", "su2pair.cli", "su2pair.errors"]
+    assert not seen["json"]
     assert REGISTERED <= set(seen["registered"])
 
 
@@ -83,6 +88,8 @@ def thermo_probe(case: str, tmp_path) -> dict:
     seen = probe(argv, cwd=tmp_path)
     assert seen["code"] == 0
     assert "su2pair.thermo" in seen["executed"]
+    # The coefficient set is read as JSON.
+    assert seen["json"]
     return seen
 
 
@@ -109,6 +116,7 @@ def test_graphene_thermal_at_the_dirac_point_executes_no_solver_or_oracle(tmp_pa
     assert seen["code"] == 0
     assert {"su2pair.graphene", "su2pair.thermo"} <= set(seen["executed"])
     assert not {"su2pair.solver", "su2pair.oracle"} & set(seen["executed"])
+    assert not seen["json"]
 
 
 @pytest.mark.parametrize("command", ["graphene-bands", "graphene-concurrence"])
@@ -118,6 +126,7 @@ def test_graphene_grid_commands_execute_no_thermo_solver_oracle_or_quartic(comma
     assert "su2pair.graphene" in seen["executed"]
     unused = {"su2pair.thermo", "su2pair.solver", "su2pair.oracle", "su2pair.quartic"}
     assert not unused & set(seen["executed"])
+    assert not seen["json"]
 
 
 # Four threads make their first call into a freshly imported package at

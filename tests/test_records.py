@@ -1,12 +1,17 @@
 """The package's immutable records: the constructor, validation, immutability,
-equality, hashing and repr that each keeps without being a dataclass."""
+equality, hashing and repr that each keeps without being a dataclass, the
+dataclass contract of the two that stay dataclasses, and no method of any
+record generated as source."""
 
 import dataclasses
+import importlib
 import inspect
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +20,16 @@ import pytest
 import su2pair
 from su2pair.entanglement import BlochPair
 from su2pair.graphene import GrapheneParams, GridSpec
-from su2pair.hamiltonian import Branch, CaseKind, Classification, CoefficientSet
+from su2pair.hamiltonian import (
+    Branch,
+    CaseKind,
+    Classification,
+    CoefficientSet,
+    DerivedCoefficients,
+    derive,
+)
 from su2pair.oracle import SpectralDecomposition
-from su2pair.solver import Su2Factor
+from su2pair.solver import Eigensystem, SolveMethod, Su2Factor, solve
 from su2pair.thermo import EnsembleBranch, ThermalConcurrenceResult, ThermalReport
 from su2pair.verify import SuiteResult
 
@@ -194,3 +206,90 @@ def test_cli_import_defines_only_the_two_kept_dataclasses():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.strip() == "['DerivedCoefficients', 'Eigensystem']"
+
+
+# A constrained set: solve takes the entangled closed form.
+CONSTRAINED = CoefficientSet(0.3, [0, 0, 1], [0.2, 0.1, 0.4], [[1, 0.5, 0], [0.5, 2, 0], [0, 0, 0]])
+
+# name: (class, field names, a record from the package, keyword changes for
+# replace, and whether the record hashes: arrays do not).
+KEPT_DATACLASSES = {
+    "DerivedCoefficients": (
+        DerivedCoefficients,
+        ("v_quad", "theta", "phi", "theta_phi", "s_cubic", "beta_adj_alpha", "det_omega",
+         "adj_norm", "singular_residual", "alpha_null", "beta_null", "alpha_residual",
+         "beta_residual", "alpha_sq", "beta_sq", "omega_sq"),
+        lambda: derive(CONSTRAINED), {"theta": 0.5, "alpha_null": False}, True,
+    ),
+    "Eigensystem": (
+        Eigensystem, ("values", "states", "method", "degenerate"),
+        lambda: solve(CONSTRAINED), {"degenerate": True}, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", KEPT_DATACLASSES)
+def test_kept_dataclass_contract(name):
+    cls, names, make, changes, hashable = KEPT_DATACLASSES[name]
+    record = make()
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(record)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    assert list(vars(record)) == list(names)
+    assert list(inspect.signature(cls).parameters) == list(names)
+    given = [getattr(record, n) for n in names]
+
+    # Positional, keyword and replace construction keep the fields in order.
+    for copy in (cls(*given), cls(**dict(zip(names, given))), dataclasses.replace(record)):
+        assert type(copy) is cls and list(vars(copy)) == list(names)
+        assert all(a is b for a, b in zip(_fields(copy, names), given))
+        assert copy == record
+    changed = dataclasses.replace(record, **changes)
+    assert list(vars(changed)) == list(names)
+    assert all(getattr(changed, n) is changes.get(n, getattr(record, n)) for n in names)
+    assert changed != record
+    with pytest.raises(TypeError):
+        dataclasses.replace(record, spam=1)
+    if cls is Eigensystem:
+        short = Eigensystem(record.values, record.states, SolveMethod.ORACLE_NUMERIC)
+        assert short.degenerate is False
+        assert dataclasses.replace(short, method=record.method) == record
+
+    # Assignment and deletion raise FrozenInstanceError, an AttributeError.
+    frozen = dataclasses.FrozenInstanceError
+    for attr in (names[0], "spam"):
+        with pytest.raises(frozen, match=f"cannot assign to field '{attr}'"):
+            setattr(record, attr, 0)
+        with pytest.raises(frozen, match=f"cannot delete field '{attr}'"):
+            delattr(record, attr)
+    assert list(vars(record)) == list(names)
+
+    assert repr(record) == f"{name}(" + ", ".join(f"{n}={v!r}" for n, v in zip(names, given)) + ")"
+    assert record == record and record != object() and record != vars(record)
+    if hashable:
+        assert hash(record) == hash(dataclasses.replace(record))
+        assert len({record, cls(*given)}) == 1
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_no_record_carries_a_method_compiled_from_generated_source():
+    """A frozen dataclass compiles its generated methods from source text,
+    whose code reads the file name "<string>", on every execution of its
+    module.  Every class of every su2pair module takes its methods from
+    ordinary definitions or _record's closures instead."""
+    for info in pkgutil.iter_modules(su2pair.__path__, "su2pair."):
+        importlib.import_module(info.name)
+    generated = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "su2pair" or type(module) is not types.ModuleType:
+            continue
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls.__module__ != module_name:
+                continue
+            for attr, value in vars(cls).items():
+                value = getattr(value, "__func__", value)
+                parts = (value.fget, value.fset, value.fdel) if isinstance(value, property) else (value,)
+                generated += [f"{cls.__qualname__}.{attr}" for part in parts
+                              if getattr(getattr(part, "__code__", None), "co_filename", "") == "<string>"]
+    assert generated == []

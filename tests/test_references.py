@@ -1,5 +1,7 @@
 """The references of references.py, checked on their own."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from su2pair.sampling import random_coefficient_set
 from references import (
     mat_func,
     partial_trace,
+    pow10_pair,
     random_hermitian,
     random_mixed_density,
     spin_flip,
@@ -118,3 +121,11 @@ class TestTraceless:
         for _ in range(20):
             c = random_coefficient_set(rng)
             assert abs(np.trace(traceless(c))) <= 1e-12 * (1 + c.scale())
+
+
+def test_pow10_pair_rounds_ten_to_the_q_and_its_remainder():
+    for q in range(-234, 267):
+        hi, lo = pow10_pair(q)
+        exact = Fraction(10) ** q
+        assert (hi, lo) == (float(exact), float(exact - Fraction(hi)))
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**106

@@ -22,6 +22,8 @@ from su2pair import cli, graphene, serialization
 from su2pair.serialization import _format_17g, format_float, load_coefficient_set, write_csv
 from su2pair.thermo import EnsembleBranch, thermal_sweep
 
+from references import pow10_pair
+
 
 def reference_csv(header, chunks) -> str:
     lines = [",".join(header)]
@@ -181,6 +183,20 @@ def assert_kernel_matches(x):
     assert got.shape == (x.size, 24) and got.dtype == np.uint8
     bad = np.flatnonzero((got != want.reshape(x.size, 24)).any(axis=1))
     assert bad.size == 0, [(repr(x[i]), got[i].tobytes()) for i in bad[:5]]
+
+
+def test_stored_pow10_table_is_built_from_python_integers():
+    """The stored hi and lo rows and the Veltkamp halves of hi, bit for bit,
+    for every exponent q = 16 - k of the array path."""
+    q = range(serialization._Q_LOW, serialization._Q_HIGH + 1)
+    assert (q.start, q.stop) == (-234, 267)
+    hi, lo = np.array([pow10_pair(k) for k in q]).T
+    c = 134217729.0 * hi
+    head = c - (c - hi)
+    expected = np.vstack([hi, lo, head, hi - head])
+    table = serialization._POW10
+    assert table.dtype == np.float64 and table.shape == (4, 501)
+    assert table.tobytes() == expected.tobytes()
 
 
 def test_kernel_on_a_million_bit_patterns():
