@@ -10,7 +10,8 @@ Importing the package executes none of its modules.  Each module in
 ``_LAZY`` is registered in ``sys.modules`` as a :class:`_LazyModule` and
 is compiled and executed on its first attribute access, so a process pays
 only for the modules it uses: a graphene grid command never executes
-``thermo``, ``solver``, ``oracle`` or ``quartic``.  A module executes under
+``hamiltonian``, ``pauli``, ``thermo``, ``solver``, ``oracle`` or
+``quartic``.  A module executes under
 one package-wide reentrant lock and becomes a plain module only after its
 code has run, so threads that first touch it together wait for one
 execution.  ``_NAMES`` maps each module to the public names it exports;

@@ -181,11 +181,13 @@ def _check_lowest_temperature(tmin: float, c: hamiltonian.CoefficientSet) -> Non
 
 def cmd_solve(args) -> int:
     es = solver.solve(serialization.load_coefficient_set(args.input))
+    # Written first, so that an unwritable path prints nothing.
+    if args.output:
+        serialization.write_eigensystem(args.output, es)
     print(f"method: {es.method.value}" + (" (degenerate)" if es.degenerate else ""))
     for (m, n), e, _ in es.items():
         print(f"eigenvalue[{m},{n}] = {serialization.format_float(e)}")
     if args.output:
-        serialization.write_eigensystem(args.output, es)
         print(f"eigensystem written to {args.output}")
     return 0
 
@@ -333,11 +335,11 @@ _COMMANDS = (
 _HANDLERS = {name: handler for name, _, _, handler in _COMMANDS}
 
 
-def _subcommand_parsers():
+def _subcommand_parsers(parser_class=argparse.ArgumentParser):
     """The top-level parser, which lists every subcommand with its help
     line, and by name each subcommand's parser, still without arguments,
-    with the function that adds them."""
-    parser = argparse.ArgumentParser(
+    with the function that adds them; every parser is a ``parser_class``."""
+    parser = parser_class(
         prog="su2pair",
         description="Closed-form eigensystems, entanglement and thermodynamics "
         "of two-qubit Hamiltonians, with a bilayer-graphene front end.",
@@ -384,8 +386,15 @@ def main(argv=None) -> int:
         if command in waiting:
             subparser, add_arguments = waiting.pop(command)
             add_arguments(subparser)
+    args = None
+    # Only an argv with a negative number in exponent form, such as -5e0,
+    # compiles the module that reads it as a value.
+    if any(a[:1] == "-" and a[1:2] in "0123456789." and "e" in a.lower() for a in argv):
+        from ._negative_numbers import parse
+
+        args = parse(argv, command, _subcommand_parsers)
     try:
-        args = parser.parse_args(argv)
+        args = args or parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -12,19 +12,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._invariants import _cofactors, _derive_kernel, _ht2_parts, _record
-from .errors import ConcurrenceDomainError, DegenerateBranchError, DensityMatrixError
-from .hamiltonian import (
-    CoefficientSet,
+# A module import: the grids' concurrence reads derived records and
+# components alone, and executes no hamiltonian.
+from . import hamiltonian
+from ._invariants import (
     DerivedCoefficients,
-    _batch_components,
+    _cofactors,
     _degenerate_branch,
-    _float_components,
+    _derive_kernel,
+    _ht2_parts,
+    _record,
     _where,
-    derive,
     even_spectrum,
-    fano_decompose,
 )
+from .errors import ConcurrenceDomainError, DegenerateBranchError, DensityMatrixError
 
 # Radicands above this are round-off and clamp to zero; anything lower is a
 # genuine domain violation and raises.
@@ -61,12 +62,11 @@ def bloch_vectors(rho: np.ndarray) -> BlochPair:
     4 alpha and 4 beta of :func:`~su2pair.hamiltonian.fano_decompose`, which
     raises NonHermitianError for a non-Hermitian ``rho``.  Raises
     DensityMatrixError for a ``rho`` that is not 4x4 or whose trace is not 1."""
-    if np.shape(rho) != (4, 4):
-        raise DensityMatrixError(f"expected a 4x4 density matrix, not of shape {np.shape(rho)}")
+    _require_4x4(rho)
     tr = complex(np.trace(np.asarray(rho, dtype=complex)))
     if abs(tr - 1.0) > 1e-9:
         raise DensityMatrixError(f"state trace {tr} is not 1")
-    c = fano_decompose(rho)
+    c = hamiltonian.fano_decompose(rho)
     return BlochPair(4.0 * c.alpha, 4.0 * c.beta)
 
 
@@ -82,7 +82,7 @@ def _branch_scales(d: DerivedCoefficients, n: int):
     """(sqrt_theta_phi, E_n, cause) over the batch of ``d``; needs constrained sets.
 
     ``cause`` is 0, DEGENERATE_THETA_PHI or DEGENERATE_E_N, by
-    :func:`~su2pair.hamiltonian._degenerate_branch`.
+    :func:`~su2pair._invariants._degenerate_branch`.
     """
     sq, e1, e2 = even_spectrum(d)
     theta_phi, e_n = _degenerate_branch(d, sq, n)
@@ -102,17 +102,18 @@ def _raise_for(cause: int, n: int, radicand: float = 0.0):
         )
 
 
-def eigenstate_bloch_closed_form(c: CoefficientSet, m: int, n: int) -> BlochPair:
+def eigenstate_bloch_closed_form(c: hamiltonian.CoefficientSet, m: int, n: int) -> BlochPair:
     """Bloch vectors of the (m, n) eigenstate from the coefficients alone.
 
     Valid for constraint-satisfying sets with a non-degenerate spectrum;
     raises DegenerateBranchError when a denominator collapses.  The Pauli
     components of Ht^2 (single-qubit a_vec and b_vec, two-qubit w_mat) come
     from the derive kernel's own straight-line helper, on the set's
-    components as Python floats, as :func:`derive` takes them.
+    components as Python floats, as :func:`~su2pair.hamiltonian.derive`
+    takes them.
     """
     _check_mn(m, n)
-    sq, en, cause = _branch_scales(derive(c), n)
+    sq, en, cause = _branch_scales(hamiltonian.derive(c), n)
     _raise_for(cause, n)
     alpha, beta, omega = c.alpha, c.beta, c.omega
     alpha_omega, omega_beta, w_rows = _ht2_parts(alpha.tolist(), beta.tolist(), omega.tolist())
@@ -123,8 +124,16 @@ def eigenstate_bloch_closed_form(c: CoefficientSet, m: int, n: int) -> BlochPair
     return BlochPair(a, b)
 
 
+def _require_4x4(rho):
+    if np.shape(rho) != (4, 4):
+        raise DensityMatrixError(f"expected a 4x4 density matrix, not of shape {np.shape(rho)}")
+
+
 def pure_concurrence(rho: np.ndarray) -> float:
-    """Concurrence sqrt(1 - A^2) of a pure two-qubit state."""
+    """Concurrence sqrt(1 - A^2) of a pure two-qubit state.  Raises
+    DensityMatrixError for a ``rho`` that is not 4x4, before its purity is
+    taken, or not pure."""
+    _require_4x4(rho)
     rho = np.asarray(rho, dtype=complex)
     purity = float(np.einsum("ab,ba->", rho, rho).real)
     if abs(purity - 1.0) > PURITY_TOL:
@@ -162,7 +171,7 @@ def concurrence_closed_form_arrays(alpha, beta, omega, m: int, n: int):
     radicand below the round-off floor) read 0.  Raises ConstraintError if
     any item meets neither constraint.
     """
-    a, b, w = _batch_components(alpha, beta, omega)
+    a, b, w = hamiltonian._batch_components(alpha, beta, omega)
     return _concurrence_from_derived(_derive_kernel(a, b, w, np.sqrt), a, b, w, m, n)
 
 
@@ -203,16 +212,18 @@ def _norm_sq(v):
     return v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
 
 
-def eigenstate_concurrence_closed_form(c: CoefficientSet, m: int, n: int) -> float:
+def eigenstate_concurrence_closed_form(c: hamiltonian.CoefficientSet, m: int, n: int) -> float:
     """Concurrence of the (m, n) eigenstate from the coefficients alone.
 
     :func:`concurrence_closed_form_arrays` on one set, in the frame it is
-    given in, run on :func:`derive` and the set's components as Python
-    floats: the same arithmetic, so the same bits.  Raises
-    DegenerateBranchError or ConcurrenceDomainError where that function
-    reports a cause, and ConstraintError as it does.
+    given in, run on :func:`~su2pair.hamiltonian.derive` and the set's
+    components as Python floats: the same arithmetic, so the same bits.
+    Raises DegenerateBranchError or ConcurrenceDomainError where that
+    function reports a cause, and ConstraintError as it does.
     """
-    value, cause, radicand = _concurrence_from_derived(derive(c), *_float_components(c), m, n)
+    value, cause, radicand = _concurrence_from_derived(
+        hamiltonian.derive(c), *hamiltonian._float_components(c), m, n
+    )
     _raise_for(cause, n, radicand)
     return float(value)
 

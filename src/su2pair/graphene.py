@@ -37,11 +37,10 @@ import sys
 
 import numpy as np
 
-# A module import: only thermal_death_temperature executes thermo.
-from . import thermo
-from ._invariants import _ZERO, _derive_components, _record
-from .entanglement import CLOSED_FORM, _concurrence_from_derived
-from .hamiltonian import CoefficientSet, derive, even_spectrum
+# Module imports: a grid command executes no hamiltonian, graphene-bands no
+# entanglement, and only thermal_death_temperature executes thermo.
+from . import entanglement, hamiltonian, thermo
+from ._invariants import _ZERO, _derive_components, _record, even_spectrum
 
 
 # Largest magnitude GrapheneParams accepts for t, t3, tperp, m and bias.
@@ -163,9 +162,9 @@ def lattice_layer_arrays(p: GrapheneParams, kx, ky):
     return stack(a), stack(b), stack(w[0] + w[1] + w[2]).reshape(shape + (3, 3))
 
 
-def map_to_su2su2(p: GrapheneParams, kx: float, ky: float) -> CoefficientSet:
+def map_to_su2su2(p: GrapheneParams, kx: float, ky: float) -> hamiltonian.CoefficientSet:
     """The lattice-layer coefficient set at one wave vector, from :func:`_lattice_layer`."""
-    return CoefficientSet(0.0, *_lattice_layer(p, float(kx), float(ky)))
+    return hamiltonian.CoefficientSet(0.0, *_lattice_layer(p, float(kx), float(ky)))
 
 
 def find_dirac_point(p: GrapheneParams) -> tuple[float, float]:
@@ -289,8 +288,9 @@ def concurrence_chunks(p: GrapheneParams, g: GridSpec, m: int = 2, n: int = 1):
     for ix, iy in _grid_chunks(p, g, xs, ys):
         a, b, w = _lattice_layer(p, xs, ys, (ix, iy))
         d = _derive_components(a, b, w)
-        c, cause, _ = _concurrence_from_derived(d, a, b, w, m, n)
-        yield {"kx": (xs, ix), "ky": (ys, iy), "c": c, "flag": (cause != CLOSED_FORM).astype(int)}
+        c, cause, _ = entanglement._concurrence_from_derived(d, a, b, w, m, n)
+        flag = (cause != entanglement.CLOSED_FORM).astype(int)
+        yield {"kx": (xs, ix), "ky": (ys, iy), "c": c, "flag": flag}
 
 
 def _joined(chunks, columns) -> dict[str, np.ndarray]:
@@ -322,7 +322,7 @@ def thermal_death_temperature(p: GrapheneParams, kx: float, ky: float) -> float 
     Returns None when it keeps one sign over the bracket, as it does at
     every T when x+ = x- (tperp = t3 |G|).
     """
-    x_plus, x_minus = thermo._x_pm(derive(map_to_su2su2(p, kx, ky)))
+    x_plus, x_minus = thermo._x_pm(hamiltonian.derive(map_to_su2su2(p, kx, ky)))
 
     def gap(t):
         return thermo.sinh_cosh_gap(x_plus / t, x_minus / t, x_plus / t)

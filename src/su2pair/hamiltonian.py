@@ -8,10 +8,10 @@ A Hamiltonian on C^2 (x) C^2 is parameterized as
 
 with real ``upsilon``, ``alpha``, ``beta`` and ``omega``.  This module houses
 the parameterization itself (`CoefficientSet`), the Pauli-basis decomposition
-and recomposition, the quadratic/quartic derived quantities used by the
-closed-form solvers, the solvable-case classifier, and local frame rotations.
-Every closed form works in the frame a set is given in: the derived
-quantities it reads are invariant under local rotations.
+and recomposition, :func:`derive` and :func:`derive_arrays` over the kernel of
+:mod:`su2pair._invariants`, the solvable-case classifier and local frame
+rotations.  Every closed form works in the frame a set is given in: the
+derived quantities it reads are invariant under local rotations.
 """
 
 from __future__ import annotations
@@ -21,28 +21,9 @@ import math
 
 import numpy as np
 
-from ._invariants import _TINY, DEFAULT_TOL, DerivedCoefficients, _derive_kernel, _record, _where
-from .errors import ConstraintError, NonHermitianError
+from ._invariants import _TINY, DEFAULT_TOL, DerivedCoefficients, _derive_kernel, _ratio, _record
+from .errors import NonHermitianError
 from .pauli import _WORDS, require_hermitian
-
-# The package's relative thresholds, one table (README "Tolerances"):
-# DEFAULT_TOL      constraint residuals and case detection (derive gates,
-#                  classify, factor_dyadic); defined in _invariants
-# DEGENERACY_RTOL  degenerate spectra (_degenerate_branch): sqrt(Tp) at most
-#                  this times 1 + V, or E_n at most this times 1 + sqrt(V),
-#                  sends the closed-form states to the oracle (n = 1) and
-#                  makes the closed-form concurrence of branch n raise;
-#                  oracle eigenvalues within this times 1 + max|e| merge
-# COMMUTATOR_RTOL  the thermal-concurrence closed form is provably exact when
-#                  the Frobenius norm of the spin-flip commutator, which no
-#                  local rotation changes, is at most this times
-#                  V = |alpha|^2 + |beta|^2 + |omega|^2
-# 1e-14            degenerate separable factors, a fixed floor with no name
-#                  in solver._solve_product: a factor vector of norm at most
-#                  this times 1 + |f0| (f0 the factor's scalar part) takes
-#                  the +3 axis for its projectors and flags the result
-DEGENERACY_RTOL = 1e-8
-COMMUTATOR_RTOL = 1e-12
 
 
 @_record
@@ -196,60 +177,6 @@ def derive(c: CoefficientSet) -> DerivedCoefficients:
     return _derive_kernel(*_float_components(c), math.sqrt)
 
 
-def even_spectrum(d: DerivedCoefficients):
-    """(sqrt(Tp), E1, E2) of constrained sets, E_n = sqrt(V + (-1)^n sqrt(Tp)).
-
-    The spectrum is upsilon +- E1, upsilon +- E2.  Works on the scalar or the
-    batched fields of ``d`` alike; raises ConstraintError unless every item
-    meets alpha.omega = 0 or omega.beta = 0 within ``DEFAULT_TOL``.
-    """
-    # One set's fields are scalars, for which math's functions cost a tenth
-    # of numpy's ufunc calls; both are correctly rounded, so the bits agree.
-    if isinstance(d.v_quad, float):
-        sqrt, maximum, constrained = math.sqrt, max, d.alpha_null or d.beta_null
-    else:
-        sqrt, maximum = np.sqrt, np.maximum
-        constrained = np.logical_or(d.alpha_null, d.beta_null).all()
-    if not constrained:
-        raise ConstraintError(_unconstrained_message(d))
-    sq = sqrt(maximum(d.theta_phi, 0.0))
-    e1 = sqrt(maximum(d.v_quad - sq, 0.0))
-    e2 = sqrt(d.v_quad + sq)
-    return sq, e1, e2
-
-
-def _degenerate_branch(d: DerivedCoefficients, sq, n: int):
-    """(sqrt(Tp) degenerate, E_n degenerate) of branch n, the one rule that
-    refuses the even closed forms, for ``sq`` = sqrt(Tp) of
-    :func:`even_spectrum`.
-
-    sqrt(Tp) is degenerate at most ``DEGENERACY_RTOL`` (1 + V), and E_n
-    when E_n^2 = V + (-1)^n sqrt(Tp), compared before the square root
-    rounds it, is at most (``DEGENERACY_RTOL`` (1 + sqrt(V)))^2.  Since
-    E1 <= E2, branch 1 is refused whenever branch 2 is.  Python bools for
-    one set's Python floats, boolean arrays for a batch.
-    """
-    sqrt = math.sqrt if isinstance(d.v_quad, float) else np.sqrt
-    bound = DEGENERACY_RTOL * (1.0 + sqrt(d.v_quad))
-    return sq <= DEGENERACY_RTOL * (1.0 + d.v_quad), d.v_quad + (-1) ** n * sq <= bound * bound
-
-
-def _unconstrained_message(d: DerivedCoefficients) -> str:
-    """The error of :func:`even_spectrum`, with classify's relative residuals
-    of the first set of ``d`` that meets neither constraint."""
-    k = int(np.argmin(np.logical_or(d.alpha_null, d.beta_null)))
-    # A field that no batch component reaches is one scalar for every item.
-    pick = lambda x: np.ravel(x)[k].item() if np.ndim(x) else float(x)
-    om_norm = math.sqrt(pick(d.omega_sq))
-    res_a = _ratio(pick(d.alpha_residual), om_norm * math.sqrt(pick(d.alpha_sq)))
-    res_b = _ratio(pick(d.beta_residual), om_norm * math.sqrt(pick(d.beta_sq)))
-    return (
-        "neither alpha.omega = 0 nor omega.beta = 0 holds within tolerance: "
-        f"alpha.omega residual {res_a:.3e}, omega.beta residual {res_b:.3e}, "
-        f"det_omega residual {pick(d.singular_residual):.3e}"
-    )
-
-
 class CaseKind(enum.Enum):
     SEPARABLE_DYADIC = "separable-dyadic"
     ENTANGLED_CONSTRAINED = "entangled-constrained"
@@ -334,11 +261,6 @@ def _factor_parts(c: CoefficientSet, leading):
         u, v = -u, -v
     root = math.sqrt(s1)
     return float(c.beta @ v) / root, root * u, float(c.alpha @ u) / root, root * v
-
-
-def _ratio(num: float, den: float) -> float:
-    """num/den with the convention 0/0 = 0 (a vanishing scale has no defect)."""
-    return float(num / den) if den > 0.0 else 0.0
 
 
 # The rank-one screen of `_decide`.  Over the singular values s1 >= s2 >= s3

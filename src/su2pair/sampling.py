@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hamiltonian import CoefficientSet, derive, even_spectrum, rotate_set
+from ._invariants import even_spectrum
+from .hamiltonian import CoefficientSet, derive, rotate_set
 from .solver import Su2Factor, separable_spectrum
 
 RNG_ALGORITHM = "numpy-PCG64"

@@ -11,10 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-# A module import for the annotations: writing a CSV executes no solver.
-from . import solver
+# Module imports: writing a CSV executes no solver and no hamiltonian.
+from . import hamiltonian, solver
 from .errors import InputFormatError
-from .hamiltonian import CoefficientSet
 
 
 def format_float(x: float) -> str:
@@ -50,7 +49,7 @@ def _floats(data: dict, key: str, shape: tuple, expected: str) -> np.ndarray:
     raise InputFormatError(f"{key} must be {expected}")
 
 
-def coefficient_set_from_dict(data) -> CoefficientSet:
+def coefficient_set_from_dict(data) -> hamiltonian.CoefficientSet:
     if not isinstance(data, dict):
         raise InputFormatError("coefficient set must be a JSON object")
     missing = {"upsilon", "alpha", "beta", "omega"} - set(data)
@@ -63,12 +62,12 @@ def coefficient_set_from_dict(data) -> CoefficientSet:
     beta = _floats(data, "beta", (3,), "3 numbers")
     omega = _floats(data, "omega", (3, 3), "3 rows of 3 numbers")
     try:
-        return CoefficientSet(float(upsilon), alpha, beta, omega)
+        return hamiltonian.CoefficientSet(float(upsilon), alpha, beta, omega)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 
 
-def load_coefficient_set(path) -> CoefficientSet:
+def load_coefficient_set(path) -> hamiltonian.CoefficientSet:
     import json
 
     try:

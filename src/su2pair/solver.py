@@ -15,19 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._invariants import _record
+from ._invariants import DEGENERACY_RTOL, _degenerate_branch, _record, even_spectrum
 from .errors import FactorizationError
 from .hamiltonian import (
-    DEGENERACY_RTOL,
     CaseKind,
     CoefficientSet,
     DerivedCoefficients,
     _decide,
-    _degenerate_branch,
     _dyadic_residuals,
     _factor_parts,
     derive,
-    even_spectrum,
     fano_compose,
 )
 from .pauli import require_hermitian

@@ -33,18 +33,15 @@ import numpy as np
 # A module import: of thermal_sweep's routes, only the definition route
 # executes the oracle.
 from . import oracle
-from ._invariants import _record
+from ._invariants import COMMUTATOR_RTOL, _record, _unconstrained_message, even_spectrum
 from .errors import ConstraintError
 from .hamiltonian import (
-    COMMUTATOR_RTOL,
     CaseKind,
     CoefficientSet,
     DerivedCoefficients,
     _decide,
     _factor_parts,
-    _unconstrained_message,
     derive,
-    even_spectrum,
     fano_compose,
 )
 from .pauli import pauli_word
@@ -215,7 +212,7 @@ def _even_closed_forms(upsilon: float, d: DerivedCoefficients, t: np.ndarray):
     :func:`thermal_concurrence`, and the positive offsets, whose levels are
     the positive-only branch.  Numerator and denominator of C are both
     scaled by e^{-E2/T}, and x+ <= E2.  Raises ConstraintError as
-    :func:`~su2pair.hamiltonian.even_spectrum` does."""
+    :func:`~su2pair._invariants.even_spectrum` does."""
     _, e1, e2 = even_spectrum(d)
     boltz, shift = _gibbs_weights(upsilon, [-e2, -e1, e1, e2], t)
     xp, xm = _x_pm(d)

@@ -30,7 +30,8 @@ import numpy as np
 
 from su2pair import cli, graphene
 from su2pair.entanglement import CLOSED_FORM, concurrence_closed_form_arrays
-from su2pair.hamiltonian import derive_arrays, even_spectrum
+from su2pair._invariants import even_spectrum
+from su2pair.hamiltonian import derive_arrays
 from su2pair.serialization import format_float, load_coefficient_set
 from su2pair.thermo import EnsembleBranch, thermal_sweep
 

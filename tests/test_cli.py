@@ -712,12 +712,14 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch):
 )
 def test_unwritable_output_exits_2(argv, target, tmp_path, monkeypatch, capsys):
     """An --output that cannot be opened is a usage error, as an --input
-    that cannot be read is, not a traceback."""
+    that cannot be read is, not a traceback, and nothing is printed."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "entangled.json").write_text(json.dumps(ENTANGLED))
     path = tmp_path / "absent" / "out" if target == "missing-directory" else tmp_path
     assert main([*argv, "--output", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert out == ""
 
 
 GOLDEN_SETS = {
@@ -895,6 +897,63 @@ def test_usage_error_without_subcommand():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+class TestNegativeValuesInExponentForm:
+    """A negative number in exponent form is an option's value, as -1 is,
+    on every Python: argparse before 3.13 reads it as an unknown option."""
+
+    def test_quartic_coefficients(self, capsys):
+        assert main(["quartic", "--coeffs", "1", "0", "-5e0", "0", "4"]) == 0
+        out = capsys.readouterr().out
+        assert main(["quartic", "--coeffs", "1", "0", "-5", "0", "4"]) == 0
+        assert out == capsys.readouterr().out
+        assert len(out.splitlines()) == 4
+
+    def test_graphene_bands_bias(self, tmp_path, capsys):
+        for name, bias in (("a.csv", ["--bias", "-1e-3"]), ("b.csv", ["--bias=-1e-3"])):
+            argv = ["graphene-bands", "--grid", "5", *bias, "--output", str(tmp_path / name)]
+            assert main(argv) == 0
+        assert capsys.readouterr().out.count("25 points written to") == 2
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, values", [
+        ("graphene-thermal", {"--kx": "-1E-1", "--ky": "-.5e+0", "--tmin": "1e-2",
+                              "--bias": "-2.e3", "--output": "-1e-3"}),
+        ("thermo", {"--input": "-7e0", "--tmin": "-1e-2", "--tmax": "-3.5E2",
+                    "--output": "-1e-3"}),
+        ("verify", {"--suite": "-1e0"}),
+    ])
+    def test_values_read_as_after_an_equals_sign(self, command, values, monkeypatch):
+        """Each option, a string one included, reads what --option=value reads."""
+        from su2pair import cli
+
+        seen = []
+        monkeypatch.setitem(cli._HANDLERS, command, lambda args: seen.append(vars(args)))
+        assert main([command, *(x for item in values.items() for x in item)]) is None
+        assert main([command, *(f"{option}={value}" for option, value in values.items())]) is None
+        assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["graphene-bands", "--grid", "-1e3", "--output", "x.csv"],
+        ["graphene-bands", "--mask", "-1e0", "--output", "x.csv"],
+        ["graphene-concurrence", "--branch-m", "-1e0", "--output", "x.csv"],
+        ["quartic", "--coeffs", "1", "0", "0", "0", "-1", "-5e0"],
+        ["quartic", "--coeffs", "1", "-5e0", "-h"],
+        ["quartic", "-h", "--coeffs", "1", "-5e0"],
+        ["-1e3"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_where_they_cannot_be_values_argparse_answers(self, argv, capsys):
+        """An option that takes no such value keeps argparse's own exit code
+        and bytes: those of the complete parser."""
+        from su2pair import cli
+
+        seen = (main(argv), *capsys.readouterr())
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert seen == (code, *capsys.readouterr())
 
 
 # An option of each subcommand that takes a value.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,15 @@ class TestPureConcurrence:
     def test_rejects_mixed(self):
         with pytest.raises(DensityMatrixError):
             pure_concurrence(np.eye(4) / 4)
+
+    @pytest.mark.parametrize("shape", [(16,), (4, 4, 2), (3, 3), (8, 8)])
+    def test_rejects_anything_but_4x4_before_its_purity(self, shape):
+        """np.ones(16) used to leak einsum's ValueError, and np.eye(3) read
+        as a mixed state of purity 3."""
+        rho = np.eye(shape[0]) if len(shape) == 2 else np.ones(shape)
+        message = f"expected a 4x4 density matrix, not of shape {shape}"
+        with pytest.raises(DensityMatrixError, match=f"^{re.escape(message)}$"):
+            pure_concurrence(rho)
 
     def test_agrees_with_wootters(self, rng):
         for _ in range(100):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2pair import graphene
-from su2pair._invariants import _ZERO, _derive_components
+from su2pair import entanglement, graphene
+from su2pair._invariants import _ZERO, _derive_components, even_spectrum
 from su2pair.cli import main
 from su2pair.entanglement import (
     CLOSED_FORM,
@@ -39,7 +39,6 @@ from su2pair.hamiltonian import (
     classify,
     derive,
     derive_arrays,
-    even_spectrum,
     fano_compose,
 )
 from su2pair.oracle import eig_hermitian, wootters_concurrence
@@ -603,7 +602,7 @@ class TestStructureAwareGridsMatchTheArrayPath:
 
         with mock.patch.object(graphene, "CHUNK_POINTS", chunk), \
                 mock.patch.object(graphene, "_derive_components", derive_components), \
-                mock.patch.object(graphene, "_concurrence_from_derived", concurrence_from_derived):
+                mock.patch.object(entanglement, "_concurrence_from_derived", concurrence_from_derived):
             bands = _outcome(band_grid, p, g)
             conc = _outcome(concurrence_grid, p, g, m, n)
         assert all(_holds_zero(x) for x in inputs)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from su2pair._invariants import _derive_components
+from su2pair._invariants import _derive_components, even_spectrum
 from su2pair.entanglement import (
     bloch_vectors,
     concurrence_closed_form_arrays,
@@ -26,7 +26,6 @@ from su2pair.hamiltonian import (
     classify,
     derive,
     derive_arrays,
-    even_spectrum,
     fano_compose,
     fano_decompose,
     rotate_set,

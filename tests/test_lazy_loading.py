@@ -111,21 +111,36 @@ def test_definition_route_thermo_executes_the_oracle_and_no_solver(tmp_path):
     assert "su2pair.solver" not in seen["executed"]
 
 
-def test_graphene_thermal_at_the_dirac_point_executes_no_solver_or_oracle(tmp_path):
+def test_graphene_thermal_at_the_dirac_point_executes_no_solver_oracle_or_entanglement(tmp_path):
     seen = probe(["graphene-thermal", "--steps", "20", "--output", "out.csv"], cwd=tmp_path)
     assert seen["code"] == 0
     assert {"su2pair.graphene", "su2pair.thermo"} <= set(seen["executed"])
     assert not {"su2pair.solver", "su2pair.oracle"} & set(seen["executed"])
+    assert "su2pair.entanglement" not in seen["executed"]
     assert not seen["json"]
 
 
+# What a grid command executes: the grid layer, the derived-record kernel
+# and the CSV writer, and for the concurrence the closed-form radical.
+GRID_LAYER = {
+    "su2pair", "su2pair.cli", "su2pair.errors", "su2pair._invariants", "su2pair.graphene",
+    "su2pair.serialization",
+}
+
+
 @pytest.mark.parametrize("command", ["graphene-bands", "graphene-concurrence"])
-def test_graphene_grid_commands_execute_no_thermo_solver_oracle_or_quartic(command, tmp_path):
+def test_graphene_grid_commands_execute_only_the_grid_layer(command, tmp_path):
     seen = probe([command, "--grid", "11", "--output", "out.csv"], cwd=tmp_path)
     assert seen["code"] == 0
     assert "su2pair.graphene" in seen["executed"]
     unused = {"su2pair.thermo", "su2pair.solver", "su2pair.oracle", "su2pair.quartic"}
     assert not unused & set(seen["executed"])
+    # CoefficientSet and derive are for one wave vector; a grid needs neither.
+    assert not {"su2pair.hamiltonian", "su2pair.pauli"} & set(seen["executed"])
+    if command == "graphene-bands":
+        assert "su2pair.entanglement" not in seen["executed"]
+    radical = {"su2pair.entanglement"} if command == "graphene-concurrence" else set()
+    assert set(seen["executed"]) == GRID_LAYER | radical
     assert not seen["json"]
 
 

@@ -11,6 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from su2pair._invariants import _ratio
 from su2pair.hamiltonian import (
     DEFAULT_TOL,
     Branch,
@@ -18,7 +19,6 @@ from su2pair.hamiltonian import (
     CoefficientSet,
     _decide,
     _dyadic_residuals,
-    _ratio,
     classify,
     derive,
     fano_compose,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from su2pair import hamiltonian, solver
+from su2pair import _invariants, hamiltonian, solver
 from su2pair.entanglement import eigenstate_concurrence_closed_form
 from su2pair.errors import (
     ConstraintError,
@@ -16,10 +16,10 @@ from su2pair.hamiltonian import (
     classify,
     derive,
     derive_arrays,
-    even_spectrum,
     fano_compose,
     rotate_set,
 )
+from su2pair._invariants import even_spectrum
 from su2pair.oracle import eig_hermitian
 from su2pair.pauli import pauli
 from su2pair.quartic import solve_quartic
@@ -419,7 +419,7 @@ class TestSolveEntangled:
         drawn within 5% of DEGENERACY_RTOL (1 + s^2) / (2 s), where sqrt(Tp)
         meets its bound, and both sides of it are reached."""
         rng = np.random.default_rng(int(10 * scale))
-        threshold = hamiltonian.DEGENERACY_RTOL * (1.0 + scale * scale) / (2.0 * scale)
+        threshold = _invariants.DEGENERACY_RTOL * (1.0 + scale * scale) / (2.0 * scale)
         routes = set()
         for eps in threshold * (1.0 + rng.uniform(-0.05, 0.05, 60)):
             c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([scale, eps, 0.0]))
