@@ -7,6 +7,8 @@ round-trips to the exact in-memory double.
 from __future__ import annotations
 
 import binascii
+import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +120,9 @@ def write_eigensystem(path, es: solver.Eigensystem):
 # the double-double product |x| * 10^(16 - k) and accepts it only where the
 # product's error bound decides the rounding; every other value goes through
 # format_float.  Each text is built as three little-endian uint64 words,
-# whose bytes are a row of the grid the kernel returns.
+# whose bytes are a row of the grid the kernel returns.  For n values the
+# kernel works in the rows of one (11, n) block of doubles; row 0 is eight
+# rows of flags, and each stage names the rows it reads and writes.
 
 _CELL = 24  # bytes of the longest text, '-d.dddddddddddddddde-XXX'
 _WORD = np.dtype("<u8")
@@ -130,6 +134,17 @@ _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 # is below 2^-104 * 10^17 < 5e-15.
 _TIE_WINDOW = 1e-12
 _ONE, _BYTE, _TOP = np.uint64(1), np.uint64(8), np.uint64(63)
+_SCRATCH = threading.local()
+
+
+def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A view of the calling thread's buffer ``name``, holding whatever was
+    last written there.  A buffer too small for a view is replaced by one an
+    eighth larger than the view, or twice its size; the thread keeps it."""
+    size = np.dtype(dtype).itemsize * math.prod(shape)
+    if len(buf := getattr(_SCRATCH, name, b"")) < size:
+        setattr(_SCRATCH, name, buf := np.empty(max(size + size // 8, 2 * len(buf)), np.uint8))
+    return buf[:size].view(dtype).reshape(shape)
 
 
 def _ascii_words(texts) -> np.ndarray:
@@ -172,115 +187,144 @@ _PREFIX_LEN = np.array([len(t) for t in _PREFIXES])
 _SPECIAL = _ascii_words(["0", "-0", "inf", "-inf", "nan"]).view(np.uint8)
 
 
-def _split(x):
-    """Veltkamp's split x = head + tail exactly, into halves of 26 and 27 bits."""
-    c = _SPLITTER * x
-    head = c - (c - x)
-    return head, x - head
+def _split(x, head=None, tail=None):
+    """Veltkamp's split x = head + tail exactly, into halves of 26 and 27
+    bits, written to ``head`` and ``tail`` where given."""
+    c = np.multiply(_SPLITTER, x, out=head)
+    head = np.subtract(c, np.subtract(c, x, out=tail), out=c)
+    return head, np.subtract(x, head, out=tail)
 
 
-# The exponents q = 16 - k that _times_pow10 takes, and 10^q for each as the
+# The exponents q = 16 - k that _scaled_decimal takes, and 10^q for each as the
 # rows hi, lo, head(hi) and tail(hi) of one table, _POW10, at the module's end.
 _Q_LOW, _Q_HIGH = 16 - _KMAX, 16 + _KMAX
 
 
-def _shift_left(words: np.ndarray, bits) -> np.ndarray:
-    """Strings of 3 little-endian words, a (3, n) array, moved up by
-    ``bits`` < 64 bits."""
-    out = words << bits
-    out[1:] |= (words[:-1] >> _ONE) >> (_TOP - bits)  # w >> (64 - bits), also at 0
-    return out
+def _shift_left(words: np.ndarray, bits, down, carry):
+    """Move strings of 3 little-endian words, a (3, n) array, up by ``bits``
+    < 64 bits, with ``down`` = 63 - bits and a row ``carry`` of scratch."""
+    for i in (2, 1):
+        words[i] <<= bits  # and | w >> (64 - bits), also at bits = 0
+        words[i] |= np.right_shift(np.right_shift(words[i - 1], _ONE, out=carry), down, out=carry)
+    words[0] <<= bits
 
 
-def _times_pow10(a: np.ndarray, q: np.ndarray):
-    """y = a * 10^q as (hi, lo) with |y - hi - lo| < 2^-104 y, for doubles
-    ``a`` in [1e-250, 1e250] and -234 <= q <= 266.
+def _scaled_decimal(rows, flags):
+    """For doubles a in [1e-250, 1e250], row 1: the decade k = floor(log10 a)
+    in row 2, and the 17-digit rounding D of y = a * 10^(16 - k) as int64 in
+    row 6 where the flags returned are set (else 10^16).
 
+    y = hi + lo, rows 7 and 9, to |y - hi - lo| < 2^-104 y.  With q = 16 - k,
     10^q = p + r to 2^-106 10^q, with p and r from the table.  a p = hi + e
     exactly by Dekker's two-product, from the Veltkamp halves of a and the
     tabled halves of p (numpy has no FMA), and lo = e + a r.  The pair's own
     rounding, that of a r and that of the sum, at most 2^-106 y, 2^-106 y
     and 2^-105 y, add up to less than 2^-104 y.
     """
-    p, r, p_head, p_tail = _POW10.take(q - _Q_LOW, axis=1)
-    hi = a * p
-    a_head, a_tail = _split(a)
-    e = ((a_head * p_head - hi) + a_head * p_tail + a_tail * p_head) + a_tail * p_tail
-    return hi, e + a * r
-
-
-def _scaled_decimal(a: np.ndarray):
-    """(k, D, certain) for doubles ``a`` in [1e-250, 1e250]: the decade
-    k = floor(log10 a), and the 17-digit rounding D of y = a * 10^(16 - k)
-    as int64 wherever ``certain`` (else 10^16)."""
-    k = np.floor(np.log10(a)).astype(np.int64)
-    hi, lo = _times_pow10(a, 16 - k)
+    a, (hi, a_tail, lo) = rows[1], rows[7:10]
+    k, _, whole, floor_y, d, column = rows[2:8].view(np.int64)
+    np.copyto(k, np.floor(np.log10(a, out=hi), out=hi), casting="unsafe")
+    p, r, p_head, p_tail = _POW10.take(
+        np.subtract(_KMAX, k, out=column), axis=1, out=rows[3:7], mode="clip")  # q - _Q_LOW
+    np.multiply(a, p, out=hi)
+    a_head, _ = _split(a, p, a_tail)
+    # e = ((a_head p_head - hi) + a_head p_tail + a_tail p_head) + a_tail p_tail, in lo
+    np.subtract(np.multiply(a_head, p_head, out=lo), hi, out=lo)
+    lo += np.multiply(a_head, p_tail, out=a_head)
+    lo += np.multiply(a_tail, p_head, out=p_head)
+    lo += np.multiply(a_tail, p_tail, out=p_tail)
+    lo += np.multiply(a, r, out=r)
     # Where y >= 10^16 - 16, hi >= 2^53 is an integer, so floor(y) is
     # exactly hi + floor(lo) and y's fraction is lo's.
-    whole = np.floor(lo)
-    frac = lo - whole
-    floor_y = hi.astype(np.int64) + whole.astype(np.int64)
-    d = floor_y + (frac > 0.5)
+    np.copyto(whole, np.floor(lo, out=rows[3]), casting="unsafe")
+    frac = np.subtract(lo, rows[3], out=lo)
+    np.copyto(floor_y, hi, casting="unsafe")
+    floor_y += whole
+    np.add(floor_y, np.greater(frac, 0.5, out=flags[1]), out=d)
     # 10^16 <= y < 10^17 - 1/2 on the unrounded pair: at exact powers of
     # ten, log10 may overstate the decade by one.
-    certain = (np.abs(frac - 0.5) > _TIE_WINDOW) & (floor_y >= 10**16) & (d < 10**17)
-    return k, np.where(certain, d, 10**16), certain
+    frac -= 0.5
+    certain = np.greater(np.abs(frac, out=frac), _TIE_WINDOW, out=flags[2])
+    certain &= np.greater_equal(floor_y, 10**16, out=flags[1])
+    certain &= np.less(d, 10**17, out=flags[1])
+    np.putmask(d, np.logical_not(certain, out=flags[1]), 10**16)
+    return certain
 
 
-def _digit_words(d: np.ndarray):
-    """(words, significant) of 17-digit integers: the digits as a 3-word
-    string, and their count up to the last nonzero one."""
-    upper = d // 10**8
-    lower = d - upper * 10**8
-    lead = upper // 10**8
-    upper -= lead * 10**8
-    g1, g3 = upper // 10**4, lower // 10**4
-    g2, g4 = upper - g1 * 10**4, lower - g3 * 10**4
-    t = _TRAILING
-    significant = 17 - (t[g4] + (g4 == 0) * (t[g3] + (g3 == 0) * (t[g2] + (g2 == 0) * t[g1])))
-    w1, w2, w3, w4 = _GROUPS[g1], _GROUPS[g2], _GROUPS[g3], _GROUPS[g4]
-    words = np.empty((3, d.size), _WORD)
-    words[0] = (lead + ord("0")).astype(_WORD) | (w1 << _BYTE) | (w2 << np.uint64(40))
-    words[1] = (w2 >> np.uint64(24)) | (w3 << _BYTE) | (w4 << np.uint64(40))
-    words[2] = w4 >> np.uint64(24)
-    return words, significant
+def _digit_words(rows, flags):
+    """For 17-digit integers in row 6: the digits as 3-word strings in rows
+    7-9, and their count up to the last nonzero one as int8 in flag 2."""
+    lead, _, upper, lower, g1, g2, scratch = rows[1:8].view(np.int64)
+    # divmod by 10^8 and 10^4; numpy floor-divides by a constant far faster.
+    for x, m, q, r in ((rows[6].view(np.int64), 10**8, upper, lower), (upper, 10**8, lead, upper),
+                       (upper, 10**4, g1, g2), (lower, 10**4, upper, lower)):
+        np.subtract(x, np.multiply(np.floor_divide(x, m, out=q), m, out=scratch), out=r)
+    g3, g4 = upper, lower
+    t, (significant, trailing) = _TRAILING, flags[2:4].view(np.int8)
+    t.take(g1, out=significant, mode="clip")
+    for g in (g2, g3, g4):  # 17 - (t[g4] + (g4 == 0) * (t[g3] + (g3 == 0) * (...)))
+        significant *= np.equal(g, 0, out=flags[1]).view(np.int8)
+        significant += t.take(g, out=trailing, mode="clip")
+    np.subtract(17, significant, out=significant)
+    # The lead digit, then 4-digit groups at bytes 1, 5, 9 and 13.
+    words, w = rows[7:10].view(_WORD), rows[1].view(_WORD)
+    np.add(lead.view(_WORD), np.uint64(ord("0")), out=words[0])
+    for i, (low, high) in enumerate([(g1, g2), (g3, g4)]):
+        words[i] |= np.left_shift(_GROUPS.take(low, out=w, mode="clip"), _BYTE, out=w)
+        np.right_shift(_GROUPS.take(high, out=w, mode="clip"), np.uint64(24), out=words[i + 1])
+        words[i] |= np.left_shift(w, np.uint64(40), out=w)
 
 
-def _layout(digits, significant, k, neg) -> np.ndarray:
-    """The (n, 24) text grid of %g's layout of the digit strings, the
-    (3, n) words of :func:`_digit_words`, which it overwrites.
+def _layout(rows, flags, neg) -> np.ndarray:
+    """The (n, 24) text grid, rows 4-6, of %g's layout of the digit strings
+    of :func:`_digit_words` at the decades k of row 2, signed by ``neg``.
 
     Fixed notation for -4 <= k <= 16, with a '0.000' prefix below 1;
     else d.ddd and an exponent of at least two digits.  Trailing zeros are
     dropped, and the point with them.
     """
-    fixed = (k >= -4) & (k <= 16)
-    below_one = fixed & (k < 0)
-    above_one = fixed & (k >= 0)
-    length = np.where(above_one, np.maximum(significant, k + 1), significant)
-    point = np.where(above_one, k + 1, np.where(fixed, _CELL, 1))
-    point = np.where(point < length, point, _CELL)
+    length, k, point, prefix, size = rows[1:6].view(np.int64)
+    digits, (below_one, above_one, sci), scratch = rows[7:10].view(_WORD), flags[4:7], flags[1]
+    np.less_equal(k.view(_WORD), 16, out=above_one)  # 0 <= k <= 16, as unsigned
+    np.less(np.add(k, 4, out=point).view(_WORD), 4, out=below_one)  # -4 <= k < 0
+    np.logical_not(np.logical_or(above_one, below_one, out=sci), out=sci)
+    np.add(k, 1, out=point)
+    np.maximum(np.multiply(point, above_one, out=length), flags[2].view(np.int8), out=length)
+    np.putmask(point, below_one, _CELL)
+    np.putmask(point, sci, 1)
+    np.putmask(point, np.greater_equal(point, length, out=scratch), _CELL)
     # The digits up to the point, the point, and the rest one byte up.
-    digits &= _MASK.take(length, axis=1)
-    low = digits & _MASK.take(point, axis=1)
+    mask, carry = rows[4:7].view(_WORD), rows[10].view(_WORD)
+    digits &= _MASK.take(length, axis=1, out=mask, mode="clip")
+    low = np.bitwise_and(digits, _MASK.take(point, axis=1, out=mask, mode="clip"), out=mask)
     digits ^= low
-    words = low | _shift_left(digits, _BYTE) | _DOT.take(point, axis=1)
-    prefix = 5 * neg + np.where(below_one, -k, 0)
-    size = _PREFIX_LEN[prefix]
-    words = _shift_left(words, (8 * size).astype(_WORD))
-    words[0] |= _PREFIX[prefix]
-    grid = np.ascontiguousarray(words.T).view(np.uint8)
-    sci = np.flatnonzero(~fixed)
+    _shift_left(digits, _BYTE, _TOP - _BYTE, carry)
+    digits |= low
+    digits |= _DOT.take(point, axis=1, out=mask, mode="clip")
+    np.subtract(np.multiply(neg, 5, out=size), np.multiply(k, below_one, out=prefix), out=prefix)
+    _PREFIX_LEN.take(prefix, out=size, mode="clip")
+    length += size  # where an exponent goes: after the prefix, digits and any point
+    length += np.less(point, _CELL, out=scratch)
+    bits, down = rows[6].view(_WORD), rows[3].view(_WORD)
+    _shift_left(digits, np.left_shift(size.view(_WORD), np.uint64(3), out=bits),
+                np.subtract(_TOP, bits, out=down), carry)
+    digits[0] |= _PREFIX.take(prefix, out=carry, mode="clip")
+    grid = rows[4:7].view(np.uint8).reshape(-1, _CELL)
+    np.copyto(grid.view(_WORD), digits.T)
+    sci = np.flatnonzero(sci)
     if sci.size:
-        # 'e', the sign and the exponent's digits right after the mantissa.
-        at = size[sci] + length[sci] + (point[sci] < _CELL)
-        grid[sci[:, None], at[:, None] + np.arange(5)] = _EXPONENT[k[sci] + _KMAX]
+        # 'e', the sign and the exponent's digits, a byte at a time.
+        at = sci * _CELL + length[sci]
+        for column in _EXPONENT[k[sci] + _KMAX].T:
+            grid.reshape(-1)[at] = column
+            at += 1
     return grid
 
 
 def _format_17g(x: np.ndarray) -> np.ndarray:
     """``format_float`` of each entry of the float64 array ``x``, as the rows
-    of a NUL-padded (x.size, 24) uint8 grid.
+    of a NUL-padded (x.size, 24) uint8 grid, in the thread's scratch memory
+    until its next call.
 
     Values with 1e-250 <= |x| <= 1e250 are converted as arrays wherever the
     rounding is certain; zeros, infinities and NaN are table rows; every
@@ -289,12 +333,17 @@ def _format_17g(x: np.ndarray) -> np.ndarray:
     ``format_float`` one at a time.
     """
     x = np.asarray(x, dtype=np.float64)
-    a = np.abs(x)
-    exact = (a >= 10.0**-_KMAX) & (a <= 10.0**_KMAX)
-    k, d, certain = _scaled_decimal(np.where(exact, a, 1.0))
-    exact &= certain
-    grid = _layout(*_digit_words(d), k, np.signbit(x))
-    odd = np.flatnonzero(~exact)
+    rows = _scratch("kernel", (11, x.size))
+    flags = rows[0].view(np.bool_).reshape(8, x.size)
+    exact, scratch = flags[:2]
+    a = np.abs(x, out=rows[1])
+    np.greater_equal(a, 10.0**-_KMAX, out=exact)
+    exact &= np.less_equal(a, 10.0**_KMAX, out=scratch)
+    np.putmask(a, np.logical_not(exact, out=scratch), 1.0)
+    exact &= _scaled_decimal(rows, flags)
+    _digit_words(rows, flags)
+    grid = _layout(rows, flags, np.signbit(x, out=flags[3]))
+    odd = np.flatnonzero(np.logical_not(exact, out=scratch))
     if odd.size:
         v = x[odd]
         special = (v == 0) | ~np.isfinite(v)
@@ -343,9 +392,9 @@ def _rows(col) -> int:
     return len(col[1] if isinstance(col, tuple) else col)
 
 
-def _chunk_text(columns) -> np.ndarray:
-    """The CSV lines of one chunk as a 1-D array of ASCII bytes; see
-    ``write_csv``."""
+def _chunk_text(columns):
+    """The CSV lines of one block as 1-D arrays of ASCII bytes, up to
+    _PIECE_ROWS lines each; see ``write_csv``."""
     tables, indices, floats = [], [], []
     for col in columns:
         values, index = _table(col)
@@ -356,20 +405,30 @@ def _chunk_text(columns) -> np.ndarray:
             tables.append(None)
         indices.append(index)
     if floats:
-        grid = _format_17g(np.concatenate(floats))
-        parts = iter(np.split(grid, np.cumsum([f.size for f in floats])[:-1]))
+        sizes = np.cumsum([f.size for f in floats])
+        grid = _format_17g(np.concatenate(floats, out=_scratch("floats", (sizes[-1],))))
+        parts = iter(np.split(grid, sizes[:-1]))
         tables = [next(parts) if t is None else t for t in tables]
     # One row of cells, each followed by its separator, per CSV line.
     widths = [t.shape[1] + 1 for t in tables]
-    lines = np.empty((_rows(columns[0]), sum(widths)), np.uint8)
+    rows = _rows(columns[0])
+    lines = _scratch("lines", (rows, sum(widths)), np.uint8)
     ends = np.cumsum(widths).tolist()
     for table, index, end in zip(tables, indices, ends):
-        cells = table if index is None else np.take(table, index, axis=0)
+        # The kernel is done with its input, which the gathered cells reuse.
+        cells = table if index is None else table.take(
+            index, axis=0, out=_scratch("floats", (rows, table.shape[1]), np.uint8), mode="clip")
         lines[:, end - table.shape[1] - 1:end - 1] = cells
         lines[:, end - 1] = ord(",")
     lines[:, -1] = ord("\n")
-    lines = lines.ravel()
-    return lines[lines != 0]
+    text = np.not_equal(lines, 0, out=_scratch("kernel", lines.shape, np.bool_))
+    for piece in (slice(i, i + _PIECE_ROWS) for i in range(0, rows, _PIECE_ROWS)):
+        yield lines[piece][text[piece]]
+
+
+# Rows formatted at once, and rows compacted and written at once: a piece is
+# the one array a block allocates, small enough to be reused in place.
+_BLOCK_ROWS, _PIECE_ROWS = 4096, 1024
 
 
 def write_csv(path, header: list[str], chunks) -> int:
@@ -380,24 +439,19 @@ def write_csv(path, header: list[str], chunks) -> int:
     Integer and boolean columns print as integers, the rest with 17
     significant digits, the bytes of ``format_float`` per cell.
 
-    Each column of a chunk is formatted through a table of values and an
-    index into it.  A ``(values, index)`` column is its own table, and so is
-    a strictly rising or falling float column, which cannot repeat a value.
-    Every other column keeps a table of its distinct values, so each is
-    formatted once.  Float columns are keyed on their bit pattern (the
-    ``int64`` view), never on their value: ``0.0 == -0.0``, but they print
-    as ``0`` and ``-0``.  Integer and boolean columns are keyed on their
-    values and formatted by ``%d``.  The table floats of all columns go
-    through one call of an array kernel, ``_format_17g``: it
-    rounds |x| * 10^(16 - k) to 17 digits from a double-double product and
-    lays out the text as %g does, for less than half the cost of a
-    ``format`` call a value.  Where the product cannot decide the rounding
-    (within 1e-12 of a tie, at a misjudged decade, and for |x| outside
-    [1e-250, 1e250]), the value goes through ``format_float`` itself.  The
-    cells are gathered from the tables into one byte grid of cells, commas
-    and newlines per chunk, whose padding is dropped before its bytes are
-    written to the file opened in binary mode: lines end in ``\n`` on
-    every platform.  A path that cannot be opened or written raises
+    A chunk goes through in blocks of at most 4096 rows; each row's text
+    stands alone, so the blocks move no byte.  Each column of a block is
+    formatted through a table of its values: a ``(values, index)`` column
+    and a strictly rising or falling float column are their own, and any
+    other keeps its distinct values, floats keyed on their bit pattern so
+    that ``-0.0`` prints as ``-0``.  The table floats of a block go through
+    one call of ``_format_17g``.  The cells are gathered into one byte grid
+    of cells, commas and newlines, written to the file opened in binary mode
+    (lines end in ``\n`` on every platform) with its padding dropped.  The
+    kernel, the grid and its mask live in buffers of the calling thread,
+    grown to the largest block served and kept until the thread ends, for
+    the main thread the life of the process; threads may write at once,
+    each in its own buffers.  A path that cannot be opened or written raises
     InputFormatError.
     """
     rows = 0
@@ -405,8 +459,11 @@ def write_csv(path, header: list[str], chunks) -> int:
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\n").encode("utf-8"))
             for columns in chunks:
-                fh.write(_chunk_text(columns))
-                rows += _rows(columns[0])
+                n = _rows(columns[0])
+                for block in (slice(i, i + _BLOCK_ROWS) for i in range(0, n, _BLOCK_ROWS)):
+                    fh.writelines(_chunk_text(
+                        [(c[0], c[1][block]) if isinstance(c, tuple) else c[block] for c in columns]))
+                rows += n
     except OSError as exc:
         raise InputFormatError(f"cannot write {path}: {exc}") from exc
     return rows

@@ -12,7 +12,10 @@ columns are recomputed on every point at once through
 factor, scalar components and axis-indexed k columns are checked against a
 path that shares none of them.  A round trip
 through ``float()`` would pass a cell that is the valid text of a
-neighbouring double; this comparison does not.
+neighbouring double; this comparison does not.  Each command runs twice in
+the process, and the second CSV must repeat the first byte for byte:
+``write_csv`` keeps its buffers from one command to the next, and nothing
+may carry over.
 
     PYTHONPATH=src python tests/check_csv_cells.py
 
@@ -107,9 +110,14 @@ def main() -> int:
         workdir = Path(tmp)
         for name, argv, columns in cases(workdir):
             out = workdir / f"{name}.csv"
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main([*argv, "--output", str(out)]) == 0
-            bad = mismatches(out.read_text(), columns)
+            texts = []
+            for _ in range(2):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main([*argv, "--output", str(out)]) == 0
+                texts.append(out.read_bytes())
+            bad = mismatches(texts[0].decode(), columns)
+            if texts[1] != texts[0]:
+                bad.insert(0, "the second run wrote other bytes")
             cells = len(columns) * len(columns[0])
             print(f"{name}: {cells} cells, {len(bad)} mismatched")
             for line in bad[:5]:
