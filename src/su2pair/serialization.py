@@ -138,12 +138,11 @@ _SCRATCH = threading.local()
 
 
 def _scratch(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-    """A view of the calling thread's buffer ``name``, holding whatever was
-    last written there.  A buffer too small for a view is replaced by one an
-    eighth larger than the view, or twice its size; the thread keeps it."""
+    """A view of the calling thread's buffer ``name``, as last written; one too
+    small is replaced, and kept, with an eighth more than the view."""
     size = np.dtype(dtype).itemsize * math.prod(shape)
     if len(buf := getattr(_SCRATCH, name, b"")) < size:
-        setattr(_SCRATCH, name, buf := np.empty(max(size + size // 8, 2 * len(buf)), np.uint8))
+        setattr(_SCRATCH, name, buf := np.empty(size + size // 8, np.uint8))
     return buf[:size].view(dtype).reshape(shape)
 
 
@@ -163,40 +162,42 @@ def _group_tables():
     return groups, zeros
 
 
-def _exponent_table() -> np.ndarray:
-    """'e', the sign and the two or three digits of k for |k| <= 250, NUL
-    padded to 5 bytes."""
-    k = np.arange(-_KMAX, _KMAX + 1)
+def _decade_tables():
+    """By j = 250 - k for the decades |k| <= 250: %g's point byte (24: none)
+    and least digit count (-1: scientific); at j, and j + 501 for a minus,
+    the sign and '0.000' prefix word and its width in bits, and 'e', the
+    sign and the two or three digits of k, NUL padded to 5 bytes."""
+    k = _KMAX - np.arange(2 * _KMAX + 1)
+    above, below = (0 <= k) & (k <= 16), (-4 <= k) & (k < 0)
+    places = np.array([np.where(above, k + 1, np.where(below, _CELL, 1)), np.where(above, k + 1, below - 1)])
+    texts = [sign + "0.000"[:zeros + 1 if zeros else 0] for sign in ("", "-") for zeros in range(5)]
+    index = np.concatenate([-k * below, 5 - k * below])
+    prefixes = np.array([_ascii_words(texts)[index, 0], [8 * len(texts[i]) for i in index]], _WORD)
     digits = _GROUPS[np.abs(k)].view(np.uint8).reshape(k.size, 8)
-    table = np.empty((k.size, 5), np.uint8)
-    table[:, 0] = ord("e")
-    table[:, 1] = np.where(k < 0, ord("-"), ord("+"))
-    table[:, 2:] = np.where(np.abs(k)[:, None] < 100, digits[:, 2:5], digits[:, 1:4])
-    return table
+    exponent = np.empty((k.size, 5), np.uint8)
+    exponent[:, 0] = ord("e")
+    exponent[:, 1] = np.where(k < 0, ord("-"), ord("+"))
+    exponent[:, 2:] = np.where(np.abs(k)[:, None] < 100, digits[:, 2:5], digits[:, 1:4])
+    return places, prefixes, np.tile(exponent, (2, 1))
 
 
 _GROUPS, _TRAILING = _group_tables()
-_EXPONENT = _exponent_table()
+_PLACES, _PREFIX, _EXPONENT = _decade_tables()
 # [word, n]: the low n bytes set, and a '.' at byte n (none at n = 24).
 _MASK = _ascii_words([b"\xff" * n for n in range(_CELL + 1)]).T.copy()
 _DOT = _ascii_words([b"\0" * n + b"." for n in range(_CELL)] + [b""]).T.copy()
-# Sign and leading '0.000' of fixed notation below 1, at 5 * sign + zeros.
-_PREFIXES = [sign + lead for sign in ("", "-") for lead in ("", "0.", "0.0", "0.00", "0.000")]
-_PREFIX = _ascii_words(_PREFIXES)[:, 0].copy()
-_PREFIX_LEN = np.array([len(t) for t in _PREFIXES])
-_SPECIAL = _ascii_words(["0", "-0", "inf", "-inf", "nan"]).view(np.uint8)
 
 
 def _split(x, head=None, tail=None):
-    """Veltkamp's split x = head + tail exactly, into halves of 26 and 27
-    bits, written to ``head`` and ``tail`` where given."""
+    """Veltkamp's split x = head + tail exactly (26 and 27 bits), into ``head`` and ``tail`` if given."""
     c = np.multiply(_SPLITTER, x, out=head)
     head = np.subtract(c, np.subtract(c, x, out=tail), out=c)
     return head, np.subtract(x, head, out=tail)
 
 
-# The exponents q = 16 - k that _scaled_decimal takes, and 10^q for each as the
-# rows hi, lo, head(hi) and tail(hi) of one table, _POW10, at the module's end.
+# The exponents q = 16 - k of the array path, and 10^q for each as the rows
+# hi, lo, head(hi) and tail(hi) of one table, _POW10, at the module's end,
+# whose column j = 250 - k is that of the decade tables.
 _Q_LOW, _Q_HIGH = 16 - _KMAX, 16 + _KMAX
 
 
@@ -210,9 +211,10 @@ def _shift_left(words: np.ndarray, bits, down, carry):
 
 
 def _scaled_decimal(rows, flags):
-    """For doubles a in [1e-250, 1e250], row 1: the decade k = floor(log10 a)
-    in row 2, and the 17-digit rounding D of y = a * 10^(16 - k) as int64 in
-    row 6 where the flags returned are set (else 10^16).
+    """For doubles a in [1e-250, 1e250], row 1: j = 250 - k for the decade
+    k = floor(log10 a) in row 2, and the 17-digit rounding D of
+    y = a * 10^(16 - k) as int64 in row 6 where the flags returned are set
+    (else 10^16).
 
     y = hi + lo, rows 7 and 9, to |y - hi - lo| < 2^-104 y.  With q = 16 - k,
     10^q = p + r to 2^-106 10^q, with p and r from the table.  a p = hi + e
@@ -222,10 +224,10 @@ def _scaled_decimal(rows, flags):
     and 2^-105 y, add up to less than 2^-104 y.
     """
     a, (hi, a_tail, lo) = rows[1], rows[7:10]
-    k, _, whole, floor_y, d, column = rows[2:8].view(np.int64)
-    np.copyto(k, np.floor(np.log10(a, out=hi), out=hi), casting="unsafe")
+    j, _, whole, floor_y, d = rows[2:7].view(np.int64)
+    np.copyto(j, np.floor(np.log10(a, out=hi), out=hi), casting="unsafe")
     p, r, p_head, p_tail = _POW10.take(
-        np.subtract(_KMAX, k, out=column), axis=1, out=rows[3:7], mode="clip")  # q - _Q_LOW
+        np.subtract(_KMAX, j, out=j), axis=1, out=rows[3:7], mode="clip")
     np.multiply(a, p, out=hi)
     a_head, _ = _split(a, p, a_tail)
     # e = ((a_head p_head - hi) + a_head p_tail + a_tail p_head) + a_tail p_tail, in lo
@@ -243,8 +245,7 @@ def _scaled_decimal(rows, flags):
     np.add(floor_y, np.greater(frac, 0.5, out=flags[1]), out=d)
     # 10^16 <= y < 10^17 - 1/2 on the unrounded pair: at exact powers of
     # ten, log10 may overstate the decade by one.
-    frac -= 0.5
-    certain = np.greater(np.abs(frac, out=frac), _TIE_WINDOW, out=flags[2])
+    certain = np.greater(np.abs(np.subtract(frac, 0.5, out=frac), out=frac), _TIE_WINDOW, out=flags[2])
     certain &= np.greater_equal(floor_y, 10**16, out=flags[1])
     certain &= np.less(d, 10**17, out=flags[1])
     np.putmask(d, np.logical_not(certain, out=flags[1]), 10**16)
@@ -253,7 +254,7 @@ def _scaled_decimal(rows, flags):
 
 def _digit_words(rows, flags):
     """For 17-digit integers in row 6: the digits as 3-word strings in rows
-    7-9, and their count up to the last nonzero one as int8 in flag 2."""
+    8-10, and their count up to the last nonzero one as int8 in flag 2."""
     lead, _, upper, lower, g1, g2, scratch = rows[1:8].view(np.int64)
     # divmod by 10^8 and 10^4; numpy floor-divides by a constant far faster.
     for x, m, q, r in ((rows[6].view(np.int64), 10**8, upper, lower), (upper, 10**8, lead, upper),
@@ -267,7 +268,7 @@ def _digit_words(rows, flags):
         significant += t.take(g, out=trailing, mode="clip")
     np.subtract(17, significant, out=significant)
     # The lead digit, then 4-digit groups at bytes 1, 5, 9 and 13.
-    words, w = rows[7:10].view(_WORD), rows[1].view(_WORD)
+    words, w = rows[8:11].view(_WORD), rows[1].view(_WORD)
     np.add(lead.view(_WORD), np.uint64(ord("0")), out=words[0])
     for i, (low, high) in enumerate([(g1, g2), (g3, g4)]):
         words[i] |= np.left_shift(_GROUPS.take(low, out=w, mode="clip"), _BYTE, out=w)
@@ -276,48 +277,37 @@ def _digit_words(rows, flags):
 
 
 def _layout(rows, flags, neg) -> np.ndarray:
-    """The (n, 24) text grid, rows 4-6, of %g's layout of the digit strings
-    of :func:`_digit_words` at the decades k of row 2, signed by ``neg``.
+    """The (n, 24) text grid, rows 5-7, of %g's layout of the digit strings
+    of :func:`_digit_words` at the decades j of row 2, signed by ``neg``.
 
     Fixed notation for -4 <= k <= 16, with a '0.000' prefix below 1;
     else d.ddd and an exponent of at least two digits.  Trailing zeros are
     dropped, and the point with them.
     """
-    length, k, point, prefix, size = rows[1:6].view(np.int64)
-    digits, (below_one, above_one, sci), scratch = rows[7:10].view(_WORD), flags[4:7], flags[1]
-    np.less_equal(k.view(_WORD), 16, out=above_one)  # 0 <= k <= 16, as unsigned
-    np.less(np.add(k, 4, out=point).view(_WORD), 4, out=below_one)  # -4 <= k < 0
-    np.logical_not(np.logical_or(above_one, below_one, out=sci), out=sci)
-    np.add(k, 1, out=point)
-    np.maximum(np.multiply(point, above_one, out=length), flags[2].view(np.int8), out=length)
-    np.putmask(point, below_one, _CELL)
-    np.putmask(point, sci, 1)
+    j, point, length = rows[2:5].view(np.int64)
+    digits, mask, carry, scratch = rows[8:11].view(_WORD), rows[5:8].view(_WORD), rows[1].view(_WORD), flags[1]
+    _PLACES.take(j, axis=1, out=rows[3:5].view(np.int64), mode="clip")
+    sci = np.flatnonzero(np.less(length, 0, out=scratch))
+    np.maximum(length, flags[2].view(np.int8), out=length)
     np.putmask(point, np.greater_equal(point, length, out=scratch), _CELL)
     # The digits up to the point, the point, and the rest one byte up.
-    mask, carry = rows[4:7].view(_WORD), rows[10].view(_WORD)
     digits &= _MASK.take(length, axis=1, out=mask, mode="clip")
     low = np.bitwise_and(digits, _MASK.take(point, axis=1, out=mask, mode="clip"), out=mask)
     digits ^= low
     _shift_left(digits, _BYTE, _TOP - _BYTE, carry)
     digits |= low
     digits |= _DOT.take(point, axis=1, out=mask, mode="clip")
-    np.subtract(np.multiply(neg, 5, out=size), np.multiply(k, below_one, out=prefix), out=prefix)
-    _PREFIX_LEN.take(prefix, out=size, mode="clip")
-    length += size  # where an exponent goes: after the prefix, digits and any point
-    length += np.less(point, _CELL, out=scratch)
-    bits, down = rows[6].view(_WORD), rows[3].view(_WORD)
-    _shift_left(digits, np.left_shift(size.view(_WORD), np.uint64(3), out=bits),
-                np.subtract(_TOP, bits, out=down), carry)
-    digits[0] |= _PREFIX.take(prefix, out=carry, mode="clip")
-    grid = rows[4:7].view(np.uint8).reshape(-1, _CELL)
+    # All of it up by the width of the prefix, which goes in front.
+    np.add(j, 2 * _KMAX + 1, out=j, where=neg)
+    prefix, bits, down = mask
+    _PREFIX.take(j, axis=1, out=mask[:2], mode="clip")
+    _shift_left(digits, bits, np.subtract(_TOP, bits, out=down), carry)
+    digits[0] |= prefix
+    grid = mask.view(np.uint8).reshape(-1, _CELL)
     np.copyto(grid.view(_WORD), digits.T)
-    sci = np.flatnonzero(sci)
-    if sci.size:
-        # 'e', the sign and the exponent's digits, a byte at a time.
-        at = sci * _CELL + length[sci]
-        for column in _EXPONENT[k[sci] + _KMAX].T:
-            grid.reshape(-1)[at] = column
-            at += 1
+    # 'e', the sign and the exponent's digits right after the mantissa.
+    at = length[sci] + neg[sci] + (length[sci] > 1)
+    grid[sci[:, None], at[:, None] + np.arange(5)] = _EXPONENT[j[sci]]
     return grid
 
 
@@ -327,10 +317,10 @@ def _format_17g(x: np.ndarray) -> np.ndarray:
     until its next call.
 
     Values with 1e-250 <= |x| <= 1e250 are converted as arrays wherever the
-    rounding is certain; zeros, infinities and NaN are table rows; every
-    other value (ties and near-ties of the 17th digit, decades that log10
-    misjudged, huge, tiny and subnormal magnitudes) goes through
-    ``format_float`` one at a time.
+    rounding is certain; every other value (zeros, infinities and NaN, ties
+    and near-ties of the 17th digit, decades that log10 misjudged, huge,
+    tiny and subnormal magnitudes) goes through ``format_float`` one at a
+    time.
     """
     x = np.asarray(x, dtype=np.float64)
     rows = _scratch("kernel", (11, x.size))
@@ -344,13 +334,7 @@ def _format_17g(x: np.ndarray) -> np.ndarray:
     _digit_words(rows, flags)
     grid = _layout(rows, flags, np.signbit(x, out=flags[3]))
     odd = np.flatnonzero(np.logical_not(exact, out=scratch))
-    if odd.size:
-        v = x[odd]
-        special = (v == 0) | ~np.isfinite(v)
-        code = np.where(np.isnan(v), 4, 2 * np.isinf(v) + np.signbit(v))
-        grid[odd[special]] = _SPECIAL[code[special]]
-        rest = odd[~special]
-        grid[rest] = _ascii_words([format_float(v) for v in x[rest].tolist()]).view(np.uint8)
+    grid[odd] = _ascii_words([format_float(v) for v in x[odd].tolist()]).view(np.uint8)
     return grid
 
 
@@ -393,8 +377,8 @@ def _rows(col) -> int:
 
 
 def _chunk_text(columns):
-    """The CSV lines of one block as 1-D arrays of ASCII bytes, up to
-    _PIECE_ROWS lines each; see ``write_csv``."""
+    """The CSV lines of one block as 1-D arrays of ASCII bytes of up to
+    _PIECE_ROWS lines, the only arrays a block allocates; see ``write_csv``."""
     tables, indices, floats = [], [], []
     for col in columns:
         values, index = _table(col)
@@ -426,9 +410,7 @@ def _chunk_text(columns):
         yield lines[piece][text[piece]]
 
 
-# Rows formatted at once, and rows compacted and written at once: a piece is
-# the one array a block allocates, small enough to be reused in place.
-_BLOCK_ROWS, _PIECE_ROWS = 4096, 1024
+_BLOCK_ROWS, _PIECE_ROWS = 4096, 1024  # rows formatted, and rows compacted, at once
 
 
 def write_csv(path, header: list[str], chunks) -> int:
@@ -439,20 +421,19 @@ def write_csv(path, header: list[str], chunks) -> int:
     Integer and boolean columns print as integers, the rest with 17
     significant digits, the bytes of ``format_float`` per cell.
 
-    A chunk goes through in blocks of at most 4096 rows; each row's text
-    stands alone, so the blocks move no byte.  Each column of a block is
+    A chunk goes through in blocks of at most 4096 rows, which moves no
+    byte: every row's text stands alone.  Each column of a block is
     formatted through a table of its values: a ``(values, index)`` column
-    and a strictly rising or falling float column are their own, and any
-    other keeps its distinct values, floats keyed on their bit pattern so
-    that ``-0.0`` prints as ``-0``.  The table floats of a block go through
-    one call of ``_format_17g``.  The cells are gathered into one byte grid
-    of cells, commas and newlines, written to the file opened in binary mode
-    (lines end in ``\n`` on every platform) with its padding dropped.  The
-    kernel, the grid and its mask live in buffers of the calling thread,
-    grown to the largest block served and kept until the thread ends, for
-    the main thread the life of the process; threads may write at once,
-    each in its own buffers.  A path that cannot be opened or written raises
-    InputFormatError.
+    and a strictly rising or falling float column are their own, any other
+    keeps its distinct values, floats keyed on their bit pattern so that
+    ``-0.0`` prints as ``-0``.  All table floats of a block go through one
+    ``_format_17g`` call, and the cells into one byte grid of cells, commas
+    and newlines, written with its NUL padding dropped to the file opened in
+    binary mode (``\n`` line ends on every platform).  The kernel, the grid
+    and its mask are views of the calling thread's workspace, grown to the
+    largest block it served and held until the thread ends (for the main
+    thread, the life of the process); threads may write at once, each in its
+    own.  A path that cannot be opened or written raises InputFormatError.
     """
     rows = 0
     try:

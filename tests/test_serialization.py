@@ -413,9 +413,9 @@ def first_write_peak(header, chunks, path) -> int:
 
 def test_first_write_peaks_below_the_per_chunk_arrays_it_replaced(tmp_path):
     """The peaks of writing with fresh arrays a block (807 KB and 1457 KB
-    when the scratch buffers came in): the 1000-step sweep of the golden
-    entangled set, a canonical alpha-branch set, and the ten chunks of the
-    201^2 bias-0.1 band grid."""
+    when the workspace came in; it reads 607 KB and 1388 KB): the 1000-step
+    sweep of the golden entangled set, a canonical alpha-branch set, and
+    the ten chunks of the 201^2 bias-0.1 band grid."""
     c = serialization.coefficient_set_from_dict(SETS["entangled"])
     s = thermal_sweep(c, cli._temperatures(0.01, 100.0, 1000), EnsembleBranch.FULL)
     sweep = [[s[k] for k in ("t", "z", "purity", "concurrence", "flag")]]
@@ -464,9 +464,9 @@ print(json.dumps(medians))
 def test_repeated_commands_take_almost_no_page_faults(tmp_path):
     """A repeated command writes its CSV in the buffers of its first run, so
     it takes no memory from the kernel: minor page faults per repeat, median
-    of 10 after a warm-up, in a process without MALLOC_* tuning.  Both read
-    0 on a 2-CPU Linux host, the bands now and then 120 in the grid's own
-    arrays; with fresh arrays for every stage of the CSV they read 42-109
+    of 10 after a warm-up, in a process without MALLOC_* tuning.  On a 2-CPU
+    Linux host the sweep reads 0 and the bands 0 or 125, taken by the grid's
+    own arrays; with fresh arrays for every stage of the CSV they read 42-109
     and 473-902."""
     (tmp_path / "set.json").write_text(json.dumps(SETS["entangled"]))
     env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
