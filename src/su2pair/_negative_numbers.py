@@ -27,25 +27,21 @@ class QuietParser(argparse.ArgumentParser):
         raise SystemExit(status)
 
 
-def parse(argv, command, subcommand_parsers):
+def parse(argv, build_parser):
     """The arguments of ``argv`` with each negative number in exponent form
     read as a value, as argparse reads -1; None where ``argv`` holds no such
     number, or does not parse so.
 
     Each such number is given a leading space, with which argparse reads it
     as a value and float() reads the same double, and ``argv`` is parsed by
-    ``subcommand_parsers(QuietParser)`` with the arguments of ``command``
-    added; string values get their number back.  Where this does not
-    parse, the caller parses ``argv`` itself, so that help and every usage
-    error keep their bytes.
+    ``build_parser(QuietParser)``; string values get their number back.
+    Where this does not parse, the caller parses ``argv`` itself, so that
+    help and every usage error keep their bytes.
     """
     marked = {" " + a: a for a in argv if _NEGATIVE_EXPONENT_FORM.fullmatch(a)}
     if not marked:
         return None
-    parser, waiting = subcommand_parsers(QuietParser)
-    if command in waiting:
-        subparser, add_arguments = waiting[command]
-        add_arguments(subparser)
+    parser = build_parser(QuietParser)
     try:
         args = parser.parse_args([" " + a if " " + a in marked else a for a in argv])
     except SystemExit:

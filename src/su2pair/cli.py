@@ -6,10 +6,9 @@ verification failure, 2 usage or parse error, 3 numeric invariant
 violation.  Identical options and seed produce byte-identical outputs.
 
 A process compiles and executes only the code its commands run.  ``main``
-keeps one parser, which lists every subcommand, and adds a subcommand's
-arguments the first time the process runs it; :func:`build_parser` returns
-a complete parser.  The package's modules are imported as modules, and each
-executes when a command first uses it.
+parses with one complete parser, built by :func:`build_parser` on the first
+call and kept for the process.  The package's modules are imported as
+modules, and each executes when a command first uses it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import functools
 import itertools
 import math
 import sys
-import threading
 
 import numpy as np
 
@@ -232,7 +230,8 @@ def cmd_verify(args) -> int:
     try:
         results = run_suites(args.samples, args.seed, args.suite)
     except KeyError as exc:
-        raise InputFormatError(str(exc)) from exc
+        # args[0], not str(exc), which would print KeyError's quotes.
+        raise InputFormatError(exc.args[0]) from exc
     for line in report_lines(results, args.samples, args.seed):
         print(line)
     return 0 if all(r.passed for r in results) else 1
@@ -335,66 +334,35 @@ _COMMANDS = (
 _HANDLERS = {name: handler for name, _, _, handler in _COMMANDS}
 
 
-def _subcommand_parsers(parser_class=argparse.ArgumentParser):
-    """The top-level parser, which lists every subcommand with its help
-    line, and by name each subcommand's parser, still without arguments,
-    with the function that adds them; every parser is a ``parser_class``."""
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A new ``parser_class`` with every subcommand and its arguments."""
     parser = parser_class(
         prog="su2pair",
         description="Closed-form eigensystems, entanglement and thermodynamics "
         "of two-qubit Hamiltonians, with a bilayer-graphene front end.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    return parser, {
-        name: (sub.add_parser(name, help=text), add_arguments)
-        for name, text, add_arguments, _ in _COMMANDS
-    }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser with every subcommand's arguments."""
-    parser, waiting = _subcommand_parsers()
-    for subparser, add_arguments in waiting.values():
-        add_arguments(subparser)
+    for name, text, add_arguments, _ in _COMMANDS:
+        add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
-@functools.cache
-def _shared_parser():
-    """The parser ``main`` uses, with the subcommands still waiting for
-    their arguments: built on the first call and kept for the process.
-    ``main`` adds a subcommand's arguments the first time it runs it, so a
-    process builds only the arguments of the commands it runs, while
-    ``--help``, the usage line and top-level errors list every subcommand
-    as :func:`build_parser`'s parser does.  ``parse_args`` leaves a parser
-    as it was, and ``cache_clear()`` starts over."""
-    return _subcommand_parsers()
-
-
-# Held while main completes a subcommand's parser, so that no thread parses
-# with one that is half built.
-_COMPLETING = threading.Lock()
+# The parser main uses: built on the first call and kept for the process.
+# parse_args leaves a parser as it was, and cache_clear() starts over.
+_shared_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, waiting = _shared_parser()
-    # argparse reads the command from the first argument that is not an
-    # option: the top level has no option that takes a value.
-    command = next((a for a in argv if not a.startswith("-")), None)
-    with _COMPLETING:
-        if command in waiting:
-            subparser, add_arguments = waiting.pop(command)
-            add_arguments(subparser)
     args = None
     # Only an argv with a negative number in exponent form, such as -5e0,
     # compiles the module that reads it as a value.
     if any(a[:1] == "-" and a[1:2] in "0123456789." and "e" in a.lower() for a in argv):
         from ._negative_numbers import parse
 
-        args = parse(argv, command, _subcommand_parsers)
+        args = parse(argv, build_parser)
     try:
-        args = args or parser.parse_args(argv)
+        args = args or _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

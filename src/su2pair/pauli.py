@@ -34,20 +34,26 @@ _WORDS = (_SIGMA[:, None, :, None, :, None] * _SIGMA[None, :, None, :, None, :])
 _WORDS.setflags(write=False)
 
 
+def _is_index(i) -> bool:
+    """Whether ``i`` is an int or numpy integer in 0..3.  A bool is not:
+    True == 1, but numpy would read it as a mask."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i <= 3
+
+
 def pauli(i: int) -> np.ndarray:
     """Return sigma_i for i in 0..3, with sigma_0 the 2x2 identity.
 
     The returned array is read-only; copy before mutating.
     """
-    if i not in (0, 1, 2, 3):
-        raise IndexError(f"pauli index must be in 0..3, got {i}")
+    if not _is_index(i):
+        raise IndexError(f"pauli index must be an integer in 0..3, got {i!r}")
     return _SIGMA[i]
 
 
 def pauli_word(i: int, j: int) -> np.ndarray:
     """Return sigma_i (x) sigma_j as a read-only 4x4 matrix."""
-    if i not in (0, 1, 2, 3) or j not in (0, 1, 2, 3):
-        raise IndexError(f"pauli word indices must be in 0..3, got ({i}, {j})")
+    if not (_is_index(i) and _is_index(j)):
+        raise IndexError(f"pauli word indices must be integers in 0..3, got ({i!r}, {j!r})")
     return _WORDS[i, j]
 
 

@@ -314,6 +314,17 @@ class TestVerifyCommand:
     def test_unknown_suite(self):
         assert main(["verify", "--samples", "5", "--suite", "spam"]) == 2
 
+    def test_unknown_suite_message_is_bare(self, capsys):
+        """The message prints as every other usage error does, without the
+        quotes of a KeyError's repr."""
+        assert main(["verify", "--suite", "nope"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: unknown suite 'nope'; choices: ['concurrence-routes', "
+            "'oracle-equivalence', 'orthonormality', 'partition-function', "
+            "'solver-dispatch', 'thermal-concurrence']\n",
+        )
+
     def test_thermal_suites_fail_when_every_set_reads_general(self, monkeypatch, capsys):
         """With the sweep's route decision sending every set to the
         definition route, product sets read flag 2 and so do the commuting
@@ -977,20 +988,13 @@ class TestSharedParser:
     """``main`` builds its parser once per process and reuses it."""
 
     @pytest.fixture
-    def builds(self, monkeypatch):
-        """One entry for each time the shared parser is built."""
+    def builds(self):
+        """The number of times the shared parser has been built since the
+        fixture cleared it."""
         from su2pair import cli
 
-        count = []
-        build = cli._subcommand_parsers
-
-        def counted():
-            count.append(1)
-            return build()
-
         cli._shared_parser.cache_clear()
-        monkeypatch.setattr(cli, "_subcommand_parsers", counted)
-        return count
+        return lambda: cli._shared_parser.cache_info().misses
 
     @pytest.fixture
     def seen(self, monkeypatch):
@@ -1011,7 +1015,7 @@ class TestSharedParser:
         for _ in range(5):
             assert main(["quartic", "--coeffs", "1", "0", "0", "0", "-1"]) == 0
             assert main(["--help"]) == 0
-        assert len(builds) == 1
+        assert builds() == 1
 
     def test_identical_calls_give_identical_bytes(self, tmp_path, capsys):
         outs = []
@@ -1049,21 +1053,12 @@ class TestSharedParser:
         assert mine is not cli.build_parser()
         mine.add_argument("--extra", required=True)
         assert main(["quartic", "--coeffs", "1", "0", "0", "0", "-1"]) == 0
-        assert cli._shared_parser()[0] is not mine
-
-    def test_a_command_adds_only_its_own_arguments(self, capsys):
-        from su2pair import cli
-
-        cli._shared_parser.cache_clear()
-        assert main(["thermo", "-h"]) == 0
-        assert "--tmin" in capsys.readouterr().out
-        _, waiting = cli._shared_parser()
-        assert set(waiting) == set(cli._HANDLERS) - {"thermo"}
+        assert cli._shared_parser() is not mine
 
     def test_threads_running_their_first_command_together_all_parse_it(self, monkeypatch):
-        """No thread parses with a subcommand parser that another thread is
-        still completing: 20 rounds of four threads, each round on a new
-        shared parser that lacks the command's arguments."""
+        """Threads that share one parser all parse their first command:
+        20 rounds of four threads, each round on a newly built shared
+        parser."""
         from su2pair import cli
 
         parsed, codes = [], []

@@ -32,10 +32,21 @@ def test_pauli_xy_gives_iz():
 
 
 def test_pauli_index_error():
+    """Anything but an integer in 0..3 is refused with the package's own
+    message: a bool is not read as a numpy mask, nor a float as an index."""
     with pytest.raises(IndexError):
         pauli(4)
     with pytest.raises(IndexError):
         pauli_word(1, 5)
+    for bad in (True, False, np.True_, 2.0, np.float64(1.0), "1", None):
+        with pytest.raises(IndexError, match=r"^pauli index must be an integer in 0\.\.3"):
+            pauli(bad)
+        with pytest.raises(IndexError, match=r"^pauli word indices must be integers in 0\.\.3"):
+            pauli_word(bad, 2)
+        with pytest.raises(IndexError, match=r"^pauli word indices must be integers in 0\.\.3"):
+            pauli_word(1, bad)
+    assert np.array_equal(pauli(np.int64(2)), pauli(2))
+    assert np.array_equal(pauli_word(np.int64(1), np.uint8(3)), pauli_word(1, 3))
 
 
 def test_words_are_the_kronecker_products_bit_for_bit():
