@@ -29,7 +29,8 @@ only where every intermediate is.  No record field holds it.
 :func:`even_spectrum` and :func:`_degenerate_branch` read a record alone,
 beside the package's tolerances.  :func:`_record` is the decorator that
 makes the package's immutable records, in place of a frozen dataclass and
-its generated code.
+its generated code.  :func:`_is_index` and :func:`_check_mn` are the
+package's one rule for integer indices and (m, n) branch labels.
 """
 
 from __future__ import annotations
@@ -63,6 +64,19 @@ _TINY = float(np.finfo(float).tiny)
 DEFAULT_TOL = 1e-9
 DEGENERACY_RTOL = 1e-8
 COMMUTATOR_RTOL = 1e-12
+
+
+def _is_index(i, lo: int, hi: int) -> bool:
+    """Whether ``i`` is an int or numpy integer in lo..hi.  A bool is not:
+    True == 1, but numpy would read it as a mask; nor is a float."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and lo <= i <= hi
+
+
+def _check_mn(m, n) -> None:
+    """Raise ValueError unless the branch labels m and n are each 1 or 2,
+    by :func:`_is_index`."""
+    if not (_is_index(m, 1, 2) and _is_index(n, 1, 2)):
+        raise ValueError(f"branch indices must be 1 or 2, got ({m!r}, {n!r})")
 
 
 def _record(cls):

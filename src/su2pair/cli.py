@@ -119,22 +119,15 @@ def _graphene_thermal_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _graphene_params(args) -> graphene.GrapheneParams:
-    try:
-        return graphene.GrapheneParams(
-            t=args.t, t3=args.t3, tperp=args.tperp, m=args.m,
-            bias=args.bias, lattice=args.lattice,
-        )
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    return graphene.GrapheneParams(
+        t=args.t, t3=args.t3, tperp=args.tperp, m=args.m, bias=args.bias, lattice=args.lattice
+    )
 
 
 def _grid_spec(p: graphene.GrapheneParams, args) -> graphene.GridSpec:
     if args.grid > MAX_GRID:
         raise InputFormatError(f"--grid {args.grid} exceeds the limit of {MAX_GRID}")
-    try:
-        return graphene.default_grid(p, args.grid, args.mask)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
+    return graphene.default_grid(p, args.grid, args.mask)
 
 
 def _nonempty(chunks, args):

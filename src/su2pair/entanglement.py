@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-# A module import: the grids' concurrence reads derived records and
-# components alone, and executes no hamiltonian.
-from . import hamiltonian
+# Module imports: the grids' concurrence reads derived records and
+# components alone, and executes no hamiltonian or oracle.
+from . import hamiltonian, oracle
 from ._invariants import (
     DerivedCoefficients,
+    _check_mn,
     _cofactors,
     _degenerate_branch,
     _derive_kernel,
@@ -59,14 +60,10 @@ class BlochPair:
 
 def bloch_vectors(rho: np.ndarray) -> BlochPair:
     """Single-qubit Pauli expectations A_i = Tr[rho (sigma_i x I)], B_j likewise:
-    4 alpha and 4 beta of :func:`~su2pair.hamiltonian.fano_decompose`, which
-    raises NonHermitianError for a non-Hermitian ``rho``.  Raises
-    DensityMatrixError for a ``rho`` that is not 4x4 or whose trace is not 1."""
-    _require_4x4(rho)
-    tr = complex(np.trace(np.asarray(rho, dtype=complex)))
-    if abs(tr - 1.0) > 1e-9:
-        raise DensityMatrixError(f"state trace {tr} is not 1")
-    c = hamiltonian.fano_decompose(rho)
+    4 alpha and 4 beta of :func:`~su2pair.hamiltonian.fano_decompose`.
+    Raises as :func:`~su2pair.oracle.require_density` does for a ``rho``
+    that is not a 4x4 Hermitian matrix of trace 1."""
+    c = hamiltonian.fano_decompose(oracle.require_density(rho))
     return BlochPair(4.0 * c.alpha, 4.0 * c.beta)
 
 
@@ -110,7 +107,8 @@ def eigenstate_bloch_closed_form(c: hamiltonian.CoefficientSet, m: int, n: int) 
     components of Ht^2 (single-qubit a_vec and b_vec, two-qubit w_mat) come
     from the derive kernel's own straight-line helper, on the set's
     components as Python floats, as :func:`~su2pair.hamiltonian.derive`
-    takes them.
+    takes them.  Raises ValueError for labels that
+    :func:`~su2pair._invariants._check_mn` refuses.
     """
     _check_mn(m, n)
     sq, en, cause = _branch_scales(hamiltonian.derive(c), n)
@@ -124,17 +122,11 @@ def eigenstate_bloch_closed_form(c: hamiltonian.CoefficientSet, m: int, n: int) 
     return BlochPair(a, b)
 
 
-def _require_4x4(rho):
-    if np.shape(rho) != (4, 4):
-        raise DensityMatrixError(f"expected a 4x4 density matrix, not of shape {np.shape(rho)}")
-
-
 def pure_concurrence(rho: np.ndarray) -> float:
-    """Concurrence sqrt(1 - A^2) of a pure two-qubit state.  Raises
-    DensityMatrixError for a ``rho`` that is not 4x4, before its purity is
-    taken, or not pure."""
-    _require_4x4(rho)
-    rho = np.asarray(rho, dtype=complex)
+    """Concurrence sqrt(1 - A^2) of a pure two-qubit state.  Raises as
+    :func:`~su2pair.oracle.require_density` does, before its purity is
+    taken, and DensityMatrixError for a state that is not pure."""
+    rho = oracle.require_density(rho)
     purity = float(np.einsum("ab,ba->", rho, rho).real)
     if abs(purity - 1.0) > PURITY_TOL:
         raise DensityMatrixError(f"state purity {purity} is not 1: mixed input")
@@ -168,8 +160,11 @@ def concurrence_closed_form_arrays(alpha, beta, omega, m: int, n: int):
     its division by |v|^2: one formula holds down to v = 0.  Every term is
     invariant under local rotations, so the sets may come in any local
     frame.  Items whose ``cause`` is not 0 (a degenerate branch, or a
-    radicand below the round-off floor) read 0.  Raises ConstraintError if
-    any item meets neither constraint.
+    radicand below the round-off floor) read 0.  The value depends on n
+    alone: the eigenstates (1, n) and (2, n) share their concurrence, and m
+    only names the eigenstate.  Raises ConstraintError if any item meets
+    neither constraint, and ValueError for labels that
+    :func:`~su2pair._invariants._check_mn` refuses.
     """
     a, b, w = hamiltonian._batch_components(alpha, beta, omega)
     return _concurrence_from_derived(_derive_kernel(a, b, w, np.sqrt), a, b, w, m, n)
@@ -219,15 +214,10 @@ def eigenstate_concurrence_closed_form(c: hamiltonian.CoefficientSet, m: int, n:
     given in, run on :func:`~su2pair.hamiltonian.derive` and the set's
     components as Python floats: the same arithmetic, so the same bits.
     Raises DegenerateBranchError or ConcurrenceDomainError where that
-    function reports a cause, and ConstraintError as it does.
+    function reports a cause, and ConstraintError and ValueError as it does.
     """
     value, cause, radicand = _concurrence_from_derived(
         hamiltonian.derive(c), *hamiltonian._float_components(c), m, n
     )
     _raise_for(cause, n, radicand)
     return float(value)
-
-
-def _check_mn(m: int, n: int):
-    if m not in (1, 2) or n not in (1, 2):
-        raise ValueError(f"branch indices must be 1 or 2, got ({m}, {n})")

@@ -32,7 +32,7 @@ x+- = sqrt(|w|_F^2 +- 2 |adj w|_F) are max/min(tperp, t3 |G|), from which
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 import sys
 
 import numpy as np
@@ -40,7 +40,8 @@ import numpy as np
 # Module imports: a grid command executes no hamiltonian, graphene-bands no
 # entanglement, and only thermal_death_temperature executes thermo.
 from . import entanglement, hamiltonian, thermo
-from ._invariants import _ZERO, _derive_components, _record, even_spectrum
+from ._invariants import _ZERO, _derive_components, _is_index, _record, even_spectrum
+from .errors import InputFormatError
 
 
 # Largest magnitude GrapheneParams accepts for t, t3, tperp, m and bias.
@@ -72,9 +73,10 @@ class GrapheneParams:
     ``m`` a sublattice mass, ``bias`` the interlayer bias voltage and
     ``lattice`` the lattice constant.  The dimer-to-non-dimer hopping t4 is
     fixed to zero, which also makes the matrix traceless.  Every parameter
-    must be finite, the lattice constant between SMALLEST_LATTICE and
-    LARGEST_LATTICE, and the others at most STRUCTURAL_SCALE in magnitude;
-    ValueError names the one that is not.
+    must be a finite real number, not a bool, and is stored as a Python
+    float; the lattice constant must lie between SMALLEST_LATTICE and
+    LARGEST_LATTICE, and the others at most STRUCTURAL_SCALE in magnitude.
+    InputFormatError, a ValueError, names the one that does not.
     """
 
     t: float = 1.0
@@ -87,19 +89,24 @@ class GrapheneParams:
     def __post_init__(self):
         for name in ("t", "t3", "tperp", "m", "bias", "lattice"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise InputFormatError(f"{name} must be a real number, not {value!r}")
+            value = self.__dict__[name] = float(value)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+                raise InputFormatError(f"{name} must be finite")
             if name != "lattice" and abs(value) > STRUCTURAL_SCALE:
-                raise ValueError(f"{name} = {value!r} exceeds {STRUCTURAL_SCALE:g} in magnitude")
+                raise InputFormatError(
+                    f"{name} = {value!r} exceeds {STRUCTURAL_SCALE:g} in magnitude"
+                )
         if not self.lattice > 0:
-            raise ValueError("lattice constant must be positive")
+            raise InputFormatError("lattice constant must be positive")
         if self.lattice < SMALLEST_LATTICE:
-            raise ValueError(
+            raise InputFormatError(
                 f"lattice = {self.lattice!r} is below {SMALLEST_LATTICE!r}, "
                 "where the k-space window overflows"
             )
         if self.lattice > LARGEST_LATTICE:
-            raise ValueError(
+            raise InputFormatError(
                 f"lattice = {self.lattice!r} is above {LARGEST_LATTICE!r}, "
                 "where the Dirac point overflows"
             )
@@ -177,8 +184,9 @@ def find_dirac_point(p: GrapheneParams) -> tuple[float, float]:
 class GridSpec:
     """Rectangular k-space sampling window, optionally masked to the first zone.
 
-    The bounds must be finite and ordered; ValueError names a non-finite one.
-    The sample counts must be integers; TypeError names one that is not.
+    The bounds must be finite and ordered, the sample counts integers of
+    at least 2 and the mask "none" or "hex"; InputFormatError, a
+    ValueError, names what is not.
     """
 
     kx_min: float
@@ -191,19 +199,17 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("nx", "ny"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, not {getattr(self, name)!r}") from None
+            if not _is_index(getattr(self, name), -math.inf, math.inf):
+                raise InputFormatError(f"{name} must be an integer, not {getattr(self, name)!r}")
         if self.nx < 2 or self.ny < 2:
-            raise ValueError("grid needs at least 2 samples per axis")
+            raise InputFormatError("grid needs at least 2 samples per axis")
         for name in ("kx_min", "kx_max", "ky_min", "ky_max"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise InputFormatError(f"{name} must be finite")
         if self.kx_max <= self.kx_min or self.ky_max <= self.ky_min:
-            raise ValueError("grid ranges must be ordered")
+            raise InputFormatError("grid ranges must be ordered")
         if self.mask not in ("none", "hex"):
-            raise ValueError(f"unknown mask {self.mask!r}")
+            raise InputFormatError(f"unknown mask {self.mask!r}")
 
     def axes(self) -> tuple[np.ndarray, np.ndarray]:
         return (

@@ -3,14 +3,15 @@
 Everything the closed forms claim is cross-checked against this module:
 a dense Hermitian eigendecomposition and the Wootters concurrence
 evaluated from its definition, validated on the one decomposition that
-gives its lambdas.
+gives its lambdas.  :func:`require_density` is the package's one check of
+a density matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._invariants import _record
+from ._invariants import _is_index, _record
 from .errors import DensityMatrixError
 from .pauli import pauli_word, require_hermitian
 
@@ -30,6 +31,12 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def projector(self, k: int) -> np.ndarray:
+        """v_k v_k^dag of eigenvector k.  Raises IndexError for a ``k`` that
+        :func:`~su2pair._invariants._is_index` refuses: a bool, a float or
+        a value outside 0..size-1."""
+        last = self.eigenvalues.size - 1
+        if not _is_index(k, 0, last):
+            raise IndexError(f"projector index must be an integer in 0..{last}, got {k!r}")
         v = self.eigenvectors[:, k]
         return np.outer(v, v.conj())
 
@@ -48,6 +55,21 @@ def eig_hermitian(m: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(w, v)
 
 
+def require_density(rho: np.ndarray) -> np.ndarray:
+    """``rho`` as a complex array, checked in this order: it is 4x4, it is
+    Hermitian by :func:`~su2pair.pauli.require_hermitian`, and its trace is
+    within 1e-10 of 1.  Raises DensityMatrixError for the shape, before any
+    arithmetic, and for the trace; NonHermitianError for the Hermiticity.
+    """
+    if np.shape(rho) != (4, 4):
+        raise DensityMatrixError(f"expected a 4x4 density matrix, not of shape {np.shape(rho)}")
+    rho = require_hermitian(rho, "density matrix")
+    tr = float(np.trace(rho).real)
+    if abs(tr - 1.0) > 1e-10:
+        raise DensityMatrixError(f"density matrix trace {tr} is not 1")
+    return rho
+
+
 def wootters_concurrence(rho: np.ndarray) -> float:
     """Two-qubit concurrence from its definition.
 
@@ -58,16 +80,10 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     (1998)), taken so, with round-off negatives of p clamped to zero: no
     matrix square root, whose near-zero eigenvalues would keep only half
     their digits.  Returns max(l1 - l2 - l3 - l4, 0), clipped to [0, 1].
-    Raises DensityMatrixError unless rho is Hermitian and 4x4, with trace
-    within 1e-10 of 1 and no eigenvalue of that decomposition below -1e-10.
+    Raises as :func:`require_density` does, and DensityMatrixError for an
+    eigenvalue of that decomposition below -1e-10.
     """
-    if np.shape(rho) != (4, 4):
-        raise DensityMatrixError("expected a 4x4 density matrix")
-    rho = require_hermitian(rho, "density matrix")
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-10:
-        raise DensityMatrixError(f"density matrix trace {tr} is not 1")
-    p, v = np.linalg.eigh(rho)
+    p, v = np.linalg.eigh(require_density(rho))
     if float(p[0]) < -1e-10:
         raise DensityMatrixError(f"density matrix has negative eigenvalue {p[0]:.3e}")
     root = np.sqrt(np.clip(p, 0.0, None))

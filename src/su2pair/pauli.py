@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ._invariants import _is_index
 from .errors import NonHermitianError
 
 # Hermiticity is checked as max|M - M^dag| <= HERMITIAN_RTOL * (1 + max|M|).
@@ -34,25 +35,22 @@ _WORDS = (_SIGMA[:, None, :, None, :, None] * _SIGMA[None, :, None, :, None, :])
 _WORDS.setflags(write=False)
 
 
-def _is_index(i) -> bool:
-    """Whether ``i`` is an int or numpy integer in 0..3.  A bool is not:
-    True == 1, but numpy would read it as a mask."""
-    return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i <= 3
-
-
 def pauli(i: int) -> np.ndarray:
     """Return sigma_i for i in 0..3, with sigma_0 the 2x2 identity.
 
-    The returned array is read-only; copy before mutating.
+    The returned array is read-only; copy before mutating.  Raises
+    IndexError for an index that :func:`~su2pair._invariants._is_index`
+    refuses: a bool, a float or a value outside 0..3.
     """
-    if not _is_index(i):
+    if not _is_index(i, 0, 3):
         raise IndexError(f"pauli index must be an integer in 0..3, got {i!r}")
     return _SIGMA[i]
 
 
 def pauli_word(i: int, j: int) -> np.ndarray:
-    """Return sigma_i (x) sigma_j as a read-only 4x4 matrix."""
-    if not (_is_index(i) and _is_index(j)):
+    """Return sigma_i (x) sigma_j as a read-only 4x4 matrix; raises
+    IndexError as :func:`pauli` does."""
+    if not (_is_index(i, 0, 3) and _is_index(j, 0, 3)):
         raise IndexError(f"pauli word indices must be integers in 0..3, got ({i!r}, {j!r})")
     return _WORDS[i, j]
 

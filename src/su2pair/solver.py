@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._invariants import DEGENERACY_RTOL, _degenerate_branch, _record, even_spectrum
+from ._invariants import DEGENERACY_RTOL, _check_mn, _degenerate_branch, _record, even_spectrum
 from .errors import FactorizationError
 from .hamiltonian import (
     CaseKind,
@@ -70,7 +70,9 @@ class Eigensystem:
     """Four eigenvalues and density-matrix eigenprojectors, indexed (m, n).
 
     ``values[m-1, n-1]`` is the eigenvalue and ``states[m-1, n-1]`` the 4x4
-    projector.  On non-degenerate inputs the states are pure, mutually
+    projector; :meth:`eigenvalue` and :meth:`state` read them, and raise
+    ValueError for labels that :func:`~su2pair._invariants._check_mn`
+    refuses.  On non-degenerate inputs the states are pure, mutually
     orthogonal, and resolve the identity; degenerate eigenspaces are flagged
     and represented by the eigenspace projector split evenly over its labels.
     """
@@ -81,14 +83,16 @@ class Eigensystem:
     degenerate: bool = False
 
     def eigenvalue(self, m: int, n: int) -> float:
+        _check_mn(m, n)
         return float(self.values[m - 1, n - 1])
 
     def state(self, m: int, n: int) -> np.ndarray:
+        _check_mn(m, n)
         return self.states[m - 1, n - 1]
 
     def items(self):
-        for m, n in _MN:
-            yield (m, n), self.eigenvalue(m, n), self.state(m, n)
+        """((m, n), eigenvalue, state) for the four labels, in the order of _MN."""
+        return zip(_MN, self.values.ravel().tolist(), self.states.reshape(4, 4, 4))
 
     def sorted_values(self) -> np.ndarray:
         return np.sort(self.values.ravel())
@@ -212,6 +216,8 @@ def solve_entangled(c: CoefficientSet) -> Eigensystem:
     refuses the closed-form concurrence, the ansatz collapses, so the states
     (and values) come from the oracle instead, labelled by the closed-form
     energy pattern, and the result is flagged when the oracle's levels merge.
+    That fallback checks the composed matrix as :func:`solve` does, by
+    :func:`_oracle_input`.
     """
     return _solve_entangled(c, derive(c))
 
@@ -223,8 +229,7 @@ def _solve_entangled(c: CoefficientSet, d: DerivedCoefficients) -> Eigensystem:
     # Branch 1 is refused whenever branch 2 is, so it decides for both.
     if any(_degenerate_branch(d, sq, 1)):
         return _oracle_eigensystem(
-            require_hermitian(h, "eig_hermitian input"),
-            ascending_labels=((1, 2), (1, 1), (2, 1), (2, 2)),
+            _oracle_input(h, d), ascending_labels=((1, 2), (1, 1), (2, 1), (2, 2))
         )
 
     ups = c.upsilon
@@ -277,12 +282,25 @@ def _cluster(values: list[float], floor: float) -> list[list[int]]:
     return groups
 
 
+def _oracle_input(h: np.ndarray, d: DerivedCoefficients) -> np.ndarray:
+    """``h`` = :func:`fano_compose` of a set with derived coefficients ``d``,
+    checked by :func:`~su2pair.pauli.require_hermitian` only where it may
+    not be Hermitian.
+
+    A finite v_quad bounds alpha, beta and omega by sqrt(max double), and
+    three such terms added to a finite upsilon stay below where rounding
+    overflows, so every entry of h is finite and h is exactly Hermitian.
+    Only an infinite v_quad leaves a composition that may overflow, which
+    raises NonHermitianError.
+    """
+    return h if math.isfinite(d.v_quad) else require_hermitian(h, "eig_hermitian input")
+
+
 def _oracle_eigensystem(h: np.ndarray, ascending_labels=None) -> Eigensystem:
     """Numerical eigensystem with degenerate eigenspaces split per label.
 
-    ``h`` must be Hermitian with finite entries: the output of
-    :func:`~su2pair.pauli.require_hermitian`, or :func:`fano_compose` of a
-    set whose derived ``v_quad`` is finite, which is exactly Hermitian.
+    ``h`` must be Hermitian with finite entries, as :func:`_oracle_input`
+    returns it.
     ``ascending_labels`` maps the ascending spectrum to (m, n) labels; the
     default is descending energy with m as the slower index.
     """
@@ -335,11 +353,4 @@ def solve(c: CoefficientSet) -> Eigensystem:
         return _solve_product(*_factor_parts(c, leading))
     if kind is CaseKind.ENTANGLED_CONSTRAINED:
         return _solve_entangled(c, d)
-    h = fano_compose(c)
-    # A finite v_quad bounds alpha, beta and omega by sqrt(max double), and
-    # three such terms added to a finite upsilon stay below where rounding
-    # overflows, so every entry of h is finite and h is exactly Hermitian.
-    # Only an infinite v_quad leaves a composition that may overflow.
-    if not math.isfinite(d.v_quad):
-        h = require_hermitian(h, "eig_hermitian input")
-    return _oracle_eigensystem(h)
+    return _oracle_eigensystem(_oracle_input(fano_compose(c), d))

@@ -57,12 +57,25 @@ class EnsembleBranch(enum.Enum):
     POSITIVE_ONLY = "positive-only"
 
 
-def _check_temperature(t) -> np.ndarray:
-    """``t`` as a float array (0-d for a scalar), every entry positive and finite."""
-    t = np.asarray(t, dtype=float)
+def _check_temperature(t, ndim: int) -> np.ndarray:
+    """``t`` as a float array of ``ndim`` dimensions, 0 for one temperature
+    and 1 for a sweep, every entry positive and finite: the package's one
+    rule for temperatures.  Raises ValueError for anything else, strings,
+    bools, complex numbers and objects included, which a cast to float
+    would read as numbers or refuse with numpy's own error.
+    """
+    t = np.asarray(t)
+    if t.dtype.kind not in "iuf":
+        raise ValueError(f"temperature must be a real number, got dtype {t.dtype.name}")
+    t = t.astype(float, copy=False)
     bad = ~((t > 0.0) & np.isfinite(t))
     if bad.any():
         raise ValueError(f"temperature must be positive and finite, got {t[bad].flat[0]}")
+    if t.ndim != ndim:
+        raise ValueError(
+            f"temperature must be one number, not of shape {t.shape}" if ndim == 0
+            else "temperatures must form a 1-D array"
+        )
     return t
 
 
@@ -106,9 +119,11 @@ def _product_levels(a0: float, a_vec: np.ndarray, b0: float, b_vec: np.ndarray):
 
 
 def thermal_state(c: CoefficientSet, t: float) -> np.ndarray:
-    """The Gibbs state exp(-H/t) / Z for any coefficient set."""
+    """The Gibbs state exp(-H/t) / Z for any coefficient set.  Raises
+    ValueError for a ``t`` that :func:`_check_temperature` refuses as one
+    temperature."""
     dec = oracle.eig_hermitian(fano_compose(c))
-    boltz, _ = _gibbs_weights(0.0, dec.eigenvalues, _check_temperature(float(t)))
+    boltz, _ = _gibbs_weights(0.0, dec.eigenvalues, _check_temperature(t, 0))
     rho = (dec.eigenvectors * boltz) @ dec.eigenvectors.conj().T
     return rho / float(np.sum(boltz))
 
@@ -232,9 +247,10 @@ def thermal_concurrence(c: CoefficientSet, t: float) -> ThermalConcurrenceResult
     commutator norm, and ``wootters``, the Wootters concurrence of the Gibbs
     state from one eigendecomposition of H as :func:`thermal_sweep`'s
     definition route computes it, lets callers quantify the deviation
-    outside the provable regime.
+    outside the provable regime.  Raises ValueError for a ``t`` that
+    :func:`_check_temperature` refuses as one temperature.
     """
-    t = _check_temperature(float(t))
+    t = _check_temperature(t, 0)
     value = _even_closed_forms(c.upsilon, derive(c), t)[2]
     comm, reliable = spin_flip_commutator(c)
     dec = oracle.eig_hermitian(fano_compose(c))
@@ -266,13 +282,12 @@ def thermal_sweep(
     branch only ``z`` and ``purity`` come from the two positive levels:
     ``concurrence`` and ``flag`` stay those of the full ensemble.
 
-    Raises ValueError for a temperature that is not positive and finite,
-    and ConstraintError, a ValueError, with the constraint residuals for the
-    positive branch on a set that meets neither constraint.
+    Raises ValueError for ``temps`` that :func:`_check_temperature`
+    refuses as a 1-D array of temperatures, and ConstraintError, a
+    ValueError, with the constraint residuals for the positive branch on a
+    set that meets neither constraint.
     """
-    t = _check_temperature(temps)
-    if t.ndim != 1:
-        raise ValueError("temperatures must form a 1-D array")
+    t = _check_temperature(temps, 1)
     kind, _, d, leading, _ = _decide(c)
     if kind is CaseKind.SEPARABLE_DYADIC and branch is EnsembleBranch.FULL:
         boltz, shift = _gibbs_weights(*_product_levels(*_factor_parts(c, leading)), t)
@@ -326,9 +341,10 @@ def thermal_report(
 ) -> ThermalReport:
     """One sweep row: :func:`thermal_sweep` at the single temperature ``t``.
 
-    Raises ValueError as thermal_sweep does.
+    Raises ValueError as thermal_sweep does, and for a ``t`` that
+    :func:`_check_temperature` refuses as one temperature.
     """
-    s = thermal_sweep(c, [t], branch)
+    s = thermal_sweep(c, _check_temperature(t, 0).reshape(1), branch)
     return ThermalReport(
         float(s["t"][0]),
         float(s["z"][0]),

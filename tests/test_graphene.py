@@ -19,7 +19,7 @@ from su2pair.entanglement import (
     concurrence_closed_form_arrays,
     eigenstate_concurrence_closed_form,
 )
-from su2pair.errors import ConcurrenceDomainError, DegenerateBranchError
+from su2pair.errors import ConcurrenceDomainError, DegenerateBranchError, InputFormatError
 from su2pair.graphene import (
     GrapheneParams,
     GridSpec,
@@ -297,11 +297,12 @@ class TestMask:
             GridSpec(0, 1, 0, 1, 5, 5, mask="circle")
         # Before the counts were checked, 2.5 reached np.linspace and '3'
         # a str < int comparison, each with numpy's or Python's message.
-        with pytest.raises(TypeError, match="^nx must be an integer, not 2.5$"):
+        # They are usage errors, as every GridSpec refusal is.
+        with pytest.raises(InputFormatError, match="^nx must be an integer, not 2.5$"):
             GridSpec(-1, 1, -1, 1, 2.5, 3)
-        with pytest.raises(TypeError, match="^ny must be an integer, not '3'$"):
+        with pytest.raises(InputFormatError, match="^ny must be an integer, not '3'$"):
             GridSpec(-1, 1, -1, 1, 3, "3")
-        with pytest.raises(TypeError, match="^ny must be an integer"):
+        with pytest.raises(InputFormatError, match="^ny must be an integer"):
             GridSpec(-1, 1, -1, 1, 3, np.float64(3.0))
         assert band_grid(GrapheneParams(), GridSpec(-1, 1, -1, 1, np.int64(3), 3))["kx"].size == 9
 

@@ -143,14 +143,16 @@ class TestWootters:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_density_must_be_4x4(self, n):
-        with pytest.raises(DensityMatrixError, match="^expected a 4x4 density matrix$"):
+        message = f"expected a 4x4 density matrix, not of shape {(n, n)}"
+        with pytest.raises(DensityMatrixError, match=f"^{re.escape(message)}$"):
             wootters_concurrence(np.eye(n) / n)
 
     @pytest.mark.parametrize("shape", [(4, 4, 2), (2, 3), (16,)])
     def test_density_of_no_square_shape_is_refused_first(self, shape):
         """Refused before the Hermiticity check, which cannot subtract the
         transpose of a non-square array."""
-        with pytest.raises(DensityMatrixError, match="^expected a 4x4 density matrix$"):
+        message = f"expected a 4x4 density matrix, not of shape {shape}"
+        with pytest.raises(DensityMatrixError, match=f"^{re.escape(message)}$"):
             wootters_concurrence(np.ones(shape) / 4)
 
     @pytest.mark.parametrize("excess, accepted", [(5e-11, True), (2e-10, False)])

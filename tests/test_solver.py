@@ -522,6 +522,28 @@ class TestSolveDispatch:
         want = np.sort(np.linalg.eigvalsh(fano_compose(large)))
         assert np.max(np.abs(np.sort(es.values.ravel()) - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_degenerate_fallback_checks_hermiticity_as_solve_does(self, monkeypatch):
+        """solve_entangled's oracle fallback composes a set with finite
+        v_quad, which is exactly Hermitian, so it skips require_hermitian
+        and keeps the bits of the checked matrix's eigensystem."""
+        calls, require_hermitian = [], solver.require_hermitian
+
+        def counted(h, what="matrix"):
+            calls.append(what)
+            return require_hermitian(h, what)
+
+        monkeypatch.setattr(solver, "require_hermitian", counted)
+        labels = ((1, 2), (1, 1), (2, 1), (2, 2))
+        # Degenerate sqrt(Tp), and degenerate E1.
+        for alpha, omega in (((0, 0, 1), [1.0, 0.0, 0.0]), ((0, 0, 0), [1.0, 1.0, 0.0])):
+            c = CoefficientSet(0.0, alpha, (0, 0, 0), np.diag(omega))
+            es = solve_entangled(c)
+            assert calls == [] and es.method is SolveMethod.ORACLE_NUMERIC
+            want = solver._oracle_eigensystem(require_hermitian(fano_compose(c)), labels)
+            assert es.values.tobytes() == want.values.tobytes()
+            assert es.states.tobytes() == want.states.tobytes()
+            assert es.degenerate is want.degenerate
+
     def test_oracle_degenerate_projectors(self):
         h_coeffs = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.eye(3))
         es = solve(h_coeffs)

@@ -97,6 +97,28 @@ def test_default_tol_is_defined_once():
     assert binders == ["_invariants.py"]
 
 
+def test_argument_rules_are_defined_once():
+    """The index rule and the branch-label check are defined only in
+    _invariants, the density-matrix check only in oracle, and cli re-wraps
+    no error of the graphene records, which raise the usage error
+    themselves."""
+    from su2pair import cli
+
+    src = Path(su2pair.__file__).resolve().parent
+    texts = {path.name: path.read_text() for path in src.glob("*.py")}
+
+    def definers(pattern):
+        return sorted(name for name, text in texts.items() if re.search(pattern, text, re.M))
+
+    assert definers(r"^\s*def _is_index\b") == ["_invariants.py"]
+    assert definers(r"^\s*def _check_mn\b") == ["_invariants.py"]
+    assert definers(r"^\s*def require_density\b") == ["oracle.py"]
+    assert definers(r"4x4 density matrix") == ["oracle.py"]
+    assert definers(r"trace \{tr\} is not 1") == ["oracle.py"]
+    for function in (cli._graphene_params, cli._grid_spec):
+        assert "except" not in inspect.getsource(function), function.__name__
+
+
 def test_readme_library_sketch_uses_only_public_names():
     text = README.read_text()
     sketch = text.split("## Library sketch", 1)[1].split("```python", 1)[1].split("```", 1)[0]

@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -396,6 +397,37 @@ class TestThermalSweep:
         for temps in (1.0, np.ones((2, 3))):
             with pytest.raises(ValueError, match="^temperatures must form a 1-D array$"):
                 thermal_sweep(c, temps)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda t: thermal_sweep(ENTANGLED_EXAMPLE, t if isinstance(t, list) else [t]),
+         lambda t: thermal_state(ENTANGLED_EXAMPLE, t),
+         lambda t: thermal_concurrence(ENTANGLED_EXAMPLE, t),
+         lambda t: thermal_report(ENTANGLED_EXAMPLE, t)],
+        ids=["thermal_sweep", "thermal_state", "thermal_concurrence", "thermal_report"],
+    )
+    @pytest.mark.parametrize(
+        "bad, dtype",
+        [("1", "str32"), (["1", "2"], "str32"), (True, "bool"), ([True, True], "bool"),
+         (None, "object"), (decimal.Decimal(1), "object"), (1 + 0j, "complex128")],
+    )
+    def test_temperatures_are_real_numbers(self, call, bad, dtype):
+        """Strings, bools and objects are refused by the one temperature
+        rule, where a cast to float read "1" and True as 1 or leaked its
+        own TypeError."""
+        message = f"temperature must be a real number, got dtype {dtype}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("call", [thermal_state, thermal_concurrence, thermal_report])
+    def test_one_temperature_is_0d(self, call):
+        """A one-element array is not one temperature; a cast to float used
+        to leak numpy's "only 0-dimensional arrays" TypeError."""
+        with pytest.raises(ValueError, match=r"^temperature must be one number, not of shape \(1,\)$"):
+            call(ENTANGLED_EXAMPLE, np.array([1.0]))
+        got = call(ENTANGLED_EXAMPLE, np.array(2.0))
+        want = call(ENTANGLED_EXAMPLE, 2.0)
+        assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
 
     @settings(max_examples=60, deadline=None)
     @given(
