@@ -26,12 +26,12 @@ from . import graphene, hamiltonian, quartic, serialization, solver, thermo
 from .errors import ConstraintError, InputFormatError, InvariantViolation
 
 # Largest accepted --grid and --steps, refused before any work.  On a 2-CPU
-# Xeon host a grid command costs about 0.8 us a k-point at 201^2 (more than
-# half of it CSV formatting, 0.09-0.11 us the derive kernel) and runs in
-# chunks of graphene.CHUNK_POINTS, so --grid 1001 takes about a second in
-# flat memory; a thermo sweep is
-# evaluated as arrays over T at 2-5 us a step, 1.2-1.6 us of it CSV
-# formatting, so --steps 10000 takes well under a second.
+# Xeon host a grid command costs 0.46-0.55 us a k-point at 201^2 (more than
+# half of it CSV formatting; 0.09 us the derive kernel, which runs once per
+# distinct lattice-layer set of a chunk) and runs in chunks of
+# graphene.CHUNK_POINTS, so --grid 1001 takes about 0.7 s in flat memory.
+# A thermo sweep is evaluated as arrays over T at 2-5 us a step, 1.2-1.6 us
+# of it CSV formatting, so --steps 10000 takes well under a second.
 MAX_GRID = 1001
 MAX_STEPS = 10_000
 # Largest accepted verify --samples, refused before any suite runs.  All
@@ -256,7 +256,8 @@ def cmd_graphene_bands(args) -> int:
 
     def columns():
         for ch in chunks:
-            e1_mins.append(np.min(ch["e1"]))
+            # Every entry of the chunk's value table is referenced.
+            e1_mins.append(np.min(ch["e1"][0]))
             yield ch["kx"], ch["ky"], ch["e1"], ch["e2"]
 
     rows = serialization.write_csv(args.output, ["kx", "ky", "E1", "E2"], columns())

@@ -63,7 +63,12 @@ def bloch_vectors(rho: np.ndarray) -> BlochPair:
     4 alpha and 4 beta of :func:`~su2pair.hamiltonian.fano_decompose`.
     Raises as :func:`~su2pair.oracle.require_density` does for a ``rho``
     that is not a 4x4 Hermitian matrix of trace 1."""
-    c = hamiltonian.fano_decompose(oracle.require_density(rho))
+    return _bloch(oracle.require_density(rho))
+
+
+def _bloch(rho: np.ndarray) -> BlochPair:
+    """:func:`bloch_vectors` of a density matrix that passed ``require_density``."""
+    c = hamiltonian._pauli_projection(rho)
     return BlochPair(4.0 * c.alpha, 4.0 * c.beta)
 
 
@@ -130,7 +135,7 @@ def pure_concurrence(rho: np.ndarray) -> float:
     purity = float(np.einsum("ab,ba->", rho, rho).real)
     if abs(purity - 1.0) > PURITY_TOL:
         raise DensityMatrixError(f"state purity {purity} is not 1: mixed input")
-    radicand = 1.0 - bloch_vectors(rho).a_modulus**2
+    radicand = 1.0 - _bloch(rho).a_modulus**2
     value, domain_error = _root_of_radicand(radicand)
     if domain_error:
         _raise_for(RADICAND_DOMAIN, 0, radicand)

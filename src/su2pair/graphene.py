@@ -10,9 +10,10 @@ components at a batch of wave vectors, with the k-independent ones (alpha,
 beta's third entry, omega's third row and column) as Python floats;
 :func:`map_to_su2su2` builds one wave vector's set from them.  Grid
 sweeps over the Brillouin zone take the structure factor from per-axis
-factors gathered by each chunk's axis indices, run the derive kernel and
-the concurrence radical on these components without staging coefficient
-arrays, and feed the CSV emitters with the k columns as (axis, index)
+factors gathered by axis indices, run the derive kernel and the
+concurrence radical once per distinct set of a chunk on these components
+without staging coefficient arrays, and feed the CSV emitters with the k
+columns as (axis, index) pairs and the value columns as (values, index)
 pairs.  On a grid the seven components that vanish by construction
 (alpha_1, alpha_2, omega's third row and column) are the structural zero of
 :mod:`su2pair._invariants`, so the kernel and the radical skip every term
@@ -64,6 +65,14 @@ SMALLEST_LATTICE = 8.0 * math.pi / 3.0 / sys.float_info.max
 LARGEST_LATTICE = sys.float_info.max / (3.0 * math.sqrt(3.0))
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a Python float; InputFormatError naming ``name`` unless
+    it is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputFormatError(f"{name} must be a real number, not {value!r}")
+    return float(value)
+
+
 @_record
 class GrapheneParams:
     """Hopping and gap parameters of the AB-stacked bilayer.
@@ -88,10 +97,7 @@ class GrapheneParams:
 
     def __post_init__(self):
         for name in ("t", "t3", "tperp", "m", "bias", "lattice"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise InputFormatError(f"{name} must be a real number, not {value!r}")
-            value = self.__dict__[name] = float(value)
+            value = self.__dict__[name] = _real(name, getattr(self, name))
             if not math.isfinite(value):
                 raise InputFormatError(f"{name} must be finite")
             if name != "lattice" and abs(value) > STRUCTURAL_SCALE:
@@ -112,6 +118,11 @@ class GrapheneParams:
             )
 
 
+def _y_factor(p: GrapheneParams, ky):
+    """cos(sqrt(3) ky lam/2), the one factor of G that depends on ky."""
+    return np.cos(np.sqrt(3.0) * ky * p.lattice / 2.0)
+
+
 def _structure_factor(p: GrapheneParams, kx, ky, at=None):
     """G = 2 e^{-i kx lam/2} cos(sqrt(3) ky lam/2) + e^{-i kx lam} at the
     wave vectors (kx, ky), or at the grid points (kx[ix], ky[iy]) when
@@ -120,7 +131,7 @@ def _structure_factor(p: GrapheneParams, kx, ky, at=None):
     lam = p.lattice
     half = 2.0 * np.exp(-1j * kx * lam / 2.0)
     full = np.exp(-1j * kx * lam)
-    cos_y = np.cos(np.sqrt(3.0) * ky * lam / 2.0)
+    cos_y = _y_factor(p, ky)
     if at is not None:
         ix, iy = at
         half, full, cos_y = half[ix], full[ix], cos_y[iy]
@@ -170,8 +181,10 @@ def lattice_layer_arrays(p: GrapheneParams, kx, ky):
 
 
 def map_to_su2su2(p: GrapheneParams, kx: float, ky: float) -> hamiltonian.CoefficientSet:
-    """The lattice-layer coefficient set at one wave vector, from :func:`_lattice_layer`."""
-    return hamiltonian.CoefficientSet(0.0, *_lattice_layer(p, float(kx), float(ky)))
+    """The lattice-layer coefficient set at one wave vector, from
+    :func:`_lattice_layer`; ``kx`` and ``ky`` are refused as the
+    parameters of :class:`GrapheneParams` are."""
+    return hamiltonian.CoefficientSet(0.0, *_lattice_layer(p, _real("kx", kx), _real("ky", ky)))
 
 
 def find_dirac_point(p: GrapheneParams) -> tuple[float, float]:
@@ -184,9 +197,10 @@ def find_dirac_point(p: GrapheneParams) -> tuple[float, float]:
 class GridSpec:
     """Rectangular k-space sampling window, optionally masked to the first zone.
 
-    The bounds must be finite and ordered, the sample counts integers of
-    at least 2 and the mask "none" or "hex"; InputFormatError, a
-    ValueError, names what is not.
+    The bounds must be real numbers, not bools, finite and ordered, and
+    are stored as Python floats; the sample counts must be integers of at
+    least 2 and the mask "none" or "hex".  InputFormatError, a ValueError,
+    names what is not.
     """
 
     kx_min: float
@@ -204,7 +218,8 @@ class GridSpec:
         if self.nx < 2 or self.ny < 2:
             raise InputFormatError("grid needs at least 2 samples per axis")
         for name in ("kx_min", "kx_max", "ky_min", "ky_max"):
-            if not math.isfinite(getattr(self, name)):
+            value = self.__dict__[name] = _real(name, getattr(self, name))
+            if not math.isfinite(value):
                 raise InputFormatError(f"{name} must be finite")
         if self.kx_max <= self.kx_min or self.ky_max <= self.ky_min:
             raise InputFormatError("grid ranges must be ordered")
@@ -226,27 +241,30 @@ def default_grid(p: GrapheneParams, samples: int = 201, mask: str = "none") -> G
 
 def _reciprocal_shells(lattice: float) -> np.ndarray:
     # Exact translation periods of the structure factor; the three shell
-    # vectors share the length 4 pi / (sqrt(3) lattice).
+    # vectors share the length 4 pi / (sqrt(3) lattice), and with their
+    # negations make the six nearest reciprocal lattice points.
     b1 = 2.0 * np.pi / lattice * np.array([1.0, 1.0 / np.sqrt(3.0)])
     b2 = 2.0 * np.pi / lattice * np.array([1.0, -1.0 / np.sqrt(3.0)])
-    return np.array([b1, -b1, b2, -b2, b1 - b2, b2 - b1])
+    return np.array([b1, b2, b1 - b2])
 
 
 def first_zone_mask(p: GrapheneParams, kx, ky) -> np.ndarray:
     """Wigner-Seitz test: k belongs iff it is no farther from 0 than from any G,
     2 k.G <= |G|^2 (1 + 1e-12) for each of the six shell vectors G.
 
-    k and G are first scaled by one power of two that brings max|G| into
-    [1/2, 1), so |G|^2 stays finite at tiny lattices.  The scaling is exact:
-    wherever nothing overflows or goes subnormal, the comparison keeps its
-    bits.
+    The six are three vectors and their exact negations, whose 2 k.G and
+    |G|^2 round to the negated and to the same bits, so each pair is one
+    test, |2 k.G| <= |G|^2 (1 + 1e-12).  k and G are first scaled by one
+    power of two that brings max|G| into [1/2, 1), so |G|^2 stays finite
+    at tiny lattices.  The scaling is exact: wherever nothing overflows or
+    goes subnormal, the comparison keeps its bits.
     """
     shells = _reciprocal_shells(p.lattice)
     scale = math.ldexp(1.0, -math.frexp(float(np.max(np.abs(shells))))[1])
     kx, ky = kx * scale, ky * scale
     outside = False
     for gx, gy in (shells * scale).tolist():
-        outside = outside | (2.0 * (kx * gx + ky * gy) > (gx * gx + gy * gy) * (1.0 + 1e-12))
+        outside = outside | (np.abs(2.0 * (kx * gx + ky * gy)) > (gx * gx + gy * gy) * (1.0 + 1e-12))
     return np.logical_not(outside)
 
 
@@ -257,46 +275,81 @@ CHUNK_POINTS = 4096
 
 
 def _grid_chunks(p: GrapheneParams, g: GridSpec, xs, ys):
-    """Axis indices (ix, iy) of the grid points (xs[ix], ys[iy]) in
-    row-major order, in chunks of CHUNK_POINTS points before masking;
-    chunks that the mask empties are skipped."""
+    """Axis indices (ix, iy) of the grid points (xs[ix], ys[iy]) that the
+    mask keeps, in row-major order, in chunks of CHUNK_POINTS points; only
+    the last may hold fewer.  The mask runs on blocks of CHUNK_POINTS grid
+    points, and the kept points wait for the next block until they fill a
+    chunk, so at most one chunk of them is held."""
     total = g.nx * g.ny
+    held_x = held_y = np.empty(0, np.intp)
     for start in range(0, total, CHUNK_POINTS):
         ix, iy = np.divmod(np.arange(start, min(start + CHUNK_POINTS, total)), g.ny)
         if g.mask == "hex":
             inside = first_zone_mask(p, xs[ix], ys[iy])
             ix, iy = ix[inside], iy[inside]
-        if ix.size:
-            yield ix, iy
+        if held_x.size:
+            ix, iy = np.concatenate([held_x, ix]), np.concatenate([held_y, iy])
+        if ix.size >= CHUNK_POINTS:
+            yield ix[:CHUNK_POINTS], iy[:CHUNK_POINTS]
+            ix, iy = ix[CHUNK_POINTS:], iy[CHUNK_POINTS:]
+        held_x, held_y = ix, iy
+    if held_x.size:
+        yield held_x, held_y
+
+
+def _grid_sets(p: GrapheneParams, g: GridSpec, xs, ys):
+    """Per chunk of :func:`_grid_chunks`: its points' indices (ix, iy), the
+    axis indices ``at`` of one point of each distinct lattice-layer set
+    among them, and each point's ``index`` into those sets.
+
+    G, and so the set, depends on ky only through the bits of the y factor
+    cos(sqrt(3) ky lam/2), so the y axis is sorted once into classes of
+    equal bits, and a set is a pair (ix, class).  A chunk's pairs are
+    scattered into a bool table of its rows by the classes, whose running
+    sum numbers them in row-major order: no sort.  Every value of a set is
+    the same elementwise arithmetic on the same bits as at each of its
+    points."""
+    _, first, classes = np.unique(
+        _y_factor(p, ys).view(np.int64), return_index=True, return_inverse=True)
+    for ix, iy in _grid_chunks(p, g, xs, ys):
+        pair = (ix - ix[0]) * first.size + classes[iy]
+        seen = np.zeros((ix[-1] - ix[0] + 1) * first.size, bool)
+        seen[pair] = True
+        index = np.cumsum(seen)[pair] - 1
+        rows, cls = np.divmod(np.flatnonzero(seen), first.size)
+        yield ix, iy, (rows + ix[0], first[cls]), index
 
 
 def band_chunks(p: GrapheneParams, g: GridSpec):
     """Positive band energies on the grid, row-major in (kx, ky), one dict
-    per chunk: ``e1`` and ``e2`` arrays, and ``kx`` and ``ky`` as
-    (axis, index) pairs, the column form ``write_csv`` takes."""
+    per chunk of :func:`_grid_sets`, in the column form ``write_csv``
+    takes: ``kx`` and ``ky`` as (axis, index) pairs, and ``e1`` and ``e2``
+    as (values, index) pairs, the values those of the chunk's distinct
+    lattice-layer sets, each of them referenced."""
     xs, ys = g.axes()
-    for ix, iy in _grid_chunks(p, g, xs, ys):
-        _, e1, e2 = even_spectrum(_derive_components(*_lattice_layer(p, xs, ys, (ix, iy))))
-        yield {"kx": (xs, ix), "ky": (ys, iy), "e1": e1, "e2": e2}
+    for ix, iy, at, index in _grid_sets(p, g, xs, ys):
+        _, e1, e2 = even_spectrum(_derive_components(*_lattice_layer(p, xs, ys, at)))
+        yield {"kx": (xs, ix), "ky": (ys, iy), "e1": (e1, index), "e2": (e2, index)}
 
 
 def concurrence_chunks(p: GrapheneParams, g: GridSpec, m: int = 2, n: int = 1):
     """Eigenstate concurrence of branch (m, n) on the grid, one dict per
-    chunk: ``c`` and ``flag`` arrays, and ``kx`` and ``ky`` as in
-    :func:`band_chunks`.
+    chunk: ``c`` as a (values, index) pair and ``flag`` as an int array,
+    and ``kx`` and ``ky``, as in :func:`band_chunks`.
 
-    The closed form of ``concurrence_closed_form_arrays`` on the chunk's
-    components and their derived record.  Points where the closed form
-    degenerates or leaves its real domain are reported as zero with
-    flag = 1, matching the separable-state reading of those regions.
+    The closed form of ``concurrence_closed_form_arrays`` on the components
+    of the chunk's distinct sets and their derived record.  Points where
+    the closed form degenerates or leaves its real domain are reported as
+    zero with flag = 1, matching the separable-state reading of those
+    regions.
     """
     xs, ys = g.axes()
-    for ix, iy in _grid_chunks(p, g, xs, ys):
-        a, b, w = _lattice_layer(p, xs, ys, (ix, iy))
+    for ix, iy, at, index in _grid_sets(p, g, xs, ys):
+        a, b, w = _lattice_layer(p, xs, ys, at)
         d = _derive_components(a, b, w)
         c, cause, _ = entanglement._concurrence_from_derived(d, a, b, w, m, n)
-        flag = (cause != entanglement.CLOSED_FORM).astype(int)
-        yield {"kx": (xs, ix), "ky": (ys, iy), "c": c, "flag": flag}
+        flag = (cause != entanglement.CLOSED_FORM).astype(int)[index]
+        yield {"kx": (xs, ix), "ky": (ys, iy), "c": (c, index), "flag": flag}
 
 
 def _joined(chunks, columns) -> dict[str, np.ndarray]:

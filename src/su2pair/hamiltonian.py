@@ -129,7 +129,13 @@ def fano_decompose(h: np.ndarray) -> CoefficientSet:
     """
     if np.shape(h) != (4, 4):
         raise ValueError(f"fano_decompose input must be 4x4, not of shape {np.shape(h)}")
-    h = require_hermitian(h, "fano_decompose input")
+    return _pauli_projection(require_hermitian(h, "fano_decompose input"))
+
+
+def _pauli_projection(h: np.ndarray) -> CoefficientSet:
+    """:func:`fano_decompose` of a 4x4 complex array already checked to be
+    Hermitian; raises NonHermitianError as it does for an imaginary part
+    beyond round-off."""
     scale = 1.0 + float(np.max(np.abs(h)))
     coef = np.einsum("ab,ijba->ij", h, _WORDS) / 4.0
     for (i, j), im in np.ndenumerate(coef.imag):

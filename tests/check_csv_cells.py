@@ -1,16 +1,18 @@
 """Every CSV cell against ``format_float`` of its value, at volume.
 
 Runs the paper's two 201^2 figure commands, the 201^2 concurrence grid at
-bias 0 (where the constrained vector alpha vanishes at every point), and a
-10000-step ``thermo`` sweep of each golden set through the CLI (and so
+bias 0 (where the constrained vector alpha vanishes at every point), the
+two figure commands again at t3 = 1.01, tperp = 0.99 and lattice 2.46,
+and a 10000-step ``thermo`` sweep of each golden set through the CLI (and so
 ``write_csv``), recomputes the same columns through the library, and
 compares each cell with
 ``format_float`` of its value (``%d`` for integer columns).  The grid
 columns are recomputed on every point at once through
 ``lattice_layer_arrays``, ``derive_arrays`` and
 ``concurrence_closed_form_arrays``, so the commands' per-axis structure
-factor, scalar components and axis-indexed k columns are checked against a
-path that shares none of them.  A round trip
+factor, scalar components, axis-indexed k columns and value tables of the
+distinct lattice-layer sets are checked against a path that shares none
+of them.  A round trip
 through ``float()`` would pass a cell that is the valid text of a
 neighbouring double; this comparison does not.  Each command runs twice in
 the process, and the second CSV must repeat the first byte for byte:
@@ -80,6 +82,13 @@ def cases(workdir: Path):
     # Bias 0: alpha = 0 at every point, branch (2, 1).
     argv = ["graphene-concurrence", "--bias", "0", "--grid", "201"]
     yield "concurrence-bias0", argv, grid_columns(argv, concurrence(2, 1))
+    # Jittered couplings and another lattice constant: the y axis splits
+    # into classes of equal cos(sqrt(3) ky lattice/2) other than the default.
+    jitter = ["--t3", "1.01", "--tperp", "0.99", "--lattice", "2.46", "--grid", "201"]
+    argv = ["graphene-bands", "--bias", "0.1", *jitter]
+    yield "bands-jittered", argv, grid_columns(argv, bands)
+    argv = ["graphene-concurrence", "--bias", "1", "--branch-n", "2", "--mask", "hex", *jitter]
+    yield "concurrence-jittered", argv, grid_columns(argv, concurrence(2, 2))
     temps = cli._temperatures(0.01, 100.0, STEPS)
     for name, payload in SETS.items():
         path = workdir / f"{name}.json"

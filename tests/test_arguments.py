@@ -3,7 +3,9 @@ matrix or a graphene parameter refuses a bad one by the one rule that owns
 that kind of argument, with the package's own error class and message:
 ``_invariants._is_index`` for indices, ``_invariants._check_mn`` for
 labels, ``oracle.require_density`` for density matrices and
-``GrapheneParams`` for the bilayer's parameters.
+``graphene._real`` for the bilayer's parameters, the bounds of a
+``GridSpec`` and the wave vector of ``map_to_su2su2`` and
+``thermal_death_temperature``.
 """
 
 import re
@@ -96,6 +98,19 @@ TABLE = [
      [*NOT_NUMBERS, 2.0, 3.5], InputFormatError,
      lambda v, name=name: f"{name} must be an integer, not {v!r}", [(np.int64(3), 3)])
     for name in ("nx", "ny")
+] + [
+    (f"GridSpec.{name}",
+     lambda v, name=name: sp.GridSpec(**{**dict(kx_min=-1, kx_max=1, ky_min=-1, ky_max=1), name: v}),
+     [*NOT_NUMBERS, 1j, np.True_], InputFormatError,
+     lambda v, name=name: f"{name} must be a real number, not {v!r}",
+     [(np.int64(-2 if name.endswith("min") else 2), -2 if name.endswith("min") else 2)])
+    for name in ("kx_min", "kx_max", "ky_min", "ky_max")
+] + [
+    (f"{f.__name__}.{name}",
+     lambda v, f=f, name=name: f(PARAMS, **{"kx": 0.5, "ky": 1.0, name: v}),
+     [*NOT_NUMBERS, 1j, np.True_], InputFormatError,
+     lambda v, name=name: f"{name} must be a real number, not {v!r}", [(np.int64(2), 2)])
+    for f in (sp.map_to_su2su2, sp.thermal_death_temperature) for name in ("kx", "ky")
 ]
 
 
@@ -141,6 +156,35 @@ def test_densities_within_the_trace_bound_pass():
         rho = off_trace(excess)
         assert sp.wootters_concurrence(rho) == 0.0
         assert sp.bloch_vectors(rho).a_modulus <= 1e-10
+
+
+def test_grid_bounds_are_stored_as_python_floats():
+    g = sp.GridSpec(np.float32(-0.5), np.int64(1), -1, 1.0, 3, 3)
+    assert [type(getattr(g, f)) for f in ("kx_min", "kx_max", "ky_min", "ky_max")] == [float] * 4
+    assert g == sp.GridSpec(-0.5, 1.0, -1.0, 1.0, 3, 3)
+
+
+@pytest.mark.parametrize("call", [sp.bloch_vectors, sp.pure_concurrence])
+def test_a_density_matrix_is_checked_once_a_call(call, monkeypatch):
+    """One require_density and one Hermiticity check a call: pure_concurrence
+    ran require_density twice, and bloch_vectors checked Hermiticity in it
+    and again in fano_decompose."""
+    from su2pair import hamiltonian, oracle
+
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "require_density", counted("density", oracle.require_density))
+    for module in (oracle, hamiltonian):
+        monkeypatch.setattr(module, "require_hermitian", counted("hermitian", module.require_hermitian))
+    psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    call(np.outer(psi, psi.conj()))
+    assert sorted(calls) == ["density", "hermitian"]
 
 
 def test_graphene_parameters_are_stored_as_python_floats():

@@ -683,6 +683,70 @@ def _inside_reference(lattice, kx, ky):
     )
 
 
+def _y_classes(p, ys):
+    """The number of distinct bit patterns of cos(sqrt(3) ky lattice/2) over ys."""
+    return np.unique(np.cos(np.sqrt(3.0) * ys * p.lattice / 2.0).view(np.int64)).size
+
+
+class TestDistinctSets:
+    """The grids evaluate each distinct lattice-layer set of a chunk once:
+    a set depends on ky only through the bits of the y factor of G."""
+
+    def test_bands_kernel_sees_each_distinct_set_of_a_chunk_once(self):
+        """At the parent every chunk went whole through the kernel: 4096,
+        4096 and 2009 points, 10201 in all."""
+        p = GrapheneParams(bias=0.1)
+        g = default_grid(p, 101)
+        sizes = []
+
+        def derive_components(a, b, w):
+            sizes.append(np.size(b[0]))
+            return _derive_components(a, b, w)
+
+        classes = _y_classes(p, g.axes()[1])
+        assert classes == 67
+        with mock.patch.object(graphene, "_derive_components", derive_components):
+            chunks = list(graphene.band_chunks(p, g))
+        assert len(sizes) == len(chunks) == 3
+        for size, ch in zip(sizes, chunks):
+            rows = np.unique(ch["kx"][1]).size
+            assert size <= min(rows * classes, ch["kx"][1].size)
+        assert sum(sizes) < 10201
+        assert sum(ch["kx"][1].size for ch in chunks) == 10201
+
+    @pytest.mark.parametrize("samples, chunks", [(101, 2), (201, 7)])
+    def test_hex_chunks_are_full_but_the_last(self, samples, chunks):
+        """The kept points fill chunks of CHUNK_POINTS in row-major order; at
+        the parent the 101^2 grid ran in chunks of 2393, 3464 and 658."""
+        p = GrapheneParams(bias=1.0)
+        g = default_grid(p, samples, "hex")
+        got = list(graphene.concurrence_chunks(p, g, 2, 2))
+        sizes = [ch["kx"][1].size for ch in got]
+        assert len(sizes) == chunks
+        assert sizes[:-1] == [graphene.CHUNK_POINTS] * (chunks - 1)
+        assert 0 < sizes[-1] <= graphene.CHUNK_POINTS
+        flat = np.concatenate([ch["kx"][1] * samples + ch["ky"][1] for ch in got])
+        assert np.all(np.diff(flat) > 0)
+
+    @pytest.mark.parametrize("mask", ["none", "hex"])
+    def test_value_columns_are_tables_whose_every_value_is_referenced(self, mask):
+        p = GrapheneParams(t3=1.01, tperp=0.99, bias=1.0)
+        g = default_grid(p, 101, mask)
+        chunks = [(ch, ("e1", "e2")) for ch in graphene.band_chunks(p, g)]
+        chunks += [(ch, ("c",)) for ch in graphene.concurrence_chunks(p, g, 2, 2)]
+        for ch, names in chunks:
+            points = ch["kx"][1].size
+            for name in names:
+                values, index = ch[name]
+                assert isinstance(values, np.ndarray) and values.dtype == np.float64
+                assert index.shape == (points,) and index.dtype.kind == "i"
+                assert np.array_equal(np.unique(index), np.arange(values.size))
+                assert values.size < points
+            if "c" in names:
+                assert isinstance(ch["flag"], np.ndarray) and ch["flag"].shape == (points,)
+                assert ch["flag"].dtype.kind == "i"
+
+
 class TestFirstZoneMask:
     @pytest.mark.parametrize("lattice", [1.0, 0.7, 1.9])
     def test_anchors_equal_the_per_point_reference(self, lattice):
@@ -705,6 +769,27 @@ class TestFirstZoneMask:
         expected = [_inside_reference(lattice, x, y) for x, y in zip(kx.tolist(), ky.tolist())]
         assert 0 < sum(expected) < len(expected)
         assert first_zone_mask(p, kx, ky).tolist() == expected
+
+    @pytest.mark.parametrize("lattice", [1.0, 2.46, 0.37])
+    def test_shell_edge_points_equal_the_per_point_reference(self, lattice):
+        """Points on the six zone edges k = G/2 + s G_perp, their
+        neighbouring doubles and points moved off them by the test's
+        relative margin of 1e-12, where one test per pair +-G must decide
+        as the two one-sided tests did."""
+        p = GrapheneParams(lattice=lattice)
+        rng = np.random.default_rng(23)
+        c, r = 2.0 * math.pi / lattice, 1.0 / math.sqrt(3.0)
+        for gx, gy in [(c, c * r), (c, -c * r), (0.0, 2.0 * c * r)]:
+            for sign in (1.0, -1.0):
+                s_ = rng.uniform(-0.6, 0.6, 500)
+                kx, ky = sign * (gx / 2.0 - s_ * gy), sign * (gy / 2.0 + s_ * gx)
+                off = 1.0 + rng.uniform(-1e-12, 2e-12, 500)
+                for x, y in [(kx, ky), (np.nextafter(kx, 0.0), ky), (kx, np.nextafter(ky, np.inf)),
+                             (np.nextafter(kx, np.inf), np.nextafter(ky, -np.inf)),
+                             (kx * off, ky * off)]:
+                    expected = [_inside_reference(lattice, a, b) for a, b in zip(x.tolist(), y.tolist())]
+                    assert 0 < sum(expected) < len(expected)
+                    assert first_zone_mask(p, x, y).tolist() == expected
 
     def test_hex_point_set_is_the_same_at_every_lattice(self):
         """The mask scales k and G by a power of two first; below a lattice
@@ -729,8 +814,10 @@ class TestFirstZoneMask:
         ["graphene-concurrence", "--bias", "1", "--mask", "hex", "--branch-n", "2",
          "--grid", "21"],
         ["graphene-concurrence", "--grid", "21"],
+        ["graphene-concurrence", "--bias", "1", "--mask", "hex", "--branch-n", "2",
+         "--t3", "1.01", "--tperp", "0.99", "--grid", "21"],
     ],
-    ids=["bands", "concurrence-hex", "concurrence-bias-0"],
+    ids=["bands", "concurrence-hex", "concurrence-bias-0", "concurrence-hex-jittered"],
 )
 def test_chunk_size_leaves_output_bytes_unchanged(argv, tmp_path, monkeypatch):
     """441 points: one chunk of 4096 (the grid is below one chunk), chunks

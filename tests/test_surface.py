@@ -99,7 +99,9 @@ def test_default_tol_is_defined_once():
 
 def test_argument_rules_are_defined_once():
     """The index rule and the branch-label check are defined only in
-    _invariants, the density-matrix check only in oracle, and cli re-wraps
+    _invariants, the density-matrix check only in oracle, the real-number
+    rule of the graphene parameters, grid bounds and wave vectors only in
+    graphene, the unchecked Pauli projection only in hamiltonian, and cli re-wraps
     no error of the graphene records, which raise the usage error
     themselves."""
     from su2pair import cli
@@ -115,6 +117,8 @@ def test_argument_rules_are_defined_once():
     assert definers(r"^\s*def require_density\b") == ["oracle.py"]
     assert definers(r"4x4 density matrix") == ["oracle.py"]
     assert definers(r"trace \{tr\} is not 1") == ["oracle.py"]
+    assert definers(r"must be a real number, not") == ["graphene.py"]
+    assert definers(r"^\s*def _pauli_projection\b") == ["hamiltonian.py"]
     for function in (cli._graphene_params, cli._grid_spec):
         assert "except" not in inspect.getsource(function), function.__name__
 
