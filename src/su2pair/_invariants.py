@@ -30,13 +30,15 @@ only where every intermediate is.  No record field holds it.
 beside the package's tolerances.  :func:`_record` is the decorator that
 makes the package's immutable records, in place of a frozen dataclass and
 its generated code.  :func:`_is_index` and :func:`_check_mn` are the
-package's one rule for integer indices and (m, n) branch labels.
+package's one rule for integer indices and (m, n) branch labels, and
+:func:`_real` its one rule for real numbers.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
@@ -70,6 +72,16 @@ def _is_index(i, lo: int, hi: int) -> bool:
     """Whether ``i`` is an int or numpy integer in lo..hi.  A bool is not:
     True == 1, but numpy would read it as a mask; nor is a float."""
     return isinstance(i, (int, np.integer)) and not isinstance(i, bool) and lo <= i <= hi
+
+
+def _real(name: str, value, error=ValueError) -> float:
+    """``value`` as a Python float; ``error`` naming ``name`` unless it is a
+    real number: an int, float or numpy integer or float.  A bool is not,
+    though True == 1, nor a string, a complex number or None."""
+    # float first: the common case passes without numbers.Real's slower check.
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise error(f"{name} must be a real number, not {value!r}")
+    return float(value)
 
 
 def _check_mn(m, n) -> None:

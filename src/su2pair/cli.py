@@ -30,8 +30,10 @@ from .errors import ConstraintError, InputFormatError, InvariantViolation
 # half of it CSV formatting; 0.09 us the derive kernel, which runs once per
 # distinct lattice-layer set of a chunk) and runs in chunks of
 # graphene.CHUNK_POINTS, so --grid 1001 takes about 0.7 s in flat memory.
-# A thermo sweep is evaluated as arrays over T at 2-5 us a step, 1.2-1.6 us
-# of it CSV formatting, so --steps 10000 takes well under a second.
+# A thermo sweep is evaluated as arrays over T at 0.7-2.4 us a step on the
+# golden closed-form sets and 3.3-5.4 us on the general one, 0.6-1.7 us of
+# it CSV formatting (in-process, fastest of 15, at 1000 and 10000 steps),
+# so --steps 10000 takes well under a second.
 MAX_GRID = 1001
 MAX_STEPS = 10_000
 # Largest accepted verify --samples, refused before any suite runs.  All

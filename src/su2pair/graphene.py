@@ -33,7 +33,6 @@ x+- = sqrt(|w|_F^2 +- 2 |adj w|_F) are max/min(tperp, t3 |G|), from which
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 
 import numpy as np
@@ -41,7 +40,7 @@ import numpy as np
 # Module imports: a grid command executes no hamiltonian, graphene-bands no
 # entanglement, and only thermal_death_temperature executes thermo.
 from . import entanglement, hamiltonian, thermo
-from ._invariants import _ZERO, _derive_components, _is_index, _record, even_spectrum
+from ._invariants import _ZERO, _derive_components, _is_index, _real, _record, even_spectrum
 from .errors import InputFormatError
 
 
@@ -63,14 +62,6 @@ SMALLEST_LATTICE = 8.0 * math.pi / 3.0 / sys.float_info.max
 # which 3 sqrt(3) lattice, the denominator of the zone corner K that
 # find_dirac_point returns, is finite (the rounded quotient is that double).
 LARGEST_LATTICE = sys.float_info.max / (3.0 * math.sqrt(3.0))
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a Python float; InputFormatError naming ``name`` unless
-    it is a real number and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InputFormatError(f"{name} must be a real number, not {value!r}")
-    return float(value)
 
 
 @_record
@@ -97,7 +88,7 @@ class GrapheneParams:
 
     def __post_init__(self):
         for name in ("t", "t3", "tperp", "m", "bias", "lattice"):
-            value = self.__dict__[name] = _real(name, getattr(self, name))
+            value = self.__dict__[name] = _real(name, getattr(self, name), InputFormatError)
             if not math.isfinite(value):
                 raise InputFormatError(f"{name} must be finite")
             if name != "lattice" and abs(value) > STRUCTURAL_SCALE:
@@ -184,7 +175,8 @@ def map_to_su2su2(p: GrapheneParams, kx: float, ky: float) -> hamiltonian.Coeffi
     """The lattice-layer coefficient set at one wave vector, from
     :func:`_lattice_layer`; ``kx`` and ``ky`` are refused as the
     parameters of :class:`GrapheneParams` are."""
-    return hamiltonian.CoefficientSet(0.0, *_lattice_layer(p, _real("kx", kx), _real("ky", ky)))
+    kx, ky = _real("kx", kx, InputFormatError), _real("ky", ky, InputFormatError)
+    return hamiltonian.CoefficientSet(0.0, *_lattice_layer(p, kx, ky))
 
 
 def find_dirac_point(p: GrapheneParams) -> tuple[float, float]:
@@ -218,7 +210,7 @@ class GridSpec:
         if self.nx < 2 or self.ny < 2:
             raise InputFormatError("grid needs at least 2 samples per axis")
         for name in ("kx_min", "kx_max", "ky_min", "ky_max"):
-            value = self.__dict__[name] = _real(name, getattr(self, name))
+            value = self.__dict__[name] = _real(name, getattr(self, name), InputFormatError)
             if not math.isfinite(value):
                 raise InputFormatError(f"{name} must be finite")
         if self.kx_max <= self.kx_min or self.ky_max <= self.ky_min:

@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from ._invariants import _TINY, DEFAULT_TOL, DerivedCoefficients, _derive_kernel, _ratio, _record
+from ._invariants import (_TINY, DEFAULT_TOL, DerivedCoefficients, _derive_kernel, _ratio, _real,
+                          _record)
 from .errors import NonHermitianError
 from .pauli import _WORDS, require_hermitian
 
@@ -34,9 +35,11 @@ class CoefficientSet:
     the 16 coefficients in :func:`fano_compose`'s order, upsilon, alpha,
     beta, then omega row by row, and ``alpha``, ``beta`` and ``omega`` are
     read-only views of it; ``upsilon`` is its first entry as a Python
-    float.  The inputs are validated once, on the packed vector.  Two sets
-    are equal when their packed vectors are, and equal sets hash alike
-    (0.0 and -0.0 included), so sets can key a dict.
+    float.  upsilon must be a real number, and alpha, beta and omega must
+    hold real numbers (:func:`_real_array`); finiteness is checked once, on
+    the packed vector.  Two sets are equal when their packed vectors are,
+    and equal sets hash alike (0.0 and -0.0 included), so sets can key a
+    dict.
     """
 
     upsilon: float
@@ -45,14 +48,14 @@ class CoefficientSet:
     omega: np.ndarray
 
     def __post_init__(self):
-        upsilon = float(self.upsilon)
+        upsilon = _real("upsilon", self.upsilon)
         if not math.isfinite(upsilon):
             raise ValueError("upsilon must be finite")
         packed = np.empty(16)
         packed[0] = upsilon
-        packed[1:4] = np.asarray(self.alpha, dtype=float).reshape((3,))
-        packed[4:7] = np.asarray(self.beta, dtype=float).reshape((3,))
-        packed[7:].reshape(3, 3)[...] = np.asarray(self.omega, dtype=float).reshape((3, 3))
+        packed[1:4] = _real_array("alpha", self.alpha).reshape((3,))
+        packed[4:7] = _real_array("beta", self.beta).reshape((3,))
+        packed[7:].reshape(3, 3)[...] = _real_array("omega", self.omega).reshape((3, 3))
         if not np.isfinite(packed).all():
             raise ValueError("coefficients must be finite")
         # Views of a read-only array are read-only and cannot be made writeable.
@@ -76,6 +79,19 @@ class CoefficientSet:
     def scale(self) -> float:
         """Euclidean norm of all coefficients, the natural size of the set; never overflows."""
         return math.hypot(*self.packed.tolist())
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """The coefficients ``value`` as an integer or float array: an array of
+    such a dtype as it is, else a sequence (nested to any depth) whose
+    entries are real numbers by :func:`~su2pair._invariants._real`, as
+    floats.  A bool among them, which numpy would read as 0 or 1, a string,
+    a complex number or None raises ValueError naming ``name``."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value
+    for entry in np.asarray(value, dtype=object).flat:
+        _real(f"each {name} entry", entry)
+    return np.asarray(value, dtype=float)
 
 
 def _compose_table() -> tuple[np.ndarray, np.ndarray]:

@@ -346,30 +346,25 @@ def _int_cells(distinct: np.ndarray) -> np.ndarray:
     return np.array(text, f"S{width}").view(np.uint8).reshape(len(text), width)
 
 
-def _strictly_monotone(x: np.ndarray) -> bool:
-    """Whether the float column ``x`` strictly rises or falls, so that no
-    value repeats; NaN, and 0 next to -0, make it not."""
-    if x.size < 2:
-        return True
-    if x[1] > x[0]:
-        return bool(np.all(x[1:] > x[:-1]))
-    return bool(x[1] < x[0] and np.all(x[1:] < x[:-1]))
-
-
 def _table(col):
     """(values, index) of a column, such that values[index] are its cells;
-    ``index`` None stands for every row in order."""
+    ``index`` None stands for every row in order.
+
+    A plain column's table holds the head of each run of equal bits (floats
+    keyed on their int64 view, so that -0.0 stays apart from 0.0), and
+    ``index`` the running count of heads; a column with no equal neighbours
+    is its own table."""
     if isinstance(col, tuple):
         values, index = col
         return np.asarray(values), np.asarray(index)
     col = np.asarray(col)
-    if col.dtype.kind in "iub":
-        return np.unique(col, return_inverse=True)
-    col = np.asarray(col, dtype=np.float64)
-    if _strictly_monotone(col):
+    if col.dtype.kind not in "iub":
+        col = np.asarray(col, dtype=np.float64)
+    keys = col.view(np.int64) if col.dtype.kind == "f" else col
+    heads = np.concatenate([[True], keys[1:] != keys[:-1]])
+    if heads.all():
         return col, None
-    distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    return distinct.view(np.float64), inverse
+    return col[heads], np.cumsum(heads) - 1
 
 
 def _rows(col) -> int:
@@ -424,9 +419,9 @@ def write_csv(path, header: list[str], chunks) -> int:
     A chunk goes through in blocks of at most 4096 rows, which moves no
     byte: every row's text stands alone.  Each column of a block is
     formatted through a table of its values: a ``(values, index)`` column
-    and a strictly rising or falling float column are their own, any other
-    keeps its distinct values, floats keyed on their bit pattern so that
-    ``-0.0`` prints as ``-0``.  All table floats of a block go through one
+    is its own, and any other keeps the first value of each run of rows with
+    equal bits, so that ``-0.0`` prints as ``-0``; a column with no equal
+    neighbours is its own table.  All table floats of a block go through one
     ``_format_17g`` call, and the cells into one byte grid of cells, commas
     and newlines, written with its NUL padding dropped to the file opened in
     binary mode (``\n`` line ends on every platform).  The kernel, the grid

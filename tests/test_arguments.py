@@ -1,11 +1,15 @@
 """Every public callable that takes an index, an (m, n) label, a density
-matrix or a graphene parameter refuses a bad one by the one rule that owns
-that kind of argument, with the package's own error class and message:
-``_invariants._is_index`` for indices, ``_invariants._check_mn`` for
-labels, ``oracle.require_density`` for density matrices and
-``graphene._real`` for the bilayer's parameters, the bounds of a
-``GridSpec`` and the wave vector of ``map_to_su2su2`` and
-``thermal_death_temperature``.
+matrix, a graphene parameter, a coefficient or a quartic coefficient
+refuses a bad one by the one rule that owns that kind of argument, with
+the package's own error class and message: ``_invariants._is_index`` for
+indices, ``_invariants._check_mn`` for labels, ``oracle.require_density``
+for density matrices, ``_invariants._real`` for the bilayer's parameters,
+the bounds of a ``GridSpec``, the wave vector of ``map_to_su2su2`` and
+``thermal_death_temperature``, a ``CoefficientSet``'s upsilon and, through
+``hamiltonian._real_array``, each entry of its alpha, beta and omega unless
+they come as an integer or float array (no bool, string, complex number or
+None), and ``solve_quartic``'s own check, which refuses bool, string and
+complex coefficients.
 """
 
 import re
@@ -56,6 +60,23 @@ BAD_INDICES = [-1, 4, *NOT_NUMBERS, 1.0, 2.0]
 BAD_LABELS = [0, -1, 3, *NOT_NUMBERS, 1.0, 2.0]
 BAD_DENSITIES = [np.eye(3) / 3, np.eye(2) / 2, np.ones((4, 4, 2)) / 4, np.ones(16) / 4,
                  None, "1", off_trace(2e-10), off_trace(-2e-10)]
+
+# x^4 - 1, whose coefficients the solve_quartic rows replace one at a time.
+QUARTIC = [1, 0, 0, 0, -1]
+
+
+def coefficients_with(at, value):
+    """(upsilon, alpha, beta, omega) of ENTANGLED as nested lists, with
+    ``value`` put at the path ``at``: (1,) for all of alpha, (1, 0) for
+    its first entry, (3, 1, 2) for omega's entry (1, 2)."""
+    fields = [0.0, *(c.tolist() for c in (ENTANGLED.alpha, ENTANGLED.beta, ENTANGLED.omega))]
+    *outer, last = at
+    target = fields
+    for i in outer:
+        target = target[i]
+    target[last] = value
+    return fields
+
 
 # (name, call with the bad value, bad values, error class, expected message,
 # numpy integers the call accepts, with the int each stands for).
@@ -111,6 +132,28 @@ TABLE = [
      [*NOT_NUMBERS, 1j, np.True_], InputFormatError,
      lambda v, name=name: f"{name} must be a real number, not {v!r}", [(np.int64(2), 2)])
     for f in (sp.map_to_su2su2, sp.thermal_death_temperature) for name in ("kx", "ky")
+] + [
+    ("CoefficientSet.upsilon", lambda v: sp.CoefficientSet(*coefficients_with((0,), v)),
+     [*NOT_NUMBERS, 1j, np.True_, np.array(0.5)], ValueError,
+     lambda v: f"upsilon must be a real number, not {v!r}", [(np.int64(2), 2)]),
+] + [
+    (f"CoefficientSet.{name}", lambda v, at=at: sp.CoefficientSet(*coefficients_with(at, v)),
+     [*NOT_NUMBERS, 1j, np.True_], ValueError,
+     lambda v, name=name: f"each {name} entry must be a real number, not {v!r}",
+     [(np.int64(2), 2)])
+    for name, at in (("alpha", (1, 0)), ("beta", (2, 2)), ("omega", (3, 1, 2)))
+] + [
+    (f"CoefficientSet.{name}-array", lambda a, k=k: sp.CoefficientSet(*coefficients_with((k,), a)),
+     [np.full(shape, v) for v in (False, "1", 1j, None)], ValueError,
+     lambda a, name=name: f"each {name} entry must be a real number, not {a.ravel().tolist()[0]!r}",
+     [(np.ones(shape, np.int8), np.ones(shape).tolist())])
+    for k, (name, shape) in enumerate((("alpha", (3,)), ("beta", (3,)), ("omega", (3, 3))), 1)
+] + [
+    (f"solve_quartic.{name}", lambda v, k=k: sp.solve_quartic(*QUARTIC[:k], v, *QUARTIC[k + 1:]),
+     [True, False, "1", b"1", 1j, np.True_, np.array([True, False])], ValueError,
+     lambda v, name=name: f"{name} must be a real number or array, not {v!r}",
+     [(np.int64(2), 2), (np.float32(2.0), 2.0)])
+    for k, name in enumerate(("c4", "c3", "c2", "c1", "c0"))
 ]
 
 

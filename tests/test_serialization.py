@@ -1,8 +1,8 @@
 """The CSV writer against a per-cell reference writer, and its array
 '%.17g' kernel against ``format_float``.
 
-``write_csv`` formats each distinct value of a chunk's column once, the
-floats with ``_format_17g``; these tests hold its bytes to the plain
+``write_csv`` formats each run of equal values of a chunk's column once,
+the floats with ``_format_17g``; these tests hold its bytes to the plain
 definition of the format: every cell on its own, ``format_float`` for floats
 and ``%d`` for integer and boolean columns, joined by ``,`` with a trailing
 newline.  The kernel is held to ``format_float`` byte for byte, padding
@@ -117,22 +117,56 @@ MONOTONE = [
     np.array([1.0, 0.0, -1e-260]),
     np.array([2.5]),
 ]
+# Columns that are not monotone but still have no two equal neighbours:
+# signed zeros differ in their bits, and NaN sits between other values.
+UNEVEN = [np.array(col) for col in (
+    [0.0, -0.0], [-0.0, 0.0], [1.0, np.nan, 2.0], [np.nan, 1.0], [3.0, 1.0, 2.0],
+)]
 
 
-@pytest.mark.parametrize("col", MONOTONE, ids=["linear", "geometric", "fallbacks",
-                                              "falling", "single"])
-def test_strictly_monotone_columns_are_their_own_table(col, tmp_path):
-    assert serialization._table(col)[1] is None
+def assert_table_gathers_the_column(col):
+    """values[index] has the column's bits, and the table is no longer than it."""
+    col = np.asarray(col)
+    values, index = serialization._table(col)
+    gathered = values if index is None else values[index]
+    assert gathered.tobytes() == np.asarray(col, gathered.dtype).tobytes()
+    assert values.size <= col.size
+    return values, index
+
+
+@pytest.mark.parametrize("col", MONOTONE + UNEVEN, ids=[
+    "linear", "geometric", "fallbacks", "falling", "single",
+    "zero-minus-zero", "minus-zero-zero", "nan-between", "nan-first", "unsorted"])
+def test_a_column_with_no_equal_neighbours_is_its_own_table(col, tmp_path):
+    assert assert_table_gathers_the_column(col)[1] is None
     assert_writes_reference(tmp_path / "m.csv", ["x", "y"], [[col, col[::-1]]])
 
 
-@pytest.mark.parametrize("col", [
-    [0.0, -0.0], [-0.0, 0.0], [1.0, 2.0, 2.0], [1.0, np.nan, 2.0], [np.nan, 1.0], [3.0, 1.0, 2.0],
-])
-def test_columns_that_can_repeat_are_deduplicated(col, tmp_path):
-    col = np.array(col)
-    assert serialization._table(col)[1] is not None
-    assert_writes_reference(tmp_path / "r.csv", ["x"], [[col]])
+@pytest.mark.parametrize("col, size", [
+    ([1.0, 2.0, 2.0], 2),
+    ([3.0, 1.0, 3.0], 3),  # a value that comes back starts a run of its own
+    ([0.0, 0.0, -0.0, -0.0, 0.0], 3),
+    ([np.nan, np.nan, 1.0], 2),
+    ([np.inf] * 2000 + [1.0] * 3000 + [np.inf], 3),
+    (np.zeros(4096, np.int64), 1),
+    (np.ones(4096, np.bool_), 1),
+    ([2, 2, -1, -1, -1, 2], 3),
+    ([True, True, False], 2),
+], ids=["tail", "return", "signed-zeros", "nans", "long-runs", "int-zeros", "bools",
+        "ints", "bool-runs"])
+def test_runs_of_equal_bits_are_one_table_value(col, size, tmp_path):
+    values, index = assert_table_gathers_the_column(col)
+    assert values.size == size
+    assert (index is None) == (size == len(col))
+    assert_writes_reference(tmp_path / "r.csv", ["x"], [[np.asarray(col)]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_plain_column_gathers_back_from_its_table(seed):
+    rng = np.random.default_rng(seed)
+    for col in random_chunk(rng, 300):
+        assert_table_gathers_the_column(col)
+        assert_table_gathers_the_column(np.sort(col))
 
 
 def test_specials_and_an_empty_file(tmp_path):
