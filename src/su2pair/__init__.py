@@ -35,13 +35,12 @@ _NAMES = {
     ),
     "errors": (
         "ConcurrenceDomainError", "ConstraintError", "DegenerateBranchError",
-        "DensityMatrixError", "FactorizationError", "InputFormatError",
-        "InvariantViolation", "NonHermitianError",
+        "DensityMatrixError", "InputFormatError", "InvariantViolation",
+        "NonHermitianError",
     ),
     "graphene": (
-        "GrapheneParams", "GridSpec", "band_grid", "concurrence_grid",
-        "default_grid", "find_dirac_point", "map_to_su2su2",
-        "thermal_death_temperature",
+        "GrapheneParams", "GridSpec", "default_grid", "find_dirac_point",
+        "map_to_su2su2", "thermal_death_temperature",
     ),
     "hamiltonian": (
         "Branch", "CaseKind", "Classification", "CoefficientSet",
@@ -52,8 +51,7 @@ _NAMES = {
     "pauli": ("pauli", "pauli_word"),
     "quartic": ("solve_quartic",),
     "solver": (
-        "Eigensystem", "SolveMethod", "Su2Factor", "factor_dyadic",
-        "secular_coefficients", "solve", "solve_entangled", "solve_separable",
+        "Eigensystem", "SolveMethod", "secular_coefficients", "solve",
     ),
     "thermo": (
         "EnsembleBranch", "ThermalConcurrenceResult", "ThermalReport",

@@ -49,7 +49,7 @@ _TINY = float(np.finfo(float).tiny)
 
 # The package's relative thresholds, one table (README "Tolerances"):
 # DEFAULT_TOL      constraint residuals and case detection (the derive
-#                  gates here, classify, factor_dyadic)
+#                  gates here, classify, solve)
 # DEGENERACY_RTOL  degenerate spectra (_degenerate_branch): sqrt(Tp) at most
 #                  this times 1 + V, or E_n at most this times 1 + sqrt(V),
 #                  sends the closed-form states to the oracle (n = 1) and

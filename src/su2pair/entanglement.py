@@ -169,7 +169,8 @@ def concurrence_closed_form_arrays(alpha, beta, omega, m: int, n: int):
     alone: the eigenstates (1, n) and (2, n) share their concurrence, and m
     only names the eigenstate.  Raises ConstraintError if any item meets
     neither constraint, and ValueError for labels that
-    :func:`~su2pair._invariants._check_mn` refuses.
+    :func:`~su2pair._invariants._check_mn` refuses and for coefficients
+    that :func:`~su2pair.hamiltonian.derive_arrays` refuses.
     """
     a, b, w = hamiltonian._batch_components(alpha, beta, omega)
     return _concurrence_from_derived(_derive_kernel(a, b, w, np.sqrt), a, b, w, m, n)

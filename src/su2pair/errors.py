@@ -18,10 +18,6 @@ class ConstraintError(InvariantViolation):
     """A coefficient-set constraint required by a closed form does not hold."""
 
 
-class FactorizationError(InvariantViolation):
-    """Coefficient set is not consistent with a tensor-product factorization."""
-
-
 class DensityMatrixError(InvariantViolation):
     """Input is not a valid density matrix within tolerance."""
 

@@ -344,27 +344,6 @@ def concurrence_chunks(p: GrapheneParams, g: GridSpec, m: int = 2, n: int = 1):
         yield {"kx": (xs, ix), "ky": (ys, iy), "c": (c, index), "flag": flag}
 
 
-def _joined(chunks, columns) -> dict[str, np.ndarray]:
-    chunks = list(chunks)
-    gathered = lambda col: col[0][col[1]] if isinstance(col, tuple) else col
-    return {
-        col: np.concatenate([gathered(ch[col]) for ch in chunks]) if chunks else np.empty(0)
-        for col in columns
-    }
-
-
-def band_grid(p: GrapheneParams, g: GridSpec) -> dict[str, np.ndarray]:
-    """Positive band energies on the grid, row-major in (kx, ky)."""
-    return _joined(band_chunks(p, g), ("kx", "ky", "e1", "e2"))
-
-
-def concurrence_grid(
-    p: GrapheneParams, g: GridSpec, m: int = 2, n: int = 1
-) -> dict[str, np.ndarray]:
-    """Eigenstate concurrence of branch (m, n) on the grid; see concurrence_chunks."""
-    return _joined(concurrence_chunks(p, g, m, n), ("kx", "ky", "c", "flag"))
-
-
 def thermal_death_temperature(p: GrapheneParams, kx: float, ky: float) -> float | None:
     """Bisection, 200 geometric halvings of the bracket [1e-6, 1e6], for the
     temperature where the curve's numerator sinh(x+/T) - cosh(x-/T) changes

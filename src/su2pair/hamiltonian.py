@@ -171,15 +171,25 @@ def derive_arrays(alpha, beta, omega) -> DerivedCoefficients:
     invariant under local rotations, so the gates hold in any frame.
     det omega comes from one Householder reflection, not an LU
     factorization.  Each item's fields are bitwise those of :func:`derive` on that set, in any
-    memory order: the kernel works elementwise on component views.
+    memory order: the kernel works elementwise on component views.  An entry
+    that a :class:`CoefficientSet` refuses, None or NaN among them, raises
+    ValueError naming its field.
     """
     return _derive_kernel(*_batch_components(alpha, beta, omega), np.sqrt)
 
 
 def _batch_components(alpha, beta, omega):
     """A batch's components in the form ``_derive_kernel`` takes: views of
-    alpha, beta and omega with the component axes first."""
-    al, be, om = (np.asarray(x, dtype=float) for x in (alpha, beta, omega))
+    alpha, beta and omega with the component axes first.  Each is checked
+    by the rule of :class:`CoefficientSet`, :func:`_real_array` and then
+    finiteness, and refused with ValueError naming it."""
+    parts = []
+    for name, value in (("alpha", alpha), ("beta", beta), ("omega", omega)):
+        part = np.asarray(_real_array(name, value), dtype=float)
+        if not np.isfinite(part).all():
+            raise ValueError(f"{name} must be finite")
+        parts.append(part)
+    al, be, om = parts
     return np.moveaxis(al, -1, 0), np.moveaxis(be, -1, 0), np.moveaxis(om, (-2, -1), (0, 1))
 
 
@@ -268,9 +278,10 @@ def _dyadic_residuals(
 def _factor_parts(c: CoefficientSet, leading):
     """(a0, a, b0, b) of the factors a0 + a.sigma and b0 + b.sigma of a
     product set, from omega's leading singular triple of
-    :func:`_dyadic_residuals` (None for omega = 0), in the gauge of
-    :func:`~su2pair.solver.factor_dyadic`, the vectors of shape (3,): the
-    one product factorization, which solve and the thermal sweep read."""
+    :func:`_dyadic_residuals` (None for omega = 0), the vectors of shape
+    (3,): the one product factorization, which solve and the thermal sweep
+    read.  The reciprocal-scaling gauge is fixed by |a| = |b| = sqrt(s1),
+    and the sign by making the largest-magnitude component of a positive."""
     if leading is None:
         # omega = 0: the factor of the shorter local vector is scalar.
         if np.linalg.norm(c.alpha) <= np.linalg.norm(c.beta):

@@ -69,17 +69,17 @@ def solve_quartic(c4, c3, c2, c1, c0) -> np.ndarray:
     batch item is bitwise the single call on its coefficients, so
     ``solve_quartic(*secular_coefficients(derive_arrays(a, b, w)))`` gives
     every set's spectrum (less upsilon) in one call.  Raises ValueError
-    for a bool, string or complex coefficient, which numpy would read as a
-    number or not as a real one, and when any c4 = 0; InvariantViolation
-    when a root is not finite, as when dividing by a tiny c4 overflows the
-    monic coefficients.
+    for a bool, string, complex or None coefficient, which numpy would read
+    as a number, not as a real one, or as NaN, and when any c4 = 0;
+    InvariantViolation when a root is not finite, as when dividing by a
+    tiny c4 overflows the monic coefficients.
 
     Near-degenerate roots lose accuracy as in any closed-form quartic
     (Kopp, IJMPC 19, 523 (2008)): roots a relative gap g apart err by about
     eps / g^2, and by up to ~5e-6 where three roots meet.
     """
     for name, value in zip(("c4", "c3", "c2", "c1", "c0"), (c4, c3, c2, c1, c0)):
-        if np.asarray(value).dtype.kind in "bcSU":
+        if value is None or np.asarray(value).dtype.kind in "bcSU":
             raise ValueError(f"{name} must be a real number or array, not {value!r}")
     c4 = np.asarray(c4, float)
     if np.any(c4 == 0):

@@ -7,11 +7,13 @@ reports.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._invariants import even_spectrum
 from .hamiltonian import CoefficientSet, derive, rotate_set
-from .solver import Su2Factor, separable_spectrum
+from .solver import separable_spectrum
 
 RNG_ALGORITHM = "numpy-PCG64"
 
@@ -53,26 +55,26 @@ def _spectrum_gap(values: np.ndarray) -> float:
     return float(np.min(np.diff(flat)))
 
 
-def random_separable_factors(rng: np.random.Generator) -> tuple[Su2Factor, Su2Factor]:
-    """A product-Hamiltonian factor pair with a non-degenerate joint spectrum."""
+def random_separable_factors(rng: np.random.Generator):
+    """Single-qubit factors ((a0, a), (b0, b)) of a product Hamiltonian
+    (a0 + a.sigma) (x) (b0 + b.sigma) with a non-degenerate joint spectrum,
+    a0 and b0 floats and a and b arrays of shape (3,)."""
     for _ in range(_MAX_DRAWS):
-        f1 = Su2Factor(rng.normal(), rng.normal(size=3))
-        f2 = Su2Factor(rng.normal(), rng.normal(size=3))
-        values = separable_spectrum(f1.a0, f1.norm, f2.a0, f2.norm)
-        if _spectrum_gap(values) >= MIN_GAP and min(f1.norm, f2.norm) >= MIN_GAP:
-            return f1, f2
+        factors = (rng.normal(), rng.normal(size=3)), (rng.normal(), rng.normal(size=3))
+        (a0, a), (b0, b) = factors
+        a_norm, b_norm = math.sqrt(a @ a), math.sqrt(b @ b)
+        values = separable_spectrum(a0, a_norm, b0, b_norm)
+        if _spectrum_gap(values) >= MIN_GAP and min(a_norm, b_norm) >= MIN_GAP:
+            return factors
     raise RuntimeError("failed to draw a non-degenerate separable pair")
 
 
-def dyadic_set_from_factors(f1: Su2Factor, f2: Su2Factor) -> CoefficientSet:
-    """Coefficients of H1 (x) H2: upsilon = a0 b0, alpha = b0 a, beta = a0 b,
-    omega the outer product of the factor vectors."""
-    return CoefficientSet(
-        f1.a0 * f2.a0,
-        f2.a0 * f1.vec,
-        f1.a0 * f2.vec,
-        np.outer(f1.vec, f2.vec),
-    )
+def dyadic_set_from_factors(f1, f2) -> CoefficientSet:
+    """Coefficients of H1 (x) H2 of the factors f1 = (a0, a) and f2 = (b0, b)
+    of :func:`random_separable_factors`: upsilon = a0 b0, alpha = b0 a,
+    beta = a0 b, omega the outer product of the factor vectors."""
+    (a0, a), (b0, b) = f1, f2
+    return CoefficientSet(a0 * b0, b0 * a, a0 * b, np.outer(a, b))
 
 
 def random_dyadic_set(rng: np.random.Generator) -> CoefficientSet:

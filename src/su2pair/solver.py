@@ -16,15 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._invariants import DEGENERACY_RTOL, _check_mn, _degenerate_branch, _record, even_spectrum
-from .errors import FactorizationError
 from .hamiltonian import (
     CaseKind,
     CoefficientSet,
     DerivedCoefficients,
     _decide,
-    _dyadic_residuals,
     _factor_parts,
-    derive,
     fano_compose,
 )
 from .pauli import require_hermitian
@@ -34,24 +31,6 @@ class SolveMethod(enum.Enum):
     SEPARABLE_CLOSED_FORM = "separable-closed-form"
     ENTANGLED_CLOSED_FORM = "entangled-closed-form"
     ORACLE_NUMERIC = "oracle-numeric"
-
-
-@_record
-class Su2Factor:
-    """A single-qubit Hamiltonian a0 * I + a . sigma."""
-
-    a0: float
-    vec: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.vec, dtype=float).reshape(3)
-        vec.setflags(write=False)
-        object.__setattr__(self, "a0", float(self.a0))
-        object.__setattr__(self, "vec", vec)
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.vec @ self.vec)
 
 
 _MN = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -97,26 +76,6 @@ class Eigensystem:
     def sorted_values(self) -> np.ndarray:
         return np.sort(self.values.ravel())
 
-    def residuals(self, h: np.ndarray) -> dict[str, float]:
-        """Max-norm defects of the eigensystem contracts against ``h``."""
-        h = np.asarray(h, dtype=complex)
-        scale = 1.0 + float(np.max(np.abs(h)))
-        completeness = np.max(np.abs(sum(s for _, _, s in self.items()) - np.eye(4)))
-        trace = max(abs(np.trace(s).real - 1.0) for _, _, s in self.items())
-        eig = max(
-            float(np.max(np.abs(h @ s - e * s))) / (1.0 + abs(e))
-            for _, e, s in self.items()
-        )
-        commute = max(
-            float(np.max(np.abs(h @ s - s @ h))) / scale for _, _, s in self.items()
-        )
-        return {
-            "completeness": float(completeness),
-            "trace": float(trace),
-            "eigen": eig,
-            "commutator": commute,
-        }
-
 
 def _build(values, states, method, degenerate=False) -> Eigensystem:
     """The read-only Eigensystem of fresh (2, 2) values and (2, 2, 4, 4) states."""
@@ -128,28 +87,6 @@ def _build(values, states, method, degenerate=False) -> Eigensystem:
 
 
 # --- separable case -----------------------------------------------------------
-
-
-def factor_dyadic(c: CoefficientSet) -> tuple[Su2Factor, Su2Factor]:
-    """Factor a product-form set into its single-qubit Hamiltonians.
-
-    Raises FactorizationError exactly when :func:`su2pair.classify` does
-    not label the set separable-dyadic, whose route decision it shares.
-    The reciprocal-scaling gauge is fixed by |a| = |b| = sqrt(s1) and the
-    sign by making the largest-magnitude component of the left factor
-    vector positive.
-    """
-    kind, _, d, leading, residuals = _decide(c)
-    if kind is not CaseKind.SEPARABLE_DYADIC:
-        if residuals is None:
-            residuals, _ = _dyadic_residuals(c, d)
-        raise FactorizationError(
-            "not a product set: rank-one residual "
-            f"{residuals['rank1']:.3e}, factor consistency "
-            f"{residuals['factor_consistency']:.3e}"
-        )
-    a0, a_vec, b0, b_vec = _factor_parts(c, leading)
-    return Su2Factor(a0, a_vec), Su2Factor(b0, b_vec)
 
 
 def separable_spectrum(a0: float, a: float, b0: float, b: float) -> np.ndarray:
@@ -167,19 +104,14 @@ def _bloch_projectors(n: list[float]) -> list:
     return [down, -lo, -hi, up, up, lo, hi, down]
 
 
-def solve_separable(f1: Su2Factor, f2: Su2Factor) -> Eigensystem:
-    """Eigensystem of the product Hamiltonian H1 (x) H2.
-
-    Eigenvalues are (a0 + (-1)^m a)(b0 + (-1)^n b); the states are products
-    of the single-qubit Bloch projectors.  A zero-norm factor vector is a
-    degenerate factor: its projectors are built from the +3 axis and the
-    result is flagged.
-    """
-    return _solve_product(f1.a0, f1.vec, f2.a0, f2.vec)
-
-
 def _solve_product(a0: float, a_vec: np.ndarray, b0: float, b_vec: np.ndarray) -> Eigensystem:
-    """:func:`solve_separable` of the factors a0 + a.sigma and b0 + b.sigma."""
+    """Eigensystem of the product Hamiltonian (a0 + a.sigma) (x) (b0 + b.sigma).
+
+    Eigenvalues are (a0 + (-1)^m |a|)(b0 + (-1)^n |b|); the states are
+    products of the single-qubit Bloch projectors.  A zero-norm factor
+    vector is a degenerate factor: its projectors are built from the +3 axis
+    and the result is flagged.
+    """
     degenerate = False
     norms, proj = [], []
     for f0, vec in ((a0, a_vec), (b0, b_vec)):
@@ -204,8 +136,9 @@ def _solve_product(a0: float, a_vec: np.ndarray, b0: float, b_vec: np.ndarray) -
 # --- constrained entangled case -----------------------------------------------
 
 
-def solve_entangled(c: CoefficientSet) -> Eigensystem:
-    """Closed-form eigensystem of a constraint-satisfying set.
+def _solve_entangled(c: CoefficientSet, d: DerivedCoefficients) -> Eigensystem:
+    """Closed-form eigensystem of a constraint-satisfying set ``c`` with
+    ``d`` = :func:`~su2pair.hamiltonian.derive` of ``c``.
 
     Eigenvalues are upsilon + (-1)^m E_n with E_n = sqrt(V + (-1)^n sqrt(Tp));
     the states come from the polynomial ansatz
@@ -216,14 +149,8 @@ def solve_entangled(c: CoefficientSet) -> Eigensystem:
     refuses the closed-form concurrence, the ansatz collapses, so the states
     (and values) come from the oracle instead, labelled by the closed-form
     energy pattern, and the result is flagged when the oracle's levels merge.
-    That fallback checks the composed matrix as :func:`solve` does, by
-    :func:`_oracle_input`.
+    That fallback checks the composed matrix by :func:`_oracle_input`.
     """
-    return _solve_entangled(c, derive(c))
-
-
-def _solve_entangled(c: CoefficientSet, d: DerivedCoefficients) -> Eigensystem:
-    """:func:`solve_entangled` with ``d`` = :func:`derive` of ``c``."""
     sq, e1, e2 = even_spectrum(d)
     h = fano_compose(c)
     # Branch 1 is refused whenever branch 2 is, so it decides for both.
@@ -341,7 +268,10 @@ def solve(c: CoefficientSet) -> Eigensystem:
 
     Product-form sets take the separable closed form and constrained sets
     the entangled closed form, in whatever local frame they are given: the
-    ansatz is covariant under local rotations.  Every general set, one
+    ansatz is covariant under local rotations.  A product set is factored
+    by :func:`~su2pair.hamiltonian._factor_parts` in one gauge: the factor
+    vectors a and b have |a| = |b| = sqrt(s1), s1 the leading singular value
+    of omega, and the largest-magnitude component of a is positive.  Every general set, one
     with diagonal omega included, is solved numerically.  The route comes
     from :func:`_decide` with the derived coefficients, and omega's singular
     triple where the product test needed it, so a set is derived once and

@@ -287,7 +287,12 @@ def thermal_sweep(
     ValueError, with the constraint residuals for the positive branch on a
     set that meets neither constraint.
     """
-    t = _check_temperature(temps, 1)
+    return _sweep(c, _check_temperature(temps, 1), branch)
+
+
+def _sweep(c: CoefficientSet, t: np.ndarray, branch: EnsembleBranch) -> dict[str, np.ndarray]:
+    """:func:`thermal_sweep` at the 1-D temperatures ``t`` that
+    :func:`_check_temperature` has passed."""
     kind, _, d, leading, _ = _decide(c)
     if kind is CaseKind.SEPARABLE_DYADIC and branch is EnsembleBranch.FULL:
         boltz, shift = _gibbs_weights(*_product_levels(*_factor_parts(c, leading)), t)
@@ -344,7 +349,7 @@ def thermal_report(
     Raises ValueError as thermal_sweep does, and for a ``t`` that
     :func:`_check_temperature` refuses as one temperature.
     """
-    s = thermal_sweep(c, _check_temperature(t, 0).reshape(1), branch)
+    s = _sweep(c, _check_temperature(t, 0).reshape(1), branch)
     return ThermalReport(
         float(s["t"][0]),
         float(s["z"][0]),

@@ -22,7 +22,6 @@ from .hamiltonian import CoefficientSet, fano_compose, rotate_set
 from .oracle import eig_hermitian, wootters_concurrence
 from .sampling import (
     RNG_ALGORITHM,
-    dyadic_set_from_factors,
     make_rng,
     random_coefficient_set,
     random_commuting_thermal_set,
@@ -31,9 +30,8 @@ from .sampling import (
     random_entangled_canonical,
     random_rotated_constrained,
     random_rotation,
-    random_separable_factors,
 )
-from .solver import SolveMethod, solve, solve_entangled, solve_separable
+from .solver import SolveMethod, solve
 from .thermo import EnsembleBranch, thermal_state, thermal_sweep
 
 
@@ -78,6 +76,12 @@ def _match_oracle(es, h) -> tuple[float, float]:
     return val_dev, proj_dev
 
 
+def _off_route(es, method: SolveMethod) -> float:
+    """0.0 where :func:`solve` took the closed form ``method`` that a suite
+    checks, inf where it took another route, so that the suite fails."""
+    return 0.0 if es.method is method else math.inf
+
+
 # The constrained branches that the entangled-route suites cycle through.
 _BRANCHES = ("alpha", "beta", "both")
 
@@ -88,16 +92,14 @@ def suite_oracle_equivalence(samples: int, seed: int) -> SuiteResult:
     rng = make_rng(seed)
     worst = 0.0
     half = max(samples // 2, 1)
-    for _ in range(half):
-        f1, f2 = random_separable_factors(rng)
-        es = solve_separable(f1, f2)
-        val_dev, proj_dev = _match_oracle(es, fano_compose(dyadic_set_from_factors(f1, f2)))
-        worst = _worst(worst, val_dev, proj_dev)
-    for k in range(samples - half):
-        c = random_entangled_canonical(rng, _BRANCHES[k % 3])
-        es = solve_entangled(c)
-        val_dev, proj_dev = _match_oracle(es, fano_compose(c))
-        worst = _worst(worst, val_dev, proj_dev)
+    for k in range(samples):
+        if k < half:
+            c, method = random_dyadic_set(rng), SolveMethod.SEPARABLE_CLOSED_FORM
+        else:
+            c = random_entangled_canonical(rng, _BRANCHES[(k - half) % 3])
+            method = SolveMethod.ENTANGLED_CLOSED_FORM
+        es = solve(c)
+        worst = _worst(worst, *_match_oracle(es, fano_compose(c)), _off_route(es, method))
     # The worst of seeds 0-9 at 2000 samples is 4.4e-14.  Entangled-route
     # eigenvalues off by 1e-10 relative fail.
     return SuiteResult("oracle-equivalence", samples, worst, 5e-12, worst <= 5e-12)
@@ -110,7 +112,8 @@ def suite_orthonormality(samples: int, seed: int) -> SuiteResult:
     worst = 0.0
     for k in range(samples):
         c = random_entangled_canonical(rng, _BRANCHES[k % 3])
-        es = solve_entangled(c)
+        es = solve(c)
+        worst = _worst(worst, _off_route(es, SolveMethod.ENTANGLED_CLOSED_FORM))
         states = [s for _, _, s in es.items()]
         for i, si in enumerate(states):
             worst = _worst(worst, abs(float(np.trace(si).real) - 1.0))
@@ -137,7 +140,7 @@ def suite_partition_function(samples: int, seed: int) -> SuiteResult:
     for k in range(samples):
         product = k % 2 == 0
         if product:
-            c = dyadic_set_from_factors(*random_separable_factors(rng))
+            c = random_dyadic_set(rng)
         else:
             c = random_entangled_canonical(rng, "alpha")
         w = eig_hermitian(fano_compose(c)).eigenvalues
@@ -188,7 +191,8 @@ def suite_concurrence_routes(samples: int, seed: int) -> SuiteResult:
             c = _vanishing_alpha_set(rng)
         else:
             c = random_entangled_canonical(rng, branch)
-        es = solve_entangled(c)
+        es = solve(c)
+        worst = _worst(worst, _off_route(es, SolveMethod.ENTANGLED_CLOSED_FORM))
         for (m, n), _, rho in es.items():
             closed = eigenstate_concurrence_closed_form(c, m, n)
             bloch = pure_concurrence(rho)

@@ -11,12 +11,13 @@ import math
 
 import numpy as np
 
+from su2pair import graphene
 from su2pair.errors import DensityMatrixError
 from su2pair.graphene import GrapheneParams
-from su2pair.hamiltonian import CoefficientSet, fano_compose
+from su2pair.hamiltonian import CaseKind, CoefficientSet, _decide, _factor_parts, fano_compose
 from su2pair.oracle import SpectralDecomposition, eig_hermitian
 from su2pair.pauli import pauli, pauli_word
-from su2pair.solver import Eigensystem, Su2Factor
+from su2pair.solver import Eigensystem
 
 # --- random draws ------------------------------------------------------------------
 
@@ -79,12 +80,65 @@ def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
     return (v * dec.eigenvalues) @ v.conj().T
 
 
-def product_matrix(f1: Su2Factor, f2: Su2Factor) -> np.ndarray:
-    """H1 (x) H2 of two single-qubit factors, each a0 I + a . sigma."""
-    def factor(f):
-        return f.a0 * np.eye(2, dtype=complex) + sum(f.vec[i] * pauli(i + 1) for i in range(3))
+def _joined(chunks, columns) -> dict[str, np.ndarray]:
+    """A grid's chunk stream as whole columns, one entry per point: each
+    (values, index) pair gathered, and the chunks joined in order."""
+    chunks = list(chunks)
+    gathered = lambda col: col[0][col[1]] if isinstance(col, tuple) else col
+    return {
+        col: np.concatenate([gathered(ch[col]) for ch in chunks]) if chunks else np.empty(0)
+        for col in columns
+    }
 
-    return np.kron(factor(f1), factor(f2))
+
+def band_columns(p, g) -> dict[str, np.ndarray]:
+    """The columns kx, ky, e1 and e2 of ``graphene.band_chunks``."""
+    return _joined(graphene.band_chunks(p, g), ("kx", "ky", "e1", "e2"))
+
+
+def concurrence_columns(p, g, m=2, n=1) -> dict[str, np.ndarray]:
+    """The columns kx, ky, c and flag of ``graphene.concurrence_chunks``."""
+    return _joined(graphene.concurrence_chunks(p, g, m, n), ("kx", "ky", "c", "flag"))
+
+
+def factor(a0, vec) -> tuple[float, np.ndarray]:
+    """The single-qubit factor a0 I + a . sigma as the pair (a0, a) that
+    ``sampling.random_separable_factors`` draws."""
+    return float(a0), np.asarray(vec, dtype=float)
+
+
+def product_matrix(f1, f2) -> np.ndarray:
+    """H1 (x) H2 of two single-qubit factors (a0, a), each a0 I + a . sigma."""
+    def matrix(f):
+        a0, a = f
+        return a0 * np.eye(2, dtype=complex) + sum(a[i] * pauli(i + 1) for i in range(3))
+
+    return np.kron(matrix(f1), matrix(f2))
+
+
+def product_factors(c: CoefficientSet):
+    """The factors ((a0, a), (b0, b)) of a product set that ``solve``'s
+    product route reads, from ``hamiltonian._factor_parts``."""
+    kind, _, _, leading, _ = _decide(c)
+    assert kind is CaseKind.SEPARABLE_DYADIC, c
+    a0, a, b0, b = _factor_parts(c, leading)
+    return (a0, a), (b0, b)
+
+
+def eigensystem_defects(es: Eigensystem, h: np.ndarray) -> dict[str, float]:
+    """Max-norm defects of an eigensystem's contracts against ``h``: the
+    states resolve the identity, have unit trace, are eigenprojectors and
+    commute with h."""
+    states = es.states.reshape(4, 4, 4)
+    values = es.values.ravel()
+    scale = 1.0 + float(np.max(np.abs(h)))
+    return {
+        "completeness": float(np.max(np.abs(states.sum(0) - np.eye(4)))),
+        "trace": max(abs(np.trace(s).real - 1.0) for s in states),
+        "eigen": max(float(np.max(np.abs(h @ s - e * s))) / (1.0 + abs(e))
+                     for e, s in zip(values, states)),
+        "commutator": max(float(np.max(np.abs(h @ s - s @ h))) / scale for s in states),
+    }
 
 
 def mat_func(m: np.ndarray, func: str) -> np.ndarray:

@@ -8,8 +8,10 @@ the bounds of a ``GridSpec``, the wave vector of ``map_to_su2su2`` and
 ``thermal_death_temperature``, a ``CoefficientSet``'s upsilon and, through
 ``hamiltonian._real_array``, each entry of its alpha, beta and omega unless
 they come as an integer or float array (no bool, string, complex number or
-None), and ``solve_quartic``'s own check, which refuses bool, string and
-complex coefficients.
+None), which ``derive_arrays`` and ``concurrence_closed_form_arrays``
+apply to every entry of their batches before refusing a non-finite one,
+and ``solve_quartic``'s own check, which refuses bool, string, complex and
+None coefficients.
 """
 
 import re
@@ -20,6 +22,8 @@ import pytest
 
 import su2pair as sp
 from su2pair.errors import DensityMatrixError, InputFormatError
+
+from references import concurrence_columns
 
 # A constrained set on the alpha branch with a non-degenerate spectrum.
 ENTANGLED = sp.CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
@@ -78,6 +82,25 @@ def coefficients_with(at, value):
     return fields
 
 
+def stack_with(k, entry):
+    """STACK as nested lists, with the first entry of its field ``k`` (0
+    alpha, 1 beta, 2 omega) replaced by ``entry``."""
+    fields = [x.tolist() for x in STACK]
+    target = fields[k][0]
+    while isinstance(target[0], list):
+        target = target[0]
+    target[0] = entry
+    return fields
+
+
+def array_message(name, bad):
+    """The refusal of a batch whose ``name`` holds ``bad``: the entry rule
+    of a CoefficientSet's arrays, then finiteness."""
+    if bad is None:
+        return f"each {name} entry must be a real number, not None"
+    return f"{name} must be finite"
+
+
 # (name, call with the bad value, bad values, error class, expected message,
 # numpy integers the call accepts, with the int each stands for).
 TABLE = [
@@ -103,7 +126,7 @@ TABLE = [
      lambda m: sp.eigenstate_concurrence_closed_form(ENTANGLED, m, 2), BAD_LABELS, ValueError, lambda m: label_message(m, 2), [(np.int64(1), 1)]),
     ("concurrence_arrays", lambda n: sp.concurrence_closed_form_arrays(*STACK, 2, n),
      BAD_LABELS, ValueError, lambda n: label_message(2, n), [(np.int32(1), 1)]),
-    ("concurrence_grid", lambda m: sp.concurrence_grid(PARAMS, GRID, m, 1),
+    ("concurrence_chunks", lambda m: concurrence_columns(PARAMS, GRID, m, 1),
      BAD_LABELS, ValueError, lambda m: label_message(m, 1), [(np.int64(2), 2)]),
     ("wootters_concurrence", sp.wootters_concurrence, BAD_DENSITIES, DensityMatrixError,
      None, []),
@@ -150,10 +173,18 @@ TABLE = [
     for k, (name, shape) in enumerate((("alpha", (3,)), ("beta", (3,)), ("omega", (3, 3))), 1)
 ] + [
     (f"solve_quartic.{name}", lambda v, k=k: sp.solve_quartic(*QUARTIC[:k], v, *QUARTIC[k + 1:]),
-     [True, False, "1", b"1", 1j, np.True_, np.array([True, False])], ValueError,
+     [True, False, "1", b"1", 1j, np.True_, np.array([True, False]), None], ValueError,
      lambda v, name=name: f"{name} must be a real number or array, not {v!r}",
      [(np.int64(2), 2), (np.float32(2.0), 2.0)])
     for k, name in enumerate(("c4", "c3", "c2", "c1", "c0"))
+] + [
+    (f"{label}.{name}", lambda v, f=f, k=k: f(*stack_with(k, v)),
+     [None, np.nan, np.inf, -np.inf], ValueError,
+     lambda v, name=name: array_message(name, v), [])
+    for label, f in (("derive_arrays", sp.derive_arrays),
+                     ("concurrence_arrays",
+                      lambda a, b, w: sp.concurrence_closed_form_arrays(a, b, w, 2, 1)))
+    for k, name in enumerate(("alpha", "beta", "omega"))
 ]
 
 

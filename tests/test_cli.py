@@ -15,7 +15,7 @@ from su2pair.cli import main
 from su2pair.hamiltonian import CaseKind, CoefficientSet
 from su2pair.serialization import coefficient_set_from_dict, format_float
 
-from references import coefficient_set_to_dict, log_partition_numeric
+from references import band_columns, coefficient_set_to_dict, log_partition_numeric
 
 ENTANGLED = {
     "upsilon": 0.0,
@@ -661,13 +661,13 @@ class TestGrapheneCommands:
         assert capsys.readouterr() == ("", "error: --kx and --ky must be finite\n")
 
     def test_csv_round_trip_exact(self, tmp_path):
-        from su2pair.graphene import GrapheneParams, band_grid, default_grid
+        from su2pair.graphene import GrapheneParams, default_grid
 
         out = tmp_path / "bands.csv"
         main(["graphene-bands", "--bias", "0.3", "--grid", "7", "--output", str(out)])
         _, rows = read_csv(out)
         p = GrapheneParams(bias=0.3)
-        data = band_grid(p, default_grid(p, 7))
+        data = band_columns(p, default_grid(p, 7))
         for row, e1, e2 in zip(rows, data["e1"], data["e2"]):
             assert float(row[2]) == e1
             assert float(row[3]) == e2

@@ -15,17 +15,18 @@ from su2pair.sampling import (
 )
 from su2pair.entanglement import pure_concurrence
 from su2pair.serialization import eigensystem_to_dict
-from su2pair.solver import solve, solve_entangled
+from su2pair.solver import SolveMethod, solve
 from su2pair.thermo import EnsembleBranch, thermal_report, thermal_state
 
-from references import build_ab_hamiltonian
+from references import build_ab_hamiltonian, eigensystem_defects
 
 
 def test_biased_gamma_point_oracle_vs_closed_form():
     """Strong bias at k = 0: dense spectrum equals the closed form."""
     p = GrapheneParams(bias=10.0)
     c = map_to_su2su2(p, 0.0, 0.0)
-    es = solve_entangled(c)
+    es = solve(c)
+    assert es.method is SolveMethod.ENTANGLED_CLOSED_FORM
     w = eig_hermitian(build_ab_hamiltonian(p, 0.0, 0.0)).eigenvalues
     assert np.max(np.abs(np.sort(es.values.ravel()) - np.sort(w))) <= 1e-9 * (
         1 + np.max(np.abs(w))
@@ -35,7 +36,7 @@ def test_biased_gamma_point_oracle_vs_closed_form():
 def test_named_k_point_concurrence_routes():
     p = GrapheneParams(bias=1.0)
     c = map_to_su2su2(p, 1.0, 0.5)
-    es = solve_entangled(c)
+    es = solve(c)
     for (m, n), _, rho in es.items():
         assert abs(pure_concurrence(rho) - wootters_concurrence(rho)) <= 1e-7
 
@@ -67,7 +68,7 @@ def test_solve_across_scales():
             scale = 1.0 + float(np.max(np.abs(w)))
             dev = float(np.max(np.abs(np.sort(es.values.ravel()) - np.sort(w))))
             assert dev <= 1e-9 * scale
-            res = es.residuals(h)
+            res = eigensystem_defects(es, h)
             assert res["completeness"] <= 1e-9
             assert res["eigen"] <= 1e-8
 
@@ -88,7 +89,7 @@ def test_positive_branch_purity_equals_projected_state(rng):
 
 def test_eigensystem_json_values_round_trip(rng):
     c = random_entangled_canonical(rng, "alpha")
-    es = solve_entangled(c)
+    es = solve(c)
     payload = json.loads(json.dumps(eigensystem_to_dict(es)))
     for entry in payload["eigenvalues"]:
         assert entry["value"] == es.eigenvalue(entry["m"], entry["n"])

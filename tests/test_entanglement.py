@@ -28,7 +28,7 @@ from su2pair.sampling import (
     random_rotated_constrained,
     random_rotation,
 )
-from su2pair.solver import solve, solve_entangled
+from su2pair.solver import solve
 
 from references import partial_trace, random_pure_density, von_neumann_entropy
 
@@ -67,7 +67,7 @@ class TestBlochVectors:
         for k in range(200):
             branch = ("alpha", "beta", "both")[k % 3]
             c = random_entangled_canonical(rng, branch)
-            es = solve_entangled(c)
+            es = solve(c)
             for (m, n), _, rho in es.items():
                 cf = eigenstate_bloch_closed_form(c, m, n)
                 tr = bloch_vectors(rho)
@@ -78,7 +78,7 @@ class TestBlochVectors:
         """Marginal Bloch vector of rho_mn via partial trace = coefficient route."""
         for _ in range(30):
             c = random_entangled_canonical(rng, "alpha")
-            es = solve_entangled(c)
+            es = solve(c)
             for (m, n), _, rho in es.items():
                 marginal = partial_trace(rho, 1)
                 a_tr = np.array(
@@ -135,7 +135,7 @@ class TestPureConcurrence:
 
 class TestClosedFormConcurrence:
     def test_reference_example(self):
-        es = solve_entangled(ENTANGLED_EXAMPLE)
+        es = solve(ENTANGLED_EXAMPLE)
         want = 2.0 / np.sqrt(5.0)
         got = eigenstate_concurrence_closed_form(ENTANGLED_EXAMPLE, 1, 2)
         assert abs(got - want) <= 1e-10
@@ -155,7 +155,7 @@ class TestClosedFormConcurrence:
         for k in range(300):
             branch = ("alpha", "beta", "both")[k % 3]
             c = random_entangled_canonical(rng, branch)
-            es = solve_entangled(c)
+            es = solve(c)
             for (m, n), _, rho in es.items():
                 closed = eigenstate_concurrence_closed_form(c, m, n)
                 bloch = pure_concurrence(rho)
@@ -272,7 +272,7 @@ def test_marginal_entropy_consistency(rng):
     """Entanglement entropy of closed-form eigenstates matches their concurrence."""
     for _ in range(20):
         c = random_entangled_canonical(rng, "alpha")
-        es = solve_entangled(c)
+        es = solve(c)
         for (m, n), _, rho in es.items():
             conc = eigenstate_concurrence_closed_form(c, m, n)
             p = (1 + np.sqrt(max(1 - conc**2, 0.0))) / 2

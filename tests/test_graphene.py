@@ -23,8 +23,6 @@ from su2pair.errors import ConcurrenceDomainError, DegenerateBranchError, InputF
 from su2pair.graphene import (
     GrapheneParams,
     GridSpec,
-    band_grid,
-    concurrence_grid,
     default_grid,
     find_dirac_point,
     first_zone_mask,
@@ -45,7 +43,7 @@ from su2pair.oracle import eig_hermitian, wootters_concurrence
 from su2pair.thermo import thermal_state, thermal_sweep
 
 import references
-from references import build_ab_hamiltonian
+from references import band_columns, build_ab_hamiltonian, concurrence_columns
 
 DEFAULT = GrapheneParams()
 
@@ -261,7 +259,7 @@ class TestBands:
 
     def test_grid_ordering_and_oracle(self):
         p = GrapheneParams(bias=0.5)
-        data = band_grid(p, small_grid(p))
+        data = band_columns(p, small_grid(p))
         assert np.all(data["e2"] >= data["e1"])
         assert np.all(data["e1"] >= 0)
         for kx, ky, e1, e2 in zip(data["kx"], data["ky"], data["e1"], data["e2"]):
@@ -271,7 +269,7 @@ class TestBands:
     def test_row_major_order(self):
         p = DEFAULT
         g = GridSpec(-1.0, 1.0, -2.0, 2.0, 3, 3)
-        data = band_grid(p, g)
+        data = band_columns(p, g)
         assert np.allclose(data["kx"][:3], -1.0)
         assert np.allclose(data["ky"][:3], [-2.0, 0.0, 2.0])
 
@@ -284,8 +282,8 @@ class TestMask:
 
     def test_masked_grid_is_smaller(self):
         p = DEFAULT
-        full = band_grid(p, small_grid(p))
-        masked = band_grid(p, default_grid(p, 21, "hex"))
+        full = band_columns(p, small_grid(p))
+        masked = band_columns(p, default_grid(p, 21, "hex"))
         assert 0 < masked["kx"].size < full["kx"].size
 
     def test_grid_validation(self):
@@ -304,7 +302,7 @@ class TestMask:
             GridSpec(-1, 1, -1, 1, 3, "3")
         with pytest.raises(InputFormatError, match="^ny must be an integer"):
             GridSpec(-1, 1, -1, 1, 3, np.float64(3.0))
-        assert band_grid(GrapheneParams(), GridSpec(-1, 1, -1, 1, np.int64(3), 3))["kx"].size == 9
+        assert band_columns(GrapheneParams(), GridSpec(-1, 1, -1, 1, np.int64(3), 3))["kx"].size == 9
 
     @pytest.mark.parametrize("index", range(4), ids=["kx_min", "kx_max", "ky_min", "ky_max"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -322,32 +320,32 @@ class TestMask:
 class TestConcurrenceGrid:
     def test_product_limit_all_zero(self):
         p = GrapheneParams(tperp=0.0, t3=0.0, bias=1.0)
-        data = concurrence_grid(p, small_grid(p, 11), 2, 1)
+        data = concurrence_columns(p, small_grid(p, 11), 2, 1)
         assert np.max(data["c"]) <= 1e-7
 
     def test_values_in_range_with_flags(self):
         p = GrapheneParams(bias=1.0)
         for n in (1, 2):
-            data = concurrence_grid(p, small_grid(p, 15), 2, n)
+            data = concurrence_columns(p, small_grid(p, 15), 2, n)
             assert np.all((data["c"] >= 0) & (data["c"] <= 1))
             assert np.all(data["c"][data["flag"] == 1] == 0.0)
 
     def test_branches_differ(self):
         p = GrapheneParams(bias=1.0)
-        a = concurrence_grid(p, small_grid(p, 21), 2, 1)
-        b = concurrence_grid(p, small_grid(p, 21), 2, 2)
+        a = concurrence_columns(p, small_grid(p, 21), 2, 1)
+        b = concurrence_columns(p, small_grid(p, 21), 2, 2)
         assert np.max(np.abs(a["c"] - b["c"])) >= 0.1
 
     def test_wootters_agreement_on_unflagged_points(self, rng):
         from su2pair.oracle import wootters_concurrence
-        from su2pair.solver import solve_entangled
+        from su2pair.solver import solve
 
         p = GrapheneParams(bias=1.0)
-        data = concurrence_grid(p, small_grid(p, 9), 2, 1)
+        data = concurrence_columns(p, small_grid(p, 9), 2, 1)
         for kx, ky, cval, flag in zip(data["kx"], data["ky"], data["c"], data["flag"]):
             if flag:
                 continue
-            es = solve_entangled(map_to_su2su2(p, kx, ky))
+            es = solve(map_to_su2su2(p, kx, ky))
             assert abs(cval - wootters_concurrence(es.state(2, 1))) <= 1e-7
 
     # Each bias's bound is its worst error over the four branches at 51^2,
@@ -369,13 +367,13 @@ class TestConcurrenceGrid:
         the concurrence-routes suite checks it."""
         p = GrapheneParams(bias=bias)
         grid = default_grid(p, 51)
-        points = concurrence_grid(p, grid)
+        points = concurrence_columns(p, grid)
         h = np.array([fano_compose(CoefficientSet(0.0, *x))
                       for x in zip(*lattice_layer_arrays(p, points["kx"], points["ky"]))])
         e, v = np.linalg.eigh(h)
         # Levels ascend as -E2, -E1, E1, E2: the (m, n) level is (-1)^m E_n.
         for k, (m, n) in enumerate([(1, 2), (1, 1), (2, 1), (2, 2)]):
-            data = concurrence_grid(p, grid, m, n)
+            data = concurrence_columns(p, grid, m, n)
             assert not data["flag"].any()
             psi = v[:, :, k]
             ref = 2.0 * np.abs(psi[:, 0] * psi[:, 3] - psi[:, 1] * psi[:, 2])
@@ -396,7 +394,7 @@ class TestConcurrenceGrid:
         at the large scales and underflowed at the small one."""
         base = GrapheneParams(t=1.0, t3=0.7, tperp=0.9, m=0.2, bias=bias)
         g = default_grid(base, 21, "hex")
-        ref = concurrence_grid(base, g)
+        ref = concurrence_columns(base, g)
         layer = lambda p: lattice_layer_arrays(p, ref["kx"], ref["ky"])
         radicand = lambda p: concurrence_closed_form_arrays(*layer(p), 2, 1)[2]
         for k in (182, 198, -182):
@@ -405,7 +403,7 @@ class TestConcurrenceGrid:
             with np.errstate(all="ignore"):
                 assert _bits(radicand(p)) == _bits(radicand(base))
                 if k > 0:
-                    data = concurrence_grid(p, g)
+                    data = concurrence_columns(p, g)
                     assert _bits(data["c"]) == _bits(ref["c"])
                     assert data["flag"].tolist() == ref["flag"].tolist()
 
@@ -508,7 +506,7 @@ def _assert_same(got, expected, bits):
 
 
 class TestBatchedGridsMatchScalarFunctions:
-    """band_grid and concurrence_grid evaluate k-points in batches; each point
+    """band_chunks and concurrence_chunks evaluate k-points in batches; each point
     must equal the scalar functions bit for bit, and a grid must raise the
     class that the first failing point raises."""
 
@@ -527,8 +525,8 @@ class TestBatchedGridsMatchScalarFunctions:
             if g.mask == "none" or first_zone_mask(p, kx, ky)
         ]
         with mock.patch.object(graphene, "CHUNK_POINTS", chunk):
-            bands = _outcome(band_grid, p, g)
-            conc = _outcome(concurrence_grid, p, g, m, n)
+            bands = _outcome(band_columns, p, g)
+            conc = _outcome(concurrence_columns, p, g, m, n)
         for data in (bands, conc):
             if not isinstance(data, type):
                 assert list(zip(data["kx"].tolist(), data["ky"].tolist())) == points
@@ -549,7 +547,7 @@ class TestBatchedGridsMatchScalarFunctions:
         p = GrapheneParams()
         kx, ky = _zone_anchors(p)["dirac"]
         g = GridSpec(kx, kx + 0.5, ky, ky + 0.5, 3, 3)
-        data = concurrence_grid(p, g, 2, 1)
+        data = concurrence_columns(p, g, 2, 1)
         assert (data["kx"][0], data["ky"][0]) == (kx, ky)
         assert (data["c"][0], data["flag"][0]) == (0.0, 1)
         assert _scalar_concurrence(p, kx, ky, 2, 1) == (0.0, 1)
@@ -604,8 +602,8 @@ class TestStructureAwareGridsMatchTheArrayPath:
         with mock.patch.object(graphene, "CHUNK_POINTS", chunk), \
                 mock.patch.object(graphene, "_derive_components", derive_components), \
                 mock.patch.object(entanglement, "_concurrence_from_derived", concurrence_from_derived):
-            bands = _outcome(band_grid, p, g)
-            conc = _outcome(concurrence_grid, p, g, m, n)
+            bands = _outcome(band_columns, p, g)
+            conc = _outcome(concurrence_columns, p, g, m, n)
         assert all(_holds_zero(x) for x in inputs)
         assert not any(_holds_zero(v) for d in records for v in vars(d).values())
         for d in records:
@@ -1020,8 +1018,8 @@ def test_lattice_at_least_the_smallest_lattice():
     assert math.isfinite(math.sqrt(3.0) * ys[-1])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         g = default_grid(p, 5)
-        assert np.isfinite(band_grid(p, g)["e2"]).all()
-        assert np.isfinite(concurrence_grid(p, g)["c"]).all()
+        assert np.isfinite(band_columns(p, g)["e2"]).all()
+        assert np.isfinite(concurrence_columns(p, g)["c"]).all()
     below = float(np.nextafter(bound, 0.0))
     lim = 4.0 * math.pi / (3.0 * below)
     assert math.isinf(lim - (-lim))

@@ -31,7 +31,7 @@ from su2pair.hamiltonian import (
     rotate_set,
 )
 from su2pair.pauli import _WORDS, pauli
-from su2pair.solver import SolveMethod, factor_dyadic, solve, solve_entangled
+from su2pair.solver import SolveMethod, solve
 from su2pair.sampling import (
     random_coefficient_set,
     random_entangled_canonical,
@@ -431,7 +431,7 @@ class TestDerive:
             sets.append(c)
         sets += [random_rotated_constrained(rng)[1] for _ in range(4)]
         for i, c in enumerate(sets):
-            for (m, n), _, rho in solve_entangled(c).items():
+            for (m, n), _, rho in solve(c).items():
                 pair, want = eigenstate_bloch_closed_form(c, m, n), bloch_vectors(rho)
                 assert np.max(np.abs(pair.a_bloch - want.a_bloch)) <= 1e-12, (i, m, n)
                 assert np.max(np.abs(pair.b_bloch - want.b_bloch)) <= 1e-12, (i, m, n)
@@ -638,8 +638,8 @@ def _scaled(c: CoefficientSet, lam: float) -> CoefficientSet:
 
 
 def _closed_form_declined(c: CoefficientSet) -> bool:
-    """The even-spectrum degeneracy flag: solve_entangled hands over to the oracle."""
-    return solve_entangled(c).method is SolveMethod.ORACLE_NUMERIC
+    """The even-spectrum degeneracy flag: solve's entangled route hands over to the oracle."""
+    return solve(c).method is SolveMethod.ORACLE_NUMERIC
 
 
 @st.composite
@@ -785,9 +785,7 @@ class TestClassify:
         (lambda c, *t, **k: derive(c, *t, **k), True),
         (lambda c, *t, **k: derive_arrays(c.alpha, c.beta, c.omega, *t, **k), True),
         (lambda c, *t, **k: classify(c, *t, **k), True),
-        (lambda c, *t, **k: factor_dyadic(c, *t, **k), True),
         (lambda c, *t, **k: solve(c, *t, **k), True),
-        (lambda c, *t, **k: solve_entangled(c, *t, **k), True),
         (lambda c, *t, **k: eigenstate_bloch_closed_form(c, 1, 1, *t, **k), True),
         (lambda c, *t, **k: concurrence_closed_form_arrays(
             c.alpha, c.beta, c.omega, 1, 1, *t, **k), True),
@@ -795,8 +793,7 @@ class TestClassify:
         (lambda c, *t, **k: thermal_concurrence(c, 1.0, **k), False),
         (lambda c, *t, **k: thermal_sweep(c, [1.0], **k), False),
         (lambda c, *t, **k: thermal_report(c, 1.0, **k), False),
-    ], ids=["derive", "derive_arrays", "classify", "factor_dyadic", "solve",
-            "solve_entangled", "eigenstate_bloch_closed_form",
+    ], ids=["derive", "derive_arrays", "classify", "solve", "eigenstate_bloch_closed_form",
             "concurrence_closed_form_arrays", "eigenstate_concurrence_closed_form",
             "thermal_concurrence", "thermal_sweep", "thermal_report"])
     def test_tol_is_not_a_parameter(self, call, positional):

@@ -29,7 +29,7 @@ from su2pair.hamiltonian import (
     derive,
 )
 from su2pair.oracle import SpectralDecomposition
-from su2pair.solver import Eigensystem, SolveMethod, Su2Factor, solve
+from su2pair.solver import Eigensystem, SolveMethod, solve
 from su2pair.thermo import EnsembleBranch, ThermalConcurrenceResult, ThermalReport
 from su2pair.verify import SuiteResult
 
@@ -65,11 +65,6 @@ RECORDS = {
         (np.array([2.0, 1.0, 0.0, -1.0]), np.eye(4)), {},
         lambda r: np.array_equal(r.projector(1), np.diag([0.0, 1.0, 0.0, 0.0])),
         [],
-    ),
-    "Su2Factor": (
-        Su2Factor, ("a0", "vec"), (1, [0.0, 0.0, 2.0]), {},
-        lambda r: type(r.a0) is float and r.norm == 2.0 and not r.vec.flags.writeable,
-        [({"vec": [1.0]}, "cannot reshape")],
     ),
     "ThermalConcurrenceResult": (
         ThermalConcurrenceResult, ("value", "commutator_norm", "reliable", "wootters"),

@@ -19,18 +19,13 @@ from su2pair.hamiltonian import (
     CoefficientSet,
     _decide,
     _dyadic_residuals,
+    _factor_parts,
     classify,
     derive,
     fano_compose,
 )
 from su2pair.sampling import random_rotation
-from su2pair.solver import (
-    _oracle_eigensystem,
-    factor_dyadic,
-    solve,
-    solve_entangled,
-    solve_separable,
-)
+from su2pair.solver import _oracle_eigensystem, _solve_entangled, _solve_product, solve
 
 # s2/s1 of the drawn omega, in units of DEFAULT_TOL.
 RATIOS = (0.1, 1.0, math.sqrt(3.0), 10.0)
@@ -96,11 +91,12 @@ def _outcome(fn, *args):
     return es.values.tobytes(), es.states.tobytes(), es.method, es.degenerate
 
 
-def _reference_solve(c: CoefficientSet, kind: CaseKind):
+def _reference_solve(c: CoefficientSet, kind: CaseKind, leading):
+    """Each route run on the reference's label and singular triple."""
     if kind is CaseKind.SEPARABLE_DYADIC:
-        return solve_separable(*factor_dyadic(c))
+        return _solve_product(*_factor_parts(c, leading))
     if kind is CaseKind.ENTANGLED_CONSTRAINED:
-        return solve_entangled(c)
+        return _solve_entangled(c, derive(c))
     return _oracle_eigensystem(fano_compose(c))
 
 
@@ -124,7 +120,7 @@ def _check(c: CoefficientSet) -> bool:
         _bits(v) for v in residuals.values()
     ], c
 
-    want = _outcome(_reference_solve, c, kind)
+    want = _outcome(_reference_solve, c, kind, leading)
     assert _outcome(solve, c) == want, c
     return dyadic is not None
 

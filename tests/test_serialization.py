@@ -29,7 +29,7 @@ from su2pair import cli, graphene, serialization
 from su2pair.serialization import _format_17g, format_float, load_coefficient_set, write_csv
 from su2pair.thermo import EnsembleBranch, thermal_sweep
 
-from references import pow10_pair
+from references import band_columns, concurrence_columns, pow10_pair
 from test_golden import SETS
 
 
@@ -182,10 +182,10 @@ def test_specials_and_an_empty_file(tmp_path):
 # are not in the 21^2 golden cases.
 GRIDS = [
     (["graphene-bands", "--bias", "0.1"], ["kx", "ky", "E1", "E2"],
-     graphene.band_grid, ("kx", "ky", "e1", "e2")),
+     band_columns, ("kx", "ky", "e1", "e2")),
     (["graphene-concurrence", "--bias", "1", "--branch-n", "2", "--mask", "hex"],
      ["kx", "ky", "C", "flag"],
-     lambda p, g: graphene.concurrence_grid(p, g, 2, 2), ("kx", "ky", "c", "flag")),
+     lambda p, g: concurrence_columns(p, g, 2, 2), ("kx", "ky", "c", "flag")),
 ]
 
 

@@ -3,12 +3,7 @@ import pytest
 
 from su2pair import _invariants, hamiltonian, solver
 from su2pair.entanglement import eigenstate_concurrence_closed_form
-from su2pair.errors import (
-    ConstraintError,
-    FactorizationError,
-    InvariantViolation,
-    NonHermitianError,
-)
+from su2pair.errors import ConstraintError, InvariantViolation, NonHermitianError
 from su2pair.hamiltonian import (
     DEFAULT_TOL,
     CaseKind,
@@ -31,26 +26,16 @@ from su2pair.sampling import (
     random_rotation,
     random_separable_factors,
 )
-from su2pair.solver import (
-    Eigensystem,
-    SolveMethod,
-    Su2Factor,
-    _oracle_eigensystem,
-    factor_dyadic,
-    secular_coefficients,
-    solve,
-    solve_entangled,
-    solve_separable,
-)
+from su2pair.solver import Eigensystem, SolveMethod, secular_coefficients, solve
 from su2pair.verify import _match_oracle
 
-from references import product_matrix, scaled
+from references import eigensystem_defects, factor, product_factors, product_matrix, scaled
 
 ENTANGLED_EXAMPLE = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
 
 
 def assert_eigensystem_contracts(es: Eigensystem, h: np.ndarray):
-    res = es.residuals(h)
+    res = eigensystem_defects(es, h)
     assert res["completeness"] <= 1e-9
     assert res["trace"] <= 1e-10
     assert res["eigen"] <= 1e-8
@@ -70,7 +55,7 @@ class TestSecularCoefficients:
 
     def test_diagonal_dyadic_example(self):
         """kron(I + s3, 2I + s3) = diag(6,2,0,0); shifted roots {4,0,-2,-2}."""
-        c = dyadic_set_from_factors(Su2Factor(1, (0, 0, 1)), Su2Factor(2, (0, 0, 1)))
+        c = dyadic_set_from_factors(factor(1, (0, 0, 1)), factor(2, (0, 0, 1)))
         roots = solve_quartic(*secular_coefficients(derive(c)))
         assert np.allclose(np.sort(roots.real), [-2, -2, 0, 4], atol=1e-8)
         assert np.allclose(np.sort(roots.real) + c.upsilon, [0, 0, 2, 6], atol=1e-8)
@@ -120,48 +105,59 @@ class TestSecularCoefficients:
             )
 
 
-class TestFactorDyadic:
+def _product_route(c):
+    """solve(c), which must take the separable closed form, and the factors
+    ((a0, a), (b0, b)) that it read."""
+    es = solve(c)
+    assert es.method is SolveMethod.SEPARABLE_CLOSED_FORM
+    return es, product_factors(c)
+
+
+class TestProductFactorization:
+    """The one factorization of a product set, which solve's separable
+    route and the thermal sweep read (``hamiltonian._factor_parts``)."""
+
     def test_diagonal_example(self):
-        c = dyadic_set_from_factors(Su2Factor(2, (0, 0, 1)), Su2Factor(3, (0, 0, 1)))
-        f1, f2 = factor_dyadic(c)
+        c = dyadic_set_from_factors(factor(2, (0, 0, 1)), factor(3, (0, 0, 1)))
+        _, (f1, f2) = _product_route(c)
         assert np.max(np.abs(product_matrix(f1, f2) - fano_compose(c))) <= 1e-10
 
     def test_generic_round_trip(self):
         a, b = np.array([1.0, 2.0, 0.0]), np.array([0.0, 1.0, 1.0])
         a0, b0 = 0.7, -1.2
         c = CoefficientSet(a0 * b0, b0 * a, a0 * b, np.outer(a, b))
-        f1, f2 = factor_dyadic(c)
+        _, (f1, f2) = _product_route(c)
         assert np.max(np.abs(product_matrix(f1, f2) - fano_compose(c))) <= 1e-10
 
     def test_gauge_convention(self, rng):
+        """|a| = |b| = sqrt(s1), and the largest-magnitude component of a is
+        positive."""
         for _ in range(20):
             c = random_dyadic_set(rng)
-            f1, f2 = factor_dyadic(c)
-            assert np.isclose(f1.norm, f2.norm)
-            lead = np.argmax(np.abs(f1.vec))
-            assert f1.vec[lead] > 0
+            _, ((_, a), (_, b)) = _product_route(c)
+            assert np.isclose(np.linalg.norm(a), np.linalg.norm(b))
+            assert np.isclose(np.linalg.norm(a) ** 2, np.linalg.svd(c.omega, compute_uv=False)[0])
+            assert a[np.argmax(np.abs(a))] > 0
 
-    def test_rank_two_rejected(self):
+    def test_rank_two_is_not_a_product(self):
         c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 2.0, 0.0]))
-        with pytest.raises(FactorizationError):
-            factor_dyadic(c)
+        assert solve(c).method is not SolveMethod.SEPARABLE_CLOSED_FORM
 
     def test_zero_omega_scalar_factor(self):
         c = CoefficientSet(0.5, (0, 0, 0), (1.0, 0.0, 2.0), np.zeros((3, 3)))
-        f1, f2 = factor_dyadic(c)
+        _, (f1, f2) = _product_route(c)
         assert np.max(np.abs(product_matrix(f1, f2) - fano_compose(c))) <= 1e-12
 
-    def test_zero_omega_two_vectors_rejected(self):
+    def test_zero_omega_two_vectors_is_not_a_product(self):
         c = CoefficientSet(0.0, (1, 0, 0), (0, 1, 0), np.zeros((3, 3)))
-        with pytest.raises(FactorizationError):
-            factor_dyadic(c)
+        assert solve(c).method is not SolveMethod.SEPARABLE_CLOSED_FORM
 
     def test_small_omega_beside_a_large_upsilon(self):
         """(100 + 0.01 s1) (x) (100 + 0.01 s1): omega is 1e-8 of the scale but
         all of the non-scalar part, so the set is a product."""
         c = CoefficientSet(1e4, (1, 0, 0), (1, 0, 0), 1e-4 * np.outer((1, 0, 0), (1, 0, 0)))
         assert classify(c).kind is CaseKind.SEPARABLE_DYADIC
-        f1, f2 = factor_dyadic(c)
+        _, (f1, f2) = _product_route(c)
         h = fano_compose(c)
         assert np.max(np.abs(product_matrix(f1, f2) - h)) <= 1e-12 * np.max(np.abs(h))
 
@@ -170,9 +166,9 @@ class TestFactorDyadic:
         upsilon = (alpha.u)(beta.v) / s1 = 100, not 1: not a product."""
         c = CoefficientSet(1.0, (1e-5, 0, 0), (1e-5, 0, 0), 1e-12 * np.outer((1, 0, 0), (1, 0, 0)))
         assert classify(c).kind is not CaseKind.SEPARABLE_DYADIC
-        with pytest.raises(FactorizationError):
-            factor_dyadic(c)
-        got = np.sort(solve(c).values.ravel())
+        es = solve(c)
+        assert es.method is not SolveMethod.SEPARABLE_CLOSED_FORM
+        got = np.sort(es.values.ravel())
         assert np.max(np.abs(got - oracle_sorted(fano_compose(c)))) <= 1e-14
 
 
@@ -216,21 +212,18 @@ SCALE_IDS = ["unit", "2^-40", "2^40"]
 
 class TestSeparableDecision:
     @pytest.mark.parametrize("scale", SCALES, ids=SCALE_IDS)
-    def test_factor_dyadic_raises_exactly_off_the_separable_label(self, scale, rng):
-        """The one fixed tolerance is relative: the label, and whether
-        factor_dyadic raises, are the same at every exact rescaling."""
+    def test_solve_factors_exactly_on_the_separable_label(self, scale, rng):
+        """The one fixed tolerance is relative: the label, and whether solve
+        takes the separable closed form, are the same at every exact
+        rescaling, and the factors it reads reproduce the set."""
         for unit in _separable_decision_sets(rng):
             c = _scaled(unit, scale)
             separable = classify(c).kind is CaseKind.SEPARABLE_DYADIC
             assert separable == (classify(unit).kind is CaseKind.SEPARABLE_DYADIC), unit
-            try:
-                f1, f2 = factor_dyadic(c)
-            except FactorizationError:
-                assert not separable
-            else:
-                assert separable
+            assert separable == (solve(c).method is SolveMethod.SEPARABLE_CLOSED_FORM), unit
+            if separable:
                 h = fano_compose(c)
-                err = np.max(np.abs(product_matrix(f1, f2) - h))
+                err = np.max(np.abs(product_matrix(*product_factors(c)) - h))
                 assert err <= 10 * DEFAULT_TOL * (1 + np.max(np.abs(h)))
 
 
@@ -275,7 +268,7 @@ class TestNearSingularOmega:
 
 class TestSolveSeparable:
     def test_diagonal_case(self):
-        es = solve_separable(Su2Factor(1, (0, 0, 1)), Su2Factor(2, (0, 0, 1)))
+        es, _ = _product_route(dyadic_set_from_factors(factor(1, (0, 0, 1)), factor(2, (0, 0, 1))))
         assert not es.degenerate
         assert np.allclose(np.sort(es.values.ravel()), [0, 0, 2, 6])
         # computational-basis projectors: m (n) = 2 is the +axis local state
@@ -286,7 +279,7 @@ class TestSolveSeparable:
             assert np.allclose(s, want, atol=1e-12)
 
     def test_xx_case(self):
-        es = solve_separable(Su2Factor(0, (1, 0, 0)), Su2Factor(0, (1, 0, 0)))
+        es, _ = _product_route(dyadic_set_from_factors(factor(0, (1, 0, 0)), factor(0, (1, 0, 0))))
         assert sorted(es.values.ravel()) == [-1, -1, 1, 1]
         plus = np.array([1, 1]) / np.sqrt(2)
         minus = np.array([1, -1]) / np.sqrt(2)
@@ -295,7 +288,7 @@ class TestSolveSeparable:
         assert_eigensystem_contracts(es, np.kron(pauli(1), pauli(1)))
 
     def test_fully_degenerate_factor(self):
-        es = solve_separable(Su2Factor(1, (0, 0, 0)), Su2Factor(1, (0, 0, 0)))
+        es, _ = _product_route(dyadic_set_from_factors(factor(1, (0, 0, 0)), factor(1, (0, 0, 0))))
         assert es.degenerate
         assert np.allclose(es.values, 1.0)
         assert np.allclose(sum(s for _, _, s in es.items()), np.eye(4))
@@ -310,19 +303,19 @@ class TestSolveSeparable:
         assert np.allclose(es.sorted_values(), [-1e155, -1e155, 1e155, 1e155], rtol=1e-15, atol=0)
 
     def test_label_convention(self, rng):
-        """epsilon_mn = (a0 + (-1)^m a)(b0 + (-1)^n b) exactly."""
+        """epsilon_mn = (a0 + (-1)^m |a|)(b0 + (-1)^n |b|) of the factors
+        solve reads."""
         for _ in range(20):
-            f1, f2 = random_separable_factors(rng)
-            es = solve_separable(f1, f2)
+            es, ((a0, a), (b0, b)) = _product_route(random_dyadic_set(rng))
             for m in (1, 2):
                 for n in (1, 2):
-                    want = (f1.a0 + (-1) ** m * f1.norm) * (f2.a0 + (-1) ** n * f2.norm)
+                    want = (a0 + (-1) ** m * np.linalg.norm(a)) * (b0 + (-1) ** n * np.linalg.norm(b))
                     assert np.isclose(es.eigenvalue(m, n), want)
 
     def test_contracts_fuzz(self, rng):
         for _ in range(100):
             f1, f2 = random_separable_factors(rng)
-            es = solve_separable(f1, f2)
+            es, _ = _product_route(dyadic_set_from_factors(f1, f2))
             h = product_matrix(f1, f2)
             assert_eigensystem_contracts(es, h)
             assert np.max(np.abs(np.sort(es.values.ravel()) - oracle_sorted(h))) <= 1e-9 * (
@@ -330,9 +323,16 @@ class TestSolveSeparable:
             )
 
 
+def _entangled_route(c):
+    """solve(c), which must take the entangled closed form."""
+    es = solve(c)
+    assert es.method is SolveMethod.ENTANGLED_CLOSED_FORM
+    return es
+
+
 class TestSolveEntangled:
     def test_reference_example(self):
-        es = solve_entangled(ENTANGLED_EXAMPLE)
+        es = solve(ENTANGLED_EXAMPLE)
         assert es.method is SolveMethod.ENTANGLED_CLOSED_FORM
         r5 = np.sqrt(5)
         assert np.allclose(np.sort(es.values.ravel()), [-r5, -1, 1, r5])
@@ -344,7 +344,7 @@ class TestSolveEntangled:
 
     def test_two_sided_example(self):
         c = CoefficientSet(0.0, (0, 0, 1), (0, 0, 2), np.diag([1.0, 1.0, 0.0]))
-        es = solve_entangled(c)
+        es = _entangled_route(c)
         r5 = np.sqrt(5)
         assert np.allclose(np.sort(es.values.ravel()), [-3, -r5, r5, 3], atol=1e-10)
         assert_eigensystem_contracts(es, fano_compose(c))
@@ -353,7 +353,7 @@ class TestSolveEntangled:
         """epsilon_mn = upsilon + (-1)^m E_n with E_2 >= E_1."""
         for _ in range(20):
             c = random_entangled_canonical(rng, "alpha")
-            es = solve_entangled(c)
+            es = _entangled_route(c)
             assert es.eigenvalue(2, 2) >= es.eigenvalue(2, 1) >= es.eigenvalue(1, 1)
             assert es.eigenvalue(1, 1) >= es.eigenvalue(1, 2)
             assert np.isclose(
@@ -365,7 +365,7 @@ class TestSolveEntangled:
         for k in range(500):
             branch = ("alpha", "beta", "both")[k % 3]
             c = random_entangled_canonical(rng, branch)
-            es = solve_entangled(c)
+            es = _entangled_route(c)
             states = [s for _, _, s in es.items()]
             for i, si in enumerate(states):
                 assert abs(np.trace(si).real - 1) <= 1e-10
@@ -377,7 +377,7 @@ class TestSolveEntangled:
     def test_oracle_match_fuzz(self, rng):
         for _ in range(200):
             c = random_entangled_canonical(rng, "alpha")
-            es = solve_entangled(c)
+            es = _entangled_route(c)
             h = fano_compose(c)
             assert_eigensystem_contracts(es, h)
             assert np.max(
@@ -386,7 +386,7 @@ class TestSolveEntangled:
 
     def test_degenerate_theta_phi_falls_back(self):
         c = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 0.0, 0.0]))
-        es = solve_entangled(c)
+        es = solve(c)
         assert es.method is SolveMethod.ORACLE_NUMERIC
         assert es.degenerate
         r2 = np.sqrt(2)
@@ -395,7 +395,7 @@ class TestSolveEntangled:
 
     def test_degenerate_e1_falls_back(self):
         c = CoefficientSet(0.0, (0, 0, 0), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
-        es = solve_entangled(c)
+        es = solve(c)
         assert es.degenerate
         assert np.allclose(np.sort(es.values.ravel()), [-2, 0, 0, 2])
 
@@ -434,10 +434,6 @@ class TestSolveEntangled:
             routes.add(closed)
         assert routes == {False, True}
 
-    def test_unconstrained_rejected(self):
-        c = CoefficientSet(0.3, (1, 2, 3), (3, 1, 2), np.diag([1.0, 2.0, 3.0]))
-        with pytest.raises(ConstraintError):
-            solve_entangled(c)
 
 
 class TestSolveDispatch:
@@ -481,7 +477,7 @@ class TestSolveDispatch:
             es = solve(rot)
             assert es.method is SolveMethod.ENTANGLED_CLOSED_FORM
             assert_eigensystem_contracts(es, fano_compose(rot))
-            want = np.sort(solve_entangled(c).values.ravel())
+            want = np.sort(solve(c).values.ravel())
             assert np.max(np.abs(np.sort(es.values.ravel()) - want)) <= 1e-9 * (
                 1 + np.max(np.abs(want))
             )
@@ -523,7 +519,7 @@ class TestSolveDispatch:
         assert np.max(np.abs(np.sort(es.values.ravel()) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_degenerate_fallback_checks_hermiticity_as_solve_does(self, monkeypatch):
-        """solve_entangled's oracle fallback composes a set with finite
+        """The entangled route's oracle fallback composes a set with finite
         v_quad, which is exactly Hermitian, so it skips require_hermitian
         and keeps the bits of the checked matrix's eigensystem."""
         calls, require_hermitian = [], solver.require_hermitian
@@ -537,7 +533,7 @@ class TestSolveDispatch:
         # Degenerate sqrt(Tp), and degenerate E1.
         for alpha, omega in (((0, 0, 1), [1.0, 0.0, 0.0]), ((0, 0, 0), [1.0, 1.0, 0.0])):
             c = CoefficientSet(0.0, alpha, (0, 0, 0), np.diag(omega))
-            es = solve_entangled(c)
+            es = solve(c)
             assert calls == [] and es.method is SolveMethod.ORACLE_NUMERIC
             want = solver._oracle_eigensystem(require_hermitian(fano_compose(c)), labels)
             assert es.values.tobytes() == want.values.tobytes()
@@ -594,20 +590,6 @@ class TestSolveOnePass:
             (SolveMethod.ORACLE_NUMERIC, True),
             (SolveMethod.ORACLE_NUMERIC, False),
         }
-
-    @pytest.mark.parametrize("scale", SCALES, ids=SCALE_IDS)
-    def test_solve_equals_the_public_routes_bitwise(self, scale):
-        for unit in _route_sets():
-            c = _scaled(unit, scale)
-            kind = classify(c).kind
-            assert kind is classify(unit).kind, unit
-            if kind is CaseKind.SEPARABLE_DYADIC:
-                want = solve_separable(*factor_dyadic(c))
-            elif kind is CaseKind.ENTANGLED_CONSTRAINED:
-                want = solve_entangled(c)
-            else:
-                want = _oracle_eigensystem(fano_compose(c))
-            _assert_same_eigensystem(solve(c), want)
 
     def test_one_derive_and_one_svd_per_solve(self, monkeypatch):
         """derive and derive_arrays both run the one derive kernel; it is

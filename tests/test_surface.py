@@ -1,5 +1,6 @@
 """The package's public surface: the names ``su2pair`` exports."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -7,24 +8,54 @@ from pathlib import Path
 import su2pair
 
 PUBLIC = [
-    "BlochPair", "Branch", "CaseKind", "Classification",
-    "CoefficientSet", "ConcurrenceDomainError", "ConstraintError",
-    "DegenerateBranchError", "DensityMatrixError", "DerivedCoefficients",
-    "Eigensystem", "EnsembleBranch", "FactorizationError", "GrapheneParams",
-    "GridSpec", "InputFormatError", "InvariantViolation", "NonHermitianError",
-    "SolveMethod", "SpectralDecomposition", "Su2Factor",
-    "ThermalConcurrenceResult", "ThermalReport", "band_grid", "bloch_vectors",
-    "classify", "concurrence_closed_form_arrays", "concurrence_grid",
+    "BlochPair", "Branch", "CaseKind", "Classification", "CoefficientSet",
+    "ConcurrenceDomainError", "ConstraintError", "DegenerateBranchError",
+    "DensityMatrixError", "DerivedCoefficients", "Eigensystem",
+    "EnsembleBranch", "GrapheneParams", "GridSpec", "InputFormatError",
+    "InvariantViolation", "NonHermitianError", "SolveMethod",
+    "SpectralDecomposition", "ThermalConcurrenceResult", "ThermalReport",
+    "bloch_vectors", "classify", "concurrence_closed_form_arrays",
     "default_grid", "derive", "derive_arrays", "eig_hermitian",
     "eigenstate_bloch_closed_form", "eigenstate_concurrence_closed_form",
-    "factor_dyadic", "fano_compose", "fano_decompose", "find_dirac_point",
-    "map_to_su2su2", "pauli", "pauli_word", "pure_concurrence", "rotate_set",
-    "secular_coefficients", "solve", "solve_entangled", "solve_quartic",
-    "solve_separable", "thermal_concurrence", "thermal_death_temperature",
-    "thermal_report", "thermal_state", "thermal_sweep", "wootters_concurrence",
+    "fano_compose", "fano_decompose", "find_dirac_point", "map_to_su2su2",
+    "pauli", "pauli_word", "pure_concurrence", "rotate_set",
+    "secular_coefficients", "solve", "solve_quartic", "thermal_concurrence",
+    "thermal_death_temperature", "thermal_report", "thermal_state",
+    "thermal_sweep", "wootters_concurrence",
 ]
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+# Public names that no module but their own, no perfbench/ code and no line
+# of README's library sketch refers to, each with the reason it is public.
+TYPES_ONLY_RETURNED = {
+    "BlochPair": "the record bloch_vectors and eigenstate_bloch_closed_form return",
+    "Branch": "the type of a Classification's branch field",
+    "Classification": "the record classify returns",
+    "ThermalConcurrenceResult": "the record thermal_concurrence returns",
+    "ThermalReport": "the record thermal_report returns",
+}
+
+REPO = Path(__file__).resolve().parent.parent
+README = REPO / "README.md"
+
+
+def _readme_section(title: str) -> str:
+    return README.read_text().split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _sketch() -> str:
+    return _readme_section("Library sketch").split("```python", 1)[1].split("```", 1)[0]
+
+
+def _code_names(source: str) -> set[str]:
+    """The names that Python code refers to, as a Name or an Attribute:
+    docstrings and comments do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
 
 
 def test_all_is_the_public_list():
@@ -127,8 +158,31 @@ def test_argument_rules_are_defined_once():
 
 
 def test_readme_library_sketch_uses_only_public_names():
-    text = README.read_text()
-    sketch = text.split("## Library sketch", 1)[1].split("```python", 1)[1].split("```", 1)[0]
-    used = set(re.findall(r"\bsp\.(\w+)", sketch))
-    assert {"fano_decompose", "concurrence_grid", "band_grid", "thermal_report"} <= used
+    used = set(re.findall(r"\bsp\.(\w+)", _sketch()))
+    assert {"fano_decompose", "secular_coefficients", "thermal_report"} <= used
     assert used <= set(PUBLIC)
+
+
+def test_readme_api_section_lists_all_by_module():
+    rows = re.findall(r"^\| (\w+) \| (`.+) \|$", _readme_section("API"), re.M)
+    listed = {module: re.findall(r"`(\w+)`", names) for module, names in rows}
+    assert listed == {module: list(names) for module, names in su2pair._NAMES.items()}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Nothing is public for the tests alone: every name in __all__ is
+    referred to by the code of a package module other than its own, of the
+    benchmark in perfbench/ or of README's library sketch, or is one of the
+    types in TYPES_ONLY_RETURNED."""
+    src = Path(su2pair.__file__).resolve().parent
+    modules = {path.stem: _code_names(path.read_text()) for path in src.glob("*.py")}
+    outside = set().union(
+        _code_names(_sketch()),
+        *(_code_names(path.read_text()) for path in (REPO / "perfbench").glob("*.py")),
+    )
+    unreferenced = sorted(
+        name for name, own in su2pair._MODULE_OF.items()
+        if name not in outside
+        and not any(name in names for module, names in modules.items() if module != own)
+    )
+    assert unreferenced == sorted(TYPES_ONLY_RETURNED)

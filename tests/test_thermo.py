@@ -21,7 +21,7 @@ from su2pair.sampling import (
     random_rotation,
     random_separable_factors,
 )
-from su2pair.solver import Su2Factor, factor_dyadic, solve_entangled, solve_separable
+from su2pair.solver import solve
 from su2pair.thermo import (
     SWEEP_BLOCK,
     EnsembleBranch,
@@ -32,7 +32,13 @@ from su2pair.thermo import (
     thermal_sweep,
 )
 
-from references import log_partition_numeric, mat_func, thermal_state_from_eigensystem
+from references import (
+    factor,
+    log_partition_numeric,
+    mat_func,
+    product_factors,
+    thermal_state_from_eigensystem,
+)
 from test_golden import SETS
 
 ENTANGLED_EXAMPLE = CoefficientSet(0.0, (0, 0, 1), (0, 0, 0), np.diag([1.0, 1.0, 0.0]))
@@ -45,7 +51,7 @@ def oracle_z(c: CoefficientSet, t: float) -> float:
 
 
 def product_set(a0, a, b0, b) -> CoefficientSet:
-    return dyadic_set_from_factors(Su2Factor(a0, a), Su2Factor(b0, b))
+    return dyadic_set_from_factors(factor(a0, a), factor(b0, b))
 
 
 class TestPartitionSeparable:
@@ -75,10 +81,10 @@ class TestPartitionSeparable:
         """At T = 1e-4 log Z lies beyond the double range: Z reads inf or 0
         on the side of its sign, and the purity keeps its digits."""
         c = dyadic_set_from_factors(*random_separable_factors(rng))
-        f1, f2 = factor_dyadic(c)
+        (a0, a), (b0, b) = product_factors(c)
         values = np.sort(
             [
-                (f1.a0 + sm * f1.norm) * (f2.a0 + sn * f2.norm)
+                (a0 + sm * math.sqrt(a @ a)) * (b0 + sn * math.sqrt(b @ b))
                 for sm in (-1, 1)
                 for sn in (-1, 1)
             ]
@@ -213,9 +219,8 @@ class TestThermalState:
 
     def test_eigensystem_expansion_separable(self, rng):
         for _ in range(30):
-            f1, f2 = random_separable_factors(rng)
-            c = dyadic_set_from_factors(f1, f2)
-            es = solve_separable(f1, f2)
+            c = dyadic_set_from_factors(*random_separable_factors(rng))
+            es = solve(c)
             for t in (0.5, 2.0):
                 a = thermal_state(c, t)
                 b = thermal_state_from_eigensystem(es, t)
@@ -224,7 +229,7 @@ class TestThermalState:
     def test_eigensystem_expansion_entangled(self, rng):
         for _ in range(30):
             c = random_entangled_canonical(rng, "alpha")
-            es = solve_entangled(c)
+            es = solve(c)
             a = thermal_state(c, 1.0)
             b = thermal_state_from_eigensystem(es, 1.0)
             assert np.max(np.abs(a - b)) <= 1e-9
@@ -656,12 +661,12 @@ def _even_levels_50(c: CoefficientSet) -> list[decimal.Decimal]:
         return [u - e2, u - e1, u + e1, u + e2]
 
 
-def _product_levels_50(f1: Su2Factor, f2: Su2Factor) -> list[decimal.Decimal]:
-    """(a0 +- |a|)(b0 +- |b|) from the factors' floats."""
+def _product_levels_50(f1, f2) -> list[decimal.Decimal]:
+    """(a0 +- |a|)(b0 +- |b|) from the floats of the factors (a0, a) and (b0, b)."""
     with decimal.localcontext(_DIGITS):
-        a0, b0 = _dec(f1.a0), _dec(f2.a0)
-        a = _dec(sum(Fraction(float(x)) ** 2 for x in f1.vec)).sqrt()
-        b = _dec(sum(Fraction(float(x)) ** 2 for x in f2.vec)).sqrt()
+        a0, b0 = _dec(f1[0]), _dec(f2[0])
+        a = _dec(sum(Fraction(float(x)) ** 2 for x in f1[1])).sqrt()
+        b = _dec(sum(Fraction(float(x)) ** 2 for x in f2[1])).sqrt()
         return [(a0 + s * a) * (b0 + r * b) for s in (1, -1) for r in (1, -1)]
 
 
@@ -682,8 +687,8 @@ REFERENCE_TEMPS = np.geomspace(1e-2, 1e2, 13)
 def _reference_draws():
     """(set, levels, constrained) for seeded alpha, beta, both, rotated and
     product sets with base energies 0, 1e3 and 1e6.  A product set's levels
-    come from the factors that factor_dyadic recovers from it, the ones the
-    sweep reads."""
+    come from the factors that ``hamiltonian._factor_parts`` recovers from
+    it, the ones the sweep reads."""
     rng = np.random.default_rng(2024)
     for base in (0.0, 1e3, 1e6):
         for _ in range(4):
@@ -691,11 +696,10 @@ def _reference_draws():
                 c = route_set(route, rng)
                 c = CoefficientSet(base, c.alpha, c.beta, c.omega)
                 yield c, _even_levels_50(c), True
-            f1, f2 = random_separable_factors(rng)
+            (a0, a), (b0, b) = random_separable_factors(rng)
             shift = math.sqrt(base)
-            c = dyadic_set_from_factors(Su2Factor(f1.a0 + shift, f1.vec),
-                                        Su2Factor(f2.a0 + shift, f2.vec))
-            yield c, _product_levels_50(*factor_dyadic(c)), False
+            c = dyadic_set_from_factors((a0 + shift, a), (b0 + shift, b))
+            yield c, _product_levels_50(*product_factors(c)), False
 
 
 class TestAgainstFiftyDigits:
